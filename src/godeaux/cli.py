@@ -8,7 +8,7 @@ One executable, five families of subcommands:
                (quasi-smoothness, free action, fixed locus)
   cover ...    building-data validation, numerical invariants, lift
                classification, even node sets, the Enriques preset
-  group ...    lift classification witnesses and 2-divisibility queries
+  group ...    2-divisibility queries
   cone ...     quadric-cone geometry: the invariant map, fixed points,
                branch degenerations, the pencil-of-conics gluing
 
@@ -61,6 +61,7 @@ from .covers import (
 )
 from .family import (
     build_family,
+    lift_sign_clash,
     match_reference_table,
     params_from_config,
     random_params,
@@ -70,17 +71,16 @@ from .family import (
 from .reports import CheckReport, config_hash, exit_code, reports_to_json
 from .scalars import is_prime
 from .varieties import (
+    MAX_ENUM_PRIME,
+    check_fixed_locus,
     check_free_action,
     check_quasi_smooth,
-    enumerate_points,
-    sigma_fixed_components,
 )
 from .wpoly import parse_poly
 
 PRIMES_ENV = "GODEAUX_PRIMES"
 # 13 is the fast lane, 29 the confirmation prime; both are 1 mod 4
 FALLBACK_PRIMES = (13, 29)
-VERIFY_CHECKS = ("quasi-smooth", "free-action", "fixed-locus")
 
 
 class ConfigError(ValueError):
@@ -173,6 +173,10 @@ def _family_from_args(args):
 
 def cmd_table1(args) -> List[CheckReport]:
     fam = _family_from_args(args)
+    clash = lift_sign_clash(fam)
+    if clash is not None:
+        note = "a quartic is not sign-homogeneous under an involution lift"
+        return [CheckReport(check="table1", status="error", witness=clash, notes=(note,))]
     lifts = {
         fam.sigma.label: sigma_table(fam, fam.sigma),
         fam.sigma_g2.label: sigma_table(fam, fam.sigma_g2),
@@ -205,33 +209,17 @@ def cmd_table1(args) -> List[CheckReport]:
 # verify
 
 
-def _check_fixed_locus(fam, p: int) -> CheckReport:
-    info = sigma_fixed_components(fam, p)
-    locus = info["locus"]
-    surface = enumerate_points(fam.ring, p, [fam.q0, fam.q2])
-    hits = sorted(set(locus.coordinate_tuples()) & set(surface.coordinate_tuples()))
-    status = "pass" if hits else "fail"
-    return CheckReport(
-        check="fixed-locus",
-        status=status,
-        prime=p,
-        witness=None if hits else {"reason": "fixed locus misses the surface"},
-        points_scanned=surface.scanned,
-        notes=("divisorial fixed part requires the locus to meet the surface",),
-        data={
-            "zero_patterns": info["zero_patterns"],
-            "ambient_fixed_points": info["count"],
-            "surface_hits": len(hits),
-            "sample": list(hits[0]) if hits else None,
-        },
-    )
+def _verify_runners() -> Dict[str, Callable[..., CheckReport]]:
+    # built per call, so that a check rebound on this module (as
+    # perfbench's tracer does) is the one that runs
+    return {
+        "quasi-smooth": check_quasi_smooth,
+        "free-action": check_free_action,
+        "fixed-locus": check_fixed_locus,
+    }
 
 
-_VERIFY_RUNNERS: Dict[str, Callable] = {
-    "quasi-smooth": lambda fam, p, workers: check_quasi_smooth(fam, p, workers),
-    "free-action": lambda fam, p, workers: check_free_action(fam, p, workers),
-    "fixed-locus": lambda fam, p, workers: _check_fixed_locus(fam, p),
-}
+VERIFY_CHECKS = tuple(_verify_runners())
 
 
 def cmd_verify(args) -> List[CheckReport]:
@@ -243,11 +231,17 @@ def cmd_verify(args) -> List[CheckReport]:
         output_path=args.output,
     )
     cfg.require_one_mod_four()
+    for p in cfg.primes:
+        if p > MAX_ENUM_PRIME:
+            raise ConfigError(
+                f"exhaustive enumeration is limited to p <= {MAX_ENUM_PRIME}, got {p}"
+            )
+    runners = _verify_runners()
     names = tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
-    unknown = [n for n in names if n not in _VERIFY_RUNNERS]
+    unknown = [n for n in names if n not in runners]
     if unknown:
         raise ConfigError(
-            f"unknown checks {unknown}; choose from {sorted(_VERIFY_RUNNERS)}"
+            f"unknown checks {unknown}; choose from {sorted(runners)}"
         )
     if not names:
         raise ConfigError("no checks requested")
@@ -261,9 +255,7 @@ def cmd_verify(args) -> List[CheckReport]:
             while True:
                 draw_seed = rng.randrange(1 << 31)
                 fam = build_family(random_params(p, seed=draw_seed))
-                batch = [
-                    _VERIFY_RUNNERS[name](fam, p, args.workers) for name in names
-                ]
+                batch = [runners[name](fam, p) for name in names]
                 attempts += 1
                 if all(r.ok for r in batch) or attempts > cfg.retry_budget:
                     for r in batch:
@@ -378,10 +370,6 @@ def cmd_cover_enriques(args) -> List[CheckReport]:
 
 # ---------------------------------------------------------------------------
 # group
-
-
-def cmd_group_classify(args) -> List[CheckReport]:
-    return cmd_cover_lift(args)
 
 
 def cmd_group_divisibility(args) -> List[CheckReport]:
@@ -559,7 +547,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--checks", default=",".join(VERIFY_CHECKS))
     v.add_argument("--draws", type=int, default=1)
     v.add_argument("--retry-budget", type=int, default=3, dest="retry_budget")
-    v.add_argument("--workers", type=int, default=1)
     v.set_defaults(func=cmd_verify)
 
     cover = sub.add_parser("cover", help="building data and cover invariants")
@@ -581,12 +568,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c = csub.add_parser("enriques", parents=[common])
     c.set_defaults(func=cmd_cover_enriques)
 
-    group = sub.add_parser("group", help="lift groups and divisibility")
+    group = sub.add_parser("group", help="2-divisibility in abelian groups")
     gsub = group.add_subparsers(dest="action", required=True)
-    g = gsub.add_parser("classify", parents=[common])
-    g.add_argument("--case", choices=("a", "b", "double"), required=True)
-    g.add_argument("--rho-order", type=int, default=2, dest="rho_order")
-    g.set_defaults(func=cmd_group_classify)
     g = gsub.add_parser("divisibility", parents=[common])
     g.add_argument("--group", required=True, help='abelian label, e.g. "Z2xZ4"')
     g.add_argument("--element", required=True, help="comma-separated coordinates")

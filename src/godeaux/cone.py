@@ -180,10 +180,10 @@ def verify_invariant_map(setup: ConeSetup, prime: int = 13) -> CheckReport:
     img_p = image_ring(prime)
     d1, d2 = image_equations(img_p)
     for pt in surface.points:
-        coords = [field_p(x) for x in pt.coords]
+        coords = [field_p(x) for x in pt]
         image = setup_p.image_point(coords)
         if d1.evaluate(image) or d2.evaluate(image):
-            bad = pt.coords
+            bad = pt
             break
         on_model += 1
     checks["all_points_map_to_model"] = bad is None
@@ -315,8 +315,7 @@ def tau_fixed_points(setup: ConeSetup, prime: Optional[int] = None) -> CheckRepo
     if prime is not None:
         setup_p = cone_setup(prime)
         locus = fixed_locus(setup_p.tau, prime, [setup_p.cone])
-        enumerated = sorted(pt.coords for pt in locus.points)
-        checks["enumeration_agrees"] = enumerated == [tuple(p) for p in expected]
+        checks["enumeration_agrees"] = list(locus.points) == expected
         scanned = locus.scanned
     status = "pass" if all(checks.values()) else "fail"
     witness = None
@@ -613,7 +612,7 @@ def intersection_count(cfg: BranchConfig, p: int = 13) -> CheckReport:
             data={"lattice_count": lattice},
         )
     locus = enumerate_points(setup.ring, p, [setup.cone, cfg.q1, q2])
-    rational = [list(pt.coords) for pt in locus.points]
+    rational = [list(pt) for pt in locus.points]
     if len(rational) > lattice:
         return CheckReport(
             check="intersection-count",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .grouprep import (
     CyclicAction,
@@ -25,6 +25,7 @@ from .grouprep import (
     character_of,
     eigenspace_basis,
     sigma_type,
+    sign_clash,
 )
 from .groups import abelian_label, classify_order8, generated_group
 from .reports import CheckReport
@@ -358,6 +359,22 @@ def projective_identity_is_trivial(fam: GodeauxFamily) -> bool:
     n = fam.action.order
     e = tuple(n // 2 if w % 2 else 0 for w in WEIGHTS)
     return _canonical_twist(e, n) == _canonical_twist((0,) * len(WEIGHTS), n)
+
+
+def lift_sign_clash(fam: GodeauxFamily) -> Optional[Dict[str, object]]:
+    """Witness that a quartic has monomials of both signs under an
+    involution lift, which then does not act on the quotient ring and has
+    no sigma table; None when both lifts act."""
+    for lift in (fam.sigma, fam.sigma_g2):
+        for name, q in (("q0", fam.q0), ("q2", fam.q2)):
+            clash = sign_clash(q, lift)
+            if clash is not None:
+                return {
+                    "lift": lift.label,
+                    "poly": name,
+                    "monomials": [monomial_to_str(fam.ring, e) for e in clash],
+                }
+    return None
 
 
 def sigma_table(fam: GodeauxFamily, lift: InvolutionLift) -> Dict[Tuple[int, int], SigmaType]:

@@ -152,22 +152,30 @@ class InvolutionLift:
         )
 
 
+def sign_clash(f: WPoly, lift: InvolutionLift) -> Optional[Tuple[Exponents, Exponents]]:
+    """The first monomial of f and the first later one of the other sign
+    under the lift, or None when f is sign-homogeneous."""
+    monos = f.monomials()
+    for e in monos[1:]:
+        if lift.sign_of_monomial(e) != lift.sign_of_monomial(monos[0]):
+            return monos[0], e
+    return None
+
+
 def sign_of(f: WPoly, lift: InvolutionLift) -> int:
     """The common sign of a sign-homogeneous polynomial under the lift."""
     if f.ring != lift.ring:
         raise ValueError("polynomial and lift live on different rings")
     if f.is_zero():
         raise ValueError("the zero polynomial has no sign")
-    monos = f.monomials()
-    s0 = lift.sign_of_monomial(monos[0])
-    for e in monos[1:]:
-        s = lift.sign_of_monomial(e)
-        if s != s0:
-            raise ValueError(
-                f"not sign-homogeneous: monomials {monos[0]} and {e} "
-                f"have signs {s0} and {s}"
-            )
-    return s0
+    clash = sign_clash(f, lift)
+    if clash is not None:
+        a, b = clash
+        raise ValueError(
+            f"not sign-homogeneous: monomials {a} and {b} have signs "
+            f"{lift.sign_of_monomial(a)} and {lift.sign_of_monomial(b)}"
+        )
+    return lift.sign_of_monomial(f.monomials()[0])
 
 
 @dataclass(frozen=True)

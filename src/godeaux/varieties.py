@@ -1,5 +1,6 @@
 """Exhaustive point checks over small prime fields: enumeration of weighted
-projective spaces, quasi-smoothness, and free-action certificates.
+projective spaces, and the quasi-smoothness, free-action and fixed-locus
+scans of the surface.
 
 Everything here is characteristic-p evidence for characteristic-0 claims and
 is labeled as such in the reports; no statement over Q is proved by a scan.
@@ -16,8 +17,8 @@ values stay below p^2 and arithmetic is exact.
 
 from __future__ import annotations
 
+import functools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,58 +30,6 @@ from .wpoly import MonomialMap, WPoly, WRing, jacobian
 
 MAX_ENUM_PRIME = 101
 CHUNK_LIMIT = 1 << 18
-
-
-class WProjPoint:
-    """A point of a weighted projective space over GF(p), stored as the
-    lexicographically least member of its scaling orbit."""
-
-    __slots__ = ("coords", "p")
-
-    def __init__(self, coords: Sequence[int], p: int, weights: Sequence[int]):
-        self.coords = canonicalize_vector(coords, weights, p)
-        self.p = p
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WProjPoint)
-            and self.coords == other.coords
-            and self.p == other.p
-        )
-
-    def __lt__(self, other):
-        return self.coords < other.coords
-
-    def __hash__(self):
-        return hash((self.coords, self.p))
-
-    def __repr__(self):
-        return f"[{','.join(str(c) for c in self.coords)}]"
-
-
-def canonicalize_vector(coords: Sequence[int], weights: Sequence[int], p: int) -> Tuple[int, ...]:
-    """Lexicographically least orbit member under c_v -> lambda^{w_v} c_v.
-
-    Scans coordinates in order, at each nonzero one replacing the value by
-    its minimum over the surviving scalars and keeping only the scalars that
-    achieve it; the survivors all produce the same vector.
-    """
-    coords = tuple(c % p for c in coords)
-    if all(c == 0 for c in coords):
-        raise ValueError("the zero vector is not a projective point")
-    if len(coords) != len(weights):
-        raise ValueError("coordinate/weight length mismatch")
-    candidates = list(range(1, p))
-    out = []
-    for a, w in zip(coords, weights):
-        if a == 0:
-            out.append(0)
-            continue
-        vals = [(pow(lam, w, p) * a) % p for lam in candidates]
-        best = min(vals)
-        candidates = [lam for lam, v in zip(candidates, vals) if v == best]
-        out.append(best)
-    return tuple(out)
 
 
 def _blocks(weights: Sequence[int], p: int):
@@ -151,13 +100,14 @@ def _eval_on_columns(f: WPoly, cols: List[np.ndarray], p: int,
     size = len(cols[0])
 
     def powv(v: int, e: int) -> np.ndarray:
-        key = (v, e)
-        if key not in pow_cache:
-            if e == 1:
-                pow_cache[key] = cols[v] % p
-            else:
-                pow_cache[key] = powv(v, e - 1) * cols[v] % p
-        return pow_cache[key]
+        # bottom-up, not recursive: a closure that calls itself is a
+        # reference cycle, which would keep this chunk's columns and powers
+        # alive until the cycle collector happens to run
+        for k in range(1, e + 1):
+            if (v, k) not in pow_cache:
+                lower = cols[v] if k == 1 else pow_cache[(v, k - 1)] * cols[v]
+                pow_cache[(v, k)] = lower % p
+        return pow_cache[(v, e)]
 
     total = np.zeros(size, dtype=np.int64)
     for expts, coeff in f.terms.items():
@@ -202,7 +152,8 @@ def _reduce_eqs(ring: WRing, p: int, eqs: Sequence[WPoly]) -> Tuple[WRing, List[
 
 
 class PointSet:
-    """Sorted, deduplicated canonical points of a zero locus over GF(p).
+    """Canonical points of a zero locus over GF(p), as coordinate tuples in
+    the strictly increasing order the scan emits them in.
 
     Every equation is re-evaluated on a deterministic sample of the points
     the first time they are read back, as a self-consistency tripwire.
@@ -210,9 +161,9 @@ class PointSet:
 
     __slots__ = ("_points", "p", "ring", "eqs", "scanned", "_checked")
 
-    def __init__(self, points: Sequence[WProjPoint], p: int, ring: WRing,
+    def __init__(self, points: Sequence[Tuple[int, ...]], p: int, ring: WRing,
                  eqs: Sequence[WPoly], scanned: int):
-        self._points = tuple(sorted(set(points)))
+        self._points = tuple(points)
         self.p = p
         self.ring = ring
         self.eqs = tuple(eqs)
@@ -220,7 +171,7 @@ class PointSet:
         self._checked = False
 
     @property
-    def points(self) -> Tuple[WProjPoint, ...]:
+    def points(self) -> Tuple[Tuple[int, ...], ...]:
         if not self._checked:
             self._spot_check()
             self._checked = True
@@ -229,26 +180,17 @@ class PointSet:
     def __len__(self) -> int:
         return len(self._points)
 
-    def __iter__(self):
-        return iter(self.points)
-
-    def __contains__(self, pt: WProjPoint) -> bool:
-        return pt in set(self._points)
-
-    def coordinate_tuples(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(pt.coords for pt in self.points)
-
     def _spot_check(self, sample: int = 16) -> None:
         if not self._points:
             return
         stride = max(1, len(self._points) // sample)
         field = self.ring.field
         for pt in self._points[::stride]:
-            values = [field(c) for c in pt.coords]
+            values = [field(c) for c in pt]
             for f in self.eqs:
                 if f.evaluate(values) != field.zero():
                     raise AssertionError(
-                        f"point {pt!r} fails {f.to_string()} = 0; enumeration bug"
+                        f"point {list(pt)} fails {f.to_string()} = 0; enumeration bug"
                     )
 
     def __repr__(self):
@@ -265,19 +207,18 @@ def _guard_prime(p: int) -> None:
 
 
 def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
-          extra_mask: Optional[Callable[[List[np.ndarray]], np.ndarray]] = None,
-          workers: int = 1) -> Tuple[List[Tuple[int, ...]], int]:
+          extra_mask: Optional[Callable[[List[np.ndarray]], np.ndarray]] = None) -> PointSet:
     """All canonical representatives where every equation vanishes (and the
-    optional extra column mask holds); returns (points, reps scanned)."""
+    optional extra column mask holds).  Chunks come in lexicographic order
+    and so do the rows of each chunk, so no sorting is needed."""
     ring_p, eqs_p = _reduce_eqs(ring, p, eqs)
     for f in eqs_p:
         if not f.is_homogeneous():
             raise ValueError(f"equation {f.to_string()} is not homogeneous")
     n = ring.nvars
-    chunks = _chunks(ring.weights, p)
-
-    def work(chunk):
-        prefix, start = chunk
+    points: List[Tuple[int, ...]] = []
+    scanned = 0
+    for prefix, start in _chunks(ring.weights, p):
         cols = _chunk_columns(prefix, start, n, p)
         mask = np.ones(len(cols[0]), dtype=bool)
         cache: Dict[Tuple[int, int], np.ndarray] = {}
@@ -287,41 +228,16 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
                 break
         if extra_mask is not None:
             mask &= extra_mask(cols)
-        picked = [c[mask] for c in cols]
-        return len(cols[0]), list(zip(*(col.tolist() for col in picked)))
-
-    results = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = [work(chunk) for chunk in chunks]
-    scanned = sum(r[0] for r in results)
-    points: List[Tuple[int, ...]] = []
-    for _, pts in results:
-        points.extend(tuple(int(v) for v in pt) for pt in pts)
-    return points, scanned
+        scanned += len(cols[0])
+        points.extend(zip(*(col[mask].tolist() for col in cols)))
+    return PointSet(points, p, ring_p, eqs_p, scanned)
 
 
-def _wrap_points(raw: Sequence[Tuple[int, ...]], ring: WRing, p: int,
-                 eqs: Sequence[WPoly], scanned: int) -> PointSet:
-    ring_p, eqs_p = _reduce_eqs(ring, p, eqs)
-    pts = []
-    for coords in raw:
-        pt = WProjPoint.__new__(WProjPoint)
-        pt.coords = tuple(coords)
-        pt.p = p
-        pts.append(pt)
-    return PointSet(pts, p, ring_p, eqs_p, scanned)
-
-
-def enumerate_points(ring: WRing, p: int, eqs: Sequence[WPoly],
-                     workers: int = 1) -> PointSet:
+def enumerate_points(ring: WRing, p: int, eqs: Sequence[WPoly]) -> PointSet:
     """All GF(p) points of the weighted projective zero locus, each scaling
     orbit exactly once, in deterministic (lexicographic) order."""
     _guard_prime(p)
-    raw, scanned = _scan(ring, p, eqs, workers=workers)
-    return _wrap_points(raw, ring, p, eqs, scanned)
+    return _scan(ring, p, eqs)
 
 
 def ambient_point_count(weights: Sequence[int], p: int) -> int:
@@ -332,13 +248,13 @@ def ambient_point_count(weights: Sequence[int], p: int) -> int:
     return sum(p ** (n - start) for _, start in _blocks(weights, p))
 
 
-def _diagonal_fixed_patterns(m: MonomialMap, p: int) -> Optional[List[Tuple[int, ...]]]:
-    """For a diagonal map: the minimal zero-patterns characterizing fixed
-    points.  P is fixed iff for some scalar lambda every coordinate outside
-    ker(pattern) vanishes; returns None for non-diagonal maps."""
+def _diagonal_fixed_patterns(m: MonomialMap, p: int) -> List[Tuple[int, ...]]:
+    """The minimal zero-patterns characterizing the points a diagonal map
+    fixes: P is fixed iff for some scalar lambda every coordinate outside
+    ker(pattern) vanishes.  Other maps raise ValueError."""
     n = m.ring.nvars
     if m.targets != tuple(range(n)):
-        return None
+        raise ValueError("fixed loci are computed for diagonal maps only")
     weights = m.ring.weights
     scalars = [s.value for s in m.scalars]
     patterns = set()
@@ -354,36 +270,25 @@ def _diagonal_fixed_patterns(m: MonomialMap, p: int) -> Optional[List[Tuple[int,
     return sorted(minimal)
 
 
-def fixed_locus(action: MonomialMap, p: int, eqs: Sequence[WPoly],
-                workers: int = 1) -> PointSet:
-    """All points of the zero locus fixed by the map as orbits (image
+def fixed_locus(action: MonomialMap, p: int, eqs: Sequence[WPoly]) -> PointSet:
+    """All points of the zero locus fixed by a diagonal map as orbits (image
     canonicalizes back to the point itself)."""
     _guard_prime(p)
     ring = action.ring
     if not isinstance(ring.field, PrimeField) or ring.field.p != p:
         raise ValueError("fixed_locus needs a map defined over GF(p) itself")
     patterns = _diagonal_fixed_patterns(action, p)
-    if patterns is not None:
-        def mask_fn(cols: List[np.ndarray]) -> np.ndarray:
-            mask = np.zeros(len(cols[0]), dtype=bool)
-            for bad in patterns:
-                sub = np.ones(len(cols[0]), dtype=bool)
-                for v in bad:
-                    sub &= cols[v] == 0
-                mask |= sub
-            return mask
 
-        raw, scanned = _scan(ring, p, eqs, extra_mask=mask_fn, workers=workers)
-        return _wrap_points(raw, ring, p, eqs, scanned)
+    def mask_fn(cols: List[np.ndarray]) -> np.ndarray:
+        mask = np.zeros(len(cols[0]), dtype=bool)
+        for bad in patterns:
+            sub = np.ones(len(cols[0]), dtype=bool)
+            for v in bad:
+                sub &= cols[v] == 0
+            mask |= sub
+        return mask
 
-    base = enumerate_points(ring, p, eqs, workers=workers)
-    weights = ring.weights
-    fixed = []
-    for pt in base.points:
-        image = action.point_image([ring.field(c) for c in pt.coords])
-        if canonicalize_vector([v.value for v in image], weights, p) == pt.coords:
-            fixed.append(pt.coords)
-    return _wrap_points(fixed, ring, p, eqs, base.scanned)
+    return _scan(ring, p, eqs, extra_mask=mask_fn)
 
 
 def _family_mod_p(fam: GodeauxFamily, p: int) -> GodeauxFamily:
@@ -392,6 +297,40 @@ def _family_mod_p(fam: GodeauxFamily, p: int) -> GodeauxFamily:
             raise ValueError(f"family is over GF({fam.field.p}), not GF({p})")
         return fam
     return reduce_family(fam, p)
+
+
+def _certificate(check: str):
+    """Decorator for the scan checks: the body gets the family reduced mod p
+    and returns its report, which is then timed.  A bad prime or a family
+    over another field gives an error report instead."""
+    def wrap(body: Callable[[GodeauxFamily, int], CheckReport]):
+        @functools.wraps(body)
+        def run(fam: GodeauxFamily, p: int) -> CheckReport:
+            t0 = time.perf_counter()
+            try:
+                _guard_prime(p)
+                fam_p = _family_mod_p(fam, p)
+            except ValueError as exc:
+                return CheckReport(
+                    check=check, status="error", prime=p, notes=(str(exc),),
+                )
+            report = body(fam_p, p)
+            report.elapsed_ms = (time.perf_counter() - t0) * 1000
+            return report
+        return run
+    return wrap
+
+
+SCAN_SCOPE = (
+    "characteristic-p scan of the reduction mod p: GF(p)-rational points "
+    "only, points over extensions of GF(p) are not checked"
+)
+
+
+def _on_surface(locus: PointSet, surface: PointSet) -> List[Tuple[int, ...]]:
+    """The points of an ambient locus that lie on the surface, in order."""
+    on = set(surface.points)
+    return [pt for pt in locus.points if pt in on]
 
 
 def _pure_y_points(ring: WRing, p: int) -> List[Tuple[int, ...]]:
@@ -410,115 +349,85 @@ def _pure_y_points(ring: WRing, p: int) -> List[Tuple[int, ...]]:
     return pts
 
 
-def check_quasi_smooth(fam: GodeauxFamily, p: int, workers: int = 1) -> CheckReport:
+@_certificate("quasi-smooth")
+def check_quasi_smooth(fam_p: GodeauxFamily, p: int) -> CheckReport:
     """Scan every GF(p) point of the surface for Jacobian rank 2, and the
     ambient singular line x1=x2=x3=0 for surface points.
 
-    This certifies quasi-smoothness of the reduction mod p only; it is
-    evidence, not proof, for the characteristic-0 family.
+    A pass shows that no GF(p)-rational point of the reduction mod p is
+    singular.  Points over extensions of GF(p) are not checked, so this is
+    not a proof of quasi-smoothness mod p, let alone in characteristic 0.
     """
-    t0 = time.perf_counter()
-    try:
-        _guard_prime(p)
-        fam_p = _family_mod_p(fam, p)
-    except ValueError as exc:
-        return CheckReport(
-            check="quasi-smooth", status="error", prime=p,
-            notes=(str(exc),),
-        )
-    ring = fam_p.ring
-    notes = ["characteristic-p certificate for the reduction mod p only"]
-
-    y1y3 = (0, 0, 0, 1, 1)
-    if fam_p.q0.coefficient(y1y3) == ring.field.zero():
-        witness = None
-        for coords in _pure_y_points(ring, p):
-            vals = [ring.field(c) for c in coords]
-            if (fam_p.q0.evaluate(vals) == ring.field.zero()
-                    and fam_p.q2.evaluate(vals) == ring.field.zero()):
-                witness = list(coords)
-                break
+    field = fam_p.ring.field
+    zero = field.zero()
+    witness = None
+    for coords in _pure_y_points(fam_p.ring, p):
+        vals = [field(c) for c in coords]
+        if fam_p.q0.evaluate(vals) == zero and fam_p.q2.evaluate(vals) == zero:
+            witness = list(coords)
+            break
+    if fam_p.q0.coefficient((0, 0, 0, 1, 1)) == zero:
+        hit = ("ambient-singular-locus hit: q0 misses y1 y3, so the "
+               "surface meets x1=x2=x3=0 over the closure")
+    elif witness is not None:
+        hit = "surface meets the ambient singular locus"
+    else:
+        hit = None
+    if hit is not None:
         return CheckReport(
             check="quasi-smooth", status="fail", prime=p, witness=witness,
-            notes=tuple(notes + [
-                "ambient-singular-locus hit: q0 misses y1 y3, so the "
-                "surface meets x1=x2=x3=0 over the closure"
-            ]),
+            notes=(SCAN_SCOPE, hit),
             data={"failure_mode": "ambient-singular-locus"},
-            elapsed_ms=(time.perf_counter() - t0) * 1000,
         )
 
-    for coords in _pure_y_points(ring, p):
-        vals = [ring.field(c) for c in coords]
-        if (fam_p.q0.evaluate(vals) == ring.field.zero()
-                and fam_p.q2.evaluate(vals) == ring.field.zero()):
-            return CheckReport(
-                check="quasi-smooth", status="fail", prime=p,
-                witness=list(coords),
-                notes=tuple(notes + ["surface meets the ambient singular locus"]),
-                data={"failure_mode": "ambient-singular-locus"},
-                elapsed_ms=(time.perf_counter() - t0) * 1000,
-            )
-
-    surface = enumerate_points(ring, p, [fam_p.q0, fam_p.q2], workers=workers)
+    surface = enumerate_points(fam_p.ring, p, [fam_p.q0, fam_p.q2])
     partials = jacobian([fam_p.q0, fam_p.q2])
-    field = ring.field
-    witness = None
     for pt in surface.points:
-        vals = [field(c) for c in pt.coords]
+        vals = [field(c) for c in pt]
         rows = [[entry.evaluate(vals) for entry in row] for row in partials]
         if exact_rank(rows) < 2:
-            witness = list(pt.coords)
+            witness = list(pt)
             break
-    status = "pass" if witness is None else "fail"
-    if witness is not None:
-        notes.append("Jacobian rank below 2 at the witness point")
+    finding = ("Jacobian rank below 2 at the witness point" if witness
+               else "no GF(p)-rational surface point is singular")
     return CheckReport(
-        check="quasi-smooth", status=status, prime=p, witness=witness,
+        check="quasi-smooth", status="fail" if witness else "pass",
+        prime=p, witness=witness,
         points_scanned=surface.scanned,
-        notes=tuple(notes),
+        notes=(SCAN_SCOPE, finding),
         data={"surface_points": len(surface)},
-        elapsed_ms=(time.perf_counter() - t0) * 1000,
     )
 
 
 GROUP_ELEMENT_POWERS = {"g": 1, "g2": 2, "g3": 3}
 
 
-def check_free_action(fam: GodeauxFamily, p: int, workers: int = 1) -> CheckReport:
-    """Certify that g, g^2, g^3 fix no GF(p) point of the surface.
+@_certificate("free-action")
+def check_free_action(fam_p: GodeauxFamily, p: int) -> CheckReport:
+    """Check that g, g^2, g^3 fix no GF(p)-rational point of the surface;
+    points over extensions of GF(p) are not checked.
 
     Fixed loci are computed on the ambient space as unions of coordinate
     subspaces and intersected with the enumerated surface point set.
     """
-    t0 = time.perf_counter()
-    try:
-        _guard_prime(p)
-        fam_p = _family_mod_p(fam, p)
-    except ValueError as exc:
-        return CheckReport(
-            check="free-action", status="error", prime=p, notes=(str(exc),),
-        )
-    ring = fam_p.ring
-    i = ring.field.sqrt_minus_one()
-    surface = enumerate_points(ring, p, [fam_p.q0, fam_p.q2], workers=workers)
-    surface_set = set(surface.coordinate_tuples())
+    i = fam_p.ring.field.sqrt_minus_one()
+    surface = enumerate_points(fam_p.ring, p, [fam_p.q0, fam_p.q2])
     witness = None
     sizes = {}
     for name, k in GROUP_ELEMENT_POWERS.items():
-        h = fam_p.action.power(k).as_monomial_map(i)
-        locus = fixed_locus(h, p, [], workers=workers)
+        locus = fixed_locus(fam_p.action.power(k).as_monomial_map(i), p, [])
         sizes[name] = len(locus)
-        hits = sorted(set(locus.coordinate_tuples()) & surface_set)
+        hits = _on_surface(locus, surface)
         if hits and witness is None:
             witness = {"element": name, "point": list(hits[0])}
-    status = "pass" if witness is None else "fail"
+    notes = (SCAN_SCOPE,) if witness else (
+        SCAN_SCOPE, "g, g^2 and g^3 fix no GF(p)-rational surface point")
     return CheckReport(
-        check="free-action", status=status, prime=p, witness=witness,
+        check="free-action", status="fail" if witness else "pass",
+        prime=p, witness=witness,
         points_scanned=surface.scanned,
-        notes=("characteristic-p certificate for the reduction mod p only",),
+        notes=notes,
         data={"surface_points": len(surface), "ambient_fixed_points": sizes},
-        elapsed_ms=(time.perf_counter() - t0) * 1000,
     )
 
 
@@ -536,3 +445,26 @@ def sigma_fixed_components(fam: GodeauxFamily, p: int) -> Dict[str, object]:
         "count": len(locus),
         "locus": locus,
     }
+
+
+@_certificate("fixed-locus")
+def check_fixed_locus(fam_p: GodeauxFamily, p: int) -> CheckReport:
+    """Check that the ambient fixed locus of the involution lift meets the
+    surface at a GF(p)-rational point, as its divisorial fixed part needs."""
+    info = sigma_fixed_components(fam_p, p)
+    surface = enumerate_points(fam_p.ring, p, [fam_p.q0, fam_p.q2])
+    hits = _on_surface(info["locus"], surface)
+    return CheckReport(
+        check="fixed-locus",
+        status="pass" if hits else "fail",
+        prime=p,
+        witness=None if hits else {"reason": "fixed locus misses the surface"},
+        points_scanned=surface.scanned,
+        notes=("divisorial fixed part requires the locus to meet the surface",),
+        data={
+            "zero_patterns": info["zero_patterns"],
+            "ambient_fixed_points": info["count"],
+            "surface_hits": len(hits),
+            "sample": list(hits[0]) if hits else None,
+        },
+    )

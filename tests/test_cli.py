@@ -31,6 +31,21 @@ def test_table1_bad_coeff_file(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_table1_reports_error_for_sign_mixed_member(tmp_path):
+    # with enforce_involution off, seed 5 draws x1^4 and x1 x2 y1 into q0,
+    # which have opposite signs under sigma
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps({"field": "Q", "seed": 5,
+                                  "enforce_involution": False}))
+    out = tmp_path / "out.json"
+    assert run(["table1", "--coeffs", str(coeffs), "--output", str(out)]) == 2
+    rep, = json.loads(out.read_text())
+    assert rep["check"] == "table1"
+    assert rep["status"] == "error"
+    assert rep["witness"] == {"lift": "sigma", "poly": "q0",
+                              "monomials": ["x1^4", "x1 x2 y1"]}
+
+
 def test_verify_example_invocation():
     assert run(
         ["verify", "--checks", "quasi-smooth,free-action", "--prime", "13",
@@ -51,6 +66,9 @@ def test_verify_rejects_bad_primes(capsys):
     assert run(["verify", "--prime", "7"]) == 2
     assert "1 mod 4" in capsys.readouterr().err
     assert run(["verify", "--prime", "9"]) == 2
+    # 109 is 1 mod 4 but above the exhaustive-enumeration cap
+    assert run(["verify", "--prime", "109"]) == 2
+    assert "limited to" in capsys.readouterr().err
 
 
 def test_primes_env_override(monkeypatch):
@@ -96,19 +114,6 @@ def test_even_set_rejects_unknown_class(capsys):
 def test_cover_lift_rejects_bad_order(capsys):
     assert run(["cover", "lift", "--case", "a", "--rho-order", "3"]) == 2
     assert "involution" in capsys.readouterr().err
-
-
-def test_group_classify_matches_cover_lift(tmp_path):
-    out_a = tmp_path / "a.json"
-    out_b = tmp_path / "b.json"
-    assert run(["group", "classify", "--case", "a", "--output", str(out_a)]) == 0
-    assert run(["cover", "lift", "--case", "a", "--output", str(out_b)]) == 0
-    rep_a, = json.loads(out_a.read_text())
-    rep_b, = json.loads(out_b.read_text())
-    # the provenance stamp covers the invocation, which differs by alias
-    rep_a["provenance"].pop("config")
-    rep_b["provenance"].pop("config")
-    assert rep_a == rep_b
 
 
 def test_group_divisibility_verdicts():

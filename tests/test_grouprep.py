@@ -10,6 +10,7 @@ from godeaux.grouprep import (
     character_of,
     eigenspace_basis,
     sigma_type,
+    sign_clash,
     sign_of,
 )
 from godeaux.scalars import QQ, PrimeField
@@ -154,6 +155,16 @@ def test_sign_of_polynomials():
     assert sign_of(parse_poly(ring, "x1 x2 y1"), sigma) == -1
     with pytest.raises(ValueError, match="not sign-homogeneous"):
         sign_of(parse_poly(ring, "x1^4 + x1 x2 y1"), sigma)
+
+
+def test_sign_clash_names_the_monomial_pair():
+    ring = godeaux_ring()
+    sigma = InvolutionLift(ring, (-1, 1, -1, 1, 1))
+    assert sign_clash(parse_poly(ring, "x1^4 + y1 y3"), sigma) is None
+    mixed = parse_poly(ring, "x1^4 + y1 y3 + x1 x2 y1")
+    a, b = sign_clash(mixed, sigma)
+    assert sigma.sign_of_monomial(a) == -sigma.sign_of_monomial(b)
+    assert a == mixed.monomials()[0]
 
 
 def test_sigma_type_strings():

@@ -1,7 +1,9 @@
 """Enumeration kernel: canonical representatives, point counts, and the
 exhaustive finite-field checks."""
 
-import random
+import gc
+import itertools
+import tracemalloc
 
 import pytest
 
@@ -9,9 +11,8 @@ from godeaux.family import FamilyParams, build_family, random_params
 from godeaux.scalars import QQ, PrimeField
 from godeaux.varieties import (
     PointSet,
-    WProjPoint,
     ambient_point_count,
-    canonicalize_vector,
+    check_fixed_locus,
     check_free_action,
     check_quasi_smooth,
     enumerate_points,
@@ -42,47 +43,39 @@ def brute_canonical(coords, weights, p):
     return best
 
 
-def test_canonicalize_examples():
-    assert canonicalize_vector((2, 4, 6, 1, 3), W_GODEAUX, 13) == (1, 2, 3, 10, 4)
-    assert canonicalize_vector((0, 0, 0, 2, 0), W_GODEAUX, 13) == (0, 0, 0, 2, 0)
-    assert canonicalize_vector((0, 0, 0, 3, 5), W_GODEAUX, 13) == (0, 0, 0, 1, 6)
-    with pytest.raises(ValueError, match="zero vector"):
-        canonicalize_vector((0, 0, 0, 0, 0), W_GODEAUX, 13)
-    with pytest.raises(ValueError, match="mismatch"):
-        canonicalize_vector((1, 2), W_GODEAUX, 13)
+def brute_representatives(weights, p):
+    """Least orbit members of all nonzero vectors, sorted."""
+    return sorted({
+        brute_canonical(v, weights, p)
+        for v in itertools.product(range(p), repeat=len(weights))
+        if any(v)
+    })
 
 
 def test_canonicalize_against_brute_force():
-    rng = random.Random(7)
-    for p in (3, 5, 13):
-        for _ in range(60):
-            coords = tuple(rng.randrange(p) for _ in range(5))
-            if not any(coords):
-                continue
-            assert canonicalize_vector(coords, W_GODEAUX, p) == brute_canonical(
-                coords, W_GODEAUX, p
-            )
+    # the scan emits exactly the least orbit members, sorted and distinct
+    # (hence strictly increasing)
+    for weights, p in [(W_GODEAUX, 3), (W_GODEAUX, 5), (W_GODEAUX, 7),
+                       ((1, 1, 1, 1), 5)]:
+        names = tuple(f"v{i}" for i in range(len(weights)))
+        ring = WRing(names, weights, PrimeField(p))
+        listed = enumerate_points(ring, p, []).points
+        assert list(listed) == brute_representatives(weights, p)
 
 
-def test_canonicalize_is_orbit_invariant():
-    rng = random.Random(8)
-    p = 13
-    for _ in range(40):
-        coords = tuple(rng.randrange(p) for _ in range(5))
-        if not any(coords):
-            continue
-        lam = rng.randrange(1, p)
-        scaled = tuple(pow(lam, w, p) * c % p for w, c in zip(W_GODEAUX, coords))
-        a = canonicalize_vector(coords, W_GODEAUX, p)
-        assert canonicalize_vector(scaled, W_GODEAUX, p) == a
-        assert canonicalize_vector(a, W_GODEAUX, p) == a
+def test_surface_points_match_brute_force_filter():
+    p = 5
+    fam = build_family(random_params(p, seed=3))
+    field = fam.ring.field
 
+    def on_surface(pt):
+        vals = [field(c) for c in pt]
+        return all(q.evaluate(vals) == field.zero() for q in (fam.q0, fam.q2))
 
-def test_wproj_point_wraps_canonicalization():
-    pt = WProjPoint((2, 4, 6, 1, 3), 13, W_GODEAUX)
-    assert pt.coords == (1, 2, 3, 10, 4)
-    assert pt == WProjPoint((1, 2, 3, 10, 4), 13, W_GODEAUX)
-    assert repr(pt) == "[1,2,3,10,4]"
+    expected = [pt for pt in brute_representatives(W_GODEAUX, p) if on_surface(pt)]
+    assert expected
+    surface = enumerate_points(fam.ring, p, [fam.q0, fam.q2])
+    assert list(surface.points) == expected
 
 
 def orbit_count_formula(p):
@@ -103,7 +96,7 @@ def test_enumeration_matches_block_count():
         pts = enumerate_points(family_ring(p), p, [])
         assert len(pts) == orbit_count_formula(p)
         assert pts.scanned == len(pts)
-    listed = enumerate_points(family_ring(3), 3, []).coordinate_tuples()
+    listed = enumerate_points(family_ring(3), 3, []).points
     assert listed == tuple(sorted(listed))
     assert len(set(listed)) == len(listed)
 
@@ -128,12 +121,21 @@ def test_enumeration_accepts_rational_equations():
     assert len(enumerate_points(ring, 5, [cone])) == 31
 
 
-def test_serial_equals_parallel():
-    ring = family_ring(13)
+def test_scan_frees_its_arrays_without_the_cycle_collector():
+    # each chunk's columns and cached powers must go by reference counting;
+    # pinned by a reference cycle, they piled up to ~0.9 GB at p = 61
     fam = build_family(random_params(13, seed=1))
-    serial = enumerate_points(ring, 13, [fam.q0, fam.q2], workers=1)
-    parallel = enumerate_points(ring, 13, [fam.q0, fam.q2], workers=4)
-    assert serial.coordinate_tuples() == parallel.coordinate_tuples()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        surface = enumerate_points(fam.ring, 13, [fam.q0, fam.q2])
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert len(surface) > 0
+    assert kept < 1 << 20  # the points themselves take a few kB
 
 
 def test_point_set_spot_check_trips_on_bad_point():
@@ -141,8 +143,7 @@ def test_point_set_spot_check_trips_on_bad_point():
     eq = parse_poly(ring, "x1^4")
     good = enumerate_points(ring, 13, [eq])
     assert len(good) > 0
-    bad_pt = WProjPoint((1, 0, 0, 0, 0), 13, W_GODEAUX)
-    bad = PointSet([bad_pt], 13, ring, [eq], scanned=1)
+    bad = PointSet([(1, 0, 0, 0, 0)], 13, ring, [eq], scanned=1)
     with pytest.raises(AssertionError, match="enumeration bug"):
         bad.points
 
@@ -185,7 +186,7 @@ def test_tau_fixed_points_on_cone():
     tau = MonomialMap.diagonal(ring, (field(1), field(-1), field(-1), field(1)))
     cone = parse_poly(ring, "y0^2 + -1 * y1 y2")
     locus = fixed_locus(tau, p, [cone])
-    assert locus.coordinate_tuples() == (
+    assert locus.points == (
         (0, 0, 0, 1),
         (0, 0, 1, 0),
         (0, 1, 0, 0),
@@ -197,8 +198,8 @@ def test_fixed_locus_of_nondiagonal_map():
     ring = WRing(("x", "y"), (1, 1), PrimeField(p))
     field = ring.field
     swap = MonomialMap(ring, (field(1), field(1)), (1, 0))
-    locus = fixed_locus(swap, p, [])
-    assert locus.coordinate_tuples() == ((1, 1), (1, 4))
+    with pytest.raises(ValueError, match="diagonal maps only"):
+        fixed_locus(swap, p, [])
 
 
 def test_fixed_locus_requires_matching_field():
@@ -254,7 +255,7 @@ def test_quasi_smooth_catches_forced_singularity():
         build_family(FamilyParams(field_spec=13, q0=params.q0, q2=params.q2)).q0,
         build_family(FamilyParams(field_spec=13, q0=params.q0, q2=params.q2)).q2,
     ])
-    assert (1, 0, 0, 0, 0) in surface.coordinate_tuples()
+    assert (1, 0, 0, 0, 0) in surface.points
 
 
 def test_free_action_seed_42():
@@ -279,7 +280,17 @@ def test_sigma_lift_is_not_free():
     fam = build_family(random_params(13, seed=42))
     locus = fixed_locus(fam.sigma.as_monomial_map(), 13, [fam.q0, fam.q2])
     assert len(locus) > 0
-    assert any(pt.coords[1] == 0 for pt in locus.points)
+    assert any(pt[1] == 0 for pt in locus.points)
+
+
+def test_fixed_locus_seed_42():
+    fam = build_family(random_params(13, seed=42))
+    report = check_fixed_locus(fam, 13)
+    assert report.status == "pass"
+    assert report.points_scanned == orbit_count_formula(13)
+    assert report.data["zero_patterns"] == [["x1", "x3"], ["x2"]]
+    assert report.data["ambient_fixed_points"] == sigma_fixed_components(fam, 13)["count"]
+    assert report.data["surface_hits"] > 0
 
 
 def test_checks_error_on_bad_inputs():
@@ -288,3 +299,4 @@ def test_checks_error_on_bad_inputs():
     assert check_free_action(fam_q, 4).status == "error"
     fam13 = build_family(random_params(13, seed=0))
     assert check_quasi_smooth(fam13, 29).status == "error"
+    assert check_fixed_locus(fam_q, 109).status == "error"
