@@ -1,11 +1,12 @@
 """Finite abelian groups in invariant-factor form, with exact 2-divisibility.
 
 A group is a tuple of invariant factors d1 | d2 | ... | dk; elements are
-integer tuples reduced mod the factors.  The only nontrivial query the rest
-of the package needs is whether an element is divisible by 2 modulo a list
-of subgroup generators, which reduces to an integer lattice membership
-problem and is answered through Smith normal form, with the witness checked
-before it is returned.
+integer tuples reduced mod the factors.  This is the package's one kernel
+for such groups: invariant factors of a product of cyclic groups (read off
+a Smith normal form), the label format 'Z4xZ2' / 'Z2^3' and its parser, and
+2-divisibility modulo a list of subgroup generators.  The last reduces to
+an integer lattice membership problem over Z^r + Z/d1 + ... + Z/dk, answered
+through Smith normal form, with the witness confirmed before it is returned.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd, lcm
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .snf import IntMatrix, solve_lattice_membership
+from .snf import IntMatrix, smith_normal_form, solve_lattice_membership
 
 Element = Tuple[int, ...]
 
@@ -33,12 +34,25 @@ class FinAbGroup:
                 raise ValueError(f"invariant factor {d} < 1")
         for x, y in zip(facs, facs[1:]):
             if y % x != 0:
-                raise ValueError(f"invariant factors {facs} violate d_i | d_i+1")
+                raise ValueError(
+                    f"invariant factors {facs} are not an invariant-factor chain d_i | d_i+1"
+                )
         object.__setattr__(self, "invariant_factors", facs)
 
     @property
     def rank(self) -> int:
         return len(self.invariant_factors)
+
+    @property
+    def label(self) -> str:
+        """'Z1', 'Z8', 'Z4xZ2' or 'Z2^3': largest factor first, and a power
+        for three or more equal factors."""
+        facs = self.invariant_factors
+        if not facs:
+            return "Z1"
+        if len(facs) >= 3 and len(set(facs)) == 1:
+            return f"Z{facs[0]}^{len(facs)}"
+        return "x".join(f"Z{d}" for d in reversed(facs))
 
     @property
     def order(self) -> int:
@@ -80,6 +94,73 @@ class FinAbGroup:
         return all(d % 2 == 1 for d in self.invariant_factors)
 
 
+def invariant_factors(orders: Sequence[int]) -> Tuple[int, ...]:
+    """Invariant factors of Z/n1 x ... x Z/nk, smallest first: the non-unit
+    diagonal of the Smith normal form of diag(n1, ..., nk)."""
+    orders = [int(n) for n in orders]
+    for n in orders:
+        if n < 1:
+            raise ValueError(f"cyclic order {n} < 1")
+    rows = [[n if i == j else 0 for j in range(len(orders))] for i, n in enumerate(orders)]
+    _, d, _ = smith_normal_form(IntMatrix.from_rows(rows))
+    return tuple(x for x in d.diagonal() if x != 1)
+
+
+def parse_group_label(label: str) -> Tuple[int, ...]:
+    """Invariant factors of an abelian label like 'Z8', 'Z2xZ4' or 'Z2^3'."""
+    orders: List[int] = []
+    for part in label.replace(" ", "").split("x"):
+        if not part.startswith("Z"):
+            raise ValueError(f"cannot parse group label {label!r}")
+        body = part[1:]
+        if "^" in body:
+            base, _, exp = body.partition("^")
+            orders.extend([int(base)] * int(exp))
+        else:
+            orders.append(int(body))
+    return invariant_factors(orders)
+
+
+def halve(
+    torsion: FinAbGroup,
+    g: Sequence[int],
+    modulo: Sequence[Sequence[int]] = (),
+    free_rank: int = 0,
+) -> Optional[Element]:
+    """A vector h of Z^free_rank + torsion with g = 2*h modulo the subgroup
+    generated by `modulo`, or None when there is none.
+
+    Vectors list the free coordinates first, then the torsion ones.  The
+    question is integer-linear: 2*h + sum t_j s_j + sum z_i d_i e_i = g must
+    have a solution over Z, i.e. g must lie in the column lattice of
+    [2*I | S | diag(d)].  The witness is confirmed with the solve's own
+    coefficients t_j: exactly on free coordinates, mod d_i on torsion ones.
+    """
+    moduli = (0,) * free_rank + torsion.invariant_factors
+    n = len(moduli)
+
+    def vector(v: Sequence[int]) -> Element:
+        if len(v) != n:
+            raise ValueError(f"element length {len(v)} != rank {n}")
+        return tuple(int(x) for x in v[:free_rank]) + torsion.reduce(v[free_rank:])
+
+    g = vector(g)
+    mods = [vector(s) for s in modulo]
+    cols: List[List[int]] = [[2 if r == i else 0 for r in range(n)] for i in range(n)]
+    cols += [list(s) for s in mods]
+    cols += [[m if r == i else 0 for r in range(n)] for i, m in enumerate(moduli) if m]
+    x = solve_lattice_membership(IntMatrix.from_rows(list(map(list, zip(*cols)))), list(g))
+    if x is None:
+        return None
+    h = x[:free_rank] + torsion.reduce(x[free_rank:n])
+    t = x[n : n + len(mods)]
+    for i, m in enumerate(moduli):
+        residual = 2 * h[i] + sum(tj * s[i] for tj, s in zip(t, mods)) - g[i]
+        if (residual % m if m else residual) != 0:
+            raise AssertionError("divisibility witness failed confirmation")
+    return h
+
+
 def is_two_divisible(
     group: FinAbGroup,
     g: Sequence[int],
@@ -87,39 +168,17 @@ def is_two_divisible(
 ) -> Tuple[bool, Optional[Element]]:
     """Decide whether g = 2*h modulo the subgroup generated by `modulo`.
 
-    Returns (verdict, h) with h a certified witness, or (False, None).
-    The question is integer-linear: 2*h + sum t_j s_j + sum z_i d_i e_i = g
-    must have a solution over Z, i.e. g must lie in the column lattice of
-    [2*I | S | diag(d)].
+    Returns (verdict, h) with h a confirmed witness, or (False, None).
     """
-    k = group.rank
-    g = group.reduce(g)
-    mods = [group.reduce(s) for s in modulo]
-    cols: list = []
-    for i in range(k):
-        cols.append([2 if r == i else 0 for r in range(k)])
-    for s in mods:
-        cols.append(list(s))
-    for i, d in enumerate(group.invariant_factors):
-        cols.append([d if r == i else 0 for r in range(k)])
-    m = IntMatrix.from_rows(list(map(list, zip(*cols))))
-    x = solve_lattice_membership(m, list(g))
-    if x is None:
-        return False, None
-    h = group.reduce(x[:k])
-    # confirm the witness: 2h - g must land in the span of the modulo gens
-    residual = group.add(group.scale(2, h), group.neg(g))
-    if mods:
-        span = subgroup_span(group, mods)
-        if residual not in span:
-            raise AssertionError("divisibility witness failed confirmation")
-    elif residual != group.zero():
-        raise AssertionError("divisibility witness failed confirmation")
-    return True, h
+    h = halve(group, g, modulo)
+    return h is not None, h
 
 
 def subgroup_span(group: FinAbGroup, gens: Sequence[Sequence[int]]) -> frozenset:
-    """All elements of the subgroup generated by gens (breadth-first)."""
+    """All elements of the subgroup generated by gens (breadth-first).
+
+    Nothing in the package calls it; it is the enumeration reference the
+    tests compare the lattice solve against."""
     seen = {group.zero()}
     frontier = [group.zero()]
     gens = [group.reduce(s) for s in gens]

@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .abelian import FinAbGroup, is_two_divisible
+from .abelian import FinAbGroup, is_two_divisible, parse_group_label
 from .cone import (
     DEGENERATION_CASES,
     BranchConfig,
@@ -55,7 +55,6 @@ from .covers import (
     even_node_set,
     f2_bidouble_data,
     free_quotient_invariants,
-    parse_group_label,
     preset_model,
     validate,
 )
@@ -66,7 +65,7 @@ from .family import (
     params_from_config,
     random_params,
     render_sigma_tables,
-    sigma_table,
+    sigma_tables,
 )
 from .reports import CheckReport, config_hash, exit_code, reports_to_json
 from .scalars import is_prime
@@ -103,6 +102,10 @@ class RunConfig:
         for p in self.primes:
             if p == 2 or not is_prime(p):
                 raise ConfigError(f"test primes must be odd primes, got {p}")
+            if p > MAX_ENUM_PRIME:
+                raise ConfigError(
+                    f"exhaustive enumeration is limited to p <= {MAX_ENUM_PRIME}, got {p}"
+                )
         if self.retry_budget < 0:
             raise ConfigError(f"retry budget must be >= 0, got {self.retry_budget}")
 
@@ -177,10 +180,7 @@ def cmd_table1(args) -> List[CheckReport]:
     if clash is not None:
         note = "a quartic is not sign-homogeneous under an involution lift"
         return [CheckReport(check="table1", status="error", witness=clash, notes=(note,))]
-    lifts = {
-        fam.sigma.label: sigma_table(fam, fam.sigma),
-        fam.sigma_g2.label: sigma_table(fam, fam.sigma_g2),
-    }
+    lifts = sigma_tables(fam)
     results = {}
     cells = {}
     for label, table in lifts.items():
@@ -190,7 +190,7 @@ def cmd_table1(args) -> List[CheckReport]:
             for (d, c), st in sorted(table.items())
         }
     matched = [label for label, r in results.items() if r["unordered_match"]]
-    print(render_sigma_tables(fam))
+    print(render_sigma_tables(fam, lifts))
     return [
         CheckReport(
             check="table1",
@@ -231,11 +231,6 @@ def cmd_verify(args) -> List[CheckReport]:
         output_path=args.output,
     )
     cfg.require_one_mod_four()
-    for p in cfg.primes:
-        if p > MAX_ENUM_PRIME:
-            raise ConfigError(
-                f"exhaustive enumeration is limited to p <= {MAX_ENUM_PRIME}, got {p}"
-            )
     runners = _verify_runners()
     names = tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
     unknown = [n for n in names if n not in runners]

@@ -16,12 +16,11 @@ tagged claimed-effective by whoever builds the data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from .abelian import FinAbGroup
+from .abelian import FinAbGroup, halve, invariant_factors, parse_group_label
 from .groups import SmallGroup, abelian_label, classify_order8, generated_group
 from .reports import CheckReport
-from .snf import IntMatrix, solve_lattice_membership
 
 Vector = Tuple[int, ...]
 
@@ -119,41 +118,23 @@ class PicardModel:
     ) -> Tuple[bool, Optional["DivClass"]]:
         """Is cls = 2*X modulo the subgroup spanned by `modulo`?
 
-        Free and torsion parts are solved together as one integer lattice
-        membership problem; the witness X is confirmed before returning.
+        Free and torsion parts are solved together by `abelian.halve`, which
+        confirms the witness X before returning it.
         """
         if cls.model != self:
             raise ValueError("class does not belong to this model")
         for m in modulo:
             if m.model != self:
                 raise ValueError("modulo class does not belong to this model")
-        r, s = self.rank, self.torsion.rank
-        n = r + s
-        cols: List[List[int]] = []
-        for i in range(n):
-            cols.append([2 if row == i else 0 for row in range(n)])
-        for m in modulo:
-            cols.append(list(m.free) + list(m.torsion))
-        for i, d in enumerate(self.torsion.invariant_factors):
-            cols.append([d if row == r + i else 0 for row in range(n)])
-        mat = IntMatrix.from_rows(list(map(list, zip(*cols))))
-        b = list(cls.free) + list(cls.torsion)
-        x = solve_lattice_membership(mat, b)
-        if x is None:
+        half = halve(
+            self.torsion,
+            cls.free + cls.torsion,
+            [m.free + m.torsion for m in modulo],
+            free_rank=self.rank,
+        )
+        if half is None:
             return False, None
-        half = DivClass(self, x[:r], self.torsion.reduce(x[r : r + s]))
-        residual = 2 * half - cls
-        if modulo:
-            gens = [list(m.free) + list(m.torsion) for m in modulo]
-            for i, d in enumerate(self.torsion.invariant_factors):
-                gens.append([d if row == r + i else 0 for row in range(n)])
-            back = IntMatrix.from_rows(list(map(list, zip(*gens))))
-            target = list(residual.free) + list(residual.torsion)
-            if solve_lattice_membership(back, target) is None:
-                raise AssertionError("divisibility witness failed confirmation")
-        elif residual.free != (0,) * r or any(residual.torsion):
-            raise AssertionError("divisibility witness failed confirmation")
-        return True, half
+        return True, DivClass(self, half[: self.rank], half[self.rank :])
 
 
 @dataclass(frozen=True)
@@ -360,8 +341,9 @@ def direct_sum(a: PicardModel, b: PicardModel) -> PicardModel:
     """Orthogonal direct sum of two models; classes concatenate via `sum_class`.
 
     The combined torsion invariant factors are sorted ascending and must
-    already form a divisibility chain; mixing coprime torsion would need a
-    coordinate change this helper does not perform.
+    already form a divisibility chain (`FinAbGroup` raises otherwise);
+    mixing coprime torsion would need a coordinate change this helper does
+    not perform.
     """
     ra, rb = a.rank, b.rank
     gram = [list(row) + [0] * rb for row in a.gram]
@@ -372,11 +354,6 @@ def direct_sum(a: PicardModel, b: PicardModel) -> PicardModel:
     ]
     order = sorted(range(len(facs)), key=lambda i: facs[i][1])
     sorted_facs = [facs[i][1] for i in order]
-    for x, y in zip(sorted_facs, sorted_facs[1:]):
-        if y % x != 0:
-            raise ValueError(
-                f"combined torsion {sorted_facs} is not an invariant-factor chain"
-            )
     perm = [facs[i][0] for i in order]
     joint_t = list(a.k_torsion) + list(b.k_torsion)
     return PicardModel(
@@ -443,59 +420,6 @@ class LiftSpec:
             raise ValueError(f"case {self.case!r} needs an involution, ρ of order 2")
 
 
-def _invariant_factors(orders: Sequence[int]) -> Tuple[int, ...]:
-    """Invariant factors of a product of cyclic groups, smallest first."""
-    primes: Dict[int, List[int]] = {}
-    for n in orders:
-        n = int(n)
-        if n < 1:
-            raise ValueError(f"cyclic order {n} < 1")
-        p = 2
-        while n > 1:
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                primes.setdefault(p, []).append(e)
-            p += 1 if p == 2 else 2
-    for exps in primes.values():
-        exps.sort(reverse=True)
-    depth = max((len(v) for v in primes.values()), default=0)
-    facs = []
-    for i in range(depth):
-        f = 1
-        for p, exps in primes.items():
-            if i < len(exps):
-                f *= p ** exps[i]
-        facs.append(f)
-    return tuple(sorted(facs))
-
-
-def _abelian_label_of_factors(facs: Sequence[int]) -> str:
-    facs = [d for d in facs if d != 1]
-    if not facs:
-        return "Z1"
-    if len(facs) >= 3 and len(set(facs)) == 1:
-        return f"Z{facs[0]}^{len(facs)}"
-    return "x".join(f"Z{d}" for d in sorted(facs, reverse=True))
-
-
-def parse_group_label(label: str) -> Tuple[int, ...]:
-    """Invariant factors of an abelian label like 'Z8', 'Z2xZ4' or 'Z2^3'."""
-    orders: List[int] = []
-    for part in label.replace(" ", "").split("x"):
-        if not part.startswith("Z"):
-            raise ValueError(f"cannot parse group label {label!r}")
-        body = part[1:]
-        if "^" in body:
-            base, _, exp = body.partition("^")
-            orders.extend([int(base)] * int(exp))
-        else:
-            orders.append(int(body))
-    return _invariant_factors(orders)
-
-
 def classify_lift(spec: LiftSpec) -> frozenset:
     """Isomorphism classes possible for the group generated by the deck
     transformations together with a lift of ρ.
@@ -509,8 +433,8 @@ def classify_lift(spec: LiftSpec) -> frozenset:
     if spec.case == "a":
         return frozenset({"Z2^3", "Z4xZ2"})
     d = spec.rho_order
-    split = _abelian_label_of_factors(_invariant_factors([2, d]))
-    nonsplit = _abelian_label_of_factors((2 * d,))
+    split = FinAbGroup(invariant_factors([2, d])).label
+    nonsplit = FinAbGroup((2 * d,)).label
     return frozenset({split, nonsplit})
 
 
@@ -585,7 +509,7 @@ def lemma_div_geo(
         order *= f
     if order != 2 * d:
         raise ValueError(f"label {label!r} has order {order}, expected 2d = {2 * d}")
-    return facs == _invariant_factors([2, d])
+    return facs == invariant_factors([2, d])
 
 
 # ---------------------------------------------------------------------------

@@ -388,6 +388,14 @@ def sigma_table(fam: GodeauxFamily, lift: InvolutionLift) -> Dict[Tuple[int, int
     return table
 
 
+def sigma_tables(fam: GodeauxFamily) -> Dict[str, Dict[Tuple[int, int], SigmaType]]:
+    """`sigma_table` of both involution lifts, keyed by lift label."""
+    return {
+        fam.sigma.label: sigma_table(fam, fam.sigma),
+        fam.sigma_g2.label: sigma_table(fam, fam.sigma_g2),
+    }
+
+
 def match_reference_table(table: Dict[Tuple[int, int], SigmaType]) -> Dict[str, object]:
     """Compare a computed table against the frozen reference, both as
     ordered pairs and as unordered pairs."""
@@ -478,14 +486,16 @@ def family_info(fam: GodeauxFamily) -> Dict[str, object]:
     }
 
 
-def render_sigma_tables(fam: GodeauxFamily) -> str:
+def render_sigma_tables(
+    fam: GodeauxFamily,
+    tables: Optional[Dict[str, Dict[Tuple[int, int], SigmaType]]] = None,
+) -> str:
     """Plain-text report: per-cell unordered sigma types (the lift-independent
-    view) plus the ordered tables of both lifts."""
+    view) plus the ordered tables of both lifts, from `sigma_tables(fam)`
+    unless those are passed in."""
     lines = []
-    tables = {
-        fam.sigma.label: sigma_table(fam, fam.sigma),
-        fam.sigma_g2.label: sigma_table(fam, fam.sigma_g2),
-    }
+    if tables is None:
+        tables = sigma_tables(fam)
     first = tables[fam.sigma.label]
     lines.append("sigma types (unordered, lift-independent)")
     lines.append("degree | " + " | ".join(f"char {c}" for c in range(4)))

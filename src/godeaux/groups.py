@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Dict, Hashable, List, Sequence, Tuple
+
+from .abelian import FinAbGroup, invariant_factors
 
 MAX_ORDER = 16
 
@@ -208,38 +211,23 @@ def classify_order8(g: SmallGroup) -> str:
 
 
 def abelian_label(g: SmallGroup) -> str:
-    """Invariant-factor label for an abelian group of order <= 16.
+    """Invariant-factor label of an abelian group, read off its census.
 
-    Works by matching the element-order census against every candidate
-    divisor chain; for abelian groups the census pins the class.
+    For a prime p and G = Z/p^e1 x ... (p-part), the elements killed by
+    p^k number p^(sum_i min(e_i, k)); the step of that exponent from k-1
+    to k is c_k = #{i : e_i >= k}, which pins the cyclic orders p^e_i.
     """
     if not g.is_abelian():
         raise ValueError("abelian_label needs an abelian group")
-    n = g.order
     census = g.order_census()
-    for chain in _divisor_chains(n):
-        cand = cyclic_group(chain[0])
-        for d in chain[1:]:
-            cand = direct_product(cand, cyclic_group(d))
-        if cand.order_census() == census:
-            if len(chain) >= 3 and len(set(chain)) == 1:
-                return f"Z{chain[0]}^{len(chain)}"
-            return "x".join(f"Z{d}" for d in reversed(chain))
-    raise AssertionError(f"no abelian chain matches census {census}")
-
-
-def _divisor_chains(n: int) -> List[Tuple[int, ...]]:
-    """All tuples (d1, ..., dk) with d1 | d2 | ... | dk, product n, d1 >= 2,
-    listed with the largest factor last."""
-    out: List[Tuple[int, ...]] = []
-
-    def rec(remaining: int, max_d: int, acc: Tuple[int, ...]):
-        if remaining == 1:
-            out.append(acc)
-            return
-        for d in range(2, max_d + 1):
-            if remaining % d == 0 and (not acc or acc[0] % d == 0):
-                rec(remaining // d, d, (d,) + acc)
-
-    rec(n, n, ())
-    return out
+    orders: List[int] = []
+    for p in range(2, g.order + 1):
+        if g.order % p or any(p % q == 0 for q in range(2, p)):
+            continue
+        logs = [0]  # logs[k] = log_p #{x : p^k x = 0}, until it stops growing
+        while len(logs) < 2 or logs[-1] > logs[-2]:
+            killed = sum(c for o, c in census.items() if p ** len(logs) % o == 0)
+            logs.append(next(e for e in count() if p ** e >= killed))
+        steps = [b - a for a, b in zip(logs, logs[1:])]  # c_1, c_2, ..., 0
+        orders += [p ** sum(c > i for c in steps) for i in range(steps[0])]
+    return FinAbGroup(invariant_factors(orders)).label

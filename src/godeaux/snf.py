@@ -9,8 +9,6 @@ unimodular and the diagonal entries nonnegative with d1 | d2 | ... .
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 
@@ -102,20 +100,6 @@ def det_bareiss(m: List[List[int]]) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[-1][-1]
-
-
-def gcd_of_minors(m: IntMatrix, k: int) -> int:
-    """gcd of all k x k minors; 0 when every minor vanishes."""
-    if k == 0:
-        return 1
-    g = 0
-    for rows in combinations(range(m.nrows), k):
-        for cols in combinations(range(m.ncols), k):
-            sub = [[m[i, j] for j in cols] for i in rows]
-            g = gcd(g, det_bareiss(sub))
-            if g == 1:
-                return 1
-    return abs(g)
 
 
 def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:

@@ -240,14 +240,6 @@ def enumerate_points(ring: WRing, p: int, eqs: Sequence[WPoly]) -> PointSet:
     return _scan(ring, p, eqs)
 
 
-def ambient_point_count(weights: Sequence[int], p: int) -> int:
-    """Number of canonical representatives, by pure block counting (no
-    point is materialized); used as an independent cross-check."""
-    _guard_prime(p)
-    n = len(weights)
-    return sum(p ** (n - start) for _, start in _blocks(weights, p))
-
-
 def _diagonal_fixed_patterns(m: MonomialMap, p: int) -> List[Tuple[int, ...]]:
     """The minimal zero-patterns characterizing the points a diagonal map
     fixes: P is fixed iff for some scalar lambda every coordinate outside

@@ -275,20 +275,6 @@ def monomials_of_degree(ring: WRing, d: int) -> List[Exponents]:
     return out
 
 
-def weighted_degree_counts(weights: Sequence[int], up_to: int) -> List[int]:
-    """Coefficients of prod_v 1/(1 - t^w_v) through degree up_to.
-
-    The count of weighted-degree-d monomials, computed without enumerating
-    them; used as an independent cross-check on monomials_of_degree.
-    """
-    coeffs = [1] + [0] * up_to
-    for w in weights:
-        # multiply by 1/(1 - t^w): prefix-sum with stride w
-        for d in range(w, up_to + 1):
-            coeffs[d] += coeffs[d - w]
-    return coeffs
-
-
 @dataclass(frozen=True)
 class MonomialMap:
     """x_v -> scalar_v * x_{target_v}, a weight-preserving substitution.

@@ -1,9 +1,18 @@
 import random
 from itertools import product
+from math import gcd, prod
 
 import pytest
 
-from godeaux.abelian import FinAbGroup, is_two_divisible, subgroup_span
+import godeaux.abelian as abelian
+from godeaux.abelian import (
+    FinAbGroup,
+    halve,
+    invariant_factors,
+    is_two_divisible,
+    parse_group_label,
+    subgroup_span,
+)
 
 
 def brute_span(group, gens):
@@ -90,6 +99,76 @@ def test_subgroup_span():
     g = FinAbGroup((2, 4))
     assert subgroup_span(g, [(0, 2)]) == frozenset({(0, 0), (0, 2)})
     assert len(subgroup_span(g, [(1, 1)])) == 4
+
+
+def chains(bound, smallest=2):
+    """Every invariant-factor chain d1 | d2 | ... with product <= bound."""
+    yield ()
+    for d in range(smallest, bound + 1):
+        for rest in chains(bound // d, d):
+            if not rest or rest[0] % d == 0:
+                yield (d,) + rest
+
+
+def test_labels_parse_back_to_their_factors():
+    seen = list(chains(64))
+    # one chain per abelian group of order <= 64
+    assert len(seen) == len(set(seen)) == 117
+    for facs in seen:
+        assert parse_group_label(FinAbGroup(facs).label) == facs
+    assert FinAbGroup(()).label == "Z1"
+    assert FinAbGroup((2, 2, 2)).label == "Z2^3"
+    assert FinAbGroup((2, 4)).label == "Z4xZ2"
+
+
+def test_invariant_factors_against_killed_counts():
+    # the number of elements killed by m, prod gcd(m, n_i), pins the group
+    rng = random.Random(11)
+    for _ in range(300):
+        orders = [rng.randrange(1, 13) for _ in range(rng.randrange(4))]
+        facs = invariant_factors(orders)
+        FinAbGroup(facs)  # a divisibility chain
+        assert 1 not in facs and prod(facs) == prod(orders)
+        for m in range(1, prod(orders) + 1):
+            assert prod(gcd(m, n) for n in orders) == prod(gcd(m, d) for d in facs)
+    with pytest.raises(ValueError, match="cyclic order"):
+        invariant_factors([2, 0])
+
+
+def test_one_lattice_solve_per_query(monkeypatch):
+    calls = []
+    solve = abelian.solve_lattice_membership
+
+    def counting(m, b):
+        calls.append(m)
+        return solve(m, b)
+
+    monkeypatch.setattr(abelian, "solve_lattice_membership", counting)
+    g = FinAbGroup((2, 4))
+    assert is_two_divisible(g, (1, 0), modulo=[(1, 0), (0, 1)])[0]
+    assert len(calls) == 1
+    # one free coordinate next to Z/2: (3, 1) = 2*(1, 0) + (1, 1)
+    assert halve(FinAbGroup((2,)), (3, 1), [(1, 1)], free_rank=1) is not None
+    assert len(calls) == 2
+
+
+def test_bad_solve_fails_confirmation(monkeypatch):
+    def wrong(m, b):
+        return (1,) * m.ncols
+
+    monkeypatch.setattr(abelian, "solve_lattice_membership", wrong)
+    with pytest.raises(AssertionError, match="confirmation"):
+        is_two_divisible(FinAbGroup((2, 4)), (0, 2), modulo=[(1, 0)])
+    with pytest.raises(AssertionError, match="confirmation"):
+        halve(FinAbGroup(()), (4,), free_rank=1)
+
+
+def test_halve_on_free_coordinates_is_exact():
+    assert halve(FinAbGroup(()), (4, -6), free_rank=2) == (2, -3)
+    assert halve(FinAbGroup(()), (3,), free_rank=1) is None
+    assert halve(FinAbGroup((4,)), (2, 2), free_rank=1) == (1, 1)
+    with pytest.raises(ValueError, match="element length"):
+        halve(FinAbGroup((4,)), (2,), free_rank=1)
 
 
 def test_odd_torsion_detector():

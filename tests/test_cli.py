@@ -84,6 +84,8 @@ def test_run_config_validates():
         RunConfig(command="x", primes=(2,))
     with pytest.raises(ConfigError, match="retry budget"):
         RunConfig(command="x", retry_budget=-1)
+    with pytest.raises(ConfigError, match="limited to"):
+        RunConfig(command="x", primes=(109,))
     RunConfig(command="x", primes=(13, 29)).require_one_mod_four()
     with pytest.raises(ConfigError, match="1 mod 4"):
         RunConfig(command="x", primes=(11,)).require_one_mod_four()
@@ -125,6 +127,45 @@ def test_group_divisibility_verdicts():
                 "--element", "1", "--modulo", "2"]) == 1
     assert run(["group", "divisibility", "--group", "Zq",
                 "--element", "1"]) == 2
+
+
+def test_group_divisibility_beyond_enumeration_size(tmp_path):
+    # Z4096 x Z4096 has 2^24 elements, too many to enumerate the subgroup
+    out = tmp_path / "out.json"
+    assert run(["group", "divisibility", "--group", "Z4096xZ4096",
+                "--element", "1,3", "--modulo", "1,0", "--modulo", "0,1",
+                "--output", str(out)]) == 0
+    rep, = json.loads(out.read_text())
+    assert rep["status"] == "pass"
+    assert rep["witness"] == {"half": [0, 0]}
+
+
+@pytest.mark.parametrize("argv", [["cone", "image-check"],
+                                  ["cone", "fixed-points"],
+                                  ["cone", "degenerate"]])
+def test_cone_rejects_primes_above_the_cap(argv, capsys):
+    assert run(argv + ["--prime", "109"]) == 2
+    assert "limited to" in capsys.readouterr().err
+
+
+def test_table1_builds_each_sigma_table_once(monkeypatch, capsys):
+    import godeaux.cli as cli
+    import godeaux.family as family
+
+    calls = []
+    original = family.sigma_table
+
+    def counting(fam, lift):
+        calls.append(lift.label)
+        return original(fam, lift)
+
+    # every module binding of the function, imported names included
+    for mod in (family, cli):
+        if getattr(mod, "sigma_table", None) is original:
+            monkeypatch.setattr(mod, "sigma_table", counting)
+    assert run(["table1"]) == 0
+    assert "reference match" in capsys.readouterr().out
+    assert len(calls) == 2
 
 
 def test_cone_image_and_fixed_points():

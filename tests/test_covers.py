@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from godeaux.abelian import FinAbGroup, subgroup_span
+from godeaux.abelian import FinAbGroup, parse_group_label, subgroup_span
 from godeaux.covers import (
     PRESET_EXPECTATIONS,
     BidoubleData,
@@ -33,7 +33,6 @@ from godeaux.covers import (
     lemma_div_geo,
     model_from_config,
     model_to_config,
-    parse_group_label,
     preset_model,
     sum_class,
     validate,

@@ -1,7 +1,9 @@
 import random
+from functools import reduce
 
 import pytest
 
+from godeaux.abelian import FinAbGroup, invariant_factors
 from godeaux.groups import (
     SmallGroup,
     abelian_label,
@@ -96,6 +98,27 @@ def test_abelian_labels_for_two_d_groups():
     assert abelian_label(direct_product(cyclic_group(2), cyclic_group(6))) == "Z6xZ2"
     with pytest.raises(ValueError):
         abelian_label(dihedral_group(4))
+
+
+def test_abelian_label_of_trivial_group():
+    assert abelian_label(cyclic_group(1)) == "Z1"
+
+
+def cyclic_order_lists(bound, smallest=2):
+    """Every nondecreasing list of cyclic orders >= 2 with product <= bound."""
+    yield []
+    for n in range(smallest, bound + 1):
+        for rest in cyclic_order_lists(bound // n, n):
+            yield [n] + rest
+
+
+def test_census_label_matches_invariant_factors():
+    lists = list(cyclic_order_lists(16))
+    # the unordered factorizations of 1, 2, ..., 16
+    assert len(lists) == 31
+    for orders in lists:
+        group = reduce(direct_product, [cyclic_group(n) for n in orders], cyclic_group(1))
+        assert abelian_label(group) == FinAbGroup(invariant_factors(orders)).label, orders
 
 
 def test_generated_group_closure():

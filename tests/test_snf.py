@@ -1,4 +1,6 @@
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,23 @@ from hypothesis import strategies as st
 from godeaux.snf import (
     IntMatrix,
     det_bareiss,
-    gcd_of_minors,
     smith_normal_form,
     solve_lattice_membership,
 )
+
+
+def gcd_of_minors(m: IntMatrix, k: int) -> int:
+    """gcd of all k x k minors; 0 when every minor vanishes."""
+    if k == 0:
+        return 1
+    g = 0
+    for rows in combinations(range(m.nrows), k):
+        for cols in combinations(range(m.ncols), k):
+            sub = [[m[i, j] for j in cols] for i in rows]
+            g = gcd(g, det_bareiss(sub))
+            if g == 1:
+                return 1
+    return abs(g)
 
 
 def test_matrix_shape_validation():

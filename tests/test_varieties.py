@@ -11,7 +11,7 @@ from godeaux.family import FamilyParams, build_family, random_params
 from godeaux.scalars import QQ, PrimeField
 from godeaux.varieties import (
     PointSet,
-    ambient_point_count,
+    _blocks,
     check_fixed_locus,
     check_free_action,
     check_quasi_smooth,
@@ -22,6 +22,13 @@ from godeaux.varieties import (
 from godeaux.wpoly import MonomialMap, WRing, parse_poly
 
 W_GODEAUX = (1, 1, 1, 2, 2)
+
+
+def ambient_point_count(weights, p):
+    """Number of canonical representatives, by pure block counting (no
+    point is materialized); used as an independent cross-check."""
+    n = len(weights)
+    return sum(p ** (n - start) for _, start in _blocks(weights, p))
 
 
 def family_ring(p=None):

@@ -17,8 +17,22 @@ from godeaux.wpoly import (
     monomials_of_degree,
     parse_monomial,
     parse_poly,
-    weighted_degree_counts,
 )
+
+
+def weighted_degree_counts(weights, up_to):
+    """Coefficients of prod_v 1/(1 - t^w_v) through degree up_to.
+
+    The count of weighted-degree-d monomials, computed without enumerating
+    them; used as an independent cross-check on monomials_of_degree.
+    """
+    coeffs = [1] + [0] * up_to
+    for w in weights:
+        # multiply by 1/(1 - t^w): prefix-sum with stride w
+        for d in range(w, up_to + 1):
+            coeffs[d] += coeffs[d - w]
+    return coeffs
+
 
 R = WRing(("x1", "x2", "x3", "y1", "y3"), (1, 1, 1, 2, 2), QQ)
 
