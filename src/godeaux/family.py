@@ -487,15 +487,11 @@ def family_info(fam: GodeauxFamily) -> Dict[str, object]:
 
 
 def render_sigma_tables(
-    fam: GodeauxFamily,
-    tables: Optional[Dict[str, Dict[Tuple[int, int], SigmaType]]] = None,
+    fam: GodeauxFamily, tables: Dict[str, Dict[Tuple[int, int], SigmaType]]
 ) -> str:
-    """Plain-text report: per-cell unordered sigma types (the lift-independent
-    view) plus the ordered tables of both lifts, from `sigma_tables(fam)`
-    unless those are passed in."""
+    """Plain-text report of `sigma_tables(fam)`: per-cell unordered sigma
+    types (the lift-independent view) plus the ordered tables of both lifts."""
     lines = []
-    if tables is None:
-        tables = sigma_tables(fam)
     first = tables[fam.sigma.label]
     lines.append("sigma types (unordered, lift-independent)")
     lines.append("degree | " + " | ".join(f"char {c}" for c in range(4)))

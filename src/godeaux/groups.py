@@ -7,6 +7,7 @@ from itertools import count
 from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
 from .abelian import FinAbGroup, invariant_factors
+from .scalars import is_prime
 
 MAX_ORDER = 16
 
@@ -222,7 +223,7 @@ def abelian_label(g: SmallGroup) -> str:
     census = g.order_census()
     orders: List[int] = []
     for p in range(2, g.order + 1):
-        if g.order % p or any(p % q == 0 for q in range(2, p)):
+        if g.order % p or not is_prime(p):
             continue
         logs = [0]  # logs[k] = log_p #{x : p^k x = 0}, until it stops growing
         while len(logs) < 2 or logs[-1] > logs[-2]:

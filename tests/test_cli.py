@@ -146,6 +146,9 @@ def test_group_divisibility_beyond_enumeration_size(tmp_path):
 def test_cone_rejects_primes_above_the_cap(argv, capsys):
     assert run(argv + ["--prime", "109"]) == 2
     assert "limited to" in capsys.readouterr().err
+    # every listed prime is checked, also those after the one that is scanned
+    assert run(argv + ["--prime", "13", "--prime", "109"]) == 2
+    assert "limited to" in capsys.readouterr().err
 
 
 def test_table1_builds_each_sigma_table_once(monkeypatch, capsys):

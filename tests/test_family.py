@@ -21,6 +21,7 @@ from godeaux.family import (
     reduce_family,
     render_sigma_tables,
     sigma_table,
+    sigma_tables,
     torsion_group_census,
 )
 from godeaux.grouprep import InvolutionLift
@@ -274,7 +275,7 @@ def test_table_is_coefficient_independent():
 
 def test_render_sigma_tables():
     fam = build_family(all_ones_params())
-    text = render_sigma_tables(fam)
+    text = render_sigma_tables(fam, sigma_tables(fam))
     assert "m=4" in text
     assert "{5,2}" in text
     assert "unordered=True" in text
