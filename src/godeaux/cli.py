@@ -74,6 +74,7 @@ from .varieties import (
     check_fixed_locus,
     check_free_action,
     check_quasi_smooth,
+    surface_points,
 )
 from .wpoly import parse_poly
 
@@ -242,6 +243,8 @@ def cmd_verify(args) -> List[CheckReport]:
         raise ConfigError("no checks requested")
     if args.draws < 1:
         raise ConfigError(f"draws must be >= 1, got {args.draws}")
+    # every run scans its own surfaces, so repeated runs do the same work
+    surface_points.cache_clear()
     rng = random.Random(cfg.seed)
     reports: List[CheckReport] = []
     for p in cfg.primes:
@@ -373,11 +376,14 @@ def cmd_group_divisibility(args) -> List[CheckReport]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     group = FinAbGroup(factors)
+
+    def coordinates(text: str) -> Tuple[int, ...]:
+        # the empty string is the one element of a rank-0 group such as Z1
+        return tuple(int(tok) for tok in text.split(",")) if text else ()
+
     try:
-        element = tuple(int(tok) for tok in args.element.split(","))
-        modulo = [
-            tuple(int(tok) for tok in m.split(",")) for m in (args.modulo or [])
-        ]
+        element = coordinates(args.element)
+        modulo = [coordinates(m) for m in (args.modulo or [])]
     except ValueError as exc:
         raise ConfigError(f"bad element coordinates: {exc}") from None
     try:

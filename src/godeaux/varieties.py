@@ -10,14 +10,23 @@ representatives (lexicographically least orbit members) are generated
 directly: the coordinate space is partitioned by leading nonzero coordinate,
 the leading value runs over minima of cosets of the relevant power subgroup,
 and once the residual scalar stabilizer acts trivially on the remaining
-coordinates the tail is a free box that vectorizes.  Equation evaluation on
-a box runs on int64 arrays with a reduction mod p after every product, so
-values stay below p^2 and arithmetic is exact.
+coordinates the tail is a free box.
+
+A box is not scanned point by point.  Its last coordinate t is solved for:
+on each row of the other (base) coordinates the first equation is
+a*t^2 + b*t + c, and its roots in GF(p) come from a square-root table and an
+inverse table.  The whole fibre of p values is kept where a = b = c = 0,
+where there is no equation, or where the first equation has degree above 2
+in t.  Every candidate is then tested against every equation.  Evaluation
+runs on int64 columns with a reduction mod p after every product, so values
+stay below p^2 and arithmetic is exact.  ``scanned`` counts the canonical
+representatives of the boxes covered, whether or not each was a candidate.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -25,11 +34,13 @@ import numpy as np
 
 from .family import GodeauxFamily, reduce_family
 from .reports import CheckReport
-from .scalars import PrimeField, Rationals, exact_rank, is_prime
+from .scalars import PrimeField, Rationals, is_prime
 from .wpoly import MonomialMap, WPoly, WRing, jacobian
 
 MAX_ENUM_PRIME = 101
 CHUNK_LIMIT = 1 << 18
+
+Terms = List[Tuple[Tuple[int, ...], int]]
 
 
 def _blocks(weights: Sequence[int], p: int):
@@ -69,56 +80,110 @@ def _blocks(weights: Sequence[int], p: int):
     yield from rec(0, list(range(1, p)), (), False)
 
 
-def _chunks(weights: Sequence[int], p: int):
-    """Split free boxes into chunks of at most CHUNK_LIMIT points."""
+def _orbit_count(weights: Sequence[int], p: int) -> int:
+    """Number of GF(p) points of P(weights), by block counting."""
     n = len(weights)
-    stack = list(_blocks(weights, p))
-    out = []
-    for prefix, start in stack:
-        pieces = [(prefix, start)]
-        while pieces:
-            pre, st = pieces.pop(0)
-            if p ** (n - st) <= CHUNK_LIMIT:
-                out.append((pre, st))
-            else:
-                pieces = [(pre + (v,), st + 1) for v in range(p)] + pieces
-    return out
+    return sum(p ** (n - start) for _, start in _blocks(weights, p))
 
 
-def _chunk_columns(prefix: Tuple[int, ...], start: int, n: int, p: int) -> List[np.ndarray]:
-    free = n - start
-    size = p ** free
-    cols = [np.full(size, v, dtype=np.int64) for v in prefix]
-    for t in range(free):
-        block = np.repeat(np.arange(p, dtype=np.int64), p ** (free - 1 - t))
-        cols.append(np.tile(block, p ** t))
-    return cols
+def _int_terms(f: WPoly) -> Terms:
+    """The terms of a polynomial over GF(p) with plain int coefficients."""
+    return [(e, c.value) for e, c in f.terms.items()]
 
 
-def _eval_on_columns(f: WPoly, cols: List[np.ndarray], p: int,
-                     pow_cache: Dict[Tuple[int, int], np.ndarray]) -> np.ndarray:
-    size = len(cols[0])
+class _Columns:
+    """Coordinate columns of a batch of points, with the powers of each
+    column mod p cached for the polynomials evaluated on them."""
 
-    def powv(v: int, e: int) -> np.ndarray:
-        # bottom-up, not recursive: a closure that calls itself is a
-        # reference cycle, which would keep this chunk's columns and powers
-        # alive until the cycle collector happens to run
+    __slots__ = ("cols", "p", "_powers")
+
+    def __init__(self, cols: Sequence[np.ndarray], p: int):
+        self.cols = cols
+        self.p = p
+        self._powers: Dict[Tuple[int, int], np.ndarray] = {}
+
+    def power(self, v: int, e: int) -> np.ndarray:
         for k in range(1, e + 1):
-            if (v, k) not in pow_cache:
-                lower = cols[v] if k == 1 else pow_cache[(v, k - 1)] * cols[v]
-                pow_cache[(v, k)] = lower % p
-        return pow_cache[(v, e)]
+            if (v, k) not in self._powers:
+                lower = self.cols[v] if k == 1 else self._powers[(v, k - 1)] * self.cols[v]
+                self._powers[(v, k)] = lower % self.p
+        return self._powers[(v, e)]
 
-    total = np.zeros(size, dtype=np.int64)
-    for expts, coeff in f.terms.items():
-        acc = None
-        for v, e in enumerate(expts):
-            if e:
-                acc = powv(v, e) if acc is None else acc * powv(v, e) % p
-        c = coeff.value % p
-        term = np.full(size, c, dtype=np.int64) if acc is None else acc * c % p
-        total = (total + term) % p
-    return total
+    def evaluate(self, terms: Terms) -> np.ndarray:
+        p = self.p
+        total = np.zeros(len(self.cols[0]), dtype=np.int64)
+        for expts, coeff in terms:
+            term = coeff
+            for v, e in enumerate(expts):
+                if e:
+                    term = term * self.power(v, e) % p
+            total += term
+        return total % p
+
+
+class _Fibres:
+    """Roots of the first equation in the last coordinate, row by row of
+    the base coordinates; the full fibre where it does not cut one out."""
+
+    def __init__(self, eqs: Sequence[WPoly], p: int):
+        self.p = p
+        by_degree: Dict[int, Terms] = {}
+        if eqs:
+            for e, c in _int_terms(eqs[0]):
+                by_degree.setdefault(e[-1], []).append((e[:-1], c))
+        self.coeffs = None
+        if by_degree and max(by_degree) <= 2:
+            self.coeffs = [by_degree.get(k, []) for k in (2, 1, 0)]
+        squares = np.arange(p, dtype=np.int64) ** 2 % p
+        self.sqrt = np.full(p, -1, dtype=np.int64)
+        self.sqrt[squares] = np.arange(p)
+        self.inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+
+    def solve(self, base: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+        """(row, t) pairs with t a candidate last coordinate on that row of
+        the base columns, each pair once, in no particular order."""
+        p = self.p
+        if self.coeffs is None:
+            size = len(base[0])
+            return np.repeat(np.arange(size), p), np.tile(np.arange(p), size)
+        cols = _Columns(base, p)
+        a, b, c = (cols.evaluate(terms) for terms in self.coeffs)
+        quad = a != 0
+        disc = (b * b - 4 * a * c) % p
+        root = self.sqrt[disc]
+        inv2a = self.inv[2 * a % p]
+        real = quad & (root >= 0)
+        plus = np.flatnonzero(real)
+        minus = np.flatnonzero(real & (disc != 0))
+        lin = np.flatnonzero(~quad & (b != 0))
+        full = np.flatnonzero(~quad & (b == 0) & (c == 0))
+        rows = [plus, minus, lin, np.repeat(full, p)]
+        ts = [
+            (root[plus] - b[plus]) * inv2a[plus] % p,
+            (-root[minus] - b[minus]) * inv2a[minus] % p,
+            -c[lin] * self.inv[b[lin]] % p,
+            np.tile(np.arange(p), len(full)),
+        ]
+        return np.concatenate(rows), np.concatenate(ts)
+
+
+def _candidates(prefix: Tuple[int, ...], start: int, n: int, fibres: _Fibres):
+    """Candidate points of one box as batches of (columns, sort key); the
+    batches come in lexicographic order, and the key orders the candidates
+    of one batch.  No batch holds more than CHUNK_LIMIT candidates."""
+    p = fibres.p
+    if start == n:
+        yield [np.full(1, v, dtype=np.int64) for v in prefix], np.zeros(1, dtype=np.int64)
+        return
+    free = n - 1 - start
+    size = p ** free
+    step = max(1, CHUNK_LIMIT // p)
+    for lo in range(0, size, step):
+        r = np.arange(lo, min(size, lo + step), dtype=np.int64)
+        base = [np.full(len(r), v, dtype=np.int64) for v in prefix]
+        base += [r // p ** (free - 1 - k) % p for k in range(free)]
+        row, t = fibres.solve(base)
+        yield [col[row] for col in base] + [t], row * p + t
 
 
 def _reduce_eqs(ring: WRing, p: int, eqs: Sequence[WPoly]) -> Tuple[WRing, List[WPoly]]:
@@ -152,18 +217,20 @@ def _reduce_eqs(ring: WRing, p: int, eqs: Sequence[WPoly]) -> Tuple[WRing, List[
 
 
 class PointSet:
-    """Canonical points of a zero locus over GF(p), as coordinate tuples in
+    """Canonical points of a zero locus over GF(p), one row per point, in
     the strictly increasing order the scan emits them in.
 
-    Every equation is re-evaluated on a deterministic sample of the points
-    the first time they are read back, as a self-consistency tripwire.
+    Every equation is re-evaluated on every point the first time the points
+    are read back, as a self-consistency tripwire.
     """
 
-    __slots__ = ("_points", "p", "ring", "eqs", "scanned", "_checked")
+    __slots__ = ("_rows", "p", "ring", "eqs", "scanned", "_checked")
 
-    def __init__(self, points: Sequence[Tuple[int, ...]], p: int, ring: WRing,
-                 eqs: Sequence[WPoly], scanned: int):
-        self._points = tuple(points)
+    def __init__(self, points, p: int, ring: WRing, eqs: Sequence[WPoly],
+                 scanned: int):
+        rows = np.array(points, dtype=np.int64).reshape(-1, ring.nvars)
+        rows.flags.writeable = False
+        self._rows = rows
         self.p = p
         self.ring = ring
         self.eqs = tuple(eqs)
@@ -171,30 +238,32 @@ class PointSet:
         self._checked = False
 
     @property
-    def points(self) -> Tuple[Tuple[int, ...], ...]:
+    def rows(self) -> np.ndarray:
+        """The points as a read-only (points x coordinates) int64 array."""
         if not self._checked:
-            self._spot_check()
+            self._check()
             self._checked = True
-        return self._points
+        return self._rows
+
+    @property
+    def points(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(map(tuple, self.rows.tolist()))
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._rows)
 
-    def _spot_check(self, sample: int = 16) -> None:
-        if not self._points:
-            return
-        stride = max(1, len(self._points) // sample)
-        field = self.ring.field
-        for pt in self._points[::stride]:
-            values = [field(c) for c in pt]
-            for f in self.eqs:
-                if f.evaluate(values) != field.zero():
-                    raise AssertionError(
-                        f"point {list(pt)} fails {f.to_string()} = 0; enumeration bug"
-                    )
+    def _check(self) -> None:
+        cols = _Columns(self._rows.T, self.p)
+        for f in self.eqs:
+            bad = np.flatnonzero(cols.evaluate(_int_terms(f)))
+            if len(bad):
+                raise AssertionError(
+                    f"point {self._rows[bad[0]].tolist()} fails {f.to_string()} = 0; "
+                    "enumeration bug"
+                )
 
     def __repr__(self):
-        return f"PointSet({len(self._points)} points over GF({self.p}))"
+        return f"PointSet({len(self._rows)} points over GF({self.p}))"
 
 
 def _guard_prime(p: int) -> None:
@@ -209,28 +278,30 @@ def _guard_prime(p: int) -> None:
 def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
           extra_mask: Optional[Callable[[List[np.ndarray]], np.ndarray]] = None) -> PointSet:
     """All canonical representatives where every equation vanishes (and the
-    optional extra column mask holds).  Chunks come in lexicographic order
-    and so do the rows of each chunk, so no sorting is needed."""
+    optional extra column mask holds).  Boxes and their batches come in
+    lexicographic order, so only the survivors of each batch are sorted."""
     ring_p, eqs_p = _reduce_eqs(ring, p, eqs)
     for f in eqs_p:
         if not f.is_homogeneous():
             raise ValueError(f"equation {f.to_string()} is not homogeneous")
     n = ring.nvars
-    points: List[Tuple[int, ...]] = []
+    fibres = _Fibres(eqs_p, p)
+    terms = [_int_terms(f) for f in eqs_p]
+    found: List[np.ndarray] = []
     scanned = 0
-    for prefix, start in _chunks(ring.weights, p):
-        cols = _chunk_columns(prefix, start, n, p)
-        mask = np.ones(len(cols[0]), dtype=bool)
-        cache: Dict[Tuple[int, int], np.ndarray] = {}
-        for f in eqs_p:
-            mask &= _eval_on_columns(f, cols, p, cache) == 0
-            if not mask.any():
-                break
-        if extra_mask is not None:
-            mask &= extra_mask(cols)
-        scanned += len(cols[0])
-        points.extend(zip(*(col[mask].tolist() for col in cols)))
-    return PointSet(points, p, ring_p, eqs_p, scanned)
+    for prefix, start in _blocks(ring.weights, p):
+        scanned += p ** (n - start)
+        for cols, key in _candidates(prefix, start, n, fibres):
+            batch = _Columns(cols, p)
+            mask = np.ones(len(key), dtype=bool)
+            for f in terms:
+                mask &= batch.evaluate(f) == 0
+            if extra_mask is not None:
+                mask &= extra_mask(cols)
+            _, first = np.unique(key[mask], return_index=True)
+            found.append(np.stack([col[mask][first] for col in cols], axis=1))
+    rows = np.concatenate(found) if found else np.empty((0, n), dtype=np.int64)
+    return PointSet(rows, p, ring_p, eqs_p, scanned)
 
 
 def enumerate_points(ring: WRing, p: int, eqs: Sequence[WPoly]) -> PointSet:
@@ -262,6 +333,31 @@ def _diagonal_fixed_patterns(m: MonomialMap, p: int) -> List[Tuple[int, ...]]:
     return sorted(minimal)
 
 
+def _fixed_mask(patterns: Sequence[Tuple[int, ...]], cols) -> np.ndarray:
+    """Which points of the columns lie in the fixed locus of the patterns."""
+    mask = np.zeros(len(cols[0]), dtype=bool)
+    for bad in patterns:
+        sub = np.ones(len(cols[0]), dtype=bool)
+        for v in bad:
+            sub &= cols[v] == 0
+        mask |= sub
+    return mask
+
+
+def _fixed_point_count(weights: Sequence[int], patterns: Sequence[Tuple[int, ...]],
+                       p: int) -> int:
+    """Number of GF(p) points in the union of the coordinate subspaces the
+    patterns cut out, by inclusion-exclusion over the patterns; each
+    intersection is the weighted space on the coordinates left free."""
+    total = 0
+    for k in range(1, len(patterns) + 1):
+        for group in itertools.combinations(patterns, k):
+            zero = set().union(*group)
+            free = [w for v, w in enumerate(weights) if v not in zero]
+            total += (-1) ** (k + 1) * _orbit_count(free, p)
+    return total
+
+
 def fixed_locus(action: MonomialMap, p: int, eqs: Sequence[WPoly]) -> PointSet:
     """All points of the zero locus fixed by a diagonal map as orbits (image
     canonicalizes back to the point itself)."""
@@ -270,17 +366,7 @@ def fixed_locus(action: MonomialMap, p: int, eqs: Sequence[WPoly]) -> PointSet:
     if not isinstance(ring.field, PrimeField) or ring.field.p != p:
         raise ValueError("fixed_locus needs a map defined over GF(p) itself")
     patterns = _diagonal_fixed_patterns(action, p)
-
-    def mask_fn(cols: List[np.ndarray]) -> np.ndarray:
-        mask = np.zeros(len(cols[0]), dtype=bool)
-        for bad in patterns:
-            sub = np.ones(len(cols[0]), dtype=bool)
-            for v in bad:
-                sub &= cols[v] == 0
-            mask |= sub
-        return mask
-
-    return _scan(ring, p, eqs, extra_mask=mask_fn)
+    return _scan(ring, p, eqs, extra_mask=lambda cols: _fixed_mask(patterns, cols))
 
 
 def _family_mod_p(fam: GodeauxFamily, p: int) -> GodeauxFamily:
@@ -289,6 +375,15 @@ def _family_mod_p(fam: GodeauxFamily, p: int) -> GodeauxFamily:
             raise ValueError(f"family is over GF({fam.field.p}), not GF({p})")
         return fam
     return reduce_family(fam, p)
+
+
+@functools.lru_cache(maxsize=1)
+def surface_points(p: int, q0: WPoly, q2: WPoly) -> PointSet:
+    """The GF(p) points of the surface q0 = q2 = 0, scanned once for all
+    checks of one family member.  The memo holds the last member only and
+    compares the quartics by value, so another member never gets its
+    points; ``surface_points.cache_clear()`` empties it."""
+    return enumerate_points(q0.ring, p, [q0, q2])
 
 
 def _certificate(check: str):
@@ -319,13 +414,7 @@ SCAN_SCOPE = (
 )
 
 
-def _on_surface(locus: PointSet, surface: PointSet) -> List[Tuple[int, ...]]:
-    """The points of an ambient locus that lie on the surface, in order."""
-    on = set(surface.points)
-    return [pt for pt in locus.points if pt in on]
-
-
-def _pure_y_points(ring: WRing, p: int) -> List[Tuple[int, ...]]:
+def _pure_y_points(ring: WRing, p: int) -> np.ndarray:
     """Canonical representatives supported on the weight-2 coordinates.
 
     The leading weight-2 value runs over the two coset minima of the squares
@@ -338,7 +427,7 @@ def _pure_y_points(ring: WRing, p: int) -> List[Tuple[int, ...]]:
     reps = [1, min(set(range(1, p)) - squares)]
     pts = [(0, 0, 0, m, b) for m in reps for b in range(p)]
     pts += [(0, 0, 0, 0, m) for m in reps]
-    return pts
+    return np.array(pts, dtype=np.int64)
 
 
 @_certificate("quasi-smooth")
@@ -350,15 +439,11 @@ def check_quasi_smooth(fam_p: GodeauxFamily, p: int) -> CheckReport:
     singular.  Points over extensions of GF(p) are not checked, so this is
     not a proof of quasi-smoothness mod p, let alone in characteristic 0.
     """
-    field = fam_p.ring.field
-    zero = field.zero()
-    witness = None
-    for coords in _pure_y_points(fam_p.ring, p):
-        vals = [field(c) for c in coords]
-        if fam_p.q0.evaluate(vals) == zero and fam_p.q2.evaluate(vals) == zero:
-            witness = list(coords)
-            break
-    if fam_p.q0.coefficient((0, 0, 0, 1, 1)) == zero:
+    pure = _pure_y_points(fam_p.ring, p)
+    cols = _Columns(pure.T, p)
+    on = np.logical_and.reduce([cols.evaluate(_int_terms(q)) == 0 for q in fam_p.quartics()])
+    witness = pure[np.argmax(on)].tolist() if on.any() else None
+    if fam_p.q0.coefficient((0, 0, 0, 1, 1)) == fam_p.ring.field.zero():
         hit = ("ambient-singular-locus hit: q0 misses y1 y3, so the "
                "surface meets x1=x2=x3=0 over the closure")
     elif witness is not None:
@@ -372,14 +457,18 @@ def check_quasi_smooth(fam_p: GodeauxFamily, p: int) -> CheckReport:
             data={"failure_mode": "ambient-singular-locus"},
         )
 
-    surface = enumerate_points(fam_p.ring, p, [fam_p.q0, fam_p.q2])
-    partials = jacobian([fam_p.q0, fam_p.q2])
-    for pt in surface.points:
-        vals = [field(c) for c in pt]
-        rows = [[entry.evaluate(vals) for entry in row] for row in partials]
-        if exact_rank(rows) < 2:
-            witness = list(pt)
-            break
+    surface = surface_points(p, fam_p.q0, fam_p.q2)
+    rows = surface.rows
+    cols = _Columns(rows.T, p)
+    first, second = [
+        [cols.evaluate(_int_terms(d)) for d in row]
+        for row in jacobian([fam_p.q0, fam_p.q2])
+    ]
+    # rank < 2 iff every 2x2 minor of the Jacobian vanishes
+    singular = np.ones(len(rows), dtype=bool)
+    for v, w in itertools.combinations(range(len(first)), 2):
+        singular &= (first[v] * second[w] - first[w] * second[v]) % p == 0
+    witness = rows[np.argmax(singular)].tolist() if singular.any() else None
     finding = ("Jacobian rank below 2 at the witness point" if witness
                else "no GF(p)-rational surface point is singular")
     return CheckReport(
@@ -399,19 +488,20 @@ def check_free_action(fam_p: GodeauxFamily, p: int) -> CheckReport:
     """Check that g, g^2, g^3 fix no GF(p)-rational point of the surface;
     points over extensions of GF(p) are not checked.
 
-    Fixed loci are computed on the ambient space as unions of coordinate
-    subspaces and intersected with the enumerated surface point set.
+    Fixed loci are unions of coordinate subspaces: their points are counted
+    by blocks on the ambient space and picked out of the surface by mask.
     """
     i = fam_p.ring.field.sqrt_minus_one()
-    surface = enumerate_points(fam_p.ring, p, [fam_p.q0, fam_p.q2])
+    surface = surface_points(p, fam_p.q0, fam_p.q2)
+    rows = surface.rows
     witness = None
     sizes = {}
     for name, k in GROUP_ELEMENT_POWERS.items():
-        locus = fixed_locus(fam_p.action.power(k).as_monomial_map(i), p, [])
-        sizes[name] = len(locus)
-        hits = _on_surface(locus, surface)
-        if hits and witness is None:
-            witness = {"element": name, "point": list(hits[0])}
+        patterns = _diagonal_fixed_patterns(fam_p.action.power(k).as_monomial_map(i), p)
+        sizes[name] = _fixed_point_count(fam_p.ring.weights, patterns, p)
+        hits = rows[_fixed_mask(patterns, rows.T)]
+        if len(hits) and witness is None:
+            witness = {"element": name, "point": hits[0].tolist()}
     notes = (SCAN_SCOPE,) if witness else (
         SCAN_SCOPE, "g, g^2 and g^3 fix no GF(p)-rational surface point")
     return CheckReport(
@@ -425,17 +515,15 @@ def check_free_action(fam_p: GodeauxFamily, p: int) -> CheckReport:
 
 def sigma_fixed_components(fam: GodeauxFamily, p: int) -> Dict[str, object]:
     """Describe the fixed locus of the involution lift on the ambient space:
-    the zero-patterns of its coordinate subspaces, plus the point count."""
+    its minimal zero-patterns, by name and by index, plus the point count."""
     _guard_prime(p)
     fam_p = _family_mod_p(fam, p)
-    m = fam_p.sigma.as_monomial_map()
-    patterns = _diagonal_fixed_patterns(m, p)
-    locus = fixed_locus(m, p, [])
+    patterns = _diagonal_fixed_patterns(fam_p.sigma.as_monomial_map(), p)
     names = fam_p.ring.names
     return {
         "zero_patterns": [[names[v] for v in bad] for bad in patterns],
-        "count": len(locus),
-        "locus": locus,
+        "patterns": patterns,
+        "count": _fixed_point_count(fam_p.ring.weights, patterns, p),
     }
 
 
@@ -444,19 +532,20 @@ def check_fixed_locus(fam_p: GodeauxFamily, p: int) -> CheckReport:
     """Check that the ambient fixed locus of the involution lift meets the
     surface at a GF(p)-rational point, as its divisorial fixed part needs."""
     info = sigma_fixed_components(fam_p, p)
-    surface = enumerate_points(fam_p.ring, p, [fam_p.q0, fam_p.q2])
-    hits = _on_surface(info["locus"], surface)
+    surface = surface_points(p, fam_p.q0, fam_p.q2)
+    rows = surface.rows
+    hits = rows[_fixed_mask(info["patterns"], rows.T)]
     return CheckReport(
         check="fixed-locus",
-        status="pass" if hits else "fail",
+        status="pass" if len(hits) else "fail",
         prime=p,
-        witness=None if hits else {"reason": "fixed locus misses the surface"},
+        witness=None if len(hits) else {"reason": "fixed locus misses the surface"},
         points_scanned=surface.scanned,
         notes=("divisorial fixed part requires the locus to meet the surface",),
         data={
             "zero_patterns": info["zero_patterns"],
             "ambient_fixed_points": info["count"],
             "surface_hits": len(hits),
-            "sample": list(hits[0]) if hits else None,
+            "sample": hits[0].tolist() if len(hits) else None,
         },
     )

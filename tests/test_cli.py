@@ -140,6 +140,43 @@ def test_group_divisibility_beyond_enumeration_size(tmp_path):
     assert rep["witness"] == {"half": [0, 0]}
 
 
+def test_group_divisibility_in_the_trivial_group(tmp_path, capsys):
+    # Z1 has rank 0: its one element is the empty coordinate list
+    out = tmp_path / "out.json"
+    assert run(["group", "divisibility", "--group", "Z1", "--element", "",
+                "--output", str(out)]) == 0
+    rep, = json.loads(out.read_text())
+    assert rep["status"] == "pass"
+    assert rep["witness"] == {"half": []}
+    for element in ("1", "1,,2", "x"):
+        assert run(["group", "divisibility", "--group", "Z1",
+                    "--element", element]) == 2
+    assert run(["group", "divisibility", "--group", "Z2xZ4",
+                "--element", "1,"]) == 2
+    assert "bad element coordinates" in capsys.readouterr().err
+
+
+def test_verify_scans_each_draw_once(monkeypatch, tmp_path):
+    import godeaux.varieties as varieties
+
+    calls = {"enumerate_points": 0, "fixed_locus": 0}
+    for name in calls:
+        original = getattr(varieties, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(varieties, name, counting)
+    out = tmp_path / "out.json"
+    assert run(["verify", "--prime", "13", "--draws", "3", "--output", str(out)]) == 0
+    reports = json.loads(out.read_text())
+    attempts = sum(r["provenance"]["attempts"] for r in reports
+                   if r["check"] == "quasi-smooth")
+    assert attempts >= 3
+    assert calls == {"enumerate_points": attempts, "fixed_locus": 0}
+
+
 @pytest.mark.parametrize("argv", [["cone", "image-check"],
                                   ["cone", "fixed-points"],
                                   ["cone", "degenerate"]])

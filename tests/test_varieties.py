@@ -3,32 +3,103 @@ exhaustive finite-field checks."""
 
 import gc
 import itertools
+import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from godeaux import varieties
 from godeaux.family import FamilyParams, build_family, random_params
 from godeaux.scalars import QQ, PrimeField
 from godeaux.varieties import (
+    CHUNK_LIMIT,
     PointSet,
     _blocks,
+    _diagonal_fixed_patterns,
+    _Fibres,
+    _fixed_mask,
+    _fixed_point_count,
+    _orbit_count,
+    _reduce_eqs,
     check_fixed_locus,
     check_free_action,
     check_quasi_smooth,
     enumerate_points,
     fixed_locus,
     sigma_fixed_components,
+    surface_points,
 )
-from godeaux.wpoly import MonomialMap, WRing, parse_poly
+from godeaux.wpoly import MonomialMap, WRing, monomials_of_degree, parse_poly
 
 W_GODEAUX = (1, 1, 1, 2, 2)
 
 
-def ambient_point_count(weights, p):
-    """Number of canonical representatives, by pure block counting (no
-    point is materialized); used as an independent cross-check."""
+# --- box-scan oracle: every point of every free box, evaluated in chunks
+
+
+def _chunks(weights, p):
+    """Split free boxes into chunks of at most CHUNK_LIMIT points."""
     n = len(weights)
-    return sum(p ** (n - start) for _, start in _blocks(weights, p))
+    out = []
+    for prefix, start in _blocks(weights, p):
+        pieces = [(prefix, start)]
+        while pieces:
+            pre, st = pieces.pop(0)
+            if p ** (n - st) <= CHUNK_LIMIT:
+                out.append((pre, st))
+            else:
+                pieces = [(pre + (v,), st + 1) for v in range(p)] + pieces
+    return out
+
+
+def _chunk_columns(prefix, start, n, p):
+    free = n - start
+    size = p ** free
+    cols = [np.full(size, v, dtype=np.int64) for v in prefix]
+    for t in range(free):
+        block = np.repeat(np.arange(p, dtype=np.int64), p ** (free - 1 - t))
+        cols.append(np.tile(block, p ** t))
+    return cols
+
+
+def _eval_on_columns(f, cols, p, pow_cache):
+    size = len(cols[0])
+
+    def powv(v, e):
+        for k in range(1, e + 1):
+            if (v, k) not in pow_cache:
+                lower = cols[v] if k == 1 else pow_cache[(v, k - 1)] * cols[v]
+                pow_cache[(v, k)] = lower % p
+        return pow_cache[(v, e)]
+
+    total = np.zeros(size, dtype=np.int64)
+    for expts, coeff in f.terms.items():
+        acc = None
+        for v, e in enumerate(expts):
+            if e:
+                acc = powv(v, e) if acc is None else acc * powv(v, e) % p
+        c = coeff.value % p
+        term = np.full(size, c, dtype=np.int64) if acc is None else acc * c % p
+        total = (total + term) % p
+    return total
+
+
+def box_scan(ring, p, eqs):
+    """(points, scanned) by evaluating every equation on every canonical
+    representative; the reference the fibred scan is compared against."""
+    ring_p, eqs_p = _reduce_eqs(ring, p, eqs)
+    n = ring.nvars
+    points, scanned = [], 0
+    for prefix, start in _chunks(ring.weights, p):
+        cols = _chunk_columns(prefix, start, n, p)
+        mask = np.ones(len(cols[0]), dtype=bool)
+        cache = {}
+        for f in eqs_p:
+            mask &= _eval_on_columns(f, cols, p, cache) == 0
+        scanned += len(cols[0])
+        points.extend(zip(*(col[mask].tolist() for col in cols)))
+    return points, scanned
 
 
 def family_ring(p=None):
@@ -85,6 +156,79 @@ def test_surface_points_match_brute_force_filter():
     assert list(surface.points) == expected
 
 
+def random_form(ring, degree, rng):
+    """A homogeneous form with small random integer coefficients."""
+    f = ring.zero_poly()
+    for e in monomials_of_degree(ring, degree):
+        f = f + ring.monomial(e, rng.randrange(-3, 4))
+    return f
+
+
+def differential_systems(rng):
+    """(ring, equations) pairs over Q: seeded family members, with and
+    without the involution enforced, and cone systems of 1-4 equations
+    in P^3 led by the cone or by a random quadric."""
+    systems = []
+    for seed in (1, 2):
+        for enforce in (True, False):
+            fam = build_family(random_params("Q", seed=seed, enforce_involution=enforce))
+            systems.append((fam.ring, [fam.q0, fam.q2]))
+    ring = p3_ring()
+    cone = parse_poly(ring, "y0^2 + -1 * y1 y2")
+    for count in range(1, 5):
+        for first in (cone, random_form(ring, 2, rng)):
+            extra = [random_form(ring, rng.choice((1, 2)), rng) for _ in range(count - 1)]
+            systems.append((ring, [first] + extra))
+    return systems
+
+
+def brute_zero_locus(ring, p, eqs):
+    field = PrimeField(p)
+    _, eqs_p = _reduce_eqs(ring, p, eqs)
+    return [
+        pt for pt in brute_representatives(ring.weights, p)
+        if all(f.evaluate([field(c) for c in pt]) == field.zero() for f in eqs_p)
+    ]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fibred_scan_matches_brute_force(p):
+    for ring, eqs in differential_systems(random.Random(p)):
+        assert list(enumerate_points(ring, p, eqs).points) == brute_zero_locus(ring, p, eqs)
+
+
+@pytest.mark.parametrize("p", [13, 29])
+def test_fibred_scan_matches_box_scan(p):
+    for ring, eqs in differential_systems(random.Random(p)):
+        points, scanned = box_scan(ring, p, eqs)
+        surface = enumerate_points(ring, p, eqs)
+        assert list(surface.points) == points
+        assert surface.scanned == scanned
+
+
+def test_fibre_branches():
+    # f = x t^2 + y z t + z^3 is a t^2 + b t + c with a = x, b = y z, c = z^3
+    p = 7
+    ring = p3_ring()
+    f = parse_poly(ring, "y0 y3^2 + y1 y2 y3 + y2^3")
+    rows = {
+        (1, 2, 1): [p - 1],        # a != 0, b^2 = 4ac: the double root -1
+        (1, 0, 6): [1, 6],         # a != 0: t^2 = 1
+        (1, 0, 1): [],             # a != 0: t^2 = -1 has no root mod 7
+        (0, 1, 1): [p - 1],        # a = 0, b != 0: the linear root
+        (0, 1, 0): list(range(p)),  # a = b = c = 0: the whole fibre
+        (0, 0, 1): [],             # a = b = 0, c != 0: empty
+    }
+    base = [np.array(col, dtype=np.int64) for col in zip(*rows)]
+    row, t = _Fibres(_reduce_eqs(ring, p, [f])[1], p).solve(base)
+    got = sorted(zip(row.tolist(), t.tolist()))
+    want = sorted((i, v) for i, roots in enumerate(rows.values()) for v in roots)
+    assert got == want
+    assert list(enumerate_points(ring, p, [f]).points) == brute_zero_locus(ring, p, [f])
+    points, _ = box_scan(ring, 13, [f])
+    assert list(enumerate_points(ring, 13, [f]).points) == points
+
+
 def orbit_count_formula(p):
     # orbits of size p-1 off the pure-y locus, (p-1)/2 on it
     return (p ** 5 - p ** 2) // (p - 1) + 2 * (p + 1)
@@ -92,10 +236,10 @@ def orbit_count_formula(p):
 
 def test_ambient_counts_match_formula():
     for p in (3, 5, 13):
-        assert ambient_point_count(W_GODEAUX, p) == orbit_count_formula(p)
-    assert ambient_point_count((1, 1, 1, 1), 5) == 5 ** 3 + 5 ** 2 + 5 + 1
+        assert _orbit_count(W_GODEAUX, p) == orbit_count_formula(p)
+    assert _orbit_count((1, 1, 1, 1), 5) == 5 ** 3 + 5 ** 2 + 5 + 1
     # the weighted plane has two pure-weight-2 orbits, hence the +2
-    assert ambient_point_count((1, 1, 2), 5) == 5 ** 2 + 5 + 2
+    assert _orbit_count((1, 1, 2), 5) == 5 ** 2 + 5 + 2
 
 
 def test_enumeration_matches_block_count():
@@ -129,7 +273,7 @@ def test_enumeration_accepts_rational_equations():
 
 
 def test_scan_frees_its_arrays_without_the_cycle_collector():
-    # each chunk's columns and cached powers must go by reference counting;
+    # each batch's columns and cached powers must go by reference counting;
     # pinned by a reference cycle, they piled up to ~0.9 GB at p = 61
     fam = build_family(random_params(13, seed=1))
     gc.collect()
@@ -153,6 +297,19 @@ def test_point_set_spot_check_trips_on_bad_point():
     bad = PointSet([(1, 0, 0, 0, 0)], 13, ring, [eq], scanned=1)
     with pytest.raises(AssertionError, match="enumeration bug"):
         bad.points
+
+
+def test_point_set_checks_every_point():
+    # 41 points read back in strides of 2 by a 16-point sample: a bad
+    # point at an odd index is seen only by the full check
+    ring = family_ring(13)
+    eq = parse_poly(ring, "x1^4")
+    points = list(enumerate_points(ring, 13, [eq]).points[:40])
+    assert len(points) == 40
+    points.insert(5, (1, 0, 0, 0, 0))
+    bad = PointSet(points, 13, ring, [eq], scanned=41)
+    with pytest.raises(AssertionError, match=r"point \[1, 0, 0, 0, 0\] fails"):
+        bad.rows
 
 
 def test_guards():
@@ -213,6 +370,88 @@ def test_fixed_locus_requires_matching_field():
     ring = family_ring()
     with pytest.raises(ValueError, match="over GF"):
         fixed_locus(MonomialMap.identity(ring), 13, [])
+
+
+def diagonal_maps(p):
+    """g, g^2, g^3, the two involution lifts, the identity and the
+    projective identity (-1,-1,-1,1,1), all over GF(p)."""
+    fam = build_family(random_params(p, seed=0))
+    i = fam.ring.field.sqrt_minus_one()
+    maps = {f"g{k}": fam.action.power(k).as_monomial_map(i) for k in (1, 2, 3)}
+    maps["sigma"] = fam.sigma.as_monomial_map()
+    maps["sigma_g2"] = fam.sigma_g2.as_monomial_map()
+    maps["identity"] = MonomialMap.identity(fam.ring)
+    maps["projective identity"] = MonomialMap.diagonal(fam.ring, (-1, -1, -1, 1, 1))
+    return maps
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_fixed_point_count_matches_scan(p):
+    for name, m in diagonal_maps(p).items():
+        patterns = _diagonal_fixed_patterns(m, p)
+        count = _fixed_point_count(W_GODEAUX, patterns, p)
+        assert count == len(fixed_locus(m, p, [])), name
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_surface_hits_match_fixed_locus_scan(p):
+    maps = diagonal_maps(p)
+    for seed, enforce in ((0, True), (1, True), (2, False), (3, False)):
+        fam = build_family(random_params(p, seed=seed, enforce_involution=enforce))
+        eqs = [fam.q0, fam.q2]
+        rows = enumerate_points(fam.ring, p, eqs).rows
+        for name, m in maps.items():
+            hits = rows[_fixed_mask(_diagonal_fixed_patterns(m, p), rows.T)]
+            assert [tuple(h) for h in hits.tolist()] == list(fixed_locus(m, p, eqs).points), name
+
+
+def test_free_action_witness_is_first_fixed_surface_point():
+    # without x2^4 the coordinate point (0,1,0,0,0), fixed by every
+    # diagonal map, lies on the surface
+    params = random_params(13, seed=42)
+    q0 = {k: v for k, v in params.q0.items() if k != "x2^4"}
+    fam = build_family(FamilyParams(field_spec=13, q0=q0, q2=params.q2))
+    report = check_free_action(fam, 13)
+    assert report.status == "fail"
+    i = fam.ring.field.sqrt_minus_one()
+    g = fam.action.as_monomial_map(i)
+    hits = fixed_locus(g, 13, [fam.q0, fam.q2]).points
+    assert (0, 1, 0, 0, 0) in hits
+    assert report.witness == {"element": "g", "point": list(hits[0])}
+
+
+def test_checks_share_one_scan_per_member(monkeypatch):
+    scans = []
+    original = varieties.enumerate_points
+
+    def counting(ring, p, eqs):
+        scans.append(p)
+        return original(ring, p, eqs)
+
+    monkeypatch.setattr(varieties, "enumerate_points", counting)
+    surface_points.cache_clear()
+    fam_a = build_family(random_params(13, seed=1))
+    fam_b = build_family(random_params(13, seed=2))
+    fam_q = build_family(random_params("Q", seed=3))
+    sizes = []
+    for fam, p in ((fam_a, 13), (fam_b, 13), (fam_a, 13), (fam_q, 13), (fam_q, 29)):
+        reports = [check(fam, p) for check in
+                   (check_quasi_smooth, check_free_action, check_fixed_locus)]
+        fam_p = varieties._family_mod_p(fam, p)
+        eqs = [fam_p.q0, fam_p.q2]
+        surface = original(fam_p.ring, p, eqs)
+        assert [r.points_scanned for r in reports] == [surface.scanned] * 3
+        assert reports[0].data["surface_points"] == len(surface)
+        assert reports[1].data["surface_points"] == len(surface)
+        hits = fixed_locus(fam_p.sigma.as_monomial_map(), p, eqs).points
+        assert reports[2].data["surface_hits"] == len(hits)
+        assert reports[2].data["sample"] == list(hits[0])
+        sizes.append(len(surface))
+    # the two members have different surfaces, so a shared one would show
+    assert sizes[0] != sizes[1]
+    # one scan per member and prime; a member seen again is scanned again,
+    # because the memo holds the last member only
+    assert scans == [13, 13, 13, 13, 29]
 
 
 def test_sigma_fixed_components():
