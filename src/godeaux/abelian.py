@@ -12,9 +12,7 @@ through Smith normal form, with the witness confirmed before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import gcd, lcm
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .snf import IntMatrix, smith_normal_form, solve_lattice_membership
 
@@ -77,18 +75,6 @@ class FinAbGroup:
 
     def scale(self, n: int, a: Sequence[int]) -> Element:
         return self.reduce([n * x for x in self.reduce(a)])
-
-    def element_order(self, a: Sequence[int]) -> int:
-        a = self.reduce(a)
-        o = 1
-        for x, d in zip(a, self.invariant_factors):
-            o = lcm(o, d // gcd(x, d))
-        return o
-
-    def elements(self) -> Iterator[Element]:
-        if self.order > _ENUMERATION_BOUND:
-            raise ValueError(f"refusing to enumerate a group of order {self.order}")
-        yield from product(*(range(d) for d in self.invariant_factors))
 
     def has_odd_order_torsion_only(self) -> bool:
         return all(d % 2 == 1 for d in self.invariant_factors)

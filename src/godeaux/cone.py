@@ -17,15 +17,19 @@ fixed-locus computation in `tau_fixed_points`, not quoted from anywhere.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .covers import preset_model
 from .reports import CheckReport
-from .scalars import exact_rank, field_from_spec, nullspace, solve_linear
-from .varieties import enumerate_points, fixed_locus
-from .wpoly import MonomialMap, WPoly, WRing, apply_map, parse_poly
+from .scalars import FpElement, exact_rank, field_from_spec, nullspace, solve_linear
+from .varieties import Columns, enumerate_points, fixed_locus, int_terms
+from .wpoly import MonomialMap, WPoly, WRing, apply_map, parse_poly, substitute
 
 CONE_VARIABLES = ("y0", "y1", "y2", "y3")
 IMAGE_VARIABLES = ("x0", "x1", "x2", "x3", "x4")
@@ -35,21 +39,6 @@ DEGENERATION_CASES = ("general", "deg1", "deg2", "deg3", "deg4", "exP")
 VERTEX = (0, 0, 0, 1)
 SMOOTH_FIXED_1 = (0, 1, 0, 0)
 SMOOTH_FIXED_2 = (0, 0, 1, 0)
-
-
-def _substitute(f: WPoly, images: Sequence[WPoly]) -> WPoly:
-    """f with its variables replaced by the given polynomials."""
-    if len(images) != f.ring.nvars:
-        raise ValueError("one image polynomial per variable required")
-    ring = images[0].ring
-    out = ring.zero_poly()
-    for expts, coeff in f.terms.items():
-        term = ring.constant(1)
-        for img, e in zip(images, expts):
-            if e:
-                term = term * img**e
-        out = out + coeff * term
-    return out
 
 
 @dataclass(frozen=True)
@@ -88,15 +77,12 @@ class ConeSetup:
             if apply_map(q, self.tau) != q:
                 raise ValueError(f"{q!r} is not tau-invariant")
         basis = {self.reduce(q).to_string() for q in self.invariant_quadrics}
-        even = set()
-        one = self.ring.field(1)
-        for i in range(4):
-            for j in range(i, 4):
-                e = [0, 0, 0, 0]
-                e[i] += 1
-                e[j] += 1
-                if self.tau.scalars[i] * self.tau.scalars[j] == one:
-                    even.add(self.reduce(self.ring.monomial(e)).to_string())
+        even = {
+            self.reduce(self.ring.monomial(_exponent(i, j))).to_string()
+            for i in range(4)
+            for j in range(i, 4)
+            if self.tau.scalars[i] * self.tau.scalars[j] == self.ring.field(1)
+        }
         if basis != even or len(self.invariant_quadrics) != len(basis):
             raise ValueError(
                 "invariant quadrics must be a basis of the even quadrics mod the cone"
@@ -123,17 +109,19 @@ class ConeSetup:
             terms[key] = c if prev is None else prev + c
         return WPoly(self.ring, terms)
 
-    def tau_point(self, point: Sequence[object]) -> Tuple[object, ...]:
-        return self.tau.point_image(point)
-
     def image_point(self, point: Sequence[object]) -> Tuple[object, ...]:
         """Image of a cone point under the invariant-quadric map to P^4."""
-        coords = [self.field(x) if isinstance(x, int) else x for x in point]
-        return tuple(q.evaluate(coords) for q in self.invariant_quadrics)
+        return tuple(q.evaluate(point) for q in self.invariant_quadrics)
 
 
 def cone_setup(field_spec="Q") -> ConeSetup:
-    field = field_from_spec(field_spec)
+    """The standard cone setup over the field; built and validated once per
+    field, then shared."""
+    return _cone_setup(field_from_spec(field_spec))
+
+
+@functools.lru_cache(maxsize=None)
+def _cone_setup(field) -> ConeSetup:
     ring = WRing(CONE_VARIABLES, (1, 1, 1, 1), field)
     cone = parse_poly(ring, "y0^2 + -1*y1 y2")
     tau = MonomialMap.diagonal(ring, [field(s) for s in TAU_SIGNS])
@@ -158,12 +146,13 @@ def verify_invariant_map(setup: ConeSetup, prime: int = 13) -> CheckReport:
     pulls back to y0^4 - y1^2*y2^2, which factors exactly as the cone
     equation times its conjugate y0^2 + y1*y2, and independently reduces
     to zero under rewriting by the cone relation.  Over GF(prime), every
-    enumerated cone point is checked to map onto the quartic model.
+    enumerated cone point is checked to map onto the quartic model: the
+    quadrics are evaluated on the point columns, then the model equations
+    on the image columns.
     """
-    img = image_ring("Q" if setup.field.characteristic == 0 else setup.field.p)
-    eq1, eq2 = image_equations(img)
-    pull1 = _substitute(eq1, setup.invariant_quadrics)
-    pull2 = _substitute(eq2, setup.invariant_quadrics)
+    eq1, eq2 = image_equations(image_ring(setup.field))
+    pull1 = substitute(eq1, setup.invariant_quadrics)
+    pull2 = substitute(eq2, setup.invariant_quadrics)
     cofactor = parse_poly(setup.ring, "y0^2 + y1 y2")
     factored = pull1 == setup.cone * cofactor
     remainder = setup.reduce(pull1)
@@ -173,24 +162,20 @@ def verify_invariant_map(setup: ConeSetup, prime: int = 13) -> CheckReport:
         "remainder_mod_cone_is_zero": remainder.is_zero(),
     }
     surface = enumerate_points(setup.ring, prime, [setup.cone])
-    field_p = field_from_spec(prime)
-    on_model = 0
-    bad = None
     setup_p = setup if setup.field.characteristic == prime else cone_setup(prime)
-    img_p = image_ring(prime)
-    d1, d2 = image_equations(img_p)
-    for pt in surface.points:
-        coords = [field_p(x) for x in pt]
-        image = setup_p.image_point(coords)
-        if d1.evaluate(image) or d2.evaluate(image):
-            bad = pt
-            break
-        on_model += 1
-    checks["all_points_map_to_model"] = bad is None
+    points = Columns(surface.rows.T, prime)
+    image = Columns(
+        [points.evaluate(int_terms(q)) for q in setup_p.invariant_quadrics], prime
+    )
+    off_model = np.zeros(len(surface), dtype=bool)
+    for eq in image_equations(image_ring(prime)):
+        off_model |= image.evaluate(int_terms(eq)) != 0
+    bad = np.flatnonzero(off_model)
+    checks["all_points_map_to_model"] = not len(bad)
     status = "pass" if all(checks.values()) else "fail"
     witness = None
-    if not checks["all_points_map_to_model"]:
-        witness = {"point": list(bad)}
+    if len(bad):
+        witness = {"point": surface.rows[bad[0]].tolist()}
     elif status == "fail":
         witness = {"identity": next(k for k, v in checks.items() if not v)}
     return CheckReport(
@@ -202,7 +187,7 @@ def verify_invariant_map(setup: ConeSetup, prime: int = 13) -> CheckReport:
         data={
             "cofactor": cofactor.to_string(),
             "checks": checks,
-            "cone_points": on_model if bad is None else None,
+            "cone_points": None if len(bad) else len(surface),
         },
     )
 
@@ -223,41 +208,12 @@ def _factor_binary_quadratic(a, b, c, field):
             return [((one, zero), 2)]
         return [((one, zero), 1), ((-c / b, one), 1)]
     disc = b * b - 4 * a * c
-    root = _field_sqrt(disc, field)
+    root = field.sqrt(disc)
     if root is None:
         return None
     if not disc:
         return [((-b / (2 * a), one), 2)]
     return [(((-b + root) / (2 * a), one), 1), (((-b - root) / (2 * a), one), 1)]
-
-
-def _field_sqrt(value, field):
-    if field.characteristic == 0:
-        frac = Fraction(value)
-        num, den = frac.numerator, frac.denominator
-        if num < 0:
-            return None
-        rn, rd = _isqrt_exact(num), _isqrt_exact(den)
-        if rn is None or rd is None:
-            return None
-        return field(Fraction(rn, rd))
-    p = field.characteristic
-    v = value.value % p
-    if v == 0:
-        return field(0)
-    if pow(v, (p - 1) // 2, p) != 1:
-        return None
-    for r in range(1, p):
-        if r * r % p == v:
-            return field(r)
-    return None
-
-
-def _isqrt_exact(n: int) -> Optional[int]:
-    from math import isqrt
-
-    r = isqrt(n)
-    return r if r * r == n else None
 
 
 def tau_fixed_points(setup: ConeSetup, prime: Optional[int] = None) -> CheckReport:
@@ -279,27 +235,20 @@ def tau_fixed_points(setup: ConeSetup, prime: Optional[int] = None) -> CheckRepo
         if len(idx) != 2:
             raise ValueError("expected two coordinates per eigenvalue on P^3")
         i, j = idx
-        a = setup.cone.coefficient(_pair_exponent(i, i))
-        b = setup.cone.coefficient(_pair_exponent(i, j))
-        c = setup.cone.coefficient(_pair_exponent(j, j))
+        a = setup.cone.coefficient(_exponent(i, i))
+        b = setup.cone.coefficient(_exponent(i, j))
+        c = setup.cone.coefficient(_exponent(j, j))
         roots = _factor_binary_quadratic(a, b, c, field)
         if roots is None:
             continue
         for (s, t), _mult in roots:
             vec = [0, 0, 0, 0]
             vec[i], vec[j] = s, t
-            points.append(_normalize_projective(vec, field))
+            points.append(_int_point(vec))
     points = sorted(set(points))
     grad = [setup.cone.partial(v) for v in range(4)]
-    vertex = [
-        pt
-        for pt in points
-        if all(g.evaluate([field(x) for x in pt]) == field(0) for g in grad)
-    ]
-    images = {}
-    for pt in points:
-        img = setup.image_point(pt)
-        images[str(list(pt))] = [_scalar_int(x) for x in _normalize_image(img, field)]
+    vertex = [pt for pt in points if not any(g.evaluate(pt) for g in grad)]
+    images = {str(list(pt)): list(_int_point(setup.image_point(pt))) for pt in points}
     expected = sorted([VERTEX, SMOOTH_FIXED_1, SMOOTH_FIXED_2])
     expected_images = {
         str(list(VERTEX)): [0, 0, 0, 1, 0],
@@ -336,43 +285,39 @@ def tau_fixed_points(setup: ConeSetup, prime: Optional[int] = None) -> CheckRepo
     )
 
 
-def _pair_exponent(i: int, j: int) -> Tuple[int, ...]:
+def _exponent(*variables: int) -> Tuple[int, ...]:
+    """The exponent tuple of the product of the given cone variables."""
     e = [0, 0, 0, 0]
-    e[i] += 1
-    e[j] += 1
+    for v in variables:
+        e[v] += 1
     return tuple(e)
 
 
-def _normalize_projective(vec, field) -> Tuple[int, ...]:
-    """Scale so the first nonzero coordinate is 1; only for points whose
-    normalized coordinates are integers (coordinate-subspace roots)."""
-    coords = [x if not isinstance(x, int) else field(x) for x in vec]
-    lead = next((x for x in coords if x), None)
+def _normalized(values) -> Tuple[object, ...]:
+    """The entries divided by the first nonzero one, which must be a field
+    element."""
+    lead = next((x for x in values if x), None)
     if lead is None:
         raise ValueError("zero vector")
-    return tuple(_scalar_int(x / lead) for x in coords)
+    return tuple(x / lead for x in values)
 
 
-def _scalar_int(x) -> int:
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
+def _proportional(u, v) -> bool:
+    """Whether two vectors span the same line (or are both zero)."""
+    return all(
+        u[i] * v[j] == u[j] * v[i] for i in range(len(u)) for j in range(len(u))
+    )
+
+
+def _int_point(vec) -> Tuple[int, ...]:
+    """A projective point scaled to lead with 1, as ints; only for points
+    whose normalized coordinates are integers (GF(p) gives residues)."""
+    out = []
+    for x in _normalized(vec):
+        if not isinstance(x, FpElement) and x.denominator != 1:
             raise ValueError(f"{x} is not an integer")
-        return int(x)
-    if hasattr(x, "value"):
-        return int(x.value)
-    frac = Fraction(str(x))
-    if frac.denominator != 1:
-        raise ValueError(f"{x} is not an integer")
-    return int(frac)
-
-
-def _normalize_image(img, field):
-    lead = next((x for x in img if x), None)
-    if lead is None:
-        raise ValueError("image is the zero vector")
-    return tuple(x / lead for x in img)
+        out.append(x.value if isinstance(x, FpElement) else int(x))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +347,18 @@ class BranchConfig:
     h0: Optional[WPoly] = None
     h1: Optional[WPoly] = None
     ht: Optional[WPoly] = None
+    # derived on construction: the cone setup over q1's field, and B2's
+    # quadric q2 = tau(q1)
+    setup: ConeSetup = dataclasses.field(init=False, repr=False, compare=False)
+    q2: WPoly = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.case not in DEGENERATION_CASES:
             raise ValueError(
                 f"case {self.case!r} not one of {DEGENERATION_CASES}"
             )
-        setup = self._setup()
+        setup = cone_setup(self.q1.ring.field)
+        object.__setattr__(self, "setup", setup)
         if self.q1.ring != setup.ring or self.h3.ring != setup.ring:
             raise ValueError("configuration polynomials live in the wrong ring")
         if self.q1.degree() != 2 or not self.q1.is_homogeneous():
@@ -417,27 +367,14 @@ class BranchConfig:
             raise ValueError("B3 must be a plane section")
         field = setup.field
         for v, name in ((1, "y1"), (2, "y2")):
-            if self.h3.coefficient(_unit_exp(v)) != field(0):
+            if self.h3.coefficient(_exponent(v)) != field(0):
                 raise ValueError(
                     f"B3 must vanish at both smooth fixed points; drop the {name} term"
                 )
         if setup.reduce(self.q1).is_zero():
             raise ValueError("q1 is a multiple of the cone equation")
         getattr(self, f"_validate_{'deg2' if self.case == 'exP' else self.case}")(setup)
-
-    def _setup(self) -> ConeSetup:
-        spec = (
-            "Q" if self.q1.ring.field.characteristic == 0 else self.q1.ring.field.p
-        )
-        return cone_setup(spec)
-
-    @property
-    def setup(self) -> ConeSetup:
-        return self._setup()
-
-    @property
-    def q2(self) -> WPoly:
-        return apply_map(self.q1, self._setup().tau)
+        object.__setattr__(self, "q2", apply_map(self.q1, setup.tau))
 
     def _validate_general(self, setup: ConeSetup) -> None:
         pass
@@ -447,8 +384,8 @@ class BranchConfig:
             raise ValueError("deg1 needs the node location r1")
         field = setup.field
         r1 = [field(x) for x in self.r1]
-        r2 = list(setup.tau_point(r1))
-        if _projectively_equal(r1, r2, field):
+        r2 = list(setup.tau.point_image(r1))
+        if _proportional(r1, r2):
             raise ValueError("r1 must not be fixed by the involution")
         if setup.cone.evaluate(r1) != field(0):
             raise ValueError("r1 does not lie on the cone")
@@ -478,11 +415,10 @@ class BranchConfig:
             raise ValueError("deg3 needs both plane factors h0 and h1")
         if self.q1 != self.h0 * self.h1:
             raise ValueError("deg3 requires q1 = h0*h1 exactly")
-        field = setup.field
         image = apply_map(self.h0, setup.tau)
         if image != self.h0 and image != -self.h0:
             raise ValueError("h0 must be an invariant plane")
-        if self.h0.evaluate([field(x) for x in VERTEX]) == field(0):
+        if not self.h0.evaluate(VERTEX):
             raise ValueError("h0 must not pass through the vertex")
 
     def _validate_deg4(self, setup: ConeSetup) -> None:
@@ -490,32 +426,26 @@ class BranchConfig:
             raise ValueError("deg4 needs the plane h1 and the tangent plane ht")
         if self.q1 != self.h1 * self.ht:
             raise ValueError("deg4 requires q1 = h1*ht exactly")
-        field = setup.field
-        a = self.ht.coefficient(_unit_exp(0))
-        b = self.ht.coefficient(_unit_exp(1))
-        c = self.ht.coefficient(_unit_exp(2))
-        d = self.ht.coefficient(_unit_exp(3))
+        a, b, c, d = (self.ht.coefficient(_exponent(v)) for v in range(4))
         # on the double cover coordinates the plane reads b u^2 + a uv + c v^2
         # + d w; it cuts a doubled ruling iff d = 0 and the binary form is a
         # square
-        if d != field(0) or a * a - 4 * b * c != field(0) or not (a or b or c):
+        if d or a * a - 4 * b * c or not (a or b or c):
             raise ValueError("ht does not cut a doubled ruling of the cone")
 
     def tau_conjugate(self) -> "BranchConfig":
         """The same configuration with B1 and B2 exchanged."""
-        setup = self._setup()
-        field = setup.field
+        tau = self.setup.tau
 
         def t(f):
-            return None if f is None else apply_map(f, setup.tau)
+            return None if f is None else apply_map(f, tau)
 
         r1 = None
         if self.r1 is not None:
-            img = setup.tau_point([field(x) for x in self.r1])
-            r1 = _normalize_projective(list(img), field)
+            r1 = _int_point(tau.point_image(self.r1))
         return BranchConfig(
             case=self.case,
-            q1=apply_map(self.q1, setup.tau),
+            q1=self.q2,
             h3=self.h3,
             r1=r1,
             h=t(self.h),
@@ -523,20 +453,6 @@ class BranchConfig:
             h1=t(self.h1),
             ht=t(self.ht),
         )
-
-
-def _unit_exp(v: int) -> Tuple[int, ...]:
-    e = [0, 0, 0, 0]
-    e[v] = 1
-    return tuple(e)
-
-
-def _projectively_equal(a, b, field) -> bool:
-    for i in range(len(a)):
-        for j in range(len(a)):
-            if a[i] * b[j] != a[j] * b[i]:
-                return False
-    return True
 
 
 def default_branch_config(case: str, field_spec="Q") -> BranchConfig:
@@ -634,10 +550,7 @@ def intersection_count(cfg: BranchConfig, p: int = 13) -> CheckReport:
         "case": cfg.case,
     }
     if cfg.case == "deg1" and cfg.r1 is not None:
-        field = setup.field
-        r2 = _normalize_projective(
-            list(setup.tau_point([field(x) for x in cfg.r1])), field
-        )
+        r2 = _int_point(setup.tau.point_image(cfg.r1))
         data["multiplicities"] = {
             str(list(cfg.r1)): 4,
             str(list(r2)): 4,
@@ -757,12 +670,11 @@ def classify_degeneration(cfg: BranchConfig, p: int = 13) -> DegenerationVerdict
     none of the three fixed points lying on B1+B2 (exact).
     """
     setup = cfg.setup
-    field = setup.field
     q2 = cfg.q2
     fixed = [VERTEX, SMOOTH_FIXED_1, SMOOTH_FIXED_2]
 
     def vanishes(f, pt):
-        return f.evaluate([field(x) for x in pt]) == field(0)
+        return not f.evaluate(pt)
 
     vertex_clear = not any(vanishes(f, VERTEX) for f in (cfg.q1, q2, cfg.h3))
     triple = enumerate_points(setup.ring, p, [setup.cone, cfg.q1, q2, cfg.h3])
@@ -875,32 +787,6 @@ def _mat_vec(m, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
-def _proportional(u, v) -> bool:
-    return all(
-        u[i] * v[j] == u[j] * v[i] for i in range(len(u)) for j in range(len(u))
-    )
-
-
-def _normalize_matrix(m):
-    lead = None
-    for row in m:
-        for x in row:
-            if x:
-                lead = x
-                break
-        if lead is not None:
-            break
-    return tuple(tuple(x / lead for x in row) for row in m)
-
-
-def _det3(m) -> Fraction:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def _frame_matrix(p1, p2, p3, p4):
     """Matrix sending the standard frame to (p1, p2, p3; p4 as unit point)."""
     cols = [list(p1), list(p2), list(p3)]
@@ -913,28 +799,10 @@ def _frame_matrix(p1, p2, p3, p4):
     )
 
 
-def _invert3(m):
-    d = _det3(m)
-    if not d:
-        raise ValueError("matrix is singular")
-    cof = [
-        [
-            (m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-             - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3])
-            for i in range(3)
-        ]
-        for j in range(3)
-    ]
-    return tuple(tuple(c / d for c in row) for row in cof)
-
-
 def _conic_matrix(q: WPoly):
-    ring = q.ring
-
     def c(e):
-        return Fraction(q.coefficient(tuple(e)))
+        return Fraction(q.coefficient(e))
 
-    del ring
     a, b, cc = c([2, 0, 0]), c([0, 2, 0]), c([0, 0, 2])
     d, e, f = c([1, 1, 0]), c([1, 0, 1]), c([0, 1, 1])
     return (
@@ -972,11 +840,14 @@ def pencil_of_conics(
         raise ValueError("need four points of the plane")
     for skip in range(4):
         tri = [p for i, p in enumerate(pts) if i != skip]
-        if not _det3(tri):
+        if exact_rank(tri) < 3:
             raise ValueError("points are in degenerate position: three collinear")
     source = _frame_matrix(*pts)
     target = _frame_matrix(pts[1], pts[2], pts[3], pts[0])
-    phi = _normalize_matrix(_mat_mul(target, _invert3(source)))
+    # phi = target * source^-1: row i of phi solves x * source = target[i]
+    source_t = [list(col) for col in zip(*source)]
+    flat = _normalized([x for row in target for x in solve_linear(source_t, list(row))])
+    phi = (flat[0:3], flat[3:6], flat[6:9])
     cycles = all(
         _proportional(_mat_vec(phi, pts[i]), pts[(i + 1) % 4]) for i in range(4)
     )
@@ -1000,18 +871,17 @@ def pencil_of_conics(
     if len(kernel) != 2:
         raise AssertionError("pencil through four general points must be 2-dim")
 
-    def conic_from(vec):
-        return WPoly(ring, {m: field(c) for m, c in zip(monos, vec)})
+    def form(exponents, coeffs):
+        return WPoly(ring, {m: field(c) for m, c in zip(exponents, coeffs)})
 
-    basis = tuple(conic_from(v) for v in kernel)
+    def linear(coeffs):
+        return form(((1, 0, 0), (0, 1, 0), (0, 0, 1)), coeffs)
 
-    lin = [
-        WPoly(ring, {(1, 0, 0): phi[v][0], (0, 1, 0): phi[v][1], (0, 0, 1): phi[v][2]})
-        for v in range(3)
-    ]
+    basis = tuple(form(monos, v) for v in kernel)
+
     action_cols = []
     for q in basis:
-        pulled = _substitute(q, lin)
+        pulled = substitute(q, [linear(row) for row in phi])
         vec = [Fraction(pulled.coefficient(m)) for m in monos]
         coeffs = solve_linear(
             [[Fraction(k[i]) for k in kernel] for i in range(6)], vec
@@ -1030,7 +900,7 @@ def pencil_of_conics(
     tr = T[0][0] + T[1][1]
     det = T[0][0] * T[1][1] - T[0][1] * T[1][0]
     disc = tr * tr - 4 * det
-    sq = _field_sqrt(disc, field)
+    sq = field.sqrt(disc)
     if sq is None or not disc:
         raise AssertionError("pencil involution must have two rational fixed members")
     eigvals = ((tr + sq) / 2, (tr - sq) / 2)
@@ -1043,19 +913,12 @@ def pencil_of_conics(
         vecs = nullspace(rows2)
         assert len(vecs) == 1, "eigenvalue of the pencil involution must be simple"
         s, t = vecs[0]
-        fixed.append(_normalize_conic(s * basis[0] + t * basis[1]))
-    reducible = [q for q in fixed if _det3(_conic_matrix(q)) == 0]
-    smooth = [q for q in fixed if _det3(_conic_matrix(q)) != 0]
+        fixed.append(_monic(s * basis[0] + t * basis[1]))
+    reducible = [q for q in fixed if exact_rank(_conic_matrix(q)) < 3]
+    smooth = [q for q in fixed if q not in reducible]
     if len(reducible) != 1 or len(smooth) != 1:
         raise AssertionError("exactly one fixed member must be reducible")
-    diag1 = _cross(pts[0], pts[2])
-    diag2 = _cross(pts[1], pts[3])
-    lines = _normalize_conic(
-        WPoly(ring, {(1, 0, 0): field(diag1[0]), (0, 1, 0): field(diag1[1]),
-                     (0, 0, 1): field(diag1[2])})
-        * WPoly(ring, {(1, 0, 0): field(diag2[0]), (0, 1, 0): field(diag2[1]),
-                       (0, 0, 1): field(diag2[2])})
-    )
+    lines = _monic(linear(_cross(pts[0], pts[2])) * linear(_cross(pts[1], pts[3])))
     orbits = []
     seen = set()
     for comp, i in [(0, i) for i in range(4)] + [(1, i) for i in range(4)]:
@@ -1082,9 +945,10 @@ def pencil_of_conics(
     )
 
 
-def _normalize_conic(q: WPoly) -> WPoly:
-    lead = q.coefficient(q.monomials()[0])
-    return (q.ring.field(1) / lead) * q
+def _monic(q: WPoly) -> WPoly:
+    """q scaled so its leading coefficient (in term order) is 1."""
+    monos = q.monomials()
+    return WPoly(q.ring, dict(zip(monos, _normalized([q.terms[m] for m in monos]))))
 
 
 def pencil_report(points: Sequence[Sequence[int]] = STANDARD_FRAME) -> CheckReport:

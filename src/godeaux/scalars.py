@@ -13,7 +13,8 @@ an error and never a silent coercion.  Plain ints coerce into either field.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Union
+from math import isqrt
+from typing import Iterator, Optional, Union
 
 Scalar = Union[int, Fraction, "FpElement"]
 
@@ -171,17 +172,35 @@ class PrimeField:
         for v in range(self.p):
             yield FpElement(v, self.p)
 
-    def sqrt_minus_one(self) -> FpElement:
-        """The smaller square root of -1, for p = 1 mod 4.
+    def sqrt(self, v) -> Optional[FpElement]:
+        """The least square root of v (as a residue), or None for a
+        nonsquare; Tonelli-Shanks, so O(log^2 p) multiplications."""
+        p = self.p
+        a = self(v).value
+        if a == 0:
+            return FpElement(0, p)
+        if pow(a, (p - 1) // 2, p) != 1:
+            return None
+        # p - 1 = q * 2^s with q odd; z is a nonsquare
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q, s = q // 2, s + 1
+        z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+        c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                i, t2 = i + 1, t2 * t2 % p
+            b = pow(c, 1 << (s - i - 1), p)
+            s, c = i, b * b % p
+            t, r = t * c % p, r * b % p
+        return FpElement(min(r, p - r), p)
 
-        Found by exhaustive search; p is small here by design.
-        """
+    def sqrt_minus_one(self) -> FpElement:
+        """The smaller square root of -1, for p = 1 mod 4."""
         if self.p % 4 != 1:
             raise ValueError(f"-1 is not a square in GF({self.p})")
-        for v in range(2, self.p):
-            if v * v % self.p == self.p - 1:
-                return FpElement(min(v, self.p - v), self.p)
-        raise AssertionError("unreachable for prime p = 1 mod 4")
+        return self.sqrt(-1)
 
     def random_nonzero(self, rng) -> FpElement:
         return FpElement(rng.randrange(1, self.p), self.p)
@@ -212,6 +231,17 @@ class Rationals:
 
     def one(self) -> Fraction:
         return Fraction(1)
+
+    def sqrt(self, v) -> Optional[Fraction]:
+        """The nonnegative square root of v, or None when v is not the
+        square of a rational."""
+        v = self(v)
+        if v < 0:
+            return None
+        num, den = isqrt(v.numerator), isqrt(v.denominator)
+        if num * num != v.numerator or den * den != v.denominator:
+            return None
+        return Fraction(num, den)
 
     def sqrt_minus_one(self):
         raise ValueError("-1 is not a rational square")

@@ -109,7 +109,9 @@ def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     d1 | d2 | ...  The pivot strategy is the textbook one: move a minimal
     nonzero entry to the pivot, clear its row and column by division steps,
     and when some remaining entry is not divisible by the pivot, fold its
-    row in and repeat.  The pivot magnitude strictly drops, so this ends.
+    row in and repeat.  Each column (row) pass starts from the least nonzero
+    entry of that column (row), so the pivot magnitude strictly drops on
+    every repeat and the remainders, hence U and V, stay small.
     """
     a = [list(r) for r in m.rows]
     nr, nc = m.nrows, m.ncols
@@ -157,23 +159,24 @@ def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
         if bj != t:
             swap_cols(t, bj)
         while True:
-            # clear column t by row operations
-            dirty = False
+            # clear column t by row operations, from its least nonzero entry
+            i = min((k for k in range(t, nr) if a[k][t]), key=lambda k: abs(a[k][t]))
+            if i != t:
+                swap_rows(t, i)
             for i in range(t + 1, nr):
                 if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            # clear row t by column operations
+                    add_row(i, t, -(a[i][t] // a[t][t]))
+            dirty = any(a[i][t] for i in range(t + 1, nr))
+            # clear row t by column operations, from its least nonzero entry;
+            # a swap brings in a column whose lower entries are not cleared
+            j = min((k for k in range(t, nc) if a[t][k]), key=lambda k: abs(a[t][k]))
+            if j != t:
+                swap_cols(t, j)
+                dirty = True
             for j in range(t + 1, nc):
                 if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
+                    add_col(j, t, -(a[t][j] // a[t][t]))
+            dirty = dirty or any(a[t][j] for j in range(t + 1, nc))
             if dirty:
                 continue
             # enforce divisibility of the remaining block by the pivot

@@ -86,12 +86,12 @@ def _orbit_count(weights: Sequence[int], p: int) -> int:
     return sum(p ** (n - start) for _, start in _blocks(weights, p))
 
 
-def _int_terms(f: WPoly) -> Terms:
+def int_terms(f: WPoly) -> Terms:
     """The terms of a polynomial over GF(p) with plain int coefficients."""
     return [(e, c.value) for e, c in f.terms.items()]
 
 
-class _Columns:
+class Columns:
     """Coordinate columns of a batch of points, with the powers of each
     column mod p cached for the polynomials evaluated on them."""
 
@@ -129,7 +129,7 @@ class _Fibres:
         self.p = p
         by_degree: Dict[int, Terms] = {}
         if eqs:
-            for e, c in _int_terms(eqs[0]):
+            for e, c in int_terms(eqs[0]):
                 by_degree.setdefault(e[-1], []).append((e[:-1], c))
         self.coeffs = None
         if by_degree and max(by_degree) <= 2:
@@ -146,7 +146,7 @@ class _Fibres:
         if self.coeffs is None:
             size = len(base[0])
             return np.repeat(np.arange(size), p), np.tile(np.arange(p), size)
-        cols = _Columns(base, p)
+        cols = Columns(base, p)
         a, b, c = (cols.evaluate(terms) for terms in self.coeffs)
         quad = a != 0
         disc = (b * b - 4 * a * c) % p
@@ -253,9 +253,9 @@ class PointSet:
         return len(self._rows)
 
     def _check(self) -> None:
-        cols = _Columns(self._rows.T, self.p)
+        cols = Columns(self._rows.T, self.p)
         for f in self.eqs:
-            bad = np.flatnonzero(cols.evaluate(_int_terms(f)))
+            bad = np.flatnonzero(cols.evaluate(int_terms(f)))
             if len(bad):
                 raise AssertionError(
                     f"point {self._rows[bad[0]].tolist()} fails {f.to_string()} = 0; "
@@ -286,13 +286,13 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
             raise ValueError(f"equation {f.to_string()} is not homogeneous")
     n = ring.nvars
     fibres = _Fibres(eqs_p, p)
-    terms = [_int_terms(f) for f in eqs_p]
+    terms = [int_terms(f) for f in eqs_p]
     found: List[np.ndarray] = []
     scanned = 0
     for prefix, start in _blocks(ring.weights, p):
         scanned += p ** (n - start)
         for cols, key in _candidates(prefix, start, n, fibres):
-            batch = _Columns(cols, p)
+            batch = Columns(cols, p)
             mask = np.ones(len(key), dtype=bool)
             for f in terms:
                 mask &= batch.evaluate(f) == 0
@@ -440,8 +440,8 @@ def check_quasi_smooth(fam_p: GodeauxFamily, p: int) -> CheckReport:
     not a proof of quasi-smoothness mod p, let alone in characteristic 0.
     """
     pure = _pure_y_points(fam_p.ring, p)
-    cols = _Columns(pure.T, p)
-    on = np.logical_and.reduce([cols.evaluate(_int_terms(q)) == 0 for q in fam_p.quartics()])
+    cols = Columns(pure.T, p)
+    on = np.logical_and.reduce([cols.evaluate(int_terms(q)) == 0 for q in fam_p.quartics()])
     witness = pure[np.argmax(on)].tolist() if on.any() else None
     if fam_p.q0.coefficient((0, 0, 0, 1, 1)) == fam_p.ring.field.zero():
         hit = ("ambient-singular-locus hit: q0 misses y1 y3, so the "
@@ -459,9 +459,9 @@ def check_quasi_smooth(fam_p: GodeauxFamily, p: int) -> CheckReport:
 
     surface = surface_points(p, fam_p.q0, fam_p.q2)
     rows = surface.rows
-    cols = _Columns(rows.T, p)
+    cols = Columns(rows.T, p)
     first, second = [
-        [cols.evaluate(_int_terms(d)) for d in row]
+        [cols.evaluate(int_terms(d)) for d in row]
         for row in jacobian([fam_p.q0, fam_p.q2])
     ]
     # rank < 2 iff every 2x2 minor of the Jacobian vanishes

@@ -12,9 +12,10 @@ lexicographic order with the lexicographically largest exponent first.
 monomials (implicit coefficient 1) and bare constants.
 
 Monomial maps send each variable to a nonzero scalar times a variable of
-the same weight.  ``apply_map`` substitutes; composition is arranged so the
-point maps compose in the usual order (see ``compose``), which makes
-substitution contravariant.
+the same weight.  ``apply_map`` substitutes such a map, and ``substitute``
+replaces each variable by an arbitrary polynomial.  Composition is
+arranged so the point maps compose in the usual order (see ``compose``),
+which makes substitution contravariant.
 """
 
 from __future__ import annotations
@@ -337,6 +338,23 @@ def apply_map(f: WPoly, m: MonomialMap) -> WPoly:
         key = tuple(new)
         out[key] = out[key] + val if key in out else val
     return WPoly(f.ring, out)
+
+
+def substitute(f: WPoly, images: Sequence[WPoly]) -> WPoly:
+    """f with variable v replaced by images[v]; the images share one ring,
+    which may differ from f's.  Satisfies substitute(f, images).evaluate(P)
+    == f.evaluate([g.evaluate(P) for g in images])."""
+    if len(images) != f.ring.nvars:
+        raise ValueError("one image polynomial per variable required")
+    ring = images[0].ring
+    out = ring.zero_poly()
+    for expts, coeff in f.terms.items():
+        term = ring.constant(1)
+        for img, e in zip(images, expts):
+            if e:
+                term = term * img**e
+        out = out + coeff * term
+    return out
 
 
 def compose(outer: MonomialMap, inner: MonomialMap) -> MonomialMap:

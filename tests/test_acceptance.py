@@ -6,6 +6,7 @@ criteria.  Run with -s to see one [PASS] line per criterion.
 
 import random
 import time
+from itertools import product
 
 from godeaux.abelian import FinAbGroup, is_two_divisible
 from godeaux.cli import main
@@ -139,7 +140,7 @@ def _subgroup(group, generators):
 def _exhaustive_two_divisible(group, g, modulo):
     sub = _subgroup(group, [group.reduce(s) for s in modulo])
     target = group.reduce(g)
-    for h in group.elements():
+    for h in product(*(range(d) for d in group.invariant_factors)):
         if group.add(target, group.neg(group.scale(2, h))) in sub:
             return True
     return False

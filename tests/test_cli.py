@@ -1,5 +1,6 @@
 """End-to-end command-line runs: exit codes, determinism, report files."""
 
+import hashlib
 import json
 
 import pytest
@@ -206,6 +207,88 @@ def test_table1_builds_each_sigma_table_once(monkeypatch, capsys):
     assert run(["table1"]) == 0
     assert "reference match" in capsys.readouterr().out
     assert len(calls) == 2
+
+
+def test_cone_degenerate_builds_one_cone_setup(monkeypatch, capsys):
+    import godeaux.cone as cone
+
+    builds = []
+    original = cone.ConeSetup.__post_init__
+
+    def counting(self):
+        builds.append(self.field)
+        original(self)
+
+    monkeypatch.setattr(cone.ConeSetup, "__post_init__", counting)
+    cone._cone_setup.cache_clear()
+    assert run(["cone", "degenerate", "--case", "1", "--intersections"]) == 0
+    assert "N-elliptic" in capsys.readouterr().out
+    assert len(builds) == 1
+
+
+def test_cone_image_check_evaluates_no_polynomial_per_point(monkeypatch, capsys):
+    from godeaux.wpoly import WPoly
+
+    calls = []
+    original = WPoly.evaluate
+
+    def counting(self, point):
+        calls.append(point)
+        return original(self, point)
+
+    monkeypatch.setattr(WPoly, "evaluate", counting)
+    assert run(["cone", "image-check", "--prime", "13"]) == 0
+    assert "[PASS ] invariant-map" in capsys.readouterr().out
+    assert calls == []
+
+
+# sha256 of the canonical JSON of each cone command, as computed before the
+# cone module moved onto the shared kernels; the reports are meant to stay
+# byte-identical
+PINNED_CONE_REPORTS = {
+    ("image-check", "--prime", "13"):
+        "0c0f1ee6dbfbf94325f18890259ccd5562e128e233b2c56d825a0987eae341e8",
+    ("image-check", "--prime", "29"):
+        "7b05f753a76f852f19e83f7182b49fc379ba40512432019e195c11f208606130",
+    ("fixed-points", "--symbolic"):
+        "2fb3880e36305e7b0bff4f1b28ea353ef58b8115785b1e9d004fe22e9956c287",
+    ("fixed-points", "--prime", "13"):
+        "695f59c4e2ba923560b42b3e0adbbb07082b245f007eb131c448e936c720698d",
+    ("degenerate", "--case", "general", "--intersections", "--prime", "13"):
+        "62f38dd2442c5f161862c72b3e8b733ac568045ebf80d4d3d18e2d1251f31aae",
+    ("degenerate", "--case", "1", "--intersections", "--prime", "13"):
+        "d645d84ee84688bcc1d05ac7203c0aa9c8805804d6d8261426341692b72d66cc",
+    ("degenerate", "--case", "2", "--intersections", "--prime", "13"):
+        "ad6108d263bc39a43e1b77364d13a498e238c18f7020d001f2fa07c57bfa9ed7",
+    ("degenerate", "--case", "3", "--intersections", "--prime", "13"):
+        "003d97741f54a43b5f651e9717acb96276218cade400c6cdfb027d568f2ff187",
+    ("degenerate", "--case", "4", "--intersections", "--prime", "13"):
+        "c0cb87ab45a0fa21d12d6e15af084f0b2e52355d5b02c255859927d3a88a188b",
+    ("degenerate", "--case", "exP", "--intersections", "--prime", "13"):
+        "74c09cc8e8bc5694b6080094d8aea33c6f3dc610637c7a452905f94e12af429d",
+    ("pencil",):
+        "8561ae751297b19ae4f4310aa9911f51d15619324f580fecd1eb9f63f0c98148",
+    ("pencil", "--points", "frame-a.json"):
+        "a89bac021ea5bc9646ea0063f2c08127fb8a1669dbff772b3d746db8f725e77a",
+    ("pencil", "--points", "frame-b.json"):
+        "86a8c37a1f550182a53e29a6a4dad08406577290b9ef226b667c7db7334d2980",
+}
+
+
+def test_cone_reports_are_pinned(tmp_path, monkeypatch):
+    # relative paths: the points file name is part of the hashed config
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GODEAUX_PRIMES", raising=False)
+    (tmp_path / "frame-a.json").write_text(
+        json.dumps([[1, 2, 3], [-1, 0, 2], [2, -3, 1], [0, 1, -1]]))
+    (tmp_path / "frame-b.json").write_text(
+        json.dumps([[3, -1, 2], [1, 1, 1], [-2, 0, 1], [0, 3, -1]]))
+    for argv, digest in PINNED_CONE_REPORTS.items():
+        out = tmp_path / "reports.json"
+        if out.exists():
+            out.unlink()
+        run(["cone", *argv, "--output", "reports.json"])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
 
 
 def test_cone_image_and_fixed_points():

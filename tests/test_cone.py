@@ -92,6 +92,30 @@ def test_invariant_map_over_other_prime():
     assert rep.data["cone_points"] == 29 * 29 + 29 + 1
 
 
+def test_invariant_map_witness_is_first_bad_point_in_scan_order(monkeypatch):
+    import godeaux.cone as cone
+    from godeaux.varieties import enumerate_points
+
+    def perturbed(ring):
+        e1, e2 = image_equations(ring)
+        return e1, e2 + parse_poly(ring, "x1 x2 + -3*x2 x4")
+
+    # reference: the points one at a time, image first, then the equations
+    s13 = cone_setup(13)
+    points = enumerate_points(s13.ring, 13, [s13.cone]).points
+    model = perturbed(image_ring(13))
+    bad = [pt for pt in points
+           if any(eq.evaluate(s13.image_point(pt)) for eq in model)]
+    assert bad and bad[0] != points[0]
+
+    monkeypatch.setattr(cone, "image_equations", perturbed)
+    rep = verify_invariant_map(cone_setup(), prime=13)
+    assert rep.status == "fail"
+    assert rep.witness == {"point": list(bad[0])}
+    assert rep.data["cone_points"] is None
+    assert rep.data["checks"]["all_points_map_to_model"] is False
+
+
 def test_image_model_is_two_equations():
     ring = image_ring()
     e1, e2 = image_equations(ring)

@@ -87,6 +87,41 @@ def test_sqrt_minus_one():
         PrimeField(7).sqrt_minus_one()
 
 
+@pytest.mark.parametrize("p", [3, 5, 13, 29, 101])
+def test_prime_field_sqrt_is_the_least_root(p):
+    F = PrimeField(p)
+    for v in range(p):
+        roots = [r for r in range(p) if r * r % p == v]
+        root = F.sqrt(v)
+        assert F.sqrt(F(v)) == root
+        if roots:
+            assert root == min(roots) and root.value == min(roots)
+        else:
+            assert root is None
+
+
+def test_rational_sqrt():
+    assert QQ.sqrt(0) == 0
+    assert QQ.sqrt(49) == 7
+    assert QQ.sqrt(Fraction(9, 4)) == Fraction(3, 2)
+    assert QQ.sqrt(Fraction(-9, 4)) is None
+    assert QQ.sqrt(-1) is None
+    assert QQ.sqrt(2) is None
+    assert QQ.sqrt(Fraction(4, 3)) is None
+    assert QQ.sqrt(Fraction(2, 9)) is None
+    big = Fraction(12345678901234567891, 98765432109876543211)
+    assert QQ.sqrt(big * big) == big
+
+
+def test_sqrt_minus_one_is_the_least_root():
+    # the values of the exhaustive search this replaced
+    for p in range(5, 102, 4):
+        if not is_prime(p):
+            continue
+        least = next(v for v in range(1, p) if v * v % p == p - 1)
+        assert PrimeField(p).sqrt_minus_one() == least
+
+
 def test_field_specs():
     assert field_from_spec("q") == QQ
     assert field_from_spec("QQ") == QQ

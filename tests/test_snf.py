@@ -90,6 +90,23 @@ def test_smith_properties(m):
         assert prod == gcd_of_minors(m, k)
 
 
+def test_smith_transforms_stay_small():
+    # with a pivot taken from anywhere but the least entry of its column or
+    # row, this matrix drove U and V to entries of about 700 000 bits
+    m = IntMatrix.from_rows([
+        [20, -29, 17, -27, -27],
+        [-4, 9, -11, -2, -9],
+        [11, -29, 27, 5, -6],
+        [-24, -4, -13, 20, 17],
+        [-28, 21, -9, -28, -27],
+    ])
+    u, d, v = smith_normal_form(m)
+    assert (u * m * v).rows == d.rows
+    assert abs(u.det()) == 1 and abs(v.det()) == 1
+    assert d.diagonal() == (1, 1, 1, 1, abs(m.det()))
+    assert max(abs(x).bit_length() for t in (u, v) for row in t.rows for x in row) <= 64
+
+
 def test_lattice_membership_positive():
     rng = random.Random(7)
     for _ in range(40):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from godeaux.wpoly import (
     monomials_of_degree,
     parse_monomial,
     parse_poly,
+    substitute,
 )
 
 
@@ -183,3 +185,43 @@ def test_evaluate_is_ring_morphism(p, q):
     pt = [Fraction(a) for a in p]
     assert (f * g).evaluate(pt) == f.evaluate(pt) * g.evaluate(pt)
     assert (f + g).evaluate(pt) == f.evaluate(pt) + g.evaluate(pt)
+
+
+def _random_poly(rng, ring, degree, terms=4):
+    monos = monomials_of_degree(ring, degree)
+    return WPoly(ring, {
+        rng.choice(monos): ring.field(rng.randint(-5, 5)) for _ in range(terms)
+    })
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(13)], ids=["Q", "F13"])
+def test_substitute_commutes_with_evaluation(field):
+    rng = random.Random(41)
+    source = WRing(("a", "b", "c"), (1, 1, 1), field)
+    target = WRing(("x1", "x2", "x3", "y1", "y3"), (1, 1, 1, 2, 2), field)
+    for _ in range(30):
+        f = _random_poly(rng, source, rng.randint(1, 3))
+        images = [_random_poly(rng, target, rng.randint(1, 2)) for _ in range(3)]
+        g = substitute(f, images)
+        assert g.ring == target
+        for _ in range(5):
+            pt = [field(rng.randint(-6, 6)) for _ in range(5)]
+            assert g.evaluate(pt) == f.evaluate([h.evaluate(pt) for h in images])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(13)], ids=["Q", "F13"])
+def test_substitute_by_a_monomial_map_is_apply_map(field):
+    rng = random.Random(43)
+    for _ in range(30):
+        m = MonomialMap(WRing(R.names, R.weights, field),
+                        [rng.choice([1, -1, 2, 3]) for _ in range(5)],
+                        rng.choice([(0, 1, 2, 3, 4), (2, 0, 1, 4, 3), (1, 0, 2, 3, 4)]))
+        f = _random_poly(rng, m.ring, rng.randint(1, 4), terms=6)
+        images = [s * m.ring.variable(t) for s, t in zip(m.scalars, m.targets)]
+        assert substitute(f, images) == apply_map(f, m)
+
+
+def test_substitute_needs_one_image_per_variable():
+    x = R.variable(0)
+    with pytest.raises(ValueError, match="one image polynomial per variable"):
+        substitute(x, [x, x])
