@@ -68,7 +68,7 @@ from .family import (
     sigma_tables,
 )
 from .reports import CheckReport, config_hash, exit_code, reports_to_json
-from .scalars import is_prime
+from .scalars import PrimeField, is_prime
 from .varieties import (
     MAX_ENUM_PRIME,
     check_fixed_locus,
@@ -139,8 +139,11 @@ def _primes_from(args) -> Tuple[int, ...]:
 
 
 def _config_payload(args) -> Dict[str, object]:
+    # only table1 takes --field; the other commands keep the key at its
+    # default in the stamp, so a given invocation keeps its stamp
     skip = {"func", "output"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    payload = {"field": "Q", **vars(args)}
+    return {k: v for k, v in sorted(payload.items()) if k not in skip}
 
 
 def _load_json(path: str):
@@ -442,7 +445,10 @@ def _branch_config_from_file(path: str, fallback_case: Optional[str]) -> BranchC
         )
     if "q1" not in raw or "h3" not in raw:
         raise ConfigError("branch config needs q1 and h3 polynomial strings")
-    setup = cone_setup(raw.get("field", "Q"))
+    try:
+        setup = cone_setup(raw.get("field", "Q"))
+    except ValueError as exc:
+        raise ConfigError(f"bad field in branch config: {exc}") from None
 
     def poly(key):
         if key not in raw:
@@ -476,7 +482,14 @@ def cmd_cone_degenerate(args) -> List[CheckReport]:
         branch = _branch_config_from_file(args.config, case)
     else:
         branch = default_branch_config(case or "general")
-    verdict = classify_degeneration(branch, p=cfg.primes[0])
+    p = cfg.primes[0]
+    field = branch.setup.field
+    if isinstance(field, PrimeField) and field.p != p:
+        raise ConfigError(
+            f"branch config is over GF({field.p}) but the test prime is {p}: "
+            f"its equations have no reduction to GF({p})"
+        )
+    verdict = classify_degeneration(branch, p=p)
     print(
         f"case {verdict.case}: normalization {verdict.normalization}, "
         f"gorenstein={verdict.gorenstein}, "
@@ -485,7 +498,7 @@ def cmd_cone_degenerate(args) -> List[CheckReport]:
     )
     reports = [degeneration_report(verdict)]
     if args.intersections:
-        reports.append(intersection_count(branch, p=cfg.primes[0]))
+        reports.append(intersection_count(branch, p=p))
     return reports
 
 
@@ -519,7 +532,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write canonical JSON reports here")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--field", default="Q", help="field spec (Q or a prime)")
 
     prime_opt = argparse.ArgumentParser(add_help=False)
     prime_opt.add_argument(
@@ -539,6 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t1 = sub.add_parser(
         "table1", parents=[common], help="sigma-type tables vs the reference"
     )
+    t1.add_argument("--field", default="Q", help="field spec (Q or a prime)")
     t1.add_argument("--coeffs", help="JSON coefficient file (else a seeded draw)")
     t1.set_defaults(func=cmd_table1)
 

@@ -12,15 +12,35 @@ the leading value runs over minima of cosets of the relevant power subgroup,
 and once the residual scalar stabilizer acts trivially on the remaining
 coordinates the tail is a free box.
 
-A box is not scanned point by point.  Its last coordinate t is solved for:
-on each row of the other (base) coordinates the first equation is
-a*t^2 + b*t + c, and its roots in GF(p) come from a square-root table and an
-inverse table.  The whole fibre of p values is kept where a = b = c = 0,
-where there is no equation, or where the first equation has degree above 2
-in t.  Every candidate is then tested against every equation.  Evaluation
-runs on int64 columns with a reduction mod p after every product, so values
-stay below p^2 and arithmetic is exact.  ``scanned`` counts the canonical
-representatives of the boxes covered, whether or not each was a candidate.
+A box is not scanned point by point.  Call the last two coordinates s and
+t and the others outer.  Each equation is split as the sum of
+g_ij(outer) s^i t^j, and evaluation is split the same way:
+
+- each g_ij is evaluated once per outer row (p^2 rows on the main box of
+  the surface, not p^3), as the product of the matrix of outer monomial
+  values with the equation's coefficient tensor;
+- the coefficients c_k = sum over i of g_ik s^i of t^k are built on the
+  grid of outer rows times the values of s, as the product with the matrix
+  of powers of s;
+- the last coordinate is solved for: on each grid row the first equation is
+  a*t^2 + b*t + c, and its roots in GF(p) come from a square-root table and
+  an inverse table.  The whole fibre of p values is kept where a = b = c = 0,
+  where there is no equation, or where the first equation has degree above 2
+  in t;
+- every candidate (row, t) is tested against every equation by a Horner
+  step in t, on the coefficients gathered by row.
+
+Blocks whose s is fixed by the prefix have a grid of one value of s, and
+single-point blocks also fix t.  Arithmetic runs on int64 arrays and is
+exact.  Every array is reduced mod p right after each product: each entry of
+a power table and of a monomial value, each matrix product, each Horner
+step and the discriminant.  So every factor is below p, and no intermediate
+exceeds M * p^2 for a matrix product summing M terms (M the number of
+distinct outer monomials, or of powers of s), p^2 + p for a Horner step and
+5 p^2 for the discriminant: far below 2^63 for p <= MAX_ENUM_PRIME.
+``scanned`` counts the canonical representatives of the boxes covered,
+whether or not each was a candidate.  The points a scan emits are checked
+again, on their first read, against the whole polynomials (``PointSet``).
 """
 
 from __future__ import annotations
@@ -121,33 +141,87 @@ class Columns:
         return total % p
 
 
-class _Fibres:
-    """Roots of the first equation in the last coordinate, row by row of
-    the base coordinates; the full fibre where it does not cut one out."""
+class _Split:
+    """The equations split by the exponents (i, j) of the last two
+    coordinates s and t: each is the sum of g_ij(outer) s^i t^j, where g_ij
+    is a polynomial in the other (outer) coordinates.
 
-    def __init__(self, eqs: Sequence[WPoly], p: int):
+    ``exponents`` holds the outer monomials of all the equations, one per
+    row, and ``tensors[e][j, m, i]`` is the coefficient of monomial m in
+    g_ij of equation e, with i up to ``s_degree`` for every equation."""
+
+    def __init__(self, eqs: Sequence[WPoly], n: int):
+        terms = [int_terms(f) for f in eqs]
+        monomials = sorted({e[:-2] for ts in terms for e, _ in ts})
+        index = {m: k for k, m in enumerate(monomials)}
+        self.exponents = np.array(monomials, dtype=np.int64).reshape(len(monomials), n - 2)
+        self.s_degree = max((e[-2] for ts in terms for e, _ in ts), default=0)
+        self.tensors = []
+        for ts in terms:
+            degree = max((e[-1] for e, _ in ts), default=-1)
+            g = np.zeros((degree + 1, len(index), self.s_degree + 1), dtype=np.int64)
+            for e, c in ts:
+                g[e[-1], index[e[:-2]], e[-2]] = c
+            self.tensors.append(g)
+
+    def outer_values(self, outer: Sequence[np.ndarray], rows: int, p: int) -> List[np.ndarray]:
+        """g_ij of every equation on the rows of the outer columns, as
+        (j, row, i) arrays mod p."""
+        values = np.ones((rows, len(self.exponents)), dtype=np.int64)
+        for col, e in zip(outer, self.exponents.T):
+            values = values * _power_table(col, e.max(initial=0), p)[:, e] % p
+        return [values @ g % p for g in self.tensors]
+
+
+def _power_table(col: np.ndarray, degree: int, p: int) -> np.ndarray:
+    """The (row, k) matrix of col^k mod p, for k up to degree."""
+    table = np.ones((len(col), degree + 1), dtype=np.int64)
+    for k in range(1, degree + 1):
+        table[:, k] = table[:, k - 1] * col % p
+    return table
+
+
+def _t_coefficients(g: np.ndarray, s_powers: np.ndarray, p: int) -> np.ndarray:
+    """The coefficients c_k = sum over i of g_ik s^i mod p of t^k on the
+    grid of outer rows times values of s, as a (k, grid row) matrix, from
+    the (k, outer row, i) values of g and the (i, value of s) powers of s.
+    Outer row r and the n-th of S values of s make grid row r * S + n."""
+    k, rows, _ = g.shape
+    return (g @ s_powers % p).reshape(k, rows * s_powers.shape[1])
+
+
+def _horner(coeffs: np.ndarray, row: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
+    """sum over k of coeffs[k, row] t^k mod p, for each (row, t) pair."""
+    if not len(coeffs):
+        return np.zeros(len(row), dtype=np.int64)
+    value = coeffs[-1][row]
+    for c in coeffs[-2::-1]:
+        value = (value * t + c[row]) % p
+    return value
+
+
+class _Fibres:
+    """Candidate values of the last coordinate t on each row of a grid:
+    the roots in GF(p) of c_0 + c_1 t + c_2 t^2, from a square-root table
+    and an inverse table, and the whole fibre where that polynomial is zero
+    or its degree is above 2."""
+
+    def __init__(self, p: int):
         self.p = p
-        by_degree: Dict[int, Terms] = {}
-        if eqs:
-            for e, c in int_terms(eqs[0]):
-                by_degree.setdefault(e[-1], []).append((e[:-1], c))
-        self.coeffs = None
-        if by_degree and max(by_degree) <= 2:
-            self.coeffs = [by_degree.get(k, []) for k in (2, 1, 0)]
         squares = np.arange(p, dtype=np.int64) ** 2 % p
         self.sqrt = np.full(p, -1, dtype=np.int64)
         self.sqrt[squares] = np.arange(p)
         self.inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
 
-    def solve(self, base: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-        """(row, t) pairs with t a candidate last coordinate on that row of
-        the base columns, each pair once, in no particular order."""
+    def solve(self, coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(row, t) pairs over the rows of the (k, row) matrix of the
+        coefficients c_k, each pair once, in no particular order."""
         p = self.p
-        if self.coeffs is None:
-            size = len(base[0])
+        degree, size = len(coeffs) - 1, coeffs.shape[1]
+        if degree < 0 or degree > 2:
             return np.repeat(np.arange(size), p), np.tile(np.arange(p), size)
-        cols = Columns(base, p)
-        a, b, c = (cols.evaluate(terms) for terms in self.coeffs)
+        zero = np.zeros(size, dtype=np.int64)
+        c, b, a = [coeffs[k] if k <= degree else zero for k in range(3)]
         quad = a != 0
         disc = (b * b - 4 * a * c) % p
         root = self.sqrt[disc]
@@ -165,25 +239,6 @@ class _Fibres:
             np.tile(np.arange(p), len(full)),
         ]
         return np.concatenate(rows), np.concatenate(ts)
-
-
-def _candidates(prefix: Tuple[int, ...], start: int, n: int, fibres: _Fibres):
-    """Candidate points of one box as batches of (columns, sort key); the
-    batches come in lexicographic order, and the key orders the candidates
-    of one batch.  No batch holds more than CHUNK_LIMIT candidates."""
-    p = fibres.p
-    if start == n:
-        yield [np.full(1, v, dtype=np.int64) for v in prefix], np.zeros(1, dtype=np.int64)
-        return
-    free = n - 1 - start
-    size = p ** free
-    step = max(1, CHUNK_LIMIT // p)
-    for lo in range(0, size, step):
-        r = np.arange(lo, min(size, lo + step), dtype=np.int64)
-        base = [np.full(len(r), v, dtype=np.int64) for v in prefix]
-        base += [r // p ** (free - 1 - k) % p for k in range(free)]
-        row, t = fibres.solve(base)
-        yield [col[row] for col in base] + [t], row * p + t
 
 
 def _reduce_eqs(ring: WRing, p: int, eqs: Sequence[WPoly]) -> Tuple[WRing, List[WPoly]]:
@@ -275,6 +330,51 @@ def _guard_prime(p: int) -> None:
         )
 
 
+def _box_points(prefix: Tuple[int, ...], start: int, n: int, p: int,
+               split: _Split, fibres: _Fibres,
+               extra_mask: Optional[Callable[[List[np.ndarray]], np.ndarray]]):
+    """The points of one box where every equation vanishes (and the extra
+    mask holds), as arrays of rows in lexicographic order.
+
+    The outer coordinates run over at most CHUNK_LIMIT rows at a time, on
+    which every g_ij is evaluated once.  The grid of those rows times the
+    values of s is cut into batches of at most CHUNK_LIMIT candidates."""
+    free = max(0, n - 2 - start)
+    if start <= n - 2:
+        s_vals = np.arange(p, dtype=np.int64)
+    else:
+        s_vals = np.full(1, prefix[n - 2], dtype=np.int64)
+    s_powers = _power_table(s_vals, split.s_degree, p).T
+    width = len(s_vals) * (p if start < n else 1)
+    step = max(1, CHUNK_LIMIT // width)
+    size = p ** free
+    for first in range(0, size, CHUNK_LIMIT):
+        r = np.arange(first, min(size, first + CHUNK_LIMIT), dtype=np.int64)
+        outer = [np.full(len(r), v, dtype=np.int64) for v in prefix[:n - 2]]
+        outer += [r // p ** (free - 1 - k) % p for k in range(free)]
+        g = split.outer_values(outer, len(r), p)
+        for lo in range(0, len(r), step):
+            hi = min(len(r), lo + step)
+            coeffs = [_t_coefficients(values[:, lo:hi], s_powers, p) for values in g]
+            rows = (hi - lo) * len(s_vals)
+            if start == n:
+                row, t = np.arange(rows), np.full(rows, prefix[-1], dtype=np.int64)
+            else:
+                row, t = fibres.solve(coeffs[0] if coeffs else np.zeros((0, rows), dtype=np.int64))
+            mask = np.ones(len(row), dtype=bool)
+            for c in coeffs:
+                mask &= _horner(c, row, t, p) == 0
+            row, t = row[mask], t[mask]
+            o, si = np.divmod(row, len(s_vals))
+            point = [col[lo + o] for col in outer] + [s_vals[si], t]
+            if extra_mask is not None:
+                keep = extra_mask(point)
+                point, row, t = [col[keep] for col in point], row[keep], t[keep]
+            # the keys are distinct: each (row, t) pair is a candidate once
+            order = np.argsort(row * p + t)
+            yield np.stack([col[order] for col in point], axis=1)
+
+
 def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
           extra_mask: Optional[Callable[[List[np.ndarray]], np.ndarray]] = None) -> PointSet:
     """All canonical representatives where every equation vanishes (and the
@@ -285,21 +385,15 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
         if not f.is_homogeneous():
             raise ValueError(f"equation {f.to_string()} is not homogeneous")
     n = ring.nvars
-    fibres = _Fibres(eqs_p, p)
-    terms = [int_terms(f) for f in eqs_p]
+    if n < 2:
+        raise ValueError("enumeration needs at least two coordinates")
+    split = _Split(eqs_p, n)
+    fibres = _Fibres(p)
     found: List[np.ndarray] = []
     scanned = 0
     for prefix, start in _blocks(ring.weights, p):
         scanned += p ** (n - start)
-        for cols, key in _candidates(prefix, start, n, fibres):
-            batch = Columns(cols, p)
-            mask = np.ones(len(key), dtype=bool)
-            for f in terms:
-                mask &= batch.evaluate(f) == 0
-            if extra_mask is not None:
-                mask &= extra_mask(cols)
-            _, first = np.unique(key[mask], return_index=True)
-            found.append(np.stack([col[mask][first] for col in cols], axis=1))
+        found.extend(_box_points(prefix, start, n, p, split, fibres, extra_mask))
     rows = np.concatenate(found) if found else np.empty((0, n), dtype=np.int64)
     return PointSet(rows, p, ring_p, eqs_p, scanned)
 

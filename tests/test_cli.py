@@ -391,6 +391,44 @@ def test_unwritable_output_is_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--field", "29", "--prime", "13"],
+    ["cone", "image-check", "--field", "13", "--prime", "29"],
+    ["cone", "degenerate", "--field", "13"],
+    ["cover", "validate", "--field", "Q"],
+    ["group", "divisibility", "--group", "Z2", "--element", "0", "--field", "Q"],
+])
+def test_field_is_a_table1_option_only(argv, capsys):
+    assert run(argv) == 2
+    assert "unrecognized arguments: --field" in capsys.readouterr().err
+
+
+def test_table1_takes_a_field():
+    assert run(["table1", "--field", "13"]) == 0
+
+
+def test_cone_degenerate_config_field_must_match_the_prime(tmp_path, capsys):
+    cfg = tmp_path / "branch.json"
+    cfg.write_text(json.dumps({
+        "case": "deg1",
+        "field": "13",
+        "q1": "2*y1^2 + -4*y1 y2 + 2*y2^2 + 5*y1 y3 + -5*y2 y3 + -1*y3^2",
+        "h3": "y0 + 2*y3",
+        "r1": [1, 1, 1, 0],
+    }))
+    assert run(["cone", "degenerate", "--config", str(cfg), "--prime", "13"]) == 0
+    capsys.readouterr()
+    for argv in (["--prime", "29"], ["--prime", "29", "--intersections"]):
+        assert run(["cone", "degenerate", "--config", str(cfg), *argv]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "GF(13)" in err and "29" in err
+    cfg.write_text(json.dumps({"case": "general", "field": "4",
+                               "q1": "y1^2", "h3": "y0"}))
+    assert run(["cone", "degenerate", "--config", str(cfg)]) == 2
+    assert "config error: bad field in branch config" in capsys.readouterr().err
+
+
 def test_bad_usage_exits_2():
     assert run([]) == 2
     assert run(["cover"]) == 2

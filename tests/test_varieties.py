@@ -14,14 +14,19 @@ from godeaux.family import FamilyParams, build_family, random_params
 from godeaux.scalars import QQ, PrimeField
 from godeaux.varieties import (
     CHUNK_LIMIT,
+    MAX_ENUM_PRIME,
     PointSet,
     _blocks,
     _diagonal_fixed_patterns,
     _Fibres,
     _fixed_mask,
     _fixed_point_count,
+    _horner,
+    _power_table,
     _orbit_count,
     _reduce_eqs,
+    _Split,
+    _t_coefficients,
     check_fixed_locus,
     check_free_action,
     check_quasi_smooth,
@@ -219,14 +224,111 @@ def test_fibre_branches():
         (0, 1, 0): list(range(p)),  # a = b = c = 0: the whole fibre
         (0, 0, 1): [],             # a = b = 0, c != 0: empty
     }
-    base = [np.array(col, dtype=np.int64) for col in zip(*rows)]
-    row, t = _Fibres(_reduce_eqs(ring, p, [f])[1], p).solve(base)
+    # the six rows are rows of the grid of outer rows (x, y) times values
+    # of s: outer row r with s = z is grid row r * p + z
+    x, y, z = (np.array(col, dtype=np.int64) for col in zip(*rows))
+    split = _Split(_reduce_eqs(ring, p, [f])[1], ring.nvars)
+    g, = split.outer_values([x, y], len(x), p)
+    grid = _t_coefficients(g, _power_table(np.arange(p), split.s_degree, p).T, p)
+    row, t = _Fibres(p).solve(grid[:, np.arange(len(z)) * p + z])
     got = sorted(zip(row.tolist(), t.tolist()))
     want = sorted((i, v) for i, roots in enumerate(rows.values()) for v in roots)
     assert got == want
     assert list(enumerate_points(ring, p, [f]).points) == brute_zero_locus(ring, p, [f])
     points, _ = box_scan(ring, 13, [f])
     assert list(enumerate_points(ring, 13, [f]).points) == points
+
+
+def block_start(point, weights, p):
+    """The first free coordinate of the box of _blocks holding the point."""
+    starts = [start for prefix, start in _blocks(weights, p)
+              if tuple(point[:len(prefix)]) == prefix]
+    assert len(starts) == 1
+    return starts[0]
+
+
+def split_path_systems(rng):
+    """(ring, equations) pairs for each branch of the split scan: a second
+    P^3 equation of degree 3 or 4 in the last coordinate, a first equation
+    of t-degree above 2, no equation, the zero equation, and weighted rings
+    with boxes whose next-to-last coordinate is fixed, single-point boxes,
+    and no outer coordinate."""
+    ring = p3_ring()
+    cone = parse_poly(ring, "y0^2 + -1 * y1 y2")
+    systems = [(ring, [])]
+    for degree in (3, 4):
+        systems.append((ring, [cone, random_form(ring, degree, rng)]))
+        systems.append((ring, [random_form(ring, degree, rng)]))
+        systems.append((ring, [random_form(ring, degree, rng), cone]))
+    systems.append((ring, [parse_poly(ring, "y3^3 + -1 * y0 y1 y2")]))
+    systems.append((ring, [ring.zero_poly()]))
+    systems.append((ring, [cone, ring.zero_poly()]))
+    for weights in ((1, 2), (1, 1, 2), (1, 2, 2), W_GODEAUX):
+        names = tuple(f"v{i}" for i in range(len(weights)))
+        wring = WRing(names, weights, QQ)
+        systems.append((wring, []))
+        systems.append((wring, [random_form(wring, 4, rng)]))
+        # no monomial in s alone or t alone, and one in s and t: every box
+        # whose outer coordinates vanish holds points
+        pinned = wring.zero_poly()
+        for e, c in random_form(wring, 4, rng).terms.items():
+            if any(e[:-2]) or (e[-2] and e[-1]):
+                pinned = pinned + wring.monomial(e, c)
+        for e in monomials_of_degree(wring, 4):
+            if not any(e[:-2]) and e[-2] and e[-1]:
+                pinned = pinned + wring.monomial(e, 1)
+        systems.append((wring, [pinned]))
+        systems.append((wring, [pinned, random_form(wring, 4, rng)]))
+    return systems
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_split_scan_matches_brute_force(p):
+    starts = set()
+    for ring, eqs in split_path_systems(random.Random(100 + p)):
+        expected = brute_zero_locus(ring, p, eqs)
+        assert list(enumerate_points(ring, p, eqs).points) == expected
+        n = ring.nvars
+        starts |= {max(block_start(pt, ring.weights, p) - n, -2) for pt in expected}
+    # points were found on boxes with s and t free, s fixed, and both fixed
+    assert starts >= {-2, -1, 0}
+
+
+@pytest.mark.parametrize("p", [13, 17])
+def test_split_scan_matches_box_scan(p):
+    for ring, eqs in split_path_systems(random.Random(100 + p)):
+        points, scanned = box_scan(ring, p, eqs)
+        surface = enumerate_points(ring, p, eqs)
+        assert list(surface.points) == points
+        assert surface.scanned == scanned
+
+
+def test_split_evaluation_is_exact_at_the_largest_prime():
+    # every coefficient and every coordinate p - 1: the largest residues,
+    # so the largest int64 intermediates the scan can meet
+    p = MAX_ENUM_PRIME
+    for weights, degree in (((1, 1, 1, 1), 4), (W_GODEAUX, 8)):
+        names = tuple(f"v{i}" for i in range(len(weights)))
+        ring = WRing(names, weights, PrimeField(p))
+        f = ring.zero_poly()
+        for e in monomials_of_degree(ring, degree):
+            f = f + ring.monomial(e, p - 1)
+        n = len(weights)
+        split = _Split([f], n)
+        g, = split.outer_values([np.full(3, p - 1, dtype=np.int64)] * (n - 2), 3, p)
+        s_powers = _power_table(np.full(2, p - 1, dtype=np.int64), split.s_degree, p).T
+        coeffs = _t_coefficients(g, s_powers, p)
+        for reduced in (g, s_powers, coeffs):
+            assert reduced.min() >= 0 and reduced.max() < p
+        assert len(coeffs) == degree // weights[-1] + 1
+        for k, c in enumerate(coeffs):
+            want = sum((p - 1) * (p - 1) ** sum(e[:-1]) for e in f.terms
+                       if e[-1] == k) % p
+            assert c.tolist() == [want] * 6
+        row = np.arange(6)
+        t = np.full(6, p - 1, dtype=np.int64)
+        value = f.evaluate([f.ring.field(p - 1)] * n).value
+        assert _horner(coeffs, row, t, p).tolist() == [value] * 6
 
 
 def orbit_count_formula(p):
@@ -322,6 +424,8 @@ def test_guards():
         enumerate_points(ring, 103, [])
     with pytest.raises(ValueError, match="not homogeneous"):
         enumerate_points(ring, 5, [parse_poly(ring, "x1 + x1^2")])
+    with pytest.raises(ValueError, match="at least two coordinates"):
+        enumerate_points(WRing(("x",), (1,), PrimeField(5)), 5, [])
 
 
 def test_projective_identity_fixes_every_point():
