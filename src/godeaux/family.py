@@ -12,10 +12,11 @@ even-sign monomials, and build_family can enforce that restriction.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .grouprep import (
     CyclicAction,
@@ -28,7 +29,6 @@ from .grouprep import (
     sign_clash,
 )
 from .groups import abelian_label, classify_order8, generated_group
-from .reports import CheckReport
 from .scalars import QQ, PrimeField, Rationals, field_from_spec, scalar_to_str
 from .wpoly import (
     Exponents,
@@ -82,19 +82,21 @@ def canonical_lifts(ring: WRing) -> Tuple[InvolutionLift, InvolutionLift]:
     )
 
 
-def allowed_support(ring: WRing, char: int, enforce_involution: bool) -> List[Exponents]:
+@functools.lru_cache(maxsize=64)
+def allowed_support(ring: WRing, char: int, enforce_involution: bool) -> Tuple[Exponents, ...]:
     """Degree-4 monomials of the given character; with the involution
-    enforced, only those of even sign under both lifts survive."""
+    enforced, only those of even sign under both lifts survive.  Memoized
+    per (ring, character, enforce_involution): every draw asks for it."""
     action = canonical_action(ring)
     basis = eigenspace_basis(action, 4, char)
     if not enforce_involution:
-        return basis
+        return tuple(basis)
     sigma, sigma_g2 = canonical_lifts(ring)
-    return [
+    return tuple(
         e
         for e in basis
         if sigma.sign_of_monomial(e) == 1 and sigma_g2.sign_of_monomial(e) == 1
-    ]
+    )
 
 
 @dataclass(frozen=True)
@@ -246,66 +248,6 @@ def _hard_construction_checks(fam: GodeauxFamily) -> None:
         raise AssertionError("q0 not invariant under the square of the generator")
     if apply_map(fam.q2, g2_map) != fam.q2:
         raise AssertionError("q2 not invariant under the square of the generator")
-
-
-def verify_equivariance(fam: GodeauxFamily) -> CheckReport:
-    """Report how the quartics transform under the full symmetry.
-
-    The generator is applied by substitution over fields containing i and
-    checked at character level otherwise (equivalent for diagonal actions);
-    both involution lifts are applied by substitution over every field.
-    A family kept with enforce_involution off may carry lift-odd monomials;
-    that is reported as a failure with the first offending monomial as
-    witness, not raised, since such members are legitimate degenerations.
-    """
-    notes: List[str] = []
-    witness = None
-    status = "pass"
-    ring = fam.ring
-
-    for q, name, wanted in ((fam.q0, "q0", 0), (fam.q2, "q2", 2)):
-        for e in q.monomials():
-            if fam.action.character_of_monomial(e) != wanted:
-                status = "fail"
-                witness = witness or {
-                    "kind": "character", "poly": name,
-                    "monomial": monomial_to_str(ring, e),
-                }
-    if isinstance(fam.field, PrimeField):
-        i = fam.field.sqrt_minus_one()
-        g_map = fam.action.as_monomial_map(i)
-        g_ok = (
-            apply_map(fam.q0, g_map) == fam.q0
-            and apply_map(fam.q2, g_map) == (i * i) * fam.q2
-        )
-        if not g_ok:
-            status = "fail"
-            witness = witness or {"kind": "generator-substitution"}
-        notes.append(f"generator applied by substitution with i = {i}")
-    else:
-        notes.append("generator verified at character level over Q")
-
-    for lift in (fam.sigma, fam.sigma_g2):
-        m = lift.as_monomial_map()
-        for q, name in ((fam.q0, "q0"), (fam.q2, "q2")):
-            if apply_map(q, m) != q:
-                status = "fail"
-                bad = next(
-                    monomial_to_str(ring, e)
-                    for e in q.monomials()
-                    if lift.sign_of_monomial(e) == -1
-                )
-                witness = witness or {
-                    "kind": "lift-invariance", "lift": lift.label,
-                    "poly": name, "monomial": bad,
-                }
-    if not fam.params.enforce_involution:
-        notes.append("enforce_involution is off; lift-odd monomials allowed")
-    prime = fam.field.p if isinstance(fam.field, PrimeField) else None
-    return CheckReport(
-        check="equivariance", status=status, prime=prime,
-        witness=witness, notes=tuple(notes),
-    )
 
 
 def _canonical_twist(exponents: Sequence[int], n: int) -> Tuple[int, ...]:

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -141,36 +142,107 @@ class Columns:
         return total % p
 
 
+def _t_parts(terms: Terms) -> List[Dict[Tuple[int, ...], int]]:
+    """The coefficients of the powers of the last coordinate t, indexed by
+    the power, each as terms with the exponent of t set to 0; no part for
+    the zero polynomial."""
+    parts: List[Dict[Tuple[int, ...], int]] = []
+    for e, c in terms:
+        parts.extend({} for _ in range(e[-1] + 1 - len(parts)))
+        parts[e[-1]][e[:-1] + (0,)] = c
+    return parts
+
+
+def _times(a: Dict[Tuple[int, ...], int], b: Dict[Tuple[int, ...], int],
+           p: int) -> Dict[Tuple[int, ...], int]:
+    """The product of two polynomials given as terms mod p."""
+    out: Dict[Tuple[int, ...], int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(operator.add, ea, eb))
+            out[e] = (out.get(e, 0) + ca * cb) % p
+    return out
+
+
+def _eliminant(terms: Sequence[Terms], n: int, p: int) -> Optional[Terms]:
+    """Res_t(B t + C, h) = sum over k of h_k (-C)^k B^(d-k) mod p, free of
+    t, for the first equation B t + C of t-degree 1 (the pivot) and the
+    first other equation h = sum of h_k t^k of least positive t-degree d.
+    None without such a pair, or where the resultant is zero."""
+    parts = [_t_parts(ts) for ts in terms]
+    degrees = [len(q) - 1 for q in parts]
+    if 1 not in degrees:
+        return None
+    pivot = degrees.index(1)
+    others = [k for k, d in enumerate(degrees) if d > 0 and k != pivot]
+    if not others:
+        return None
+    h = parts[min(others, key=degrees.__getitem__)]
+    c, b = parts[pivot]
+    d = len(h) - 1
+    one = {(0,) * n: 1}
+    neg_c, b_powers = [one], [one]
+    for _ in range(d):
+        neg_c.append(_times(neg_c[-1], {e: -v % p for e, v in c.items()}, p))
+        b_powers.append(_times(b_powers[-1], b, p))
+    total: Dict[Tuple[int, ...], int] = {}
+    for k, hk in enumerate(h):
+        for e, v in _times(_times(hk, neg_c[k], p), b_powers[d - k], p).items():
+            total[e] = (total.get(e, 0) + v) % p
+    return sorted((e, v) for e, v in total.items() if v) or None
+
+
 class _Split:
-    """The equations split by the exponents (i, j) of the last two
+    """The equations of a scan split by the exponents (i, j) of the last two
     coordinates s and t: each is the sum of g_ij(outer) s^i t^j, where g_ij
     is a polynomial in the other (outer) coordinates.
 
     ``exponents`` holds the outer monomials of all the equations, one per
-    row, and ``tensors[e][j, m, i]`` is the coefficient of monomial m in
-    g_ij of equation e, with i up to ``s_degree`` for every equation."""
+    row, and ``powers[v, k]`` is v^k mod p for every residue v and every
+    exponent k of the equations.  The equations free of t are the filters: ``filters[f, m, i]`` is
+    the coefficient of monomial m in g_i0 of the f-th of them (None without
+    filters).  ``tensors[e][j, m, i]`` is the coefficient of monomial m in
+    g_ij of the e-th equation of positive t-degree, in increasing order of
+    t-degree, so t is solved from the first.  The zero polynomial, which
+    vanishes everywhere, is left out.  ``s_degree`` bounds every i."""
 
-    def __init__(self, eqs: Sequence[WPoly], n: int):
-        terms = [int_terms(f) for f in eqs]
+    def __init__(self, terms: Sequence[Terms], n: int, p: int):
         monomials = sorted({e[:-2] for ts in terms for e, _ in ts})
         index = {m: k for k, m in enumerate(monomials)}
         self.exponents = np.array(monomials, dtype=np.int64).reshape(len(monomials), n - 2)
         self.s_degree = max((e[-2] for ts in terms for e, _ in ts), default=0)
-        self.tensors = []
-        for ts in terms:
-            degree = max((e[-1] for e, _ in ts), default=-1)
-            g = np.zeros((degree + 1, len(index), self.s_degree + 1), dtype=np.int64)
-            for e, c in ts:
-                g[e[-1], index[e[:-2]], e[-2]] = c
-            self.tensors.append(g)
+        top = max((max(e[:-1]) for ts in terms for e, _ in ts), default=0)
+        self.powers = _power_table(np.arange(p, dtype=np.int64), top, p)
 
-    def outer_values(self, outer: Sequence[np.ndarray], rows: int, p: int) -> List[np.ndarray]:
-        """g_ij of every equation on the rows of the outer columns, as
-        (j, row, i) arrays mod p."""
-        values = np.ones((rows, len(self.exponents)), dtype=np.int64)
-        for col, e in zip(outer, self.exponents.T):
-            values = values * _power_table(col, e.max(initial=0), p)[:, e] % p
-        return [values @ g % p for g in self.tensors]
+        def tensor(stack) -> np.ndarray:
+            # the (k, monomial, i) coefficients of the k-th t-free term list
+            width = max((e[-2] for ts in stack for e, _ in ts), default=0) + 1
+            g = np.zeros((len(stack), len(index), width), dtype=np.int64)
+            for k, ts in enumerate(stack):
+                for e, c in ts:
+                    g[k, index[e[:-2]], e[-2]] = c
+            return g
+
+        parts = [_t_parts(ts) for ts in terms]
+        free = [ts for ts, q in zip(terms, parts) if len(q) == 1]
+        self.filters = tensor(free) if free else None
+        self.tensors = [tensor([q.items() for q in qs])
+                        for qs in sorted((q for q in parts if len(q) > 1), key=len)]
+
+    def outer_values(self, fixed: Sequence[int], free: Sequence[np.ndarray],
+                     p: int) -> Tuple[Optional[np.ndarray], List[np.ndarray]]:
+        """The g_ij of the filters and of the other equations on the rows of
+        the outer coordinates, the leading ones fixed to the given values
+        and the others in the given columns, as (f or j, row, i) arrays mod
+        p."""
+        values = np.ones(len(self.exponents), dtype=np.int64)
+        for v, e in zip(fixed, self.exponents.T):
+            values = values * self.powers[v, e] % p
+        values = values.reshape(1, -1)
+        for col, e in zip(free, self.exponents.T[len(fixed):]):
+            values = values * self.powers[col[:, None], e] % p
+        filters = None if self.filters is None else values @ self.filters % p
+        return filters, [values @ g % p for g in self.tensors]
 
 
 def _power_table(col: np.ndarray, degree: int, p: int) -> np.ndarray:
@@ -181,13 +253,20 @@ def _power_table(col: np.ndarray, degree: int, p: int) -> np.ndarray:
     return table
 
 
-def _t_coefficients(g: np.ndarray, s_powers: np.ndarray, p: int) -> np.ndarray:
-    """The coefficients c_k = sum over i of g_ik s^i mod p of t^k on the
-    grid of outer rows times values of s, as a (k, grid row) matrix, from
-    the (k, outer row, i) values of g and the (i, value of s) powers of s.
-    Outer row r and the n-th of S values of s make grid row r * S + n."""
-    k, rows, _ = g.shape
-    return (g @ s_powers % p).reshape(k, rows * s_powers.shape[1])
+def _grid_values(g: np.ndarray, s_powers: np.ndarray, p: int) -> np.ndarray:
+    """The values of the polynomials sum over i of g[k, r, i] s^i mod p on
+    the grid of outer rows r times values of s, as a (k, grid row) matrix,
+    from the (value of s, i) powers of s.  Outer row r and the n-th of S
+    values of s make grid row r * S + n."""
+    k, rows, width = g.shape
+    return (g @ s_powers[:, :width].T % p).reshape(k, rows * len(s_powers))
+
+
+def _row_values(g: np.ndarray, outer_row: np.ndarray, s_powers: np.ndarray,
+                p: int) -> np.ndarray:
+    """The same polynomials on chosen grid rows, given by their outer row
+    and the (grid row, i) powers of their s, as a (k, grid row) matrix."""
+    return (g[:, outer_row, :] * s_powers[:, :g.shape[2]]).sum(axis=2) % p
 
 
 def _horner(coeffs: np.ndarray, row: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
@@ -241,6 +320,22 @@ class _Fibres:
         return np.concatenate(rows), np.concatenate(ts)
 
 
+def _solving_coefficients(coeffs: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """The (k, row) coefficients c_0, c_1, c_2 to solve for t from on each
+    of size grid rows: those of the first of the equations, in increasing
+    order of t-degree, that does not vanish identically on the row, as long
+    as its t-degree is at most 2.  Rows left zero get the whole fibre."""
+    solve = np.zeros((3, size), dtype=np.int64)
+    pending = np.ones(size, dtype=bool)
+    for c in coeffs:
+        if len(c) > 3:
+            break
+        take = np.flatnonzero(pending & c.any(axis=0))
+        solve[:len(c), take] = c[:, take]
+        pending[take] = False
+    return solve
+
+
 def _reduce_eqs(ring: WRing, p: int, eqs: Sequence[WPoly]) -> Tuple[WRing, List[WPoly]]:
     """View the ring and every equation over GF(p), reducing from Q where
     needed; rejects rings over other prime fields."""
@@ -276,13 +371,16 @@ class PointSet:
     the strictly increasing order the scan emits them in.
 
     Every equation is re-evaluated on every point the first time the points
-    are read back, as a self-consistency tripwire.
+    are read back, as a self-consistency tripwire.  ``scanned`` counts the
+    canonical representatives the scan covered, and ``candidates`` the
+    (row, t) pairs it tested against the equations (None for a point set
+    not made by a scan).
     """
 
-    __slots__ = ("_rows", "p", "ring", "eqs", "scanned", "_checked")
+    __slots__ = ("_rows", "p", "ring", "eqs", "scanned", "candidates", "_checked")
 
     def __init__(self, points, p: int, ring: WRing, eqs: Sequence[WPoly],
-                 scanned: int):
+                 scanned: int, candidates: Optional[int] = None):
         rows = np.array(points, dtype=np.int64).reshape(-1, ring.nvars)
         rows.flags.writeable = False
         self._rows = rows
@@ -290,6 +388,7 @@ class PointSet:
         self.ring = ring
         self.eqs = tuple(eqs)
         self.scanned = scanned
+        self.candidates = candidates
         self._checked = False
 
     @property
@@ -334,52 +433,62 @@ def _box_points(prefix: Tuple[int, ...], start: int, n: int, p: int,
                split: _Split, fibres: _Fibres,
                extra_mask: Optional[Callable[[List[np.ndarray]], np.ndarray]]):
     """The points of one box where every equation vanishes (and the extra
-    mask holds), as arrays of rows in lexicographic order.
+    mask holds), as pairs of an array of rows in lexicographic order and
+    the number of (row, t) candidates tested.
 
-    The outer coordinates run over at most CHUNK_LIMIT rows at a time, on
-    which every g_ij is evaluated once.  The grid of those rows times the
-    values of s is cut into batches of at most CHUNK_LIMIT candidates."""
+    The grid of outer rows times values of s is cut into batches of at most
+    CHUNK_LIMIT rows.  On each batch the filters are evaluated on every grid
+    row and only the rows where they all vanish are kept; the coefficients
+    in t of the other equations are then built on the kept rows, at most
+    CHUNK_LIMIT // p of them at a time, so at most CHUNK_LIMIT candidates
+    are tested at once."""
     free = max(0, n - 2 - start)
     if start <= n - 2:
         s_vals = np.arange(p, dtype=np.int64)
     else:
         s_vals = np.full(1, prefix[n - 2], dtype=np.int64)
-    s_powers = _power_table(s_vals, split.s_degree, p).T
-    width = len(s_vals) * (p if start < n else 1)
-    step = max(1, CHUNK_LIMIT // width)
+    s_powers = split.powers[s_vals, :split.s_degree + 1]
+    width = len(s_vals)
+    slice_rows = CHUNK_LIMIT // (p if start < n else 1)
+    fixed = prefix[:n - 2]
     size = p ** free
-    for first in range(0, size, CHUNK_LIMIT):
-        r = np.arange(first, min(size, first + CHUNK_LIMIT), dtype=np.int64)
-        outer = [np.full(len(r), v, dtype=np.int64) for v in prefix[:n - 2]]
-        outer += [r // p ** (free - 1 - k) % p for k in range(free)]
-        g = split.outer_values(outer, len(r), p)
-        for lo in range(0, len(r), step):
-            hi = min(len(r), lo + step)
-            coeffs = [_t_coefficients(values[:, lo:hi], s_powers, p) for values in g]
-            rows = (hi - lo) * len(s_vals)
+    for first in range(0, size, max(1, CHUNK_LIMIT // width)):
+        r = np.arange(first, min(size, first + CHUNK_LIMIT // width), dtype=np.int64)
+        cols = [r // p ** (free - 1 - k) % p for k in range(free)]
+        filters, tensors = split.outer_values(fixed, cols, p)
+        if filters is None:
+            kept = np.arange(len(r) * width)
+        else:
+            kept = np.flatnonzero(~_grid_values(filters, s_powers, p).any(axis=0))
+        for lo in range(0, len(kept), slice_rows):
+            o, si = np.divmod(kept[lo:lo + slice_rows], width)
+            s_rows = s_powers[si]
+            coeffs = [_row_values(g, o, s_rows, p) for g in tensors]
             if start == n:
-                row, t = np.arange(rows), np.full(rows, prefix[-1], dtype=np.int64)
+                row, t = np.arange(len(o)), np.full(len(o), prefix[-1], dtype=np.int64)
             else:
-                row, t = fibres.solve(coeffs[0] if coeffs else np.zeros((0, rows), dtype=np.int64))
-            mask = np.ones(len(row), dtype=bool)
+                row, t = fibres.solve(_solving_coefficients(coeffs, len(o)))
+            tested = len(row)
+            mask = np.ones(tested, dtype=bool)
             for c in coeffs:
                 mask &= _horner(c, row, t, p) == 0
             row, t = row[mask], t[mask]
-            o, si = np.divmod(row, len(s_vals))
-            point = [col[lo + o] for col in outer] + [s_vals[si], t]
+            point = ([np.full(len(row), v, dtype=np.int64) for v in fixed]
+                     + [col[o[row]] for col in cols] + [s_vals[si[row]], t])
             if extra_mask is not None:
                 keep = extra_mask(point)
                 point, row, t = [col[keep] for col in point], row[keep], t[keep]
             # the keys are distinct: each (row, t) pair is a candidate once
             order = np.argsort(row * p + t)
-            yield np.stack([col[order] for col in point], axis=1)
+            yield np.stack([col[order] for col in point], axis=1), tested
 
 
 def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
           extra_mask: Optional[Callable[[List[np.ndarray]], np.ndarray]] = None) -> PointSet:
     """All canonical representatives where every equation vanishes (and the
-    optional extra column mask holds).  Boxes and their batches come in
-    lexicographic order, so only the survivors of each batch are sorted."""
+    optional extra column mask holds).  The eliminant, when there is one,
+    joins the filters.  Boxes and their batches come in lexicographic order,
+    so only the survivors of each batch are sorted."""
     ring_p, eqs_p = _reduce_eqs(ring, p, eqs)
     for f in eqs_p:
         if not f.is_homogeneous():
@@ -387,15 +496,19 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
     n = ring.nvars
     if n < 2:
         raise ValueError("enumeration needs at least two coordinates")
-    split = _Split(eqs_p, n)
+    terms = [int_terms(f) for f in eqs_p]
+    eliminant = _eliminant(terms, n, p)
+    split = _Split(terms if eliminant is None else terms + [eliminant], n, p)
     fibres = _Fibres(p)
     found: List[np.ndarray] = []
-    scanned = 0
+    scanned = candidates = 0
     for prefix, start in _blocks(ring.weights, p):
         scanned += p ** (n - start)
-        found.extend(_box_points(prefix, start, n, p, split, fibres, extra_mask))
+        for points, tested in _box_points(prefix, start, n, p, split, fibres, extra_mask):
+            found.append(points)
+            candidates += tested
     rows = np.concatenate(found) if found else np.empty((0, n), dtype=np.int64)
-    return PointSet(rows, p, ring_p, eqs_p, scanned)
+    return PointSet(rows, p, ring_p, eqs_p, scanned, candidates)
 
 
 def enumerate_points(ring: WRing, p: int, eqs: Sequence[WPoly]) -> PointSet:

@@ -178,6 +178,24 @@ def test_verify_scans_each_draw_once(monkeypatch, tmp_path):
     assert calls == {"enumerate_points": attempts, "fixed_locus": 0}
 
 
+def test_verify_draws_share_the_allowed_supports(monkeypatch):
+    # allowed_support is memoized per (ring, character, enforce_involution):
+    # five draws over GF(13) need at most the four degree-4 eigenspaces
+    import godeaux.family as family
+
+    calls = []
+    original = family.eigenspace_basis
+
+    def counting(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(family, "eigenspace_basis", counting)
+    family.allowed_support.cache_clear()
+    assert run(["verify", "--prime", "13", "--draws", "5"]) == 0
+    assert 0 < len(calls) <= 4
+
+
 @pytest.mark.parametrize("argv", [["cone", "image-check"],
                                   ["cone", "fixed-points"],
                                   ["cone", "degenerate"]])
@@ -288,6 +306,30 @@ def test_cone_reports_are_pinned(tmp_path, monkeypatch):
         if out.exists():
             out.unlink()
         run(["cone", *argv, "--output", "reports.json"])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
+
+
+# sha256 of the canonical JSON of verify runs, as computed before the
+# surface scan filtered its grid rows by the eliminant; the reports are
+# meant to stay byte-identical
+PINNED_VERIFY_REPORTS = {
+    ("--prime", "13", "--draws", "20", "--seed", "42"):
+        "ca3ad9936583e179b48e88ef0538840f7b5bf9acc451b90efe83b9da1ac3b95e",
+    ("--prime", "61", "--seed", "5"):
+        "fdc7c00dd4f906a030def52244460cb9aad3af6b4e73fe900b4e5161a55b9e83",
+    ("--prime", "101", "--seed", "3"):
+        "3fcccbc52953f72a0954f1d0b63b812344e120179ac6002f4672d9a55aeb3b6c",
+}
+
+
+def test_verify_reports_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GODEAUX_PRIMES", raising=False)
+    for argv, digest in PINNED_VERIFY_REPORTS.items():
+        out = tmp_path / "reports.json"
+        if out.exists():
+            out.unlink()
+        assert run(["verify", *argv, "--output", "reports.json"]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
 
 

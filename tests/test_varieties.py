@@ -3,6 +3,7 @@ exhaustive finite-field checks."""
 
 import gc
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -18,20 +19,24 @@ from godeaux.varieties import (
     PointSet,
     _blocks,
     _diagonal_fixed_patterns,
+    _eliminant,
     _Fibres,
     _fixed_mask,
     _fixed_point_count,
+    _grid_values,
     _horner,
-    _power_table,
     _orbit_count,
     _reduce_eqs,
+    _row_values,
+    _solving_coefficients,
     _Split,
-    _t_coefficients,
+    _t_parts,
     check_fixed_locus,
     check_free_action,
     check_quasi_smooth,
     enumerate_points,
     fixed_locus,
+    int_terms,
     sigma_fixed_components,
     surface_points,
 )
@@ -224,13 +229,13 @@ def test_fibre_branches():
         (0, 1, 0): list(range(p)),  # a = b = c = 0: the whole fibre
         (0, 0, 1): [],             # a = b = 0, c != 0: empty
     }
-    # the six rows are rows of the grid of outer rows (x, y) times values
-    # of s: outer row r with s = z is grid row r * p + z
+    # the six rows are grid rows: outer row r = (x, y) with s = z
     x, y, z = (np.array(col, dtype=np.int64) for col in zip(*rows))
-    split = _Split(_reduce_eqs(ring, p, [f])[1], ring.nvars)
-    g, = split.outer_values([x, y], len(x), p)
-    grid = _t_coefficients(g, _power_table(np.arange(p), split.s_degree, p).T, p)
-    row, t = _Fibres(p).solve(grid[:, np.arange(len(z)) * p + z])
+    split = _Split([int_terms(g) for g in _reduce_eqs(ring, p, [f])[1]], ring.nvars, p)
+    filters, (g,) = split.outer_values((), [x, y], p)
+    assert filters is None
+    coeffs = _row_values(g, np.arange(len(z)), split.powers[z, :split.s_degree + 1], p)
+    row, t = _Fibres(p).solve(_solving_coefficients([coeffs], len(z)))
     got = sorted(zip(row.tolist(), t.tolist()))
     want = sorted((i, v) for i, roots in enumerate(rows.values()) for v in roots)
     assert got == want
@@ -314,10 +319,14 @@ def test_split_evaluation_is_exact_at_the_largest_prime():
         for e in monomials_of_degree(ring, degree):
             f = f + ring.monomial(e, p - 1)
         n = len(weights)
-        split = _Split([f], n)
-        g, = split.outer_values([np.full(3, p - 1, dtype=np.int64)] * (n - 2), 3, p)
-        s_powers = _power_table(np.full(2, p - 1, dtype=np.int64), split.s_degree, p).T
-        coeffs = _t_coefficients(g, s_powers, p)
+        split = _Split([int_terms(f)], n, p)
+        _, (g,) = split.outer_values((), [np.full(3, p - 1, dtype=np.int64)] * (n - 2), p)
+        # three outer rows times two values of s: grid rows 0..5, by the
+        # filter path on the whole grid and by the path on chosen rows
+        s_powers = split.powers[np.full(2, p - 1), :split.s_degree + 1]
+        coeffs = _grid_values(g, s_powers, p)
+        on_rows = _row_values(g, np.arange(6) // 2, split.powers[np.full(6, p - 1), :split.s_degree + 1], p)
+        assert on_rows.tolist() == coeffs.tolist()
         for reduced in (g, s_powers, coeffs):
             assert reduced.min() >= 0 and reduced.max() < p
         assert len(coeffs) == degree // weights[-1] + 1
@@ -329,6 +338,162 @@ def test_split_evaluation_is_exact_at_the_largest_prime():
         t = np.full(6, p - 1, dtype=np.int64)
         value = f.evaluate([f.ring.field(p - 1)] * n).value
         assert _horner(coeffs, row, t, p).tolist() == [value] * 6
+
+
+# --- the elimination stage: Res_t(pivot, h) as a filter on grid rows
+
+
+def t_coefficients_at(f, point, p):
+    """The coefficients of t^0, t^1, ... of f with every other coordinate
+    set to the point, straight from the terms of f."""
+    coeffs = [0] * (max(e[-1] for e in f.terms) + 1)
+    for e, c in f.terms.items():
+        coeffs[e[-1]] += c.value * math.prod(pow(x, k, p) for x, k in zip(point, e))
+    return [c % p for c in coeffs]
+
+
+def cofactor_det(m, p):
+    if len(m) == 1:
+        return m[0][0] % p
+    return sum((-1) ** j * m[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]], p)
+               for j in range(len(m)) if m[0][j]) % p
+
+
+def sylvester_resultant(linear, h, p):
+    """det of the Sylvester matrix of c0 + c1 t and h = h0 + ... + hd t^d:
+    d shifted rows (c1, c0) over one row (hd, ..., h0)."""
+    (c0, c1), d = linear, len(h) - 1
+    rows = [[0] * i + [c1, c0] + [0] * (d - 1 - i) for i in range(d)]
+    return cofactor_det(rows + [h[::-1]], p)
+
+
+def with_last_power(f, degree, value):
+    """f with the coefficient of the degree-th power of the last coordinate
+    set to value."""
+    ring = f.ring
+    e = (0,) * (ring.nvars - 1) + (degree,)
+    return f - ring.monomial(e, f.coefficient(e)) + ring.monomial(e, value)
+
+
+def linear_in_last(ring, rng):
+    """A random linear form whose last coordinate has a nonzero coefficient."""
+    return with_last_power(random_form(ring, 1, rng), 1, 1 + rng.randrange(3))
+
+
+def pivot_pairs(p, rng):
+    """(equations, pivot, h): seeded members at p, with and without the
+    involution, and P^3 systems led by the cone or not, with a pivot of
+    t-degree 1 and h of t-degree 1 to 4."""
+    out = []
+    for seed in range(3):
+        for enforce in (True, False):
+            fam = build_family(random_params(p, seed=seed, enforce_involution=enforce))
+            out.append(([fam.q0, fam.q2], fam.q0, fam.q2))
+    ring = p3_ring(p)
+    cone = parse_poly(ring, "y0^2 + -1 * y1 y2")
+    for degree in (1, 2, 3, 4):
+        pivot = linear_in_last(ring, rng)
+        h = with_last_power(random_form(ring, degree, rng), degree, 1)
+        out.append(([pivot, h], pivot, h))
+        out.append(([cone, pivot, h], pivot, h))
+    # a quadric pivot y1 y3 + q(y0, y1, y2): B = y1 vanishes on whole rows
+    pivot = parse_poly(ring, "y1 y3 + y0^2 + 2 * y1 y2 + -1 * y2^2")
+    h = random_form(ring, 3, rng)
+    out.append(([pivot, h], pivot, h))
+    return out
+
+
+@pytest.mark.parametrize("p", [13, 61])
+def test_eliminant_is_the_sylvester_determinant(p):
+    rng = random.Random(p)
+    for eqs, pivot, h in pivot_pairs(p, rng):
+        ring = pivot.ring
+        eliminant = _eliminant([int_terms(f) for f in eqs], ring.nvars, p)
+        assert eliminant is not None
+        assert all(e[-1] == 0 for e, _ in eliminant)
+        for _ in range(25):
+            point = [rng.randrange(p) for _ in range(ring.nvars - 1)]
+            value = sum(c * math.prod(pow(x, k, p) for x, k in zip(point, e))
+                        for e, c in eliminant) % p
+            want = sylvester_resultant(t_coefficients_at(pivot, point, p),
+                                       t_coefficients_at(h, point, p), p)
+            assert value == want
+
+
+def elimination_systems(rng):
+    """(ring, equations) pairs over Q for the elimination stage: members
+    whose pivot q0 has B = alpha y1, which vanishes on whole rows; h a
+    multiple of the pivot, so the resultant is zero; h of t-degree 3 and 4;
+    two t-linear equations."""
+    systems = []
+    for seed in (1, 2):
+        fam = build_family(random_params("Q", seed=seed, enforce_involution=True))
+        b = _t_parts([(e, 1) for e in fam.q0.terms])[1]
+        assert list(b) == [(0, 0, 0, 1, 0)]
+        systems.append((fam.ring, [fam.q0, fam.q2]))
+    ring = p3_ring()
+    first, second = linear_in_last(ring, rng), linear_in_last(ring, rng)
+    multiple = first * random_form(ring, 2, rng)
+    assert _eliminant([int_terms(f) for f in _reduce_eqs(ring, 13, [first, multiple])[1]],
+                      ring.nvars, 13) is None
+    systems.append((ring, [first, multiple]))
+    for degree in (3, 4):
+        h = with_last_power(random_form(ring, degree, rng), degree, 1)
+        systems.append((ring, [first, h]))
+    systems.append((ring, [first, second]))
+    systems.append((ring, [first, second, random_form(ring, 2, rng)]))
+    return systems
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_elimination_matches_brute_force(p):
+    for ring, eqs in elimination_systems(random.Random(200 + p)):
+        surface = enumerate_points(ring, p, eqs)
+        assert list(surface.points) == brute_zero_locus(ring, p, eqs)
+        assert surface.candidates >= len(surface)
+
+
+@pytest.mark.parametrize("p", [13, 17])
+def test_elimination_matches_box_scan(p):
+    for ring, eqs in elimination_systems(random.Random(200 + p)):
+        points, scanned = box_scan(ring, p, eqs)
+        surface = enumerate_points(ring, p, eqs)
+        assert list(surface.points) == points
+        assert surface.scanned == scanned
+
+
+def brute_fixed(points, scalars, weights, p):
+    """The points whose image under the diagonal map is the same orbit."""
+    return [pt for pt in points
+            if brute_canonical(tuple(s * c % p for s, c in zip(scalars, pt)), weights, p) == pt]
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_elimination_with_extra_mask(p):
+    # the fixed-locus scan runs the same filter, then the mask
+    fam = build_family(random_params(p, seed=3))
+    ring = p3_ring(p)
+    pivot = linear_in_last(ring, random.Random(p))
+    h = parse_poly(ring, "y0^2 + y1 y3 + -1 * y3^2")
+    tau = MonomialMap.diagonal(ring, (1, -1, -1, 1))
+    for action, eqs, scalars in (
+            (fam.sigma.as_monomial_map(), [fam.q0, fam.q2], fam.sigma.signs),
+            (tau, [pivot, h], (1, -1, -1, 1))):
+        if p == 5:
+            points = brute_zero_locus(action.ring, p, eqs)
+        else:
+            points = box_scan(action.ring, p, eqs)[0]
+        want = brute_fixed(points, scalars, action.ring.weights, p)
+        assert list(fixed_locus(action, p, eqs).points) == want
+
+
+def test_surface_candidates_are_about_p_squared():
+    # the eliminant keeps about p^2 of the p^3 grid rows of the main box,
+    # and the pivot leaves one value of t on each
+    p = 61
+    fam = build_family(random_params(p, seed=5))
+    surface = enumerate_points(fam.ring, p, [fam.q0, fam.q2])
+    assert len(surface) <= surface.candidates <= 2 * p * p
 
 
 def orbit_count_formula(p):
