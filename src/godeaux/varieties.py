@@ -13,34 +13,52 @@ and once the residual scalar stabilizer acts trivially on the remaining
 coordinates the tail is a free box.
 
 A box is not scanned point by point.  Call the last two coordinates s and
-t and the others outer.  Each equation is split as the sum of
-g_ij(outer) s^i t^j, and evaluation is split the same way:
+t and the others outer.  The outer rows of all the boxes are taken
+together, in lexicographic order and in batches; a box whose prefix fixes s
+keeps only that value of s, and a single-point box also fixes t.  Each
+equation is split as the sum of g_ij(outer) s^i t^j, and a batch is
+scanned in four stages:
 
-- each g_ij is evaluated once per outer row (p^2 rows on the main box of
-  the surface, not p^3), as the product of the matrix of outer monomial
-  values with the equation's coefficient tensor;
-- the coefficients c_k = sum over i of g_ik s^i of t^k are built on the
-  grid of outer rows times the values of s, as the product with the matrix
-  of powers of s;
-- the last coordinate is solved for: on each grid row the first equation is
-  a*t^2 + b*t + c, and its roots in GF(p) come from a square-root table and
-  an inverse table.  The whole fibre of p values is kept where a = b = c = 0,
-  where there is no equation, or where the first equation has degree above 2
-  in t;
-- every candidate (row, t) is tested against every equation by a Horner
-  step in t, on the coefficients gathered by row.
+- evaluate: each g_ij is evaluated once per outer row (p^2 rows for the
+  surface, not p^3), as a sum of its terms over a table of the values of
+  the outer monomials;
+- filter: the equations free of t are evaluated on the grid of outer rows
+  times the values of s, as the product with the matrix of powers of s,
+  and only the grid rows where they all vanish are kept;
+- solve: on the kept rows the coefficients c_k = sum over i of g_ik s^i
+  of t^k of the other equations are built, and t is solved from the first
+  of them, in increasing order of t-degree, that does not vanish
+  identically on the row: a t^2 + b t + c, with its roots in GF(p) from a
+  square-root table and an inverse table.  A row keeps its whole fibre of
+  p values where each such equation vanishes or has degree above 2 in t;
+- test: every candidate (row, t) is tested against every equation of
+  positive t-degree by a Horner step in t; those free of t vanish on the
+  row already.
 
-Blocks whose s is fixed by the prefix have a grid of one value of s, and
-single-point blocks also fix t.  Arithmetic runs on int64 arrays and is
-exact.  Every array is reduced mod p right after each product: each entry of
-a power table and of a monomial value, each matrix product, each Horner
-step and the discriminant.  So every factor is below p, and no intermediate
-exceeds M * p^2 for a matrix product summing M terms (M the number of
-distinct outer monomials, or of powers of s), p^2 + p for a Horner step and
-5 p^2 for the discriminant: far below 2^63 for p <= MAX_ENUM_PRIME.
+The eliminant joins the filters.  When one equation is B t + C, of degree 1
+in t (the pivot), and another is h = sum of h_k t^k, of positive degree d
+in t, then R = Res_t(B t + C, h) = sum of h_k (-C)^k B^(d-k) is free of t.
+It lies in the ideal of the equations, B^d h = R + (B t + C) Q for a
+polynomial Q, because each (B t)^k - (-C)^k is a multiple of B t + C; so it
+changes no zero set.  Where B != 0, R = B^d h(-C/B) vanishes exactly where
+the root of the pivot is a root of h; where B = 0, a common zero forces
+C = 0, and then R = h_d (-C)^d = 0.  The paper's character constraints
+leave q0 of degree at most 1 in t = y3 on every member, so on the surface
+the filter keeps about p^2 of the p^3 grid rows, and the solve one value
+of t on each.
+
+Arithmetic is exact: the evaluation and the filter run on int32 arrays,
+the rest on int64.  Every array is reduced mod p right after each product:
+each entry of a power table and of a monomial value, each sum of terms,
+each product with the powers of s, each Horner step and the discriminant.
+So every factor is below p, and no intermediate exceeds M * p^2 for a sum
+of M products (M the number of terms of one g_ij, or of powers of s),
+p^2 + p for a Horner step and 5 p^2 for the discriminant: below 2^31 for
+p <= MAX_ENUM_PRIME while M stays below 2^31 / p^2, about 210 000.
 ``scanned`` counts the canonical representatives of the boxes covered,
-whether or not each was a candidate.  The points a scan emits are checked
-again, on their first read, against the whole polynomials (``PointSet``).
+whether or not each was a candidate, and ``candidates`` the (row, t) pairs
+tested.  The points a scan emits are checked again, on their first read,
+against the whole polynomials (``PointSet``).
 """
 
 from __future__ import annotations
@@ -59,7 +77,7 @@ from .scalars import PrimeField, Rationals, is_prime
 from .wpoly import MonomialMap, WPoly, WRing, jacobian
 
 MAX_ENUM_PRIME = 101
-CHUNK_LIMIT = 1 << 18
+CHUNK_LIMIT = 1 << 17
 
 Terms = List[Tuple[Tuple[int, ...], int]]
 
@@ -197,52 +215,53 @@ class _Split:
     coordinates s and t: each is the sum of g_ij(outer) s^i t^j, where g_ij
     is a polynomial in the other (outer) coordinates.
 
-    ``exponents`` holds the outer monomials of all the equations, one per
-    row, and ``powers[v, k]`` is v^k mod p for every residue v and every
-    exponent k of the equations.  The equations free of t are the filters: ``filters[f, m, i]`` is
-    the coefficient of monomial m in g_i0 of the f-th of them (None without
-    filters).  ``tensors[e][j, m, i]`` is the coefficient of monomial m in
-    g_ij of the e-th equation of positive t-degree, in increasing order of
-    t-degree, so t is solved from the first.  The zero polynomial, which
-    vanishes everywhere, is left out.  ``s_degree`` bounds every i."""
+    The scan evaluates polynomials in s, numbered q: first one per equation
+    free of t (the ``filters`` of them), then g_0j + g_1j s + ... for
+    j = 0, 1, ... of each equation of positive t-degree, in increasing
+    order of t-degree, so that t is solved from the first; ``equations``
+    holds the range of q of each of these, counted from the first.
+    The zero polynomial, which vanishes everywhere, is left out.
+    ``nonzeros`` lists the coefficients as (q, i, outer monomial, value);
+    ``tables[v][a, m]`` is a^e mod p for the exponent e of the v-th outer
+    coordinate in monomial m, and ``s_powers[i, a]`` is a^i mod p, for
+    every residue a and i below ``width``.  The tables are int32, and so
+    is every array evaluated from them."""
 
     def __init__(self, terms: Sequence[Terms], n: int, p: int):
-        monomials = sorted({e[:-2] for ts in terms for e, _ in ts})
-        index = {m: k for k, m in enumerate(monomials)}
-        self.exponents = np.array(monomials, dtype=np.int64).reshape(len(monomials), n - 2)
-        self.s_degree = max((e[-2] for ts in terms for e, _ in ts), default=0)
-        top = max((max(e[:-1]) for ts in terms for e, _ in ts), default=0)
-        self.powers = _power_table(np.arange(p, dtype=np.int64), top, p)
-
-        def tensor(stack) -> np.ndarray:
-            # the (k, monomial, i) coefficients of the k-th t-free term list
-            width = max((e[-2] for ts in stack for e, _ in ts), default=0) + 1
-            g = np.zeros((len(stack), len(index), width), dtype=np.int64)
-            for k, ts in enumerate(stack):
-                for e, c in ts:
-                    g[k, index[e[:-2]], e[-2]] = c
-            return g
-
         parts = [_t_parts(ts) for ts in terms]
-        free = [ts for ts, q in zip(terms, parts) if len(q) == 1]
-        self.filters = tensor(free) if free else None
-        self.tensors = [tensor([q.items() for q in qs])
-                        for qs in sorted((q for q in parts if len(q) > 1), key=len)]
+        tested = sorted((q for q in parts if len(q) > 1), key=len)
+        polys = [q[0] for q in parts if len(q) == 1]
+        self.filters = len(polys)
+        ends = np.cumsum([len(q) for q in tested], dtype=int).tolist()
+        self.equations = [slice(end - len(q), end) for q, end in zip(tested, ends)]
+        polys += [part for q in tested for part in q]
+        self.polys = len(polys)
+        monomials = sorted({e[:-2] for q in polys for e in q})
+        index = {m: k for k, m in enumerate(monomials)}
+        self.nonzeros = [(k, e[-2], index[e[:-2]], c)
+                         for k, q in enumerate(polys) for e, c in q.items()]
+        self.width = max((e[-2] for q in polys for e in q), default=0) + 1
+        top = max((max(e[:-1]) for q in polys for e in q), default=0)
+        powers = _power_table(np.arange(p, dtype=np.int64), max(top, self.width - 1), p)
+        exponents = np.array(monomials, dtype=np.int64).reshape(len(monomials), n - 2)
+        self.monomials = len(monomials)
+        self.tables = [powers[:, e].astype(np.int32) for e in exponents.T]
+        self.s_powers = powers[:, :self.width].T.astype(np.int32)
 
-    def outer_values(self, fixed: Sequence[int], free: Sequence[np.ndarray],
-                     p: int) -> Tuple[Optional[np.ndarray], List[np.ndarray]]:
-        """The g_ij of the filters and of the other equations on the rows of
-        the outer coordinates, the leading ones fixed to the given values
-        and the others in the given columns, as (f or j, row, i) arrays mod
-        p."""
-        values = np.ones(len(self.exponents), dtype=np.int64)
-        for v, e in zip(fixed, self.exponents.T):
-            values = values * self.powers[v, e] % p
-        values = values.reshape(1, -1)
-        for col, e in zip(free, self.exponents.T[len(fixed):]):
-            values = values * self.powers[col[:, None], e] % p
-        filters = None if self.filters is None else values @ self.filters % p
-        return filters, [values @ g % p for g in self.tensors]
+    def outer_values(self, cols: np.ndarray, p: int) -> np.ndarray:
+        """The coefficients of every polynomial q in s on the outer rows
+        given by the (outer coordinate, row) columns, as a (q, i, row)
+        array mod p."""
+        values = np.ones((cols.shape[1], self.monomials), dtype=np.int32)
+        for table, col in zip(self.tables, cols):
+            values *= table[col]
+            values %= p
+        values = np.ascontiguousarray(values.T)
+        out = np.zeros((self.polys, self.width, cols.shape[1]), dtype=np.int32)
+        for q, i, m, c in self.nonzeros:
+            out[q, i] += c * values[m]
+        out %= p
+        return out
 
 
 def _power_table(col: np.ndarray, degree: int, p: int) -> np.ndarray:
@@ -254,25 +273,23 @@ def _power_table(col: np.ndarray, degree: int, p: int) -> np.ndarray:
 
 
 def _grid_values(g: np.ndarray, s_powers: np.ndarray, p: int) -> np.ndarray:
-    """The values of the polynomials sum over i of g[k, r, i] s^i mod p on
-    the grid of outer rows r times values of s, as a (k, grid row) matrix,
-    from the (value of s, i) powers of s.  Outer row r and the n-th of S
-    values of s make grid row r * S + n."""
-    k, rows, width = g.shape
-    return (g @ s_powers[:, :width].T % p).reshape(k, rows * len(s_powers))
+    """The values of the polynomials sum over i of g[q, i, r] s^i mod p on
+    the grid of outer rows r times every value of s, as a (q, r, s) array,
+    from the (i, value of s) powers of s."""
+    values = np.matmul(g.transpose(0, 2, 1), s_powers)
+    values %= p
+    return values
 
 
 def _row_values(g: np.ndarray, outer_row: np.ndarray, s_powers: np.ndarray,
                 p: int) -> np.ndarray:
     """The same polynomials on chosen grid rows, given by their outer row
-    and the (grid row, i) powers of their s, as a (k, grid row) matrix."""
-    return (g[:, outer_row, :] * s_powers[:, :g.shape[2]]).sum(axis=2) % p
+    and the (i, grid row) powers of their s, as a (q, grid row) matrix."""
+    return (g[:, :, outer_row] * s_powers).sum(axis=1) % p
 
 
 def _horner(coeffs: np.ndarray, row: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
     """sum over k of coeffs[k, row] t^k mod p, for each (row, t) pair."""
-    if not len(coeffs):
-        return np.zeros(len(row), dtype=np.int64)
     value = coeffs[-1][row]
     for c in coeffs[-2::-1]:
         value = (value * t + c[row]) % p
@@ -281,9 +298,9 @@ def _horner(coeffs: np.ndarray, row: np.ndarray, t: np.ndarray, p: int) -> np.nd
 
 class _Fibres:
     """Candidate values of the last coordinate t on each row of a grid:
-    the roots in GF(p) of c_0 + c_1 t + c_2 t^2, from a square-root table
-    and an inverse table, and the whole fibre where that polynomial is zero
-    or its degree is above 2."""
+    the roots in GF(p) of an equation of t-degree at most 2, from a
+    square-root table and an inverse table, and the whole fibre where no
+    such equation is left to solve."""
 
     def __init__(self, p: int):
         self.p = p
@@ -292,15 +309,23 @@ class _Fibres:
         self.sqrt[squares] = np.arange(p)
         self.inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
 
-    def solve(self, coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(row, t) pairs over the rows of the (k, row) matrix of the
-        coefficients c_k, each pair once, in no particular order."""
+    def solve(self, coeffs: Sequence[np.ndarray], size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(row, t) pairs over size rows, each pair once, in no particular
+        order, from the (k, row) matrices of the coefficients c_k of t^k of
+        the equations, in increasing order of t-degree.  Each row is solved
+        from the first equation that does not vanish identically on it, as
+        long as its t-degree is at most 2; a row with none keeps its whole
+        fibre."""
         p = self.p
-        degree, size = len(coeffs) - 1, coeffs.shape[1]
-        if degree < 0 or degree > 2:
-            return np.repeat(np.arange(size), p), np.tile(np.arange(p), size)
-        zero = np.zeros(size, dtype=np.int64)
-        c, b, a = [coeffs[k] if k <= degree else zero for k in range(3)]
+        c, b, a = np.zeros((3, size), dtype=np.int64)
+        pending = np.ones(size, dtype=bool)
+        for eq in coeffs:
+            if len(eq) > 3:
+                break
+            take = np.flatnonzero(pending & eq.any(axis=0))
+            for have, k in zip((c, b, a), eq):
+                have[take] = k[take]
+            pending[take] = False
         quad = a != 0
         disc = (b * b - 4 * a * c) % p
         root = self.sqrt[disc]
@@ -318,22 +343,6 @@ class _Fibres:
             np.tile(np.arange(p), len(full)),
         ]
         return np.concatenate(rows), np.concatenate(ts)
-
-
-def _solving_coefficients(coeffs: Sequence[np.ndarray], size: int) -> np.ndarray:
-    """The (k, row) coefficients c_0, c_1, c_2 to solve for t from on each
-    of size grid rows: those of the first of the equations, in increasing
-    order of t-degree, that does not vanish identically on the row, as long
-    as its t-degree is at most 2.  Rows left zero get the whole fibre."""
-    solve = np.zeros((3, size), dtype=np.int64)
-    pending = np.ones(size, dtype=bool)
-    for c in coeffs:
-        if len(c) > 3:
-            break
-        take = np.flatnonzero(pending & c.any(axis=0))
-        solve[:len(c), take] = c[:, take]
-        pending[take] = False
-    return solve
 
 
 def _reduce_eqs(ring: WRing, p: int, eqs: Sequence[WPoly]) -> Tuple[WRing, List[WPoly]]:
@@ -429,66 +438,81 @@ def _guard_prime(p: int) -> None:
         )
 
 
-def _box_points(prefix: Tuple[int, ...], start: int, n: int, p: int,
-               split: _Split, fibres: _Fibres,
-               extra_mask: Optional[Callable[[List[np.ndarray]], np.ndarray]]):
-    """The points of one box where every equation vanishes (and the extra
-    mask holds), as pairs of an array of rows in lexicographic order and
-    the number of (row, t) candidates tested.
+def _outer_batches(weights: Sequence[int], p: int):
+    """The outer rows of every box of _blocks, in lexicographic order and in
+    batches of at most CHUNK_LIMIT // p rows.  A batch is a (coordinate,
+    row) array: the n - 2 outer coordinates, then the values the box of the
+    row fixes s and t to (-1 where they are free)."""
+    n = len(weights)
+    step = CHUNK_LIMIT // p
+    pending, size = [], 0
+    for prefix, start in _blocks(weights, p):
+        free = max(0, n - 2 - start)
+        head = prefix[:n - 2 - free]
+        tail = (prefix[n - 2] if start > n - 2 else -1, prefix[n - 1] if start == n else -1)
+        for first in range(0, p ** free, step):
+            r = np.arange(first, min(p ** free, first + step), dtype=np.int64)
+            block = np.empty((n, len(r)), dtype=np.int64)
+            block[:len(head)] = np.array(head, dtype=np.int64).reshape(-1, 1)
+            for k in range(free):
+                block[len(head) + k] = r // p ** (free - 1 - k) % p
+            block[n - 2:] = np.array(tail, dtype=np.int64).reshape(2, 1)
+            if pending and size + len(r) > step:
+                yield np.concatenate(pending, axis=1)
+                pending, size = [], 0
+            pending.append(block)
+            size += len(r)
+    if pending:
+        yield np.concatenate(pending, axis=1)
 
-    The grid of outer rows times values of s is cut into batches of at most
-    CHUNK_LIMIT rows.  On each batch the filters are evaluated on every grid
-    row and only the rows where they all vanish are kept; the coefficients
-    in t of the other equations are then built on the kept rows, at most
-    CHUNK_LIMIT // p of them at a time, so at most CHUNK_LIMIT candidates
-    are tested at once."""
-    free = max(0, n - 2 - start)
-    if start <= n - 2:
-        s_vals = np.arange(p, dtype=np.int64)
-    else:
-        s_vals = np.full(1, prefix[n - 2], dtype=np.int64)
-    s_powers = split.powers[s_vals, :split.s_degree + 1]
-    width = len(s_vals)
-    slice_rows = CHUNK_LIMIT // (p if start < n else 1)
-    fixed = prefix[:n - 2]
-    size = p ** free
-    for first in range(0, size, max(1, CHUNK_LIMIT // width)):
-        r = np.arange(first, min(size, first + CHUNK_LIMIT // width), dtype=np.int64)
-        cols = [r // p ** (free - 1 - k) % p for k in range(free)]
-        filters, tensors = split.outer_values(fixed, cols, p)
-        if filters is None:
-            kept = np.arange(len(r) * width)
-        else:
-            kept = np.flatnonzero(~_grid_values(filters, s_powers, p).any(axis=0))
-        for lo in range(0, len(kept), slice_rows):
-            o, si = np.divmod(kept[lo:lo + slice_rows], width)
-            s_rows = s_powers[si]
-            coeffs = [_row_values(g, o, s_rows, p) for g in tensors]
-            if start == n:
-                row, t = np.arange(len(o)), np.full(len(o), prefix[-1], dtype=np.int64)
-            else:
-                row, t = fibres.solve(_solving_coefficients(coeffs, len(o)))
-            tested = len(row)
-            mask = np.ones(tested, dtype=bool)
-            for c in coeffs:
-                mask &= _horner(c, row, t, p) == 0
-            row, t = row[mask], t[mask]
-            point = ([np.full(len(row), v, dtype=np.int64) for v in fixed]
-                     + [col[o[row]] for col in cols] + [s_vals[si[row]], t])
-            if extra_mask is not None:
-                keep = extra_mask(point)
-                point, row, t = [col[keep] for col in point], row[keep], t[keep]
-            # the keys are distinct: each (row, t) pair is a candidate once
-            order = np.argsort(row * p + t)
-            yield np.stack([col[order] for col in point], axis=1), tested
+
+def _batch_points(batch: np.ndarray, p: int, split: _Split, fibres: _Fibres,
+                  extra_mask: Optional[Callable[[List[np.ndarray]], np.ndarray]]):
+    """The points on a batch of outer rows where every equation vanishes
+    (and the extra mask holds), as pairs of an array of rows in
+    lexicographic order and the number of (row, t) candidates tested.
+
+    The grid is the batch of outer rows times every value of s.  The
+    filters are evaluated on every grid row, and only the rows inside the
+    boxes where they all vanish are kept.  The coefficients in t of the
+    other equations are then built on the kept rows, CHUNK_LIMIT // p of
+    them at a time, so that at most CHUNK_LIMIT candidates are tested at
+    once; a row whose box fixes t keeps only that value."""
+    cols, s_fixed, t_fixed = batch[:-2], batch[-2], batch[-1]
+    g = split.outer_values(cols, p)
+    keep = (s_fixed[:, None] < 0) | (s_fixed[:, None] == np.arange(p))
+    if split.filters:
+        keep &= ~_grid_values(g[:split.filters], split.s_powers, p).any(axis=0)
+    kept = np.flatnonzero(keep)
+    for lo in range(0, len(kept), CHUNK_LIMIT // p):
+        o, s = np.divmod(kept[lo:lo + CHUNK_LIMIT // p], p)
+        values = _row_values(g[split.filters:], o, split.s_powers[:, s], p)
+        coeffs = [values[rows] for rows in split.equations]
+        row, t = fibres.solve(coeffs, len(o))
+        fixed = t_fixed[o[row]]
+        inside = np.flatnonzero((fixed < 0) | (fixed == t))
+        row, t = row[inside], t[inside]
+        tested = len(row)
+        mask = np.ones(tested, dtype=bool)
+        for c in coeffs:
+            mask &= _horner(c, row, t, p) == 0
+        row, t = row[mask], t[mask]
+        point = [col[o[row]] for col in cols] + [s[row], t]
+        if extra_mask is not None:
+            keep_point = extra_mask(point)
+            point, row, t = [col[keep_point] for col in point], row[keep_point], t[keep_point]
+        # the keys are distinct: each (row, t) pair is a candidate once
+        order = np.argsort(row * p + t)
+        yield np.stack([col[order] for col in point], axis=1), tested
 
 
 def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
           extra_mask: Optional[Callable[[List[np.ndarray]], np.ndarray]] = None) -> PointSet:
     """All canonical representatives where every equation vanishes (and the
     optional extra column mask holds).  The eliminant, when there is one,
-    joins the filters.  Boxes and their batches come in lexicographic order,
-    so only the survivors of each batch are sorted."""
+    joins the filters.  Batches come in lexicographic order, so only the
+    survivors of each are sorted.  An outer row stands for p^k canonical
+    representatives, k the number of s and t its box leaves free."""
     ring_p, eqs_p = _reduce_eqs(ring, p, eqs)
     for f in eqs_p:
         if not f.is_homogeneous():
@@ -502,9 +526,9 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
     fibres = _Fibres(p)
     found: List[np.ndarray] = []
     scanned = candidates = 0
-    for prefix, start in _blocks(ring.weights, p):
-        scanned += p ** (n - start)
-        for points, tested in _box_points(prefix, start, n, p, split, fibres, extra_mask):
+    for batch in _outer_batches(ring.weights, p):
+        scanned += int((p ** (batch[-2:] < 0).sum(axis=0)).sum())
+        for points, tested in _batch_points(batch, p, split, fibres, extra_mask):
             found.append(points)
             candidates += tested
     rows = np.concatenate(found) if found else np.empty((0, n), dtype=np.int64)

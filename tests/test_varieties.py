@@ -28,7 +28,6 @@ from godeaux.varieties import (
     _orbit_count,
     _reduce_eqs,
     _row_values,
-    _solving_coefficients,
     _Split,
     _t_parts,
     check_fixed_locus,
@@ -232,10 +231,10 @@ def test_fibre_branches():
     # the six rows are grid rows: outer row r = (x, y) with s = z
     x, y, z = (np.array(col, dtype=np.int64) for col in zip(*rows))
     split = _Split([int_terms(g) for g in _reduce_eqs(ring, p, [f])[1]], ring.nvars, p)
-    filters, (g,) = split.outer_values((), [x, y], p)
-    assert filters is None
-    coeffs = _row_values(g, np.arange(len(z)), split.powers[z, :split.s_degree + 1], p)
-    row, t = _Fibres(p).solve(_solving_coefficients([coeffs], len(z)))
+    assert (split.filters, split.equations) == (0, [slice(0, 3)])
+    g = split.outer_values(np.stack([x, y]), p)
+    coeffs = _row_values(g, np.arange(len(z)), split.s_powers[:, z], p)
+    row, t = _Fibres(p).solve([coeffs], len(z))
     got = sorted(zip(row.tolist(), t.tolist()))
     want = sorted((i, v) for i, roots in enumerate(rows.values()) for v in roots)
     assert got == want
@@ -310,7 +309,7 @@ def test_split_scan_matches_box_scan(p):
 
 def test_split_evaluation_is_exact_at_the_largest_prime():
     # every coefficient and every coordinate p - 1: the largest residues,
-    # so the largest int64 intermediates the scan can meet
+    # so the largest intermediates the scan can meet
     p = MAX_ENUM_PRIME
     for weights, degree in (((1, 1, 1, 1), 4), (W_GODEAUX, 8)):
         names = tuple(f"v{i}" for i in range(len(weights)))
@@ -320,14 +319,14 @@ def test_split_evaluation_is_exact_at_the_largest_prime():
             f = f + ring.monomial(e, p - 1)
         n = len(weights)
         split = _Split([int_terms(f)], n, p)
-        _, (g,) = split.outer_values((), [np.full(3, p - 1, dtype=np.int64)] * (n - 2), p)
+        g = split.outer_values(np.full((n - 2, 3), p - 1, dtype=np.int64), p)
         # three outer rows times two values of s: grid rows 0..5, by the
-        # filter path on the whole grid and by the path on chosen rows
-        s_powers = split.powers[np.full(2, p - 1), :split.s_degree + 1]
-        coeffs = _grid_values(g, s_powers, p)
-        on_rows = _row_values(g, np.arange(6) // 2, split.powers[np.full(6, p - 1), :split.s_degree + 1], p)
-        assert on_rows.tolist() == coeffs.tolist()
-        for reduced in (g, s_powers, coeffs):
+        # path on chosen rows and by the filter path on the whole grid
+        s_powers = split.s_powers[:, np.full(6, p - 1)]
+        coeffs = _row_values(g, np.arange(6) // 2, s_powers, p)
+        grid = _grid_values(g, split.s_powers, p)
+        assert coeffs.tolist() == np.repeat(grid[:, :, p - 1], 2, axis=1).tolist()
+        for reduced in (g, s_powers, coeffs, grid):
             assert reduced.min() >= 0 and reduced.max() < p
         assert len(coeffs) == degree // weights[-1] + 1
         for k, c in enumerate(coeffs):
