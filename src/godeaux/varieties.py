@@ -232,7 +232,7 @@ class _Split:
         tested = sorted((q for q in parts if len(q) > 1), key=len)
         polys = [q[0] for q in parts if len(q) == 1]
         self.filters = len(polys)
-        ends = np.cumsum([len(q) for q in tested], dtype=int).tolist()
+        ends = itertools.accumulate(len(q) for q in tested)
         self.equations = [slice(end - len(q), end) for q, end in zip(tested, ends)]
         polys += [part for q in tested for part in q]
         self.polys = len(polys)
@@ -242,7 +242,7 @@ class _Split:
                          for k, q in enumerate(polys) for e, c in q.items()]
         self.width = max((e[-2] for q in polys for e in q), default=0) + 1
         top = max((max(e[:-1]) for q in polys for e in q), default=0)
-        powers = _power_table(np.arange(p, dtype=np.int64), max(top, self.width - 1), p)
+        powers = _power_table(np.arange(p, dtype=np.int64), top, p)
         exponents = np.array(monomials, dtype=np.int64).reshape(len(monomials), n - 2)
         self.monomials = len(monomials)
         self.tables = [powers[:, e].astype(np.int32) for e in exponents.T]
