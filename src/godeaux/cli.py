@@ -26,7 +26,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .abelian import FinAbGroup, is_two_divisible, parse_group_label
@@ -68,12 +67,12 @@ from .family import (
     sigma_tables,
 )
 from .reports import CheckReport, config_hash, exit_code, reports_to_json
-from .scalars import PrimeField, is_prime
+from .scalars import PrimeField
 from .varieties import (
-    MAX_ENUM_PRIME,
     check_fixed_locus,
     check_free_action,
     check_quasi_smooth,
+    guard_prime,
     surface_points,
 )
 from .wpoly import parse_poly
@@ -85,37 +84,6 @@ FALLBACK_PRIMES = (13, 29)
 
 class ConfigError(ValueError):
     """Malformed invocation: bad flags, files, or field specs."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated plumbing shared by the subcommands."""
-
-    command: str
-    field_spec: str = "Q"
-    primes: Tuple[int, ...] = FALLBACK_PRIMES
-    seed: int = 0
-    coeffs_path: Optional[str] = None
-    retry_budget: int = 3
-    output_path: Optional[str] = None
-
-    def __post_init__(self):
-        for p in self.primes:
-            if p == 2 or not is_prime(p):
-                raise ConfigError(f"test primes must be odd primes, got {p}")
-            if p > MAX_ENUM_PRIME:
-                raise ConfigError(
-                    f"exhaustive enumeration is limited to p <= {MAX_ENUM_PRIME}, got {p}"
-                )
-        if self.retry_budget < 0:
-            raise ConfigError(f"retry budget must be >= 0, got {self.retry_budget}")
-
-    def require_one_mod_four(self) -> None:
-        for p in self.primes:
-            if p % 4 != 1:
-                raise ConfigError(
-                    f"the order-4 symmetry needs p = 1 mod 4, got p = {p}"
-                )
 
 
 def default_primes() -> Tuple[int, ...]:
@@ -132,10 +100,15 @@ def default_primes() -> Tuple[int, ...]:
 
 
 def _primes_from(args) -> Tuple[int, ...]:
-    listed = getattr(args, "prime", None)
-    if listed:
-        return tuple(listed)
-    return default_primes()
+    """The --prime list, else the default primes; every one of them must be
+    a prime the scans accept."""
+    primes = tuple(getattr(args, "prime", None) or default_primes())
+    for p in primes:
+        try:
+            guard_prime(p)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    return primes
 
 
 def _config_payload(args) -> Dict[str, object]:
@@ -227,14 +200,12 @@ VERIFY_CHECKS = tuple(_verify_runners())
 
 
 def cmd_verify(args) -> List[CheckReport]:
-    cfg = RunConfig(
-        command="verify",
-        primes=_primes_from(args),
-        seed=args.seed,
-        retry_budget=args.retry_budget,
-        output_path=args.output,
-    )
-    cfg.require_one_mod_four()
+    primes = _primes_from(args)
+    if args.retry_budget < 0:
+        raise ConfigError(f"retry budget must be >= 0, got {args.retry_budget}")
+    for p in primes:
+        if p % 4 != 1:
+            raise ConfigError(f"the order-4 symmetry needs p = 1 mod 4, got p = {p}")
     runners = _verify_runners()
     names = tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
     unknown = [n for n in names if n not in runners]
@@ -248,9 +219,9 @@ def cmd_verify(args) -> List[CheckReport]:
         raise ConfigError(f"draws must be >= 1, got {args.draws}")
     # every run scans its own surfaces, so repeated runs do the same work
     surface_points.cache_clear()
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     reports: List[CheckReport] = []
-    for p in cfg.primes:
+    for p in primes:
         for draw in range(args.draws):
             attempts = 0
             while True:
@@ -258,7 +229,7 @@ def cmd_verify(args) -> List[CheckReport]:
                 fam = build_family(random_params(p, seed=draw_seed))
                 batch = [runners[name](fam, p) for name in names]
                 attempts += 1
-                if all(r.ok for r in batch) or attempts > cfg.retry_budget:
+                if all(r.ok for r in batch) or attempts > args.retry_budget:
                     for r in batch:
                         r.provenance.update(
                             {"draw": draw, "draw_seed": draw_seed, "attempts": attempts}
@@ -415,15 +386,13 @@ def cmd_group_divisibility(args) -> List[CheckReport]:
 
 
 def cmd_cone_image_check(args) -> List[CheckReport]:
-    cfg = RunConfig(command="cone image-check", primes=_primes_from(args))
-    return [verify_invariant_map(cone_setup(), prime=cfg.primes[0])]
+    return [verify_invariant_map(cone_setup(), prime=_primes_from(args)[0])]
 
 
 def cmd_cone_fixed_points(args) -> List[CheckReport]:
     if args.symbolic:
         return [tau_fixed_points(cone_setup())]
-    cfg = RunConfig(command="cone fixed-points", primes=_primes_from(args))
-    return [tau_fixed_points(cone_setup(), prime=cfg.primes[0])]
+    return [tau_fixed_points(cone_setup(), prime=_primes_from(args)[0])]
 
 
 _CASE_ALIASES = {"1": "deg1", "2": "deg2", "3": "deg3", "4": "deg4"}
@@ -431,6 +400,8 @@ _CASE_ALIASES = {"1": "deg1", "2": "deg2", "3": "deg3", "4": "deg4"}
 
 def _branch_config_from_file(path: str, fallback_case: Optional[str]) -> BranchConfig:
     raw = _load_json(path)
+    if not isinstance(raw, dict):
+        raise ConfigError("branch config must be a JSON object")
     known = {"case", "field", "q1", "h3", "r1", "h", "h0", "h1", "ht"}
     extra = set(raw) - known
     if extra:
@@ -453,11 +424,15 @@ def _branch_config_from_file(path: str, fallback_case: Optional[str]) -> BranchC
     def poly(key):
         if key not in raw:
             return None
+        if not isinstance(raw[key], str):
+            raise ConfigError(f"bad polynomial for {key!r}: expected a string, got {raw[key]!r}")
         try:
             return parse_poly(setup.ring, raw[key])
         except ValueError as exc:
             raise ConfigError(f"bad polynomial for {key!r}: {exc}") from None
 
+    if "r1" in raw and not (isinstance(raw["r1"], list) and len(raw["r1"]) == 4):
+        raise ConfigError(f"bad point for 'r1': expected four coordinates, got {raw['r1']!r}")
     try:
         return BranchConfig(
             case=case,
@@ -469,12 +444,12 @@ def _branch_config_from_file(path: str, fallback_case: Optional[str]) -> BranchC
             h1=poly("h1"),
             ht=poly("ht"),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid branch configuration: {exc}") from None
 
 
 def cmd_cone_degenerate(args) -> List[CheckReport]:
-    cfg = RunConfig(command="cone degenerate", primes=_primes_from(args))
+    p = _primes_from(args)[0]
     case = _CASE_ALIASES.get(args.case, args.case) if args.case else None
     if case is not None and case not in DEGENERATION_CASES:
         raise ConfigError(f"case {case!r} not one of {DEGENERATION_CASES}")
@@ -482,7 +457,6 @@ def cmd_cone_degenerate(args) -> List[CheckReport]:
         branch = _branch_config_from_file(args.config, case)
     else:
         branch = default_branch_config(case or "general")
-    p = cfg.primes[0]
     field = branch.setup.field
     if isinstance(field, PrimeField) and field.p != p:
         raise ConfigError(
@@ -508,10 +482,13 @@ def cmd_cone_pencil(args) -> List[CheckReport]:
         if (
             not isinstance(raw, list)
             or len(raw) != 4
-            or any(len(pt) != 3 for pt in raw)
+            or any(not isinstance(pt, list) or len(pt) != 3 for pt in raw)
         ):
             raise ConfigError("points file must hold four [a, b, c] triples")
-        points = [tuple(int(x) for x in pt) for pt in raw]
+        try:
+            points = [tuple(int(x) for x in pt) for pt in raw]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"points file coordinates must be integers: {exc}") from None
     else:
         points = None
     try:

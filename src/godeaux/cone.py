@@ -719,14 +719,7 @@ def classify_degeneration(cfg: BranchConfig, p: int = 13) -> DegenerationVerdict
 def degeneration_report(verdict: DegenerationVerdict) -> CheckReport:
     """The verdict as a report: computable gates decide the status, the
     transcribed fields ride along as lookup data."""
-    expected_gates = {
-        "general": True,
-        "deg1": True,
-        "deg2": True,
-        "exP": True,
-        "deg3": False,
-        "deg4": False,
-    }[verdict.case]
+    expected_gates = _CASE_TABLE[verdict.case]["gorenstein_known"]
     core = (
         verdict.gates["vertex_avoids_branch"]
         and verdict.gates["triple_intersection_empty"]

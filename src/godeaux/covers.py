@@ -397,23 +397,11 @@ class LiftSpec:
     """
 
     case: str
-    branch_permutation: Optional[Tuple[int, ...]] = None
     rho_order: int = 2
 
     def __post_init__(self):
         if self.case not in ("a", "b", "double"):
             raise ValueError(f"case must be 'a', 'b' or 'double', got {self.case!r}")
-        expected = {"a": (1, 2, 3), "b": (2, 1, 3), "double": (1,)}[self.case]
-        perm = self.branch_permutation
-        if perm is None:
-            perm = expected
-        else:
-            perm = tuple(int(x) for x in perm)
-            if perm != expected:
-                raise ValueError(
-                    f"case {self.case!r} requires branch permutation {expected}, got {perm}"
-                )
-        object.__setattr__(self, "branch_permutation", perm)
         if self.rho_order < 1:
             raise ValueError(f"rho_order {self.rho_order} < 1")
         if self.case in ("a", "b") and self.rho_order != 2:

@@ -161,15 +161,16 @@ def _poly_from_coeffs(ring: WRing, coeffs: Dict[str, object], char: int,
                 f"monomial {monomial_to_str(ring, e)} is odd under an "
                 f"involution lift but enforce_involution is set"
             )
-        c = ring.field(value)
+        try:
+            c = ring.field(value)
+        except TypeError as exc:
+            raise ValueError(f"bad coefficient for {monomial_to_str(ring, e)}: {exc}") from None
         if c == ring.field.zero():
             raise ValueError(f"zero coefficient supplied for {monomial_to_str(ring, e)}")
         if e in terms:
             raise ValueError(f"duplicate coefficient for {monomial_to_str(ring, e)}")
         terms[e] = c
-    poly = ring.zero_poly()
-    for e, c in terms.items():
-        poly = poly + ring.monomial(e, c)
+    poly = WPoly(ring, terms)
     if poly.is_zero():
         raise ValueError(f"the character-{char} quartic must be nonzero")
     return poly
@@ -375,6 +376,8 @@ def params_from_config(config: Dict[str, object]) -> FamilyParams:
     """Build params from a config mapping: either a seed draw
     {"field": ..., "seed": n} or explicit maps {"field": ..., "q0": {...},
     "q2": {...}}, optionally with "enforce_involution"."""
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
     known = {"field", "seed", "q0", "q2", "enforce_involution"}
     extra = set(config) - known
     if extra:
@@ -384,10 +387,16 @@ def params_from_config(config: Dict[str, object]) -> FamilyParams:
     if "seed" in config:
         if "q0" in config or "q2" in config:
             raise ValueError("give either a seed or explicit coefficients, not both")
-        return random_params(field_spec, seed=int(config["seed"]),
-                             enforce_involution=enforce)
+        try:
+            seed = int(config["seed"])
+        except (TypeError, ValueError):
+            raise ValueError(f"seed must be an integer, got {config['seed']!r}") from None
+        return random_params(field_spec, seed=seed, enforce_involution=enforce)
     if "q0" not in config or "q2" not in config:
         raise ValueError("config needs a seed or both q0 and q2 maps")
+    for key in ("q0", "q2"):
+        if not isinstance(config[key], dict):
+            raise ValueError(f"{key} must map monomials to coefficients, got {config[key]!r}")
     return FamilyParams(
         field_spec=field_spec,
         q0=dict(config["q0"]),

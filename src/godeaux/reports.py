@@ -44,7 +44,7 @@ class CheckReport:
     def ok(self) -> bool:
         return self.status in ("pass", "lookup")
 
-    def to_dict(self, include_timing: bool = False) -> Dict[str, Any]:
+    def to_dict(self) -> Dict[str, Any]:
         d: Dict[str, Any] = {
             "check": self.check,
             "status": self.status,
@@ -60,12 +60,7 @@ class CheckReport:
             d["notes"] = list(self.notes)
         if self.data:
             d["data"] = self.data
-        if include_timing and self.elapsed_ms is not None:
-            d["elapsed_ms"] = self.elapsed_ms
         return d
-
-    def to_json(self, include_timing: bool = False) -> str:
-        return canonical_json(self.to_dict(include_timing=include_timing))
 
     def console_line(self) -> str:
         parts = [f"[{self.status.upper():5s}]", self.check]

@@ -368,10 +368,7 @@ def _reduce_eqs(ring: WRing, p: int, eqs: Sequence[WPoly]) -> Tuple[WRing, List[
             raise ValueError(
                 f"cannot view a {f.ring.field.name} equation over GF({p})"
             )
-        g = ring_p.zero_poly()
-        for e, c in f.terms.items():
-            g = g + ring_p.monomial(e, field(c))
-        reduced.append(g)
+        reduced.append(WPoly(ring_p, {e: field(c) for e, c in f.terms.items()}))
     return ring_p, reduced
 
 
@@ -429,7 +426,8 @@ class PointSet:
         return f"PointSet({len(self._rows)} points over GF({self.p}))"
 
 
-def _guard_prime(p: int) -> None:
+def guard_prime(p: int) -> None:
+    """The primes a scan accepts: odd, and at most MAX_ENUM_PRIME."""
     if not is_prime(p) or p == 2:
         raise ValueError(f"p must be an odd prime, got {p}")
     if p > MAX_ENUM_PRIME:
@@ -466,11 +464,10 @@ def _outer_batches(weights: Sequence[int], p: int):
         yield np.concatenate(pending, axis=1)
 
 
-def _batch_points(batch: np.ndarray, p: int, split: _Split, fibres: _Fibres,
-                  extra_mask: Optional[Callable[[List[np.ndarray]], np.ndarray]]):
-    """The points on a batch of outer rows where every equation vanishes
-    (and the extra mask holds), as pairs of an array of rows in
-    lexicographic order and the number of (row, t) candidates tested.
+def _batch_points(batch: np.ndarray, p: int, split: _Split, fibres: _Fibres):
+    """The points on a batch of outer rows where every equation vanishes,
+    as pairs of an array of rows in lexicographic order and the number of
+    (row, t) candidates tested.
 
     The grid is the batch of outer rows times every value of s.  The
     filters are evaluated on every grid row, and only the rows inside the
@@ -498,21 +495,17 @@ def _batch_points(batch: np.ndarray, p: int, split: _Split, fibres: _Fibres,
             mask &= _horner(c, row, t, p) == 0
         row, t = row[mask], t[mask]
         point = [col[o[row]] for col in cols] + [s[row], t]
-        if extra_mask is not None:
-            keep_point = extra_mask(point)
-            point, row, t = [col[keep_point] for col in point], row[keep_point], t[keep_point]
         # the keys are distinct: each (row, t) pair is a candidate once
         order = np.argsort(row * p + t)
         yield np.stack([col[order] for col in point], axis=1), tested
 
 
-def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
-          extra_mask: Optional[Callable[[List[np.ndarray]], np.ndarray]] = None) -> PointSet:
-    """All canonical representatives where every equation vanishes (and the
-    optional extra column mask holds).  The eliminant, when there is one,
-    joins the filters.  Batches come in lexicographic order, so only the
-    survivors of each are sorted.  An outer row stands for p^k canonical
-    representatives, k the number of s and t its box leaves free."""
+def _scan(ring: WRing, p: int, eqs: Sequence[WPoly]) -> PointSet:
+    """All canonical representatives where every equation vanishes.  The
+    eliminant, when there is one, joins the filters.  Batches come in
+    lexicographic order, so only the survivors of each are sorted.  An outer
+    row stands for p^k canonical representatives, k the number of s and t
+    its box leaves free."""
     ring_p, eqs_p = _reduce_eqs(ring, p, eqs)
     for f in eqs_p:
         if not f.is_homogeneous():
@@ -528,7 +521,7 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
     scanned = candidates = 0
     for batch in _outer_batches(ring.weights, p):
         scanned += int((p ** (batch[-2:] < 0).sum(axis=0)).sum())
-        for points, tested in _batch_points(batch, p, split, fibres, extra_mask):
+        for points, tested in _batch_points(batch, p, split, fibres):
             found.append(points)
             candidates += tested
     rows = np.concatenate(found) if found else np.empty((0, n), dtype=np.int64)
@@ -538,7 +531,7 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
 def enumerate_points(ring: WRing, p: int, eqs: Sequence[WPoly]) -> PointSet:
     """All GF(p) points of the weighted projective zero locus, each scaling
     orbit exactly once, in deterministic (lexicographic) order."""
-    _guard_prime(p)
+    guard_prime(p)
     return _scan(ring, p, eqs)
 
 
@@ -591,13 +584,18 @@ def _fixed_point_count(weights: Sequence[int], patterns: Sequence[Tuple[int, ...
 
 def fixed_locus(action: MonomialMap, p: int, eqs: Sequence[WPoly]) -> PointSet:
     """All points of the zero locus fixed by a diagonal map as orbits (image
-    canonicalizes back to the point itself)."""
-    _guard_prime(p)
+    canonicalizes back to the point itself): the rows of the scan of the
+    zero locus that the map's fixed patterns select.  ``scanned`` and
+    ``candidates`` are those of the whole scan."""
+    guard_prime(p)
     ring = action.ring
     if not isinstance(ring.field, PrimeField) or ring.field.p != p:
         raise ValueError("fixed_locus needs a map defined over GF(p) itself")
     patterns = _diagonal_fixed_patterns(action, p)
-    return _scan(ring, p, eqs, extra_mask=lambda cols: _fixed_mask(patterns, cols))
+    locus = _scan(ring, p, eqs)
+    rows = locus._rows
+    return PointSet(rows[_fixed_mask(patterns, rows.T)], p, locus.ring, locus.eqs,
+                    locus.scanned, locus.candidates)
 
 
 def _family_mod_p(fam: GodeauxFamily, p: int) -> GodeauxFamily:
@@ -626,7 +624,7 @@ def _certificate(check: str):
         def run(fam: GodeauxFamily, p: int) -> CheckReport:
             t0 = time.perf_counter()
             try:
-                _guard_prime(p)
+                guard_prime(p)
                 fam_p = _family_mod_p(fam, p)
             except ValueError as exc:
                 return CheckReport(
@@ -645,35 +643,23 @@ SCAN_SCOPE = (
 )
 
 
-def _pure_y_points(ring: WRing, p: int) -> np.ndarray:
-    """Canonical representatives supported on the weight-2 coordinates.
-
-    The leading weight-2 value runs over the two coset minima of the squares
-    (1 and the least nonsquare); the residual stabilizer {+-1} acts trivially
-    on the remaining weight-2 coordinate, so its values are free.
-    """
-    if ring.weights != (1, 1, 1, 2, 2):
-        raise ValueError("pure-y shortcut is specific to weights (1,1,1,2,2)")
-    squares = {pow(v, 2, p) for v in range(1, p)}
-    reps = [1, min(set(range(1, p)) - squares)]
-    pts = [(0, 0, 0, m, b) for m in reps for b in range(p)]
-    pts += [(0, 0, 0, 0, m) for m in reps]
-    return np.array(pts, dtype=np.int64)
+# the singular locus of P(1,1,1,2,2): the line x1 = x2 = x3 = 0
+AMBIENT_SINGULAR_LINE = ((0, 1, 2),)
 
 
 @_certificate("quasi-smooth")
 def check_quasi_smooth(fam_p: GodeauxFamily, p: int) -> CheckReport:
-    """Scan every GF(p) point of the surface for Jacobian rank 2, and the
-    ambient singular line x1=x2=x3=0 for surface points.
+    """Scan every GF(p) point of the surface for Jacobian rank 2, after
+    checking that none lies on the ambient singular line x1=x2=x3=0.
 
     A pass shows that no GF(p)-rational point of the reduction mod p is
     singular.  Points over extensions of GF(p) are not checked, so this is
     not a proof of quasi-smoothness mod p, let alone in characteristic 0.
     """
-    pure = _pure_y_points(fam_p.ring, p)
-    cols = Columns(pure.T, p)
-    on = np.logical_and.reduce([cols.evaluate(int_terms(q)) == 0 for q in fam_p.quartics()])
-    witness = pure[np.argmax(on)].tolist() if on.any() else None
+    surface = surface_points(p, fam_p.q0, fam_p.q2)
+    rows = surface.rows
+    on = _fixed_mask(AMBIENT_SINGULAR_LINE, rows.T)
+    witness = rows[np.argmax(on)].tolist() if on.any() else None
     if fam_p.q0.coefficient((0, 0, 0, 1, 1)) == fam_p.ring.field.zero():
         hit = ("ambient-singular-locus hit: q0 misses y1 y3, so the "
                "surface meets x1=x2=x3=0 over the closure")
@@ -688,8 +674,6 @@ def check_quasi_smooth(fam_p: GodeauxFamily, p: int) -> CheckReport:
             data={"failure_mode": "ambient-singular-locus"},
         )
 
-    surface = surface_points(p, fam_p.q0, fam_p.q2)
-    rows = surface.rows
     cols = Columns(rows.T, p)
     first, second = [
         [cols.evaluate(int_terms(d)) for d in row]
@@ -747,7 +731,7 @@ def check_free_action(fam_p: GodeauxFamily, p: int) -> CheckReport:
 def sigma_fixed_components(fam: GodeauxFamily, p: int) -> Dict[str, object]:
     """Describe the fixed locus of the involution lift on the ambient space:
     its minimal zero-patterns, by name and by index, plus the point count."""
-    _guard_prime(p)
+    guard_prime(p)
     fam_p = _family_mod_p(fam, p)
     patterns = _diagonal_fixed_patterns(fam_p.sigma.as_monomial_map(), p)
     names = fam_p.ring.names

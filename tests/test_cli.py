@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from godeaux.cli import ConfigError, RunConfig, default_primes, main
+from godeaux.cli import ConfigError, default_primes, main
 
 
 def run(argv):
@@ -80,16 +80,15 @@ def test_primes_env_override(monkeypatch):
         default_primes()
 
 
-def test_run_config_validates():
-    with pytest.raises(ConfigError, match="odd primes"):
-        RunConfig(command="x", primes=(2,))
-    with pytest.raises(ConfigError, match="retry budget"):
-        RunConfig(command="x", retry_budget=-1)
-    with pytest.raises(ConfigError, match="limited to"):
-        RunConfig(command="x", primes=(109,))
-    RunConfig(command="x", primes=(13, 29)).require_one_mod_four()
-    with pytest.raises(ConfigError, match="1 mod 4"):
-        RunConfig(command="x", primes=(11,)).require_one_mod_four()
+def test_run_config_validates(capsys):
+    # odd primes only, up to the scan's cap, a budget >= 0, and p = 1 mod 4
+    for argv, message in ((["--prime", "2"], "odd prime"),
+                          (["--prime", "13", "--retry-budget", "-1"], "retry budget"),
+                          (["--prime", "109"], "limited to"),
+                          (["--prime", "13", "--prime", "11"], "1 mod 4")):
+        assert run(["verify", *argv]) == 2
+        assert message in capsys.readouterr().err
+    assert run(["verify", "--prime", "13", "--prime", "29"]) == 0
 
 
 def test_cover_subcommands_pass():
@@ -333,6 +332,60 @@ def test_verify_reports_are_pinned(tmp_path, monkeypatch):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
 
 
+# sha256 of the canonical JSON and the exit status of the table1, cover and
+# group commands, as computed before the scan decisions were merged
+PINNED_REPORTS = {
+    ("table1", "--seed", "0"):
+        (0, "42829b6d06a2332990c8b9aba19f2f3897fa9c51f1240c9eb7e4d0a6e75a6446"),
+    ("table1", "--seed", "7"):
+        (0, "b656cb88fd009b04d0746fe0e74772eb7273aae66d31f107b8045d259ce15f06"),
+    ("cover", "validate", "--preset", "enriques"):
+        (0, "f7f63714eb3c626d531b320009bf46b72db0b99217cde8cca80fb894558d3205"),
+    ("cover", "validate", "--preset", "f2"):
+        (0, "07c4eca5721add91047ed60391f4e497f2d3011aff19d85d25f5aa0699cc78ac"),
+    ("cover", "invariants", "--preset", "enriques"):
+        (0, "27e712b54d9d5bd07c9cb2307ec7514c57f050b213eccbd8b4985f83d50d178e"),
+    ("cover", "invariants", "--preset", "f2"):
+        (0, "d9787c6cbea5f0debf3ed13aa0b6e113846e07204216152cd556126a2c93aec6"),
+    ("cover", "invariants", "--preset", "p2"):
+        (0, "c5ce3b2c6d4cb8362f70fd9c6e341986aad5a48abe5c96c12ec9ca5ff65cc313"),
+    ("cover", "lift", "--case", "a"):
+        (0, "b3745d4a50fdfcd20826fe8989824af5dff56677c1ce27cceee08846ed5e2320"),
+    ("cover", "lift", "--case", "b"):
+        (0, "5a824841023be0b9bbb07817cb1efda09525cbd5687ff216750bf64a78dcc450"),
+    ("cover", "lift", "--case", "double"):
+        (0, "4512f9c46ad26c05b9bb1e6757d5ab1657900700a6b80ab6de5573babf1f80e2"),
+    ("cover", "lift", "--case", "double", "--rho-order", "3"):
+        (0, "a86bd5dbb3caa217143b6e741a56edc150a56687bb7e4ff3be9268d9173a981b"),
+    ("cover", "even-set", "--preset", "even8"):
+        (0, "47e57d8e68b0fa4e4284beb04cd804e2e5800bb975a52548cc7057573dc99c4a"),
+    ("cover", "even-set", "--preset", "enriques"):
+        (1, "a0dc2ada6684a282848e0750a3b9a1a8eb41423803b87ac78fa18c7280de00db"),
+    ("cover", "enriques"):
+        (0, "f8137691f239a6cadc7b3d6e802c25040ac117990cba195ed7cca66f89cb8d83"),
+    ("group", "divisibility", "--group", "Z2xZ4", "--element", "0,2"):
+        (0, "b78fe40f34d73340edcb4acb6217b1b30accded1ac605c5c6c0571965536f3c9"),
+    ("group", "divisibility", "--group", "Z2xZ4", "--element", "1,0"):
+        (1, "fea5a0808d0d5e7a75837f43d214a130f96c516653b2fed9dbebfe013c4a7c5a"),
+    ("group", "divisibility", "--group", "Z4", "--element", "1", "--modulo", "2"):
+        (1, "c84190be1b3b4b27a0120ca923b4518a21bc6d42899aa108756b828d5e2a6190"),
+    ("group", "divisibility", "--group", "Z4096xZ4096", "--element", "1,3",
+     "--modulo", "1,0", "--modulo", "0,1"):
+        (0, "22c9634cf1f002c1ac8fb09b0fe531b1fac527f1c17a8f727dcf6bca506b684f"),
+}
+
+
+def test_table1_cover_and_group_reports_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GODEAUX_PRIMES", raising=False)
+    for argv, (code, digest) in PINNED_REPORTS.items():
+        out = tmp_path / "reports.json"
+        if out.exists():
+            out.unlink()
+        assert run([*argv, "--output", "reports.json"]) == code, argv
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
+
+
 def test_cone_image_and_fixed_points():
     assert run(["cone", "image-check"]) == 0
     assert run(["cone", "fixed-points", "--symbolic"]) == 0
@@ -386,6 +439,34 @@ def test_cone_degenerate_config_rejections(tmp_path, capsys):
     }))
     assert run(["cone", "degenerate", "--config", str(structural)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+MALFORMED_CONFIGS = {
+    "r1-not-a-list": (["cone", "degenerate", "--config"], {
+        "case": "deg1",
+        "q1": "2*y1^2 + -4*y1 y2 + 2*y2^2 + 5*y1 y3 + -5*y2 y3 + -1*y3^2",
+        "h3": "y0 + 2*y3",
+        "r1": 5,
+    }, "'r1'"),
+    "q1-not-a-string": (["cone", "degenerate", "--config"], {
+        "case": "general", "q1": 5, "h3": "y0",
+    }, "'q1'"),
+    "points-not-triples": (["cone", "pencil", "--points"], [1, 2, 3, 4], "triples"),
+    "points-not-integers": (["cone", "pencil", "--points"],
+                            [["a", 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 3]], "integers"),
+    "q0-not-a-map": (["table1", "--coeffs"], {"q0": [1], "q2": {}}, "q0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_values_are_config_errors(name, tmp_path, capsys):
+    argv, content, key = MALFORMED_CONFIGS[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(content))
+    assert run([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert "Traceback" not in err
 
 
 def test_cone_pencil_default_and_custom(tmp_path, capsys):

@@ -292,11 +292,8 @@ def test_classify_lift_cases():
 def test_lift_spec_validation():
     with pytest.raises(ValueError, match="case"):
         LiftSpec("c")
-    with pytest.raises(ValueError, match="branch permutation"):
-        LiftSpec("a", branch_permutation=(2, 1, 3))
     with pytest.raises(ValueError, match="involution"):
         LiftSpec("b", rho_order=4)
-    assert LiftSpec("b").branch_permutation == (2, 1, 3)
 
 
 def test_dihedral_witness_structure():

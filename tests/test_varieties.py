@@ -673,6 +673,19 @@ def test_surface_hits_match_fixed_locus_scan(p):
             assert [tuple(h) for h in hits.tolist()] == list(fixed_locus(m, p, eqs).points), name
 
 
+@pytest.mark.parametrize("p", [5, 13])
+def test_fixed_locus_counts_the_whole_scan(p):
+    # the fixed points are picked out of the scan of the zero locus, so the
+    # scan's counters are those of the unmasked scan
+    fam = build_family(random_params(p, seed=1))
+    eqs = [fam.q0, fam.q2]
+    surface = enumerate_points(fam.ring, p, eqs)
+    for name, m in diagonal_maps(p).items():
+        locus = fixed_locus(m, p, eqs)
+        assert (locus.scanned, locus.candidates) == (surface.scanned, surface.candidates), name
+        assert len(locus) <= len(surface)
+
+
 def test_free_action_witness_is_first_fixed_surface_point():
     # without x2^4 the coordinate point (0,1,0,0,0), fixed by every
     # diagonal map, lies on the surface
@@ -751,6 +764,28 @@ def test_quasi_smooth_ambient_singular_trigger():
     assert report.status == "fail"
     assert report.data["failure_mode"] == "ambient-singular-locus"
     assert report.witness == [0, 0, 0, 0, 1]
+
+
+def test_quasi_smooth_mixed_pure_y_witness():
+    # without y-terms in q2 the surface meets x1=x2=x3=0 where y1 y3 = 0,
+    # at (0,0,0,0,m) and at (0,0,0,m,0); the witness is the first surface
+    # point on the line in scan order
+    params = FamilyParams(
+        q0={"x1^4": 1, "x2^4": 1, "x3^4": 1, "x1^2 x3^2": 1, "x1 x2^2 x3": 1, "y1 y3": 1},
+        q2={"x1^2 x2^2": 1, "x2^2 x3^2": 1, "x1^3 x3": 1, "x1 x3^3": 1},
+    )
+    fam = build_family(params)
+    report = check_quasi_smooth(fam, 13)
+    assert report.status == "fail"
+    assert report.data == {"failure_mode": "ambient-singular-locus"}
+    assert report.notes[1] == "surface meets the ambient singular locus"
+    assert report.points_scanned is None
+    assert report.witness == [0, 0, 0, 0, 1]
+    fam_p = varieties._family_mod_p(fam, 13)
+    points = enumerate_points(fam_p.ring, 13, [fam_p.q0, fam_p.q2]).points
+    on_line = [pt for pt in points if pt[:3] == (0, 0, 0)]
+    assert on_line[0] == (0, 0, 0, 0, 1)
+    assert (0, 0, 0, 1, 0) in on_line
 
 
 def test_quasi_smooth_catches_forced_singularity():
