@@ -22,6 +22,7 @@ GODEAUX_PRIMES environment variable (comma-separated).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -485,10 +486,11 @@ def cmd_cone_pencil(args) -> List[CheckReport]:
             or any(not isinstance(pt, list) or len(pt) != 3 for pt in raw)
         ):
             raise ConfigError("points file must hold four [a, b, c] triples")
-        try:
-            points = [tuple(int(x) for x in pt) for pt in raw]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"points file coordinates must be integers: {exc}") from None
+        # bool is a subclass of int, and int() would truncate a float
+        bad = [x for pt in raw for x in pt if type(x) is not int]
+        if bad:
+            raise ConfigError(f"points file coordinates must be integers, got {bad[0]!r}")
+        points = [tuple(pt) for pt in raw]
     else:
         points = None
     try:
@@ -505,7 +507,11 @@ def cmd_cone_pencil(args) -> List[CheckReport]:
 # wiring
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged and returns a fresh namespace per call, and no default is a
+    mutable object (--prime appends to a list argparse makes per call)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write canonical JSON reports here")
     common.add_argument("--seed", type=int, default=0)

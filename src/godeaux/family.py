@@ -383,7 +383,11 @@ def params_from_config(config: Dict[str, object]) -> FamilyParams:
     if extra:
         raise ValueError(f"unknown config keys: {sorted(extra)}")
     field_spec = config.get("field", "Q")
-    enforce = bool(config.get("enforce_involution", True))
+    enforce = config.get("enforce_involution", True)
+    if not isinstance(enforce, bool):
+        raise ValueError(
+            f"enforce_involution must be true or false, got {enforce!r}"
+        )
     if "seed" in config:
         if "q0" in config or "q2" in config:
             raise ValueError("give either a seed or explicit coefficients, not both")

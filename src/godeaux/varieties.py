@@ -89,38 +89,41 @@ def _blocks(weights: Sequence[int], p: int):
     the rest range freely over GF(p), plus fully determined single points as
     (prefix, n).  Boxes are produced in lexicographic order of their points.
     """
+    yield from _boxes(tuple(weights), p, 0, list(range(1, p)), (), False)
+
+
+def _boxes(weights: Tuple[int, ...], p: int, idx: int, cands: List[int],
+           prefix: Tuple[int, ...], nonzero: bool):
+    """The boxes of _blocks below a prefix of idx fixed coordinates, cands
+    the scalings that still fix the prefix.  A module-level recursion, so no
+    closure refers to itself and nothing is left for the cycle collector."""
     n = len(weights)
-
-    def acts_trivially(cands: List[int], idx: int) -> bool:
-        return all(
-            pow(lam, weights[j], p) == 1 for lam in cands for j in range(idx, n)
-        )
-
-    def rec(idx: int, cands: List[int], prefix: Tuple[int, ...], nonzero: bool):
-        if nonzero and acts_trivially(cands, idx):
-            yield (prefix, idx)
-            return
-        if idx == n:
-            if nonzero:
-                yield (prefix, n)
-            return
-        yield from rec(idx + 1, cands, prefix + (0,), nonzero)
-        w = weights[idx]
-        image = {pow(lam, w, p) for lam in cands}
-        stab = [lam for lam in cands if pow(lam, w, p) == 1]
-        seen = bytearray(p)
-        for a in range(1, p):
-            if seen[a]:
-                continue
-            for k in image:
-                seen[k * a % p] = 1
-            yield from rec(idx + 1, stab, prefix + (a,), True)
-
-    yield from rec(0, list(range(1, p)), (), False)
+    if nonzero and all(
+        pow(lam, weights[j], p) == 1 for lam in cands for j in range(idx, n)
+    ):
+        yield (prefix, idx)
+        return
+    if idx == n:
+        if nonzero:
+            yield (prefix, n)
+        return
+    yield from _boxes(weights, p, idx + 1, cands, prefix + (0,), nonzero)
+    w = weights[idx]
+    image = {pow(lam, w, p) for lam in cands}
+    stab = [lam for lam in cands if pow(lam, w, p) == 1]
+    seen = bytearray(p)
+    for a in range(1, p):
+        if seen[a]:
+            continue
+        for k in image:
+            seen[k * a % p] = 1
+        yield from _boxes(weights, p, idx + 1, stab, prefix + (a,), True)
 
 
-def _orbit_count(weights: Sequence[int], p: int) -> int:
-    """Number of GF(p) points of P(weights), by block counting."""
+@functools.lru_cache(maxsize=256)
+def _orbit_count(weights: Tuple[int, ...], p: int) -> int:
+    """Number of GF(p) points of P(weights), by block counting; memoized by
+    value, as it depends on nothing else."""
     n = len(weights)
     return sum(p ** (n - start) for _, start in _blocks(weights, p))
 
@@ -535,26 +538,32 @@ def enumerate_points(ring: WRing, p: int, eqs: Sequence[WPoly]) -> PointSet:
     return _scan(ring, p, eqs)
 
 
-def _diagonal_fixed_patterns(m: MonomialMap, p: int) -> List[Tuple[int, ...]]:
+def _diagonal_fixed_patterns(m: MonomialMap, p: int) -> Tuple[Tuple[int, ...], ...]:
     """The minimal zero-patterns characterizing the points a diagonal map
     fixes: P is fixed iff for some scalar lambda every coordinate outside
     ker(pattern) vanishes.  Other maps raise ValueError."""
-    n = m.ring.nvars
-    if m.targets != tuple(range(n)):
+    if m.targets != tuple(range(m.ring.nvars)):
         raise ValueError("fixed loci are computed for diagonal maps only")
-    weights = m.ring.weights
-    scalars = [s.value for s in m.scalars]
+    return _fixed_patterns(m.ring.weights, tuple(s.value % p for s in m.scalars), p)
+
+
+@functools.lru_cache(maxsize=256)
+def _fixed_patterns(weights: Tuple[int, ...], scalars: Tuple[int, ...],
+                    p: int) -> Tuple[Tuple[int, ...], ...]:
+    """_diagonal_fixed_patterns of the map x_v -> scalars[v] x_v, memoized by
+    value: every draw of a family at p shares the patterns of g and sigma."""
+    n = len(weights)
     patterns = set()
     for lam in range(1, p):
         bad = tuple(
-            v for v in range(n) if scalars[v] % p != pow(lam, weights[v], p)
+            v for v in range(n) if scalars[v] != pow(lam, weights[v], p)
         )
         patterns.add(bad)
     minimal = [
         b for b in patterns
         if not any(set(o) < set(b) for o in patterns if o != b)
     ]
-    return sorted(minimal)
+    return tuple(sorted(minimal))
 
 
 def _fixed_mask(patterns: Sequence[Tuple[int, ...]], cols) -> np.ndarray:
@@ -568,16 +577,18 @@ def _fixed_mask(patterns: Sequence[Tuple[int, ...]], cols) -> np.ndarray:
     return mask
 
 
-def _fixed_point_count(weights: Sequence[int], patterns: Sequence[Tuple[int, ...]],
+@functools.lru_cache(maxsize=256)
+def _fixed_point_count(weights: Tuple[int, ...], patterns: Tuple[Tuple[int, ...], ...],
                        p: int) -> int:
     """Number of GF(p) points in the union of the coordinate subspaces the
     patterns cut out, by inclusion-exclusion over the patterns; each
-    intersection is the weighted space on the coordinates left free."""
+    intersection is the weighted space on the coordinates left free.
+    Memoized by value, like _orbit_count."""
     total = 0
     for k in range(1, len(patterns) + 1):
         for group in itertools.combinations(patterns, k):
             zero = set().union(*group)
-            free = [w for v, w in enumerate(weights) if v not in zero]
+            free = tuple(w for v, w in enumerate(weights) if v not in zero)
             total += (-1) ** (k + 1) * _orbit_count(free, p)
     return total
 

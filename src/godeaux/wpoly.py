@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .scalars import FpElement, PrimeField, QQ, Rationals, scalar_to_str
+from .scalars import FpElement, PrimeField, Rationals, scalar_to_str
 
 Exponents = Tuple[int, ...]
 Field = Union[Rationals, PrimeField]
@@ -261,19 +261,23 @@ def monomials_of_degree(ring: WRing, d: int) -> List[Exponents]:
     if d < 0:
         raise ValueError("degree must be nonnegative")
     out: List[Exponents] = []
-    n = ring.nvars
-
-    def rec(v: int, remaining: int, acc: Tuple[int, ...]):
-        if v == n:
-            if remaining == 0:
-                out.append(acc)
-            return
-        w = ring.weights[v]
-        for e in range(remaining // w, -1, -1):
-            rec(v + 1, remaining - e * w, acc + (e,))
-
-    rec(0, d, ())
+    _monomials(ring.weights, 0, d, (), out)
     return out
+
+
+def _monomials(weights: Tuple[int, ...], v: int, remaining: int,
+               acc: Tuple[int, ...], out: List[Exponents]) -> None:
+    """Append to out the exponents that extend acc on the variables from v
+    on to weighted degree acc + remaining, largest first.  A module-level
+    recursion, so no closure refers to itself and nothing is left for the
+    cycle collector."""
+    if v == len(weights):
+        if remaining == 0:
+            out.append(acc)
+        return
+    w = weights[v]
+    for e in range(remaining // w, -1, -1):
+        _monomials(weights, v + 1, remaining - e * w, acc + (e,), out)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,18 @@
 """End-to-end command-line runs: exit codes, determinism, report files."""
 
+import argparse
+import gc
 import hashlib
+import io
+import itertools
 import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+from godeaux import cli
 from godeaux.cli import ConfigError, default_primes, main
 
 
@@ -454,7 +462,19 @@ MALFORMED_CONFIGS = {
     "points-not-triples": (["cone", "pencil", "--points"], [1, 2, 3, 4], "triples"),
     "points-not-integers": (["cone", "pencil", "--points"],
                             [["a", 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 3]], "integers"),
+    "points-floats": (["cone", "pencil", "--points"],
+                      [[1.7, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 3]], "integers"),
+    "points-whole-floats": (["cone", "pencil", "--points"],
+                            [[1.0, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 3]], "integers"),
+    "points-booleans": (["cone", "pencil", "--points"],
+                        [[True, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 3]], "integers"),
     "q0-not-a-map": (["table1", "--coeffs"], {"q0": [1], "q2": {}}, "q0"),
+    "enforce-involution-string": (["table1", "--coeffs"], {
+        "field": "Q", "seed": 5, "enforce_involution": "no",
+    }, "enforce_involution"),
+    "enforce-involution-number": (["table1", "--coeffs"], {
+        "field": "Q", "seed": 5, "enforce_involution": 1,
+    }, "enforce_involution"),
 }
 
 
@@ -557,3 +577,120 @@ def test_bad_usage_exits_2():
     assert run(["cover"]) == 2
     assert run(["cover", "lift"]) == 2
     assert run(["nope"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def _verify_primes(tmp_path, argv):
+    out = tmp_path / "primes.json"
+    assert run(["verify", "--checks", "fixed-locus", *argv, "--output", str(out)]) == 0
+    return [rep["prime"] for rep in json.loads(out.read_text())]
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    assert run(["cover", "enriques"]) == 0
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    hits = cli._build_parser.cache_info().hits
+    assert run(["cover", "enriques"]) == 0
+    assert run(["verify", "--prime", "13", "--seed", "1"]) == 0
+    assert built == []
+    assert cli._build_parser.cache_info().hits == hits + 2
+
+
+def test_repeated_prime_options_do_not_leak(tmp_path, monkeypatch):
+    monkeypatch.delenv("GODEAUX_PRIMES", raising=False)
+    assert _verify_primes(tmp_path, ["--prime", "29", "--prime", "13"]) == [29, 13]
+    assert _verify_primes(tmp_path, []) == [13, 29]
+    assert _verify_primes(tmp_path, ["--prime", "29"]) == [29]
+    assert _verify_primes(tmp_path, []) == [13, 29]
+
+
+def test_primes_env_is_read_per_call(tmp_path, monkeypatch):
+    monkeypatch.setenv("GODEAUX_PRIMES", "29")
+    assert _verify_primes(tmp_path, []) == [29]
+    monkeypatch.setenv("GODEAUX_PRIMES", "13")
+    assert _verify_primes(tmp_path, []) == [13]
+    monkeypatch.delenv("GODEAUX_PRIMES")
+    assert _verify_primes(tmp_path, []) == [13, 29]
+
+
+def test_parse_error_leaves_the_next_call_alone(tmp_path, capsys):
+    argv = ["cone", "degenerate", "--case", "1", "--intersections"]
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    assert run([*argv, "--output", str(before)]) == 0
+    first = capsys.readouterr()
+    errors = []
+    for bad in (["verify", "--prime", "x"], ["cone", "degenerate", "--bogus"]):
+        for _ in range(2):
+            assert run(bad) == 2
+            errors.append(capsys.readouterr())
+    assert all(e.out == "" and e.err.startswith("usage: godeaux") for e in errors)
+    assert errors[0] == errors[1] and errors[2] == errors[3]
+    assert "invalid int value: 'x'" in errors[0].err
+    assert "unrecognized arguments: --bogus" in errors[2].err
+    assert run([*argv, "--output", str(after)]) == 0
+    second = capsys.readouterr()
+    assert after.read_bytes() == before.read_bytes()
+    assert second.out.replace(str(after), "") == first.out.replace(str(before), "")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["cone", "pencil", "-h"]])
+def test_help_works_twice(argv, capsys):
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    assert run(argv) == 0
+    assert capsys.readouterr().out == first
+    assert first.startswith("usage: godeaux")
+
+
+# ---------------------------------------------------------------------------
+# no garbage for the cycle collector
+
+
+def _workload_ops(work):
+    """One op of each kind of the three benchmark workloads, plus its probe."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return [
+        next(workloads.certify_stream(13, 1)),
+        next(workloads.certify_stream(61, 1)),
+        *itertools.islice(workloads.exact_algebra_stream(1, work), workloads.ROTATION),
+        workloads.table1_odd_member_op(1, work),
+    ]
+
+
+def test_ops_leave_nothing_for_the_cycle_collector(tmp_path):
+    # a reference cycle per call (a self-calling closure, a parser rebuilt
+    # per call) is freed only by the collector, which then runs mid-scan
+    ops = _workload_ops(str(tmp_path))
+    kinds = {op.kind for op in ops}
+    assert {"verify-p13", "verify-p61", "table1", "cone-pencil"} <= kinds
+
+    def quiet(op):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return run(op.argv)
+
+    # the first calls fill the per-process caches and the parser
+    codes = [quiet(op) for op in ops]
+    gc.collect()
+    gc.disable()
+    try:
+        left = []
+        for op, code in zip(ops, codes):
+            assert quiet(op) == code, op.kind
+            left.append((op.kind, gc.collect()))
+    finally:
+        gc.enable()
+    assert [kind for kind, count in left if count] == [], left

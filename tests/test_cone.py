@@ -23,7 +23,7 @@ from godeaux.cone import (
     verify_invariant_map,
 )
 from godeaux.scalars import field_from_spec
-from godeaux.wpoly import MonomialMap, WRing, apply_map, parse_poly
+from godeaux.wpoly import MonomialMap, apply_map, parse_poly
 
 
 def test_setup_involution_squares_to_identity():

@@ -735,6 +735,31 @@ def test_checks_share_one_scan_per_member(monkeypatch):
     assert scans == [13, 13, 13, 13, 29]
 
 
+def test_second_free_action_check_counts_nothing_again(monkeypatch):
+    # the fixed patterns and ambient counts of g, g^2, g^3 depend only on
+    # (weights, scalars, p), so a second member at the same p reuses them
+    first = check_free_action(build_family(random_params(13, seed=1)), 13)
+    fam = build_family(random_params(13, seed=2))
+    surface_points(13, fam.q0, fam.q2)  # the member's own scan, done once
+    calls = []
+    original = varieties._blocks
+
+    def counting(weights, p):
+        calls.append((weights, p))
+        return original(weights, p)
+
+    monkeypatch.setattr(varieties, "_blocks", counting)
+    second = check_free_action(fam, 13)
+    assert calls == []
+    assert second.data["ambient_fixed_points"] == first.data["ambient_fixed_points"]
+    i = fam.ring.field.sqrt_minus_one()
+    for name, k in varieties.GROUP_ELEMENT_POWERS.items():
+        patterns = _diagonal_fixed_patterns(fam.action.power(k).as_monomial_map(i), 13)
+        assert isinstance(patterns, tuple)
+        uncached = varieties._fixed_point_count.__wrapped__(W_GODEAUX, patterns, 13)
+        assert second.data["ambient_fixed_points"][name] == uncached
+
+
 def test_sigma_fixed_components():
     fam = build_family(random_params(13, seed=3))
     desc = sigma_fixed_components(fam, 13)
