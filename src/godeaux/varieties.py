@@ -89,7 +89,7 @@ def _blocks(weights: Sequence[int], p: int):
     the rest range freely over GF(p), plus fully determined single points as
     (prefix, n).  Boxes are produced in lexicographic order of their points.
     """
-    yield from _boxes(tuple(weights), p, 0, list(range(1, p)), (), False)
+    return _boxes(tuple(weights), p, 0, list(range(1, p)), (), False)
 
 
 def _boxes(weights: Tuple[int, ...], p: int, idx: int, cands: List[int],
