@@ -168,7 +168,7 @@ def cmd_table1(args) -> List[CheckReport]:
             for (d, c), st in sorted(table.items())
         }
     matched = [label for label, r in results.items() if r["unordered_match"]]
-    print(render_sigma_tables(fam, lifts))
+    print(render_sigma_tables(lifts))
     return [
         CheckReport(
             check="table1",
@@ -464,6 +464,11 @@ def cmd_cone_degenerate(args) -> List[CheckReport]:
             f"branch config is over GF({field.p}) but the test prime is {p}: "
             f"its equations have no reduction to GF({p})"
         )
+    # the scans reduce q1, its image q2 (same denominators) and h3 mod p
+    for name in ("q1", "h3") if field.characteristic == 0 else ():
+        bad = [c for c in getattr(branch, name).terms.values() if c.denominator % p == 0]
+        if bad:
+            raise ConfigError(f"{name} has bad reduction mod {p}: coefficient {bad[0]}")
     verdict = classify_degeneration(branch, p=p)
     print(
         f"case {verdict.case}: normalization {verdict.normalization}, "

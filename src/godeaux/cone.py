@@ -64,9 +64,7 @@ class ConeSetup:
         expected = {(2, 0, 0, 0): lead, (0, 1, 1, 0): -lead}
         if not lead or dict(self.cone.terms) != expected:
             raise ValueError("cone equation must be a multiple of y0^2 - y1*y2")
-        sq = tuple(s * s for s in self.tau.scalars)
-        ones = tuple(self.ring.field(1) for _ in range(4))
-        if self.tau.ring != self.ring or sq != ones:
+        if self.tau.ring != self.ring or any(s * s != 1 for s in self.tau.scalars):
             raise ValueError("tau must be a diagonal involution of the cone ring")
         if apply_map(self.cone, self.tau) != self.cone:
             raise ValueError("tau does not preserve the cone equation")
@@ -124,7 +122,7 @@ def cone_setup(field_spec="Q") -> ConeSetup:
 def _cone_setup(field) -> ConeSetup:
     ring = WRing(CONE_VARIABLES, (1, 1, 1, 1), field)
     cone = parse_poly(ring, "y0^2 + -1*y1 y2")
-    tau = MonomialMap.diagonal(ring, [field(s) for s in TAU_SIGNS])
+    tau = MonomialMap(ring, TAU_SIGNS)
     quadrics = tuple(
         parse_poly(ring, s) for s in ("y0^2", "y1^2", "y2^2", "y3^2", "y0 y3")
     )

@@ -1,13 +1,13 @@
 """The canonical family: a pair of quartics on P(1,1,1,2,2) cut out by
 character constraints under an order-4 diagonal symmetry, together with two
-commuting involution lifts and the sign bookkeeping they induce.
+commuting involution lifts, each an order-2 diagonal action.
 
 Coordinates are x1, x2, x3 of weight 1 and y1, y3 of weight 2.  The cyclic
 generator acts with exponent pattern (1, 2, 3, 1, 3) in Z/4; the surface is
 cut by one quartic of character 0 and one of character 2.  The involution
 downstairs has two diagonal lifts upstairs, differing by the square of the
-generator; coefficient families symmetric under either lift use only the
-even-sign monomials, and build_family can enforce that restriction.
+generator; coefficient families symmetric under both lifts use only the
+monomials of character 0 under each, and build_family can enforce that.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .grouprep import (
     CyclicAction,
-    InvolutionLift,
     SigmaType,
     character_census,
+    character_clash,
     character_of,
     eigenspace_basis,
     sigma_type,
-    sign_clash,
 )
 from .groups import abelian_label, classify_order8, generated_group
 from .scalars import QQ, PrimeField, Rationals, field_from_spec, scalar_to_str
@@ -43,8 +42,9 @@ WEIGHTS = (1, 1, 1, 2, 2)
 VARIABLE_NAMES = ("x1", "x2", "x3", "y1", "y3")
 TORSION_ORDER = 4
 ACTION_EXPONENTS = (1, 2, 3, 1, 3)
-SIGMA_SIGNS = (-1, 1, -1, 1, 1)
-SIGMA_G2_SIGNS = (1, 1, 1, -1, -1)
+# the two involution lifts as exponents in Z/2: x_v -> (-1)^e_v x_v
+SIGMA_SIGNS = (1, 0, 1, 0, 0)
+SIGMA_G2_SIGNS = (0, 0, 0, 1, 1)
 QUARTIC_CHARACTERS = (0, 2)
 
 # frozen sigma-type reference values, keyed by (degree, character); the
@@ -75,17 +75,14 @@ def canonical_action(ring: WRing) -> CyclicAction:
     return CyclicAction(ring, TORSION_ORDER, ACTION_EXPONENTS)
 
 
-def canonical_lifts(ring: WRing) -> Tuple[InvolutionLift, InvolutionLift]:
-    return (
-        InvolutionLift(ring, SIGMA_SIGNS, "sigma"),
-        InvolutionLift(ring, SIGMA_G2_SIGNS, "sigma_g2"),
-    )
+def canonical_lifts(ring: WRing) -> Tuple[CyclicAction, CyclicAction]:
+    return CyclicAction(ring, 2, SIGMA_SIGNS), CyclicAction(ring, 2, SIGMA_G2_SIGNS)
 
 
 @functools.lru_cache(maxsize=64)
 def allowed_support(ring: WRing, char: int, enforce_involution: bool) -> Tuple[Exponents, ...]:
     """Degree-4 monomials of the given character; with the involution
-    enforced, only those of even sign under both lifts survive.  Memoized
+    enforced, only those of character 0 under both lifts survive.  Memoized
     per (ring, character, enforce_involution): every draw asks for it."""
     action = canonical_action(ring)
     basis = eigenspace_basis(action, 4, char)
@@ -95,7 +92,7 @@ def allowed_support(ring: WRing, char: int, enforce_involution: bool) -> Tuple[E
     return tuple(
         e
         for e in basis
-        if sigma.sign_of_monomial(e) == 1 and sigma_g2.sign_of_monomial(e) == 1
+        if sigma.character_of_monomial(e) == 0 and sigma_g2.character_of_monomial(e) == 0
     )
 
 
@@ -137,6 +134,10 @@ class GodeauxFamily:
     def quartics(self) -> Tuple[WPoly, WPoly]:
         return (self.q0, self.q2)
 
+    def lifts(self) -> Dict[str, CyclicAction]:
+        """The two involution lifts, keyed by their attribute names."""
+        return {"sigma": self.sigma, "sigma_g2": self.sigma_g2}
+
     def __repr__(self):
         return (
             f"GodeauxFamily(field={self.field!r}, q0={self.q0.to_string()!r}, "
@@ -163,7 +164,7 @@ def _poly_from_coeffs(ring: WRing, coeffs: Dict[str, object], char: int,
             )
         try:
             c = ring.field(value)
-        except TypeError as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad coefficient for {monomial_to_str(ring, e)}: {exc}") from None
         if c == ring.field.zero():
             raise ValueError(f"zero coefficient supplied for {monomial_to_str(ring, e)}")
@@ -262,8 +263,8 @@ def _canonical_twist(exponents: Sequence[int], n: int) -> Tuple[int, ...]:
     return best
 
 
-def _lift_exponents(lift: InvolutionLift, n: int) -> Tuple[int, ...]:
-    return tuple(0 if s == 1 else n // 2 for s in lift.signs)
+def _lift_exponents(lift: CyclicAction, n: int) -> Tuple[int, ...]:
+    return tuple(e * (n // lift.order) for e in lift.exponents)
 
 
 def torsion_group_census(fam: GodeauxFamily) -> Dict[str, str]:
@@ -308,19 +309,19 @@ def lift_sign_clash(fam: GodeauxFamily) -> Optional[Dict[str, object]]:
     """Witness that a quartic has monomials of both signs under an
     involution lift, which then does not act on the quotient ring and has
     no sigma table; None when both lifts act."""
-    for lift in (fam.sigma, fam.sigma_g2):
+    for label, lift in fam.lifts().items():
         for name, q in (("q0", fam.q0), ("q2", fam.q2)):
-            clash = sign_clash(q, lift)
+            clash = character_clash(q, lift)
             if clash is not None:
                 return {
-                    "lift": lift.label,
+                    "lift": label,
                     "poly": name,
                     "monomials": [monomial_to_str(fam.ring, e) for e in clash],
                 }
     return None
 
 
-def sigma_table(fam: GodeauxFamily, lift: InvolutionLift) -> Dict[Tuple[int, int], SigmaType]:
+def sigma_table(fam: GodeauxFamily, lift: CyclicAction) -> Dict[Tuple[int, int], SigmaType]:
     """Sigma types of one lift on every reference-table cell, in the
     coordinate ring modulo the two quartics."""
     rels = [fam.q0, fam.q2]
@@ -332,11 +333,8 @@ def sigma_table(fam: GodeauxFamily, lift: InvolutionLift) -> Dict[Tuple[int, int
 
 
 def sigma_tables(fam: GodeauxFamily) -> Dict[str, Dict[Tuple[int, int], SigmaType]]:
-    """`sigma_table` of both involution lifts, keyed by lift label."""
-    return {
-        fam.sigma.label: sigma_table(fam, fam.sigma),
-        fam.sigma_g2.label: sigma_table(fam, fam.sigma_g2),
-    }
+    """`sigma_table` of both involution lifts, keyed by lift name."""
+    return {label: sigma_table(fam, lift) for label, lift in fam.lifts().items()}
 
 
 def match_reference_table(table: Dict[Tuple[int, int], SigmaType]) -> Dict[str, object]:
@@ -401,6 +399,10 @@ def params_from_config(config: Dict[str, object]) -> FamilyParams:
     for key in ("q0", "q2"):
         if not isinstance(config[key], dict):
             raise ValueError(f"{key} must map monomials to coefficients, got {config[key]!r}")
+        # bool is a subclass of int, and a JSON float is not exact
+        bad = [v for v in config[key].values() if type(v) is not int and not isinstance(v, str)]
+        if bad:
+            raise ValueError(f"{key} coefficients must be integers or strings, got {bad[0]!r}")
     return FamilyParams(
         field_spec=field_spec,
         q0=dict(config["q0"]),
@@ -441,13 +443,11 @@ def family_info(fam: GodeauxFamily) -> Dict[str, object]:
     }
 
 
-def render_sigma_tables(
-    fam: GodeauxFamily, tables: Dict[str, Dict[Tuple[int, int], SigmaType]]
-) -> str:
+def render_sigma_tables(tables: Dict[str, Dict[Tuple[int, int], SigmaType]]) -> str:
     """Plain-text report of `sigma_tables(fam)`: per-cell unordered sigma
     types (the lift-independent view) plus the ordered tables of both lifts."""
     lines = []
-    first = tables[fam.sigma.label]
+    first = tables["sigma"]
     lines.append("sigma types (unordered, lift-independent)")
     lines.append("degree | " + " | ".join(f"char {c}" for c in range(4)))
     for d in TABLE_DEGREES:

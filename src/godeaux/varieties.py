@@ -82,14 +82,16 @@ CHUNK_LIMIT = 1 << 17
 Terms = List[Tuple[Tuple[int, ...], int]]
 
 
-def _blocks(weights: Sequence[int], p: int):
+@functools.lru_cache(maxsize=256)
+def _blocks(weights: Tuple[int, ...], p: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     """Partition of the canonical representatives into free boxes.
 
-    Yields (prefix, start): coordinates before start are fixed to prefix and
+    Holds (prefix, start): coordinates before start are fixed to prefix and
     the rest range freely over GF(p), plus fully determined single points as
-    (prefix, n).  Boxes are produced in lexicographic order of their points.
+    (prefix, n).  Boxes are listed in lexicographic order of their points.
+    Memoized by value, as it depends on nothing else.
     """
-    return _boxes(tuple(weights), p, 0, list(range(1, p)), (), False)
+    return tuple(_boxes(weights, p, 0, list(range(1, p)), (), False))
 
 
 def _boxes(weights: Tuple[int, ...], p: int, idx: int, cands: List[int],
@@ -123,7 +125,7 @@ def _boxes(weights: Tuple[int, ...], p: int, idx: int, cands: List[int],
 @functools.lru_cache(maxsize=256)
 def _orbit_count(weights: Tuple[int, ...], p: int) -> int:
     """Number of GF(p) points of P(weights), by block counting; memoized by
-    value, as it depends on nothing else."""
+    value, like _blocks."""
     n = len(weights)
     return sum(p ** (n - start) for _, start in _blocks(weights, p))
 
@@ -439,7 +441,7 @@ def guard_prime(p: int) -> None:
         )
 
 
-def _outer_batches(weights: Sequence[int], p: int):
+def _outer_batches(weights: Tuple[int, ...], p: int):
     """The outer rows of every box of _blocks, in lexicographic order and in
     batches of at most CHUNK_LIMIT // p rows.  A batch is a (coordinate,
     row) array: the n - 2 outer coordinates, then the values the box of the
@@ -541,9 +543,7 @@ def enumerate_points(ring: WRing, p: int, eqs: Sequence[WPoly]) -> PointSet:
 def _diagonal_fixed_patterns(m: MonomialMap, p: int) -> Tuple[Tuple[int, ...], ...]:
     """The minimal zero-patterns characterizing the points a diagonal map
     fixes: P is fixed iff for some scalar lambda every coordinate outside
-    ker(pattern) vanishes.  Other maps raise ValueError."""
-    if m.targets != tuple(range(m.ring.nvars)):
-        raise ValueError("fixed loci are computed for diagonal maps only")
+    ker(pattern) vanishes."""
     return _fixed_patterns(m.ring.weights, tuple(s.value % p for s in m.scalars), p)
 
 
@@ -744,7 +744,7 @@ def sigma_fixed_components(fam: GodeauxFamily, p: int) -> Dict[str, object]:
     its minimal zero-patterns, by name and by index, plus the point count."""
     guard_prime(p)
     fam_p = _family_mod_p(fam, p)
-    patterns = _diagonal_fixed_patterns(fam_p.sigma.as_monomial_map(), p)
+    patterns = _diagonal_fixed_patterns(fam_p.sigma.rational_realization(), p)
     names = fam_p.ring.names
     return {
         "zero_patterns": [[names[v] for v in bad] for bad in patterns],

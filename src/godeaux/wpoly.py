@@ -11,15 +11,14 @@ lexicographic order with the lexicographically largest exponent first.
 ``parse_poly`` accepts exactly what ``to_string`` produces, plus bare
 monomials (implicit coefficient 1) and bare constants.
 
-Monomial maps send each variable to a nonzero scalar times a variable of
-the same weight.  ``apply_map`` substitutes such a map, and ``substitute``
-replaces each variable by an arbitrary polynomial.  Composition is
-arranged so the point maps compose in the usual order (see ``compose``),
-which makes substitution contravariant.
+Monomial maps are diagonal: each variable goes to a nonzero scalar times
+itself.  ``apply_map`` substitutes such a map, and ``substitute`` replaces
+each variable by an arbitrary polynomial.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -256,13 +255,19 @@ def parse_poly(ring: WRing, text: str) -> WPoly:
     return WPoly(ring, terms)
 
 
-def monomials_of_degree(ring: WRing, d: int) -> List[Exponents]:
-    """All exponent tuples of weighted degree d, graded-lex, largest first."""
+def monomials_of_degree(ring: WRing, d: int) -> Tuple[Exponents, ...]:
+    """All exponent tuples of weighted degree d, graded-lex, largest first;
+    memoized by (weights, d), on which alone they depend."""
+    return _monomials_of_degree(ring.weights, d)
+
+
+@functools.lru_cache(maxsize=256)
+def _monomials_of_degree(weights: Tuple[int, ...], d: int) -> Tuple[Exponents, ...]:
     if d < 0:
         raise ValueError("degree must be nonnegative")
     out: List[Exponents] = []
-    _monomials(ring.weights, 0, d, (), out)
-    return out
+    _monomials(weights, 0, d, (), out)
+    return tuple(out)
 
 
 def _monomials(weights: Tuple[int, ...], v: int, remaining: int,
@@ -282,48 +287,26 @@ def _monomials(weights: Tuple[int, ...], v: int, remaining: int,
 
 @dataclass(frozen=True)
 class MonomialMap:
-    """x_v -> scalar_v * x_{target_v}, a weight-preserving substitution.
-
-    ``targets`` must be a permutation; each scalar must be nonzero.  As a
-    map on points it sends P to Q with Q_v = scalar_v * P[target_v].
+    """x_v -> scalar_v * x_v, a diagonal substitution; each scalar must be
+    nonzero.  As a map on points it sends P to Q with Q_v = scalar_v * P_v.
     """
 
     ring: WRing
     scalars: Tuple[object, ...]
-    targets: Tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(
             self, "scalars", tuple(self.ring.field(s) if isinstance(s, (int, str)) else s
                                    for s in self.scalars)
         )
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-        n = self.ring.nvars
-        if len(self.scalars) != n or len(self.targets) != n:
-            raise ValueError("need one scalar and one target per variable")
-        if sorted(self.targets) != list(range(n)):
-            raise ValueError("targets must form a permutation")
-        for v, t in enumerate(self.targets):
-            if self.ring.weights[v] != self.ring.weights[t]:
-                raise ValueError(
-                    f"map sends weight-{self.ring.weights[v]} variable to "
-                    f"weight-{self.ring.weights[t]} variable"
-                )
-        for s in self.scalars:
-            if not s:
-                raise ValueError("map scalars must be nonzero")
-
-    @staticmethod
-    def diagonal(ring: WRing, scalars: Sequence[object]) -> "MonomialMap":
-        return MonomialMap(ring, tuple(scalars), tuple(range(ring.nvars)))
-
-    @staticmethod
-    def identity(ring: WRing) -> "MonomialMap":
-        return MonomialMap.diagonal(ring, (ring.field.one(),) * ring.nvars)
+        if len(self.scalars) != self.ring.nvars:
+            raise ValueError("need one scalar per variable")
+        if not all(self.scalars):
+            raise ValueError("map scalars must be nonzero")
 
     def point_image(self, point: Sequence[object]) -> Tuple[object, ...]:
         coords = [self.ring.field(x) if isinstance(x, (int, str)) else x for x in point]
-        return tuple(s * coords[t] for s, t in zip(self.scalars, self.targets))
+        return tuple(s * x for s, x in zip(self.scalars, coords))
 
 
 def apply_map(f: WPoly, m: MonomialMap) -> WPoly:
@@ -333,14 +316,11 @@ def apply_map(f: WPoly, m: MonomialMap) -> WPoly:
         raise ValueError("map and polynomial live in different rings")
     out: Dict[Exponents, object] = {}
     for e, c in f.terms.items():
-        new = [0] * f.ring.nvars
         val = c
-        for v, k in enumerate(e):
+        for s, k in zip(m.scalars, e):
             if k:
-                new[m.targets[v]] += k
-                val = val * m.scalars[v] ** k
-        key = tuple(new)
-        out[key] = out[key] + val if key in out else val
+                val = val * s ** k
+        out[e] = val
     return WPoly(f.ring, out)
 
 
@@ -358,28 +338,6 @@ def substitute(f: WPoly, images: Sequence[WPoly]) -> WPoly:
             if e:
                 term = term * img**e
         out = out + coeff * term
-    return out
-
-
-def compose(outer: MonomialMap, inner: MonomialMap) -> MonomialMap:
-    """The map acting on points as outer after inner.
-
-    On polynomials the order flips:
-    apply_map(f, compose(outer, inner)) == apply_map(apply_map(f, outer), inner).
-    """
-    if outer.ring != inner.ring:
-        raise ValueError("maps live in different rings")
-    scalars = tuple(
-        so * inner.scalars[outer.targets[v]] for v, so in enumerate(outer.scalars)
-    )
-    targets = tuple(inner.targets[outer.targets[v]] for v in range(outer.ring.nvars))
-    return MonomialMap(outer.ring, scalars, targets)
-
-
-def map_power(m: MonomialMap, n: int) -> MonomialMap:
-    out = MonomialMap.identity(m.ring)
-    for _ in range(n):
-        out = compose(out, m)
     return out
 
 

@@ -222,7 +222,7 @@ def test_table1_builds_each_sigma_table_once(monkeypatch, capsys):
     original = family.sigma_table
 
     def counting(fam, lift):
-        calls.append(lift.label)
+        calls.append(lift.exponents)
         return original(fam, lift)
 
     # every module binding of the function, imported names included
@@ -475,6 +475,21 @@ MALFORMED_CONFIGS = {
     "enforce-involution-number": (["table1", "--coeffs"], {
         "field": "Q", "seed": 5, "enforce_involution": 1,
     }, "enforce_involution"),
+    "coefficient-float": (["table1", "--coeffs"], {
+        "field": "Q", "q0": {"x1^4": 0.1}, "q2": {"x1^2 x2^2": 1},
+    }, "q0"),
+    "coefficient-boolean": (["table1", "--coeffs"], {
+        "field": "Q", "q0": {"x1^4": True}, "q2": {"x1^2 x2^2": 1},
+    }, "q0"),
+    "coefficient-infinity": (["table1", "--coeffs"], {
+        "field": "Q", "q0": {"x1^4": float("inf")}, "q2": {"x1^2 x2^2": 1},
+    }, "q0"),
+    "coefficient-division-by-zero": (["table1", "--coeffs"], {
+        "field": "Q", "q0": {"x1^4": "1/0"}, "q2": {"x1^2 x2^2": 1},
+    }, "x1^4"),
+    "coefficient-not-a-number": (["table1", "--coeffs"], {
+        "field": 13, "q0": {"x1^4": "1/2"}, "q2": {"x1^2 x2^2": 1},
+    }, "x1^4"),
 }
 
 
@@ -570,6 +585,24 @@ def test_cone_degenerate_config_field_must_match_the_prime(tmp_path, capsys):
                                "q1": "y1^2", "h3": "y0"}))
     assert run(["cone", "degenerate", "--config", str(cfg)]) == 2
     assert "config error: bad field in branch config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, q1, h3", [
+    ("q1", "1/13*y1^2 + y2^2 + y3^2", "y0 + y3"),
+    ("h3", "y1^2 + y2^2 + y3^2", "y0 + 1/13*y3"),
+])
+def test_cone_degenerate_config_bad_reduction_is_a_config_error(name, q1, h3, tmp_path,
+                                                                capsys):
+    cfg = tmp_path / "branch.json"
+    cfg.write_text(json.dumps({"case": "general", "q1": q1, "h3": h3}))
+    for argv in ([], ["--intersections"]):
+        assert run(["cone", "degenerate", "--config", str(cfg), *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {name} has bad reduction mod 13" in err
+        assert "Traceback" not in err
+    # at a prime that divides no denominator the same file runs
+    assert run(["cone", "degenerate", "--config", str(cfg), "--prime", "29"]) in (0, 1)
+    assert "config error" not in capsys.readouterr().err
 
 
 def test_bad_usage_exits_2():

@@ -24,7 +24,7 @@ from godeaux.family import (
     sigma_tables,
     torsion_group_census,
 )
-from godeaux.grouprep import InvolutionLift
+from godeaux.grouprep import CyclicAction
 from godeaux.reports import CheckReport
 from godeaux.scalars import PrimeField
 from godeaux.wpoly import apply_map, monomial_to_str
@@ -164,18 +164,18 @@ def verify_equivariance(fam):
     else:
         notes.append("generator verified at character level over Q")
 
-    for lift in (fam.sigma, fam.sigma_g2):
-        m = lift.as_monomial_map()
+    for label, lift in fam.lifts().items():
+        m = lift.rational_realization()
         for q, name in ((fam.q0, "q0"), (fam.q2, "q2")):
             if apply_map(q, m) != q:
                 status = "fail"
                 bad = next(
                     monomial_to_str(ring, e)
                     for e in q.monomials()
-                    if lift.sign_of_monomial(e) == -1
+                    if lift.character_of_monomial(e) == 1
                 )
                 witness = witness or {
-                    "kind": "lift-invariance", "lift": lift.label,
+                    "kind": "lift-invariance", "lift": label,
                     "poly": name, "monomial": bad,
                 }
     if not fam.params.enforce_involution:
@@ -279,13 +279,22 @@ def test_quotient_dimension_formula_above_base_degree():
 
 
 def _realizations(fam):
+    """The four sign realizations of the involution as order-2 actions: the
+    two lifts, each also twisted by the scaling -1, which acts by (-1)^weight
+    on each coordinate."""
+    ring = fam.ring
+
+    def twist(lift, exponents):
+        return CyclicAction(ring, 2, tuple(a + b for a, b in zip(lift.exponents, exponents)))
+
+    scaling = tuple(w % 2 for w in ring.weights)
     v1 = fam.sigma
-    v2 = v1.twist_by_projective_scaling()
+    v2 = twist(v1, scaling)
     v3 = fam.sigma_g2
-    v4 = v3.twist_by_projective_scaling()
-    assert v1.signs == SIGMA_SIGNS
-    assert v3.signs == SIGMA_G2_SIGNS
-    assert v4.signs == (-1, -1, -1, -1, -1)
+    v4 = twist(v3, scaling)
+    assert v1.exponents == SIGMA_SIGNS
+    assert v3.exponents == SIGMA_G2_SIGNS
+    assert v4.exponents == (1, 1, 1, 1, 1)
     return {"v1": v1, "v2": v2, "v3": v3, "v4": v4}
 
 
@@ -334,7 +343,7 @@ def test_table_is_coefficient_independent():
 
 def test_render_sigma_tables():
     fam = build_family(all_ones_params())
-    text = render_sigma_tables(fam, sigma_tables(fam))
+    text = render_sigma_tables(sigma_tables(fam))
     assert "m=4" in text
     assert "{5,2}" in text
     assert "unordered=True" in text
@@ -346,5 +355,8 @@ def test_constants_are_consistent():
     action = canonical_action(ring)
     sigma, sigma_g2 = canonical_lifts(ring)
     assert action.exponents == ACTION_EXPONENTS
-    assert sigma.twist_by_action_square(action).signs == sigma_g2.signs
-    assert isinstance(sigma, InvolutionLift)
+    # sigma g^2 = sigma * g^2: g^2 has exponents in {0, 2} mod 4, so it is
+    # an order-2 action with the halved exponents
+    g2 = tuple(e // 2 for e in action.power(2).exponents)
+    assert CyclicAction(ring, 2, tuple(a + b for a, b in zip(sigma.exponents, g2))) == sigma_g2
+    assert (sigma.order, sigma_g2.order) == (2, 2)

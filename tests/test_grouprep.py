@@ -1,17 +1,18 @@
-"""Character and sign bookkeeping for diagonal actions."""
+"""Character bookkeeping for diagonal actions, and the sign split under an
+order-2 lift."""
+
+import re
 
 import pytest
 
 from godeaux.grouprep import (
     CyclicAction,
-    InvolutionLift,
     SigmaType,
     character_census,
+    character_clash,
     character_of,
     eigenspace_basis,
     sigma_type,
-    sign_clash,
-    sign_of,
 )
 from godeaux.scalars import QQ, PrimeField
 from godeaux.wpoly import WRing, parse_poly
@@ -23,6 +24,10 @@ def godeaux_ring(field=QQ):
 
 def godeaux_action(ring):
     return CyclicAction(ring, 4, (1, 2, 3, 1, 3))
+
+
+def godeaux_sigma(ring):
+    return CyclicAction(ring, 2, (1, 0, 1, 0, 0))
 
 
 def test_action_validation():
@@ -127,44 +132,52 @@ def test_realize_over_prime_field():
 def test_lift_validation_and_signs():
     ring = godeaux_ring()
     with pytest.raises(ValueError):
-        InvolutionLift(ring, (1, -1, 1))
-    with pytest.raises(ValueError):
-        InvolutionLift(ring, (1, -1, 1, 0, 1))
-    sigma = InvolutionLift(ring, (-1, 1, -1, 1, 1), "sigma")
-    assert sigma.sign_of_monomial((4, 0, 0, 0, 0)) == 1
-    assert sigma.sign_of_monomial((1, 1, 0, 1, 0)) == -1
-    assert sigma.sign_of_monomial((0, 0, 0, 1, 1)) == 1
+        CyclicAction(ring, 2, (1, 0, 1))
+    sigma = godeaux_sigma(ring)
+    assert sigma.exponents == (1, 0, 1, 0, 0)
+    # character 0 is the +1 eigenspace, character 1 the -1 eigenspace
+    assert sigma.character_of_monomial((4, 0, 0, 0, 0)) == 0
+    assert sigma.character_of_monomial((1, 1, 0, 1, 0)) == 1
+    assert sigma.character_of_monomial((0, 0, 0, 1, 1)) == 0
+    one = QQ.one()
+    assert sigma.rational_realization().scalars == (-one, one, -one, one, one)
 
 
 def test_lift_twists():
     ring = godeaux_ring()
     a = godeaux_action(ring)
-    sigma = InvolutionLift(ring, (-1, 1, -1, 1, 1), "sigma")
+    sigma = godeaux_sigma(ring)
     # scaling by -1 flips exactly the weight-odd coordinates
-    assert sigma.twist_by_projective_scaling().signs == (1, -1, 1, 1, 1)
+    scaling = CyclicAction(ring, 2, tuple(w % 2 for w in ring.weights))
+    twisted = tuple(s + t for s, t in zip(sigma.exponents, scaling.exponents))
+    assert CyclicAction(ring, 2, twisted).exponents == (0, 1, 0, 0, 0)
     # composing with the square of the generator gives the other lift
-    assert sigma.twist_by_action_square(a).signs == (1, 1, 1, -1, -1)
-    with pytest.raises(ValueError):
-        sigma.twist_by_action_square(CyclicAction(ring, 2, (1, 0, 1, 0, 0)))
+    g2 = tuple(e // 2 for e in a.power(2).exponents)
+    other = tuple(s + t for s, t in zip(sigma.exponents, g2))
+    assert CyclicAction(ring, 2, other).exponents == (0, 0, 0, 1, 1)
 
 
 def test_sign_of_polynomials():
     ring = godeaux_ring()
-    sigma = InvolutionLift(ring, (-1, 1, -1, 1, 1))
-    assert sign_of(parse_poly(ring, "x1^4 + y1 y3"), sigma) == 1
-    assert sign_of(parse_poly(ring, "x1 x2 y1"), sigma) == -1
-    with pytest.raises(ValueError, match="not sign-homogeneous"):
-        sign_of(parse_poly(ring, "x1^4 + x1 x2 y1"), sigma)
+    sigma = godeaux_sigma(ring)
+    assert character_of(parse_poly(ring, "x1^4 + y1 y3"), sigma) == 0
+    assert character_of(parse_poly(ring, "x1 x2 y1"), sigma) == 1
+    with pytest.raises(ValueError, match="not character-homogeneous"):
+        character_of(parse_poly(ring, "x1^4 + x1 x2 y1"), sigma)
 
 
 def test_sign_clash_names_the_monomial_pair():
     ring = godeaux_ring()
-    sigma = InvolutionLift(ring, (-1, 1, -1, 1, 1))
-    assert sign_clash(parse_poly(ring, "x1^4 + y1 y3"), sigma) is None
+    sigma = godeaux_sigma(ring)
+    assert character_clash(parse_poly(ring, "x1^4 + y1 y3"), sigma) is None
+    assert character_clash(ring.zero_poly(), sigma) is None
     mixed = parse_poly(ring, "x1^4 + y1 y3 + x1 x2 y1")
-    a, b = sign_clash(mixed, sigma)
-    assert sigma.sign_of_monomial(a) == -sigma.sign_of_monomial(b)
+    a, b = character_clash(mixed, sigma)
+    assert sigma.character_of_monomial(a) != sigma.character_of_monomial(b)
     assert a == mixed.monomials()[0]
+    # the same pair is what character_of raises on
+    with pytest.raises(ValueError, match=re.escape(f"monomials {a} and {b}")):
+        character_of(mixed, sigma)
 
 
 def test_sigma_type_strings():
@@ -177,8 +190,7 @@ def test_sigma_type_strings():
 def test_sigma_type_without_relations_is_raw_split():
     ring = godeaux_ring()
     a = godeaux_action(ring)
-    sigma = InvolutionLift(ring, (-1, 1, -1, 1, 1))
-    st = sigma_type(a, sigma, 4, 0)
+    st = sigma_type(a, godeaux_sigma(ring), 4, 0)
     assert (st.plus, st.minus) == (6, 2)
 
 
@@ -186,7 +198,7 @@ def test_sigma_type_small_worked_example():
     # k[x, y] mod (x^2): checked by hand in each degree
     ring = WRing(("x", "y"), (1, 1), QQ)
     a = CyclicAction(ring, 2, (0, 0))
-    lift = InvolutionLift(ring, (1, -1))
+    lift = CyclicAction(ring, 2, (0, 1))
     rel = parse_poly(ring, "x^2")
     st2 = sigma_type(a, lift, 2, 0, [rel])
     assert (st2.plus, st2.minus) == (1, 1)
@@ -199,13 +211,16 @@ def test_sigma_type_small_worked_example():
 def test_sigma_type_relation_validation():
     ring = godeaux_ring()
     a = godeaux_action(ring)
-    sigma = InvolutionLift(ring, (-1, 1, -1, 1, 1))
+    sigma = godeaux_sigma(ring)
     with pytest.raises(ValueError, match="zero relation"):
         sigma_type(a, sigma, 4, 0, [ring.zero_poly()])
     with pytest.raises(ValueError, match="not character-homogeneous"):
         sigma_type(a, sigma, 4, 0, [parse_poly(ring, "x1^4 + y1^2")])
-    with pytest.raises(ValueError, match="not sign-homogeneous"):
+    with pytest.raises(ValueError, match="not character-homogeneous: monomials "
+                                         r"\(4, 0, 0, 0, 0\) and \(1, 1, 0, 1, 0\)"):
         sigma_type(a, sigma, 4, 0, [parse_poly(ring, "x1^4 + x1 x2 y1")])
+    with pytest.raises(ValueError, match="order 2, not 4"):
+        sigma_type(a, a, 4, 0)
     with pytest.raises(ValueError, match="degree-homogeneous"):
         sigma_type(a, sigma, 4, 0, [parse_poly(ring, "x2^4 + x2^2")])
 
@@ -213,7 +228,7 @@ def test_sigma_type_relation_validation():
 def test_relations_of_higher_degree_are_ignored():
     ring = WRing(("x", "y"), (1, 1), QQ)
     a = CyclicAction(ring, 2, (0, 0))
-    lift = InvolutionLift(ring, (1, -1))
+    lift = CyclicAction(ring, 2, (0, 1))
     rel = parse_poly(ring, "x^4")
     st = sigma_type(a, lift, 2, 0, [rel])
     assert (st.plus, st.minus) == (2, 1)

@@ -474,9 +474,10 @@ def test_elimination_with_extra_mask(p):
     ring = p3_ring(p)
     pivot = linear_in_last(ring, random.Random(p))
     h = parse_poly(ring, "y0^2 + y1 y3 + -1 * y3^2")
-    tau = MonomialMap.diagonal(ring, (1, -1, -1, 1))
+    tau = MonomialMap(ring, (1, -1, -1, 1))
     for action, eqs, scalars in (
-            (fam.sigma.as_monomial_map(), [fam.q0, fam.q2], fam.sigma.signs),
+            (fam.sigma.rational_realization(), [fam.q0, fam.q2],
+             tuple((-1) ** e for e in fam.sigma.exponents)),
             (tau, [pivot, h], (1, -1, -1, 1))):
         if p == 5:
             points = brute_zero_locus(action.ring, p, eqs)
@@ -597,9 +598,7 @@ def test_projective_identity_fixes_every_point():
     p = 13
     ring = family_ring(p)
     field = ring.field
-    m = MonomialMap.diagonal(
-        ring, (field(-1), field(-1), field(-1), field(1), field(1))
-    )
+    m = MonomialMap(ring, (field(-1), field(-1), field(-1), field(1), field(1)))
     locus = fixed_locus(m, p, [])
     assert len(locus) == orbit_count_formula(p)
 
@@ -607,7 +606,7 @@ def test_projective_identity_fixes_every_point():
 def test_identity_map_fixes_every_point():
     p = 5
     ring = family_ring(p)
-    locus = fixed_locus(MonomialMap.identity(ring), p, [])
+    locus = fixed_locus(MonomialMap(ring, (1,) * ring.nvars), p, [])
     assert len(locus) == orbit_count_formula(p)
 
 
@@ -615,7 +614,7 @@ def test_tau_fixed_points_on_cone():
     p = 13
     ring = p3_ring(p)
     field = ring.field
-    tau = MonomialMap.diagonal(ring, (field(1), field(-1), field(-1), field(1)))
+    tau = MonomialMap(ring, (field(1), field(-1), field(-1), field(1)))
     cone = parse_poly(ring, "y0^2 + -1 * y1 y2")
     locus = fixed_locus(tau, p, [cone])
     assert locus.points == (
@@ -625,19 +624,10 @@ def test_tau_fixed_points_on_cone():
     )
 
 
-def test_fixed_locus_of_nondiagonal_map():
-    p = 5
-    ring = WRing(("x", "y"), (1, 1), PrimeField(p))
-    field = ring.field
-    swap = MonomialMap(ring, (field(1), field(1)), (1, 0))
-    with pytest.raises(ValueError, match="diagonal maps only"):
-        fixed_locus(swap, p, [])
-
-
 def test_fixed_locus_requires_matching_field():
     ring = family_ring()
     with pytest.raises(ValueError, match="over GF"):
-        fixed_locus(MonomialMap.identity(ring), 13, [])
+        fixed_locus(MonomialMap(ring, (1,) * ring.nvars), 13, [])
 
 
 def diagonal_maps(p):
@@ -646,10 +636,10 @@ def diagonal_maps(p):
     fam = build_family(random_params(p, seed=0))
     i = fam.ring.field.sqrt_minus_one()
     maps = {f"g{k}": fam.action.power(k).as_monomial_map(i) for k in (1, 2, 3)}
-    maps["sigma"] = fam.sigma.as_monomial_map()
-    maps["sigma_g2"] = fam.sigma_g2.as_monomial_map()
-    maps["identity"] = MonomialMap.identity(fam.ring)
-    maps["projective identity"] = MonomialMap.diagonal(fam.ring, (-1, -1, -1, 1, 1))
+    maps["sigma"] = fam.sigma.rational_realization()
+    maps["sigma_g2"] = fam.sigma_g2.rational_realization()
+    maps["identity"] = MonomialMap(fam.ring, (1,) * fam.ring.nvars)
+    maps["projective identity"] = MonomialMap(fam.ring, (-1, -1, -1, 1, 1))
     return maps
 
 
@@ -724,7 +714,7 @@ def test_checks_share_one_scan_per_member(monkeypatch):
         assert [r.points_scanned for r in reports] == [surface.scanned] * 3
         assert reports[0].data["surface_points"] == len(surface)
         assert reports[1].data["surface_points"] == len(surface)
-        hits = fixed_locus(fam_p.sigma.as_monomial_map(), p, eqs).points
+        hits = fixed_locus(fam_p.sigma.rational_realization(), p, eqs).points
         assert reports[2].data["surface_hits"] == len(hits)
         assert reports[2].data["sample"] == list(hits[0])
         sizes.append(len(surface))
@@ -852,7 +842,7 @@ def test_free_action_agrees_across_primes():
 
 def test_sigma_lift_is_not_free():
     fam = build_family(random_params(13, seed=42))
-    locus = fixed_locus(fam.sigma.as_monomial_map(), 13, [fam.q0, fam.q2])
+    locus = fixed_locus(fam.sigma.rational_realization(), 13, [fam.q0, fam.q2])
     assert len(locus) > 0
     assert any(pt[1] == 0 for pt in locus.points)
 

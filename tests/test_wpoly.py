@@ -11,9 +11,7 @@ from godeaux.wpoly import (
     WPoly,
     WRing,
     apply_map,
-    compose,
     jacobian,
-    map_power,
     monomial_to_str,
     monomials_of_degree,
     parse_monomial,
@@ -64,7 +62,7 @@ def test_monomial_counts_match_generating_function():
 
 def test_monomials_are_graded_lex_descending():
     monos = monomials_of_degree(R, 4)
-    assert monos == sorted(monos, reverse=True)
+    assert monos == tuple(sorted(monos, reverse=True))
     assert monos[0] == (4, 0, 0, 0, 0)
     assert monos[-1] == (0, 0, 0, 0, 2)
 
@@ -146,34 +144,16 @@ def test_weighted_euler_identity():
 
 def test_monomial_map_validation():
     with pytest.raises(ValueError):
-        MonomialMap(R, (1, 1, 1, 1, 0), (0, 1, 2, 3, 4))  # zero scalar
+        MonomialMap(R, (1, 1, 1, 1, 0))  # zero scalar
     with pytest.raises(ValueError):
-        MonomialMap(R, (1, 1, 1, 1, 1), (0, 0, 2, 3, 4))  # not a permutation
-    with pytest.raises(ValueError):
-        MonomialMap(R, (1, 1, 1, 1, 1), (3, 1, 2, 0, 4))  # weight mismatch
+        MonomialMap(R, (1, 1, 1, 1))  # one scalar short
 
 
 def test_apply_map_matches_point_action():
-    m = MonomialMap(R, (2, -1, 3, 5, -2), (1, 0, 2, 4, 3))
+    m = MonomialMap(R, (2, -1, 3, 5, -2))
     f = parse_poly(R, "1 * x1^2 x2 + -4 * y1 y3 + 7 * x3^4")
     p = [3, 1, -2, 5, 4]
     assert apply_map(f, m).evaluate(p) == f.evaluate(m.point_image(p))
-
-
-def test_compose_contravariance():
-    a = MonomialMap(R, (2, -1, 3, 5, -2), (1, 0, 2, 4, 3))
-    b = MonomialMap(R, (1, 4, -3, 2, 2), (2, 1, 0, 3, 4))
-    f = parse_poly(R, "1 * x1 x2 x3 + 5 * y1^2 + -1 * x1^2 y3")
-    c = compose(a, b)
-    assert apply_map(f, c) == apply_map(apply_map(f, a), b)
-    p = [1, 2, 3, 4, 5]
-    assert c.point_image(p) == a.point_image(b.point_image(p))
-
-
-def test_map_power_identity():
-    sigma = MonomialMap.diagonal(R, (-1, 1, -1, 1, 1))
-    assert map_power(sigma, 2).scalars == MonomialMap.identity(R).scalars
-    assert map_power(sigma, 2).targets == MonomialMap.identity(R).targets
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,10 +194,9 @@ def test_substitute_by_a_monomial_map_is_apply_map(field):
     rng = random.Random(43)
     for _ in range(30):
         m = MonomialMap(WRing(R.names, R.weights, field),
-                        [rng.choice([1, -1, 2, 3]) for _ in range(5)],
-                        rng.choice([(0, 1, 2, 3, 4), (2, 0, 1, 4, 3), (1, 0, 2, 3, 4)]))
+                        [rng.choice([1, -1, 2, 3]) for _ in range(5)])
         f = _random_poly(rng, m.ring, rng.randint(1, 4), terms=6)
-        images = [s * m.ring.variable(t) for s, t in zip(m.scalars, m.targets)]
+        images = [s * m.ring.variable(v) for v, s in enumerate(m.scalars)]
         assert substitute(f, images) == apply_map(f, m)
 
 
