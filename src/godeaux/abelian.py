@@ -76,9 +76,6 @@ class FinAbGroup:
     def scale(self, n: int, a: Sequence[int]) -> Element:
         return self.reduce([n * x for x in self.reduce(a)])
 
-    def has_odd_order_torsion_only(self) -> bool:
-        return all(d % 2 == 1 for d in self.invariant_factors)
-
 
 def invariant_factors(orders: Sequence[int]) -> Tuple[int, ...]:
     """Invariant factors of Z/n1 x ... x Z/nk, smallest first: the non-unit
@@ -101,7 +98,10 @@ def parse_group_label(label: str) -> Tuple[int, ...]:
         body = part[1:]
         if "^" in body:
             base, _, exp = body.partition("^")
-            orders.extend([int(base)] * int(exp))
+            power = int(exp)
+            if power < 1:
+                raise ValueError(f"exponent {power} < 1 in group label {label!r}")
+            orders.extend([int(base)] * power)
         else:
             orders.append(int(body))
     return invariant_factors(orders)

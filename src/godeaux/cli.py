@@ -432,8 +432,13 @@ def _branch_config_from_file(path: str, fallback_case: Optional[str]) -> BranchC
         except ValueError as exc:
             raise ConfigError(f"bad polynomial for {key!r}: {exc}") from None
 
-    if "r1" in raw and not (isinstance(raw["r1"], list) and len(raw["r1"]) == 4):
-        raise ConfigError(f"bad point for 'r1': expected four coordinates, got {raw['r1']!r}")
+    if "r1" in raw:
+        r1 = raw["r1"]
+        if not (isinstance(r1, list) and len(r1) == 4):
+            raise ConfigError(f"bad point for 'r1': expected four coordinates, got {r1!r}")
+        # bool is a subclass of int, and the field would read 1.0 or "1" as 1
+        if any(type(x) is not int for x in r1):
+            raise ConfigError(f"bad point for 'r1': coordinates must be integers, got {r1!r}")
     try:
         return BranchConfig(
             case=case,

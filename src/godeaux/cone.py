@@ -431,27 +431,6 @@ class BranchConfig:
         if d or a * a - 4 * b * c or not (a or b or c):
             raise ValueError("ht does not cut a doubled ruling of the cone")
 
-    def tau_conjugate(self) -> "BranchConfig":
-        """The same configuration with B1 and B2 exchanged."""
-        tau = self.setup.tau
-
-        def t(f):
-            return None if f is None else apply_map(f, tau)
-
-        r1 = None
-        if self.r1 is not None:
-            r1 = _int_point(tau.point_image(self.r1))
-        return BranchConfig(
-            case=self.case,
-            q1=self.q2,
-            h3=self.h3,
-            r1=r1,
-            h=t(self.h),
-            h0=t(self.h0),
-            h1=t(self.h1),
-            ht=t(self.ht),
-        )
-
 
 def default_branch_config(case: str, field_spec="Q") -> BranchConfig:
     """Built-in configuration realizing each degeneration scenario."""

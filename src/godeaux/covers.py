@@ -16,9 +16,9 @@ tagged claimed-effective by whoever builds the data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .abelian import FinAbGroup, halve, invariant_factors, parse_group_label
+from .abelian import FinAbGroup, halve, invariant_factors
 from .groups import SmallGroup, abelian_label, classify_order8, generated_group
 from .reports import CheckReport
 
@@ -37,7 +37,7 @@ class PicardModel:
     off-diagonal contributions to D² are always even, this is equivalent to
     the diagonal of the intersection matrix being even, which is validated.
     Torsion pairs to zero against everything, so the pairing only reads the
-    free parts.  Named classes make presets and model files self-describing.
+    free parts.  Named classes make the presets self-describing.
     """
 
     gram: Tuple[Tuple[int, ...], ...]
@@ -89,15 +89,6 @@ class PicardModel:
 
     def zero(self) -> "DivClass":
         return DivClass(self, (0,) * self.rank, self.torsion.zero())
-
-    def div(
-        self,
-        free: Sequence[int],
-        torsion: Sequence[int] = (),
-        effective: bool = False,
-    ) -> "DivClass":
-        t = torsion if torsion else self.torsion.zero()
-        return DivClass(self, _as_vector(free), t, effective)
 
     def named(self, name: str) -> "DivClass":
         for n, free, tors, eff in self.class_names:
@@ -337,51 +328,6 @@ def free_quotient_invariants(chi: int, ksq: int, order: int = 2) -> Tuple[int, i
     return chi // order, ksq // order
 
 
-def direct_sum(a: PicardModel, b: PicardModel) -> PicardModel:
-    """Orthogonal direct sum of two models; classes concatenate via `sum_class`.
-
-    The combined torsion invariant factors are sorted ascending and must
-    already form a divisibility chain (`FinAbGroup` raises otherwise);
-    mixing coprime torsion would need a coordinate change this helper does
-    not perform.
-    """
-    ra, rb = a.rank, b.rank
-    gram = [list(row) + [0] * rb for row in a.gram]
-    gram += [[0] * ra + list(row) for row in b.gram]
-    facs = list(enumerate(a.torsion.invariant_factors)) + [
-        (len(a.torsion.invariant_factors) + i, d)
-        for i, d in enumerate(b.torsion.invariant_factors)
-    ]
-    order = sorted(range(len(facs)), key=lambda i: facs[i][1])
-    sorted_facs = [facs[i][1] for i in order]
-    perm = [facs[i][0] for i in order]
-    joint_t = list(a.k_torsion) + list(b.k_torsion)
-    return PicardModel(
-        gram=tuple(tuple(r) for r in gram),
-        torsion=FinAbGroup(tuple(sorted_facs)),
-        k_free=tuple(a.k_free) + tuple(b.k_free),
-        k_torsion=tuple(joint_t[i] for i in perm),
-        even_lattice=a.even_lattice and b.even_lattice,
-    )
-
-
-def sum_class(model: PicardModel, a: DivClass, b: DivClass) -> DivClass:
-    """The class a ⊕ b of a direct-sum model built by `direct_sum`."""
-    if model.rank != a.model.rank + b.model.rank:
-        raise ValueError("model is not the direct sum of the class models")
-    joint = list(a.torsion) + list(b.torsion)
-    facs = list(a.model.torsion.invariant_factors) + list(
-        b.model.torsion.invariant_factors
-    )
-    order = sorted(range(len(facs)), key=lambda i: facs[i])
-    return DivClass(
-        model,
-        tuple(a.free) + tuple(b.free),
-        tuple(joint[i] for i in order),
-        a.effective and b.effective,
-    )
-
-
 # ---------------------------------------------------------------------------
 # lifting an involution of the base to the cover
 
@@ -470,34 +416,6 @@ def case_a_witnesses() -> Dict[str, SmallGroup]:
     z2cube = direct_product(direct_product(z2, z2), z2)
     z4z2 = direct_product(cyclic_group(4), z2)
     return {abelian_label(z2cube): z2cube, abelian_label(z4z2): z4z2}
-
-
-def lemma_div_geo(
-    model_x: PicardModel, d_pullback: DivClass, d: int, label: str
-) -> bool:
-    """Evenness of a pulled-back divisor, read off the Galois group label.
-
-    For a degree-2d cyclic quotient with no 2-torsion in the model, the
-    pullback is even exactly when the Galois group of the composed cover
-    splits as ℤ₂ × ℤ_d.  For odd d the two candidate groups are isomorphic
-    and the verdict is always True.
-    """
-    if not model_x.torsion.has_odd_order_torsion_only():
-        raise ValueError(
-            "the divisibility criterion needs a model with no 2-torsion, "
-            f"got invariant factors {model_x.torsion.invariant_factors}"
-        )
-    if d_pullback.model != model_x:
-        raise ValueError("class does not belong to the given model")
-    if d < 1:
-        raise ValueError(f"cyclic order d = {d} < 1")
-    facs = parse_group_label(label)
-    order = 1
-    for f in facs:
-        order *= f
-    if order != 2 * d:
-        raise ValueError(f"label {label!r} has order {order}, expected 2d = {2 * d}")
-    return facs == invariant_factors([2, d])
 
 
 # ---------------------------------------------------------------------------
@@ -670,17 +588,6 @@ _PRESETS = {
     "even8": _even8_model,
 }
 
-# Structure constants of the preset surfaces that the lattice alone cannot
-# derive: holomorphic Euler characteristic, and for the Enriques preset the
-# expected dimension of |B| sections (recorded, not re-derived).
-PRESET_EXPECTATIONS: Mapping[str, Mapping[str, int]] = {
-    "enriques": {"chi": 1, "h0_B": 2},
-    "f2": {"chi": 1},
-    "p2": {"chi": 1},
-    "even8": {"chi": 2},
-}
-
-
 def preset_model(name: str) -> PicardModel:
     try:
         builder = _PRESETS[name]
@@ -768,56 +675,3 @@ def enriques_arithmetic(model: Optional[PicardModel] = None) -> CheckReport:
             data=payload,
         )
     return CheckReport(check="enriques-arithmetic", status="pass", data=payload)
-
-
-# ---------------------------------------------------------------------------
-# model files
-
-
-def model_to_config(model: PicardModel) -> Dict[str, object]:
-    return {
-        "rank": model.rank,
-        "gram": [list(row) for row in model.gram],
-        "torsion": list(model.torsion.invariant_factors),
-        "k": {"free": list(model.k_free), "torsion": list(model.k_torsion)},
-        "even_lattice": model.even_lattice,
-        "classes": {
-            name: {"free": list(free), "torsion": list(tors), "effective": eff}
-            for name, free, tors, eff in model.class_names
-        },
-    }
-
-
-def model_from_config(cfg: Mapping[str, object]) -> PicardModel:
-    required = {"gram", "torsion", "k"}
-    missing = required - set(cfg)
-    if missing:
-        raise ValueError(f"model config is missing keys {sorted(missing)}")
-    known = required | {"rank", "even_lattice", "classes"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ValueError(f"unknown model config keys {sorted(unknown)}")
-    gram = tuple(tuple(int(x) for x in row) for row in cfg["gram"])
-    if "rank" in cfg and int(cfg["rank"]) != len(gram):
-        raise ValueError(
-            f"declared rank {cfg['rank']} does not match a {len(gram)}-row matrix"
-        )
-    k = cfg["k"]
-    names = []
-    for name, spec in dict(cfg.get("classes", {})).items():
-        names.append(
-            (
-                name,
-                tuple(int(x) for x in spec["free"]),
-                tuple(int(x) for x in spec.get("torsion", ())),
-                bool(spec.get("effective", False)),
-            )
-        )
-    return PicardModel(
-        gram=gram,
-        torsion=FinAbGroup(tuple(int(d) for d in cfg["torsion"])),
-        k_free=tuple(int(x) for x in k["free"]),
-        k_torsion=tuple(int(x) for x in k.get("torsion", ())),
-        even_lattice=bool(cfg.get("even_lattice", False)),
-        class_names=tuple(names),
-    )

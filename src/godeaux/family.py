@@ -16,19 +16,17 @@ import functools
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from .grouprep import (
     CyclicAction,
     SigmaType,
-    character_census,
     character_clash,
     character_of,
     eigenspace_basis,
     sigma_type,
 )
-from .groups import abelian_label, classify_order8, generated_group
-from .scalars import QQ, PrimeField, Rationals, field_from_spec, scalar_to_str
+from .scalars import QQ, PrimeField, Rationals, field_from_spec
 from .wpoly import (
     Exponents,
     WPoly,
@@ -130,9 +128,6 @@ class GodeauxFamily:
     @property
     def field(self):
         return self.ring.field
-
-    def quartics(self) -> Tuple[WPoly, WPoly]:
-        return (self.q0, self.q2)
 
     def lifts(self) -> Dict[str, CyclicAction]:
         """The two involution lifts, keyed by their attribute names."""
@@ -252,59 +247,6 @@ def _hard_construction_checks(fam: GodeauxFamily) -> None:
         raise AssertionError("q2 not invariant under the square of the generator")
 
 
-def _canonical_twist(exponents: Sequence[int], n: int) -> Tuple[int, ...]:
-    """Representative of an exponent vector modulo the scaling subgroup
-    generated by the weight vector (all in Z/n)."""
-    best = None
-    for t in range(n):
-        cand = tuple((e + t * w) % n for e, w in zip(exponents, WEIGHTS))
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
-def _lift_exponents(lift: CyclicAction, n: int) -> Tuple[int, ...]:
-    return tuple(e * (n // lift.order) for e in lift.exponents)
-
-
-def torsion_group_census(fam: GodeauxFamily) -> Dict[str, str]:
-    """Abstract isomorphism types of the symmetry groups acting on the
-    family, computed on exponent vectors modulo coordinate scalings."""
-    n = fam.action.order
-    g = _canonical_twist(fam.action.exponents, n)
-    s = _canonical_twist(_lift_exponents(fam.sigma, n), n)
-    s_alt = _canonical_twist(_lift_exponents(fam.sigma_g2, n), n)
-    identity = _canonical_twist((0,) * len(WEIGHTS), n)
-
-    def compose(a, b):
-        return _canonical_twist(tuple((x + y) % n for x, y in zip(a, b)), n)
-
-    def label_of(generators) -> str:
-        group, _ = generated_group(list(generators), compose, identity)
-        if group.order == 8:
-            return classify_order8(group)
-        if group.is_abelian():
-            return abelian_label(group)
-        raise AssertionError("unexpected nonabelian small symmetry group")
-
-    census = {
-        "generator": label_of([g]),
-        "lift": label_of([s]),
-        "joint": label_of([g, s]),
-    }
-    if label_of([g, s_alt]) != census["joint"]:
-        raise AssertionError("the two lifts generate different joint groups")
-    return census
-
-
-def projective_identity_is_trivial(fam: GodeauxFamily) -> bool:
-    """The scaling (-1,-1,-1,1,1) is the identity on the quotient space;
-    its exponent vector must canonicalize to the identity."""
-    n = fam.action.order
-    e = tuple(n // 2 if w % 2 else 0 for w in WEIGHTS)
-    return _canonical_twist(e, n) == _canonical_twist((0,) * len(WEIGHTS), n)
-
-
 def lift_sign_clash(fam: GodeauxFamily) -> Optional[Dict[str, object]]:
     """Witness that a quartic has monomials of both signs under an
     involution lift, which then does not act on the quotient ring and has
@@ -360,16 +302,6 @@ def match_reference_table(table: Dict[Tuple[int, int], SigmaType]) -> Dict[str, 
     }
 
 
-def quotient_dimension(fam: GodeauxFamily, d: int, c: int) -> int:
-    st = sigma_type(fam.action, fam.sigma, d, c, [fam.q0, fam.q2])
-    return st.plus + st.minus
-
-
-def degree4_character_census(field=QQ) -> Dict[int, int]:
-    ring = canonical_ring(field)
-    return character_census(canonical_action(ring), 4)
-
-
 def params_from_config(config: Dict[str, object]) -> FamilyParams:
     """Build params from a config mapping: either a seed draw
     {"field": ..., "seed": n} or explicit maps {"field": ..., "q0": {...},
@@ -389,10 +321,10 @@ def params_from_config(config: Dict[str, object]) -> FamilyParams:
     if "seed" in config:
         if "q0" in config or "q2" in config:
             raise ValueError("give either a seed or explicit coefficients, not both")
-        try:
-            seed = int(config["seed"])
-        except (TypeError, ValueError):
-            raise ValueError(f"seed must be an integer, got {config['seed']!r}") from None
+        seed = config["seed"]
+        # bool is a subclass of int, and int() would truncate a float
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         return random_params(field_spec, seed=seed, enforce_involution=enforce)
     if "q0" not in config or "q2" not in config:
         raise ValueError("config needs a seed or both q0 and q2 maps")
@@ -409,38 +341,6 @@ def params_from_config(config: Dict[str, object]) -> FamilyParams:
         q2=dict(config["q2"]),
         enforce_involution=enforce,
     )
-
-
-def params_to_config(params: FamilyParams) -> Dict[str, object]:
-    """JSON-ready mapping that params_from_config inverts."""
-    field = field_from_spec(params.field_spec)
-    spec = field.p if isinstance(field, PrimeField) else "Q"
-
-    def show(block: Dict[str, object]) -> Dict[str, str]:
-        return {k: scalar_to_str(field(v)) for k, v in sorted(block.items())}
-
-    return {
-        "field": spec,
-        "q0": show(params.q0),
-        "q2": show(params.q2),
-        "enforce_involution": params.enforce_involution,
-    }
-
-
-def family_info(fam: GodeauxFamily) -> Dict[str, object]:
-    """Parameter counts plus the informational moduli note."""
-    n0 = len(allowed_support(fam.ring, 0, fam.params.enforce_involution))
-    n2 = len(allowed_support(fam.ring, 2, fam.params.enforce_involution))
-    return {
-        "field": fam.field.name,
-        "parameters": {"q0": n0, "q2": n2},
-        "enforce_involution": fam.params.enforce_involution,
-        "note": (
-            "coefficient space has 6+6 dimensions with the involution "
-            "enforced; after coordinate rescalings the expected moduli "
-            "dimension is 6 (informational only, nothing is computed)"
-        ),
-    }
 
 
 def render_sigma_tables(tables: Dict[str, Dict[Tuple[int, int], SigmaType]]) -> str:

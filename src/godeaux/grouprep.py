@@ -18,7 +18,7 @@ offending monomial pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .scalars import exact_rank
 from .wpoly import Exponents, MonomialMap, WPoly, WRing, monomials_of_degree
@@ -103,13 +103,6 @@ def eigenspace_basis(action: CyclicAction, d: int, c: int) -> List[Exponents]:
         for e in monomials_of_degree(action.ring, d)
         if action.character_of_monomial(e) == c
     ]
-
-
-def character_census(action: CyclicAction, d: int) -> Dict[int, int]:
-    census = {c: 0 for c in range(action.order)}
-    for e in monomials_of_degree(action.ring, d):
-        census[action.character_of_monomial(e)] += 1
-    return census
 
 
 @dataclass(frozen=True)

@@ -87,21 +87,6 @@ class SmallGroup:
         n = self.order
         return all(self.table[a][b] == self.table[b][a] for a in range(n) for b in range(n))
 
-    def relabel(self, perm: Sequence[int]) -> "SmallGroup":
-        """The same group with element a renamed perm[a]."""
-        n = self.order
-        if sorted(perm) != list(range(n)):
-            raise ValueError("not a permutation of 0..n-1")
-        inv = [0] * n
-        for a, pa in enumerate(perm):
-            inv[pa] = a
-        return SmallGroup(
-            tuple(
-                tuple(perm[self.table[inv[a]][inv[b]]] for b in range(n))
-                for a in range(n)
-            )
-        )
-
 
 def cyclic_group(n: int) -> SmallGroup:
     return SmallGroup(tuple(tuple((a + b) % n for b in range(n)) for a in range(n)))
@@ -116,48 +101,6 @@ def direct_product(g: SmallGroup, h: SmallGroup) -> SmallGroup:
             for (a1, b1) in pairs
         )
     )
-
-
-def dihedral_group(n: int) -> SmallGroup:
-    """Dihedral group of order 2n; element r^a s^b is labeled a + n*b."""
-    def mul(x, y):
-        a1, b1 = x % n, x // n
-        a2, b2 = y % n, y // n
-        # (r^a1 s^b1)(r^a2 s^b2) = r^(a1 + a2*(-1)^b1) s^(b1+b2)
-        a = (a1 + (a2 if b1 == 0 else -a2)) % n
-        return a + n * ((b1 + b2) % 2)
-
-    return SmallGroup(tuple(tuple(mul(x, y) for y in range(2 * n)) for x in range(2 * n)))
-
-
-def quaternion_group() -> SmallGroup:
-    """Q8 with elements 1,-1,i,-i,j,-j,k,-k labeled 0..7."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    base = {
-        ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
-        ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
-        ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j",
-    }
-
-    def split(s):
-        return (-1 if s.startswith("-") else 1, s.lstrip("-"))
-
-    def mul(x, y):
-        sx, ux = split(names[x])
-        sy, uy = split(names[y])
-        if ux == "1":
-            s, u = sx * sy, uy
-        elif uy == "1":
-            s, u = sx * sy, ux
-        elif ux == uy:
-            s, u = -sx * sy, "1"
-        else:
-            s, b = sx * sy, base[(ux, uy)]
-            sb, u = split(b)
-            s *= sb
-        return names.index(u if s == 1 else "-" + u if u != "1" else "-1")
-
-    return SmallGroup(tuple(tuple(mul(x, y) for y in range(8)) for x in range(8)))
 
 
 def generated_group(

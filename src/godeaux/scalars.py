@@ -14,10 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator, Optional, Union
-
-Scalar = Union[int, Fraction, "FpElement"]
-
+from typing import Optional, Union
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -167,10 +164,6 @@ class PrimeField:
 
     def one(self) -> FpElement:
         return FpElement(1, self.p)
-
-    def elements(self) -> Iterator[FpElement]:
-        for v in range(self.p):
-            yield FpElement(v, self.p)
 
     def sqrt(self, v) -> Optional[FpElement]:
         """The least square root of v (as a residue), or None for a

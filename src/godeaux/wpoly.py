@@ -55,10 +55,6 @@ class WRing:
     def zero_poly(self) -> "WPoly":
         return WPoly(self, {})
 
-    def variable(self, v: int) -> "WPoly":
-        e = tuple(1 if i == v else 0 for i in range(self.nvars))
-        return WPoly(self, {e: self.field.one()})
-
     def monomial(self, expts: Sequence[int], coeff=1) -> "WPoly":
         return WPoly(self, {tuple(int(e) for e in expts): self.field(coeff)})
 

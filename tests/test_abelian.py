@@ -178,9 +178,3 @@ def test_halve_on_free_coordinates_is_exact():
     assert halve(FinAbGroup((4,)), (2, 2), free_rank=1) == (1, 1)
     with pytest.raises(ValueError, match="element length"):
         halve(FinAbGroup((4,)), (2,), free_rank=1)
-
-
-def test_odd_torsion_detector():
-    assert FinAbGroup((3, 9)).has_odd_order_torsion_only()
-    assert not FinAbGroup((2, 4)).has_odd_order_torsion_only()
-    assert FinAbGroup(()).has_odd_order_torsion_only()

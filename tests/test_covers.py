@@ -5,6 +5,7 @@ works in the mod-2 quotient of the class group by span enumeration, a
 different algorithm from the Smith-form solver under test.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 from godeaux.abelian import FinAbGroup, parse_group_label, subgroup_span
 from godeaux.covers import (
-    PRESET_EXPECTATIONS,
     BidoubleData,
     DivClass,
     DoubleData,
@@ -23,18 +23,13 @@ from godeaux.covers import (
     case_a_witnesses,
     classify_lift,
     dihedral_witness,
-    direct_sum,
     double_invariants,
     enriques_arithmetic,
     enriques_double_data,
     even_node_set,
     f2_bidouble_data,
     free_quotient_invariants,
-    lemma_div_geo,
-    model_from_config,
-    model_to_config,
     preset_model,
-    sum_class,
     validate,
 )
 from godeaux.groups import abelian_label
@@ -164,7 +159,7 @@ def test_redrel_implies_fundrel(data):
     rnd = st.integers(min_value=-4, max_value=4)
 
     def cls():
-        return m.div((data.draw(rnd), data.draw(rnd)))
+        return DivClass(m, (data.draw(rnd), data.draw(rnd)))
 
     L1, L2, B3 = cls(), cls(), cls()
     bid = BidoubleData(
@@ -219,7 +214,7 @@ def test_double_invariants_require_valid_data():
 def test_non_integral_chi_is_an_error():
     # rank-1 lattice with square 1 and K = 0: L(L+K) = 1 is odd
     m = PicardModel(((1,),), FinAbGroup(()), (0,), ())
-    data = DoubleData(L=m.div((1,)), B=m.div((2,)).as_effective())
+    data = DoubleData(L=DivClass(m, (1,)), B=DivClass(m, (2,)).as_effective())
     with pytest.raises(ValueError, match="odd"):
         double_invariants(m, data, 1)
 
@@ -248,6 +243,40 @@ def test_all_zero_bidouble_quadruples():
 def test_free_quotient_rejects_non_divisible():
     with pytest.raises(ValueError, match="cannot be free"):
         free_quotient_invariants(1, 2)
+
+
+def direct_sum(a, b):
+    """Orthogonal direct sum of two models; classes concatenate via `sum_class`.
+
+    The combined torsion invariant factors are sorted ascending and must
+    already form a divisibility chain (`FinAbGroup` raises otherwise).
+    """
+    ra, rb = a.rank, b.rank
+    gram = [list(row) + [0] * rb for row in a.gram]
+    gram += [[0] * ra + list(row) for row in b.gram]
+    facs = list(a.torsion.invariant_factors) + list(b.torsion.invariant_factors)
+    order = sorted(range(len(facs)), key=lambda i: facs[i])
+    joint_t = list(a.k_torsion) + list(b.k_torsion)
+    return PicardModel(
+        gram=tuple(tuple(r) for r in gram),
+        torsion=FinAbGroup(tuple(facs[i] for i in order)),
+        k_free=tuple(a.k_free) + tuple(b.k_free),
+        k_torsion=tuple(joint_t[i] for i in order),
+        even_lattice=a.even_lattice and b.even_lattice,
+    )
+
+
+def sum_class(model, a, b):
+    """The class a ⊕ b of a direct-sum model built by `direct_sum`."""
+    joint = list(a.torsion) + list(b.torsion)
+    facs = list(a.model.torsion.invariant_factors) + list(b.model.torsion.invariant_factors)
+    order = sorted(range(len(facs)), key=lambda i: facs[i])
+    return DivClass(
+        model,
+        tuple(a.free) + tuple(b.free),
+        tuple(joint[i] for i in order),
+        a.effective and b.effective,
+    )
 
 
 def test_double_invariants_additive_on_direct_sums():
@@ -321,26 +350,14 @@ def test_case_a_witness_tables():
 
 
 def test_lemma_div_geo_verdicts():
-    m = preset_model("p2")
-    d = m.named("H")
-    assert lemma_div_geo(m, 2 * d, 4, "Z2xZ4") is True
-    assert lemma_div_geo(m, 2 * d, 4, "Z8") is False
-    # odd d: both candidate groups coincide, evenness is automatic
-    assert lemma_div_geo(m, d, 3, "Z6") is True
-    assert lemma_div_geo(m, d, 3, "Z2xZ3") is True
-    assert lemma_div_geo(m, d, 2, "Z2^2") is True
-    assert lemma_div_geo(m, d, 2, "Z4") is False
-
-
-def test_lemma_div_geo_guards():
-    m = preset_model("p2")
-    h = m.named("H")
-    with pytest.raises(ValueError, match="no 2-torsion"):
-        lemma_div_geo(preset_model("enriques"), preset_model("enriques").named("E"), 4, "Z8")
-    with pytest.raises(ValueError, match="order"):
-        lemma_div_geo(m, h, 4, "Z4")
-    with pytest.raises(ValueError, match="parse"):
-        lemma_div_geo(m, h, 2, "D4")
+    # a pullback under a degree-2d cyclic quotient is even iff the Galois
+    # group splits as Z2 x Zd; for odd d the two candidates coincide
+    for d in (2, 3, 4, 6):
+        labels = classify_lift(LiftSpec("double", rho_order=d))
+        split = FinAbGroup(parse_group_label(f"Z2xZ{d}")).label
+        cyclic = FinAbGroup(parse_group_label(f"Z{2 * d}")).label
+        assert labels == {split, cyclic}
+        assert (split == cyclic) is (d % 2 == 1)
 
 
 def test_parse_group_label():
@@ -351,6 +368,9 @@ def test_parse_group_label():
     assert parse_group_label("Z6") == (6,)
     # invariant factors of Z2 x Z3 normalize to Z6
     assert parse_group_label("Z2xZ3") == (6,)
+    for bad in ("D4", "Z2^0", "Z2^-1"):
+        with pytest.raises(ValueError):
+            parse_group_label(bad)
 
 
 # --- two-divisibility against the oracle -------------------------------------
@@ -463,8 +483,8 @@ def test_enriques_nodes_even_only_after_twist():
 def test_divisible_but_wrong_cardinality_is_an_error():
     # odd lattice where two orthogonal (-2)-classes sum to twice a class
     m = PicardModel(((-2, -1), (-1, -1)), FinAbGroup(()), (0, 0), ())
-    c1 = m.div((1, 0))
-    c2 = m.div((1, -2))
+    c1 = DivClass(m, (1, 0))
+    c2 = DivClass(m, (1, -2))
     assert c1.square() == c2.square() == -2
     assert c1.dot(c2) == 0
     report = even_node_set(m, [c1, c2])
@@ -496,9 +516,11 @@ def test_enriques_arithmetic_report():
 
 def test_enriques_arithmetic_detects_tampering():
     m = preset_model("enriques")
-    cfg = model_to_config(m)
-    cfg["classes"]["L"]["free"] = [1, 0, 0, 0, 1, 0]  # drop the C5 part
-    report = enriques_arithmetic(model_from_config(cfg))
+    names = tuple(
+        (name, (1, 0, 0, 0, 1, 0), tors, eff) if name == "L" else (name, free, tors, eff)
+        for name, free, tors, eff in m.class_names
+    )  # drop the C5 part of L
+    report = enriques_arithmetic(dataclasses.replace(m, class_names=names))
     assert report.status == "fail"
     assert report.witness["identity"] == "L_halves_branch"
 
@@ -517,34 +539,9 @@ def test_enriques_preset_pairings():
     assert (total - 2 * N).is_zero()
 
 
-# --- presets and model files ----------------------------------------------------
-
-
-def test_preset_expectations():
-    assert PRESET_EXPECTATIONS["enriques"]["chi"] == 1
-    assert PRESET_EXPECTATIONS["enriques"]["h0_B"] == 2
-    assert PRESET_EXPECTATIONS["even8"]["chi"] == 2
+# --- presets ----------------------------------------------------------------
 
 
 def test_unknown_preset():
     with pytest.raises(ValueError, match="unknown preset"):
         preset_model("k3")
-
-
-def test_model_config_round_trip():
-    for name in ("enriques", "f2", "p2", "even8"):
-        m = preset_model(name)
-        assert model_from_config(model_to_config(m)) == m
-
-
-def test_model_config_validation():
-    cfg = model_to_config(preset_model("p2"))
-    cfg["rank"] = 5
-    with pytest.raises(ValueError, match="rank"):
-        model_from_config(cfg)
-    with pytest.raises(ValueError, match="missing keys"):
-        model_from_config({"gram": [[2]]})
-    cfg2 = model_to_config(preset_model("p2"))
-    cfg2["extra"] = 1
-    with pytest.raises(ValueError, match="unknown model config keys"):
-        model_from_config(cfg2)

@@ -7,26 +7,25 @@ from godeaux.family import (
     REFERENCE_SIGMA_TABLE,
     SIGMA_G2_SIGNS,
     SIGMA_SIGNS,
+    WEIGHTS,
     FamilyParams,
     allowed_support,
     build_family,
     canonical_action,
     canonical_lifts,
     canonical_ring,
-    degree4_character_census,
     match_reference_table,
-    projective_identity_is_trivial,
-    quotient_dimension,
+    params_from_config,
     random_params,
     reduce_family,
     render_sigma_tables,
     sigma_table,
     sigma_tables,
-    torsion_group_census,
 )
-from godeaux.grouprep import CyclicAction
+from godeaux.groups import abelian_label, classify_order8, generated_group
+from godeaux.grouprep import CyclicAction, eigenspace_basis, sigma_type
 from godeaux.reports import CheckReport
-from godeaux.scalars import PrimeField
+from godeaux.scalars import PrimeField, scalar_to_str
 from godeaux.wpoly import apply_map, monomial_to_str
 
 
@@ -210,10 +209,12 @@ def test_equivariance_flags_reenabled_odd_monomial():
 
 
 def test_params_config_round_trip():
-    from godeaux.family import params_from_config, params_to_config
-
     params = random_params(13, seed=42)
-    config = params_to_config(params)
+    config = {
+        "field": 13,
+        "q0": {k: scalar_to_str(v) for k, v in params.q0.items()},
+        "q2": {k: scalar_to_str(v) for k, v in params.q2.items()},
+    }
     rebuilt = params_from_config(config)
     fam_a = build_family(params)
     fam_b = build_family(rebuilt)
@@ -228,12 +229,42 @@ def test_params_config_round_trip():
         params_from_config({"q0": {"x1^4": 1}})
 
 
-def test_family_info_note():
-    from godeaux.family import family_info
+def _canonical_twist(exponents, n):
+    """Representative of an exponent vector modulo the scaling subgroup
+    generated by the weight vector (all in Z/n)."""
+    return min(tuple((e + t * w) % n for e, w in zip(exponents, WEIGHTS)) for t in range(n))
 
-    info = family_info(build_family(all_ones_params()))
-    assert info["parameters"] == {"q0": 6, "q2": 6}
-    assert "moduli" in info["note"]
+
+def _lift_exponents(lift, n):
+    return tuple(e * (n // lift.order) for e in lift.exponents)
+
+
+def torsion_group_census(fam):
+    """Abstract isomorphism types of the symmetry groups acting on the
+    family, computed on exponent vectors modulo coordinate scalings."""
+    n = fam.action.order
+    g = _canonical_twist(fam.action.exponents, n)
+    s = _canonical_twist(_lift_exponents(fam.sigma, n), n)
+    s_alt = _canonical_twist(_lift_exponents(fam.sigma_g2, n), n)
+    identity = _canonical_twist((0,) * len(WEIGHTS), n)
+
+    def compose(a, b):
+        return _canonical_twist(tuple((x + y) % n for x, y in zip(a, b)), n)
+
+    def label_of(generators):
+        group, _ = generated_group(list(generators), compose, identity)
+        if group.order == 8:
+            return classify_order8(group)
+        assert group.is_abelian(), "unexpected nonabelian small symmetry group"
+        return abelian_label(group)
+
+    census = {
+        "generator": label_of([g]),
+        "lift": label_of([s]),
+        "joint": label_of([g, s]),
+    }
+    assert label_of([g, s_alt]) == census["joint"], "the lifts generate different joint groups"
+    return census
 
 
 def test_torsion_group_census():
@@ -246,12 +277,22 @@ def test_torsion_group_census():
 
 
 def test_projective_identity_is_trivial():
-    fam = build_family(all_ones_params())
-    assert projective_identity_is_trivial(fam)
+    # the scaling (-1,-1,-1,1,1) is the identity on the quotient space, so
+    # its exponent vector canonicalizes to the identity's
+    n = build_family(all_ones_params()).action.order
+    e = tuple(n // 2 if w % 2 else 0 for w in WEIGHTS)
+    assert _canonical_twist(e, n) == _canonical_twist((0,) * len(WEIGHTS), n)
 
 
 def test_degree4_character_census():
-    assert degree4_character_census() == {0: 8, 1: 7, 2: 8, 3: 7}
+    action = canonical_action(canonical_ring())
+    assert [len(eigenspace_basis(action, 4, c)) for c in range(4)] == [8, 7, 8, 7]
+
+
+def quotient_dimension(fam, d, c):
+    """dim of the (degree d, character c) piece of the ring modulo q0, q2."""
+    st = sigma_type(fam.action, fam.sigma, d, c, [fam.q0, fam.q2])
+    return st.plus + st.minus
 
 
 def test_quotient_dimensions():

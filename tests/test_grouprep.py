@@ -8,7 +8,6 @@ import pytest
 from godeaux.grouprep import (
     CyclicAction,
     SigmaType,
-    character_census,
     character_clash,
     character_of,
     eigenspace_basis,
@@ -53,9 +52,9 @@ def test_monomial_characters():
 def test_character_census_degree4():
     ring = godeaux_ring()
     a = godeaux_action(ring)
-    assert character_census(a, 4) == {0: 8, 1: 7, 2: 8, 3: 7}
-    assert character_census(a, 1) == {0: 0, 1: 1, 2: 1, 3: 1}
-    assert character_census(a, 2) == {0: 2, 1: 2, 2: 2, 3: 2}
+    assert [len(eigenspace_basis(a, 4, c)) for c in range(4)] == [8, 7, 8, 7]
+    assert [len(eigenspace_basis(a, 1, c)) for c in range(4)] == [0, 1, 1, 1]
+    assert [len(eigenspace_basis(a, 2, c)) for c in range(4)] == [2, 2, 2, 2]
 
 
 def test_eigenspace_basis_degree4_character0():

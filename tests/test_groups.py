@@ -9,11 +9,62 @@ from godeaux.groups import (
     abelian_label,
     classify_order8,
     cyclic_group,
-    dihedral_group,
     direct_product,
     generated_group,
-    quaternion_group,
 )
+
+
+def dihedral_group(n):
+    """Dihedral group of order 2n; element r^a s^b is labeled a + n*b."""
+    def mul(x, y):
+        a1, b1 = x % n, x // n
+        a2, b2 = y % n, y // n
+        # (r^a1 s^b1)(r^a2 s^b2) = r^(a1 + a2*(-1)^b1) s^(b1+b2)
+        a = (a1 + (a2 if b1 == 0 else -a2)) % n
+        return a + n * ((b1 + b2) % 2)
+
+    return SmallGroup(tuple(tuple(mul(x, y) for y in range(2 * n)) for x in range(2 * n)))
+
+
+def quaternion_group():
+    """Q8 with elements 1,-1,i,-i,j,-j,k,-k labeled 0..7."""
+    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+    base = {
+        ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
+        ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
+        ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j",
+    }
+
+    def split(s):
+        return (-1 if s.startswith("-") else 1, s.lstrip("-"))
+
+    def mul(x, y):
+        sx, ux = split(names[x])
+        sy, uy = split(names[y])
+        if ux == "1":
+            s, u = sx * sy, uy
+        elif uy == "1":
+            s, u = sx * sy, ux
+        elif ux == uy:
+            s, u = -sx * sy, "1"
+        else:
+            s, b = sx * sy, base[(ux, uy)]
+            sb, u = split(b)
+            s *= sb
+        return names.index(u if s == 1 else "-" + u if u != "1" else "-1")
+
+    return SmallGroup(tuple(tuple(mul(x, y) for y in range(8)) for x in range(8)))
+
+
+def relabel(group, perm):
+    """The same group with element a renamed perm[a]."""
+    n = group.order
+    inv = [0] * n
+    for a, pa in enumerate(perm):
+        inv[pa] = a
+    return SmallGroup(
+        tuple(tuple(perm[group.table[inv[a]][inv[b]]] for b in range(n)) for a in range(n))
+    )
 
 
 def all_order8_groups():
@@ -79,7 +130,7 @@ def test_classify_order8_is_relabeling_invariant():
         for _ in range(10):
             perm = list(range(8))
             rng.shuffle(perm)
-            assert classify_order8(group.relabel(perm)) == label
+            assert classify_order8(relabel(group, perm)) == label
 
 
 def test_classify_order8_rejects_other_orders():

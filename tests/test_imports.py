@@ -1,6 +1,10 @@
-"""Every module and test imports only names it uses."""
+"""Every module and test imports only names it uses, and every public name
+in the package is reachable from the package itself, the README or the
+benchmark's tracer."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,3 +40,79 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _references(node):
+    """Names read, attributes taken and names imported anywhere under node."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif isinstance(child, ast.alias):
+            yield child.name
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of each public top-level name of a module and
+    each public method of its top-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield f"{node.name}.{item.name}", item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def unreachable_names(modules, readme, traced):
+    """module.name of each public definition in `modules` (module name ->
+    source) that no code in `modules` refers to outside the definition
+    itself, and that neither `readme` nor the `traced` names mention."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    everywhere = Counter(ref for tree in trees.values() for ref in _references(tree))
+    mentioned = set(re.findall(r"\w+", readme)) | set(traced)
+    unreachable = []
+    for module, tree in trees.items():
+        for qualified, node in _public_definitions(tree):
+            name = qualified.rpartition(".")[2]
+            if name.startswith("_") or name in mentioned:
+                continue
+            if everywhere[name] == Counter(_references(node))[name]:
+                unreachable.append(f"{module}.{qualified}")
+    return unreachable
+
+
+def traced_functions():
+    """Function names of TRACED_FUNCTIONS in perfbench/tracing.py, read without
+    importing it: the tracer looks each one up by name, so none may go."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign) and node.target.id == "TRACED_FUNCTIONS":
+            return {pair.elts[1].value for pair in node.value.elts}
+    raise AssertionError("perfbench/tracing.py defines no TRACED_FUNCTIONS")
+
+
+def test_unreachable_names_are_found():
+    modules = {
+        "a": "def used():\n    pass\n\ndef recursive(n):\n    return recursive(n - 1)\n\n"
+             "class C:\n    def method(self):\n        pass\n\n    def _private(self):\n        pass\n",
+        "b": "from .a import used\nLIMIT = 3\nused()\n",
+    }
+    assert unreachable_names(modules, "", ()) == ["a.recursive", "a.C", "a.C.method", "b.LIMIT"]
+    assert unreachable_names(modules, "C.method() and LIMIT", ("recursive",)) == []
+
+
+def test_every_public_name_has_a_caller():
+    modules = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(ROOT.glob("src/godeaux/*.py"))}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    unreachable = unreachable_names(modules, readme, traced_functions())
+    assert not unreachable, (
+        "no caller in src/, README.md or TRACED_FUNCTIONS: " + ", ".join(unreachable)
+    )
