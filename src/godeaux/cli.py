@@ -36,7 +36,6 @@ from .cone import (
     classify_degeneration,
     cone_setup,
     default_branch_config,
-    degeneration_report,
     intersection_count,
     pencil_report,
     tau_fixed_points,
@@ -474,14 +473,14 @@ def cmd_cone_degenerate(args) -> List[CheckReport]:
         bad = [c for c in getattr(branch, name).terms.values() if c.denominator % p == 0]
         if bad:
             raise ConfigError(f"{name} has bad reduction mod {p}: coefficient {bad[0]}")
-    verdict = classify_degeneration(branch, p=p)
+    report = classify_degeneration(branch, p=p)
+    d = report.data
     print(
-        f"case {verdict.case}: normalization {verdict.normalization}, "
-        f"gorenstein={verdict.gorenstein}, "
-        f"cartier indices (T, S) = ({verdict.cartier_index_T}, "
-        f"{verdict.cartier_index_S})"
+        f"case {d['case']}: normalization {d['normalization']}, "
+        f"gorenstein={d['gorenstein']}, "
+        f"cartier indices (T, S) = ({d['cartier_index_T']}, {d['cartier_index_S']})"
     )
-    reports = [degeneration_report(verdict)]
+    reports = [report]
     if args.intersections:
         reports.append(intersection_count(branch, p=p))
     return reports

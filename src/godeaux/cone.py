@@ -21,7 +21,7 @@ import dataclasses
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -191,27 +191,22 @@ def verify_invariant_map(setup: ConeSetup, prime: int = 13) -> CheckReport:
 
 
 def _factor_binary_quadratic(a, b, c, field):
-    """Projective roots of a*s^2 + b*s*t + c*t^2 over the field, with
-    multiplicity, or None when the form is irreducible.
+    """Projective roots of a*s^2 + b*s*t + c*t^2 over the field, or None
+    when the form is irreducible.
 
-    Returned roots are (s, t) pairs.  Exact: rational roots need the
-    discriminant to be a square in the field.
+    Returned roots are (s, t) pairs, a double root once.  Exact: rational
+    roots need the discriminant to be a square in the field.
     """
     zero, one = field(0), field(1)
     if not a and not b and not c:
         raise ValueError("zero form has no well-defined roots")
     if not a:
         # t | form: root (1, 0); remaining linear factor b*s + c*t
-        if not b:
-            return [((one, zero), 2)]
-        return [((one, zero), 1), ((-c / b, one), 1)]
-    disc = b * b - 4 * a * c
-    root = field.sqrt(disc)
+        return [(one, zero)] + ([(-c / b, one)] if b else [])
+    root = field.sqrt(b * b - 4 * a * c)
     if root is None:
         return None
-    if not disc:
-        return [((-b / (2 * a), one), 2)]
-    return [(((-b + root) / (2 * a), one), 1), (((-b - root) / (2 * a), one), 1)]
+    return [((-b + r) / (2 * a), one) for r in {root, -root}]
 
 
 def tau_fixed_points(setup: ConeSetup, prime: Optional[int] = None) -> CheckReport:
@@ -239,7 +234,7 @@ def tau_fixed_points(setup: ConeSetup, prime: Optional[int] = None) -> CheckRepo
         roots = _factor_binary_quadratic(a, b, c, field)
         if roots is None:
             continue
-        for (s, t), _mult in roots:
+        for s, t in roots:
             vec = [0, 0, 0, 0]
             vec[i], vec[j] = s, t
             points.append(_int_point(vec))
@@ -301,10 +296,8 @@ def _normalized(values) -> Tuple[object, ...]:
 
 
 def _proportional(u, v) -> bool:
-    """Whether two vectors span the same line (or are both zero)."""
-    return all(
-        u[i] * v[j] == u[j] * v[i] for i in range(len(u)) for j in range(len(u))
-    )
+    """Whether two vectors span at most a line."""
+    return exact_rank([u, v]) < 2
 
 
 def _int_point(vec) -> Tuple[int, ...]:
@@ -471,13 +464,9 @@ def default_branch_config(case: str, field_spec="Q") -> BranchConfig:
 
 def _proportional_mod_cone(setup: ConeSetup, f: WPoly, g: WPoly) -> bool:
     rf, rg = setup.reduce(f), setup.reduce(g)
-    if rf.is_zero() or rg.is_zero():
-        return rf.is_zero() and rg.is_zero()
-    lead = rf.monomials()[0]
-    if rg.coefficient(lead) == setup.field(0):
-        return False
-    scale = rg.coefficient(lead) / rf.coefficient(lead)
-    return rg == scale * rf
+    monos = sorted(set(rf.terms) | set(rg.terms))
+    return _proportional([rf.coefficient(m) for m in monos],
+                         [rg.coefficient(m) for m in monos])
 
 
 def intersection_count(cfg: BranchConfig, p: int = 13) -> CheckReport:
@@ -551,27 +540,6 @@ def intersection_count(cfg: BranchConfig, p: int = 13) -> CheckReport:
     )
 
 
-@dataclass(frozen=True)
-class DegenerationVerdict:
-    """Outcome of one degeneration scenario.
-
-    `normalization` and the Cartier-index claims transcribe the case table;
-    `gates` holds the conditions this package actually computed on the
-    input.  `gorenstein` is True only when the computable criterion (the
-    vertex avoids the branch and the three branches share no point)
-    certifies it, None when the table asserts it but a gate failed, and
-    False where the case is known non-Gorenstein.
-    """
-
-    case: str
-    normalization: str
-    gorenstein: Optional[bool]
-    cartier_index_T: Optional[int]
-    cartier_index_S: Optional[int]
-    gates: Mapping[str, bool]
-    notes: Tuple[str, ...]
-
-
 _CASE_TABLE = {
     "general": {
         "normalization": "smooth-Godeaux",
@@ -638,83 +606,66 @@ _CASE_TABLE["exP"] = dict(
 )
 
 
-def classify_degeneration(cfg: BranchConfig, p: int = 13) -> DegenerationVerdict:
-    """Verdict from the case table plus the gates computed on the input.
+def classify_degeneration(cfg: BranchConfig, p: int = 13) -> CheckReport:
+    """The case-table verdict next to the gates computed on the input.
 
     Computable gates: the vertex avoiding B1+B2+B3 (exact evaluation), the
     triple intersection being empty (enumeration over GF(p)), membership
-    of the two smooth fixed points in B3 (exact), and the unramified-gate:
+    of the two smooth fixed points in B3 (exact), and the unramified gate:
     none of the three fixed points lying on B1+B2 (exact).
+
+    `normalization` and the Cartier indices transcribe the case table.
+    `gorenstein` is True only when the computable criterion (the vertex
+    avoids the branch and the three branches share no point) certifies it,
+    None when the table asserts it but a gate failed, and False where the
+    case is known non-Gorenstein.  The status is "lookup" when the gates
+    agree with the table, "fail" otherwise.
     """
     setup = cfg.setup
-    q2 = cfg.q2
-    fixed = [VERTEX, SMOOTH_FIXED_1, SMOOTH_FIXED_2]
+    branch = (cfg.q1, cfg.q2)
 
-    def vanishes(f, pt):
-        return not f.evaluate(pt)
+    def meets(fs, pt):
+        return any(not f.evaluate(pt) for f in fs)
 
-    vertex_clear = not any(vanishes(f, VERTEX) for f in (cfg.q1, q2, cfg.h3))
-    triple = enumerate_points(setup.ring, p, [setup.cone, cfg.q1, q2, cfg.h3])
+    triple = enumerate_points(setup.ring, p, [setup.cone, *branch, cfg.h3])
     gates = {
-        "vertex_avoids_branch": vertex_clear,
+        "vertex_avoids_branch": not meets((*branch, cfg.h3), VERTEX),
         "triple_intersection_empty": len(triple.points) == 0,
-        "smooth_fixed_points_on_B3": vanishes(cfg.h3, SMOOTH_FIXED_1)
-        and vanishes(cfg.h3, SMOOTH_FIXED_2),
+        "smooth_fixed_points_on_B3": not cfg.h3.evaluate(SMOOTH_FIXED_1)
+        and not cfg.h3.evaluate(SMOOTH_FIXED_2),
         "fixed_points_avoid_B1B2": not any(
-            vanishes(cfg.q1, pt) or vanishes(q2, pt) for pt in fixed
+            meets(branch, pt) for pt in (VERTEX, SMOOTH_FIXED_1, SMOOTH_FIXED_2)
         ),
     }
+    certified = gates["vertex_avoids_branch"] and gates["triple_intersection_empty"]
     row = _CASE_TABLE[cfg.case]
     notes = list(row["notes"])
-    if row["gorenstein_known"] is True:
-        if gates["vertex_avoids_branch"] and gates["triple_intersection_empty"]:
-            gorenstein = True
-        else:
-            gorenstein = None
-            notes.append(
-                "the case table asserts Gorenstein for a general"
-                " configuration, but a computable gate failed on this input"
-            )
-    else:
-        gorenstein = False
+    gorenstein = (certified or None) if row["gorenstein_known"] else False
+    if gorenstein is None:
+        notes.append(
+            "the case table asserts Gorenstein for a general"
+            " configuration, but a computable gate failed on this input"
+        )
     if not gates["fixed_points_avoid_B1B2"]:
         notes.append(
             "a fixed point lies on B1+B2, so the intermediate quotient map"
             " is not unramified and the Cartier indices may differ"
         )
-    return DegenerationVerdict(
-        case=cfg.case,
-        normalization=row["normalization"],
-        gorenstein=gorenstein,
-        cartier_index_T=row["nu_T"],
-        cartier_index_S=row["nu_S"],
-        gates=gates,
-        notes=tuple(notes),
+    consistent = gates["smooth_fixed_points_on_B3"] and row["gorenstein_known"] == (
+        certified and gates["fixed_points_avoid_B1B2"]
     )
-
-
-def degeneration_report(verdict: DegenerationVerdict) -> CheckReport:
-    """The verdict as a report: computable gates decide the status, the
-    transcribed fields ride along as lookup data."""
-    expected_gates = _CASE_TABLE[verdict.case]["gorenstein_known"]
-    core = (
-        verdict.gates["vertex_avoids_branch"]
-        and verdict.gates["triple_intersection_empty"]
-        and verdict.gates["fixed_points_avoid_B1B2"]
-    )
-    consistent = core == expected_gates and verdict.gates["smooth_fixed_points_on_B3"]
     return CheckReport(
         check="degeneration",
         status="lookup" if consistent else "fail",
-        witness=None if consistent else {"gates": dict(verdict.gates)},
-        notes=verdict.notes,
+        witness=None if consistent else {"gates": dict(gates)},
+        notes=tuple(notes),
         data={
-            "case": verdict.case,
-            "normalization": verdict.normalization,
-            "gorenstein": verdict.gorenstein,
-            "cartier_index_T": verdict.cartier_index_T,
-            "cartier_index_S": verdict.cartier_index_S,
-            "gates": dict(verdict.gates),
+            "case": cfg.case,
+            "normalization": row["normalization"],
+            "gorenstein": gorenstein,
+            "cartier_index_T": row["nu_T"],
+            "cartier_index_S": row["nu_S"],
+            "gates": gates,
         },
     )
 
@@ -737,7 +688,6 @@ class PencilResult:
     cycles_points: bool
     phi4_is_identity: bool
     pencil_basis: Tuple[WPoly, WPoly]
-    pencil_action: Tuple[Tuple[Fraction, ...], ...]
     fixed_members: Tuple[WPoly, WPoly]
     reducible_member: WPoly
     smooth_member: WPoly
@@ -766,27 +716,6 @@ def _frame_matrix(p1, p2, p3, p4):
         raise ValueError("points are in degenerate position")
     return tuple(
         tuple(alpha[j] * cols[j][i] for j in range(3)) for i in range(3)
-    )
-
-
-def _conic_matrix(q: WPoly):
-    def c(e):
-        return Fraction(q.coefficient(e))
-
-    a, b, cc = c([2, 0, 0]), c([0, 2, 0]), c([0, 0, 2])
-    d, e, f = c([1, 1, 0]), c([1, 0, 1]), c([0, 1, 1])
-    return (
-        (a, d / 2, e / 2),
-        (d / 2, b, f / 2),
-        (e / 2, f / 2, cc),
-    )
-
-
-def _cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
     )
 
 
@@ -884,28 +813,26 @@ def pencil_of_conics(
         assert len(vecs) == 1, "eigenvalue of the pencil involution must be simple"
         s, t = vecs[0]
         fixed.append(_monic(s * basis[0] + t * basis[1]))
-    reducible = [q for q in fixed if exact_rank(_conic_matrix(q)) < 3]
+    # a conic is reducible iff its constant Hessian is singular
+    hessians = [
+        [[q.partial(i).partial(j).coefficient((0, 0, 0)) for j in range(3)] for i in range(3)]
+        for q in fixed
+    ]
+    reducible = [q for q, h in zip(fixed, hessians) if exact_rank(h) < 3]
     smooth = [q for q in fixed if q not in reducible]
     if len(reducible) != 1 or len(smooth) != 1:
         raise AssertionError("exactly one fixed member must be reducible")
-    lines = _monic(linear(_cross(pts[0], pts[2])) * linear(_cross(pts[1], pts[3])))
-    orbits = []
-    seen = set()
-    for comp, i in [(0, i) for i in range(4)] + [(1, i) for i in range(4)]:
-        if (comp, i) in seen:
-            continue
-        image = (1, (i + 1) % 4) if comp == 0 else (0, (i - 1) % 4)
-        seen.add((comp, i))
-        seen.add(image)
-        orbits.append(((comp, i), image))
-    iota_free = all(a != b for a, b in orbits) and len(orbits) == 4
+    # the line through two points is the kernel of the pair
+    diagonals = [linear(nullspace([pts[i], pts[i + 2]])[0]) for i in (0, 1)]
+    lines = _monic(diagonals[0] * diagonals[1])
+    orbits = [((0, i), (1, (i + 1) % 4)) for i in range(4)]
+    iota_free = len({label for orbit in orbits for label in orbit}) == 8
     return PencilResult(
         frame=tuple(pts),
         phi=phi,
         cycles_points=cycles,
         phi4_is_identity=phi4_identity,
         pencil_basis=basis,
-        pencil_action=T,
         fixed_members=tuple(fixed),
         reducible_member=reducible[0],
         smooth_member=smooth[0],

@@ -159,7 +159,7 @@ def _poly_from_coeffs(ring: WRing, coeffs: Dict[str, object], char: int,
             )
         try:
             c = ring.field(value)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"bad coefficient for {monomial_to_str(ring, e)}: {exc}") from None
         if c == ring.field.zero():
             raise ValueError(f"zero coefficient supplied for {monomial_to_str(ring, e)}")

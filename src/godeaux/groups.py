@@ -135,17 +135,13 @@ def generated_group(
 
 
 def classify_order8(g: SmallGroup) -> str:
-    """One of Z8, Z4xZ2, Z2^3, D4, Q8, decided by abelianness and the
-    element-order census."""
+    """One of Z8, Z4xZ2, Z2^3, D4, Q8: the abelian label, or for a
+    nonabelian group the count of its order-4 elements."""
     if g.order != 8:
         raise ValueError(f"classify_order8 needs order 8, got {g.order}")
-    census = g.order_census()
     if g.is_abelian():
-        if census.get(8, 0) > 0:
-            return "Z8"
-        if census.get(4, 0) > 0:
-            return "Z4xZ2"
-        return "Z2^3"
+        return abelian_label(g)
+    census = g.order_census()
     # nonabelian of order 8: D4 has two order-4 elements, Q8 has six
     if census.get(4, 0) == 2:
         return "D4"

@@ -12,6 +12,7 @@ an error and never a silent coercion.  Plain ints coerce into either field.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt
 from typing import Optional, Union
@@ -208,6 +209,9 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
+_RATIONAL = re.compile(r"-?\d+(/\d+)?")
+
+
 class Rationals:
     """Descriptor for the rational field."""
 
@@ -215,9 +219,18 @@ class Rationals:
     characteristic = 0
 
     def __call__(self, v) -> Fraction:
-        if isinstance(v, FpElement):
-            raise TypeError("cannot view a prime-field element as a rational")
-        return Fraction(v)
+        """An int, a Fraction, or a string "a" or "a/b" with b nonzero;
+        floats and decimal or exponent strings are never exact input."""
+        if isinstance(v, (int, Fraction)):
+            return Fraction(v)
+        if isinstance(v, (float, FpElement)):
+            raise TypeError(f"cannot view {v!r} as an exact rational")
+        if not isinstance(v, str) or not _RATIONAL.fullmatch(v):
+            raise ValueError(f"not an integer or a/b: {v!r}")
+        num, _, den = v.partition("/")
+        if den and not int(den):
+            raise ValueError(f"zero denominator in {v!r}")
+        return Fraction(int(num), int(den or 1))
 
     def zero(self) -> Fraction:
         return Fraction(0)

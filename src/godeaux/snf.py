@@ -27,14 +27,6 @@ class IntMatrix:
     def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
         return IntMatrix(tuple(tuple(r) for r in rows))
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zero(nrows: int, ncols: int) -> "IntMatrix":
-        return IntMatrix(tuple((0,) * ncols for _ in range(nrows)))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -57,12 +49,6 @@ class IntMatrix:
         return IntMatrix(
             tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows)
         )
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)))
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-a for a in r) for r in self.rows))
 
     def apply(self, vec: Sequence[int]) -> Tuple[int, ...]:
         if len(vec) != self.ncols:

@@ -271,36 +271,45 @@ def test_cone_image_check_evaluates_no_polynomial_per_point(monkeypatch, capsys)
     assert calls == []
 
 
-# sha256 of the canonical JSON of each cone command, as computed before the
-# cone module moved onto the shared kernels; the reports are meant to stay
-# byte-identical
+# exit status and sha256 of the canonical JSON of each cone command, as
+# computed before the cone module moved onto the shared kernels; the reports
+# are meant to stay byte-identical.  The two config files and the deg4 run at
+# GF(29) pin the verdict paths the default cases miss: a general q1 through
+# the vertex (status fail), and a q1 with tau(q1) = -q1, a shared component
+# found at scale -1 (census error)
 PINNED_CONE_REPORTS = {
     ("image-check", "--prime", "13"):
-        "0c0f1ee6dbfbf94325f18890259ccd5562e128e233b2c56d825a0987eae341e8",
+        (0, "0c0f1ee6dbfbf94325f18890259ccd5562e128e233b2c56d825a0987eae341e8"),
     ("image-check", "--prime", "29"):
-        "7b05f753a76f852f19e83f7182b49fc379ba40512432019e195c11f208606130",
+        (0, "7b05f753a76f852f19e83f7182b49fc379ba40512432019e195c11f208606130"),
     ("fixed-points", "--symbolic"):
-        "2fb3880e36305e7b0bff4f1b28ea353ef58b8115785b1e9d004fe22e9956c287",
+        (0, "2fb3880e36305e7b0bff4f1b28ea353ef58b8115785b1e9d004fe22e9956c287"),
     ("fixed-points", "--prime", "13"):
-        "695f59c4e2ba923560b42b3e0adbbb07082b245f007eb131c448e936c720698d",
+        (0, "695f59c4e2ba923560b42b3e0adbbb07082b245f007eb131c448e936c720698d"),
     ("degenerate", "--case", "general", "--intersections", "--prime", "13"):
-        "62f38dd2442c5f161862c72b3e8b733ac568045ebf80d4d3d18e2d1251f31aae",
+        (0, "62f38dd2442c5f161862c72b3e8b733ac568045ebf80d4d3d18e2d1251f31aae"),
     ("degenerate", "--case", "1", "--intersections", "--prime", "13"):
-        "d645d84ee84688bcc1d05ac7203c0aa9c8805804d6d8261426341692b72d66cc",
+        (0, "d645d84ee84688bcc1d05ac7203c0aa9c8805804d6d8261426341692b72d66cc"),
     ("degenerate", "--case", "2", "--intersections", "--prime", "13"):
-        "ad6108d263bc39a43e1b77364d13a498e238c18f7020d001f2fa07c57bfa9ed7",
+        (0, "ad6108d263bc39a43e1b77364d13a498e238c18f7020d001f2fa07c57bfa9ed7"),
     ("degenerate", "--case", "3", "--intersections", "--prime", "13"):
-        "003d97741f54a43b5f651e9717acb96276218cade400c6cdfb027d568f2ff187",
+        (2, "003d97741f54a43b5f651e9717acb96276218cade400c6cdfb027d568f2ff187"),
     ("degenerate", "--case", "4", "--intersections", "--prime", "13"):
-        "c0cb87ab45a0fa21d12d6e15af084f0b2e52355d5b02c255859927d3a88a188b",
+        (0, "c0cb87ab45a0fa21d12d6e15af084f0b2e52355d5b02c255859927d3a88a188b"),
     ("degenerate", "--case", "exP", "--intersections", "--prime", "13"):
-        "74c09cc8e8bc5694b6080094d8aea33c6f3dc610637c7a452905f94e12af429d",
+        (0, "74c09cc8e8bc5694b6080094d8aea33c6f3dc610637c7a452905f94e12af429d"),
+    ("degenerate", "--case", "4", "--intersections", "--prime", "29"):
+        (0, "ece14070e3bcea289bc142eaec24a1bc5b484f65a4984848f1c537599f07280e"),
+    ("degenerate", "--config", "through-vertex.json"):
+        (1, "237db8ad749acca6a7ff0af217dc4ff06541aa27b16cd62705990e54dc6c3fec"),
+    ("degenerate", "--config", "anti-invariant.json", "--intersections"):
+        (2, "42a4adafbd920e38b308bfd8a80df4ac1edf9a9197b02248f417f17259dcfac1"),
     ("pencil",):
-        "8561ae751297b19ae4f4310aa9911f51d15619324f580fecd1eb9f63f0c98148",
+        (0, "8561ae751297b19ae4f4310aa9911f51d15619324f580fecd1eb9f63f0c98148"),
     ("pencil", "--points", "frame-a.json"):
-        "a89bac021ea5bc9646ea0063f2c08127fb8a1669dbff772b3d746db8f725e77a",
+        (0, "a89bac021ea5bc9646ea0063f2c08127fb8a1669dbff772b3d746db8f725e77a"),
     ("pencil", "--points", "frame-b.json"):
-        "86a8c37a1f550182a53e29a6a4dad08406577290b9ef226b667c7db7334d2980",
+        (0, "86a8c37a1f550182a53e29a6a4dad08406577290b9ef226b667c7db7334d2980"),
 }
 
 
@@ -312,11 +321,15 @@ def test_cone_reports_are_pinned(tmp_path, monkeypatch):
         json.dumps([[1, 2, 3], [-1, 0, 2], [2, -3, 1], [0, 1, -1]]))
     (tmp_path / "frame-b.json").write_text(
         json.dumps([[3, -1, 2], [1, 1, 1], [-2, 0, 1], [0, 3, -1]]))
-    for argv, digest in PINNED_CONE_REPORTS.items():
+    (tmp_path / "through-vertex.json").write_text(json.dumps(
+        {"case": "general", "q1": "y1^2 + y2^2 + y0 y1", "h3": "y0 + 2*y3"}))
+    (tmp_path / "anti-invariant.json").write_text(json.dumps(
+        {"case": "general", "q1": "y0 y1 + y2 y3", "h3": "y0 + 2*y3"}))
+    for argv, (code, digest) in PINNED_CONE_REPORTS.items():
         out = tmp_path / "reports.json"
         if out.exists():
             out.unlink()
-        run(["cone", *argv, "--output", "reports.json"])
+        assert run(["cone", *argv, "--output", "reports.json"]) == code, argv
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
 
 
@@ -404,12 +417,28 @@ def test_cone_image_and_fixed_points():
     assert run(["cone", "fixed-points", "--prime", "13"]) == 0
 
 
+DEGENERATE_SUMMARIES = {
+    "general": "case general: normalization smooth-Godeaux, gorenstein=True,"
+               " cartier indices (T, S) = (1, 1)",
+    "1": "case deg1: normalization N-elliptic, gorenstein=True,"
+         " cartier indices (T, S) = (1, 1)",
+    "2": "case deg2: normalization P2, gorenstein=True,"
+         " cartier indices (T, S) = (1, 1)",
+    "3": "case deg3: normalization Enriques-4-nodes, gorenstein=False,"
+         " cartier indices (T, S) = (2, 2)",
+    "4": "case deg4: normalization dP1, gorenstein=False,"
+         " cartier indices (T, S) = (None, 2)",
+    "deg1": "case deg1: normalization N-elliptic, gorenstein=True,"
+            " cartier indices (T, S) = (1, 1)",
+    "exP": "case exP: normalization P2, gorenstein=True,"
+           " cartier indices (T, S) = (1, 1)",
+}
+
+
 def test_cone_degenerate_all_cases(capsys):
-    for case in ("general", "1", "2", "3", "4", "deg1", "exP"):
+    for case, summary in DEGENERATE_SUMMARIES.items():
         assert run(["cone", "degenerate", "--case", case]) == 0
-    out = capsys.readouterr().out
-    assert "normalization P2" in out
-    assert "normalization Enriques-4-nodes" in out
+        assert capsys.readouterr().out.splitlines()[0] == summary, case
 
 
 def test_cone_degenerate_rejects_unknown_case(capsys):
@@ -481,6 +510,19 @@ MALFORMED_CONFIGS = {
     "q1-not-a-string": (["cone", "degenerate", "--config"], {
         "case": "general", "q1": 5, "h3": "y0",
     }, "'q1'"),
+    "q1-division-by-zero": (["cone", "degenerate", "--config"], {
+        "case": "general", "q1": "1/0*y0^2 + y1^2", "h3": "y0 + 2*y3",
+    }, "'q1'"),
+    "h3-division-by-zero": (["cone", "degenerate", "--config"], {
+        "case": "general", "q1": "y0^2 + y1^2", "h3": "1/0*y0 + 2*y3",
+    }, "'h3'"),
+    # Fraction would expand the exponent into a hundred-million-digit integer
+    "q1-exponent-notation": (["cone", "degenerate", "--config"], {
+        "case": "general", "q1": "1e99999999*y0^2 + y1^2", "h3": "y0 + 2*y3",
+    }, "'q1'"),
+    "h3-exponent-notation": (["cone", "degenerate", "--config"], {
+        "case": "general", "q1": "y0^2 + y1^2", "h3": "y0 + 1e99999999*y3",
+    }, "'h3'"),
     "points-not-triples": (["cone", "pencil", "--points"], [1, 2, 3, 4], "triples"),
     "points-not-integers": (["cone", "pencil", "--points"],
                             [["a", 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 3]], "integers"),
@@ -511,6 +553,9 @@ MALFORMED_CONFIGS = {
     }, "q0"),
     "coefficient-division-by-zero": (["table1", "--coeffs"], {
         "field": "Q", "q0": {"x1^4": "1/0"}, "q2": {"x1^2 x2^2": 1},
+    }, "x1^4"),
+    "coefficient-decimal-string": (["table1", "--coeffs"], {
+        "field": "Q", "q0": {"x1^4": "0.5"}, "q2": {"x1^2 x2^2": 1},
     }, "x1^4"),
     "coefficient-not-a-number": (["table1", "--coeffs"], {
         "field": 13, "q0": {"x1^4": "1/2"}, "q2": {"x1^2 x2^2": 1},

@@ -13,7 +13,6 @@ from godeaux.cone import (
     classify_degeneration,
     cone_setup,
     default_branch_config,
-    degeneration_report,
     image_equations,
     image_ring,
     intersection_count,
@@ -293,28 +292,29 @@ EXPECTED_VERDICTS = {
 
 def test_classification_table():
     for case, row in EXPECTED_VERDICTS.items():
-        v = classify_degeneration(default_branch_config(case))
-        assert v.normalization == row[0], case
-        assert v.gorenstein is row[1], case
-        assert v.cartier_index_T == row[2], case
-        assert v.cartier_index_S == row[3], case
+        d = classify_degeneration(default_branch_config(case)).data
+        assert d["case"] == case
+        assert d["normalization"] == row[0], case
+        assert d["gorenstein"] is row[1], case
+        assert d["cartier_index_T"] == row[2], case
+        assert d["cartier_index_S"] == row[3], case
 
 
 def test_gorenstein_gate_passes_for_general_and_fails_for_deg4():
-    ok = classify_degeneration(default_branch_config("general"))
-    assert ok.gates["vertex_avoids_branch"]
-    assert ok.gates["triple_intersection_empty"]
-    assert ok.gates["fixed_points_avoid_B1B2"]
-    bad = classify_degeneration(default_branch_config("deg4"))
-    assert not bad.gates["vertex_avoids_branch"]
-    assert not bad.gates["fixed_points_avoid_B1B2"]
+    ok = classify_degeneration(default_branch_config("general")).data["gates"]
+    assert ok["vertex_avoids_branch"]
+    assert ok["triple_intersection_empty"]
+    assert ok["fixed_points_avoid_B1B2"]
+    bad = classify_degeneration(default_branch_config("deg4")).data["gates"]
+    assert not bad["vertex_avoids_branch"]
+    assert not bad["fixed_points_avoid_B1B2"]
 
 
 def test_deg3_gates_show_the_obstruction():
-    v = classify_degeneration(default_branch_config("deg3"))
-    assert not v.gates["triple_intersection_empty"]
-    assert not v.gates["fixed_points_avoid_B1B2"]
-    assert v.gates["vertex_avoids_branch"]
+    gates = classify_degeneration(default_branch_config("deg3")).data["gates"]
+    assert not gates["triple_intersection_empty"]
+    assert not gates["fixed_points_avoid_B1B2"]
+    assert gates["vertex_avoids_branch"]
 
 
 def test_general_config_through_vertex_downgrades_gorenstein():
@@ -322,18 +322,20 @@ def test_general_config_through_vertex_downgrades_gorenstein():
     cfg = BranchConfig(case="general",
                        q1=parse_poly(s.ring, "y1^2 + y2^2 + y0 y1"),
                        h3=parse_poly(s.ring, "y0 + 2*y3"))
-    v = classify_degeneration(cfg)
-    assert not v.gates["vertex_avoids_branch"]
-    assert v.gorenstein is None
-    assert degeneration_report(v).status == "fail"
+    rep = classify_degeneration(cfg)
+    assert not rep.data["gates"]["vertex_avoids_branch"]
+    assert rep.data["gorenstein"] is None
+    assert rep.status == "fail"
+    assert rep.witness == {"gates": rep.data["gates"]}
 
 
 def test_degeneration_reports_are_lookups():
     for case in DEGENERATION_CASES:
-        v = classify_degeneration(default_branch_config(case))
-        rep = degeneration_report(v)
+        rep = classify_degeneration(default_branch_config(case))
+        assert rep.check == "degeneration"
         assert rep.status == "lookup", case
-        assert rep.data["normalization"] == v.normalization
+        assert rep.witness is None
+        assert rep.data["normalization"] == EXPECTED_VERDICTS[case][0]
 
 
 def tau_conjugate(cfg):

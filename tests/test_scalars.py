@@ -62,6 +62,20 @@ def test_rational_and_prime_field_never_coerce():
         QQ(a)
 
 
+def test_rationals_read_only_integers_and_quotients():
+    assert QQ(3) == Fraction(3)
+    assert QQ(Fraction(-2, 6)) == Fraction(-1, 3)
+    assert QQ("-12") == Fraction(-12)
+    assert QQ("4/6") == Fraction(2, 3)
+    assert QQ("-0/5") == 0
+    for text in ("0.5", "1e5", "1e99999999", "1/0", "-3/00", "1/-2", " 1", "+1",
+                 "1 / 2", "inf", "nan", ""):
+        with pytest.raises(ValueError):
+            QQ(text)
+    with pytest.raises(TypeError):
+        QQ(0.5)
+
+
 def test_int_coercion_is_allowed():
     a = FpElement(3, 13)
     assert 1 + a == 4
