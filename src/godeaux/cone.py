@@ -364,11 +364,10 @@ class BranchConfig:
                 )
         if setup.reduce(self.q1).is_zero():
             raise ValueError("q1 is a multiple of the cone equation")
-        getattr(self, f"_validate_{'deg2' if self.case == 'exP' else self.case}")(setup)
+        validate = _CASE_VALIDATORS.get(self.case)
+        if validate is not None:
+            validate(self, setup)
         object.__setattr__(self, "q2", apply_map(self.q1, setup.tau))
-
-    def _validate_general(self, setup: ConeSetup) -> None:
-        pass
 
     def _validate_deg1(self, setup: ConeSetup) -> None:
         if self.r1 is None:
@@ -423,6 +422,16 @@ class BranchConfig:
         # square
         if d or a * a - 4 * b * c or not (a or b or c):
             raise ValueError("ht does not cut a doubled ruling of the cone")
+
+
+# the per-case structure check; a general configuration has none
+_CASE_VALIDATORS = {
+    "deg1": BranchConfig._validate_deg1,
+    "deg2": BranchConfig._validate_deg2,
+    "exP": BranchConfig._validate_deg2,
+    "deg3": BranchConfig._validate_deg3,
+    "deg4": BranchConfig._validate_deg4,
+}
 
 
 def default_branch_config(case: str, field_spec="Q") -> BranchConfig:
@@ -677,25 +686,6 @@ def classify_degeneration(cfg: BranchConfig, p: int = 13) -> CheckReport:
 STANDARD_FRAME = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 
 
-@dataclass(frozen=True)
-class PencilResult:
-    """The order-4 automorphism cycling four points, the conic pencil it
-    acts on, and the gluing data for the non-normal surface built from a
-    pencil member and its image."""
-
-    frame: Tuple[Tuple[Fraction, ...], ...]
-    phi: Tuple[Tuple[Fraction, ...], ...]
-    cycles_points: bool
-    phi4_is_identity: bool
-    pencil_basis: Tuple[WPoly, WPoly]
-    fixed_members: Tuple[WPoly, WPoly]
-    reducible_member: WPoly
-    smooth_member: WPoly
-    reducible_is_diagonal_lines: bool
-    gluing_orbits: Tuple[Tuple[Tuple[int, int], Tuple[int, int]], ...]
-    iota_free: bool
-
-
 def _mat_mul(a, b):
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
@@ -703,35 +693,40 @@ def _mat_mul(a, b):
     )
 
 
-def _mat_vec(m, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+def _is_scalar(m, field) -> bool:
+    """Whether the square matrix m is proportional to the identity."""
+    ident = [field(int(i == j)) for i in range(len(m)) for j in range(len(m))]
+    return _proportional([x for row in m for x in row], ident)
 
 
 def _frame_matrix(p1, p2, p3, p4):
     """Matrix sending the standard frame to (p1, p2, p3; p4 as unit point)."""
-    cols = [list(p1), list(p2), list(p3)]
-    rows = [[cols[j][i] for j in range(3)] for i in range(3)]
+    rows = list(zip(p1, p2, p3))
     alpha = solve_linear(rows, list(p4))
     if alpha is None or not all(alpha):
         raise ValueError("points are in degenerate position")
-    return tuple(
-        tuple(alpha[j] * cols[j][i] for j in range(3)) for i in range(3)
-    )
+    return tuple(tuple(a * x for a, x in zip(alpha, row)) for row in rows)
 
 
-def pencil_of_conics(
-    points: Sequence[Sequence[int]] = STANDARD_FRAME,
-) -> PencilResult:
-    """The pencil of conics through four general points and the induced
-    involution from the automorphism cycling the points.
+def _monic(q: WPoly) -> WPoly:
+    """q scaled so its leading coefficient (in term order) is 1."""
+    monos = q.monomials()
+    return WPoly(q.ring, dict(zip(monos, _normalized([q.terms[m] for m in monos]))))
 
-    The automorphism is the unique projective class with phi(P_i) =
+
+def pencil_report(points: Sequence[Sequence[int]] = STANDARD_FRAME) -> CheckReport:
+    """The pencil of conics through four general points and the involution
+    induced on it by the automorphism cycling the points.
+
+    The automorphism is the unique projective class phi with phi(P_i) =
     P_{i+1}, indices mod 4.  It squares to the identity on the pencil, so
     it induces an involution there with exactly two fixed members: the
     pair of diagonal lines through (P1,P3) and (P2,P4), and one smooth
-    conic.  Gluing a generic member C to its image via phi produces an
-    involution of the disjoint union that moves all eight points over the
-    base points; the orbit pairing is returned with the freeness verdict.
+    conic.  Gluing a generic member C to its image via phi identifies the
+    base point P_i on the first sheet with phi(P_i) on the second; the
+    pairing is read off phi's images of the points, and the induced
+    involution is free on the eight preimages iff those images are the
+    four base points again.
     """
     field = field_from_spec("Q")
     pts = [tuple(Fraction(x) for x in p) for p in points]
@@ -747,26 +742,13 @@ def pencil_of_conics(
     source_t = [list(col) for col in zip(*source)]
     flat = _normalized([x for row in target for x in solve_linear(source_t, list(row))])
     phi = (flat[0:3], flat[3:6], flat[6:9])
-    cycles = all(
-        _proportional(_mat_vec(phi, pts[i]), pts[(i + 1) % 4]) for i in range(4)
-    )
-    power = phi
-    for _ in range(3):
-        power = _mat_mul(power, phi)
-    ident = tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(3))
-        for i in range(3)
-    )
-    phi4_identity = _proportional(
-        tuple(x for row in power for x in row), tuple(x for row in ident for x in row)
-    )
+    # targets[i] = j when phi(P_i) = P_j, None when phi(P_i) is no base point
+    labels = {_normalized(p): j for j, p in enumerate(pts)}
+    targets = [labels.get(_normalized(image)) for image in _mat_mul(pts, tuple(zip(*phi)))]
 
     ring = WRing(("x", "y", "z"), (1, 1, 1), field)
     monos = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
-    rows = []
-    for p in pts:
-        rows.append([p[0] ** a * p[1] ** b * p[2] ** c for a, b, c in monos])
-    kernel = nullspace(rows)
+    kernel = nullspace([[p[0] ** i * p[1] ** j * p[2] ** k for i, j, k in monos] for p in pts])
     if len(kernel) != 2:
         raise AssertionError("pencil through four general points must be 2-dim")
 
@@ -777,86 +759,39 @@ def pencil_of_conics(
         return form(((1, 0, 0), (0, 1, 0), (0, 0, 1)), coeffs)
 
     basis = tuple(form(monos, v) for v in kernel)
-
+    # column j of the action T holds the basis coordinates of phi^* basis[j]
     action_cols = []
     for q in basis:
         pulled = substitute(q, [linear(row) for row in phi])
-        vec = [Fraction(pulled.coefficient(m)) for m in monos]
-        coeffs = solve_linear(
-            [[Fraction(k[i]) for k in kernel] for i in range(6)], vec
-        )
+        coeffs = solve_linear(list(zip(*kernel)), [pulled.coefficient(m) for m in monos])
         if coeffs is None:
             raise AssertionError("pencil is not preserved by the automorphism")
         action_cols.append(coeffs)
-    T = tuple(tuple(action_cols[j][i] for j in range(2)) for i in range(2))
-    t_sq = _mat_mul(T, T)
-    if not _proportional(
-        (t_sq[0][0], t_sq[0][1], t_sq[1][0], t_sq[1][1]),
-        (Fraction(1), Fraction(0), Fraction(0), Fraction(1)),
-    ):
+    T = tuple(zip(*action_cols))
+    if not _is_scalar(_mat_mul(T, T), field):
         raise AssertionError("the pencil action must square to the identity")
-
-    tr = T[0][0] + T[1][1]
-    det = T[0][0] * T[1][1] - T[0][1] * T[1][0]
-    disc = tr * tr - 4 * det
-    sq = field.sqrt(disc)
-    if sq is None or not disc:
+    # s*basis[0] + t*basis[1] is fixed iff T (s, t) is proportional to (s, t)
+    (a, b), (c, d) = T
+    roots = _factor_binary_quadratic(-c, a - d, b, field) if c or a - d or b else None
+    if roots is None or len(roots) != 2:
         raise AssertionError("pencil involution must have two rational fixed members")
-    eigvals = ((tr + sq) / 2, (tr - sq) / 2)
-    fixed = []
-    for mu in eigvals:
-        rows2 = [
-            [T[0][0] - mu, T[0][1]],
-            [T[1][0], T[1][1] - mu],
-        ]
-        vecs = nullspace(rows2)
-        assert len(vecs) == 1, "eigenvalue of the pencil involution must be simple"
-        s, t = vecs[0]
-        fixed.append(_monic(s * basis[0] + t * basis[1]))
+    fixed = [_monic(s * basis[0] + t * basis[1]) for s, t in roots]
     # a conic is reducible iff its constant Hessian is singular
-    hessians = [
+    reducible = [q for q in fixed if exact_rank(
         [[q.partial(i).partial(j).coefficient((0, 0, 0)) for j in range(3)] for i in range(3)]
-        for q in fixed
-    ]
-    reducible = [q for q, h in zip(fixed, hessians) if exact_rank(h) < 3]
+    ) < 3]
     smooth = [q for q in fixed if q not in reducible]
     if len(reducible) != 1 or len(smooth) != 1:
         raise AssertionError("exactly one fixed member must be reducible")
     # the line through two points is the kernel of the pair
     diagonals = [linear(nullspace([pts[i], pts[i + 2]])[0]) for i in (0, 1)]
-    lines = _monic(diagonals[0] * diagonals[1])
-    orbits = [((0, i), (1, (i + 1) % 4)) for i in range(4)]
-    iota_free = len({label for orbit in orbits for label in orbit}) == 8
-    return PencilResult(
-        frame=tuple(pts),
-        phi=phi,
-        cycles_points=cycles,
-        phi4_is_identity=phi4_identity,
-        pencil_basis=basis,
-        fixed_members=tuple(fixed),
-        reducible_member=reducible[0],
-        smooth_member=smooth[0],
-        reducible_is_diagonal_lines=reducible[0] == lines,
-        gluing_orbits=tuple(orbits),
-        iota_free=iota_free,
-    )
-
-
-def _monic(q: WPoly) -> WPoly:
-    """q scaled so its leading coefficient (in term order) is 1."""
-    monos = q.monomials()
-    return WPoly(q.ring, dict(zip(monos, _normalized([q.terms[m] for m in monos]))))
-
-
-def pencil_report(points: Sequence[Sequence[int]] = STANDARD_FRAME) -> CheckReport:
-    result = pencil_of_conics(points)
+    phi_sq = _mat_mul(phi, phi)
     checks = {
-        "cycles_points": result.cycles_points,
-        "phi4_is_identity": result.phi4_is_identity,
-        "two_distinct_fixed_members": result.fixed_members[0]
-        != result.fixed_members[1],
-        "reducible_is_diagonal_lines": result.reducible_is_diagonal_lines,
-        "iota_free_on_preimages": result.iota_free,
+        "cycles_points": targets == [1, 2, 3, 0],
+        "phi4_is_identity": _is_scalar(_mat_mul(phi_sq, phi_sq), field),
+        "two_distinct_fixed_members": fixed[0] != fixed[1],
+        "reducible_is_diagonal_lines": reducible[0] == _monic(diagonals[0] * diagonals[1]),
+        "iota_free_on_preimages": set(targets) == set(range(4)),
     }
     status = "pass" if all(checks.values()) else "fail"
     return CheckReport(
@@ -866,10 +801,10 @@ def pencil_report(points: Sequence[Sequence[int]] = STANDARD_FRAME) -> CheckRepo
         if status == "pass"
         else {"check": next(k for k, v in checks.items() if not v)},
         data={
-            "phi": [[str(x) for x in row] for row in result.phi],
-            "reducible_member": result.reducible_member.to_string(),
-            "smooth_member": result.smooth_member.to_string(),
-            "gluing_orbits": [list(map(list, o)) for o in result.gluing_orbits],
+            "phi": [[str(x) for x in row] for row in phi],
+            "reducible_member": reducible[0].to_string(),
+            "smooth_member": smooth[0].to_string(),
+            "gluing_orbits": [[[0, i], [1, j]] for i, j in enumerate(targets)],
             "checks": checks,
         },
     )

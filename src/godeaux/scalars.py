@@ -123,6 +123,12 @@ class FpElement:
         return str(self.value)
 
 
+# coefficient strings, ASCII digits only: an integer over GF(p), an integer
+# or a quotient a/b over Q
+_INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 class PrimeField:
     """Descriptor for GF(p) with p an odd prime."""
 
@@ -149,7 +155,9 @@ class PrimeField:
         if isinstance(v, int):
             return FpElement(v, self.p)
         if isinstance(v, str):
-            return FpElement(int(v, 10), self.p)
+            if not _INTEGER.fullmatch(v):
+                raise ValueError(f"not an integer: {v!r}")
+            return FpElement(int(v), self.p)
         if isinstance(v, Fraction):
             return self.from_fraction(v)
         raise TypeError(f"cannot coerce {v!r} into GF({self.p})")
@@ -207,9 +215,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-
-_RATIONAL = re.compile(r"-?\d+(/\d+)?")
 
 
 class Rationals:

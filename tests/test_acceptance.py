@@ -11,10 +11,11 @@ from itertools import product
 from godeaux.abelian import FinAbGroup, is_two_divisible
 from godeaux.cli import main
 from godeaux.cone import (
+    STANDARD_FRAME,
     cone_setup,
     default_branch_config,
     intersection_count,
-    pencil_of_conics,
+    pencil_report,
     tau_fixed_points,
     verify_invariant_map,
 )
@@ -41,7 +42,8 @@ from godeaux.family import (
     sigma_table,
 )
 from godeaux.grouprep import eigenspace_basis, sigma_type
-from godeaux.wpoly import monomial_to_str, parse_poly
+from godeaux.scalars import field_from_spec
+from godeaux.wpoly import WRing, monomial_to_str, parse_poly
 
 # frozen independently of the package's own reference constant; rows are
 # the unordered eigenspace-dimension pairs for twist degrees 1, 2, 4
@@ -213,26 +215,29 @@ def test_criterion_7_quadric_cone_geometry():
 
 
 def test_criterion_8_standard_frame_pencil():
-    res = pencil_of_conics()
-    assert res.phi4_is_identity
-    assert res.cycles_points
-    assert len(res.fixed_members) == 2
-    assert res.fixed_members[0] != res.fixed_members[1]
+    rep = pencil_report()
+    checks = rep.data["checks"]
+    assert checks["phi4_is_identity"]
+    assert checks["cycles_points"]
+    ring = WRing(("x", "y", "z"), (1, 1, 1), field_from_spec("Q"))
+    reducible = parse_poly(ring, rep.data["reducible_member"])
+    smooth = parse_poly(ring, rep.data["smooth_member"])
+    assert reducible != smooth
     # reducible member must be the product of the two diagonal lines,
     # recomputed here from cross products of the frame points
-    p1, p2, p3, p4 = res.frame
+    p1, p2, p3, p4 = STANDARD_FRAME
     line13 = _cross(p1, p3)
     line24 = _cross(p2, p4)
-    ring = res.reducible_member.ring
     product = _line_poly(ring, line13) * _line_poly(ring, line24)
-    assert _proportional(res.reducible_member, product)
-    assert res.reducible_is_diagonal_lines
+    assert _proportional(reducible, product)
+    assert checks["reducible_is_diagonal_lines"]
     labels = {(sheet, i) for sheet in (0, 1) for i in range(4)}
-    seen = [label for orbit in res.gluing_orbits for label in orbit]
-    assert len(res.gluing_orbits) == 4
-    assert all(len(orbit) == 2 and orbit[0] != orbit[1] for orbit in res.gluing_orbits)
+    orbits = [tuple(map(tuple, orbit)) for orbit in rep.data["gluing_orbits"]]
+    seen = [label for orbit in orbits for label in orbit]
+    assert len(orbits) == 4
+    assert all(len(orbit) == 2 and orbit[0] != orbit[1] for orbit in orbits)
     assert set(seen) == labels and len(seen) == 8
-    assert res.iota_free
+    assert checks["iota_free_on_preimages"]
     _ok("criterion 8: phi^4 = id, 2 fixed members, diagonal-line product, free gluing")
 
 

@@ -560,6 +560,17 @@ MALFORMED_CONFIGS = {
     "coefficient-not-a-number": (["table1", "--coeffs"], {
         "field": 13, "q0": {"x1^4": "1/2"}, "q2": {"x1^2 x2^2": 1},
     }, "x1^4"),
+    # GF(p) coefficients are ASCII integers: no digit separator, sign or
+    # non-ASCII digit
+    "coefficient-digit-separator": (["table1", "--coeffs"], {
+        "field": 13, "q0": {"x1^4": "1_2"}, "q2": {"x1^2 x2^2": 1},
+    }, "x1^4"),
+    "coefficient-plus-sign": (["table1", "--coeffs"], {
+        "field": 13, "q0": {"x1^4": "+5"}, "q2": {"x1^2 x2^2": 1},
+    }, "x1^4"),
+    "coefficient-arabic-indic-digit": (["table1", "--coeffs"], {
+        "field": 13, "q0": {"x1^4": "\u0663"}, "q2": {"x1^2 x2^2": 1},
+    }, "x1^4"),
 }
 
 

@@ -1,7 +1,6 @@
 """The cone, its involution, branch degenerations, and the conic pencil."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -16,13 +15,12 @@ from godeaux.cone import (
     image_equations,
     image_ring,
     intersection_count,
-    pencil_of_conics,
     pencil_report,
     tau_fixed_points,
     verify_invariant_map,
 )
 from godeaux.scalars import field_from_spec
-from godeaux.wpoly import MonomialMap, apply_map, parse_poly
+from godeaux.wpoly import MonomialMap, WRing, apply_map, parse_poly
 
 
 def test_setup_involution_squares_to_identity():
@@ -371,39 +369,44 @@ def test_conjugation_is_involutive():
         assert back.r1 == cfg.r1
 
 
+def _fixed_members(rep):
+    """The reducible and the smooth fixed member of a pencil report, parsed
+    back over Q."""
+    ring = WRing(("x", "y", "z"), (1, 1, 1), field_from_spec("Q"))
+    return tuple(parse_poly(ring, rep.data[key]) for key in ("reducible_member", "smooth_member"))
+
+
 def test_standard_frame_matrix():
-    res = pencil_of_conics()
-    assert res.phi == (
-        (Fraction(0), Fraction(0), Fraction(1)),
-        (Fraction(-1), Fraction(0), Fraction(1)),
-        (Fraction(0), Fraction(-1), Fraction(1)),
-    )
-    assert res.cycles_points
-    assert res.phi4_is_identity
+    rep = pencil_report()
+    assert rep.data["phi"] == [["0", "0", "1"], ["-1", "0", "1"], ["0", "-1", "1"]]
+    assert rep.data["checks"]["cycles_points"]
+    assert rep.data["checks"]["phi4_is_identity"]
 
 
 def test_standard_frame_fixed_members():
-    res = pencil_of_conics()
-    assert res.fixed_members[0] != res.fixed_members[1]
-    assert res.reducible_is_diagonal_lines
+    rep = pencil_report()
+    reducible, smooth = _fixed_members(rep)
+    assert reducible != smooth
+    assert rep.data["checks"]["two_distinct_fixed_members"]
+    assert rep.data["checks"]["reducible_is_diagonal_lines"]
     # y * (x - z), normalized to leading coefficient 1
-    ring = res.reducible_member.ring
-    assert res.reducible_member == parse_poly(ring, "x y + -1*y z")
+    assert reducible == parse_poly(reducible.ring, "x y + -1*y z")
 
 
 def test_standard_frame_gluing_is_free():
-    res = pencil_of_conics()
-    assert len(res.gluing_orbits) == 4
-    covered = {pt for orbit in res.gluing_orbits for pt in orbit}
+    rep = pencil_report()
+    orbits = rep.data["gluing_orbits"]
+    assert len(orbits) == 4
+    covered = {tuple(pt) for orbit in orbits for pt in orbit}
     assert len(covered) == 8
-    assert res.iota_free
+    assert rep.data["checks"]["iota_free_on_preimages"]
 
 
 def test_pencil_rejects_collinear_points():
     with pytest.raises(ValueError, match="degenerate position"):
-        pencil_of_conics([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+        pencil_report([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
     with pytest.raises(ValueError, match="degenerate position"):
-        pencil_of_conics([(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        pencil_report([(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
 def test_pencil_report_passes():
@@ -413,28 +416,48 @@ def test_pencil_report_passes():
 
 
 def test_pencil_properties_on_random_frames():
+    # the standard frame, then 100 random frames in general position; the
+    # two fixed members are distinct conics through the base points, so
+    # they span the pencil
     rng = random.Random(20260819)
     field = field_from_spec("Q")
-    done = 0
-    while done < 100:
+    frames = [(STANDARD_FRAME, pencil_report(STANDARD_FRAME))]
+    while len(frames) < 101:
         pts = [tuple(rng.randrange(-4, 5) for _ in range(3)) for _ in range(4)]
         try:
-            res = pencil_of_conics(pts)
+            frames.append((pts, pencil_report(pts)))
         except ValueError:
             continue
-        assert res.cycles_points
-        assert res.phi4_is_identity
-        assert res.fixed_members[0] != res.fixed_members[1]
-        for member in res.fixed_members:
+    for pts, rep in frames:
+        assert rep.status == "pass", rep.witness
+        assert all(rep.data["checks"].values())
+        reducible, smooth = _fixed_members(rep)
+        assert reducible != smooth
+        for member in (reducible, smooth):
             for pt in pts:
                 assert member.evaluate([field(x) for x in pt]) == field(0)
-        assert res.iota_free
-        done += 1
 
 
-def test_pencil_base_points_on_both_basis_conics():
-    res = pencil_of_conics()
-    field = res.pencil_basis[0].ring.field
-    for q in res.pencil_basis:
-        for pt in STANDARD_FRAME:
-            assert q.evaluate([field(x) for x in pt]) == field(0)
+def test_gluing_is_read_off_phi(monkeypatch):
+    import godeaux.cone as cone
+
+    # the second (target) frame becomes (P4, P1, P2; P3), so phi sends P_i
+    # to P_{i-1}: the gluing must follow phi, not the labelling
+    frame_matrix = cone._frame_matrix
+    calls = []
+
+    def reversed_target(*frame):
+        calls.append(frame)
+        if len(calls) == 2:
+            p1, p2, p3, p4 = calls[0]
+            return frame_matrix(p4, p1, p2, p3)
+        return frame_matrix(*frame)
+
+    monkeypatch.setattr(cone, "_frame_matrix", reversed_target)
+    rep = pencil_report()
+    assert len(calls) == 2
+    assert rep.data["gluing_orbits"] == [[[0, i], [1, (i - 1) % 4]] for i in range(4)]
+    assert rep.data["checks"]["cycles_points"] is False
+    assert rep.data["checks"]["iota_free_on_preimages"] is True
+    assert rep.status == "fail"
+    assert rep.witness == {"check": "cycles_points"}

@@ -127,7 +127,8 @@ def test_reduce_family_and_bad_reduction():
 
 def verify_equivariance(fam):
     """Report how the quartics transform under the full symmetry: a
-    test-only oracle for the construction checks of build_family.
+    test-only oracle for the invariants that build_family's support rule
+    guarantees.
 
     The generator is applied by substitution over fields containing i and
     checked at character level otherwise (equivalent for diagonal actions);

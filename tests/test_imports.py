@@ -1,6 +1,6 @@
-"""Every module and test imports only names it uses, and every public name
-in the package is reachable from the package itself, the README or the
-benchmark's tracer."""
+"""Every module and test imports only names it uses, every public name in
+the package is reachable from the package itself, the README or the
+benchmark's tracer, and every private name from the package itself."""
 
 import ast
 import re
@@ -53,9 +53,9 @@ def _references(node):
             yield child.name
 
 
-def _public_definitions(tree):
-    """(qualified name, node) of each public top-level name of a module and
-    each public method of its top-level classes."""
+def _definitions(tree):
+    """(qualified name, node) of each top-level name of a module and each
+    method of its top-level classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
@@ -70,22 +70,32 @@ def _public_definitions(tree):
                     yield target.id, node
 
 
-def unreachable_names(modules, readme, traced):
-    """module.name of each public definition in `modules` (module name ->
+def _unreferenced(modules):
+    """(module.name, name) of each definition in `modules` (module name ->
     source) that no code in `modules` refers to outside the definition
-    itself, and that neither `readme` nor the `traced` names mention."""
+    itself."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     everywhere = Counter(ref for tree in trees.values() for ref in _references(tree))
-    mentioned = set(re.findall(r"\w+", readme)) | set(traced)
-    unreachable = []
     for module, tree in trees.items():
-        for qualified, node in _public_definitions(tree):
+        for qualified, node in _definitions(tree):
             name = qualified.rpartition(".")[2]
-            if name.startswith("_") or name in mentioned:
-                continue
             if everywhere[name] == Counter(_references(node))[name]:
-                unreachable.append(f"{module}.{qualified}")
-    return unreachable
+                yield f"{module}.{qualified}", name
+
+
+def unreachable_names(modules, readme, traced):
+    """module.name of each unreferenced public definition in `modules` that
+    neither `readme` nor the `traced` names mention."""
+    mentioned = set(re.findall(r"\w+", readme)) | set(traced)
+    return [qualified for qualified, name in _unreferenced(modules)
+            if not name.startswith("_") and name not in mentioned]
+
+
+def unreferenced_private_names(modules):
+    """module.name of each unreferenced private top-level name or private
+    method in `modules`; dunder methods are called by Python itself."""
+    return [qualified for qualified, name in _unreferenced(modules)
+            if name.startswith("_") and not name.endswith("__")]
 
 
 def traced_functions():
@@ -108,11 +118,32 @@ def test_unreachable_names_are_found():
     assert unreachable_names(modules, "C.method() and LIMIT", ("recursive",)) == []
 
 
+def package_modules():
+    return {path.stem: path.read_text(encoding="utf-8")
+            for path in sorted(ROOT.glob("src/godeaux/*.py"))}
+
+
 def test_every_public_name_has_a_caller():
-    modules = {path.stem: path.read_text(encoding="utf-8")
-               for path in sorted(ROOT.glob("src/godeaux/*.py"))}
+    modules = package_modules()
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     unreachable = unreachable_names(modules, readme, traced_functions())
     assert not unreachable, (
         "no caller in src/, README.md or TRACED_FUNCTIONS: " + ", ".join(unreachable)
     )
+
+
+def test_unreferenced_private_names_are_found():
+    modules = {
+        "a": "_LIMIT = 3\n_UNUSED = 4\n\ndef _helper():\n    return _LIMIT\n\n"
+             "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+             "class C:\n    def __post_init__(self):\n        self._check()\n"
+             "        getattr(self, f\"_{self.kind}\")()\n\n"
+             "    def _check(self):\n        pass\n\n    def _dispatched(self):\n        pass\n",
+        "b": "from .a import _helper\n_helper()\n",
+    }
+    assert unreferenced_private_names(modules) == ["a._UNUSED", "a._recursive", "a.C._dispatched"]
+
+
+def test_every_private_name_has_a_caller():
+    unreferenced = unreferenced_private_names(package_modules())
+    assert not unreferenced, "no reference in src/: " + ", ".join(unreferenced)

@@ -69,11 +69,22 @@ def test_rationals_read_only_integers_and_quotients():
     assert QQ("4/6") == Fraction(2, 3)
     assert QQ("-0/5") == 0
     for text in ("0.5", "1e5", "1e99999999", "1/0", "-3/00", "1/-2", " 1", "+1",
-                 "1 / 2", "inf", "nan", ""):
+                 "1 / 2", "inf", "nan", "", "1_2", "\u0663", "\uff11/\uff12", "1/\u0662"):
         with pytest.raises(ValueError):
             QQ(text)
     with pytest.raises(TypeError):
         QQ(0.5)
+
+
+def test_prime_field_reads_only_ascii_integers():
+    F = PrimeField(13)
+    assert F("12") == F(12)
+    assert F("-14") == F(12)
+    assert F("007") == F(7)
+    # no digit separator, sign, whitespace, Unicode digit or quotient
+    for text in ("1_2", " 7 ", "+5", "7\n", "\u0663", "1/2", "0.5", "", "-"):
+        with pytest.raises(ValueError):
+            F(text)
 
 
 def test_int_coercion_is_allowed():
