@@ -415,14 +415,25 @@ def test_pencil_report_passes():
     assert all(rep.data["checks"].values())
 
 
+def test_pencil_base_points_on_both_basis_conics():
+    # the two fixed members are distinct conics of the pencil, so they are
+    # a basis of it; both pass through the four base points
+    rep = pencil_report(STANDARD_FRAME)
+    field = field_from_spec("Q")
+    reducible, smooth = _fixed_members(rep)
+    assert reducible != smooth
+    for member in (reducible, smooth):
+        for pt in STANDARD_FRAME:
+            assert member.evaluate([field(x) for x in pt]) == field(0)
+
+
 def test_pencil_properties_on_random_frames():
-    # the standard frame, then 100 random frames in general position; the
-    # two fixed members are distinct conics through the base points, so
-    # they span the pencil
+    # 100 random frames in general position; the two fixed members are
+    # distinct conics through the base points, so they span the pencil
     rng = random.Random(20260819)
     field = field_from_spec("Q")
-    frames = [(STANDARD_FRAME, pencil_report(STANDARD_FRAME))]
-    while len(frames) < 101:
+    frames = []
+    while len(frames) < 100:
         pts = [tuple(rng.randrange(-4, 5) for _ in range(3)) for _ in range(4)]
         try:
             frames.append((pts, pencil_report(pts)))
