@@ -610,7 +610,7 @@ _CASE_TABLE["exP"] = dict(
     notes=_CASE_TABLE["deg2"]["notes"]
     + (
         "the doubled-plane scenario is the cone-side view of the"
-        " pencil-of-conics gluing; see pencil_of_conics",
+        " pencil-of-conics gluing; see `cone pencil` (pencil_report)",
     ),
 )
 

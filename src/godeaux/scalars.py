@@ -287,7 +287,7 @@ def field_from_spec(spec) -> Union[Rationals, PrimeField]:
         s = s[1:]
         if s.startswith("p"):
             s = s[1:]
-    if s.isdigit():
+    if s.isascii() and s.isdigit():
         return PrimeField(int(s))
     raise ValueError(f"unrecognized field spec {spec!r}")
 

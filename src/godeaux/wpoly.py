@@ -235,6 +235,8 @@ def parse_poly(ring: WRing, text: str) -> WPoly:
     terms: Dict[Exponents, object] = {}
     for chunk in text.split("+"):
         chunk = chunk.strip()
+        if not chunk:
+            raise ValueError(f"empty term in {text!r}")
         if "*" in chunk:
             coeff_s, _, mono_s = chunk.partition("*")
             coeff = ring.field(coeff_s.strip().replace(" ", ""))
@@ -304,20 +306,23 @@ class MonomialMap:
         coords = [self.ring.field(x) if isinstance(x, (int, str)) else x for x in point]
         return tuple(s * x for s, x in zip(self.scalars, coords))
 
+    def character_of_monomial(self, expts: Exponents) -> object:
+        """The scalar the map multiplies the monomial by: the product of
+        scalar_v^e_v.  A polynomial is an eigenvector of the map iff all
+        its monomials share this character."""
+        val = self.ring.field.one()
+        for s, k in zip(self.scalars, expts):
+            if k:
+                val = val * s ** k
+        return val
+
 
 def apply_map(f: WPoly, m: MonomialMap) -> WPoly:
     """Substitute per m; satisfies apply_map(f, m).evaluate(P) ==
     f.evaluate(m.point_image(P))."""
     if f.ring != m.ring:
         raise ValueError("map and polynomial live in different rings")
-    out: Dict[Exponents, object] = {}
-    for e, c in f.terms.items():
-        val = c
-        for s, k in zip(m.scalars, e):
-            if k:
-                val = val * s ** k
-        out[e] = val
-    return WPoly(f.ring, out)
+    return WPoly(f.ring, {e: c * m.character_of_monomial(e) for e, c in f.terms.items()})
 
 
 def substitute(f: WPoly, images: Sequence[WPoly]) -> WPoly:

@@ -296,8 +296,9 @@ PINNED_CONE_REPORTS = {
         (2, "003d97741f54a43b5f651e9717acb96276218cade400c6cdfb027d568f2ff187"),
     ("degenerate", "--case", "4", "--intersections", "--prime", "13"):
         (0, "c0cb87ab45a0fa21d12d6e15af084f0b2e52355d5b02c255859927d3a88a188b"),
+    # re-pinned when the exP note came to name `cone pencil` (pencil_report)
     ("degenerate", "--case", "exP", "--intersections", "--prime", "13"):
-        (0, "74c09cc8e8bc5694b6080094d8aea33c6f3dc610637c7a452905f94e12af429d"),
+        (0, "091e1902ea815333d9ec5663d87f7259aac116a27a205a39fb8c9b3505ed80a5"),
     ("degenerate", "--case", "4", "--intersections", "--prime", "29"):
         (0, "ece14070e3bcea289bc142eaec24a1bc5b484f65a4984848f1c537599f07280e"),
     ("degenerate", "--config", "through-vertex.json"):
@@ -571,6 +572,23 @@ MALFORMED_CONFIGS = {
     "coefficient-arabic-indic-digit": (["table1", "--coeffs"], {
         "field": 13, "q0": {"x1^4": "\u0663"}, "q2": {"x1^2 x2^2": 1},
     }, "x1^4"),
+    # a field spec is ASCII digits too
+    "field-arabic-indic-digits": (["table1", "--coeffs"], {
+        "field": "\u0661\u0663", "seed": 5,
+    }, "field spec"),
+    "branch-field-arabic-indic-digits": (["cone", "degenerate", "--config"], {
+        "case": "general", "field": "\u0661\u0663", "q1": "y0^2 + y1^2", "h3": "y0 + 2*y3",
+    }, "field"),
+    # a polynomial has no empty term
+    "q1-empty-term": (["cone", "degenerate", "--config"], {
+        "case": "general", "q1": "y0^2 + + y1^2", "h3": "y0 + 2*y3",
+    }, "'q1'"),
+    "q1-leading-plus": (["cone", "degenerate", "--config"], {
+        "case": "general", "q1": "+ y0^2 + y1^2", "h3": "y0 + 2*y3",
+    }, "'q1'"),
+    "h3-trailing-plus": (["cone", "degenerate", "--config"], {
+        "case": "general", "q1": "y0^2 + y1^2", "h3": "y0 + 2*y3 +",
+    }, "'h3'"),
 }
 
 
@@ -644,6 +662,14 @@ def test_field_is_a_table1_option_only(argv, capsys):
 
 def test_table1_takes_a_field():
     assert run(["table1", "--field", "13"]) == 0
+
+
+@pytest.mark.parametrize("spec", ["\u0661\u0663", "\uff11\uff13", "f\u0661\u0663"])
+def test_table1_field_takes_ascii_digits_only(spec, capsys):
+    # Arabic-Indic and fullwidth digits for 13 are no field spec
+    assert run(["table1", "--field", spec]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "unrecognized field spec" in err
 
 
 def test_cone_degenerate_config_field_must_match_the_prime(tmp_path, capsys):

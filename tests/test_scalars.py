@@ -159,6 +159,14 @@ def test_field_specs():
         field_from_spec("f2")
 
 
+def test_field_specs_read_only_ascii_digits():
+    # str.isdigit also takes these spellings of 13 (and int reads them)
+    for spec in ("\u0661\u0663", "\uff11\uff13", "f\u0661\u0663", "1\u0663", "\u00b9\u00b3"):
+        with pytest.raises(ValueError, match="unrecognized field spec"):
+            field_from_spec(spec)
+    assert field_from_spec(" F13 ") == PrimeField(13)
+
+
 def test_scalar_strings():
     assert scalar_to_str(Fraction(-3, 7)) == "-3/7"
     assert scalar_to_str(Fraction(4)) == "4"

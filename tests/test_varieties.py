@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from godeaux import varieties
-from godeaux.family import FamilyParams, build_family, random_params
+from godeaux.family import FamilyParams, build_family, canonical_action, random_params
 from godeaux.scalars import QQ, PrimeField
 from godeaux.varieties import (
     CHUNK_LIMIT,
@@ -496,6 +496,98 @@ def test_surface_candidates_are_about_p_squared():
     assert len(surface) <= surface.candidates <= 2 * p * p
 
 
+# --- the scan folded by a diagonal symmetry of the equations
+
+
+def group_generator(ring):
+    """g as a diagonal map over GF(p): x_v -> i^(1, 2, 3, 1, 3)_v x_v."""
+    return canonical_action(ring).as_monomial_map(ring.field.sqrt_minus_one())
+
+
+def assert_fold_is_exact(ring, p, eqs, symmetry, oracle=True):
+    """The folded scan gives the rows and the count of the unfolded scan,
+    and of the box-scan oracle when asked; returns both scans."""
+    full = enumerate_points(ring, p, eqs)
+    folded = enumerate_points(ring, p, eqs, symmetry)
+    assert folded.rows.tobytes() == full.rows.tobytes()
+    assert folded.rows.shape == full.rows.shape
+    assert folded.scanned == full.scanned
+    if oracle:
+        points, scanned = box_scan(ring, p, eqs)
+        assert list(folded.points) == points
+        assert folded.scanned == scanned
+    return full, folded
+
+
+# the box-scan oracle evaluates all p^4 representatives of the main box:
+# about 1 s per member at p = 41, 5 s at p = 61 and 40 s at p = 101, so the
+# two largest primes are checked against the unfolded scan alone
+@pytest.mark.parametrize("p", [13, 17, 29, 37, 41, 61, 101])
+def test_folded_scan_matches_unfolded_and_box_scan(p):
+    for seed, enforce in ((p, True), (p + 1, False)):
+        fam = build_family(random_params(p, seed=seed, enforce_involution=enforce))
+        full, folded = assert_fold_is_exact(
+            fam.ring, p, [fam.q0, fam.q2], group_generator(fam.ring), oracle=p <= 41)
+        assert len(full) > 0
+        # the main box dominates, and a quarter of it is tested
+        if p >= 29:
+            assert 2 * folded.candidates < full.candidates
+
+
+def test_folded_scan_keeps_the_forced_singular_point():
+    # (1,0,0,0,0), the singular point of the member without x1^4, lies on
+    # the row x2 = 0 of the main box, which the fold scans in full
+    params = FamilyParams(
+        field_spec=13,
+        q0={"x2^4": 1, "x3^4": 1, "x1^2 x3^2": 1, "x1 x2^2 x3": 1, "y1 y3": 1},
+        q2={"x1^2 x2^2": 1, "x2^2 x3^2": 1, "x1^3 x3": 1, "x1 x3^3": 1,
+            "y1^2": 1, "y3^2": 1},
+    )
+    fam = build_family(params)
+    _, folded = assert_fold_is_exact(fam.ring, 13, [fam.q0, fam.q2],
+                                     group_generator(fam.ring))
+    assert (1, 0, 0, 0, 0) in folded.points
+    assert check_quasi_smooth(fam, 13).witness is not None
+
+
+@pytest.mark.parametrize("p", [13, 29])
+def test_fold_of_order_two_on_p3(p):
+    # on P^3 the map (1, -1, 1, -1) folds the main box by x1 -> -x1, so
+    # the scanned rows are x1 = 0 and one of each pair +-x1
+    ring = p3_ring(p)
+    field = ring.field
+    m = MonomialMap(ring, (field(1), field(-1), field(1), field(-1)))
+    eqs = [parse_poly(ring, "y0^2 + -1 * y1 y3 + 2 * y2^2"),
+           parse_poly(ring, "y0 y2 + y1^2 + y3^2")]
+    assert_fold_is_exact(ring, p, eqs, m)
+    assert varieties._coset_minima(p - 1, p).tolist() == list(range((p + 1) // 2))
+
+
+def test_coset_minima_of_i():
+    for p in (13, 17, 61, 101):
+        i = PrimeField(p).sqrt_minus_one().value
+        minima = varieties._coset_minima(i, p).tolist()
+        assert len(minima) == 1 + (p - 1) // 4
+        assert minima[:2] == [0, 1]
+        cosets = {frozenset(a * pow(i, k, p) % p for k in range(4)) for a in minima[1:]}
+        assert set().union(*cosets) == set(range(1, p))
+
+
+def test_scan_rejects_a_non_eigenvector():
+    # x1^3 x2 has character 1 under g, the rest of q0 character 0
+    fam = build_family(random_params(13, seed=1))
+    g = group_generator(fam.ring)
+    q0 = fam.q0 + parse_poly(fam.ring, "x1^3 x2")
+    with pytest.raises(ValueError, match="not an eigenvector"):
+        enumerate_points(fam.ring, 13, [q0, fam.q2], g)
+    with pytest.raises(ValueError, match="map over GF"):
+        enumerate_points(fam.ring, 13, [fam.q0, fam.q2],
+                         group_generator(family_ring(17)))
+    plane = WRing(("a", "b", "c"), (1, 1, 1), PrimeField(13))
+    with pytest.raises(ValueError, match="at least four coordinates"):
+        enumerate_points(plane, 13, [], MonomialMap(plane, (1, -1, 1)))
+
+
 def orbit_count_formula(p):
     # orbits of size p-1 off the pure-y locus, (p-1)/2 on it
     return (p ** 5 - p ** 2) // (p - 1) + 2 * (p + 1)
@@ -692,12 +784,13 @@ def test_free_action_witness_is_first_fixed_surface_point():
 
 
 def test_checks_share_one_scan_per_member(monkeypatch):
-    scans = []
+    scans, folded = [], []
     original = varieties.enumerate_points
 
-    def counting(ring, p, eqs):
+    def counting(ring, p, eqs, symmetry=None):
         scans.append(p)
-        return original(ring, p, eqs)
+        folded.append(symmetry)
+        return original(ring, p, eqs, symmetry)
 
     monkeypatch.setattr(varieties, "enumerate_points", counting)
     surface_points.cache_clear()
@@ -711,6 +804,8 @@ def test_checks_share_one_scan_per_member(monkeypatch):
         fam_p = varieties._family_mod_p(fam, p)
         eqs = [fam_p.q0, fam_p.q2]
         surface = original(fam_p.ring, p, eqs)
+        # the checks' scan is folded by g, the unfolded one gives the same
+        assert surface_points(p, *eqs).rows.tolist() == surface.rows.tolist()
         assert [r.points_scanned for r in reports] == [surface.scanned] * 3
         assert reports[0].data["surface_points"] == len(surface)
         assert reports[1].data["surface_points"] == len(surface)
@@ -723,6 +818,9 @@ def test_checks_share_one_scan_per_member(monkeypatch):
     # one scan per member and prime; a member seen again is scanned again,
     # because the memo holds the last member only
     assert scans == [13, 13, 13, 13, 29]
+    i = PrimeField(13).sqrt_minus_one()
+    assert folded[0] == fam_a.action.as_monomial_map(i)
+    assert all(m is not None for m in folded)
 
 
 def test_second_free_action_check_counts_nothing_again(monkeypatch):

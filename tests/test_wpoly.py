@@ -113,6 +113,13 @@ def test_serialization_round_trip():
     assert parse_monomial(R, "y3^2") == (0, 0, 0, 0, 2)
 
 
+@pytest.mark.parametrize("text", ["x1^2 + + y1", "+ x1^2", "x1^2 +", "x1^2 +  + y1", "+"])
+def test_parse_rejects_empty_terms(text):
+    # an empty term was an IndexError, which no caller reports as bad input
+    with pytest.raises(ValueError, match="empty term"):
+        parse_poly(R, text)
+
+
 def test_serialization_round_trip_over_fp():
     Rp = WRing(("a", "b"), (1, 2), PrimeField(13))
     f = Rp.monomial((2, 0), 12) + Rp.monomial((0, 1), 5)
