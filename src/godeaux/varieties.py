@@ -719,11 +719,17 @@ def surface_points(p: int, q0: WPoly, q2: WPoly) -> PointSet:
     points; ``surface_points.cache_clear()`` empties it.  The scan is folded
     by the generator g of the group, which is defined over GF(p) when
     p = 1 mod 4."""
-    ring = q0.ring
-    g = None
-    if p % 4 == 1:
-        g = canonical_action(ring).as_monomial_map(ring.field.sqrt_minus_one())
-    return enumerate_points(ring, p, [q0, q2], g)
+    return enumerate_points(q0.ring, p, [q0, q2], _group_generator(q0.ring))
+
+
+@functools.lru_cache(maxsize=16)
+def _group_generator(ring: WRing) -> Optional[MonomialMap]:
+    """g as a diagonal map over GF(p), the field of the ring, where
+    p = 1 mod 4 puts a square root of -1 in it; None elsewhere.  Memoized
+    by ring, as every member over GF(p) shares it."""
+    if not isinstance(ring.field, PrimeField) or ring.field.p % 4 != 1:
+        return None
+    return canonical_action(ring).as_monomial_map(ring.field.sqrt_minus_one())
 
 
 def _certificate(check: str):
