@@ -2,8 +2,8 @@
 
 A group is a tuple of invariant factors d1 | d2 | ... | dk; elements are
 integer tuples reduced mod the factors.  This is the package's one kernel
-for such groups: invariant factors of a product of cyclic groups (read off
-a Smith normal form), the label format 'Z4xZ2' / 'Z2^3' and its parser, and
+for such groups: invariant factors of a product of cyclic groups (by gcd
+and lcm), the label format 'Z4xZ2' / 'Z2^3' and its parser, and
 2-divisibility modulo a list of subgroup generators.  The last reduces to
 an integer lattice membership problem over Z^r + Z/d1 + ... + Z/dk, answered
 through Smith normal form, with the witness confirmed before it is returned.
@@ -12,9 +12,11 @@ through Smith normal form, with the witness confirmed before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .snf import IntMatrix, smith_normal_form, solve_lattice_membership
+from .scalars import group_label
+from .snf import IntMatrix, solve_lattice_membership
 
 Element = Tuple[int, ...]
 
@@ -77,34 +79,31 @@ class FinAbGroup:
         return self.reduce([n * x for x in self.reduce(a)])
 
 
-def invariant_factors(orders: Sequence[int]) -> Tuple[int, ...]:
-    """Invariant factors of Z/n1 x ... x Z/nk, smallest first: the non-unit
-    diagonal of the Smith normal form of diag(n1, ..., nk)."""
-    orders = [int(n) for n in orders]
+def invariant_factors(orders: Iterable[int], max_rank: Optional[int] = None) -> Tuple[int, ...]:
+    """Invariant factors of Z/n1 x ... x Z/nk, smallest first.  Each order
+    joins the chain d1 | d2 | ... through Z/a x Z/b = Z/gcd(a, b) x Z/lcm(a, b),
+    which keeps it a chain, so the orders are read one at a time and a group
+    whose rank exceeds max_rank is refused as soon as it does."""
+    chain: List[int] = []
     for n in orders:
+        n = int(n)
         if n < 1:
             raise ValueError(f"cyclic order {n} < 1")
-    rows = [[n if i == j else 0 for j in range(len(orders))] for i, n in enumerate(orders)]
-    _, d, _ = smith_normal_form(IntMatrix.from_rows(rows))
-    return tuple(x for x in d.diagonal() if x != 1)
+        for i, d in enumerate(chain):
+            chain[i], n = gcd(d, n), lcm(d, n)
+        # the units are a prefix of the chain and stay units
+        chain = [d for d in chain + [n] if d != 1]
+        if max_rank is not None and len(chain) > max_rank:
+            raise ValueError(f"the group has rank at least {len(chain)}, above {max_rank}")
+    return tuple(chain)
 
 
-def parse_group_label(label: str) -> Tuple[int, ...]:
-    """Invariant factors of an abelian label like 'Z8', 'Z2xZ4' or 'Z2^3'."""
-    orders: List[int] = []
-    for part in label.replace(" ", "").split("x"):
-        if not part.startswith("Z"):
-            raise ValueError(f"cannot parse group label {label!r}")
-        body = part[1:]
-        if "^" in body:
-            base, _, exp = body.partition("^")
-            power = int(exp)
-            if power < 1:
-                raise ValueError(f"exponent {power} < 1 in group label {label!r}")
-            orders.extend([int(base)] * power)
-        else:
-            orders.append(int(body))
-    return invariant_factors(orders)
+def parse_group_label(label: str, max_rank: Optional[int] = None) -> Tuple[int, ...]:
+    """Invariant factors of an abelian label like 'Z8', 'Z2xZ4' or 'Z2^3'.
+    A power is expanded lazily and a power of Z1 not at all, so a label of
+    rank above max_rank costs at most max_rank + 1 orders."""
+    pairs = group_label(label)
+    return invariant_factors((d for d, power in pairs if d != 1 for _ in range(power)), max_rank)
 
 
 def halve(

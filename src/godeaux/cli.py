@@ -22,6 +22,7 @@ GODEAUX_PRIMES environment variable (comma-separated).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -67,7 +68,7 @@ from .family import (
     sigma_tables,
 )
 from .reports import CheckReport, config_hash, exit_code, reports_to_json
-from .scalars import PrimeField
+from .scalars import PrimeField, comma_list, integer
 from .varieties import (
     check_fixed_locus,
     check_free_action,
@@ -86,28 +87,46 @@ class ConfigError(ValueError):
     """Malformed invocation: bad flags, files, or field specs."""
 
 
+@contextlib.contextmanager
+def _config_errors(prefix: str = "", kinds=(ValueError,)):
+    """Report the errors of bad input raised in the block as config errors."""
+    try:
+        yield
+    except kinds as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are config errors too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _int_option(text: str) -> int:
+    """An integer option, by the shared rule, under argparse's message."""
+    try:
+        return integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def default_primes() -> Tuple[int, ...]:
     raw = os.environ.get(PRIMES_ENV)
     if raw is None:
         return FALLBACK_PRIMES
-    try:
-        primes = tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {PRIMES_ENV}={raw!r}: {exc}") from None
-    if not primes:
-        raise ConfigError(f"{PRIMES_ENV} is set but empty")
-    return primes
+    with _config_errors(f"cannot parse {PRIMES_ENV}={raw!r}: "):
+        return tuple(map(integer, comma_list(raw)))
 
 
 def _primes_from(args) -> Tuple[int, ...]:
     """The --prime list, else the default primes; every one of them must be
     a prime the scans accept."""
     primes = tuple(getattr(args, "prime", None) or default_primes())
-    for p in primes:
-        try:
+    with _config_errors():
+        for p in primes:
             guard_prime(p)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
     return primes
 
 
@@ -136,19 +155,13 @@ def _load_json(path: str):
 def _family_from_args(args):
     if getattr(args, "coeffs", None):
         config = _load_json(args.coeffs)
-        try:
+        with _config_errors("bad coefficient file: "):
             params = params_from_config(config)
-        except ValueError as exc:
-            raise ConfigError(f"bad coefficient file: {exc}") from None
     else:
-        try:
+        with _config_errors():
             params = random_params(args.field, seed=args.seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    try:
+    with _config_errors():
         return build_family(params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def cmd_table1(args) -> List[CheckReport]:
@@ -207,14 +220,11 @@ def cmd_verify(args) -> List[CheckReport]:
         if p % 4 != 1:
             raise ConfigError(f"the order-4 symmetry needs p = 1 mod 4, got p = {p}")
     runners = _verify_runners()
-    names = tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
+    with _config_errors():
+        names = comma_list(args.checks)
     unknown = [n for n in names if n not in runners]
     if unknown:
-        raise ConfigError(
-            f"unknown checks {unknown}; choose from {sorted(runners)}"
-        )
-    if not names:
-        raise ConfigError("no checks requested")
+        raise ConfigError(f"unknown checks {unknown}; choose from {sorted(runners)}")
     if args.draws < 1:
         raise ConfigError(f"draws must be >= 1, got {args.draws}")
     # every run scans its own surfaces, so repeated runs do the same work
@@ -304,10 +314,8 @@ def cmd_cover_invariants(args) -> List[CheckReport]:
 
 
 def cmd_cover_lift(args) -> List[CheckReport]:
-    try:
+    with _config_errors():
         spec = LiftSpec(case=args.case, rho_order=args.rho_order)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     labels = sorted(classify_lift(spec))
     data: Dict[str, object] = {"case": args.case, "labels": labels}
     if args.case == "b":
@@ -320,20 +328,13 @@ def cmd_cover_lift(args) -> List[CheckReport]:
 
 def cmd_cover_even_set(args) -> List[CheckReport]:
     model = preset_model(args.preset)
-    if args.classes:
-        names = [tok.strip() for tok in args.classes.split(",") if tok.strip()]
-    elif args.preset == "even8":
-        names = [f"C{i}" for i in range(1, 9)]
-    else:
-        names = ["C1", "C2", "C3", "C4"]
-    try:
+    names = [f"C{i}" for i in range(1, 9 if args.preset == "even8" else 5)]
+    with _config_errors(kinds=(KeyError, ValueError)):
+        if args.classes is not None:
+            names = comma_list(args.classes)
         classes = [model.named(n) for n in names]
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from None
-    try:
+    with _config_errors():
         return [even_node_set(model, classes)]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def cmd_cover_enriques(args) -> List[CheckReport]:
@@ -345,25 +346,17 @@ def cmd_cover_enriques(args) -> List[CheckReport]:
 
 
 def cmd_group_divisibility(args) -> List[CheckReport]:
-    try:
-        factors = parse_group_label(args.group)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    group = FinAbGroup(factors)
-
     def coordinates(text: str) -> Tuple[int, ...]:
         # the empty string is the one element of a rank-0 group such as Z1
-        return tuple(int(tok) for tok in text.split(",")) if text else ()
+        return tuple(map(integer, comma_list(text))) if text else ()
 
-    try:
+    with _config_errors("bad element coordinates: "):
         element = coordinates(args.element)
         modulo = [coordinates(m) for m in (args.modulo or [])]
-    except ValueError as exc:
-        raise ConfigError(f"bad element coordinates: {exc}") from None
-    try:
+    with _config_errors():
+        # the element's length bounds the rank, so no power is built past it
+        group = FinAbGroup(parse_group_label(args.group, max_rank=len(element)))
         divisible, half = is_two_divisible(group, element, modulo=modulo)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     return [
         CheckReport(
             check="two-divisibility",
@@ -416,20 +409,16 @@ def _branch_config_from_file(path: str, fallback_case: Optional[str]) -> BranchC
         )
     if "q1" not in raw or "h3" not in raw:
         raise ConfigError("branch config needs q1 and h3 polynomial strings")
-    try:
+    with _config_errors("bad field in branch config: "):
         setup = cone_setup(raw.get("field", "Q"))
-    except ValueError as exc:
-        raise ConfigError(f"bad field in branch config: {exc}") from None
 
     def poly(key):
         if key not in raw:
             return None
         if not isinstance(raw[key], str):
             raise ConfigError(f"bad polynomial for {key!r}: expected a string, got {raw[key]!r}")
-        try:
+        with _config_errors(f"bad polynomial for {key!r}: "):
             return parse_poly(setup.ring, raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"bad polynomial for {key!r}: {exc}") from None
 
     if "r1" in raw:
         r1 = raw["r1"]
@@ -438,19 +427,9 @@ def _branch_config_from_file(path: str, fallback_case: Optional[str]) -> BranchC
         # bool is a subclass of int, and the field would read 1.0 or "1" as 1
         if any(type(x) is not int for x in r1):
             raise ConfigError(f"bad point for 'r1': coordinates must be integers, got {r1!r}")
-    try:
-        return BranchConfig(
-            case=case,
-            q1=poly("q1"),
-            h3=poly("h3"),
-            r1=tuple(raw["r1"]) if "r1" in raw else None,
-            h=poly("h"),
-            h0=poly("h0"),
-            h1=poly("h1"),
-            ht=poly("ht"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid branch configuration: {exc}") from None
+    polys = {key: poly(key) for key in ("q1", "h3", "h", "h0", "h1", "ht")}
+    with _config_errors("invalid branch configuration: ", (TypeError, ValueError)):
+        return BranchConfig(case=case, r1=tuple(raw["r1"]) if "r1" in raw else None, **polys)
 
 
 def cmd_cone_degenerate(args) -> List[CheckReport]:
@@ -502,10 +481,8 @@ def cmd_cone_pencil(args) -> List[CheckReport]:
         points = [tuple(pt) for pt in raw]
     else:
         points = None
-    try:
+    with _config_errors():
         rep = pencil_report(points) if points else pencil_report()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     print("phi rows:", rep.data["phi"])
     print("reducible fixed member:", rep.data["reducible_member"])
     print("smooth fixed member:", rep.data["smooth_member"])
@@ -523,17 +500,17 @@ def _build_parser() -> argparse.ArgumentParser:
     mutable object (--prime appends to a list argparse makes per call)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write canonical JSON reports here")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_int_option, default=0)
 
     prime_opt = argparse.ArgumentParser(add_help=False)
     prime_opt.add_argument(
         "--prime",
-        type=int,
+        type=_int_option,
         action="append",
         help=f"test prime (repeatable; default from ${PRIMES_ENV} or 13)",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="godeaux",
         description="certificates and bookkeeping for a family of Godeaux"
         " surfaces with an extra involution",
@@ -551,8 +528,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common, prime_opt], help="seeded randomized certificates"
     )
     v.add_argument("--checks", default=",".join(VERIFY_CHECKS))
-    v.add_argument("--draws", type=int, default=1)
-    v.add_argument("--retry-budget", type=int, default=3, dest="retry_budget")
+    v.add_argument("--draws", type=_int_option, default=1)
+    v.add_argument("--retry-budget", type=_int_option, default=3, dest="retry_budget")
     v.set_defaults(func=cmd_verify)
 
     cover = sub.add_parser("cover", help="building data and cover invariants")
@@ -565,7 +542,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_cover_invariants)
     c = csub.add_parser("lift", parents=[common])
     c.add_argument("--case", choices=("a", "b", "double"), required=True)
-    c.add_argument("--rho-order", type=int, default=2, dest="rho_order")
+    c.add_argument("--rho-order", type=_int_option, default=2, dest="rho_order")
     c.set_defaults(func=cmd_cover_lift)
     c = csub.add_parser("even-set", parents=[common])
     c.add_argument("--preset", choices=("even8", "enriques"), default="even8")
@@ -613,11 +590,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 2 if code else 0
-    try:
         reports = args.func(args)
+    except SystemExit as exc:
+        # --help; every other argparse exit is a ConfigError
+        return 2 if exc.code else 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .grouprep import (
@@ -213,7 +212,7 @@ def reduce_family(fam: GodeauxFamily, p: int) -> GodeauxFamily:
     field = field_from_spec(p)
 
     def push(block: Dict[str, object]) -> Dict[str, object]:
-        return {k: field(Fraction(v)).value for k, v in block.items()}
+        return {k: field(fam.field(v)).value for k, v in block.items()}
 
     params = FamilyParams(
         field_spec=p,

@@ -18,7 +18,7 @@ offending monomial pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .scalars import exact_rank
 from .wpoly import Exponents, MonomialMap, WPoly, WRing, monomials_of_degree
@@ -69,12 +69,9 @@ class CyclicAction:
         return MonomialMap(self.ring, tuple(1 if e == 0 else -1 for e in self.exponents))
 
 
-def character_clash(f: WPoly, action: Union[CyclicAction, MonomialMap]
-                    ) -> Optional[Tuple[Exponents, Exponents]]:
+def character_clash(f: WPoly, action: CyclicAction) -> Optional[Tuple[Exponents, Exponents]]:
     """The first monomial of f and the first later one of another
-    character, or None when f is character-homogeneous.  Under a diagonal
-    map the character of a monomial is the scalar the map multiplies it by,
-    so None means f is an eigenvector of the map."""
+    character, or None when f is character-homogeneous."""
     monos = f.monomials()
     if not monos:
         return None

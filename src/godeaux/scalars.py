@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Union
+from typing import List, Optional, Tuple, Union
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -123,10 +123,68 @@ class FpElement:
         return str(self.value)
 
 
-# coefficient strings, ASCII digits only: an integer over GF(p), an integer
-# or a quotient a/b over Q
+# The one grammar of every string the package reads, in ASCII only.  A token
+# takes no whitespace; a reader that splits a value (comma lists, polynomial
+# terms, field specs) strips surrounding spaces once from each piece.
 _INTEGER = re.compile(r"-?[0-9]+")
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_POWER = r"(?:\^(0*[1-9][0-9]*))?"  # an optional exponent, at least 1
+_FACTOR = re.compile(r"([A-Za-z][A-Za-z0-9]*)" + _POWER)
+_GROUP = re.compile(r"Z([0-9]+)" + _POWER)
+_FIELD = re.compile(r"(q|qq|rationals?)|(?:fp?)?([0-9]+)", re.IGNORECASE | re.ASCII)
+
+
+def _match(pattern: "re.Pattern[str]", text, what: str) -> "re.Match[str]":
+    match = pattern.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"not {what}: {text!r}")
+    return match
+
+
+def integer(text: str) -> int:
+    """An integer: ASCII digits with an optional leading '-'."""
+    return int(_match(_INTEGER, text, "an integer")[0])
+
+
+def comma_list(text: str) -> List[str]:
+    """The stripped items of a comma-separated list; none may be empty."""
+    items = [item.strip(" ") for item in text.split(",")]
+    if "" in items:
+        raise ValueError(f"empty item in the list {text!r}")
+    return items
+
+
+def monomial_factors(text: str) -> List[Tuple[str, int]]:
+    """The (name, power) factors of a monomial such as 'x1^2 y3', separated
+    by single spaces; '1' has none."""
+    if text == "1":
+        return []
+    matches = [_match(_FACTOR, piece, "a monomial factor") for piece in text.split(" ")]
+    return [(m[1], int(m[2] or 1)) for m in matches]
+
+
+def polynomial_terms(text: str) -> List[Tuple[str, str]]:
+    """The (coefficient, monomial) strings of the terms of a polynomial
+    'c * m + m + c' split at '+' and '*': a bare monomial has coefficient
+    '1', a bare rational the monomial '1'.  '0' and '' have no terms."""
+    if text.strip(" ") in ("", "0"):
+        return []
+    terms = []
+    for term in text.split("+"):
+        coeff, star, mono = (piece.strip(" ") for piece in term.partition("*"))
+        if not star:
+            coeff, mono = (coeff, "1") if _RATIONAL.fullmatch(coeff) else ("1", coeff)
+        if not coeff or not mono:
+            raise ValueError(f"empty term or factor in {text!r}")
+        terms.append((coeff, mono))
+    return terms
+
+
+def group_label(text: str) -> List[Tuple[int, int]]:
+    """The (order, power) pairs of an abelian label such as 'Z8', 'Z2xZ4'
+    or 'Z2^3'."""
+    matches = [_match(_GROUP, piece, "a cyclic group label") for piece in text.split("x")]
+    return [(int(m[1]), int(m[2] or 1)) for m in matches]
 
 
 class PrimeField:
@@ -155,9 +213,7 @@ class PrimeField:
         if isinstance(v, int):
             return FpElement(v, self.p)
         if isinstance(v, str):
-            if not _INTEGER.fullmatch(v):
-                raise ValueError(f"not an integer: {v!r}")
-            return FpElement(int(v), self.p)
+            return FpElement(integer(v), self.p)
         if isinstance(v, Fraction):
             return self.from_fraction(v)
         raise TypeError(f"cannot coerce {v!r} into GF({self.p})")
@@ -230,9 +286,7 @@ class Rationals:
             return Fraction(v)
         if isinstance(v, (float, FpElement)):
             raise TypeError(f"cannot view {v!r} as an exact rational")
-        if not isinstance(v, str) or not _RATIONAL.fullmatch(v):
-            raise ValueError(f"not an integer or a/b: {v!r}")
-        num, _, den = v.partition("/")
+        num, den = _match(_RATIONAL, v, "an integer or a/b").groups()
         if den and not int(den):
             raise ValueError(f"zero denominator in {v!r}")
         return Fraction(int(num), int(den or 1))
@@ -280,16 +334,10 @@ def field_from_spec(spec) -> Union[Rationals, PrimeField]:
         return spec
     if isinstance(spec, int):
         return PrimeField(spec)
-    s = str(spec).strip().lower()
-    if s in ("q", "qq", "rational", "rationals"):
-        return QQ
-    if s.startswith("f"):
-        s = s[1:]
-        if s.startswith("p"):
-            s = s[1:]
-    if s.isascii() and s.isdigit():
-        return PrimeField(int(s))
-    raise ValueError(f"unrecognized field spec {spec!r}")
+    match = _FIELD.fullmatch(str(spec).strip(" "))
+    if match is None:
+        raise ValueError(f"unrecognized field spec {spec!r}")
+    return QQ if match[1] else PrimeField(int(match[2]))
 
 
 def scalar_to_str(c) -> str:

@@ -90,7 +90,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .family import GodeauxFamily, canonical_action, reduce_family
-from .grouprep import character_clash
 from .reports import CheckReport
 from .scalars import PrimeField, Rationals, is_prime
 from .wpoly import MonomialMap, WPoly, WRing, jacobian
@@ -536,15 +535,14 @@ def _batch_points(batch: np.ndarray, p: int, split: _Split, fibres: _Fibres):
         yield np.stack([col[order] for col in point], axis=1), tested
 
 
-def _main_box_action(symmetry: MonomialMap, p: int) -> Tuple[int, ...]:
-    """The diagonal map d the symmetry induces on the main box: the image of
-    (1, x_1, ..., x_(n-1)), rescaled so that its first coordinate is 1
-    again, is (1, d_1 x_1, ..., d_(n-1) x_(n-1))."""
-    weights = symmetry.ring.weights
+def _main_box_action(scalars: Sequence[int], weights: Tuple[int, ...], p: int
+                     ) -> Tuple[int, ...]:
+    """The diagonal map d that the symmetry with these scalars induces on the
+    main box: the image of (1, x_1, ..., x_(n-1)), rescaled so that its first
+    coordinate is 1 again, is (1, d_1 x_1, ..., d_(n-1) x_(n-1))."""
     if weights[0] != 1 or len(weights) < 4 or p ** (len(weights) - 1) >= 1 << 63:
         raise ValueError("a symmetric scan needs a first coordinate of weight 1, "
                          "at least four coordinates and p^(n-1) below 2^63")
-    scalars = [c.value for c in symmetry.scalars]
     back = pow(scalars[0], -1, p)
     return tuple(c * pow(back, w, p) % p for c, w in zip(scalars, weights))
 
@@ -597,18 +595,21 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
     n = ring.nvars
     if n < 2:
         raise ValueError("enumeration needs at least two coordinates")
+    terms = [int_terms(f) for f in eqs_p]
     lead = None
     if symmetry is not None:
         if symmetry.ring != ring_p:
             raise ValueError("a symmetric scan needs a map over GF(p) on the same variables")
-        for f in eqs_p:
-            clash = character_clash(f, symmetry)
-            if clash is not None:
+        scalars, mod = [c.value for c in symmetry.scalars], [p] * n
+        for f, f_terms in zip(eqs_p, terms):
+            # the scalar the map multiplies each monomial by, one for an eigenvector
+            chars = {math.prod(map(pow, scalars, e, mod)) % p: e for e, _ in f_terms}
+            if len(chars) > 1:
+                a, b = list(chars.values())[:2]
                 raise ValueError(f"equation {f.to_string()} is not an eigenvector of "
-                                 f"the symmetry: monomials {clash[0]} and {clash[1]}")
-        d = _main_box_action(symmetry, p)
+                                 f"the symmetry: monomials {a} and {b}")
+        d = _main_box_action(scalars, ring.weights, p)
         lead = _coset_minima(d[1], p)
-    terms = [int_terms(f) for f in eqs_p]
     eliminant = _eliminant(terms, n, p)
     split = _Split(terms if eliminant is None else terms + [eliminant], n, p)
     fibres = _Fibres(p)

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .scalars import FpElement, PrimeField, Rationals, scalar_to_str
+from .scalars import (
+    FpElement,
+    PrimeField,
+    Rationals,
+    monomial_factors,
+    polynomial_terms,
+    scalar_to_str,
+)
 
 Exponents = Tuple[int, ...]
 Field = Union[Rationals, PrimeField]
@@ -213,42 +220,15 @@ def monomial_to_str(ring: WRing, expts: Exponents) -> str:
 
 def parse_monomial(ring: WRing, text: str) -> Exponents:
     expts = [0] * ring.nvars
-    text = text.strip()
-    if text == "1":
-        return tuple(expts)
-    for piece in text.split():
-        if "^" in piece:
-            name, _, power = piece.partition("^")
-            k = int(power)
-        else:
-            name, k = piece, 1
-        if k < 1:
-            raise ValueError(f"bad exponent in {piece!r}")
+    for name, k in monomial_factors(text):
         expts[ring.index_of(name)] += k
     return tuple(expts)
 
 
 def parse_poly(ring: WRing, text: str) -> WPoly:
-    text = text.strip()
-    if text == "0" or not text:
-        return ring.zero_poly()
     terms: Dict[Exponents, object] = {}
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise ValueError(f"empty term in {text!r}")
-        if "*" in chunk:
-            coeff_s, _, mono_s = chunk.partition("*")
-            coeff = ring.field(coeff_s.strip().replace(" ", ""))
-            e = parse_monomial(ring, mono_s)
-        else:
-            first = chunk.split()[0]
-            if first[0].isdigit() or first[0] == "-":
-                coeff = ring.field(chunk.replace(" ", ""))
-                e = (0,) * ring.nvars
-            else:
-                coeff = ring.field.one()
-                e = parse_monomial(ring, chunk)
+    for coeff_s, mono_s in polynomial_terms(text):
+        coeff, e = ring.field(coeff_s), parse_monomial(ring, mono_s)
         terms[e] = terms[e] + coeff if e in terms else coeff
     return WPoly(ring, terms)
 

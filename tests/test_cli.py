@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from godeaux import cli
+from godeaux import cli, snf
 from godeaux.cli import ConfigError, default_primes, main
 
 
@@ -139,6 +139,31 @@ def test_group_divisibility_verdicts():
     for label in ("Z2^-1", "Z2^0"):
         assert run(["group", "divisibility", "--group", label,
                     "--element", ""]) == 2
+
+
+def test_group_labels_are_never_expanded_unchecked(monkeypatch, capsys):
+    # Z2^N has rank N, so an element of one coordinate refuses Z2^100 before
+    # any Smith form is built; a power of Z1 adds no factor at all
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return real(m)
+
+    real = snf.smith_normal_form
+    monkeypatch.setattr(snf, "smith_normal_form", spy)
+    assert run(["group", "divisibility", "--group", "Z2^100", "--element", "1"]) == 2
+    assert "rank at least 2, above 1" in capsys.readouterr().err
+    assert calls == []
+    # a hundred coprime orders make a cyclic group, no 100 x 100 matrix
+    label = "x".join(f"Z{q}" for q in range(2, 542) if all(q % r for r in range(2, q)))
+    assert run(["group", "divisibility", "--group", label, "--element", "0"]) == 0
+    assert run(["group", "divisibility", "--group", "Z1^999999999", "--element", ""]) == 0
+    assert run(["group", "divisibility", "--group", "Z1^999999999xZ2^2",
+                "--element", "0,1"]) == 1
+    # a three-coordinate element admits Z2^3
+    assert run(["group", "divisibility", "--group", "Z2^3", "--element", "0,0,0"]) == 0
+    assert calls and max(max(m.nrows, m.ncols) for m in calls) < 10
 
 
 def test_group_divisibility_beyond_enumeration_size(tmp_path):
@@ -790,6 +815,87 @@ def test_help_works_twice(argv, capsys):
     assert run(argv) == 0
     assert capsys.readouterr().out == first
     assert first.startswith("usage: godeaux")
+
+
+# ---------------------------------------------------------------------------
+# one ASCII grammar for every string the command line reads
+
+_BRANCH = '"case": "general", "h3": "y0 + 2*y3"'
+_COEFFS = '"field": 13, "q2": {"x1^2 x2^2": 1}'
+_POINTS = '[0, 1, 0], [0, 0, 1], [1, 2, 3]'
+
+# (argv, GODEAUX_PRIMES or None, JSON text of a file whose path ends argv)
+HOSTILE_SPELLINGS = [
+    # argparse values
+    (["verify", "--prime", "\u0661\u0663"], None, None),
+    (["verify", "--prime", "1_3"], None, None),
+    (["verify", "--prime", "+13"], None, None),
+    (["verify", "--prime", " 13"], None, None),
+    (["verify", "--seed", "\u0664\u0662", "--prime", "13"], None, None),
+    (["verify", "--draws", "1_0", "--prime", "13"], None, None),
+    (["verify", "--retry-budget", "\uff13", "--prime", "13"], None, None),
+    (["table1", "--seed", "5 "], None, None),
+    (["cover", "lift", "--case", "double", "--rho-order", "1_0"], None, None),
+    # GODEAUX_PRIMES
+    (["verify"], "\u0661\u0663", None),
+    (["verify"], "1_3", None),
+    (["verify"], "13,,29", None),
+    (["verify"], "13,", None),
+    (["verify"], "", None),
+    # comma lists
+    (["verify", "--checks", "quasi-smooth,,"], None, None),
+    (["verify", "--checks", ""], None, None),
+    (["cover", "even-set", "--classes", "C1,,C2"], None, None),
+    (["cover", "even-set", "--classes", ""], None, None),
+    # group labels and elements
+    (["group", "divisibility", "--group", "Z4", "--element", "2_0"], None, None),
+    (["group", "divisibility", "--group", "Z4", "--element", "\u0662"], None, None),
+    (["group", "divisibility", "--group", "Z2xZ4", "--element", "1,+1"], None, None),
+    (["group", "divisibility", "--group", "Z4", "--element", "1",
+      "--modulo", "1,"], None, None),
+    (["group", "divisibility", "--group", "Z\u0664", "--element", "2"], None, None),
+    (["group", "divisibility", "--group", "Z4^1_0", "--element", "2"], None, None),
+    (["group", "divisibility", "--group", " Z4", "--element", "2"], None, None),
+    (["group", "divisibility", "--group", "Z2^100", "--element", "1"], None, None),
+    # table1 --coeffs keys, values and fields, and JSON NaN and Infinity
+    (["table1", "--coeffs"], None, '{"q0": {"x1^0_4": 1}, ' + _COEFFS + '}'),
+    (["table1", "--coeffs"], None, '{"q0": {"x1^\u0664": 1}, ' + _COEFFS + '}'),
+    (["table1", "--coeffs"], None, '{"q0": {"x1^4 ": 1}, ' + _COEFFS + '}'),
+    (["table1", "--coeffs"], None, '{"q0": {"x1^99999999999999999999": 1}, ' + _COEFFS + '}'),
+    (["table1", "--coeffs"], None, '{"q0": {"x1^4": " 5"}, ' + _COEFFS + '}'),
+    (["table1", "--coeffs"], None, '{"q0": {"x1^4": NaN}, ' + _COEFFS + '}'),
+    (["table1", "--coeffs"], None, '{"field": "F1_3", "seed": 5}'),
+    (["table1", "--coeffs"], None, '{"field": "Q", "seed": Infinity}'),
+    # cone --config polynomials, fields and points
+    (["cone", "degenerate", "--config"], None, '{"q1": "y0^\u0662 + y1^2", ' + _BRANCH + '}'),
+    (["cone", "degenerate", "--config"], None, '{"q1": "y0^1_0 + y1^2", ' + _BRANCH + '}'),
+    (["cone", "degenerate", "--config"], None, '{"q1": "y0^2 + 3 * ", ' + _BRANCH + '}'),
+    (["cone", "degenerate", "--config"], None, '{"q1": "3 * ", ' + _BRANCH + '}'),
+    (["cone", "degenerate", "--config"], None, '{"q1": "y0^2 + y1^0", ' + _BRANCH + '}'),
+    (["cone", "degenerate", "--config"], None,
+     '{"q1": "y0^2 + y1^99999999999999999999", ' + _BRANCH + '}'),
+    (["cone", "degenerate", "--config"], None, '{"q1": "y0^2\u00a0+ y1^2", ' + _BRANCH + '}'),
+    (["cone", "degenerate", "--config"], None, '{"q1": "- 1 * y0^2 + y1^2", ' + _BRANCH + '}'),
+    (["cone", "degenerate", "--config"], None,
+     '{"q1": "y0^2 + y1^2", "field": "F1_3", ' + _BRANCH + '}'),
+    (["cone", "degenerate", "--config"], None,
+     '{"case": "deg1", "q1": "y1^2", "h3": "y0", "r1": [NaN, 1, 1, 0]}'),
+    (["cone", "pencil", "--points"], None, '[[Infinity, 0, 0], ' + _POINTS + ']'),
+]
+
+
+@pytest.mark.parametrize("argv, primes, text", HOSTILE_SPELLINGS,
+                         ids=[f"{i:02d}-{case[0][0]}" for i, case in enumerate(HOSTILE_SPELLINGS)])
+def test_hostile_spellings_are_config_errors(argv, primes, text, tmp_path, monkeypatch, capsys):
+    if primes is not None:
+        monkeypatch.setenv("GODEAUX_PRIMES", primes)
+    if text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        argv = [*argv, str(path)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Every module and test imports only names it uses, every public name in
 the package is reachable from the package itself, the README or the
-benchmark's tracer, and every private name from the package itself."""
+benchmark's tracer, every private name from the package itself, and no
+module reads integers by a rule of its own."""
 
 import ast
 import re
@@ -147,3 +148,30 @@ def test_unreferenced_private_names_are_found():
 def test_every_private_name_has_a_caller():
     unreferenced = unreferenced_private_names(package_modules())
     assert not unreferenced, "no reference in src/: " + ", ".join(unreferenced)
+
+
+def own_integer_rules(source: str):
+    """(line, what) of each argparse ``type=int`` and each ``.isdigit``,
+    ``.isdecimal`` or ``.isnumeric`` call: all three string predicates and
+    int itself accept non-ASCII digits, and int also '_' and '+'."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.keyword) and node.arg == "type"
+                and isinstance(node.value, ast.Name) and node.value.id == "int"):
+            found.append((node.value.lineno, "type=int"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("isdigit", "isdecimal", "isnumeric")):
+            found.append((node.lineno, f".{node.func.attr}("))
+    return sorted(found)
+
+
+def test_own_integer_rules_are_found():
+    source = ('p.add_argument("--n", type=int)\nif s.isdigit() or s[0].isnumeric():\n'
+              '    p.add_argument("--m", type=integer, default=int("3"))\n')
+    assert own_integer_rules(source) == [(1, "type=int"), (2, ".isdigit("), (2, ".isnumeric(")]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/godeaux/*.py")), ids=lambda path: path.name)
+def test_every_integer_is_read_by_the_shared_rules(path):
+    # the rules live in scalars.py; a reader with its own drifts from them
+    assert own_integer_rules(path.read_text(encoding="utf-8")) == []

@@ -6,11 +6,16 @@ from godeaux.scalars import (
     FpElement,
     PrimeField,
     QQ,
+    comma_list,
     exact_rank,
     exact_rref,
     field_from_spec,
+    group_label,
+    integer,
     is_prime,
+    monomial_factors,
     nullspace,
+    polynomial_terms,
     scalar_to_str,
     solve_linear,
 )
@@ -165,6 +170,40 @@ def test_field_specs_read_only_ascii_digits():
         with pytest.raises(ValueError, match="unrecognized field spec"):
             field_from_spec(spec)
     assert field_from_spec(" F13 ") == PrimeField(13)
+
+
+def test_integers_are_ascii_digits_with_a_leading_minus():
+    assert [integer(t) for t in ("0", "-12", "007")] == [0, -12, 7]
+    for text in ("", "-", "+5", " 5", "5 ", "1_2", "\u0663", "\uff15", "\u00b3", "5.0", 5):
+        with pytest.raises(ValueError):
+            integer(text)
+
+
+def test_comma_lists_strip_each_item_once_and_refuse_empty_items():
+    assert comma_list(" 13 , 29") == ["13", "29"]
+    assert comma_list("quasi-smooth") == ["quasi-smooth"]
+    for text in ("", "13,", ",13", "13,,29", "13, ,29"):
+        with pytest.raises(ValueError, match="empty item"):
+            comma_list(text)
+
+
+def test_monomials_polynomials_and_group_labels_split_by_the_grammar():
+    assert monomial_factors("x1^2 y3") == [("x1", 2), ("y3", 1)]
+    assert monomial_factors("1") == []
+    assert polynomial_terms(" -3/7 * x1^4 + y1 y3 + 5 ") == [
+        ("-3/7", "x1^4"), ("1", "y1 y3"), ("5", "1")]
+    assert polynomial_terms(" 0 ") == polynomial_terms("") == []
+    assert group_label("Z4xZ2^3") == [(4, 1), (2, 3)]
+    assert group_label("Z1^999999999") == [(1, 999999999)]
+    for text in ("x1^0", "x1^1_0", "x1 ", "1x"):
+        with pytest.raises(ValueError):
+            monomial_factors(text)
+    for text in ("3 *", "* x1", "x1 + ", "+"):
+        with pytest.raises(ValueError, match="empty term"):
+            polynomial_terms(text)
+    for text in ("Z2 x Z4", "Z2^0", "Z\u0664", "Z4^1_0", "z4", "Z2^", ""):
+        with pytest.raises(ValueError):
+            group_label(text)
 
 
 def test_scalar_strings():

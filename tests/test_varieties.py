@@ -1,10 +1,12 @@
 """Enumeration kernel: canonical representatives, point counts, and the
 exhaustive finite-field checks."""
 
+import ast
 import gc
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -39,7 +41,7 @@ from godeaux.varieties import (
     sigma_fixed_components,
     surface_points,
 )
-from godeaux.wpoly import MonomialMap, WRing, monomials_of_degree, parse_poly
+from godeaux.wpoly import MonomialMap, WPoly, WRing, monomials_of_degree, parse_poly
 
 W_GODEAUX = (1, 1, 1, 2, 2)
 
@@ -571,6 +573,30 @@ def test_coset_minima_of_i():
         assert minima[:2] == [0, 1]
         cosets = {frozenset(a * pow(i, k, p) % p for k in range(4)) for a in minima[1:]}
         assert set().union(*cosets) == set(range(1, p))
+
+
+def test_scan_checks_eigenvectors_on_int_terms(monkeypatch):
+    # a member's characters come from the int scalars of g mod p: no
+    # FpElement product per monomial and no sorted monomial list; only the
+    # message of a clash prints the equation
+    fam = build_family(random_params(13, seed=5))
+    g = group_generator(fam.ring)
+    full = enumerate_points(fam.ring, 13, [fam.q0, fam.q2])
+    q0 = fam.q0 + parse_poly(fam.ring, "x1^3 x2")
+
+    def refuse(*args):
+        raise AssertionError("the eigenvector check left plain ints")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MonomialMap, "character_of_monomial", refuse)
+        patch.setattr(WPoly, "monomials", refuse)
+        folded = enumerate_points(fam.ring, 13, [fam.q0, fam.q2], g)
+    assert folded.rows.tobytes() == full.rows.tobytes()
+    with pytest.raises(ValueError, match="not an eigenvector") as err:
+        enumerate_points(fam.ring, 13, [q0, fam.q2], g)
+    a, b = map(ast.literal_eval, re.search(r"monomials (\(.*?\)) and (\(.*?\))",
+                                           str(err.value)).groups())
+    assert g.character_of_monomial(a) != g.character_of_monomial(b)
 
 
 def test_scan_rejects_a_non_eigenvector():

@@ -120,6 +120,29 @@ def test_parse_rejects_empty_terms(text):
         parse_poly(R, text)
 
 
+@pytest.mark.parametrize("text", [
+    "3 * ", "x1^2 + 3*", "* x1", "x1^\u0662", "x1^1_0", "x1^0", "x1^+2", "x1^-1", "x1  x2",
+    "x1\tx2", "x1^2\u00a0+ y1", "- 3 * x1", "1 / 2 * x1", "3 x1", "-x1", "x1*x2", "\uff13",
+])
+def test_parse_rejects_spellings_outside_the_grammar(text):
+    # each of these once parsed, as another polynomial or a truncated one
+    with pytest.raises(ValueError):
+        parse_poly(R, text)
+
+
+def test_parse_keeps_the_spellings_of_to_string_and_the_bare_forms():
+    assert parse_poly(R, " 2 * x1^03 + -1/2*y1 + y3 ") == (
+        R.monomial((3, 0, 0, 0, 0), 2) + R.monomial((0, 0, 0, 1, 0), Fraction(-1, 2))
+        + R.monomial((0, 0, 0, 0, 1)))
+    assert parse_poly(R, "-7") == R.constant(-7)
+    assert parse_poly(R, "") == parse_poly(R, " 0 ") == R.zero_poly()
+    assert parse_monomial(R, "1") == (0, 0, 0, 0, 0)
+    assert parse_monomial(R, "x1 x1^2") == (3, 0, 0, 0, 0)
+    for key in (" x1^4", "x1^4 ", "", "x1^\u0664"):
+        with pytest.raises(ValueError):
+            parse_monomial(R, key)
+
+
 def test_serialization_round_trip_over_fp():
     Rp = WRing(("a", "b"), (1, 2), PrimeField(13))
     f = Rp.monomial((2, 0), 12) + Rp.monomial((0, 1), 5)
