@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .scalars import group_label
-from .snf import IntMatrix, solve_lattice_membership
+from .scalars import exact_int, group_label, int_tuple
+from .snf import solve_lattice_membership
 
 Element = Tuple[int, ...]
 
@@ -28,7 +28,7 @@ class FinAbGroup:
     invariant_factors: Tuple[int, ...]
 
     def __post_init__(self):
-        facs = tuple(int(d) for d in self.invariant_factors if int(d) != 1)
+        facs = tuple(d for d in int_tuple(self.invariant_factors) if d != 1)
         for d in facs:
             if d < 1:
                 raise ValueError(f"invariant factor {d} < 1")
@@ -64,7 +64,7 @@ class FinAbGroup:
     def reduce(self, g: Sequence[int]) -> Element:
         if len(g) != self.rank:
             raise ValueError(f"element length {len(g)} != rank {self.rank}")
-        return tuple(int(x) % d for x, d in zip(g, self.invariant_factors))
+        return tuple(exact_int(x) % d for x, d in zip(g, self.invariant_factors))
 
     def zero(self) -> Element:
         return (0,) * self.rank
@@ -86,7 +86,7 @@ def invariant_factors(orders: Iterable[int], max_rank: Optional[int] = None) -> 
     whose rank exceeds max_rank is refused as soon as it does."""
     chain: List[int] = []
     for n in orders:
-        n = int(n)
+        n = exact_int(n)
         if n < 1:
             raise ValueError(f"cyclic order {n} < 1")
         for i, d in enumerate(chain):
@@ -127,14 +127,17 @@ def halve(
     def vector(v: Sequence[int]) -> Element:
         if len(v) != n:
             raise ValueError(f"element length {len(v)} != rank {n}")
-        return tuple(int(x) for x in v[:free_rank]) + torsion.reduce(v[free_rank:])
+        return int_tuple(v[:free_rank]) + torsion.reduce(v[free_rank:])
 
     g = vector(g)
     mods = [vector(s) for s in modulo]
-    cols: List[List[int]] = [[2 if r == i else 0 for r in range(n)] for i in range(n)]
-    cols += [list(s) for s in mods]
-    cols += [[m if r == i else 0 for r in range(n)] for i, m in enumerate(moduli) if m]
-    x = solve_lattice_membership(IntMatrix.from_rows(list(map(list, zip(*cols)))), list(g))
+    rows = [
+        [2 if r == i else 0 for i in range(n)]
+        + [s[r] for s in mods]
+        + [m if r == i else 0 for i, m in enumerate(moduli) if m]
+        for r in range(n)
+    ]
+    x = solve_lattice_membership(rows, g)
     if x is None:
         return None
     h = x[:free_rank] + torsion.reduce(x[free_rank:n])

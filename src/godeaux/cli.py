@@ -260,8 +260,7 @@ def cmd_cover_validate(args) -> List[CheckReport]:
 
 def cmd_cover_invariants(args) -> List[CheckReport]:
     if args.preset == "enriques":
-        model = preset_model("enriques")
-        chi, ksq = double_invariants(model, enriques_double_data(model), 1)
+        chi, ksq = double_invariants(enriques_double_data(), 1)
         data = {
             "chi": chi,
             "ksq": ksq,
@@ -275,8 +274,7 @@ def cmd_cover_invariants(args) -> List[CheckReport]:
             " upstairs gives the minimal model",
         )
     elif args.preset == "f2":
-        model = preset_model("f2")
-        chi, ksq = bidouble_invariants(model, f2_bidouble_data(model), 1)
+        chi, ksq = bidouble_invariants(f2_bidouble_data(), 1)
         quotient = free_quotient_invariants(chi, ksq + 2)
         data = {
             "chi_T0": chi,
@@ -295,11 +293,8 @@ def cmd_cover_invariants(args) -> List[CheckReport]:
             " free involution halves both invariants",
         )
     else:
-        model = preset_model("p2")
-        h = model.named("H")
-        chi, ksq = double_invariants(
-            model, DoubleData(L=2 * h, B=(4 * h).as_effective()), 1
-        )
+        h = preset_model("p2").named("H")
+        chi, ksq = double_invariants(DoubleData(L=2 * h, B=(4 * h).as_effective()), 1)
         data = {"chi": chi, "ksq": ksq}
         status = "pass" if (chi, ksq) == (1, 2) else "fail"
         notes = ("double plane branched on a quartic curve",)

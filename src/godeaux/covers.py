@@ -21,12 +21,9 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 from .abelian import FinAbGroup, halve, invariant_factors
 from .groups import SmallGroup, abelian_label, classify_order8, generated_group
 from .reports import CheckReport
+from .scalars import exact_int, int_tuple
 
 Vector = Tuple[int, ...]
-
-
-def _as_vector(v: Sequence[int]) -> Vector:
-    return tuple(int(x) for x in v)
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,7 @@ class PicardModel:
     class_names: Tuple[Tuple[str, Vector, Vector, bool], ...] = ()
 
     def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
+        g = tuple(map(int_tuple, self.gram))
         object.__setattr__(self, "gram", g)
         r = len(g)
         for row in g:
@@ -66,7 +63,7 @@ class PicardModel:
                     raise ValueError(
                         f"even_lattice set but basis class {i} has odd square {g[i][i]}"
                     )
-        object.__setattr__(self, "k_free", _as_vector(self.k_free))
+        object.__setattr__(self, "k_free", int_tuple(self.k_free))
         object.__setattr__(self, "k_torsion", self.torsion.reduce(self.k_torsion))
         if len(self.k_free) != r:
             raise ValueError("canonical class has the wrong free rank")
@@ -75,7 +72,7 @@ class PicardModel:
             if len(free) != r:
                 raise ValueError(f"named class {name!r} has the wrong free rank")
             names.append(
-                (str(name), _as_vector(free), self.torsion.reduce(tors), bool(eff))
+                (str(name), int_tuple(free), self.torsion.reduce(tors), bool(eff))
             )
         object.__setattr__(self, "class_names", tuple(names))
 
@@ -99,7 +96,7 @@ class PicardModel:
 
     def pair(self, a: Sequence[int], b: Sequence[int]) -> int:
         return sum(
-            int(x) * self.gram[i][j] * int(y)
+            x * self.gram[i][j] * y
             for i, x in enumerate(a)
             for j, y in enumerate(b)
         )
@@ -138,7 +135,7 @@ class DivClass:
     effective: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "free", _as_vector(self.free))
+        object.__setattr__(self, "free", int_tuple(self.free))
         if len(self.free) != self.model.rank:
             raise ValueError(
                 f"free part has length {len(self.free)}, model rank {self.model.rank}"
@@ -164,8 +161,7 @@ class DivClass:
         return DivClass(self.model, free, self.model.torsion.neg(self.torsion))
 
     def __rmul__(self, n: int) -> "DivClass":
-        if not isinstance(n, int):
-            return NotImplemented
+        n = exact_int(n)
         free = tuple(n * a for a in self.free)
         return DivClass(self.model, free, self.model.torsion.scale(n, self.torsion))
 
@@ -273,22 +269,14 @@ def _require_valid(data: Union[DoubleData, BidoubleData]) -> None:
             raise ValueError(f"invalid building data: {name} fails by {diff!r}")
 
 
-def _require_model(model: PicardModel, data: Union[DoubleData, BidoubleData]) -> None:
-    if data.model != model:
-        raise ValueError("building data does not live in the given model")
-
-
-def double_invariants(
-    model: PicardModel, data: DoubleData, chi_base: int
-) -> Tuple[int, int]:
+def double_invariants(data: DoubleData, chi_base: int) -> Tuple[int, int]:
     """(χ(O), K²) of the double cover from χ of the base and the root L.
 
     χ = 2χ_base + L(L+K)/2 and K² = 2(K+L)².  A non-integral χ term means
     the building data is inconsistent and raises.
     """
-    _require_model(model, data)
     _require_valid(data)
-    K = model.K
+    K = data.model.K
     term = data.L.dot(data.L + K)
     if term % 2 != 0:
         raise ValueError(
@@ -299,13 +287,10 @@ def double_invariants(
     return chi, ksq
 
 
-def bidouble_invariants(
-    model: PicardModel, data: BidoubleData, chi_base: int
-) -> Tuple[int, int]:
+def bidouble_invariants(data: BidoubleData, chi_base: int) -> Tuple[int, int]:
     """(χ(O), K²) of the ℤ₂² cover: χ = 4χ_base + ½ΣLᵢ(Lᵢ+K), K² = (2K+ΣB)²."""
-    _require_model(model, data)
     _require_valid(data)
-    K = model.K
+    K = data.model.K
     term = sum(L.dot(L + K) for L in (data.L1, data.L2, data.L3))
     if term % 2 != 0:
         raise ValueError(
@@ -317,15 +302,13 @@ def bidouble_invariants(
     return chi, ksq
 
 
-def free_quotient_invariants(chi: int, ksq: int, order: int = 2) -> Tuple[int, int]:
-    """(χ, K²) of the quotient by a free action of the given order."""
-    if order < 1:
-        raise ValueError(f"group order {order} < 1")
-    if chi % order != 0 or ksq % order != 0:
+def free_quotient_invariants(chi: int, ksq: int) -> Tuple[int, int]:
+    """(χ, K²) of the quotient by a free involution."""
+    if chi % 2 != 0 or ksq % 2 != 0:
         raise ValueError(
-            f"(χ, K²) = ({chi}, {ksq}) is not divisible by {order}; the action cannot be free"
+            f"(χ, K²) = ({chi}, {ksq}) is not divisible by 2; the action cannot be free"
         )
-    return chi // order, ksq // order
+    return chi // 2, ksq // 2
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from itertools import count
 from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
 from .abelian import FinAbGroup, invariant_factors
-from .scalars import is_prime
+from .scalars import int_tuple, is_prime
 
 MAX_ORDER = 16
 
@@ -23,7 +23,7 @@ class SmallGroup:
     table: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        t = tuple(tuple(int(x) for x in row) for row in self.table)
+        t = tuple(map(int_tuple, self.table))
         object.__setattr__(self, "table", t)
         n = len(t)
         if n == 0 or n > MAX_ORDER:

@@ -146,6 +146,20 @@ def integer(text: str) -> int:
     return int(_match(_INTEGER, text, "an integer")[0])
 
 
+def exact_int(value) -> int:
+    """The one rule for an integer value that is not a string: value itself
+    when its type is int.  A bool, float, str, Fraction or anything else
+    raises, so nothing is truncated, reread or taken as 0 or 1."""
+    if type(value) is not int:
+        raise TypeError(f"not an int: {value!r}")
+    return value
+
+
+def int_tuple(values) -> Tuple[int, ...]:
+    """The values as a tuple, each read by exact_int."""
+    return tuple(map(exact_int, values))
+
+
 def comma_list(text: str) -> List[str]:
     """The stripped items of a comma-separated list; none may be empty."""
     items = [item.strip(" ") for item in text.split(",")]

@@ -1,75 +1,46 @@
-"""Integer matrices and Smith normal form over Z, arbitrary precision.
+"""Smith normal form over Z, arbitrary precision, on plain int rows.
 
-Everything here works on plain Python ints, so there is no word size to
-overflow.  Matrices are immutable tuples of tuples; the Smith routine
-returns the full (U, D, V) triple with U * m * V = D, both transforms
-unimodular and the diagonal entries nonnegative with d1 | d2 | ... .
+A matrix is a sequence of equal-length rows of ints, read by
+`scalars.exact_int`; a matrix with no rows has no columns.  Everything is
+plain Python ints, so there is no word size to overflow.  The Smith routine
+returns the full (U, D, V) triple of tuples of tuples with U * m * V = D,
+both transforms unimodular and the diagonal entries nonnegative with
+d1 | d2 | ... .
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
+
+from .scalars import int_tuple
+
+Rows = Tuple[Tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    rows: Tuple[Tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.rows and len({len(r) for r in self.rows}) != 1:
-            raise ValueError("ragged matrix")
-        object.__setattr__(
-            self, "rows", tuple(tuple(int(x) for x in r) for r in self.rows)
-        )
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(r) for r in rows))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return self.rows[i][j]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows))) if self.rows else self
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        cols = other.transpose().rows
-        return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows)
-        )
-
-    def apply(self, vec: Sequence[int]) -> Tuple[int, ...]:
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
-
-    def det(self) -> int:
-        return det_bareiss([list(r) for r in self.rows])
-
-    def diagonal(self) -> Tuple[int, ...]:
-        return tuple(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
+def _rows(m: Sequence[Sequence[int]]) -> Rows:
+    rows = tuple(map(int_tuple, m))
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("ragged matrix")
+    return rows
 
 
-def det_bareiss(m: List[List[int]]) -> int:
+def _apply(m: Rows, vec: Sequence[int]) -> Tuple[int, ...]:
+    return tuple(sum(a * b for a, b in zip(row, vec)) for row in m)
+
+
+def _product(a: Rows, b: Rows) -> Rows:
+    cols = tuple(zip(*b))
+    return tuple(_apply(cols, row) for row in a)
+
+
+def det_bareiss(m: Sequence[Sequence[int]]) -> int:
     """Fraction-free determinant; exact for integer entries."""
     n = len(m)
     if n == 0:
         return 1
     if any(len(r) != n for r in m):
         raise ValueError("determinant of a non-square matrix")
-    a = [row[:] for row in m]
+    a = [list(row) for row in m]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -88,7 +59,7 @@ def det_bareiss(m: List[List[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
+def smith_normal_form(m: Sequence[Sequence[int]]) -> Tuple[Rows, Rows, Rows]:
     """Smith normal form with transforms: returns (U, D, V), U * m * V = D.
 
     U and V are unimodular; D is diagonal with nonnegative entries and
@@ -99,8 +70,9 @@ def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     entry of that column (row), so the pivot magnitude strictly drops on
     every repeat and the remainders, hence U and V, stay small.
     """
-    a = [list(r) for r in m.rows]
-    nr, nc = m.nrows, m.ncols
+    m = _rows(m)
+    a = [list(r) for r in m]
+    nr, nc = len(m), len(m[0]) if m else 0
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
 
@@ -181,17 +153,16 @@ def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
             negate_row(t)
         t += 1
 
-    U = IntMatrix.from_rows(u)
-    V = IntMatrix.from_rows(v)
-    D = U * m * V
+    U = tuple(map(tuple, u))
+    V = tuple(map(tuple, v))
+    D = _product(_product(U, m), V)
     # internal consistency: unimodular transforms, diagonal shape, chain
-    if abs(U.det()) != 1 or abs(V.det()) != 1:
+    if abs(det_bareiss(U)) != 1 or abs(det_bareiss(V)) != 1:
         raise AssertionError("transforms are not unimodular")
-    for i in range(D.nrows):
-        for j in range(D.ncols):
-            if i != j and D[i, j] != 0:
-                raise AssertionError("result is not diagonal")
-    diag = [d for d in D.diagonal()]
+    for i, row in enumerate(D):
+        if any(x != 0 for j, x in enumerate(row) if j != i):
+            raise AssertionError("result is not diagonal")
+    diag = [D[i][i] for i in range(min(nr, nc))]
     for x, y in zip(diag, diag[1:]):
         if x == 0 and y != 0:
             raise AssertionError("zero before nonzero on the diagonal")
@@ -200,24 +171,27 @@ def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     return U, D, V
 
 
-def solve_lattice_membership(m: IntMatrix, b: Sequence[int]) -> Optional[Tuple[int, ...]]:
+def solve_lattice_membership(
+    m: Sequence[Sequence[int]], b: Sequence[int]
+) -> Optional[Tuple[int, ...]]:
     """An integer solution x of m * x = b, or None when b is not in the
     column lattice of m."""
-    if len(b) != m.nrows:
+    m, b = _rows(m), int_tuple(b)
+    if len(b) != len(m):
         raise ValueError("vector length mismatch")
     U, D, V = smith_normal_form(m)
-    c = U.apply(b)
-    y = [0] * m.ncols
-    for i in range(m.nrows):
-        d = D[i, i] if i < min(m.nrows, m.ncols) else 0
+    c = _apply(U, b)
+    y = [0] * len(V)
+    for i, ci in enumerate(c):
+        d = D[i][i] if i < len(V) else 0
         if d == 0:
-            if c[i] != 0:
+            if ci != 0:
                 return None
         else:
-            if c[i] % d != 0:
+            if ci % d != 0:
                 return None
-            y[i] = c[i] // d
-    x = V.apply(y)
-    if m.apply(x) != tuple(b):
+            y[i] = ci // d
+    x = _apply(V, y)
+    if _apply(m, x) != b:
         raise AssertionError("lattice solve produced a non-solution")
     return x

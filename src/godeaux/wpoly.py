@@ -27,6 +27,7 @@ from .scalars import (
     FpElement,
     PrimeField,
     Rationals,
+    int_tuple,
     monomial_factors,
     polynomial_terms,
     scalar_to_str,
@@ -44,7 +45,7 @@ class WRing:
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        object.__setattr__(self, "weights", int_tuple(self.weights))
         if len(self.names) != len(self.weights):
             raise ValueError("one weight per variable required")
         if len(set(self.names)) != len(self.names):
@@ -63,7 +64,7 @@ class WRing:
         return WPoly(self, {})
 
     def monomial(self, expts: Sequence[int], coeff=1) -> "WPoly":
-        return WPoly(self, {tuple(int(e) for e in expts): self.field(coeff)})
+        return WPoly(self, {int_tuple(expts): self.field(coeff)})
 
     def constant(self, c) -> "WPoly":
         return WPoly(self, {(0,) * self.nvars: self.field(c)})

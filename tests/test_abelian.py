@@ -163,7 +163,7 @@ def test_one_lattice_solve_per_query(monkeypatch):
 
 def test_bad_solve_fails_confirmation(monkeypatch):
     def wrong(m, b):
-        return (1,) * m.ncols
+        return (1,) * len(m[0])
 
     monkeypatch.setattr(abelian, "solve_lattice_membership", wrong)
     with pytest.raises(AssertionError, match="confirmation"):

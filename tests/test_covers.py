@@ -179,7 +179,7 @@ def test_redrel_implies_fundrel(data):
 
 def test_enriques_cover_invariants():
     m = preset_model("enriques")
-    chi, ksq = double_invariants(m, enriques_double_data(m), 1)
+    chi, ksq = double_invariants(enriques_double_data(m), 1)
     assert (chi, ksq) == (1, -4)
     # contracting the five (-1)-curves over the nodes gains 1 each
     assert ksq + 5 == 1
@@ -189,7 +189,7 @@ def test_trivial_double_cover():
     m = preset_model("p2")
     data = DoubleData(L=m.zero(), B=m.zero().as_effective())
     # an unramified-style degenerate input doubles chi; K^2 = 2K^2
-    assert double_invariants(m, data, 1) == (2, 18)
+    assert double_invariants(data, 1) == (2, 18)
 
 
 def test_double_plane_hand_values():
@@ -199,8 +199,8 @@ def test_double_plane_hand_values():
     h = m.named("H")
     quartic = DoubleData(L=2 * h, B=(4 * h).as_effective())
     sextic = DoubleData(L=3 * h, B=(6 * h).as_effective())
-    assert double_invariants(m, quartic, 1) == (1, 2)
-    assert double_invariants(m, sextic, 1) == (2, 0)
+    assert double_invariants(quartic, 1) == (1, 2)
+    assert double_invariants(sextic, 1) == (2, 0)
 
 
 def test_double_invariants_require_valid_data():
@@ -208,7 +208,7 @@ def test_double_invariants_require_valid_data():
     h = m.named("H")
     bad = DoubleData(L=h, B=(3 * h).as_effective())
     with pytest.raises(ValueError, match="invalid building data"):
-        double_invariants(m, bad, 1)
+        double_invariants(bad, 1)
 
 
 def test_non_integral_chi_is_an_error():
@@ -216,12 +216,12 @@ def test_non_integral_chi_is_an_error():
     m = PicardModel(((1,),), FinAbGroup(()), (0,), ())
     data = DoubleData(L=DivClass(m, (1,)), B=DivClass(m, (2,)).as_effective())
     with pytest.raises(ValueError, match="odd"):
-        double_invariants(m, data, 1)
+        double_invariants(data, 1)
 
 
 def test_f2_bidouble_invariants():
     m = preset_model("f2")
-    chi, ksq = bidouble_invariants(m, f2_bidouble_data(m), 1)
+    chi, ksq = bidouble_invariants(f2_bidouble_data(m), 1)
     assert (chi, ksq) == (2, 0)
     # two (-1)-curves over the section get contracted
     assert ksq + 2 == 2
@@ -235,7 +235,7 @@ def test_all_zero_bidouble_quadruples():
     data = BidoubleData(
         L1=z, L2=z, B1=z.as_effective(), B2=z.as_effective(), B3=z.as_effective()
     )
-    chi, ksq = bidouble_invariants(m, data, 1)
+    chi, ksq = bidouble_invariants(data, 1)
     assert chi == 4 * 1
     assert ksq == 4 * 9
 
@@ -288,9 +288,9 @@ def test_double_invariants_additive_on_direct_sums():
         L=sum_class(joint, da.L, db.L),
         B=sum_class(joint, da.B, db.B),
     )
-    chi_a, ksq_a = double_invariants(ma, da, 1)
-    chi_b, ksq_b = double_invariants(mb, db, 1)
-    chi, ksq = double_invariants(joint, data, 1 + 1)
+    chi_a, ksq_a = double_invariants(da, 1)
+    chi_b, ksq_b = double_invariants(db, 1)
+    chi, ksq = double_invariants(data, 1 + 1)
     assert (chi, ksq) == (chi_a + chi_b, ksq_a + ksq_b)
 
 

@@ -1,7 +1,8 @@
 """Every module and test imports only names it uses, every public name in
 the package is reachable from the package itself, the README or the
 benchmark's tracer, every private name from the package itself, and no
-module reads integers by a rule of its own."""
+module reads integers by a rule of its own, nor any lattice module with
+an int() cast."""
 
 import ast
 import re
@@ -175,3 +176,23 @@ def test_own_integer_rules_are_found():
 def test_every_integer_is_read_by_the_shared_rules(path):
     # the rules live in scalars.py; a reader with its own drifts from them
     assert own_integer_rules(path.read_text(encoding="utf-8")) == []
+
+
+def int_casts(source: str):
+    """Line of each call of the builtin int: it truncates a float, takes
+    True as 1 and rereads a numeric string, where scalars.exact_int
+    refuses all three."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "int")
+
+
+def test_int_casts_are_found():
+    assert int_casts("n = int(x)\nm = exact_int(y)\nk = [int(\n  z)]\nt = x.int(3)\n") == [1, 3]
+
+
+@pytest.mark.parametrize("name", ["abelian", "snf", "covers", "groups", "wpoly"])
+def test_lattice_modules_cast_no_integer(name):
+    # their integer values enter through scalars.exact_int and nothing else
+    source = (ROOT / "src" / "godeaux" / f"{name}.py").read_text(encoding="utf-8")
+    assert int_casts(source) == []

@@ -2,11 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from godeaux.abelian import FinAbGroup, halve, invariant_factors, is_two_divisible
+from godeaux.covers import DivClass, preset_model
+from godeaux.groups import SmallGroup
 from godeaux.scalars import (
     FpElement,
     PrimeField,
     QQ,
     comma_list,
+    exact_int,
     exact_rank,
     exact_rref,
     field_from_spec,
@@ -16,9 +20,12 @@ from godeaux.scalars import (
     monomial_factors,
     nullspace,
     polynomial_terms,
+    int_tuple,
     scalar_to_str,
     solve_linear,
 )
+from godeaux.snf import smith_normal_form, solve_lattice_membership
+from godeaux.wpoly import WRing
 
 
 def test_prime_predicate():
@@ -177,6 +184,35 @@ def test_integers_are_ascii_digits_with_a_leading_minus():
     for text in ("", "-", "+5", " 5", "5 ", "1_2", "\u0663", "\uff15", "\u00b3", "5.0", 5):
         with pytest.raises(ValueError):
             integer(text)
+
+
+def test_integer_values_are_ints_and_nothing_else():
+    assert [exact_int(n) for n in (0, -7, 2 ** 100)] == [0, -7, 2 ** 100]
+    assert int_tuple([3, -1]) == (3, -1)
+    for value in (True, False, 2.0, 2.9, "2", Fraction(2), None):
+        with pytest.raises(TypeError, match="not an int"):
+            exact_int(value)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: is_two_divisible(FinAbGroup((4,)), (2.9,)), id="two-divisible-float"),
+    pytest.param(lambda: FinAbGroup((4.7,)), id="factor-float"),
+    pytest.param(lambda: FinAbGroup((True, 4)), id="factor-bool"),
+    pytest.param(lambda: invariant_factors([2.5, 4]), id="cyclic-order-float"),
+    pytest.param(lambda: halve(FinAbGroup((4,)), ("2",)), id="halve-str"),
+    pytest.param(lambda: DivClass(preset_model("p2"), (1.9,)), id="class-float"),
+    pytest.param(lambda: True * preset_model("p2").named("H"), id="class-times-bool"),
+    pytest.param(lambda: SmallGroup(((0.0,),)), id="table-float"),
+    pytest.param(lambda: WRing(("a", "b"), (1.7, 2), QQ), id="weight-float"),
+    pytest.param(lambda: WRing(("a", "b"), (1, 2), QQ).monomial((1.9, 0)), id="exponent-float"),
+    pytest.param(lambda: smith_normal_form([[1.5, True]]), id="smith-float-bool"),
+    pytest.param(lambda: solve_lattice_membership([[1.5, True]], [1]), id="solve-float-bool"),
+    pytest.param(lambda: solve_lattice_membership([[2]], [Fraction(4)]), id="solve-fraction"),
+])
+def test_hostile_integer_values_raise(call):
+    # an int() cast would truncate each float, take True as 1 and reread "2"
+    with pytest.raises(TypeError, match="not an int"):
+        call()
 
 
 def test_comma_lists_strip_each_item_once_and_refuse_empty_items():
