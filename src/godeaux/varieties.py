@@ -58,7 +58,13 @@ p <= MAX_ENUM_PRIME while M stays below 2^31 / p^2, about 210 000.
 ``scanned`` counts the canonical representatives of the boxes covered,
 whether or not each was a candidate, and ``candidates`` the (row, t) pairs
 tested.  The points a scan emits are checked again, on their first read,
-against the whole polynomials (``PointSet``).
+against the whole polynomials (``PointSet``).  That check and the others on
+the points evaluate on int64 columns of residues (``Columns``), reducing
+once per polynomial instead of once per factor: a term c x^e with c and
+every coordinate below p is at most (p - 1)^(k + 1), k the degree of x^e,
+and a term or the running sum is reduced mod p only where its bound would
+pass 2^63 - 1.  Every term of a quartic, or of one of its partials, is
+below 101^5 < 2^34 at p <= MAX_ENUM_PRIME, so only the sum is reduced.
 
 A scan may be handed a diagonal map m over GF(p) of which every equation is
 an eigenvector; the surface checks hand it the generator g of the group,
@@ -76,6 +82,20 @@ k - 1 other images and the main box is sorted again.  The points are those
 of the full scan, and so is ``scanned``: it still counts every canonical
 representative, the ones reached through the map included.  Only
 ``candidates`` falls, to about 1/k on the main box.
+
+The rows found before unfolding stay with the points as their
+``representatives``: every row off the main box, and on it the rows with
+x_1 = 0 and those with x_1 a coset minimum.  A point with x_1 != 0 on the
+main box is the least point of its orbit when it is kept, since the k
+points of the orbit have distinct x_1 and the kept one has the least.  So
+every point that is not kept has a smaller kept point in its orbit, and a
+property that the map preserves is first met, in scan order, at a kept
+point: it can be tested on the representatives alone.  Rank deficiency of
+the Jacobian of the surface is such a property.  q0 and q2 are
+eigenvectors of g, with characters chi, so J(g x) = diag(chi) J(x)
+diag(s)^-1 for the scalars s of g, of the rank of J(x); the weighted
+rescaling back to the main box multiplies the rows and the columns of J by
+powers of the scale, which keeps the rank too.
 """
 
 from __future__ import annotations
@@ -95,6 +115,7 @@ from .scalars import PrimeField, Rationals, is_prime
 from .wpoly import MonomialMap, WPoly, WRing, jacobian
 
 MAX_ENUM_PRIME = 101
+_INT64_MAX = (1 << 63) - 1
 CHUNK_LIMIT = 1 << 17
 # the box of the points whose first coordinate, of weight 1, is 1: (prefix,
 # start) in _blocks
@@ -157,32 +178,36 @@ def int_terms(f: WPoly) -> Terms:
 
 
 class Columns:
-    """Coordinate columns of a batch of points, with the powers of each
-    column mod p cached for the polynomials evaluated on them."""
+    """Coordinate columns of a batch of points, each entry a residue in
+    [0, p), on which polynomials with residue coefficients are evaluated."""
 
-    __slots__ = ("cols", "p", "_powers")
+    __slots__ = ("cols", "p")
 
     def __init__(self, cols: Sequence[np.ndarray], p: int):
-        self.cols = cols
+        self.cols = [np.ascontiguousarray(col, dtype=np.int64) for col in cols]
         self.p = p
-        self._powers: Dict[Tuple[int, int], np.ndarray] = {}
-
-    def power(self, v: int, e: int) -> np.ndarray:
-        for k in range(1, e + 1):
-            if (v, k) not in self._powers:
-                lower = self.cols[v] if k == 1 else self._powers[(v, k - 1)] * self.cols[v]
-                self._powers[(v, k)] = lower % self.p
-        return self._powers[(v, e)]
 
     def evaluate(self, terms: Terms) -> np.ndarray:
-        p = self.p
+        """The polynomial mod p on every point.  Factors are multiplied
+        unreduced; a term or the running sum is reduced only where the
+        bound of its next step would pass _INT64_MAX."""
+        p, top = self.p, self.p - 1
         total = np.zeros(len(self.cols[0]), dtype=np.int64)
+        bound = 0
         for expts, coeff in terms:
-            term = coeff
+            term, size = coeff, coeff
             for v, e in enumerate(expts):
-                if e:
-                    term = term * self.power(v, e) % p
+                for _ in range(e):
+                    if size * top > _INT64_MAX:
+                        term %= p
+                        size = top
+                    term = term * self.cols[v]
+                    size *= top
+            if bound + size > _INT64_MAX:
+                total %= p
+                bound = top
             total += term
+            bound += size
         return total % p
 
 
@@ -326,7 +351,8 @@ class _Fibres:
     """Candidate values of the last coordinate t on each row of a grid:
     the roots in GF(p) of an equation of t-degree at most 2, from a
     square-root table and an inverse table, and the whole fibre where no
-    such equation is left to solve."""
+    such equation is left to solve.  The tables are read-only; a scan takes
+    them from _fibres, built once per prime."""
 
     def __init__(self, p: int):
         self.p = p
@@ -334,6 +360,7 @@ class _Fibres:
         self.sqrt = np.full(p, -1, dtype=np.int64)
         self.sqrt[squares] = np.arange(p)
         self.inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+        self.sqrt.flags.writeable = self.inv.flags.writeable = False
 
     def solve(self, coeffs: Sequence[np.ndarray], size: int) -> Tuple[np.ndarray, np.ndarray]:
         """(row, t) pairs over size rows, each pair once, in no particular
@@ -371,6 +398,12 @@ class _Fibres:
         return np.concatenate(rows), np.concatenate(ts)
 
 
+@functools.lru_cache(maxsize=64)
+def _fibres(p: int) -> _Fibres:
+    """The _Fibres of p, memoized: they depend on nothing else."""
+    return _Fibres(p)
+
+
 def _reduce_eqs(ring: WRing, p: int, eqs: Sequence[WPoly]) -> Tuple[WRing, List[WPoly]]:
     """View the ring and every equation over GF(p), reducing from Q where
     needed; rejects rings over other prime fields."""
@@ -406,16 +439,24 @@ class PointSet:
     are read back, as a self-consistency tripwire.  ``scanned`` counts the
     canonical representatives the scan covered, and ``candidates`` the
     (row, t) pairs it tested against the equations (None for a point set
-    not made by a scan).
+    not made by a scan).  A scan folded by a symmetry also keeps the rows
+    it found before unfolding, one per orbit of the symmetry: see
+    ``representatives``.
     """
 
-    __slots__ = ("_rows", "p", "ring", "eqs", "scanned", "candidates", "_checked")
+    __slots__ = ("_rows", "p", "ring", "eqs", "scanned", "candidates", "_checked",
+                 "_representatives")
 
     def __init__(self, points, p: int, ring: WRing, eqs: Sequence[WPoly],
-                 scanned: int, candidates: Optional[int] = None):
+                 scanned: int, candidates: Optional[int] = None,
+                 representatives: Optional[np.ndarray] = None):
         rows = np.array(points, dtype=np.int64).reshape(-1, ring.nvars)
         rows.flags.writeable = False
         self._rows = rows
+        if representatives is not None:
+            representatives = np.asarray(representatives, dtype=np.int64).reshape(-1, ring.nvars)
+            representatives.flags.writeable = False
+        self._representatives = representatives
         self.p = p
         self.ring = ring
         self.eqs = tuple(eqs)
@@ -430,6 +471,17 @@ class PointSet:
             self._check()
             self._checked = True
         return self._rows
+
+    @property
+    def representatives(self) -> np.ndarray:
+        """The least point of each orbit of the scan's symmetry, in the
+        order of ``rows``, as a read-only array: the rows the folded scan
+        found before unfolding, or all the rows when it used none.  A
+        property of the points that the symmetry preserves is first met, in
+        the order of ``rows``, at one of these.  Reading them checks every
+        row first, as reading ``rows`` does."""
+        rows = self.rows
+        return rows if self._representatives is None else self._representatives
 
     @property
     def points(self) -> Tuple[Tuple[int, ...], ...]:
@@ -547,9 +599,10 @@ def _main_box_action(scalars: Sequence[int], weights: Tuple[int, ...], p: int
     return tuple(c * pow(back, w, p) % p for c, w in zip(scalars, weights))
 
 
+@functools.lru_cache(maxsize=256)
 def _coset_minima(d: int, p: int) -> np.ndarray:
     """0 and the least member of each coset of GF(p)* modulo the powers of
-    d, in increasing order."""
+    d, in increasing order, as a read-only array memoized by value."""
     seen = bytearray(p)
     minima = [0]
     for a in range(1, p):
@@ -558,7 +611,9 @@ def _coset_minima(d: int, p: int) -> np.ndarray:
             while not seen[a]:
                 seen[a] = 1
                 a = a * d % p
-    return np.array(minima, dtype=np.int64)
+    minima = np.array(minima, dtype=np.int64)
+    minima.flags.writeable = False
+    return minima
 
 
 def _unfold(rows: np.ndarray, d: Tuple[int, ...], p: int) -> np.ndarray:
@@ -587,7 +642,8 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
     eliminant, when there is one, joins the filters.  Batches come in
     lexicographic order, so only the survivors of each are sorted.  With a
     symmetry, only the coset minima of x_1 and x_1 = 0 are scanned on the
-    main box, and the points there are unfolded and sorted again."""
+    main box, and the points there are unfolded and sorted again; the rows
+    found before unfolding are the representatives of the point set."""
     ring_p, eqs_p = _reduce_eqs(ring, p, eqs)
     for f in eqs_p:
         if not f.is_homogeneous():
@@ -612,7 +668,7 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
         lead = _coset_minima(d[1], p)
     eliminant = _eliminant(terms, n, p)
     split = _Split(terms if eliminant is None else terms + [eliminant], n, p)
-    fibres = _Fibres(p)
+    fibres = _fibres(p)
     found: List[np.ndarray] = []
     candidates = 0
     for batch in _outer_batches(ring.weights, p, lead):
@@ -620,9 +676,11 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
             found.append(points)
             candidates += tested
     rows = np.concatenate(found) if found else np.empty((0, n), dtype=np.int64)
+    representatives = None
     if symmetry is not None:
-        rows = _unfold(rows, d, p)
-    return PointSet(rows, p, ring_p, eqs_p, _orbit_count(ring.weights, p), candidates)
+        rows, representatives = _unfold(rows, d, p), rows
+    return PointSet(rows, p, ring_p, eqs_p, _orbit_count(ring.weights, p), candidates,
+                    representatives)
 
 
 def enumerate_points(ring: WRing, p: int, eqs: Sequence[WPoly],
@@ -765,17 +823,33 @@ SCAN_SCOPE = (
 AMBIENT_SINGULAR_LINE = ((0, 1, 2),)
 
 
+def _rank_below_two(rows: np.ndarray, eqs: Sequence[WPoly], p: int) -> np.ndarray:
+    """Which points of the rows make the Jacobian of the two equations of
+    rank below 2 mod p: those where each of its 2x2 minors vanishes."""
+    cols = Columns(rows.T, p)
+    first, second = [[cols.evaluate(int_terms(d)) for d in row] for row in jacobian(eqs)]
+    singular = np.ones(len(rows), dtype=bool)
+    for v, w in itertools.combinations(range(len(first)), 2):
+        singular &= (first[v] * second[w] - first[w] * second[v]) % p == 0
+    return singular
+
+
 @_certificate("quasi-smooth")
 def check_quasi_smooth(fam_p: GodeauxFamily, p: int) -> CheckReport:
     """Scan every GF(p) point of the surface for Jacobian rank 2, after
     checking that none lies on the ambient singular line x1=x2=x3=0.
+
+    Both tests run on the orbit representatives of g alone (all the points
+    when p = 3 mod 4).  The ambient line lies off the main box, where every
+    point is a representative, and the singular locus is g-stable, so the
+    first singular representative is the first singular point.
 
     A pass shows that no GF(p)-rational point of the reduction mod p is
     singular.  Points over extensions of GF(p) are not checked, so this is
     not a proof of quasi-smoothness mod p, let alone in characteristic 0.
     """
     surface = surface_points(p, fam_p.q0, fam_p.q2)
-    rows = surface.rows
+    rows = surface.representatives
     on = _fixed_mask(AMBIENT_SINGULAR_LINE, rows.T)
     witness = rows[np.argmax(on)].tolist() if on.any() else None
     if fam_p.q0.coefficient((0, 0, 0, 1, 1)) == fam_p.ring.field.zero():
@@ -792,15 +866,7 @@ def check_quasi_smooth(fam_p: GodeauxFamily, p: int) -> CheckReport:
             data={"failure_mode": "ambient-singular-locus"},
         )
 
-    cols = Columns(rows.T, p)
-    first, second = [
-        [cols.evaluate(int_terms(d)) for d in row]
-        for row in jacobian([fam_p.q0, fam_p.q2])
-    ]
-    # rank < 2 iff every 2x2 minor of the Jacobian vanishes
-    singular = np.ones(len(rows), dtype=bool)
-    for v, w in itertools.combinations(range(len(first)), 2):
-        singular &= (first[v] * second[w] - first[w] * second[v]) % p == 0
+    singular = _rank_below_two(rows, [fam_p.q0, fam_p.q2], p)
     witness = rows[np.argmax(singular)].tolist() if singular.any() else None
     finding = ("Jacobian rank below 2 at the witness point" if witness
                else "no GF(p)-rational surface point is singular")

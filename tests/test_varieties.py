@@ -14,10 +14,11 @@ import pytest
 
 from godeaux import varieties
 from godeaux.family import FamilyParams, build_family, canonical_action, random_params
-from godeaux.scalars import QQ, PrimeField
+from godeaux.scalars import QQ, PrimeField, is_prime
 from godeaux.varieties import (
     CHUNK_LIMIT,
     MAX_ENUM_PRIME,
+    Columns,
     PointSet,
     _blocks,
     _diagonal_fixed_patterns,
@@ -41,7 +42,7 @@ from godeaux.varieties import (
     sigma_fixed_components,
     surface_points,
 )
-from godeaux.wpoly import MonomialMap, WPoly, WRing, monomials_of_degree, parse_poly
+from godeaux.wpoly import MonomialMap, WPoly, WRing, jacobian, monomials_of_degree, parse_poly
 
 W_GODEAUX = (1, 1, 1, 2, 2)
 
@@ -566,13 +567,116 @@ def test_fold_of_order_two_on_p3(p):
 
 
 def test_coset_minima_of_i():
-    for p in (13, 17, 61, 101):
-        i = PrimeField(p).sqrt_minus_one().value
+    # d_1 of g on the main box is i; the fold scans x2 = 0 and these x2,
+    # each the least member of its coset
+    for p in (q for q in range(5, MAX_ENUM_PRIME + 1, 4) if is_prime(q)):
+        ring = family_ring(p)
+        scalars = [c.value for c in group_generator(ring).scalars]
+        i = varieties._main_box_action(scalars, ring.weights, p)[1]
+        assert i == PrimeField(p).sqrt_minus_one().value
         minima = varieties._coset_minima(i, p).tolist()
         assert len(minima) == 1 + (p - 1) // 4
         assert minima[:2] == [0, 1]
-        cosets = {frozenset(a * pow(i, k, p) % p for k in range(4)) for a in minima[1:]}
+        cosets = [{a * pow(i, k, p) % p for k in range(4)} for a in minima[1:]]
         assert set().union(*cosets) == set(range(1, p))
+        assert [min(coset) for coset in cosets] == minima[1:]
+
+
+def test_member_independent_tables_are_built_once():
+    for p in (13, 61):
+        fibres = varieties._fibres(p)
+        assert varieties._fibres(p) is fibres
+        i = PrimeField(p).sqrt_minus_one().value
+        minima = varieties._coset_minima(i, p)
+        assert varieties._coset_minima(i, p) is minima
+        for table in (fibres.sqrt, fibres.inv, minima):
+            assert not table.flags.writeable
+
+
+# --- the quasi-smoothness check on the orbit representatives of g
+
+
+def full_rank_below_two(rows, eqs, p):
+    """The minor loop on every row, each factor reduced mod p: the oracle
+    for the check on the representatives."""
+    cols = list(rows.T)
+    first, second = [[_eval_on_columns(d, cols, p, {}) for d in row]
+                     for row in jacobian(eqs)]
+    singular = np.ones(len(rows), dtype=bool)
+    for v, w in itertools.combinations(range(len(first)), 2):
+        singular &= (first[v] * second[w] - first[w] * second[v]) % p == 0
+    return singular
+
+
+SINGULAR_OFF_X2_ZERO = [(13, 25), (13, 32), (13, 62), (13, 75), (17, 35), (17, 63),
+                        (17, 102), (29, 57), (29, 74)]
+PASSING = [(13, s) for s in (0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18,
+                             19, 20, 21)]
+PASSING += [(p, s) for p in (17, 29, 61) for s in range(20)]
+
+
+@pytest.mark.parametrize("p, seed", SINGULAR_OFF_X2_ZERO + PASSING)
+def test_quasi_smooth_on_representatives_matches_every_row(p, seed):
+    fam_p = varieties._family_mod_p(build_family(random_params(p, seed=seed)), p)
+    eqs = [fam_p.q0, fam_p.q2]
+    surface = surface_points(p, *eqs)
+    rows, reps = surface.rows, surface.representatives
+    # the main box dominates at the larger primes, and a quarter of it is kept
+    assert (3 if p > 29 else 1) * len(reps) < len(rows)
+    oracle = full_rank_below_two(rows, eqs, p)
+    singular = varieties._rank_below_two(reps, eqs, p)
+    report = check_quasi_smooth(fam_p, p)
+    assert "failure_mode" not in report.data
+    assert report.status == ("fail" if oracle.any() else "pass")
+    assert report.status == ("fail" if (p, seed) in SINGULAR_OFF_X2_ZERO else "pass")
+    assert report.witness == (rows[np.argmax(oracle)].tolist() if oracle.any() else None)
+    # the orbits of the singular representatives are the singular points
+    scalars = [c.value for c in group_generator(fam_p.ring).scalars]
+    d = varieties._main_box_action(scalars, fam_p.ring.weights, p)
+    expanded = varieties._unfold(reps[singular], d, p)
+    assert expanded.tolist() == rows[oracle].tolist()
+    if oracle.any():
+        assert (rows[oracle][:, 1] != 0).any()
+
+
+def test_representatives_are_checked_and_unfold_to_the_rows():
+    fam = build_family(random_params(13, seed=5))
+    g = group_generator(fam.ring)
+    full = enumerate_points(fam.ring, 13, [fam.q0, fam.q2])
+    assert full.representatives is full.rows
+    folded = enumerate_points(fam.ring, 13, [fam.q0, fam.q2], g)
+    reps = folded.representatives
+    assert not reps.flags.writeable
+    d = varieties._main_box_action([c.value for c in g.scalars], fam.ring.weights, 13)
+    assert varieties._unfold(reps, d, 13).tolist() == full.rows.tolist()
+    # reading the representatives checks every row, not only them
+    ring = family_ring(13)
+    eq = parse_poly(ring, "x1^4")
+    points = list(enumerate_points(ring, 13, [eq]).points[:4])
+    bad = PointSet(points + [(1, 0, 0, 0, 0)], 13, ring, [eq], scanned=5,
+                   representatives=points[:1])
+    with pytest.raises(AssertionError, match=r"point \[1, 0, 0, 0, 0\] fails"):
+        bad.representatives
+
+
+def test_evaluator_is_exact_at_the_largest_prime():
+    # every coordinate and coefficient p - 1, against Python ints: the
+    # degree-11 term passes 2^63 unless it is reduced inside, and the sum of
+    # the 495 degree-8 terms, 10^18 each, unless the sum is reduced between
+    p = MAX_ENUM_PRIME
+    top = p - 1
+    ring = WRing(tuple(f"v{i}" for i in range(5)), (1,) * 5, PrimeField(p))
+    cols = Columns([np.full(3, top, dtype=np.int64)] * 5, p)
+
+    def exact(terms):
+        return sum(c * top ** sum(e) for e, c in terms) % p
+
+    polys = [[(e, top) for e in monomials_of_degree(ring, k)] for k in range(5)]
+    polys.append([((10, 1, 0, 0, 0), top), ((0, 0, 0, 0, 2), top)])
+    polys.append([(e, top) for e in monomials_of_degree(ring, 8)])
+    for terms in polys:
+        for part in [terms, *([t] for t in terms)]:
+            assert cols.evaluate(part).tolist() == [exact(part)] * 3
 
 
 def test_scan_checks_eigenvectors_on_int_terms(monkeypatch):
