@@ -22,18 +22,19 @@ scanned in four stages:
 - evaluate: each g_ij is evaluated once per outer row (p^2 rows for the
   surface, not p^3), as a sum of its terms over a table of the values of
   the outer monomials;
-- filter: the equations free of t are evaluated on the grid of outer rows
-  times the values of s, as the product with the matrix of powers of s,
-  and only the grid rows where they all vanish are kept;
-- solve: on the kept rows the coefficients c_k = sum over i of g_ik s^i
-  of t^k of the other equations are built, and t is solved from the first
-  of them, in increasing order of t-degree, that does not vanish
+- solve s: the equations free of t, the filters, are polynomials in S =
+  s^2 when every exponent of s in them is even, in S = s otherwise.  S is
+  solved on each outer row as t is below, from the filters in increasing
+  order of degree in S; every filter is tested on each (row, S) by a
+  Horner step in S, and S gives s = +-sqrt(S) from the square-root table;
+- solve t: on the kept (row, s) the coefficients c_k = sum over i of
+  g_ik s^i of t^k of the other equations are built, and t is solved from
+  the first of them, in increasing order of t-degree, that does not vanish
   identically on the row: a t^2 + b t + c, with its roots in GF(p) from a
   square-root table and an inverse table.  A row keeps its whole fibre of
   p values where each such equation vanishes or has degree above 2 in t;
 - test: every candidate (row, t) is tested against every equation of
-  positive t-degree by a Horner step in t; those free of t vanish on the
-  row already.
+  positive t-degree by a Horner step in t.
 
 The eliminant joins the filters.  When one equation is B t + C, of degree 1
 in t (the pivot), and another is h = sum of h_k t^k, of positive degree d
@@ -42,19 +43,21 @@ It lies in the ideal of the equations, B^d h = R + (B t + C) Q for a
 polynomial Q, because each (B t)^k - (-C)^k is a multiple of B t + C; so it
 changes no zero set.  Where B != 0, R = B^d h(-C/B) vanishes exactly where
 the root of the pivot is a root of h; where B = 0, a common zero forces
-C = 0, and then R = h_d (-C)^d = 0.  The paper's character constraints
-leave q0 of degree at most 1 in t = y3 on every member, so on the surface
-the filter keeps about p^2 of the p^3 grid rows, and the solve one value
-of t on each.
+C = 0, and then R = h_d (-C)^d = 0.  With sigma enforced, q0 = F + c s t
+and q2 = G + a s^2 + b t^2 (s = y1, t = y3), so R = a c^2 s^4 + c^2 G s^2
++ b F^2 is a quadratic in S = s^2: the s stage keeps at most four values
+of s on each of the about p^2 outer rows, and the t stage one value of t
+on each.
 
-Arithmetic is exact: the evaluation and the filter run on int32 arrays,
-the rest on int64.  Every array is reduced mod p right after each product:
+Arithmetic is exact: the evaluation runs on int32 arrays, the solves and
+the tests on int64.  Every array is reduced mod p right after each product:
 each entry of a power table and of a monomial value, each sum of terms,
 each product with the powers of s, each Horner step and the discriminant.
-So every factor is below p, and no intermediate exceeds M * p^2 for a sum
-of M products (M the number of terms of one g_ij, or of powers of s),
-p^2 + p for a Horner step and 5 p^2 for the discriminant: below 2^31 for
-p <= MAX_ENUM_PRIME while M stays below 2^31 / p^2, about 210 000.
+So every factor, S and s among them, is below p, and no intermediate
+exceeds M * p^2 for a sum of M products (M the number of terms of one g_ij,
+or of powers of s), p^2 + p for a Horner step in S or in t and 5 p^2 for
+the discriminant: below 2^31 for p <= MAX_ENUM_PRIME while M stays below
+2^31 / p^2, about 210 000.
 ``scanned`` counts the canonical representatives of the boxes covered,
 whether or not each was a candidate, and ``candidates`` the (row, t) pairs
 tested.  The points a scan emits are checked again, on their first read,
@@ -110,6 +113,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .family import GodeauxFamily, canonical_action, reduce_family
+from .grouprep import CyclicAction
 from .reports import CheckReport
 from .scalars import PrimeField, Rationals, is_prime
 from .wpoly import MonomialMap, WPoly, WRing, jacobian
@@ -267,10 +271,12 @@ class _Split:
     is a polynomial in the other (outer) coordinates.
 
     The scan evaluates polynomials in s, numbered q: first one per equation
-    free of t (the ``filters`` of them), then g_0j + g_1j s + ... for
-    j = 0, 1, ... of each equation of positive t-degree, in increasing
-    order of t-degree, so that t is solved from the first; ``equations``
-    holds the range of q of each of these, counted from the first.
+    free of t (the filters), then g_0j + g_1j s + ... for j = 0, 1, ... of
+    each equation of positive t-degree, in increasing order of t-degree, so
+    that t is solved from the first; ``equations`` holds the range of q of
+    each of these, counted from the first.  ``filters`` holds the degree of
+    each filter in S = s^step, in increasing order: ``step`` is 2 when every
+    exponent of s in the filters is even, 1 otherwise.
     The zero polynomial, which vanishes everywhere, is left out.
     ``nonzeros`` lists the coefficients as (q, i, outer monomial, value);
     ``tables[v][a, m]`` is a^e mod p for the exponent e of the v-th outer
@@ -281,8 +287,9 @@ class _Split:
     def __init__(self, terms: Sequence[Terms], n: int, p: int):
         parts = [_t_parts(ts) for ts in terms]
         tested = sorted((q for q in parts if len(q) > 1), key=len)
-        polys = [q[0] for q in parts if len(q) == 1]
-        self.filters = len(polys)
+        polys = sorted((q[0] for q in parts if len(q) == 1), key=lambda q: max(e[-2] for e in q))
+        self.step = 2 if all(e[-2] % 2 == 0 for q in polys for e in q) else 1
+        self.filters = [max(e[-2] for e in q) // self.step for q in polys]
         ends = itertools.accumulate(len(q) for q in tested)
         self.equations = [slice(end - len(q), end) for q, end in zip(tested, ends)]
         polys += [part for q in tested for part in q]
@@ -293,7 +300,7 @@ class _Split:
                          for k, q in enumerate(polys) for e, c in q.items()]
         self.width = max((e[-2] for q in polys for e in q), default=0) + 1
         top = max((max(e[:-1]) for q in polys for e in q), default=0)
-        powers = _power_table(np.arange(p, dtype=np.int64), top, p)
+        powers = _residue_powers(p, top)
         exponents = np.array(monomials, dtype=np.int64).reshape(len(monomials), n - 2)
         self.monomials = len(monomials)
         self.tables = [powers[:, e].astype(np.int32) for e in exponents.T]
@@ -315,21 +322,15 @@ class _Split:
         return out
 
 
-def _power_table(col: np.ndarray, degree: int, p: int) -> np.ndarray:
-    """The (row, k) matrix of col^k mod p, for k up to degree."""
-    table = np.ones((len(col), degree + 1), dtype=np.int64)
-    for k in range(1, degree + 1):
-        table[:, k] = table[:, k - 1] * col % p
+@functools.lru_cache(maxsize=64)
+def _residue_powers(p: int, top: int) -> np.ndarray:
+    """The read-only (a, k) matrix of a^k mod p for every residue a and k up
+    to top, memoized by value."""
+    table = np.ones((p, top + 1), dtype=np.int64)
+    for k in range(1, top + 1):
+        table[:, k] = table[:, k - 1] * np.arange(p) % p
+    table.flags.writeable = False
     return table
-
-
-def _grid_values(g: np.ndarray, s_powers: np.ndarray, p: int) -> np.ndarray:
-    """The values of the polynomials sum over i of g[q, i, r] s^i mod p on
-    the grid of outer rows r times every value of s, as a (q, r, s) array,
-    from the (i, value of s) powers of s."""
-    values = np.matmul(g.transpose(0, 2, 1), s_powers)
-    values %= p
-    return values
 
 
 def _row_values(g: np.ndarray, outer_row: np.ndarray, s_powers: np.ndarray,
@@ -348,11 +349,11 @@ def _horner(coeffs: np.ndarray, row: np.ndarray, t: np.ndarray, p: int) -> np.nd
 
 
 class _Fibres:
-    """Candidate values of the last coordinate t on each row of a grid:
-    the roots in GF(p) of an equation of t-degree at most 2, from a
-    square-root table and an inverse table, and the whole fibre where no
-    such equation is left to solve.  The tables are read-only; a scan takes
-    them from _fibres, built once per prime."""
+    """Candidate values of one unknown, S = s^step on each outer row or t
+    on each kept (row, s), the roots in GF(p) of an equation of degree at
+    most 2 in it, from a square-root table and an inverse table, and the
+    whole fibre where no such equation is left to solve.  The tables are
+    read-only; a scan takes them from _fibres, built once per prime."""
 
     def __init__(self, p: int):
         self.p = p
@@ -363,12 +364,12 @@ class _Fibres:
         self.sqrt.flags.writeable = self.inv.flags.writeable = False
 
     def solve(self, coeffs: Sequence[np.ndarray], size: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(row, t) pairs over size rows, each pair once, in no particular
-        order, from the (k, row) matrices of the coefficients c_k of t^k of
-        the equations, in increasing order of t-degree.  Each row is solved
-        from the first equation that does not vanish identically on it, as
-        long as its t-degree is at most 2; a row with none keeps its whole
-        fibre."""
+        """(row, root) pairs over size rows, each pair once, in no
+        particular order, from the (k, row) matrices of the coefficients c_k
+        of the k-th power of the unknown in the equations, in increasing
+        order of degree.  Each row is solved from the first equation that
+        does not vanish identically on it, as long as its degree is at most
+        2; a row with none keeps its whole fibre."""
         p = self.p
         c, b, a = np.zeros((3, size), dtype=np.int64)
         pending = np.ones(size, dtype=bool)
@@ -514,24 +515,26 @@ def guard_prime(p: int) -> None:
         )
 
 
-def _outer_batches(weights: Tuple[int, ...], p: int, lead: Optional[np.ndarray] = None):
+@functools.lru_cache(maxsize=64)
+def _outer_batches(weights: Tuple[int, ...], p: int, d1: Optional[int] = None
+                   ) -> Tuple[np.ndarray, ...]:
     """The outer rows of every box of _blocks, in lexicographic order and in
-    batches of at most CHUNK_LIMIT // p rows.  A batch is a (coordinate,
-    row) array: the n - 2 outer coordinates, then the values the box of the
-    row fixes s and t to (-1 where they are free).  Given lead, an
-    increasing array of residues, the first free coordinate of the main box
-    takes only those values."""
+    batches of at most CHUNK_LIMIT // p rows.  A batch is a read-only
+    (coordinate, row) array: the n - 2 outer coordinates, then the values
+    the box of the row fixes s and t to (-1 where they are free).  Given
+    d1, the first free coordinate of the main box takes only 0 and the
+    coset minima of the powers of d1.  Memoized by value."""
     n = len(weights)
     step = CHUNK_LIMIT // p
     every = np.arange(p, dtype=np.int64)
-    pending, size = [], 0
+    batches, pending, size = [], [], 0
     for prefix, start in _blocks(weights, p):
         free = max(0, n - 2 - start)
         head = prefix[:n - 2 - free]
         tail = (prefix[n - 2] if start > n - 2 else -1, prefix[n - 1] if start == n else -1)
         values = [every] * free
-        if lead is not None and (prefix, start) == MAIN_BOX:
-            values[0] = lead
+        if d1 is not None and (prefix, start) == MAIN_BOX:
+            values[0] = _coset_minima(d1, p)
         count = math.prod(map(len, values))
         for first in range(0, count, step):
             r = np.arange(first, min(count, first + step), dtype=np.int64)
@@ -543,12 +546,36 @@ def _outer_batches(weights: Tuple[int, ...], p: int, lead: Optional[np.ndarray] 
                 block[len(head) + k] = values[k][digit]
             block[n - 2:] = np.array(tail, dtype=np.int64).reshape(2, 1)
             if pending and size + len(r) > step:
-                yield np.concatenate(pending, axis=1)
+                batches.append(np.concatenate(pending, axis=1))
                 pending, size = [], 0
             pending.append(block)
             size += len(r)
     if pending:
-        yield np.concatenate(pending, axis=1)
+        batches.append(np.concatenate(pending, axis=1))
+    for batch in batches:
+        batch.flags.writeable = False
+    return tuple(batches)
+
+
+def _solve_s(g: np.ndarray, s_fixed: np.ndarray, p: int, split: _Split,
+             fibres: _Fibres) -> np.ndarray:
+    """The keys row * p + s, in increasing order, of the (outer row, s)
+    where every filter vanishes, from the (q, i, row) coefficients g.  S =
+    s^step is solved on each row from the filters, and every filter is
+    tested on each (row, S) by a Horner step in S.  When step is 2, S gives
+    s = +-sqrt(S).  A row whose box fixes s keeps only that value."""
+    filters = [g[q, :(d + 1) * split.step:split.step] for q, d in enumerate(split.filters)]
+    row, s = fibres.solve(filters, g.shape[2])
+    for c in filters:
+        hit = _horner(c, row, s, p) == 0
+        row, s = row[hit], s[hit]
+    if split.step == 2:
+        s = fibres.sqrt[s]
+        one, two = s >= 0, s > 0
+        row, s = np.concatenate([row[one], row[two]]), np.concatenate([s[one], p - s[two]])
+    inside = (s_fixed[row] < 0) | (s_fixed[row] == s)
+    # the keys are distinct: each (row, S) pair is solved once
+    return np.sort(row[inside] * p + s[inside])
 
 
 def _batch_points(batch: np.ndarray, p: int, split: _Split, fibres: _Fibres):
@@ -556,21 +583,17 @@ def _batch_points(batch: np.ndarray, p: int, split: _Split, fibres: _Fibres):
     as pairs of an array of rows in lexicographic order and the number of
     (row, t) candidates tested.
 
-    The grid is the batch of outer rows times every value of s.  The
-    filters are evaluated on every grid row, and only the rows inside the
-    boxes where they all vanish are kept.  The coefficients in t of the
-    other equations are then built on the kept rows, CHUNK_LIMIT // p of
-    them at a time, so that at most CHUNK_LIMIT candidates are tested at
-    once; a row whose box fixes t keeps only that value."""
+    s is solved on each outer row from the filters (_solve_s).  The
+    coefficients in t of the other equations are then built on the kept
+    (row, s), CHUNK_LIMIT // p of them at a time, so that at most
+    CHUNK_LIMIT candidates are tested at once; a row whose box fixes t
+    keeps only that value."""
     cols, s_fixed, t_fixed = batch[:-2], batch[-2], batch[-1]
     g = split.outer_values(cols, p)
-    keep = (s_fixed[:, None] < 0) | (s_fixed[:, None] == np.arange(p))
-    if split.filters:
-        keep &= ~_grid_values(g[:split.filters], split.s_powers, p).any(axis=0)
-    kept = np.flatnonzero(keep)
+    kept = _solve_s(g, s_fixed, p, split, fibres)
     for lo in range(0, len(kept), CHUNK_LIMIT // p):
         o, s = np.divmod(kept[lo:lo + CHUNK_LIMIT // p], p)
-        values = _row_values(g[split.filters:], o, split.s_powers[:, s], p)
+        values = _row_values(g[len(split.filters):], o, split.s_powers[:, s], p)
         coeffs = [values[rows] for rows in split.equations]
         row, t = fibres.solve(coeffs, len(o))
         fixed = t_fixed[o[row]]
@@ -652,7 +675,7 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
     if n < 2:
         raise ValueError("enumeration needs at least two coordinates")
     terms = [int_terms(f) for f in eqs_p]
-    lead = None
+    d1 = None
     if symmetry is not None:
         if symmetry.ring != ring_p:
             raise ValueError("a symmetric scan needs a map over GF(p) on the same variables")
@@ -665,13 +688,13 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
                 raise ValueError(f"equation {f.to_string()} is not an eigenvector of "
                                  f"the symmetry: monomials {a} and {b}")
         d = _main_box_action(scalars, ring.weights, p)
-        lead = _coset_minima(d[1], p)
+        d1 = d[1]
     eliminant = _eliminant(terms, n, p)
     split = _Split(terms if eliminant is None else terms + [eliminant], n, p)
     fibres = _fibres(p)
     found: List[np.ndarray] = []
     candidates = 0
-    for batch in _outer_batches(ring.weights, p, lead):
+    for batch in _outer_batches(ring.weights, p, d1):
         for points, tested in _batch_points(batch, p, split, fibres):
             found.append(points)
             candidates += tested
@@ -882,6 +905,15 @@ def check_quasi_smooth(fam_p: GodeauxFamily, p: int) -> CheckReport:
 GROUP_ELEMENT_POWERS = {"g": 1, "g2": 2, "g3": 3}
 
 
+@functools.lru_cache(maxsize=16)
+def _element_patterns(action: CyclicAction, p: int) -> Tuple[Tuple[str, tuple], ...]:
+    """(name, fixed patterns) of g, g^2 and g^3 over GF(p), the field of the
+    ring, memoized by value: every member at p shares them."""
+    i = action.ring.field.sqrt_minus_one()
+    return tuple((name, _diagonal_fixed_patterns(action.power(k).as_monomial_map(i), p))
+                 for name, k in GROUP_ELEMENT_POWERS.items())
+
+
 @_certificate("free-action")
 def check_free_action(fam_p: GodeauxFamily, p: int) -> CheckReport:
     """Check that g, g^2, g^3 fix no GF(p)-rational point of the surface;
@@ -890,13 +922,11 @@ def check_free_action(fam_p: GodeauxFamily, p: int) -> CheckReport:
     Fixed loci are unions of coordinate subspaces: their points are counted
     by blocks on the ambient space and picked out of the surface by mask.
     """
-    i = fam_p.ring.field.sqrt_minus_one()
     surface = surface_points(p, fam_p.q0, fam_p.q2)
     rows = surface.rows
     witness = None
     sizes = {}
-    for name, k in GROUP_ELEMENT_POWERS.items():
-        patterns = _diagonal_fixed_patterns(fam_p.action.power(k).as_monomial_map(i), p)
+    for name, patterns in _element_patterns(fam_p.action, p):
         sizes[name] = _fixed_point_count(fam_p.ring.weights, patterns, p)
         hits = rows[_fixed_mask(patterns, rows.T)]
         if len(hits) and witness is None:

@@ -26,11 +26,11 @@ from godeaux.varieties import (
     _Fibres,
     _fixed_mask,
     _fixed_point_count,
-    _grid_values,
     _horner,
     _orbit_count,
     _reduce_eqs,
     _row_values,
+    _solve_s,
     _Split,
     _t_parts,
     check_fixed_locus,
@@ -234,7 +234,7 @@ def test_fibre_branches():
     # the six rows are grid rows: outer row r = (x, y) with s = z
     x, y, z = (np.array(col, dtype=np.int64) for col in zip(*rows))
     split = _Split([int_terms(g) for g in _reduce_eqs(ring, p, [f])[1]], ring.nvars, p)
-    assert (split.filters, split.equations) == (0, [slice(0, 3)])
+    assert (split.filters, split.equations) == ([], [slice(0, 3)])
     g = split.outer_values(np.stack([x, y]), p)
     coeffs = _row_values(g, np.arange(len(z)), split.s_powers[:, z], p)
     row, t = _Fibres(p).solve([coeffs], len(z))
@@ -244,6 +244,16 @@ def test_fibre_branches():
     assert list(enumerate_points(ring, p, [f]).points) == brute_zero_locus(ring, p, [f])
     points, _ = box_scan(ring, 13, [f])
     assert list(enumerate_points(ring, 13, [f]).points) == points
+
+
+def grid_values(g, s_powers, p):
+    """The values of the polynomials sum over i of g[q, i, r] s^i mod p on
+    the grid of outer rows r times every value of s, as a (q, r, s) array,
+    from the (i, value of s) powers of s: the filter of the scan before s
+    was solved, kept as the oracle of the s stage."""
+    values = np.matmul(g.transpose(0, 2, 1), s_powers)
+    values %= p
+    return values
 
 
 def block_start(point, weights, p):
@@ -310,6 +320,11 @@ def test_split_scan_matches_box_scan(p):
         assert surface.scanned == scanned
 
 
+def python_value(terms, point, p):
+    """A polynomial given as terms at a point, in Python ints."""
+    return sum(c * math.prod(x ** k for x, k in zip(point, e)) for e, c in terms) % p
+
+
 def test_split_evaluation_is_exact_at_the_largest_prime():
     # every coefficient and every coordinate p - 1: the largest residues,
     # so the largest intermediates the scan can meet
@@ -324,10 +339,10 @@ def test_split_evaluation_is_exact_at_the_largest_prime():
         split = _Split([int_terms(f)], n, p)
         g = split.outer_values(np.full((n - 2, 3), p - 1, dtype=np.int64), p)
         # three outer rows times two values of s: grid rows 0..5, by the
-        # path on chosen rows and by the filter path on the whole grid
+        # path on chosen rows and by the grid oracle on every row
         s_powers = split.s_powers[:, np.full(6, p - 1)]
         coeffs = _row_values(g, np.arange(6) // 2, s_powers, p)
-        grid = _grid_values(g, split.s_powers, p)
+        grid = grid_values(g, split.s_powers, p)
         assert coeffs.tolist() == np.repeat(grid[:, :, p - 1], 2, axis=1).tolist()
         for reduced in (g, s_powers, coeffs, grid):
             assert reduced.min() >= 0 and reduced.max() < p
@@ -340,6 +355,117 @@ def test_split_evaluation_is_exact_at_the_largest_prime():
         t = np.full(6, p - 1, dtype=np.int64)
         value = f.evaluate([f.ring.field(p - 1)] * n).value
         assert _horner(coeffs, row, t, p).tolist() == [value] * 6
+
+
+def test_s_stage_is_exact_at_the_largest_prime():
+    # filters with every coefficient and every outer coordinate p - 1: the
+    # largest residues, so the largest intermediates the s stage can meet.
+    # (weights, degree, even s only) -> (step, degree in S, S per row): the
+    # roots of a linear and of two quadratics, and two whole fibres.  Every
+    # S, Horner value and root is a residue, checked against Python ints
+    p = MAX_ENUM_PRIME
+    fibres = _Fibres(p)
+    cases = {((1, 1, 1, 1), 2, True): (2, 1, 1), ((1, 1, 1, 1), 4, False): (1, 4, p),
+             (W_GODEAUX, 4, False): (1, 2, 2), (W_GODEAUX, 8, True): (2, 2, 2),
+             (W_GODEAUX, 8, False): (1, 4, p)}
+    found = 0
+    for (weights, degree, even), (step, d, per_row) in cases.items():
+        ring = WRing(tuple(f"v{i}" for i in range(len(weights))), weights, PrimeField(p))
+        n = len(weights)
+        terms = [(e, p - 1) for e in monomials_of_degree(ring, degree)
+                 if e[-1] == 0 and (e[-2] % 2 == 0 or not even)]
+        split = _Split([terms], n, p)
+        assert (split.step, split.filters) == (step, [d])
+        g = split.outer_values(np.full((n - 2, 3), p - 1, dtype=np.int64), p)
+        assert g.min() >= 0 and g.max() < p
+        filters = [g[0, :(d + 1) * step:step]]
+        row, S = fibres.solve(filters, 3)
+        assert np.bincount(row, minlength=3).tolist() == [per_row] * 3
+        assert S.min() >= 0 and S.max() < p
+        value = _horner(filters[0], row, S, p)
+        assert value.min() >= 0 and value.max() < p
+        by_s = [python_value(terms, [p - 1] * (n - 2) + [s, 0], p) for s in range(p)]
+        for root, v in zip(S.tolist(), value.tolist()):
+            # the filter at every s with s^step = S, and 0 at a solved root
+            assert all(by_s[s] == v for s in range(p) if pow(s, step, p) == root)
+            assert v == 0 or per_row == p
+        keys = _solve_s(g, np.full(3, -1), p, split, fibres)
+        assert keys.tolist() == [r * p + s for r in range(3) for s in range(p) if by_s[s] == 0]
+        found += len(keys)
+    assert found
+
+
+# --- the s stage: S = s^step solved from the filters, against the grid
+
+
+def s_stage_systems():
+    """(weights, filters, other equations) over Q, each filter free of the
+    last coordinate t: S-degree 0, 1 and 2 in S = s and in S = s^2, s-degree
+    4 and 3, a filter vanishing on every row with v1 = 0, and filters
+    of two degrees together; the last system is a member's eliminant."""
+    p3 = (1, 1, 1, 1)
+    return [
+        (p3, ["v0 + v1"], []),
+        (p3, ["v0 + v2"], ["v0 v3 + v1^2"]),
+        (p3, ["v0^2 + -1 * v2^2"], []),
+        (p3, ["v0 v1 + v1 v2 + v2^2"], ["v3^2 + v0 v2"]),
+        (p3, ["v0^4 + v1^2 v2^2 + -1 * v2^4"], []),
+        (p3, ["v2^3 + -1 * v0 v1^2"], []),
+        (p3, ["v1 v2^2 + -1 * v1 v0^2"], []),
+        (p3, ["v1 v2^2 + -1 * v1 v0^2", "v0 v2^3 + v1^3 v2 + v0^4"], []),
+        (p3, ["v0 + v1 + v2", "v0^2 + v2^2 + v1 v2"], []),
+        (p3, ["v0 + v1", "v1 + -1 * v2"], ["v2 v3 + v0^2"]),
+        (p3, ["v0 + -1 * v2", "v2^3 + v0^2 v1"], []),
+        ((1, 1, 2), ["v0^4 + -1 * v1^2", "v0^2 v1 + v1^2"], []),
+        (W_GODEAUX, ["x1^4 + -1 * y1^2 + x2^2 y1"], []),
+    ]
+
+
+def grid_keys(g, s_fixed, split, p):
+    """The keys row * p + s of the grid oracle: every (outer row, s) inside
+    the box where every filter vanishes."""
+    keep = (s_fixed[:, None] < 0) | (s_fixed[:, None] == np.arange(p))
+    if split.filters:
+        keep &= ~grid_values(g[:len(split.filters)], split.s_powers, p).any(axis=0)
+    return np.flatnonzero(keep)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_s_stage_keeps_the_grid_keys(p):
+    fibres = _Fibres(p)
+    shapes, fixed_kept, whole, vanishing = set(), 0, 0, 0
+    systems = []
+    for weights, filters, others in s_stage_systems():
+        names = tuple(f"v{i}" for i in range(len(weights)))
+        if weights == W_GODEAUX:
+            names = family_ring().names
+        ring = WRing(names, weights, PrimeField(p))
+        eqs = [parse_poly(ring, f) for f in filters + others]
+        systems.append((weights, [int_terms(f) for f in eqs]))
+    fam = build_family(random_params(p, seed=p)) if p % 4 == 1 else None
+    if fam is not None:
+        terms = [int_terms(fam.q0), int_terms(fam.q2)]
+        systems.append((W_GODEAUX, terms + [_eliminant(terms, 5, p)]))
+    for weights, terms in systems:
+        split = _Split(terms, len(weights), p)
+        shapes.add((split.step, tuple(split.filters)))
+        for batch in varieties._outer_batches(weights, p):
+            g = split.outer_values(batch[:-2], p)
+            s_fixed = batch[-2]
+            want = grid_keys(g, s_fixed, split, p)
+            got = _solve_s(g, s_fixed, p, split, fibres)
+            assert got.tolist() == want.tolist()
+            fixed_kept += int((s_fixed[got // p] >= 0).sum())
+            if split.filters:
+                first = g[0, ::split.step]
+                zero = ~first.any(axis=0)
+                vanishing += int(zero.any() and not zero.all())
+                row, _ = fibres.solve([first[:4]], g.shape[2])
+                whole += split.filters[0] > 2 and len(row) == p * g.shape[2]
+    # S-degree 0, 1 and 2 in s and in s^2, s-degree 3 and two-filter shapes
+    assert {(2, (0,)), (1, (1,)), (2, (1,)), (1, (2,)), (2, (2,)), (1, (3,)),
+            (1, (2, 3)), (1, (1, 2)), (1, (0, 1)), (1, (1, 3))} <= shapes
+    assert fixed_kept and whole and vanishing
 
 
 # --- the elimination stage: Res_t(pivot, h) as a filter on grid rows
@@ -589,8 +715,50 @@ def test_member_independent_tables_are_built_once():
         i = PrimeField(p).sqrt_minus_one().value
         minima = varieties._coset_minima(i, p)
         assert varieties._coset_minima(i, p) is minima
-        for table in (fibres.sqrt, fibres.inv, minima):
+        powers = varieties._residue_powers(p, 4)
+        assert varieties._residue_powers(p, 4) is powers
+        assert powers.tolist() == [[pow(a, k, p) for k in range(5)] for a in range(p)]
+        tables = [fibres.sqrt, fibres.inv, minima, powers]
+        for d1 in (None, i):
+            batches = varieties._outer_batches(W_GODEAUX, p, d1)
+            assert varieties._outer_batches(W_GODEAUX, p, d1) is batches
+            tables += batches
+        # the folded batches hold x2 = 0 and the coset minima on the main box
+        rows = [sum(b.shape[1] for b in varieties._outer_batches(W_GODEAUX, p, d1))
+                for d1 in (None, i)]
+        assert rows[1] == rows[0] - p * (p - len(minima))
+        for table in tables:
             assert not table.flags.writeable
+        fam = varieties._family_mod_p(build_family(random_params(p, seed=1)), p)
+        patterns = varieties._element_patterns(fam.action, p)
+        assert varieties._element_patterns(fam.action, p) is patterns
+        assert [name for name, _ in patterns] == ["g", "g2", "g3"]
+
+
+def test_surface_s_stage_solves_one_column_per_outer_row(monkeypatch):
+    # the s stage takes the eliminant's three S-coefficients on each outer
+    # row, not the p^3 grid, and keeps at most two S, four s, on each
+    p = 61
+    fam = build_family(random_params(p, seed=5))
+    g = group_generator(fam.ring)
+    d1 = varieties._main_box_action([c.value for c in g.scalars], W_GODEAUX, p)[1]
+    outer = sum(b.shape[1] for b in varieties._outer_batches(W_GODEAUX, p, d1))
+    assert 1000 < outer < 1100
+    calls = []
+    solve = _Fibres.solve
+
+    def spy(self, coeffs, size):
+        row, root = solve(self, coeffs, size)
+        calls.append(([c.shape for c in coeffs], size, row))
+        return row, root
+
+    monkeypatch.setattr(_Fibres, "solve", spy)
+    surface = enumerate_points(fam.ring, p, [fam.q0, fam.q2], g)
+    (s_shapes, s_size, s_row), (t_shapes, t_size, _) = calls
+    assert s_shapes == [(3, outer)] and s_size == outer
+    assert np.bincount(s_row, minlength=outer).max() <= 2
+    assert t_size <= 4 * outer
+    assert (len(surface), surface.scanned, surface.candidates) == (3784, 14076667, 1036)
 
 
 # --- the quasi-smoothness check on the orbit representatives of g
