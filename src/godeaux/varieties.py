@@ -45,9 +45,9 @@ changes no zero set.  Where B != 0, R = B^d h(-C/B) vanishes exactly where
 the root of the pivot is a root of h; where B = 0, a common zero forces
 C = 0, and then R = h_d (-C)^d = 0.  With sigma enforced, q0 = F + c s t
 and q2 = G + a s^2 + b t^2 (s = y1, t = y3), so R = a c^2 s^4 + c^2 G s^2
-+ b F^2 is a quadratic in S = s^2: the s stage keeps at most four values
-of s on each of the about p^2 outer rows, and the t stage one value of t
-on each.
++ b F^2 is a quadratic in S = s^2: on each of the about p^2 outer rows
+where R does not vanish identically the s stage keeps at most four values
+of s, and the t stage about one value of t on each.
 
 Arithmetic is exact: the evaluation runs on int32 arrays, the solves and
 the tests on int64.  Every array is reduced mod p right after each product:
@@ -376,7 +376,7 @@ class _Fibres:
         for eq in coeffs:
             if len(eq) > 3:
                 break
-            take = np.flatnonzero(pending & eq.any(axis=0))
+            take = (pending & eq.any(axis=0)).nonzero()[0]
             for have, k in zip((c, b, a), eq):
                 have[take] = k[take]
             pending[take] = False
@@ -385,16 +385,16 @@ class _Fibres:
         root = self.sqrt[disc]
         inv2a = self.inv[2 * a % p]
         real = quad & (root >= 0)
-        plus = np.flatnonzero(real)
-        minus = np.flatnonzero(real & (disc != 0))
-        lin = np.flatnonzero(~quad & (b != 0))
-        full = np.flatnonzero(~quad & (b == 0) & (c == 0))
+        plus = real.nonzero()[0]
+        minus = (real & (disc != 0)).nonzero()[0]
+        lin = (~quad & (b != 0)).nonzero()[0]
+        full = (~quad & (b == 0) & (c == 0)).nonzero()[0]
         rows = [plus, minus, lin, np.repeat(full, p)]
         ts = [
             (root[plus] - b[plus]) * inv2a[plus] % p,
             (-root[minus] - b[minus]) * inv2a[minus] % p,
             -c[lin] * self.inv[b[lin]] % p,
-            np.tile(np.arange(p), len(full)),
+            np.arange(len(full) * p) % p,
         ]
         return np.concatenate(rows), np.concatenate(ts)
 
