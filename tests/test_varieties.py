@@ -402,7 +402,7 @@ def s_stage_systems():
     """(weights, filters, other equations) over Q, each filter free of the
     last coordinate t: S-degree 0, 1 and 2 in S = s and in S = s^2, s-degree
     4 and 3, a filter vanishing on every row with v1 = 0, and filters
-    of two degrees together; the last system is a member's eliminant."""
+    of two degrees together.  The test adds a member's eliminant."""
     p3 = (1, 1, 1, 1)
     return [
         (p3, ["v0 + v1"], []),
@@ -468,7 +468,7 @@ def test_s_stage_keeps_the_grid_keys(p):
     assert fixed_kept and whole and vanishing
 
 
-# --- the elimination stage: Res_t(pivot, h) as a filter on grid rows
+# --- the elimination stage: Res_t(pivot, h) as a filter solved for s
 
 
 def t_coefficients_at(f, point, p):
@@ -617,8 +617,8 @@ def test_elimination_with_extra_mask(p):
 
 
 def test_surface_candidates_are_about_p_squared():
-    # the eliminant keeps about p^2 of the p^3 grid rows of the main box,
-    # and the pivot leaves one value of t on each
+    # the eliminant keeps about p^2 of the p^3 (row, s) pairs of the main
+    # box, and the pivot leaves one value of t on each
     p = 61
     fam = build_family(random_params(p, seed=5))
     surface = enumerate_points(fam.ring, p, [fam.q0, fam.q2])
