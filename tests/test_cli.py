@@ -364,7 +364,10 @@ def test_cone_reports_are_pinned(tmp_path, monkeypatch):
 # reports are meant to stay byte-identical.  The three failing draws, pinned
 # before the quasi-smoothness check moved onto the orbit representatives of
 # g, cover the witness path: Jacobian rank below 2 at [1, 2, 12, 0, 0],
-# [1, 3, 4, 5, 15] and [1, 3, 17, 5, 4]
+# [1, 3, 4, 5, 15] and [1, 3, 17, 5, 4].  The last two, pinned before the
+# free-action and fixed-locus checks moved onto one row per orbit of g,
+# cover their witnesses: g^2 fixes [1, 0, 4, 0, 0], and the fixed locus
+# of the involution misses the surface
 PINNED_VERIFY_REPORTS = {
     ("--prime", "13", "--draws", "20", "--seed", "42"):
         (0, "ca3ad9936583e179b48e88ef0538840f7b5bf9acc451b90efe83b9da1ac3b95e"),
@@ -378,6 +381,10 @@ PINNED_VERIFY_REPORTS = {
         (1, "7bc565a46e7d1b2e38ddc197546a6075030b3573a754b0f44d27082b3c8649af"),
     ("--prime", "29", "--seed", "109", "--retry-budget", "0"):
         (1, "1c35e62c640e76c840243c6402c64470b9827e99f171ea2079584b14748ac8b9"),
+    ("--prime", "13", "--seed", "52", "--retry-budget", "0"):
+        (1, "1b3c64ce5400dec8eceb736f7e30306a2d774a69e79530139e05806707f297bd"),
+    ("--prime", "13", "--seed", "42", "--retry-budget", "0"):
+        (1, "5250cf2cea246426400299362b41a07dcab4dcc809d09dbc46dfc9aa25201570"),
 }
 
 
