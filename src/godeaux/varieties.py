@@ -80,25 +80,26 @@ order of d_1, whether or not the map has fixed points elsewhere (for g on
 the Godeaux ring, (x2, x3, y1, y3) -> (i x2, -x3, -i y1, i y3) and k = 4).
 So the main box is scanned only on the rows with x_1 = 0 and on those whose
 x_1 is the least member of its coset of GF(p)* modulo the powers of d_1,
-every other box in full; each point found off x_1 = 0 is joined by its
-k - 1 other images and the main box is sorted again.  The points are those
-of the full scan, and so is ``scanned``: it still counts every canonical
-representative, the ones reached through the map included.  Only
-``candidates`` falls, to about 1/k on the main box.
-
-The rows found before unfolding stay with the points as their
-``representatives``: every row off the main box, and on it the rows with
-x_1 = 0 and those with x_1 a coset minimum.  A point with x_1 != 0 on the
-main box is the least point of its orbit when it is kept, since the k
-points of the orbit have distinct x_1 and the kept one has the least.  So
-every point that is not kept has a smaller kept point in its orbit, and a
-property that the map preserves is first met, in scan order, at a kept
-point: it can be tested on the representatives alone.  Rank deficiency of
-the Jacobian of the surface is such a property.  q0 and q2 are
-eigenvectors of g, with characters chi, so J(g x) = diag(chi) J(x)
-diag(s)^-1 for the scalars s of g, of the rank of J(x); the weighted
+every other box in full, and the other images are never built: a folded
+scan returns one row per orbit, with its size.  A row on the main box off
+x_1 = 0 stands for the k points of its orbit and has size k, every other
+row only for itself and has size 1.  The number of points is the sum of
+the sizes, and ``scanned`` still counts every canonical representative, the
+ones reached through the map included; only ``candidates`` falls, to about
+1/k on the main box.  A row with x_1 != 0 on the main box is the least
+point of its orbit, since the k points of the orbit have distinct x_1 and
+the kept one has the least.  So every point that is not kept has a smaller
+kept point in its orbit, and a property that the map preserves is first
+met, in scan order, at a kept row: it can be tested on the rows alone, and
+the points that have it number the sum of the sizes of the rows that have
+it.  Rank deficiency of the Jacobian of the surface is such a property.  q0
+and q2 are eigenvectors of g, with characters chi, so J(g x) = diag(chi)
+J(x) diag(s)^-1 for the scalars s of g, of the rank of J(x); the weighted
 rescaling back to the main box multiplies the rows and the columns of J by
-powers of the scale, which keeps the rank too.
+powers of the scale, which keeps the rank too.  Lying on a union of
+coordinate subspaces is another, as g is diagonal: the ambient singular
+line, the points that a power of g fixes and the fixed locus of the
+involution are such unions.
 """
 
 from __future__ import annotations
@@ -433,31 +434,30 @@ def _reduce_eqs(ring: WRing, p: int, eqs: Sequence[WPoly]) -> Tuple[WRing, List[
 
 
 class PointSet:
-    """Canonical points of a zero locus over GF(p), one row per point, in
-    the strictly increasing order the scan emits them in.
+    """Canonical points of a zero locus over GF(p), in the strictly
+    increasing order the scan emits them in: one row per point, or, for a
+    scan folded by a symmetry, one row per orbit of the symmetry on the main
+    box off x_1 = 0 (see the module docstring).
 
-    Every equation is re-evaluated on every point the first time the points
-    are read back, as a self-consistency tripwire.  ``scanned`` counts the
-    canonical representatives the scan covered, and ``candidates`` the
-    (row, t) pairs it tested against the equations (None for a point set
-    not made by a scan).  A scan folded by a symmetry also keeps the rows
-    it found before unfolding, one per orbit of the symmetry: see
-    ``representatives``.
+    Every equation is re-evaluated on every row the first time the rows are
+    read back, as a self-consistency tripwire.  ``sizes`` holds, read-only,
+    the number of points each row stands for (all 1 unless the scan was
+    folded), and ``len`` their sum, the number of points.  ``scanned``
+    counts the canonical representatives the scan covered, and
+    ``candidates`` the (row, t) pairs it tested against the equations (None
+    for a point set not made by a scan).
     """
 
-    __slots__ = ("_rows", "p", "ring", "eqs", "scanned", "candidates", "_checked",
-                 "_representatives")
+    __slots__ = ("_rows", "sizes", "p", "ring", "eqs", "scanned", "candidates", "_checked")
 
     def __init__(self, points, p: int, ring: WRing, eqs: Sequence[WPoly],
                  scanned: int, candidates: Optional[int] = None,
-                 representatives: Optional[np.ndarray] = None):
+                 sizes: Optional[np.ndarray] = None):
         rows = np.array(points, dtype=np.int64).reshape(-1, ring.nvars)
         rows.flags.writeable = False
         self._rows = rows
-        if representatives is not None:
-            representatives = np.asarray(representatives, dtype=np.int64).reshape(-1, ring.nvars)
-            representatives.flags.writeable = False
-        self._representatives = representatives
+        self.sizes = np.array(np.ones(len(rows)) if sizes is None else sizes, dtype=np.int64)
+        self.sizes.flags.writeable = False
         self.p = p
         self.ring = ring
         self.eqs = tuple(eqs)
@@ -467,29 +467,18 @@ class PointSet:
 
     @property
     def rows(self) -> np.ndarray:
-        """The points as a read-only (points x coordinates) int64 array."""
+        """The rows as a read-only (rows x coordinates) int64 array."""
         if not self._checked:
             self._check()
             self._checked = True
         return self._rows
 
     @property
-    def representatives(self) -> np.ndarray:
-        """The least point of each orbit of the scan's symmetry, in the
-        order of ``rows``, as a read-only array: the rows the folded scan
-        found before unfolding, or all the rows when it used none.  A
-        property of the points that the symmetry preserves is first met, in
-        the order of ``rows``, at one of these.  Reading them checks every
-        row first, as reading ``rows`` does."""
-        rows = self.rows
-        return rows if self._representatives is None else self._representatives
-
-    @property
     def points(self) -> Tuple[Tuple[int, ...], ...]:
         return tuple(map(tuple, self.rows.tolist()))
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return int(self.sizes.sum())
 
     def _check(self) -> None:
         cols = Columns(self._rows.T, self.p)
@@ -502,7 +491,7 @@ class PointSet:
                 )
 
     def __repr__(self):
-        return f"PointSet({len(self._rows)} points over GF({self.p}))"
+        return f"PointSet({len(self)} points over GF({self.p}))"
 
 
 def guard_prime(p: int) -> None:
@@ -518,16 +507,16 @@ def guard_prime(p: int) -> None:
 @functools.lru_cache(maxsize=64)
 def _outer_batches(weights: Tuple[int, ...], p: int, d1: Optional[int] = None
                    ) -> Tuple[np.ndarray, ...]:
-    """The outer rows of every box of _blocks, in lexicographic order and in
-    batches of at most CHUNK_LIMIT // p rows.  A batch is a read-only
-    (coordinate, row) array: the n - 2 outer coordinates, then the values
-    the box of the row fixes s and t to (-1 where they are free).  Given
-    d1, the first free coordinate of the main box takes only 0 and the
-    coset minima of the powers of d1.  Memoized by value."""
+    """The outer rows of every box of _blocks, in lexicographic order, cut
+    into batches of CHUNK_LIMIT // p rows, the last one of at most as many.
+    A batch is a read-only (coordinate, row) array: the n - 2 outer
+    coordinates, then the values the box of the row fixes s and t to (-1
+    where they are free).  Given d1, the first free coordinate of the main
+    box takes only 0 and the coset minima of the powers of d1.  Memoized by
+    value."""
     n = len(weights)
-    step = CHUNK_LIMIT // p
     every = np.arange(p, dtype=np.int64)
-    batches, pending, size = [], [], 0
+    boxes = []
     for prefix, start in _blocks(weights, p):
         free = max(0, n - 2 - start)
         head = prefix[:n - 2 - free]
@@ -535,26 +524,18 @@ def _outer_batches(weights: Tuple[int, ...], p: int, d1: Optional[int] = None
         values = [every] * free
         if d1 is not None and (prefix, start) == MAIN_BOX:
             values[0] = _coset_minima(d1, p)
-        count = math.prod(map(len, values))
-        for first in range(0, count, step):
-            r = np.arange(first, min(count, first + step), dtype=np.int64)
-            block = np.empty((n, len(r)), dtype=np.int64)
-            block[:len(head)] = np.array(head, dtype=np.int64).reshape(-1, 1)
-            rest = r
-            for k in range(free - 1, -1, -1):
-                rest, digit = np.divmod(rest, len(values[k]))
-                block[len(head) + k] = values[k][digit]
-            block[n - 2:] = np.array(tail, dtype=np.int64).reshape(2, 1)
-            if pending and size + len(r) > step:
-                batches.append(np.concatenate(pending, axis=1))
-                pending, size = [], 0
-            pending.append(block)
-            size += len(r)
-    if pending:
-        batches.append(np.concatenate(pending, axis=1))
-    for batch in batches:
-        batch.flags.writeable = False
-    return tuple(batches)
+        rest = np.arange(math.prod(map(len, values)), dtype=np.int64)
+        block = np.empty((n, len(rest)), dtype=np.int64)
+        block[:len(head)] = np.array(head, dtype=np.int64).reshape(-1, 1)
+        for k in range(free - 1, -1, -1):
+            rest, digit = np.divmod(rest, len(values[k]))
+            block[len(head) + k] = values[k][digit]
+        block[n - 2:] = np.array(tail, dtype=np.int64).reshape(2, 1)
+        boxes.append(block)
+    rows = np.concatenate(boxes, axis=1)
+    rows.flags.writeable = False
+    step = CHUNK_LIMIT // p
+    return tuple(rows[:, first:first + step] for first in range(0, rows.shape[1], step))
 
 
 def _solve_s(g: np.ndarray, s_fixed: np.ndarray, p: int, split: _Split,
@@ -639,34 +620,14 @@ def _coset_minima(d: int, p: int) -> np.ndarray:
     return minima
 
 
-def _unfold(rows: np.ndarray, d: Tuple[int, ...], p: int) -> np.ndarray:
-    """The points of a folded scan with each point of the main box off
-    x_1 = 0 joined by its other images under the powers of d, the main box
-    sorted again.  The main box comes last, as its first coordinate is 1."""
-    start = int(np.searchsorted(rows[:, 0], 1))
-    box = rows[start:]
-    moved = box[box[:, 1] != 0]
-    images = [box]
-    step = np.array(d, dtype=np.int64)
-    power = step
-    while power[1] != 1:
-        images.append(moved * power % p)
-        power = power * step % p
-    box = np.concatenate(images)
-    # past x_0 = 1 the coordinates are the digits base p of distinct keys,
-    # below p^(n-1); np.lexsort is about 8 times slower here
-    key = box[:, 1:] @ p ** np.arange(box.shape[1] - 2, -1, -1, dtype=np.int64)
-    return np.concatenate([rows[:start], box[np.argsort(key)]])
-
-
 def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
           symmetry: Optional[MonomialMap] = None) -> PointSet:
     """All canonical representatives where every equation vanishes.  The
     eliminant, when there is one, joins the filters.  Batches come in
     lexicographic order, so only the survivors of each are sorted.  With a
     symmetry, only the coset minima of x_1 and x_1 = 0 are scanned on the
-    main box, and the points there are unfolded and sorted again; the rows
-    found before unfolding are the representatives of the point set."""
+    main box, and each row found there off x_1 = 0 has the size of its
+    orbit, the order of d_1."""
     ring_p, eqs_p = _reduce_eqs(ring, p, eqs)
     for f in eqs_p:
         if not f.is_homogeneous():
@@ -687,8 +648,7 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
                 a, b = list(chars.values())[:2]
                 raise ValueError(f"equation {f.to_string()} is not an eigenvector of "
                                  f"the symmetry: monomials {a} and {b}")
-        d = _main_box_action(scalars, ring.weights, p)
-        d1 = d[1]
+        d1 = _main_box_action(scalars, ring.weights, p)[1]
     eliminant = _eliminant(terms, n, p)
     split = _Split(terms if eliminant is None else terms + [eliminant], n, p)
     fibres = _fibres(p)
@@ -699,11 +659,11 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
             found.append(points)
             candidates += tested
     rows = np.concatenate(found) if found else np.empty((0, n), dtype=np.int64)
-    representatives = None
-    if symmetry is not None:
-        rows, representatives = _unfold(rows, d, p), rows
-    return PointSet(rows, p, ring_p, eqs_p, _orbit_count(ring.weights, p), candidates,
-                    representatives)
+    sizes = None
+    if d1 is not None:
+        order = next(k for k in range(1, p) if pow(d1, k, p) == 1)
+        sizes = np.where((rows[:, 0] == 1) & (rows[:, 1] != 0), order, 1)
+    return PointSet(rows, p, ring_p, eqs_p, _orbit_count(ring.weights, p), candidates, sizes)
 
 
 def enumerate_points(ring: WRing, p: int, eqs: Sequence[WPoly],
@@ -711,7 +671,8 @@ def enumerate_points(ring: WRing, p: int, eqs: Sequence[WPoly],
     """All GF(p) points of the weighted projective zero locus, each scaling
     orbit exactly once, in deterministic (lexicographic) order.  A symmetry,
     a diagonal map over GF(p) of which every equation is an eigenvector,
-    changes only how much is scanned, never the points."""
+    folds the scan: the points are the same, but the rows hold one point
+    per orbit on the main box off x_1 = 0, each with its orbit size."""
     guard_prime(p)
     return _scan(ring, p, eqs, symmetry)
 
@@ -800,7 +761,8 @@ def surface_points(p: int, q0: WPoly, q2: WPoly) -> PointSet:
     compares the quartics by value, so another member never gets its
     points; ``surface_points.cache_clear()`` empties it.  The scan is folded
     by the generator g of the group, which is defined over GF(p) when
-    p = 1 mod 4."""
+    p = 1 mod 4, so the rows hold one point per orbit of g on the main box
+    off x2 = 0."""
     return enumerate_points(q0.ring, p, [q0, q2], _group_generator(q0.ring))
 
 
@@ -862,17 +824,17 @@ def check_quasi_smooth(fam_p: GodeauxFamily, p: int) -> CheckReport:
     """Scan every GF(p) point of the surface for Jacobian rank 2, after
     checking that none lies on the ambient singular line x1=x2=x3=0.
 
-    Both tests run on the orbit representatives of g alone (all the points
-    when p = 3 mod 4).  The ambient line lies off the main box, where every
-    point is a representative, and the singular locus is g-stable, so the
-    first singular representative is the first singular point.
+    Both tests run on the rows of the scan folded by g, one per orbit of g
+    on the main box off x2 = 0 (one per point when p = 3 mod 4).  The
+    ambient line and the singular locus are g-stable, so the first row on
+    either is the first point on it.
 
     A pass shows that no GF(p)-rational point of the reduction mod p is
     singular.  Points over extensions of GF(p) are not checked, so this is
     not a proof of quasi-smoothness mod p, let alone in characteristic 0.
     """
     surface = surface_points(p, fam_p.q0, fam_p.q2)
-    rows = surface.representatives
+    rows = surface.rows
     on = _fixed_mask(AMBIENT_SINGULAR_LINE, rows.T)
     witness = rows[np.argmax(on)].tolist() if on.any() else None
     if fam_p.q0.coefficient((0, 0, 0, 1, 1)) == fam_p.ring.field.zero():
@@ -920,7 +882,9 @@ def check_free_action(fam_p: GodeauxFamily, p: int) -> CheckReport:
     points over extensions of GF(p) are not checked.
 
     Fixed loci are unions of coordinate subspaces: their points are counted
-    by blocks on the ambient space and picked out of the surface by mask.
+    by blocks on the ambient space and picked out of the surface rows by
+    mask.  They are g-stable, so the first row fixed by an element is the
+    first such point.
     """
     surface = surface_points(p, fam_p.q0, fam_p.q2)
     rows = surface.rows
@@ -959,11 +923,15 @@ def sigma_fixed_components(fam: GodeauxFamily, p: int) -> Dict[str, object]:
 @_certificate("fixed-locus")
 def check_fixed_locus(fam_p: GodeauxFamily, p: int) -> CheckReport:
     """Check that the ambient fixed locus of the involution lift meets the
-    surface at a GF(p)-rational point, as its divisorial fixed part needs."""
+    surface at a GF(p)-rational point, as its divisorial fixed part needs.
+    The locus is g-stable, so the first surface row on it is the first such
+    point, and the points on it number the sum of the sizes of the rows
+    on it."""
     info = sigma_fixed_components(fam_p, p)
     surface = surface_points(p, fam_p.q0, fam_p.q2)
     rows = surface.rows
-    hits = rows[_fixed_mask(info["patterns"], rows.T)]
+    on = _fixed_mask(info["patterns"], rows.T)
+    hits = rows[on]
     return CheckReport(
         check="fixed-locus",
         status="pass" if len(hits) else "fail",
@@ -974,7 +942,7 @@ def check_fixed_locus(fam_p: GodeauxFamily, p: int) -> CheckReport:
         data={
             "zero_patterns": info["zero_patterns"],
             "ambient_fixed_points": info["count"],
-            "surface_hits": len(hits),
+            "surface_hits": int(surface.sizes[on].sum()),
             "sample": hits[0].tolist() if len(hits) else None,
         },
     )

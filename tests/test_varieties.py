@@ -633,17 +633,59 @@ def group_generator(ring):
     return canonical_action(ring).as_monomial_map(ring.field.sqrt_minus_one())
 
 
+def unfold(rows, d, p):
+    """The points of a folded scan: each row of the main box off x_1 = 0
+    joined by its other images under the powers of d, the main box sorted
+    again.  The main box comes last, as its first coordinate is 1."""
+    start = int(np.searchsorted(rows[:, 0], 1))
+    box = rows[start:]
+    moved = box[box[:, 1] != 0]
+    images = [box]
+    step = np.array(d, dtype=np.int64)
+    power = step
+    while power[1] != 1:
+        images.append(moved * power % p)
+        power = power * step % p
+    box = np.concatenate(images)
+    # past x_0 = 1 the coordinates are the digits base p of distinct keys
+    key = box[:, 1:] @ p ** np.arange(box.shape[1] - 2, -1, -1, dtype=np.int64)
+    return np.concatenate([rows[:start], box[np.argsort(key)]])
+
+
+def main_box_action(symmetry):
+    """d of the symmetry: its action x_v -> d_v x_v on the main box."""
+    ring = symmetry.ring
+    scalars = [c.value for c in symmetry.scalars]
+    return varieties._main_box_action(scalars, ring.weights, ring.field.p)
+
+
+def orbit_size(row, d, p):
+    """The number of distinct images of a row under the powers of d."""
+    images, image = set(), tuple(row)
+    while image not in images:
+        images.add(image)
+        image = tuple(x * e % p for x, e in zip(image, d))
+    return len(images)
+
+
 def assert_fold_is_exact(ring, p, eqs, symmetry, oracle=True):
-    """The folded scan gives the rows and the count of the unfolded scan,
-    and of the box-scan oracle when asked; returns both scans."""
+    """The folded scan's rows, each with its orbit size on the main box off
+    x_1 = 0 and 1 elsewhere, unfold to the rows of the unfolded scan, and
+    to the points of the box-scan oracle when asked; the number of points
+    and the count are the same.  Returns both scans."""
     full = enumerate_points(ring, p, eqs)
     folded = enumerate_points(ring, p, eqs, symmetry)
-    assert folded.rows.tobytes() == full.rows.tobytes()
-    assert folded.rows.shape == full.rows.shape
+    d = main_box_action(symmetry)
+    assert unfold(folded.rows, d, p).tobytes() == full.rows.tobytes()
+    assert len(folded) == len(full) == len(full.rows)
+    assert full.sizes.tolist() == [1] * len(full.rows)
+    main = (folded.rows[:, 0] == 1) & (folded.rows[:, 1] != 0)
+    assert folded.sizes.tolist() == [
+        orbit_size(row, d, p) if on else 1 for row, on in zip(folded.rows.tolist(), main)]
     assert folded.scanned == full.scanned
     if oracle:
         points, scanned = box_scan(ring, p, eqs)
-        assert list(folded.points) == points
+        assert list(full.points) == points
         assert folded.scanned == scanned
     return full, folded
 
@@ -673,9 +715,10 @@ def test_folded_scan_keeps_the_forced_singular_point():
             "y1^2": 1, "y3^2": 1},
     )
     fam = build_family(params)
-    _, folded = assert_fold_is_exact(fam.ring, 13, [fam.q0, fam.q2],
-                                     group_generator(fam.ring))
+    full, folded = assert_fold_is_exact(fam.ring, 13, [fam.q0, fam.q2],
+                                        group_generator(fam.ring))
     assert (1, 0, 0, 0, 0) in folded.points
+    assert len(folded.rows) < len(full.rows)
     assert check_quasi_smooth(fam, 13).witness is not None
 
 
@@ -735,6 +778,44 @@ def test_member_independent_tables_are_built_once():
         assert [name for name, _ in patterns] == ["g", "g2", "g3"]
 
 
+def outer_rows(weights, p, d1=None):
+    """The outer rows of every box of _blocks from itertools.product, with
+    the values the box fixes s and t to (-1 where free), as (coordinate,
+    row) columns: the oracle for the rows _outer_batches cuts into
+    batches."""
+    n = len(weights)
+    rows = []
+    for prefix, start in _blocks(weights, p):
+        free = max(0, n - 2 - start)
+        values = [range(p)] * free
+        if d1 is not None and (prefix, start) == varieties.MAIN_BOX:
+            values[0] = varieties._coset_minima(d1, p).tolist()
+        tail = (prefix[n - 2] if start > n - 2 else -1, prefix[n - 1] if start == n else -1)
+        rows += [prefix[:n - 2 - free] + head + tail for head in itertools.product(*values)]
+    return np.array(rows, dtype=np.int64).T
+
+
+@pytest.mark.parametrize("weights, p", [(W_GODEAUX, 5), (W_GODEAUX, 13), (W_GODEAUX, 61),
+                                        (W_GODEAUX, 101), ((1, 1, 1, 1), 13),
+                                        ((1, 1, 2), 7), ((1, 2, 2), 5)])
+def test_outer_batches_are_full_up_to_the_last(weights, p):
+    # every batch but the last holds CHUNK_LIMIT // p rows, across box
+    # boundaries, and the batches join to the rows of every box in order
+    width = CHUNK_LIMIT // p
+    d1s = [None]
+    if weights == W_GODEAUX and p % 4 == 1:
+        d1s.append(PrimeField(p).sqrt_minus_one().value)
+    for d1 in d1s:
+        batches = varieties._outer_batches(weights, p, d1)
+        assert [b.shape[1] for b in batches[:-1]] == [width] * (len(batches) - 1)
+        assert 0 < batches[-1].shape[1] <= width
+        assert np.concatenate(batches, axis=1).tolist() == outer_rows(weights, p, d1).tolist()
+    widths = {p: [b.shape[1] for b in varieties._outer_batches(W_GODEAUX, p, d1)]
+              for p, d1 in ((101, PrimeField(101).sqrt_minus_one().value), (61, None))}
+    # the folded surface at p = 101 and the unfolded one at p = 61
+    assert widths == {101: [1297, 1297, 138], 61: [2148, 1639]}
+
+
 def test_surface_s_stage_solves_one_column_per_outer_row(monkeypatch):
     # the s stage takes the eliminant's three S-coefficients on each outer
     # row, not the p^3 grid, and keeps at most two S, four s, on each
@@ -787,8 +868,8 @@ PASSING += [(p, s) for p in (17, 29, 61) for s in range(20)]
 def test_quasi_smooth_on_representatives_matches_every_row(p, seed):
     fam_p = varieties._family_mod_p(build_family(random_params(p, seed=seed)), p)
     eqs = [fam_p.q0, fam_p.q2]
-    surface = surface_points(p, *eqs)
-    rows, reps = surface.rows, surface.representatives
+    reps = surface_points(p, *eqs).rows
+    rows = enumerate_points(fam_p.ring, p, eqs).rows
     # the main box dominates at the larger primes, and a quarter of it is kept
     assert (3 if p > 29 else 1) * len(reps) < len(rows)
     oracle = full_rank_below_two(rows, eqs, p)
@@ -799,9 +880,7 @@ def test_quasi_smooth_on_representatives_matches_every_row(p, seed):
     assert report.status == ("fail" if (p, seed) in SINGULAR_OFF_X2_ZERO else "pass")
     assert report.witness == (rows[np.argmax(oracle)].tolist() if oracle.any() else None)
     # the orbits of the singular representatives are the singular points
-    scalars = [c.value for c in group_generator(fam_p.ring).scalars]
-    d = varieties._main_box_action(scalars, fam_p.ring.weights, p)
-    expanded = varieties._unfold(reps[singular], d, p)
+    expanded = unfold(reps[singular], main_box_action(group_generator(fam_p.ring)), p)
     assert expanded.tolist() == rows[oracle].tolist()
     if oracle.any():
         assert (rows[oracle][:, 1] != 0).any()
@@ -811,20 +890,21 @@ def test_representatives_are_checked_and_unfold_to_the_rows():
     fam = build_family(random_params(13, seed=5))
     g = group_generator(fam.ring)
     full = enumerate_points(fam.ring, 13, [fam.q0, fam.q2])
-    assert full.representatives is full.rows
+    assert full.sizes.tolist() == [1] * len(full.rows)
     folded = enumerate_points(fam.ring, 13, [fam.q0, fam.q2], g)
-    reps = folded.representatives
-    assert not reps.flags.writeable
-    d = varieties._main_box_action([c.value for c in g.scalars], fam.ring.weights, 13)
-    assert varieties._unfold(reps, d, 13).tolist() == full.rows.tolist()
-    # reading the representatives checks every row, not only them
+    reps = folded.rows
+    assert not reps.flags.writeable and not folded.sizes.flags.writeable
+    assert set(folded.sizes.tolist()) == {1, 4}
+    assert unfold(reps, main_box_action(g), 13).tolist() == full.rows.tolist()
+    # the first read of the rows checks every one of them
     ring = family_ring(13)
     eq = parse_poly(ring, "x1^4")
     points = list(enumerate_points(ring, 13, [eq]).points[:4])
     bad = PointSet(points + [(1, 0, 0, 0, 0)], 13, ring, [eq], scanned=5,
-                   representatives=points[:1])
+                   sizes=[4, 1, 1, 1, 1])
+    assert len(bad) == 8
     with pytest.raises(AssertionError, match=r"point \[1, 0, 0, 0, 0\] fails"):
-        bad.representatives
+        bad.rows
 
 
 def test_evaluator_is_exact_at_the_largest_prime():
@@ -863,7 +943,7 @@ def test_scan_checks_eigenvectors_on_int_terms(monkeypatch):
         patch.setattr(MonomialMap, "character_of_monomial", refuse)
         patch.setattr(WPoly, "monomials", refuse)
         folded = enumerate_points(fam.ring, 13, [fam.q0, fam.q2], g)
-    assert folded.rows.tobytes() == full.rows.tobytes()
+    assert unfold(folded.rows, main_box_action(g), 13).tobytes() == full.rows.tobytes()
     with pytest.raises(ValueError, match="not an eigenvector") as err:
         enumerate_points(fam.ring, 13, [q0, fam.q2], g)
     a, b = map(ast.literal_eval, re.search(r"monomials (\(.*?\)) and (\(.*?\))",
@@ -1102,8 +1182,12 @@ def test_checks_share_one_scan_per_member(monkeypatch):
         fam_p = varieties._family_mod_p(fam, p)
         eqs = [fam_p.q0, fam_p.q2]
         surface = original(fam_p.ring, p, eqs)
-        # the checks' scan is folded by g, the unfolded one gives the same
-        assert surface_points(p, *eqs).rows.tolist() == surface.rows.tolist()
+        # the checks' scan is folded by g: one row per orbit, which unfold
+        # to the rows of the unfolded scan
+        folded_rows = surface_points(p, *eqs).rows
+        assert len(folded_rows) < len(surface.rows)
+        d = main_box_action(group_generator(fam_p.ring))
+        assert unfold(folded_rows, d, p).tolist() == surface.rows.tolist()
         assert [r.points_scanned for r in reports] == [surface.scanned] * 3
         assert reports[0].data["surface_points"] == len(surface)
         assert reports[1].data["surface_points"] == len(surface)
@@ -1119,6 +1203,73 @@ def test_checks_share_one_scan_per_member(monkeypatch):
     i = PrimeField(13).sqrt_minus_one()
     assert folded[0] == fam_a.action.as_monomial_map(i)
     assert all(m is not None for m in folded)
+
+
+def verify_member(p, seed):
+    """The member of the first draw of ``verify --prime p --seed seed``."""
+    return build_family(random_params(p, seed=random.Random(seed).randrange(1 << 31)))
+
+
+# (p, verify seed) of failing draws: the pinned ones, where free-action
+# fails at (13, 52), fixed-locus at (13, 42) and quasi-smooth at (13, 21),
+# (17, 114) and (29, 109), then (17, 2), where quasi-smooth and free-action
+# fail, and (17, 197), where fixed-locus fails
+FAILING_DRAWS = [(13, 52), (13, 42), (13, 21), (17, 114), (29, 109), (17, 2), (17, 197)]
+
+
+@pytest.mark.parametrize("p", [13, 17, 29, 61])
+def test_fold_changes_no_report(p, monkeypatch):
+    # the three checks on the folded scan and on the unfolded one, with
+    # _group_generator giving no symmetry, report the same
+    members = [verify_member(q, seed) for q, seed in FAILING_DRAWS if q == p]
+    members += [verify_member(p, seed) for seed in (1, 5)]
+    members += [build_family(random_params(p, seed=seed))
+                for (q, seed) in SINGULAR_OFF_X2_ZERO if q == p]
+    members += [build_family(random_params(p, seed=seed, enforce_involution=seed % 2 == 0))
+                for seed in range(4)]
+    checks = (check_quasi_smooth, check_free_action, check_fixed_locus)
+    rows = []
+
+    def reports():
+        out = []
+        for fam in members:
+            surface_points.cache_clear()
+            out.append([check(fam, p).to_dict() for check in checks])
+            fam_p = varieties._family_mod_p(fam, p)
+            rows.append(len(surface_points(p, fam_p.q0, fam_p.q2).rows))
+        return out
+
+    folded = reports()
+    monkeypatch.setattr(varieties, "_group_generator", lambda ring: None)
+    unfolded = reports()
+    assert folded == unfolded
+    half = len(members)
+    assert all(a < b for a, b in zip(rows[:half], rows[half:]))
+    statuses = {(r["check"], r["status"]) for member in folded for r in member}
+    if p in (13, 17):
+        assert {("quasi-smooth", "fail"), ("free-action", "fail"),
+                ("fixed-locus", "fail")} <= statuses
+    surface_points.cache_clear()
+
+
+def test_fixed_locus_hits_count_points_not_rows(monkeypatch):
+    # the involution's patterns, x1 = x3 = 0 and x2 = 0, miss the rows of
+    # size 4; the g-stable pattern y1 = 0 meets them, and its hits count
+    # the points of the unfolded scan
+    fam_p = varieties._family_mod_p(verify_member(13, 1), 13)
+    eqs = [fam_p.q0, fam_p.q2]
+    info = sigma_fixed_components(fam_p, 13)
+    monkeypatch.setattr(varieties, "sigma_fixed_components",
+                        lambda fam, p: {**info, "patterns": ((3,),)})
+    surface_points.cache_clear()
+    report = check_fixed_locus(fam_p, 13)
+    rows = surface_points(13, *eqs).rows
+    full = enumerate_points(fam_p.ring, 13, eqs).rows
+    hits = full[_fixed_mask(((3,),), full.T)]
+    assert _fixed_mask(((3,),), rows.T).sum() < len(hits)
+    assert report.data["surface_hits"] == len(hits)
+    assert report.data["sample"] == hits[0].tolist()
+    surface_points.cache_clear()
 
 
 def test_second_free_action_check_counts_nothing_again(monkeypatch):
