@@ -49,6 +49,15 @@ and q2 = G + a s^2 + b t^2 (s = y1, t = y3), so R = a c^2 s^4 + c^2 G s^2
 where R does not vanish identically the s stage keeps at most four values
 of s, and the t stage about one value of t on each.
 
+The coefficients of R are fixed polynomials in the coefficients of the
+equations, such as a c^2, c^2 G and b F^2 above, so R is expanded once per
+support of the equations, as a template in their coefficient indices, and
+a member only evaluates it mod p.  The split of the equations by their
+exponents of s and t, with its power tables, and the terms of the partials
+of the Jacobian are built once per support and prime the same way.  A
+member of the family is then a coefficient vector on a support that only
+changes where a term of R vanishes mod p.
+
 Arithmetic is exact: the evaluation runs on int32 arrays, the solves and
 the tests on int64.  Every array is reduced mod p right after each product:
 each entry of a power table and of a monomial value, each sum of terms,
@@ -109,7 +118,7 @@ import itertools
 import math
 import operator
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,7 +126,7 @@ from .family import GodeauxFamily, canonical_action, reduce_family
 from .grouprep import CyclicAction
 from .reports import CheckReport
 from .scalars import PrimeField, Rationals, is_prime
-from .wpoly import MonomialMap, WPoly, WRing, jacobian
+from .wpoly import MonomialMap, WPoly, WRing
 
 MAX_ENUM_PRIME = 101
 _INT64_MAX = (1 << 63) - 1
@@ -127,6 +136,8 @@ CHUNK_LIMIT = 1 << 17
 MAIN_BOX = ((1,), 1)
 
 Terms = List[Tuple[Tuple[int, ...], int]]
+# the exponents of the terms of each equation, in term order
+Supports = Tuple[Tuple[Tuple[int, ...], ...], ...]
 
 
 @functools.lru_cache(maxsize=256)
@@ -222,48 +233,138 @@ def _t_parts(terms: Terms) -> List[Dict[Tuple[int, ...], int]]:
     the zero polynomial."""
     parts: List[Dict[Tuple[int, ...], int]] = []
     for e, c in terms:
-        parts.extend({} for _ in range(e[-1] + 1 - len(parts)))
+        while len(parts) <= e[-1]:
+            parts.append({})
         parts[e[-1]][e[:-1] + (0,)] = c
     return parts
 
 
-def _times(a: Dict[Tuple[int, ...], int], b: Dict[Tuple[int, ...], int],
-           p: int) -> Dict[Tuple[int, ...], int]:
-    """The product of two polynomials given as terms mod p."""
-    out: Dict[Tuple[int, ...], int] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(map(operator.add, ea, eb))
-            out[e] = (out.get(e, 0) + ca * cb) % p
-    return out
+def _indexed(supports: Supports) -> List[Iterator[Tuple[Tuple[int, ...], int]]]:
+    """The terms of each equation with each coefficient replaced by its
+    index in the coefficient vector, the coefficients of all equations in
+    term order; each equation's terms can be read once."""
+    starts = itertools.accumulate(map(len, supports), initial=0)
+    return [zip(s, itertools.count(start)) for s, start in zip(supports, starts)]
 
 
-def _eliminant(terms: Sequence[Terms], n: int, p: int) -> Optional[Terms]:
-    """Res_t(B t + C, h) = sum over k of h_k (-C)^k B^(d-k) mod p, free of
-    t, for the first equation B t + C of t-degree 1 (the pivot) and the
-    first other equation h = sum of h_k t^k of least positive t-degree d.
-    None without such a pair, or where the resultant is zero."""
-    parts = [_t_parts(ts) for ts in terms]
-    degrees = [len(q) - 1 for q in parts]
+def _supports(terms: Sequence[Terms]) -> Supports:
+    """The exponents of the terms of each equation, in term order: the key
+    of the memoized templates, which index the coefficients in this order."""
+    return tuple(tuple(e for e, _ in ts) for ts in terms)
+
+
+def _coefficients(terms: Sequence[Terms]) -> List[int]:
+    """The coefficients of every equation in term order: the vector that
+    the coefficient indices of the templates point into."""
+    return [c for ts in terms for _, c in ts]
+
+
+def _multinomial(chosen: Sequence[Tuple[Tuple[int, ...], int]]) -> int:
+    """The number of orders of a multiset of terms, given with equal terms
+    next to each other."""
+    return math.factorial(len(chosen)) // math.prod(
+        math.factorial(len(list(run))) for _, run in itertools.groupby(chosen))
+
+
+@functools.lru_cache(maxsize=64)
+def _eliminant_template(supports: Supports, n: int
+                        ) -> Optional[Tuple[Tuple[Tuple[int, ...], tuple], ...]]:
+    """Res_t(B t + C, h) expanded once for equations with these supports,
+    symbolically in their coefficients: (monomial, ((multiplicity, getter),
+    ...)) in increasing order of monomials, where the getter picks the
+    coefficients of one product out of the coefficient vector.  Each product
+    is one term of h_k, k terms of C and d - k of B, so no two choices give
+    the same product.  None without a pivot and an h, as in _eliminant.
+    Memoized by value."""
+    degrees = [max((e[-1] for e in s), default=-1) for s in supports]
     if 1 not in degrees:
         return None
     pivot = degrees.index(1)
     others = [k for k, d in enumerate(degrees) if d > 0 and k != pivot]
     if not others:
         return None
-    h = parts[min(others, key=degrees.__getitem__)]
-    c, b = parts[pivot]
+    indexed = _indexed(supports)
+    h = _t_parts(indexed[min(others, key=degrees.__getitem__)])
+    c, b = _t_parts(indexed[pivot])
     d = len(h) - 1
-    one = {(0,) * n: 1}
-    neg_c, b_powers = [one], [one]
-    for _ in range(d):
-        neg_c.append(_times(neg_c[-1], {e: -v % p for e, v in c.items()}, p))
-        b_powers.append(_times(b_powers[-1], b, p))
-    total: Dict[Tuple[int, ...], int] = {}
+    zero = (0,) * n
+    total: Dict[Tuple[int, ...], list] = {}
     for k, hk in enumerate(h):
-        for e, v in _times(_times(hk, neg_c[k], p), b_powers[d - k], p).items():
-            total[e] = (total.get(e, 0) + v) % p
-    return sorted((e, v) for e, v in total.items() if v) or None
+        if not hk:
+            continue
+        for cs in itertools.combinations_with_replacement(c.items(), k):
+            for bs in itertools.combinations_with_replacement(b.items(), d - k):
+                mult = (-1) ** k * _multinomial(cs) * _multinomial(bs)
+                chosen = cs + bs
+                base = tuple(map(sum, zip(zero, *(e for e, _ in chosen))))
+                picks = tuple(j for _, j in chosen)
+                for e, i in hk.items():
+                    total.setdefault(tuple(map(operator.add, base, e)), []).append(
+                        (mult, operator.itemgetter(i, *picks)))
+    return tuple((e, tuple(total[e])) for e in sorted(total))
+
+
+def _eliminant(terms: Sequence[Terms], n: int, p: int) -> Optional[Terms]:
+    """Res_t(B t + C, h) = sum over k of h_k (-C)^k B^(d-k) mod p, free of
+    t, for the first equation B t + C of t-degree 1 (the pivot) and the
+    first other equation h = sum of h_k t^k of least positive t-degree d.
+    None without such a pair, or where the resultant is zero.  Evaluated on
+    the coefficients from the template of the supports."""
+    template = _eliminant_template(_supports(terms), n)
+    if template is None:
+        return None
+    coeffs = _coefficients(terms)
+    out = []
+    for e, products in template:
+        v = sum(m * math.prod(get(coeffs)) for m, get in products) % p
+        if v:
+            out.append((e, v))
+    return out or None
+
+
+class _SplitLayout(NamedTuple):
+    """The part of a _Split that depends only on the supports of the
+    equations, with ``nonzeros`` as (q, i, outer monomial, coefficient
+    index) and every field immutable."""
+
+    step: int
+    filters: Tuple[int, ...]
+    equations: Tuple[slice, ...]
+    polys: int
+    monomials: int
+    width: int
+    tables: Tuple[np.ndarray, ...]
+    s_powers: np.ndarray
+    nonzeros: Tuple[Tuple[int, int, int, int], ...]
+
+
+@functools.lru_cache(maxsize=64)
+def _split_layout(supports: Supports, n: int, p: int) -> _SplitLayout:
+    """The _SplitLayout of equations with these supports over GF(p), built
+    on their coefficient indices and memoized by value; its arrays are
+    read-only."""
+    parts = [_t_parts(ts) for ts in _indexed(supports)]
+    tested = sorted((q for q in parts if len(q) > 1), key=len)
+    polys = sorted((q[0] for q in parts if len(q) == 1), key=lambda q: max(e[-2] for e in q))
+    step = 2 if all(e[-2] % 2 == 0 for q in polys for e in q) else 1
+    filters = tuple(max(e[-2] for e in q) // step for q in polys)
+    ends = itertools.accumulate(len(q) for q in tested)
+    equations = tuple(slice(end - len(q), end) for q, end in zip(tested, ends))
+    polys += [part for q in tested for part in q]
+    monomials = sorted({e[:-2] for q in polys for e in q})
+    index = {m: k for k, m in enumerate(monomials)}
+    nonzeros = tuple((k, e[-2], index[e[:-2]], c)
+                     for k, q in enumerate(polys) for e, c in q.items())
+    width = max((e[-2] for q in polys for e in q), default=0) + 1
+    top = max([width - 1, *itertools.chain.from_iterable(monomials)])
+    powers = _residue_powers(p, top)
+    exponents = np.array(monomials, dtype=np.int64).reshape(len(monomials), n - 2)
+    tables = tuple(powers[:, e].astype(np.int32) for e in exponents.T)
+    s_powers = powers[:, :width].T.astype(np.int32)
+    for table in tables + (s_powers,):
+        table.flags.writeable = False
+    return _SplitLayout(step, filters, equations, len(polys), len(monomials), width,
+                        tables, s_powers, nonzeros)
 
 
 class _Split:
@@ -282,30 +383,24 @@ class _Split:
     ``nonzeros`` lists the coefficients as (q, i, outer monomial, value);
     ``tables[v][a, m]`` is a^e mod p for the exponent e of the v-th outer
     coordinate in monomial m, and ``s_powers[i, a]`` is a^i mod p, for
-    every residue a and i below ``width``.  The tables are int32, and so
-    is every array evaluated from them."""
+    every residue a and i below ``width``.  The tables are read-only int32,
+    and so is every array evaluated from them.
+
+    All of this but the values in ``nonzeros`` depends only on the supports
+    of the equations, so it is taken from the _SplitLayout of the supports,
+    built once per (supports, n, p); a member only fills in its
+    coefficients."""
+
+    __slots__ = ("step", "filters", "equations", "polys", "monomials", "width",
+                 "tables", "s_powers", "nonzeros")
 
     def __init__(self, terms: Sequence[Terms], n: int, p: int):
-        parts = [_t_parts(ts) for ts in terms]
-        tested = sorted((q for q in parts if len(q) > 1), key=len)
-        polys = sorted((q[0] for q in parts if len(q) == 1), key=lambda q: max(e[-2] for e in q))
-        self.step = 2 if all(e[-2] % 2 == 0 for q in polys for e in q) else 1
-        self.filters = [max(e[-2] for e in q) // self.step for q in polys]
-        ends = itertools.accumulate(len(q) for q in tested)
-        self.equations = [slice(end - len(q), end) for q, end in zip(tested, ends)]
-        polys += [part for q in tested for part in q]
-        self.polys = len(polys)
-        monomials = sorted({e[:-2] for q in polys for e in q})
-        index = {m: k for k, m in enumerate(monomials)}
-        self.nonzeros = [(k, e[-2], index[e[:-2]], c)
-                         for k, q in enumerate(polys) for e, c in q.items()]
-        self.width = max((e[-2] for q in polys for e in q), default=0) + 1
-        top = max((max(e[:-1]) for q in polys for e in q), default=0)
-        powers = _residue_powers(p, top)
-        exponents = np.array(monomials, dtype=np.int64).reshape(len(monomials), n - 2)
-        self.monomials = len(monomials)
-        self.tables = [powers[:, e].astype(np.int32) for e in exponents.T]
-        self.s_powers = powers[:, :self.width].T.astype(np.int32)
+        layout = _split_layout(_supports(terms), n, p)
+        coeffs = _coefficients(terms)
+        self.step, self.polys, self.monomials = layout.step, layout.polys, layout.monomials
+        self.filters, self.equations = list(layout.filters), list(layout.equations)
+        self.width, self.tables, self.s_powers = layout.width, layout.tables, layout.s_powers
+        self.nonzeros = [(q, i, m, coeffs[k]) for q, i, m, k in layout.nonzeros]
 
     def outer_values(self, cols: np.ndarray, p: int) -> np.ndarray:
         """The coefficients of every polynomial q in s on the outer rows
@@ -808,11 +903,31 @@ SCAN_SCOPE = (
 AMBIENT_SINGULAR_LINE = ((0, 1, 2),)
 
 
+@functools.lru_cache(maxsize=64)
+def _jacobian_terms(supports: Supports, n: int, p: int
+                    ) -> Tuple[Tuple[Tuple[Tuple[Tuple[int, ...], int, int], ...], ...], ...]:
+    """The partials d f / d x_v of equations with these supports, for each
+    equation f and each coordinate v, as (exponent, coefficient index, e_v)
+    terms: the term c x^e of f gives e_v c x^(e - 1_v).  A term whose e_v
+    vanishes mod p is left out, as the partial over GF(p) has no such term.
+    Memoized by value."""
+    return tuple(
+        tuple(tuple((e[:v] + (e[v] - 1,) + e[v + 1:], k, e[v]) for e, k in ts if e[v] % p)
+              for v in range(n))
+        for ts in map(tuple, _indexed(supports)))
+
+
 def _rank_below_two(rows: np.ndarray, eqs: Sequence[WPoly], p: int) -> np.ndarray:
     """Which points of the rows make the Jacobian of the two equations of
-    rank below 2 mod p: those where each of its 2x2 minors vanishes."""
+    rank below 2 mod p: those where each of its 2x2 minors vanishes.  The
+    partials' terms come from the template of the supports (_jacobian_terms),
+    filled in with the member's coefficients."""
+    terms = [int_terms(f) for f in eqs]
+    coeffs = _coefficients(terms)
     cols = Columns(rows.T, p)
-    first, second = [[cols.evaluate(int_terms(d)) for d in row] for row in jacobian(eqs)]
+    first, second = [
+        [cols.evaluate([(e, coeffs[k] * m % p) for e, k, m in partial]) for partial in row]
+        for row in _jacobian_terms(_supports(terms), eqs[0].ring.nvars, p)]
     singular = np.ones(len(rows), dtype=bool)
     for v, w in itertools.combinations(range(len(first)), 2):
         singular &= (first[v] * second[w] - first[w] * second[v]) % p == 0

@@ -3,16 +3,18 @@
 import argparse
 import gc
 import hashlib
+import importlib
 import io
 import itertools
 import json
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from godeaux import cli, snf
+from godeaux import cli, snf, varieties
 from godeaux.cli import ConfigError, default_primes, main
 
 
@@ -918,13 +920,18 @@ def test_hostile_spellings_are_config_errors(argv, primes, text, tmp_path, monke
 # no garbage for the cycle collector
 
 
-def _workload_ops(work):
-    """One op of each kind of the three benchmark workloads, plus its probe."""
+def _perfbench(name):
+    """A module of the benchmark in perfbench/, imported by name."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
-        import workloads
+        return importlib.import_module(name)
     finally:
         sys.path.pop(0)
+
+
+def _workload_ops(work):
+    """One op of each kind of the three benchmark workloads, plus its probe."""
+    workloads = _perfbench("workloads")
     return [
         next(workloads.certify_stream(13, 1)),
         next(workloads.certify_stream(61, 1)),
@@ -956,3 +963,39 @@ def test_ops_leave_nothing_for_the_cycle_collector(tmp_path):
     finally:
         gc.enable()
     assert [kind for kind, count in left if count] == [], left
+
+
+# ---------------------------------------------------------------------------
+# the templates of a support call nothing the benchmark traces
+
+
+def test_template_memos_change_no_traced_count(tmp_path):
+    # the traced benchmark run requires equal counters across its passes,
+    # so a template built on a miss may call nothing it traces
+    tracing, workloads = _perfbench("tracing"), _perfbench("workloads")
+    ops = [next(workloads.certify_stream(13, 1)),
+           workloads.cone_config_op(random.Random(1), str(tmp_path), "trace")]
+    assert [op.argv[:2] for op in ops] == [["verify", "--prime"], ["cone", "degenerate"]]
+
+    def quiet(op):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return run(op.argv)
+
+    # every other per-process cache is filled first
+    codes = [quiet(op) for op in ops]
+    memos = (varieties._eliminant_template, varieties._split_layout, varieties._jacobian_terms)
+    for memo in memos:
+        memo.cache_clear()
+    counts = []
+    for _ in range(2):
+        tracer = tracing.Tracer()
+        for op_id, (op, code) in enumerate(zip(ops, codes)):
+            with tracer.installed(op_id):
+                assert quiet(op) == code
+        counts.append({name: stats["calls"] for name, stats in tracer.stats.items()})
+        # the first pass built every template, the second built none
+        assert [memo.cache_info().misses for memo in memos] == [2, 2, 1]
+    assert counts[0] == counts[1]
+    assert counts[0]["varieties.enumerate_points"] == 2
+    assert counts[0]["cone.classify_degeneration"] == 1
+    assert counts[0]["wpoly.jacobian"] == 0

@@ -5,6 +5,7 @@ import ast
 import gc
 import itertools
 import math
+import operator
 import random
 import re
 import tracemalloc
@@ -548,6 +549,69 @@ def test_eliminant_is_the_sylvester_determinant(p):
             assert value == want
 
 
+def times(a, b, p):
+    """The product of two polynomials given as terms mod p."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(operator.add, ea, eb))
+            out[e] = (out.get(e, 0) + ca * cb) % p
+    return out
+
+
+def dict_eliminant(terms, n, p):
+    """Res_t(B t + C, h) by dict products of the member's own terms, the
+    pivot and h chosen as the scan chooses them: the oracle for the
+    eliminant evaluated from its template."""
+    parts = [_t_parts(ts) for ts in terms]
+    degrees = [len(q) - 1 for q in parts]
+    if 1 not in degrees:
+        return None
+    pivot = degrees.index(1)
+    others = [k for k, d in enumerate(degrees) if d > 0 and k != pivot]
+    if not others:
+        return None
+    h = parts[min(others, key=degrees.__getitem__)]
+    c, b = parts[pivot]
+    d = len(h) - 1
+    one = {(0,) * n: 1}
+    neg_c, b_powers = [one], [one]
+    for _ in range(d):
+        neg_c.append(times(neg_c[-1], {e: -v % p for e, v in c.items()}, p))
+        b_powers.append(times(b_powers[-1], b, p))
+    total = {}
+    for k, hk in enumerate(h):
+        for e, v in times(times(hk, neg_c[k], p), b_powers[d - k], p).items():
+            total[e] = (total.get(e, 0) + v) % p
+    return sorted((e, v) for e, v in total.items() if v) or None
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 29, 61, 101])
+def test_eliminant_template_matches_the_dict_products(p):
+    rng = random.Random(300 + p)
+    systems = [eqs for eqs, _, _ in pivot_pairs(p, rng)]
+    for seed in range(8):
+        for enforce in (True, False):
+            fam = build_family(random_params(p, seed=seed, enforce_involution=enforce))
+            systems.append([fam.q0, fam.q2])
+            rational = build_family(random_params("Q", seed=seed, enforce_involution=enforce))
+            systems.append(_reduce_eqs(rational.ring, p, [rational.q0, rational.q2])[1])
+    ring = p3_ring(p)
+    first = linear_in_last(ring, rng)
+    systems.append([first, first * random_form(ring, 2, rng)])
+    found = []
+    for eqs in systems:
+        terms = [int_terms(f) for f in eqs]
+        n = eqs[0].ring.nvars
+        want = dict_eliminant(terms, n, p)
+        assert _eliminant(terms, n, p) == want
+        found.append(want)
+    # the multiple of the pivot has a zero resultant, and at p = 5 two
+    # members too
+    assert found[-1] is None
+    assert sum(r is None for r in found) == (3 if p == 5 else 1)
+
+
 def elimination_systems(rng):
     """(ring, equations) pairs over Q for the elimination stage: members
     whose pivot q0 has B = alpha y1, which vanishes on whole rows; h a
@@ -776,6 +840,78 @@ def test_member_independent_tables_are_built_once():
         patterns = varieties._element_patterns(fam.action, p)
         assert varieties._element_patterns(fam.action, p) is patterns
         assert [name for name, _ in patterns] == ["g", "g2", "g3"]
+        # the templates of a support: the eliminant's, the split layout and
+        # the Jacobian terms, each built once per key, shared by the
+        # _Split of every member, and with read-only arrays
+        terms = [int_terms(fam.q0), int_terms(fam.q2)]
+        supports = varieties._supports(terms)
+        template = varieties._eliminant_template(supports, 5)
+        assert varieties._eliminant_template(supports, 5) is template
+        jacobian_terms = varieties._jacobian_terms(supports, 5, p)
+        assert varieties._jacobian_terms(supports, 5, p) is jacobian_terms
+        full = terms + [_eliminant(terms, 5, p)]
+        layout = varieties._split_layout(varieties._supports(full), 5, p)
+        assert varieties._split_layout(varieties._supports(full), 5, p) is layout
+        split = _Split(full, 5, p)
+        assert split.tables is layout.tables and split.s_powers is layout.s_powers
+        for table in (*layout.tables, layout.s_powers):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 2
+
+    # at p = 13, 56 of the members of seeds 0-399 lose a term of the
+    # eliminant mod p (seed 1 among them), and the 400 members give 4
+    # eliminant supports, so 4 split layouts; the scans test as many
+    # candidates as they did when every member built its own layout
+    p = 13
+    varieties._eliminant_template.cache_clear()
+    varieties._split_layout.cache_clear()
+    lengths, candidates = [], 0
+    for seed in range(400):
+        fam = build_family(random_params(p, seed=seed))
+        terms = [int_terms(fam.q0), int_terms(fam.q2)]
+        eliminant = _eliminant(terms, 5, p)
+        assert eliminant == dict_eliminant(terms, 5, p)
+        lengths.append(len(eliminant))
+        if seed == 1:
+            assert len(eliminant) < len(varieties._eliminant_template(
+                varieties._supports(terms), 5))
+            split = _Split(terms + [eliminant], 5, p)
+            want = split_fields(terms + [dict_eliminant(terms, 5, p)], 5, p)
+            monomials = want.pop("monomials")
+            assert split.monomials == len(monomials)
+            for v, table in enumerate(split.tables):
+                assert table.tolist() == [[pow(a, m[v], p) for m in monomials]
+                                          for a in range(p)]
+            assert {name: getattr(split, name) for name in want} == want
+        surface_points.cache_clear()
+        candidates += surface_points(p, fam.q0, fam.q2).candidates
+    assert sum(n < max(lengths) for n in lengths) == 56
+    assert varieties._eliminant_template.cache_info().misses == 1
+    assert varieties._split_layout.cache_info().misses == 4
+    assert candidates == 26148
+
+
+def split_fields(terms, n, p):
+    """The fields of a _Split built straight from a member's own terms, as
+    each member built them before the layout was shared, with the outer
+    monomials themselves: the oracle for the layout of the supports."""
+    parts = [_t_parts(ts) for ts in terms]
+    tested = sorted((q for q in parts if len(q) > 1), key=len)
+    polys = sorted((q[0] for q in parts if len(q) == 1), key=lambda q: max(e[-2] for e in q))
+    step = 2 if all(e[-2] % 2 == 0 for q in polys for e in q) else 1
+    ends = itertools.accumulate(len(q) for q in tested)
+    equations = [slice(end - len(q), end) for q, end in zip(tested, ends)]
+    filters = [max(e[-2] for e in q) // step for q in polys]
+    polys += [part for q in tested for part in q]
+    monomials = sorted({e[:-2] for q in polys for e in q})
+    return {
+        "step": step, "filters": filters, "equations": equations, "polys": len(polys),
+        "width": max((e[-2] for q in polys for e in q), default=0) + 1,
+        "monomials": monomials,
+        "nonzeros": [(k, e[-2], monomials.index(e[:-2]), c)
+                     for k, q in enumerate(polys) for e, c in q.items()],
+    }
 
 
 def outer_rows(weights, p, d1=None):
