@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import functools
 import random
+import types
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .grouprep import (
     CyclicAction,
@@ -91,6 +92,16 @@ def allowed_support(ring: WRing, char: int, enforce_involution: bool) -> Tuple[E
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _support_names(ring: WRing, char: int, enforce_involution: bool) -> Mapping[str, Exponents]:
+    """The allowed support as a read-only map from each monomial, as the ring
+    prints it, to its exponents, in the order of the support.  Memoized like
+    allowed_support: random_params writes these names, and _poly_from_coeffs
+    reads them without parsing."""
+    return types.MappingProxyType({monomial_to_str(ring, e): e for e in
+                                   allowed_support(ring, char, enforce_involution)})
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     """Coefficient data for one member of the family.
@@ -139,21 +150,25 @@ class GodeauxFamily:
 
 def _poly_from_coeffs(ring: WRing, coeffs: Dict[str, object], char: int,
                       enforce: bool) -> WPoly:
-    allowed = set(allowed_support(ring, char, enforce))
-    full = set(allowed_support(ring, char, False))
+    """The quartic of the given character from its coefficients, keyed by
+    monomial: a key spelled as the ring prints an allowed monomial is looked
+    up, any other is parsed and checked against the supports."""
+    names = _support_names(ring, char, enforce)
     terms = {}
     for key, value in coeffs.items():
-        e = parse_monomial(ring, key)
-        if e not in full:
-            raise ValueError(
-                f"monomial {monomial_to_str(ring, e)} is not a degree-4 "
-                f"character-{char} monomial"
-            )
-        if e not in allowed:
-            raise ValueError(
-                f"monomial {monomial_to_str(ring, e)} is odd under an "
-                f"involution lift but enforce_involution is set"
-            )
+        e = names.get(key)
+        if e is None:
+            e = parse_monomial(ring, key)
+            if e not in allowed_support(ring, char, False):
+                raise ValueError(
+                    f"monomial {monomial_to_str(ring, e)} is not a degree-4 "
+                    f"character-{char} monomial"
+                )
+            if e not in allowed_support(ring, char, enforce):
+                raise ValueError(
+                    f"monomial {monomial_to_str(ring, e)} is odd under an "
+                    f"involution lift but enforce_involution is set"
+                )
         try:
             c = ring.field(value)
         except (TypeError, ValueError) as exc:
@@ -192,10 +207,8 @@ def random_params(field_spec="Q", seed: int = 0,
     rng = random.Random(seed)
     coeffs = []
     for char in QUARTIC_CHARACTERS:
-        block = {}
-        for e in allowed_support(ring, char, enforce_involution):
-            block[monomial_to_str(ring, e)] = field.random_nonzero(rng)
-        coeffs.append(block)
+        coeffs.append({name: field.random_nonzero(rng)
+                       for name in _support_names(ring, char, enforce_involution)})
     return FamilyParams(
         field_spec=field_spec,
         q0=coeffs[0],

@@ -60,13 +60,17 @@ changes where a term of R vanishes mod p.
 
 Arithmetic is exact: the evaluation runs on int32 arrays, the solves and
 the tests on int64.  Every array is reduced mod p right after each product:
-each entry of a power table and of a monomial value, each sum of terms,
-each product with the powers of s, each Horner step and the discriminant.
-So every factor, S and s among them, is below p, and no intermediate
-exceeds M * p^2 for a sum of M products (M the number of terms of one g_ij,
-or of powers of s), p^2 + p for a Horner step in S or in t and 5 p^2 for
-the discriminant: below 2^31 for p <= MAX_ENUM_PRIME while M stays below
-2^31 / p^2, about 210 000.
+each entry of a power table, each sum of terms, each product with the
+powers of s, each Horner step and the discriminant.  The value of an outer
+monomial is a product of table entries, one per outer coordinate, each
+below p; they are multiplied unreduced while the bound (p - 1)^k of k
+factors stays below 2^31, and the value is reduced once at the end.  For
+the Godeaux ring, with three outer coordinates and 101^3 < 2^20, that is
+one reduction instead of three.  So every factor, S and s among them, is
+below p, and no intermediate exceeds M * p^2 for a sum of M products (M
+the number of terms of one g_ij, or of powers of s), p^2 + p for a Horner
+step in S or in t and 5 p^2 for the discriminant: below 2^31 for
+p <= MAX_ENUM_PRIME while M stays below 2^31 / p^2, about 210 000.
 ``scanned`` counts the canonical representatives of the boxes covered,
 whether or not each was a candidate, and ``candidates`` the (row, t) pairs
 tested.  The points a scan emits are checked again, on their first read,
@@ -101,14 +105,19 @@ the kept one has the least.  So every point that is not kept has a smaller
 kept point in its orbit, and a property that the map preserves is first
 met, in scan order, at a kept row: it can be tested on the rows alone, and
 the points that have it number the sum of the sizes of the rows that have
-it.  Rank deficiency of the Jacobian of the surface is such a property.  q0
+it.  Rank deficiency of the Jacobian of the surface is such a property.
+Rank below 2 forces every 2x2 minor to vanish, so the minor in s and t is
+evaluated first, on every row, and the rows where it vanishes mod p, about
+1/p of them, are the only ones whose every minor is tested.  q0
 and q2 are eigenvectors of g, with characters chi, so J(g x) = diag(chi)
 J(x) diag(s)^-1 for the scalars s of g, of the rank of J(x); the weighted
 rescaling back to the main box multiplies the rows and the columns of J by
 powers of the scale, which keeps the rank too.  Lying on a union of
 coordinate subspaces is another, as g is diagonal: the ambient singular
 line, the points that a power of g fixes and the fixed locus of the
-involution are such unions.
+involution are such unions.  A point set codes, once per surface, which
+coordinates are 0 on each row, so each pattern of a union is one test of
+that code.
 """
 
 from __future__ import annotations
@@ -129,6 +138,7 @@ from .scalars import PrimeField, Rationals, is_prime
 from .wpoly import MonomialMap, WPoly, WRing
 
 MAX_ENUM_PRIME = 101
+_INT32_MAX = (1 << 31) - 1
 _INT64_MAX = (1 << 63) - 1
 CHUNK_LIMIT = 1 << 17
 # the box of the points whose first coordinate, of weight 1, is 1: (prefix,
@@ -405,11 +415,17 @@ class _Split:
     def outer_values(self, cols: np.ndarray, p: int) -> np.ndarray:
         """The coefficients of every polynomial q in s on the outer rows
         given by the (outer coordinate, row) columns, as a (q, i, row)
-        array mod p."""
+        array mod p.  The table entries are multiplied unreduced, and
+        reduced only where the next product could pass 2^31 - 1."""
         values = np.ones((cols.shape[1], self.monomials), dtype=np.int32)
+        bound = 1
         for table, col in zip(self.tables, cols):
+            if bound * (p - 1) > _INT32_MAX:
+                values %= p
+                bound = p - 1
             values *= table[col]
-            values %= p
+            bound *= p - 1
+        values %= p
         values = np.ascontiguousarray(values.T)
         out = np.zeros((self.polys, self.width, cols.shape[1]), dtype=np.int32)
         for q, i, m, c in self.nonzeros:
@@ -540,10 +556,13 @@ class PointSet:
     folded), and ``len`` their sum, the number of points.  ``scanned``
     counts the canonical representatives the scan covered, and
     ``candidates`` the (row, t) pairs it tested against the equations (None
-    for a point set not made by a scan).
+    for a point set not made by a scan).  ``zero_code`` holds, for each row,
+    the sum of 2^v over the coordinates v that are 0 on it, built once on
+    first read, so that every fixed-locus mask is one comparison per row.
     """
 
-    __slots__ = ("_rows", "sizes", "p", "ring", "eqs", "scanned", "candidates", "_checked")
+    __slots__ = ("_rows", "sizes", "p", "ring", "eqs", "scanned", "candidates", "_checked",
+                 "_zero_code")
 
     def __init__(self, points, p: int, ring: WRing, eqs: Sequence[WPoly],
                  scanned: int, candidates: Optional[int] = None,
@@ -559,6 +578,7 @@ class PointSet:
         self.scanned = scanned
         self.candidates = candidates
         self._checked = False
+        self._zero_code = None
 
     @property
     def rows(self) -> np.ndarray:
@@ -567,6 +587,14 @@ class PointSet:
             self._check()
             self._checked = True
         return self._rows
+
+    @property
+    def zero_code(self) -> np.ndarray:
+        """The read-only per-row code of the coordinates that are 0."""
+        if self._zero_code is None:
+            self._zero_code = (self._rows == 0) @ (1 << np.arange(self.ring.nvars))
+            self._zero_code.flags.writeable = False
+        return self._zero_code
 
     @property
     def points(self) -> Tuple[Tuple[int, ...], ...]:
@@ -798,14 +826,14 @@ def _fixed_patterns(weights: Tuple[int, ...], scalars: Tuple[int, ...],
     return tuple(sorted(minimal))
 
 
-def _fixed_mask(patterns: Sequence[Tuple[int, ...]], cols) -> np.ndarray:
-    """Which points of the columns lie in the fixed locus of the patterns."""
-    mask = np.zeros(len(cols[0]), dtype=bool)
+def _fixed_mask(patterns: Sequence[Tuple[int, ...]], code: np.ndarray) -> np.ndarray:
+    """Which rows lie in the fixed locus of the patterns, from their
+    ``PointSet.zero_code``: those where every coordinate of some pattern is
+    0."""
+    mask = np.zeros(len(code), dtype=bool)
     for bad in patterns:
-        sub = np.ones(len(cols[0]), dtype=bool)
-        for v in bad:
-            sub &= cols[v] == 0
-        mask |= sub
+        bits = sum(1 << v for v in bad)
+        mask |= (code & bits) == bits
     return mask
 
 
@@ -836,9 +864,8 @@ def fixed_locus(action: MonomialMap, p: int, eqs: Sequence[WPoly]) -> PointSet:
         raise ValueError("fixed_locus needs a map defined over GF(p) itself")
     patterns = _diagonal_fixed_patterns(action, p)
     locus = _scan(ring, p, eqs)
-    rows = locus._rows
-    return PointSet(rows[_fixed_mask(patterns, rows.T)], p, locus.ring, locus.eqs,
-                    locus.scanned, locus.candidates)
+    return PointSet(locus._rows[_fixed_mask(patterns, locus.zero_code)], p, locus.ring,
+                    locus.eqs, locus.scanned, locus.candidates)
 
 
 def _family_mod_p(fam: GodeauxFamily, p: int) -> GodeauxFamily:
@@ -903,34 +930,83 @@ SCAN_SCOPE = (
 AMBIENT_SINGULAR_LINE = ((0, 1, 2),)
 
 
+class _JacobianTerms(NamedTuple):
+    """The Jacobian of two equations on given supports over GF(p): its minor
+    in s and t as (monomial, ((multiplicity, i, j), ...)), the coefficient
+    of the monomial being the sum of multiplicity * c_i * c_j; and, one
+    entry per term of every partial d f / d x_v, read-only arrays of the
+    term's coefficient ``index``, a (term, f * n + v) matrix ``weights``
+    holding e_v in the column of its partial, and ``tables``, for each
+    coordinate v, the (a, term) matrix of a^(exponent of x_v in the term)
+    mod p."""
+
+    minor: Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[int, int, int], ...]], ...]
+    index: np.ndarray
+    weights: np.ndarray
+    tables: Tuple[np.ndarray, ...]
+
+
 @functools.lru_cache(maxsize=64)
-def _jacobian_terms(supports: Supports, n: int, p: int
-                    ) -> Tuple[Tuple[Tuple[Tuple[Tuple[int, ...], int, int], ...], ...], ...]:
-    """The partials d f / d x_v of equations with these supports, for each
-    equation f and each coordinate v, as (exponent, coefficient index, e_v)
-    terms: the term c x^e of f gives e_v c x^(e - 1_v).  A term whose e_v
-    vanishes mod p is left out, as the partial over GF(p) has no such term.
-    Memoized by value."""
-    return tuple(
-        tuple(tuple((e[:v] + (e[v] - 1,) + e[v + 1:], k, e[v]) for e, k in ts if e[v] % p)
-              for v in range(n))
-        for ts in map(tuple, _indexed(supports)))
+def _jacobian_terms(supports: Supports, n: int, p: int) -> _JacobianTerms:
+    """The _JacobianTerms of two equations with these supports over GF(p).
+    The term c x^e of f gives e_v c x^(e - 1_v) in d f / d x_v; a term whose
+    e_v vanishes mod p is left out, as the partial over GF(p) has no such
+    term.  Memoized by value."""
+    partials = [[[(e[:v] + (e[v] - 1,) + e[v + 1:], k, e[v]) for e, k in ts if e[v] % p]
+                 for v in range(n)] for ts in map(tuple, _indexed(supports))]
+    (fs, ft), (gs, gt) = (f[-2:] for f in partials)
+    minor: Dict[Tuple[int, ...], list] = {}
+    for sign, left, right in ((1, fs, gt), (-1, ft, gs)):
+        for (a, i, ea), (b, j, eb) in itertools.product(left, right):
+            minor.setdefault(tuple(map(operator.add, a, b)), []).append((sign * ea * eb, i, j))
+    flat = np.array([(k, m, f * n + v, *e) for f, row in enumerate(partials)
+                     for v, terms in enumerate(row) for e, k, m in terms],
+                    dtype=np.int64).reshape(-1, n + 3)
+    index, exponents = flat[:, 0], flat[:, 3:]
+    weights = np.eye(2 * n, dtype=np.int64)[flat[:, 2]] * flat[:, 1:2]
+    powers = _residue_powers(p, int(exponents.max(initial=0)))
+    tables = tuple(powers[:, e] for e in exponents.T)
+    for array in (index, weights, *tables):
+        array.flags.writeable = False
+    return _JacobianTerms(tuple((e, tuple(minor[e])) for e in sorted(minor)),
+                          index, weights, tables)
+
+
+def _minors_vanish(rows: np.ndarray, coeffs: Sequence[int], jac: _JacobianTerms,
+                   p: int) -> np.ndarray:
+    """Which rows make every 2x2 minor of the Jacobian vanish mod p, with
+    every partial evaluated on every row at once.  A term of a partial of a
+    quartic is a product of at most three table entries, so with its
+    coefficient it is below p^4 < 2^27: each partial is reduced once, and so
+    is each minor."""
+    n = rows.shape[1]
+    values = np.ones((len(rows), len(jac.index)), dtype=np.int64)
+    for table, col in zip(jac.tables, rows.T):
+        values *= table[col]
+    values = values @ (jac.weights * np.array(coeffs)[jac.index][:, None] % p) % p
+    minors = values[:, :n, None] * values[:, None, n:]
+    return ((minors - minors.transpose(0, 2, 1)) % p == 0).all(axis=(1, 2))
 
 
 def _rank_below_two(rows: np.ndarray, eqs: Sequence[WPoly], p: int) -> np.ndarray:
     """Which points of the rows make the Jacobian of the two equations of
     rank below 2 mod p: those where each of its 2x2 minors vanishes.  The
-    partials' terms come from the template of the supports (_jacobian_terms),
-    filled in with the member's coefficients."""
+    terms come from the template of the supports (_jacobian_terms), filled
+    in with the member's coefficients.
+
+    The minor in the last two coordinates s and t is evaluated first, on
+    every row, as one polynomial; with sigma enforced it is
+    2 c (b t^2 - a s^2).  Only the rows where it vanishes mod p, about 1/p
+    of them, take the test of every minor (_minors_vanish); where it
+    vanishes identically, every row does."""
     terms = [int_terms(f) for f in eqs]
     coeffs = _coefficients(terms)
-    cols = Columns(rows.T, p)
-    first, second = [
-        [cols.evaluate([(e, coeffs[k] * m % p) for e, k, m in partial]) for partial in row]
-        for row in _jacobian_terms(_supports(terms), eqs[0].ring.nvars, p)]
-    singular = np.ones(len(rows), dtype=bool)
-    for v, w in itertools.combinations(range(len(first)), 2):
-        singular &= (first[v] * second[w] - first[w] * second[v]) % p == 0
+    jac = _jacobian_terms(_supports(terms), rows.shape[1], p)
+    minor = [(e, sum(m * coeffs[i] * coeffs[j] for m, i, j in products) % p)
+             for e, products in jac.minor]
+    pending = np.flatnonzero(Columns(rows.T, p).evaluate(minor) == 0)
+    singular = np.zeros(len(rows), dtype=bool)
+    singular[pending] = _minors_vanish(rows[pending], coeffs, jac, p)
     return singular
 
 
@@ -942,7 +1018,9 @@ def check_quasi_smooth(fam_p: GodeauxFamily, p: int) -> CheckReport:
     Both tests run on the rows of the scan folded by g, one per orbit of g
     on the main box off x2 = 0 (one per point when p = 3 mod 4).  The
     ambient line and the singular locus are g-stable, so the first row on
-    either is the first point on it.
+    either is the first point on it.  The line is read off the surface's
+    zero code; the rank test takes every minor only on the rows where the
+    minor in y1 and y3 vanishes (_rank_below_two).
 
     A pass shows that no GF(p)-rational point of the reduction mod p is
     singular.  Points over extensions of GF(p) are not checked, so this is
@@ -950,7 +1028,7 @@ def check_quasi_smooth(fam_p: GodeauxFamily, p: int) -> CheckReport:
     """
     surface = surface_points(p, fam_p.q0, fam_p.q2)
     rows = surface.rows
-    on = _fixed_mask(AMBIENT_SINGULAR_LINE, rows.T)
+    on = _fixed_mask(AMBIENT_SINGULAR_LINE, surface.zero_code)
     witness = rows[np.argmax(on)].tolist() if on.any() else None
     if fam_p.q0.coefficient((0, 0, 0, 1, 1)) == fam_p.ring.field.zero():
         hit = ("ambient-singular-locus hit: q0 misses y1 y3, so the "
@@ -1007,7 +1085,7 @@ def check_free_action(fam_p: GodeauxFamily, p: int) -> CheckReport:
     sizes = {}
     for name, patterns in _element_patterns(fam_p.action, p):
         sizes[name] = _fixed_point_count(fam_p.ring.weights, patterns, p)
-        hits = rows[_fixed_mask(patterns, rows.T)]
+        hits = rows[_fixed_mask(patterns, surface.zero_code)]
         if len(hits) and witness is None:
             witness = {"element": name, "point": hits[0].tolist()}
     notes = (SCAN_SCOPE,) if witness else (
@@ -1045,7 +1123,7 @@ def check_fixed_locus(fam_p: GodeauxFamily, p: int) -> CheckReport:
     info = sigma_fixed_components(fam_p, p)
     surface = surface_points(p, fam_p.q0, fam_p.q2)
     rows = surface.rows
-    on = _fixed_mask(info["patterns"], rows.T)
+    on = _fixed_mask(info["patterns"], surface.zero_code)
     hits = rows[on]
     return CheckReport(
         check="fixed-locus",

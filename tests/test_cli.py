@@ -230,6 +230,7 @@ def test_verify_draws_share_the_allowed_supports(monkeypatch):
 
     monkeypatch.setattr(family, "eigenspace_basis", counting)
     family.allowed_support.cache_clear()
+    family._support_names.cache_clear()
     assert run(["verify", "--prime", "13", "--draws", "5"]) == 0
     assert 0 < len(calls) <= 4
 
@@ -369,7 +370,9 @@ def test_cone_reports_are_pinned(tmp_path, monkeypatch):
 # [1, 3, 4, 5, 15] and [1, 3, 17, 5, 4].  The last two, pinned before the
 # free-action and fixed-locus checks moved onto one row per orbit of g,
 # cover their witnesses: g^2 fixes [1, 0, 4, 0, 0], and the fixed locus
-# of the involution misses the surface
+# of the involution misses the surface.  The last, pinned before the
+# Jacobian test took the minor in s and t first, is singular at
+# [1, 5, 45, 7, 8], off x2 = 0 with s and t nonzero, at a large prime
 PINNED_VERIFY_REPORTS = {
     ("--prime", "13", "--draws", "20", "--seed", "42"):
         (0, "ca3ad9936583e179b48e88ef0538840f7b5bf9acc451b90efe83b9da1ac3b95e"),
@@ -387,6 +390,8 @@ PINNED_VERIFY_REPORTS = {
         (1, "1b3c64ce5400dec8eceb736f7e30306a2d774a69e79530139e05806707f297bd"),
     ("--prime", "13", "--seed", "42", "--retry-budget", "0"):
         (1, "5250cf2cea246426400299362b41a07dcab4dcc809d09dbc46dfc9aa25201570"),
+    ("--prime", "61", "--seed", "123", "--retry-budget", "0", "--checks", "quasi-smooth"):
+        (1, "4ee69c575331514925adf63589bb8073f6cfc07e08046f791bf91726d99873b8"),
 }
 
 
@@ -399,6 +404,19 @@ def test_verify_reports_are_pinned(tmp_path, monkeypatch):
             out.unlink()
         assert run(["verify", *argv, "--output", "reports.json"]) == code, argv
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
+
+
+def test_singular_draw_at_a_large_prime_keeps_its_witness(tmp_path):
+    # the minor in s and t vanishes at the witness, so it is found by the
+    # test of every minor on the few rows where that one vanishes
+    out = tmp_path / "reports.json"
+    argv = ["verify", "--prime", "61", "--seed", "123", "--retry-budget", "0",
+            "--checks", "quasi-smooth", "--output", str(out)]
+    assert run(argv) == 1
+    (report,) = json.loads(out.read_text())
+    assert report["status"] == "fail"
+    assert report["witness"] == [1, 5, 45, 7, 8]
+    assert "failure_mode" not in report["data"]
 
 
 # sha256 of the canonical JSON and the exit status of the table1, cover and

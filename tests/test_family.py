@@ -402,3 +402,45 @@ def test_constants_are_consistent():
     g2 = tuple(e // 2 for e in action.power(2).exponents)
     assert CyclicAction(ring, 2, tuple(a + b for a, b in zip(sigma.exponents, g2))) == sigma_g2
     assert (sigma.order, sigma_g2.order) == (2, 2)
+
+
+def test_printed_names_are_read_without_the_parser(monkeypatch):
+    # random_params writes the memoized printed names of the support, in its
+    # order, and build_family reads them back without parse_monomial; any
+    # other spelling is parsed, to the same polynomial and the same errors
+    import godeaux.family as family
+
+    parsed = []
+    original = family.parse_monomial
+
+    def counting(ring, text):
+        parsed.append(text)
+        return original(ring, text)
+
+    monkeypatch.setattr(family, "parse_monomial", counting)
+    ring = canonical_ring(PrimeField(13))
+    for enforce in (True, False):
+        params = random_params(13, seed=5, enforce_involution=enforce)
+        for char, block in zip((0, 2), (params.q0, params.q2)):
+            names = family._support_names(ring, char, enforce)
+            assert family._support_names(ring, char, enforce) is names
+            assert list(names) == list(block)
+            assert list(names.values()) == list(allowed_support(ring, char, enforce))
+            assert list(names) == [monomial_to_str(ring, e) for e in names.values()]
+            with pytest.raises(TypeError):
+                names["x1^4"] = (4, 0, 0, 0, 0)
+        fam = build_family(params)
+        assert parsed == []
+        reversed_params = FamilyParams(
+            field_spec=13, enforce_involution=enforce,
+            q0={" ".join(reversed(k.split())): v for k, v in params.q0.items()},
+            q2={" ".join(reversed(k.split())): v for k, v in params.q2.items()})
+        respelled = build_family(reversed_params)
+        assert (respelled.q0, respelled.q2) == (fam.q0, fam.q2)
+        keys = list(reversed_params.q0) + list(reversed_params.q2)
+        assert parsed == [k for k in keys if " " in k]
+        parsed.clear()
+    with pytest.raises(ValueError, match="odd under an"):
+        build_family(FamilyParams(q0={"y1 x2 x1": 1}, q2={"y1^2": 1}))
+    with pytest.raises(ValueError, match="character-0"):
+        build_family(FamilyParams(q0={"x1^4": 1, "y1^2": 1}, q2={"y1^2": 1}))

@@ -358,6 +358,81 @@ def test_split_evaluation_is_exact_at_the_largest_prime():
         assert _horner(coeffs, row, t, p).tolist() == [value] * 6
 
 
+def reduced_outer_values(split, cols, p):
+    """The coefficients of _Split.outer_values with each product of table
+    entries reduced mod p: the oracle for the single reduction."""
+    values = np.ones((cols.shape[1], split.monomials), dtype=np.int64)
+    for table, col in zip(split.tables, cols):
+        values = values * table[col] % p
+    out = np.zeros((split.polys, split.width, cols.shape[1]), dtype=np.int64)
+    for q, i, m, c in split.nonzeros:
+        out[q, i] += c * values[:, m]
+    return out % p
+
+
+@pytest.mark.parametrize("weights, degree", [(W_GODEAUX, 8), (W_GODEAUX, 15), ((1,) * 7, 5)])
+def test_outer_values_reduce_once_where_the_bound_allows(weights, degree):
+    # every coefficient p - 1 at the largest prime, on rows of every
+    # coordinate p - 1 and on random rows.  On the Godeaux ring three outer
+    # coordinates give products below (p - 1)^3 < 2^31, reduced once; five
+    # give (p - 1)^5 >= 2^31 for the monomial v0 v1 v2 v3 v4, so a
+    # reduction is forced in between.  At degree 15 the 28 outer monomials
+    # of s^0 t^0 with three odd exponents are each (p - 1)^3 unreduced, and
+    # their sum with the coefficients passes 2^31 unless the monomial
+    # values are reduced before the sum
+    p = MAX_ENUM_PRIME
+    n = len(weights)
+    ring = WRing(tuple(f"v{i}" for i in range(n)), weights, PrimeField(p))
+    f = ring.zero_poly()
+    for e in monomials_of_degree(ring, degree):
+        f = f + ring.monomial(e, p - 1)
+    split = _Split([int_terms(f)], n, p)
+    assert ((p - 1) ** (n - 2) >= 1 << 31) == (n - 2 >= 5)
+    rng = np.random.default_rng(n)
+    cols = np.concatenate([np.full((n - 2, 3), p - 1), rng.integers(0, p, (n - 2, 200))],
+                          axis=1)
+    got = split.outer_values(cols, p)
+    assert got.dtype == np.int32
+    assert got.min() >= 0 and got.max() < p
+    assert got.tolist() == reduced_outer_values(split, cols, p).tolist()
+
+
+def loop_fixed_mask(patterns, cols):
+    """The fixed-locus mask from cols[v] == 0 for every coordinate of every
+    pattern: the oracle for the mask on the zero code."""
+    mask = np.zeros(len(cols[0]), dtype=bool)
+    for bad in patterns:
+        sub = np.ones(len(cols[0]), dtype=bool)
+        for v in bad:
+            sub &= cols[v] == 0
+        mask |= sub
+    return mask
+
+
+@pytest.mark.parametrize("p", [5, 13, 61])
+def test_fixed_mask_on_the_zero_code_matches_the_loop(p):
+    # the patterns of g, g^2, g^3, both involution lifts, the identity, the
+    # projective identity and the ambient singular line, on every ambient
+    # point at p = 5 and on the surface rows of two members
+    sets = [_diagonal_fixed_patterns(m, p) for m in diagonal_maps(p).values()]
+    sets.append(varieties.AMBIENT_SINGULAR_LINE)
+    point_sets = [enumerate_points(family_ring(p), p, [])] if p == 5 else []
+    for seed in (0, 1):
+        fam_p = varieties._family_mod_p(build_family(random_params(p, seed=seed)), p)
+        point_sets += [enumerate_points(fam_p.ring, p, [fam_p.q0, fam_p.q2]),
+                       surface_points(p, fam_p.q0, fam_p.q2)]
+    surface_points.cache_clear()
+    for points in point_sets:
+        rows = points.rows
+        code = points.zero_code
+        assert points.zero_code is code and not code.flags.writeable
+        assert code.tolist() == [sum(1 << v for v, x in enumerate(row) if x == 0)
+                                 for row in rows.tolist()]
+        for patterns in sets:
+            assert _fixed_mask(patterns, code).tolist() == \
+                loop_fixed_mask(patterns, rows.T).tolist()
+
+
 def test_s_stage_is_exact_at_the_largest_prime():
     # filters with every coefficient and every outer coordinate p - 1: the
     # largest residues, so the largest intermediates the s stage can meet.
@@ -1022,6 +1097,118 @@ def test_quasi_smooth_on_representatives_matches_every_row(p, seed):
         assert (rows[oracle][:, 1] != 0).any()
 
 
+# --- the minor in s and t first, every minor only where it vanishes
+
+
+def spy_full_test(monkeypatch):
+    """Record (rows, singular rows) of every call of the test of every
+    minor."""
+    calls = []
+    original = varieties._minors_vanish
+
+    def spy(rows, coeffs, jac, p):
+        singular = original(rows, coeffs, jac, p)
+        calls.append((len(rows), int(singular.sum())))
+        return singular
+
+    monkeypatch.setattr(varieties, "_minors_vanish", spy)
+    return calls
+
+
+def st_minor_vanishes(rows, eqs, p):
+    """Where the minor of the Jacobian in the last two coordinates vanishes,
+    each factor reduced mod p: the rows that take the full test."""
+    cols = list(rows.T)
+    (fs, ft), (gs, gt) = [[_eval_on_columns(d, cols, p, {}) for d in row[-2:]]
+                          for row in jacobian(eqs)]
+    return (fs * gt - ft * gs) % p == 0
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 29, 61, 101])
+def test_minor_first_matches_every_minor(p, monkeypatch):
+    # seeded members over GF(p) with sigma enforced and not, and members
+    # over Q reduced mod p, on their surface points and on random rows
+    calls = spy_full_test(monkeypatch)
+    rng = np.random.default_rng(p)
+    systems = []
+    for seed in range(4):
+        for enforce in (True, False):
+            fam = build_family(random_params(p, seed=seed, enforce_involution=enforce))
+            systems.append((fam.ring, [fam.q0, fam.q2]))
+            rational = build_family(random_params("Q", seed=seed, enforce_involution=enforce))
+            systems.append(_reduce_eqs(rational.ring, p, [rational.q0, rational.q2]))
+    pending = singular = 0
+    for ring, eqs in systems:
+        random_rows = rng.integers(0, p, size=(200, 5))
+        random_rows[rng.random(random_rows.shape) < 0.2] = 0
+        for rows in (enumerate_points(ring, p, eqs).rows, random_rows):
+            oracle = full_rank_below_two(rows, eqs, p)
+            assert varieties._rank_below_two(rows, eqs, p).tolist() == oracle.tolist()
+            pending += int(st_minor_vanishes(rows, eqs, p).sum())
+            singular += int(oracle.sum())
+    # the full test saw exactly the rows where the minor in s and t vanishes
+    assert sum(rows for rows, _ in calls) == pending
+    assert sum(hits for _, hits in calls) == singular > 0
+
+
+def test_minor_first_on_the_forced_singular_member():
+    # the member of test_quasi_smooth_catches_forced_singularity over GF(13)
+    params = FamilyParams(
+        field_spec=13,
+        q0={"x2^4": 1, "x3^4": 1, "x1^2 x3^2": 1, "x1 x2^2 x3": 1, "y1 y3": 1},
+        q2={"x1^2 x2^2": 1, "x2^2 x3^2": 1, "x1^3 x3": 1, "x1 x3^3": 1,
+            "y1^2": 1, "y3^2": 1},
+    )
+    fam = build_family(params)
+    eqs = [fam.q0, fam.q2]
+    rows = enumerate_points(fam.ring, 13, eqs).rows
+    singular = varieties._rank_below_two(rows, eqs, 13)
+    assert singular.tolist() == full_rank_below_two(rows, eqs, 13).tolist()
+    assert [1, 0, 0, 0, 0] in rows[singular].tolist()
+
+
+def test_minor_first_sends_every_row_on_when_that_minor_vanishes(monkeypatch):
+    # neither equation's partials in s and t pair up: q0 is free of y1 and
+    # y3, so the minor in s and t is the zero polynomial and every row takes
+    # the full test; x1 = x2 = x3 = 0 makes the first row of J vanish
+    p = 13
+    ring = family_ring(p)
+    eqs = [parse_poly(ring, "x1^4 + 2*x2^4 + x3^4 + x1 x2 x3^2"),
+           parse_poly(ring, "y1^2 + 3*y3^2 + x1^2 x2^2 + x2 x3 y1")]
+    terms = [int_terms(f) for f in eqs]
+    assert varieties._jacobian_terms(varieties._supports(terms), 5, p).minor == ()
+    calls = spy_full_test(monkeypatch)
+    rng = np.random.default_rng(7)
+    rows = np.concatenate([enumerate_points(ring, p, eqs).rows,
+                           rng.integers(0, p, size=(300, 5)),
+                           [[0, 0, 0, 1, 5], [0, 0, 0, 0, 1]]])
+    singular = varieties._rank_below_two(rows, eqs, p)
+    assert singular.tolist() == full_rank_below_two(rows, eqs, p).tolist()
+    assert calls == [(len(rows), int(singular.sum()))]
+    assert singular[-2:].all()
+
+
+@pytest.mark.parametrize("p, rows, pending, singular", [(13, 2583, 191, 12),
+                                                        (61, 41373, 619, 0)])
+def test_minor_first_counts(p, rows, pending, singular, monkeypatch):
+    # the members of seeds 0-39 on their folded surface rows: about 1/p of
+    # the rows take the test of every minor
+    calls = spy_full_test(monkeypatch)
+    total = 0
+    for seed in range(40):
+        fam_p = varieties._family_mod_p(build_family(random_params(p, seed=seed)), p)
+        eqs = [fam_p.q0, fam_p.q2]
+        surface_points.cache_clear()
+        reps = surface_points(p, *eqs).rows
+        total += len(reps)
+        assert varieties._rank_below_two(reps, eqs, p).tolist() == \
+            full_rank_below_two(reps, eqs, p).tolist()
+    surface_points.cache_clear()
+    assert len(calls) == 40
+    assert (total, sum(n for n, _ in calls), sum(k for _, k in calls)) == \
+        (rows, pending, singular)
+
+
 def test_representatives_are_checked_and_unfold_to_the_rows():
     fam = build_family(random_params(13, seed=5))
     g = group_generator(fam.ring)
@@ -1263,9 +1450,10 @@ def test_surface_hits_match_fixed_locus_scan(p):
     for seed, enforce in ((0, True), (1, True), (2, False), (3, False)):
         fam = build_family(random_params(p, seed=seed, enforce_involution=enforce))
         eqs = [fam.q0, fam.q2]
-        rows = enumerate_points(fam.ring, p, eqs).rows
+        surface = enumerate_points(fam.ring, p, eqs)
+        rows = surface.rows
         for name, m in maps.items():
-            hits = rows[_fixed_mask(_diagonal_fixed_patterns(m, p), rows.T)]
+            hits = rows[_fixed_mask(_diagonal_fixed_patterns(m, p), surface.zero_code)]
             assert [tuple(h) for h in hits.tolist()] == list(fixed_locus(m, p, eqs).points), name
 
 
@@ -1399,10 +1587,11 @@ def test_fixed_locus_hits_count_points_not_rows(monkeypatch):
                         lambda fam, p: {**info, "patterns": ((3,),)})
     surface_points.cache_clear()
     report = check_fixed_locus(fam_p, 13)
-    rows = surface_points(13, *eqs).rows
-    full = enumerate_points(fam_p.ring, 13, eqs).rows
-    hits = full[_fixed_mask(((3,),), full.T)]
-    assert _fixed_mask(((3,),), rows.T).sum() < len(hits)
+    folded = surface_points(13, *eqs)
+    unfolded = enumerate_points(fam_p.ring, 13, eqs)
+    full = unfolded.rows
+    hits = full[_fixed_mask(((3,),), unfolded.zero_code)]
+    assert _fixed_mask(((3,),), folded.zero_code).sum() < len(hits)
     assert report.data["surface_hits"] == len(hits)
     assert report.data["sample"] == hits[0].tolist()
     surface_points.cache_clear()
