@@ -74,7 +74,6 @@ from .varieties import (
     check_free_action,
     check_quasi_smooth,
     guard_prime,
-    surface_points,
 )
 from .wpoly import parse_poly
 
@@ -227,8 +226,6 @@ def cmd_verify(args) -> List[CheckReport]:
         raise ConfigError(f"unknown checks {unknown}; choose from {sorted(runners)}")
     if args.draws < 1:
         raise ConfigError(f"draws must be >= 1, got {args.draws}")
-    # every run scans its own surfaces, so repeated runs do the same work
-    surface_points.cache_clear()
     rng = random.Random(args.seed)
     reports: List[CheckReport] = []
     for p in primes:

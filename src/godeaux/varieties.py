@@ -52,11 +52,13 @@ of s, and the t stage about one value of t on each.
 The coefficients of R are fixed polynomials in the coefficients of the
 equations, such as a c^2, c^2 G and b F^2 above, so R is expanded once per
 support of the equations, as a template in their coefficient indices, and
-a member only evaluates it mod p.  The split of the equations by their
-exponents of s and t, with its power tables, and the terms of the partials
-of the Jacobian are built once per support and prime the same way.  A
-member of the family is then a coefficient vector on a support that only
-changes where a term of R vanishes mod p.
+a member only fills it in mod p (``_fill``), as it does the minor in s and
+t of the Jacobian, a template of the same form.  The split of the
+equations by their exponents of s and t, with its power tables, and the
+terms of the partials of the Jacobian are built once per support and prime
+the same way, and read through the member's coefficient vector.  A member
+of the family is then a coefficient vector on a support that only changes
+where a term of R vanishes mod p.
 
 Arithmetic is exact: the evaluation runs on int32 arrays, the solves and
 the tests on int64.  Every array is reduced mod p right after each product:
@@ -148,6 +150,9 @@ MAIN_BOX = ((1,), 1)
 Terms = List[Tuple[Tuple[int, ...], int]]
 # the exponents of the terms of each equation, in term order
 Supports = Tuple[Tuple[Tuple[int, ...], ...], ...]
+# a polynomial in the coefficients of a vector: (monomial, ((multiplicity,
+# getter), ...)), the getter picking the factors of one product (see _fill)
+Template = Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[int, Callable], ...]], ...]
 
 
 @functools.lru_cache(maxsize=256)
@@ -276,16 +281,25 @@ def _multinomial(chosen: Sequence[Tuple[Tuple[int, ...], int]]) -> int:
         math.factorial(len(list(run))) for _, run in itertools.groupby(chosen))
 
 
+def _fill(template: Template, coeffs: Sequence[int], p: int) -> Terms:
+    """The polynomial of a template mod p for one coefficient vector: the
+    coefficient of each monomial is the sum of multiplicity times product
+    over its products.  Terms that vanish mod p are left out."""
+    out = []
+    for e, products in template:
+        v = sum(m * math.prod(get(coeffs)) for m, get in products) % p
+        if v:
+            out.append((e, v))
+    return out
+
+
 @functools.lru_cache(maxsize=64)
-def _eliminant_template(supports: Supports, n: int
-                        ) -> Optional[Tuple[Tuple[Tuple[int, ...], tuple], ...]]:
+def _eliminant_template(supports: Supports, n: int) -> Optional[Template]:
     """Res_t(B t + C, h) expanded once for equations with these supports,
-    symbolically in their coefficients: (monomial, ((multiplicity, getter),
-    ...)) in increasing order of monomials, where the getter picks the
-    coefficients of one product out of the coefficient vector.  Each product
-    is one term of h_k, k terms of C and d - k of B, so no two choices give
-    the same product.  None without a pivot and an h, as in _eliminant.
-    Memoized by value."""
+    symbolically in their coefficients, as a Template in increasing order
+    of monomials.  Each product is one term of h_k, k terms of C and d - k
+    of B, so no two choices give the same product.  None without a pivot
+    and an h, as in _eliminant.  Memoized by value."""
     degrees = [max((e[-1] for e in s), default=-1) for s in supports]
     if 1 not in degrees:
         return None
@@ -314,28 +328,40 @@ def _eliminant_template(supports: Supports, n: int
     return tuple((e, tuple(total[e])) for e in sorted(total))
 
 
-def _eliminant(terms: Sequence[Terms], n: int, p: int) -> Optional[Terms]:
+def _eliminant(supports: Supports, coeffs: Sequence[int], n: int, p: int
+               ) -> Optional[Terms]:
     """Res_t(B t + C, h) = sum over k of h_k (-C)^k B^(d-k) mod p, free of
     t, for the first equation B t + C of t-degree 1 (the pivot) and the
-    first other equation h = sum of h_k t^k of least positive t-degree d.
-    None without such a pair, or where the resultant is zero.  Evaluated on
-    the coefficients from the template of the supports."""
-    template = _eliminant_template(_supports(terms), n)
-    if template is None:
-        return None
-    coeffs = _coefficients(terms)
-    out = []
-    for e, products in template:
-        v = sum(m * math.prod(get(coeffs)) for m, get in products) % p
-        if v:
-            out.append((e, v))
-    return out or None
+    first other equation h = sum of h_k t^k of least positive t-degree d,
+    of equations with these supports and coefficients.  None without such
+    a pair, or where the resultant is zero.  The template of the supports,
+    filled in."""
+    template = _eliminant_template(supports, n)
+    return None if template is None else _fill(template, coeffs, p) or None
 
 
 class _SplitLayout(NamedTuple):
-    """The part of a _Split that depends only on the supports of the
-    equations, with ``nonzeros`` as (q, i, outer monomial, coefficient
-    index) and every field immutable."""
+    """The equations of a scan split by the exponents (i, j) of the last two
+    coordinates s and t: each is the sum of g_ij(outer) s^i t^j, where g_ij
+    is a polynomial in the other (outer) coordinates.
+
+    The scan evaluates polynomials in s, numbered q: first one per equation
+    free of t (the filters), then g_0j + g_1j s + ... for j = 0, 1, ... of
+    each equation of positive t-degree, in increasing order of t-degree, so
+    that t is solved from the first; ``equations`` holds the range of q of
+    each of these, counted from the first.  ``filters`` holds the degree of
+    each filter in S = s^step, in increasing order: ``step`` is 2 when every
+    exponent of s in the filters is even, 1 otherwise.
+    The zero polynomial, which vanishes everywhere, is left out.
+    ``nonzeros`` lists the terms as (q, i, outer monomial, coefficient
+    index), the index into the coefficient vector of the equations;
+    ``tables[v][a, m]`` is a^e mod p for the exponent e of the v-th outer
+    coordinate in monomial m, and ``s_powers[i, a]`` is a^i mod p, for
+    every residue a and i below ``width``.  The tables are read-only int32.
+
+    None of this depends on the coefficients, so it is built once per
+    (supports, n, p) (_split_layout); a member reads it through its
+    coefficient vector (outer_values)."""
 
     step: int
     filters: Tuple[int, ...]
@@ -377,61 +403,28 @@ def _split_layout(supports: Supports, n: int, p: int) -> _SplitLayout:
                         tables, s_powers, nonzeros)
 
 
-class _Split:
-    """The equations of a scan split by the exponents (i, j) of the last two
-    coordinates s and t: each is the sum of g_ij(outer) s^i t^j, where g_ij
-    is a polynomial in the other (outer) coordinates.
-
-    The scan evaluates polynomials in s, numbered q: first one per equation
-    free of t (the filters), then g_0j + g_1j s + ... for j = 0, 1, ... of
-    each equation of positive t-degree, in increasing order of t-degree, so
-    that t is solved from the first; ``equations`` holds the range of q of
-    each of these, counted from the first.  ``filters`` holds the degree of
-    each filter in S = s^step, in increasing order: ``step`` is 2 when every
-    exponent of s in the filters is even, 1 otherwise.
-    The zero polynomial, which vanishes everywhere, is left out.
-    ``nonzeros`` lists the coefficients as (q, i, outer monomial, value);
-    ``tables[v][a, m]`` is a^e mod p for the exponent e of the v-th outer
-    coordinate in monomial m, and ``s_powers[i, a]`` is a^i mod p, for
-    every residue a and i below ``width``.  The tables are read-only int32,
-    and so is every array evaluated from them.
-
-    All of this but the values in ``nonzeros`` depends only on the supports
-    of the equations, so it is taken from the _SplitLayout of the supports,
-    built once per (supports, n, p); a member only fills in its
-    coefficients."""
-
-    __slots__ = ("step", "filters", "equations", "polys", "monomials", "width",
-                 "tables", "s_powers", "nonzeros")
-
-    def __init__(self, terms: Sequence[Terms], n: int, p: int):
-        layout = _split_layout(_supports(terms), n, p)
-        coeffs = _coefficients(terms)
-        self.step, self.polys, self.monomials = layout.step, layout.polys, layout.monomials
-        self.filters, self.equations = list(layout.filters), list(layout.equations)
-        self.width, self.tables, self.s_powers = layout.width, layout.tables, layout.s_powers
-        self.nonzeros = [(q, i, m, coeffs[k]) for q, i, m, k in layout.nonzeros]
-
-    def outer_values(self, cols: np.ndarray, p: int) -> np.ndarray:
-        """The coefficients of every polynomial q in s on the outer rows
-        given by the (outer coordinate, row) columns, as a (q, i, row)
-        array mod p.  The table entries are multiplied unreduced, and
-        reduced only where the next product could pass 2^31 - 1."""
-        values = np.ones((cols.shape[1], self.monomials), dtype=np.int32)
-        bound = 1
-        for table, col in zip(self.tables, cols):
-            if bound * (p - 1) > _INT32_MAX:
-                values %= p
-                bound = p - 1
-            values *= table[col]
-            bound *= p - 1
-        values %= p
-        values = np.ascontiguousarray(values.T)
-        out = np.zeros((self.polys, self.width, cols.shape[1]), dtype=np.int32)
-        for q, i, m, c in self.nonzeros:
-            out[q, i] += c * values[m]
-        out %= p
-        return out
+def outer_values(split: _SplitLayout, coeffs: Sequence[int], cols: np.ndarray,
+                 p: int) -> np.ndarray:
+    """The coefficients of every polynomial q in s of the split on the
+    outer rows given by the (outer coordinate, row) columns, for the
+    coefficient vector coeffs, as a (q, i, row) array mod p.  The table
+    entries are multiplied unreduced, and reduced only where the next
+    product could pass 2^31 - 1."""
+    values = np.ones((cols.shape[1], split.monomials), dtype=np.int32)
+    bound = 1
+    for table, col in zip(split.tables, cols):
+        if bound * (p - 1) > _INT32_MAX:
+            values %= p
+            bound = p - 1
+        values *= table[col]
+        bound *= p - 1
+    values %= p
+    values = np.ascontiguousarray(values.T)
+    out = np.zeros((split.polys, split.width, cols.shape[1]), dtype=np.int32)
+    for q, i, m, k in split.nonzeros:
+        out[q, i] += coeffs[k] * values[m]
+    out %= p
+    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -661,7 +654,7 @@ def _outer_batches(weights: Tuple[int, ...], p: int, d1: Optional[int] = None
     return tuple(rows[:, first:first + step] for first in range(0, rows.shape[1], step))
 
 
-def _solve_s(g: np.ndarray, s_fixed: np.ndarray, p: int, split: _Split,
+def _solve_s(g: np.ndarray, s_fixed: np.ndarray, p: int, split: _SplitLayout,
              fibres: _Fibres) -> np.ndarray:
     """The keys row * p + s, in increasing order, of the (outer row, s)
     where every filter vanishes, from the (q, i, row) coefficients g.  S =
@@ -682,10 +675,12 @@ def _solve_s(g: np.ndarray, s_fixed: np.ndarray, p: int, split: _Split,
     return np.sort(row[inside] * p + s[inside])
 
 
-def _batch_points(batch: np.ndarray, p: int, split: _Split, fibres: _Fibres):
-    """The points on a batch of outer rows where every equation vanishes,
-    as pairs of an array of rows in lexicographic order and the number of
-    (row, t) candidates tested.
+def _batch_points(batch: np.ndarray, p: int, split: _SplitLayout, coeffs: Sequence[int],
+                  fibres: _Fibres):
+    """The points on a batch of outer rows where every equation of the
+    split, with the coefficient vector coeffs, vanishes, as pairs of an
+    array of rows in lexicographic order and the number of (row, t)
+    candidates tested.
 
     s is solved on each outer row from the filters (_solve_s).  The
     coefficients in t of the other equations are then built on the kept
@@ -693,7 +688,7 @@ def _batch_points(batch: np.ndarray, p: int, split: _Split, fibres: _Fibres):
     CHUNK_LIMIT candidates are tested at once; a row whose box fixes t
     keeps only that value."""
     cols, s_fixed, t_fixed = batch[:-2], batch[-2], batch[-1]
-    g = split.outer_values(cols, p)
+    g = outer_values(split, coeffs, cols, p)
     kept = _solve_s(g, s_fixed, p, split, fibres)
     for lo in range(0, len(kept), CHUNK_LIMIT // p):
         o, s = np.divmod(kept[lo:lo + CHUNK_LIMIT // p], p)
@@ -772,13 +767,17 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
                 raise ValueError(f"equation {f.to_string()} is not an eigenvector of "
                                  f"the symmetry: monomials {a} and {b}")
         d1 = _main_box_action(scalars, ring.weights, p)[1]
-    eliminant = _eliminant(terms, n, p)
-    split = _Split(terms if eliminant is None else terms + [eliminant], n, p)
+    supports, coeffs = _supports(terms), _coefficients(terms)
+    eliminant = _eliminant(supports, coeffs, n, p)
+    if eliminant is not None:
+        supports += (tuple(e for e, _ in eliminant),)
+        coeffs += [c for _, c in eliminant]
+    split = _split_layout(supports, n, p)
     fibres = _fibres(p)
     found: List[np.ndarray] = []
     candidates = 0
     for batch in _outer_batches(ring.weights, p, d1):
-        for points, tested in _batch_points(batch, p, split, fibres):
+        for points, tested in _batch_points(batch, p, split, coeffs, fibres):
             found.append(points)
             candidates += tested
     rows = np.concatenate(found) if found else np.empty((0, n), dtype=np.int64)
@@ -877,15 +876,18 @@ def _family_mod_p(fam: GodeauxFamily, p: int) -> GodeauxFamily:
 
 
 @functools.lru_cache(maxsize=1)
-def surface_points(p: int, q0: WPoly, q2: WPoly) -> PointSet:
-    """The GF(p) points of the surface q0 = q2 = 0, scanned once for all
-    checks of one family member.  The memo holds the last member only and
-    compares the quartics by value, so another member never gets its
-    points; ``surface_points.cache_clear()`` empties it.  The scan is folded
-    by the generator g of the group, which is defined over GF(p) when
-    p = 1 mod 4, so the rows hold one point per orbit of g on the main box
-    off x2 = 0."""
-    return enumerate_points(q0.ring, p, [q0, q2], _group_generator(q0.ring))
+def surface_points(fam: GodeauxFamily, p: int) -> PointSet:
+    """The GF(p) points of the surface q0 = q2 = 0 of a family member,
+    reduced mod p where it is over Q, scanned once for all checks of the
+    member at p.  The memo holds the last (member, p) only.  A
+    GodeauxFamily compares by identity, so the key hashes no polynomial
+    and another member never gets these points, even one with the same
+    quartics; the memo relies on a member not being changed after
+    build_family.  The scan is folded by the generator g of the group,
+    which is defined over GF(p) when p = 1 mod 4, so the rows hold one
+    point per orbit of g on the main box off x2 = 0."""
+    fam_p = _family_mod_p(fam, p)
+    return enumerate_points(fam_p.ring, p, [fam_p.q0, fam_p.q2], _group_generator(fam_p.ring))
 
 
 @functools.lru_cache(maxsize=16)
@@ -900,10 +902,10 @@ def _group_generator(ring: WRing) -> Optional[MonomialMap]:
 
 def _certificate(check: str):
     """Decorator for the scan checks: the body gets the family reduced mod p
-    and returns its report, which is then timed.  A bad prime or a family
-    over another field gives an error report instead."""
-    def wrap(body: Callable[[GodeauxFamily, int], CheckReport]):
-        @functools.wraps(body)
+    and the member's surface points, looked up once per check, and returns
+    its report, which is then timed.  A bad prime or a family over another
+    field gives an error report instead."""
+    def wrap(body: Callable[[GodeauxFamily, int, PointSet], CheckReport]):
         def run(fam: GodeauxFamily, p: int) -> CheckReport:
             t0 = time.perf_counter()
             try:
@@ -913,9 +915,12 @@ def _certificate(check: str):
                 return CheckReport(
                     check=check, status="error", prime=p, notes=(str(exc),),
                 )
-            report = body(fam_p, p)
+            report = body(fam_p, p, surface_points(fam, p))
             report.elapsed_ms = (time.perf_counter() - t0) * 1000
             return report
+        # not functools.wraps, which would show the body's signature: a check takes (fam, p)
+        run.__name__, run.__qualname__, run.__doc__ = (
+            body.__name__, body.__qualname__, body.__doc__)
         return run
     return wrap
 
@@ -932,15 +937,15 @@ AMBIENT_SINGULAR_LINE = ((0, 1, 2),)
 
 class _JacobianTerms(NamedTuple):
     """The Jacobian of two equations on given supports over GF(p): its minor
-    in s and t as (monomial, ((multiplicity, i, j), ...)), the coefficient
-    of the monomial being the sum of multiplicity * c_i * c_j; and, one
+    in s and t as a Template, each product c_i c_j of a coefficient of a
+    partial of the first equation and one of the second; and, one
     entry per term of every partial d f / d x_v, read-only arrays of the
     term's coefficient ``index``, a (term, f * n + v) matrix ``weights``
     holding e_v in the column of its partial, and ``tables``, for each
     coordinate v, the (a, term) matrix of a^(exponent of x_v in the term)
     mod p."""
 
-    minor: Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[int, int, int], ...]], ...]
+    minor: Template
     index: np.ndarray
     weights: np.ndarray
     tables: Tuple[np.ndarray, ...]
@@ -958,7 +963,8 @@ def _jacobian_terms(supports: Supports, n: int, p: int) -> _JacobianTerms:
     minor: Dict[Tuple[int, ...], list] = {}
     for sign, left, right in ((1, fs, gt), (-1, ft, gs)):
         for (a, i, ea), (b, j, eb) in itertools.product(left, right):
-            minor.setdefault(tuple(map(operator.add, a, b)), []).append((sign * ea * eb, i, j))
+            minor.setdefault(tuple(map(operator.add, a, b)), []).append(
+                (sign * ea * eb, operator.itemgetter(i, j)))
     flat = np.array([(k, m, f * n + v, *e) for f, row in enumerate(partials)
                      for v, terms in enumerate(row) for e, k, m in terms],
                     dtype=np.int64).reshape(-1, n + 3)
@@ -992,7 +998,7 @@ def _rank_below_two(rows: np.ndarray, eqs: Sequence[WPoly], p: int) -> np.ndarra
     """Which points of the rows make the Jacobian of the two equations of
     rank below 2 mod p: those where each of its 2x2 minors vanishes.  The
     terms come from the template of the supports (_jacobian_terms), filled
-    in with the member's coefficients.
+    in with the member's coefficients (_fill for the minor in s and t).
 
     The minor in the last two coordinates s and t is evaluated first, on
     every row, as one polynomial; with sigma enforced it is
@@ -1002,21 +1008,20 @@ def _rank_below_two(rows: np.ndarray, eqs: Sequence[WPoly], p: int) -> np.ndarra
     terms = [int_terms(f) for f in eqs]
     coeffs = _coefficients(terms)
     jac = _jacobian_terms(_supports(terms), rows.shape[1], p)
-    minor = [(e, sum(m * coeffs[i] * coeffs[j] for m, i, j in products) % p)
-             for e, products in jac.minor]
-    pending = np.flatnonzero(Columns(rows.T, p).evaluate(minor) == 0)
+    pending = np.flatnonzero(Columns(rows.T, p).evaluate(_fill(jac.minor, coeffs, p)) == 0)
     singular = np.zeros(len(rows), dtype=bool)
     singular[pending] = _minors_vanish(rows[pending], coeffs, jac, p)
     return singular
 
 
 @_certificate("quasi-smooth")
-def check_quasi_smooth(fam_p: GodeauxFamily, p: int) -> CheckReport:
+def check_quasi_smooth(fam_p: GodeauxFamily, p: int, surface: PointSet) -> CheckReport:
     """Scan every GF(p) point of the surface for Jacobian rank 2, after
     checking that none lies on the ambient singular line x1=x2=x3=0.
 
     Both tests run on the rows of the scan folded by g, one per orbit of g
-    on the main box off x2 = 0 (one per point when p = 3 mod 4).  The
+    on the main box off x2 = 0; no check scans at p = 3 mod 4, where
+    build_family refuses the field and the check reports an error.  The
     ambient line and the singular locus are g-stable, so the first row on
     either is the first point on it.  The line is read off the surface's
     zero code; the rank test takes every minor only on the rows where the
@@ -1026,7 +1031,6 @@ def check_quasi_smooth(fam_p: GodeauxFamily, p: int) -> CheckReport:
     singular.  Points over extensions of GF(p) are not checked, so this is
     not a proof of quasi-smoothness mod p, let alone in characteristic 0.
     """
-    surface = surface_points(p, fam_p.q0, fam_p.q2)
     rows = surface.rows
     on = _fixed_mask(AMBIENT_SINGULAR_LINE, surface.zero_code)
     witness = rows[np.argmax(on)].tolist() if on.any() else None
@@ -1070,7 +1074,7 @@ def _element_patterns(action: CyclicAction, p: int) -> Tuple[Tuple[str, tuple], 
 
 
 @_certificate("free-action")
-def check_free_action(fam_p: GodeauxFamily, p: int) -> CheckReport:
+def check_free_action(fam_p: GodeauxFamily, p: int, surface: PointSet) -> CheckReport:
     """Check that g, g^2, g^3 fix no GF(p)-rational point of the surface;
     points over extensions of GF(p) are not checked.
 
@@ -1079,7 +1083,6 @@ def check_free_action(fam_p: GodeauxFamily, p: int) -> CheckReport:
     mask.  They are g-stable, so the first row fixed by an element is the
     first such point.
     """
-    surface = surface_points(p, fam_p.q0, fam_p.q2)
     rows = surface.rows
     witness = None
     sizes = {}
@@ -1114,14 +1117,13 @@ def sigma_fixed_components(fam: GodeauxFamily, p: int) -> Dict[str, object]:
 
 
 @_certificate("fixed-locus")
-def check_fixed_locus(fam_p: GodeauxFamily, p: int) -> CheckReport:
+def check_fixed_locus(fam_p: GodeauxFamily, p: int, surface: PointSet) -> CheckReport:
     """Check that the ambient fixed locus of the involution lift meets the
     surface at a GF(p)-rational point, as its divisorial fixed part needs.
     The locus is g-stable, so the first surface row on it is the first such
     point, and the points on it number the sum of the sizes of the rows
     on it."""
     info = sigma_fixed_components(fam_p, p)
-    surface = surface_points(p, fam_p.q0, fam_p.q2)
     rows = surface.rows
     on = _fixed_mask(info["patterns"], surface.zero_code)
     hits = rows[on]

@@ -690,6 +690,38 @@ def test_reports_are_byte_identical_for_same_seed(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_repeated_verify_runs_in_one_process_write_the_same_report(tmp_path, monkeypatch):
+    # the surface memo is keyed by the member object, so a run never meets
+    # a surface of an earlier run, whatever ran in between: each run scans
+    # once per attempt, the same call back to back included
+    scans = []
+    original = varieties.enumerate_points
+
+    def counting(*args):
+        scans.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(varieties, "enumerate_points", counting)
+
+    def verify(argv, out):
+        del scans[:]
+        assert run(["verify", "--prime", "13", *argv, "--output", str(out)]) == 0
+        reports = json.loads(out.read_text())
+        assert len(scans) == sum(r["provenance"]["attempts"] for r in reports
+                                 if r["check"] == "quasi-smooth")
+        return out.read_bytes()
+
+    a, b, c, d, e = (tmp_path / f"{n}.json" for n in "abcde")
+    argv = ["--draws", "20", "--seed", "42"]
+    first = verify(argv, a)
+    verify(["--draws", "3", "--seed", "7"], c)
+    assert verify(argv, b) == first
+    assert len(json.loads(first)) == 60
+    # one member per run: the second run draws the member the first ended on
+    single = ["--seed", "1", "--retry-budget", "0"]
+    assert verify(single, d) == verify(single, e)
+
+
 def test_report_file_schema(tmp_path):
     out = tmp_path / "r.json"
     assert run(["cone", "image-check", "--output", str(out)]) == 0
