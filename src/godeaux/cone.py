@@ -28,7 +28,7 @@ import numpy as np
 from .covers import preset_model
 from .reports import CheckReport
 from .scalars import FpElement, exact_rank, field_from_spec, nullspace, solve_linear
-from .varieties import Columns, enumerate_points, fixed_locus, int_terms
+from .varieties import Columns, _reduce_eqs, enumerate_points, fixed_locus
 from .wpoly import MonomialMap, WPoly, WRing, apply_map, parse_poly, substitute
 
 CONE_VARIABLES = ("y0", "y1", "y2", "y3")
@@ -160,14 +160,12 @@ def verify_invariant_map(setup: ConeSetup, prime: int = 13) -> CheckReport:
         "remainder_mod_cone_is_zero": remainder.is_zero(),
     }
     surface = enumerate_points(setup.ring, prime, [setup.cone])
-    setup_p = setup if setup.field.characteristic == prime else cone_setup(prime)
     points = Columns(surface.rows.T, prime)
-    image = Columns(
-        [points.evaluate(int_terms(q)) for q in setup_p.invariant_quadrics], prime
-    )
+    _, quadrics = _reduce_eqs(setup.ring, prime, setup.invariant_quadrics)
+    image = Columns([points.evaluate(q) for q in quadrics], prime)
     off_model = np.zeros(len(surface), dtype=bool)
-    for eq in image_equations(image_ring(prime)):
-        off_model |= image.evaluate(int_terms(eq)) != 0
+    for eq in _reduce_eqs(eq1.ring, prime, (eq1, eq2))[1]:
+        off_model |= image.evaluate(eq) != 0
     bad = np.flatnonzero(off_model)
     checks["all_points_map_to_model"] = not len(bad)
     status = "pass" if all(checks.values()) else "fail"
@@ -354,7 +352,7 @@ class BranchConfig:
             raise ValueError("configuration polynomials live in the wrong ring")
         if self.q1.degree() != 2 or not self.q1.is_homogeneous():
             raise ValueError("q1 must be a quadric")
-        if self.h3.degree() != 1:
+        if self.h3.degree() != 1 or not self.h3.is_homogeneous():
             raise ValueError("B3 must be a plane section")
         field = setup.field
         for v, name in ((1, "y1"), (2, "y2")):

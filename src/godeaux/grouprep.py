@@ -71,15 +71,13 @@ class CyclicAction:
 
 def character_clash(f: WPoly, action: CyclicAction) -> Optional[Tuple[Exponents, Exponents]]:
     """The first monomial of f and the first later one of another
-    character, or None when f is character-homogeneous."""
-    monos = f.monomials()
-    if not monos:
+    character, or None when f is character-homogeneous.  The monomials are
+    put in order only when there is a clash."""
+    if len({action.character_of_monomial(e) for e in f.terms}) < 2:
         return None
-    first = action.character_of_monomial(monos[0])
-    for e in monos[1:]:
-        if action.character_of_monomial(e) != first:
-            return monos[0], e
-    return None
+    first, *rest = f.monomials()
+    char = action.character_of_monomial(first)
+    return first, next(e for e in rest if action.character_of_monomial(e) != char)
 
 
 def character_of(f: WPoly, action: CyclicAction) -> int:
@@ -95,7 +93,7 @@ def character_of(f: WPoly, action: CyclicAction) -> int:
             f"not character-homogeneous: monomials {a} and {b} have characters "
             f"{action.character_of_monomial(a)} and {action.character_of_monomial(b)}"
         )
-    return action.character_of_monomial(f.monomials()[0])
+    return action.character_of_monomial(next(iter(f.terms)))
 
 
 def eigenspace_basis(action: CyclicAction, d: int, c: int) -> List[Exponents]:

@@ -58,7 +58,11 @@ equations by their exponents of s and t, with its power tables, and the
 terms of the partials of the Jacobian are built once per support and prime
 the same way, and read through the member's coefficient vector.  A member
 of the family is then a coefficient vector on a support that only changes
-where a term of R vanishes mod p.
+where a term of R vanishes mod p.  An equation is taken apart once, as it
+enters a scan, into its terms mod p with int coefficients (``_reduce_eqs``),
+and only those are read after: by the scan, the point set, the fixed loci
+and the rank test.  Every check of a member at p reads one record, the
+member reduced mod p and its surface (``_member``).
 
 Arithmetic is exact: the evaluation runs on int32 arrays, the solves and
 the tests on int64.  Every array is reduced mod p right after each product:
@@ -201,11 +205,6 @@ def _orbit_count(weights: Tuple[int, ...], p: int) -> int:
     value, like _blocks."""
     n = len(weights)
     return sum(p ** (n - start) for _, start in _blocks(weights, p))
-
-
-def int_terms(f: WPoly) -> Terms:
-    """The terms of a polynomial over GF(p) with plain int coefficients."""
-    return [(e, c.value) for e, c in f.terms.items()]
 
 
 class Columns:
@@ -510,9 +509,10 @@ def _fibres(p: int) -> _Fibres:
     return _Fibres(p)
 
 
-def _reduce_eqs(ring: WRing, p: int, eqs: Sequence[WPoly]) -> Tuple[WRing, List[WPoly]]:
-    """View the ring and every equation over GF(p), reducing from Q where
-    needed; rejects rings over other prime fields."""
+def _reduce_eqs(ring: WRing, p: int, eqs: Sequence[WPoly]) -> Tuple[WRing, List[Terms]]:
+    """The ring viewed over GF(p), and the terms of every equation mod p
+    with plain int coefficients, reduced from Q where needed; a coefficient
+    that vanishes mod p drops out.  Rejects rings over other prime fields."""
     field = PrimeField(p)
     if isinstance(ring.field, PrimeField):
         if ring.field.p != p:
@@ -526,14 +526,9 @@ def _reduce_eqs(ring: WRing, p: int, eqs: Sequence[WPoly]) -> Tuple[WRing, List[
     for f in eqs:
         if (f.ring.names, f.ring.weights) != (ring.names, ring.weights):
             raise ValueError("equation lives on a different variable set")
-        if f.ring.field == field:
-            reduced.append(f)
-            continue
-        if not isinstance(f.ring.field, Rationals):
-            raise ValueError(
-                f"cannot view a {f.ring.field.name} equation over GF({p})"
-            )
-        reduced.append(WPoly(ring_p, {e: field(c) for e, c in f.terms.items()}))
+        if f.ring.field != field and not isinstance(f.ring.field, Rationals):
+            raise ValueError(f"cannot view a {f.ring.field.name} equation over GF({p})")
+        reduced.append([(e, v) for e, c in f.terms.items() if (v := field(c).value)])
     return ring_p, reduced
 
 
@@ -543,21 +538,22 @@ class PointSet:
     scan folded by a symmetry, one row per orbit of the symmetry on the main
     box off x_1 = 0 (see the module docstring).
 
-    Every equation is re-evaluated on every row the first time the rows are
-    read back, as a self-consistency tripwire.  ``sizes`` holds, read-only,
-    the number of points each row stands for (all 1 unless the scan was
-    folded), and ``len`` their sum, the number of points.  ``scanned``
-    counts the canonical representatives the scan covered, and
-    ``candidates`` the (row, t) pairs it tested against the equations (None
-    for a point set not made by a scan).  ``zero_code`` holds, for each row,
+    ``terms`` holds the int terms mod p of each equation (_reduce_eqs), and
+    each is re-evaluated on every row the first time the rows are read back,
+    as a self-consistency tripwire.  ``sizes`` holds, read-only, the number
+    of points each row stands for (all 1 unless the scan was folded), and
+    ``len`` their sum, the number of points.  ``scanned`` counts the
+    canonical representatives the scan covered, and ``candidates`` the
+    (row, t) pairs it tested against the equations (None for a point set
+    not made by a scan).  ``zero_code`` holds, for each row,
     the sum of 2^v over the coordinates v that are 0 on it, built once on
     first read, so that every fixed-locus mask is one comparison per row.
     """
 
-    __slots__ = ("_rows", "sizes", "p", "ring", "eqs", "scanned", "candidates", "_checked",
+    __slots__ = ("_rows", "sizes", "p", "ring", "terms", "scanned", "candidates", "_checked",
                  "_zero_code")
 
-    def __init__(self, points, p: int, ring: WRing, eqs: Sequence[WPoly],
+    def __init__(self, points, p: int, ring: WRing, terms: Sequence[Terms],
                  scanned: int, candidates: Optional[int] = None,
                  sizes: Optional[np.ndarray] = None):
         rows = np.array(points, dtype=np.int64).reshape(-1, ring.nvars)
@@ -567,7 +563,7 @@ class PointSet:
         self.sizes.flags.writeable = False
         self.p = p
         self.ring = ring
-        self.eqs = tuple(eqs)
+        self.terms = tuple(terms)
         self.scanned = scanned
         self.candidates = candidates
         self._checked = False
@@ -598,12 +594,12 @@ class PointSet:
 
     def _check(self) -> None:
         cols = Columns(self._rows.T, self.p)
-        for f in self.eqs:
-            bad = np.flatnonzero(cols.evaluate(int_terms(f)))
+        for terms in self.terms:
+            bad = np.flatnonzero(cols.evaluate(terms))
             if len(bad):
                 raise AssertionError(
-                    f"point {self._rows[bad[0]].tolist()} fails {f.to_string()} = 0; "
-                    "enumeration bug"
+                    f"point {self._rows[bad[0]].tolist()} fails "
+                    f"{WPoly(self.ring, dict(terms)).to_string()} = 0; enumeration bug"
                 )
 
     def __repr__(self):
@@ -746,26 +742,25 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
     symmetry, only the coset minima of x_1 and x_1 = 0 are scanned on the
     main box, and each row found there off x_1 = 0 has the size of its
     orbit, the order of d_1."""
-    ring_p, eqs_p = _reduce_eqs(ring, p, eqs)
-    for f in eqs_p:
-        if not f.is_homogeneous():
-            raise ValueError(f"equation {f.to_string()} is not homogeneous")
+    ring_p, terms = _reduce_eqs(ring, p, eqs)
+    for f in terms:
+        if len({ring.degree_of(e) for e, _ in f}) > 1:
+            raise ValueError(f"equation {WPoly(ring_p, dict(f)).to_string()} is not homogeneous")
     n = ring.nvars
     if n < 2:
         raise ValueError("enumeration needs at least two coordinates")
-    terms = [int_terms(f) for f in eqs_p]
     d1 = None
     if symmetry is not None:
         if symmetry.ring != ring_p:
             raise ValueError("a symmetric scan needs a map over GF(p) on the same variables")
         scalars, mod = [c.value for c in symmetry.scalars], [p] * n
-        for f, f_terms in zip(eqs_p, terms):
+        for f in terms:
             # the scalar the map multiplies each monomial by, one for an eigenvector
-            chars = {math.prod(map(pow, scalars, e, mod)) % p: e for e, _ in f_terms}
+            chars = {math.prod(map(pow, scalars, e, mod)) % p: e for e, _ in f}
             if len(chars) > 1:
                 a, b = list(chars.values())[:2]
-                raise ValueError(f"equation {f.to_string()} is not an eigenvector of "
-                                 f"the symmetry: monomials {a} and {b}")
+                raise ValueError(f"equation {WPoly(ring_p, dict(f)).to_string()} is not an "
+                                 f"eigenvector of the symmetry: monomials {a} and {b}")
         d1 = _main_box_action(scalars, ring.weights, p)[1]
     supports, coeffs = _supports(terms), _coefficients(terms)
     eliminant = _eliminant(supports, coeffs, n, p)
@@ -785,7 +780,7 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
     if d1 is not None:
         order = next(k for k in range(1, p) if pow(d1, k, p) == 1)
         sizes = np.where((rows[:, 0] == 1) & (rows[:, 1] != 0), order, 1)
-    return PointSet(rows, p, ring_p, eqs_p, _orbit_count(ring.weights, p), candidates, sizes)
+    return PointSet(rows, p, ring_p, terms, _orbit_count(ring.weights, p), candidates, sizes)
 
 
 def enumerate_points(ring: WRing, p: int, eqs: Sequence[WPoly],
@@ -864,7 +859,7 @@ def fixed_locus(action: MonomialMap, p: int, eqs: Sequence[WPoly]) -> PointSet:
     patterns = _diagonal_fixed_patterns(action, p)
     locus = _scan(ring, p, eqs)
     return PointSet(locus._rows[_fixed_mask(patterns, locus.zero_code)], p, locus.ring,
-                    locus.eqs, locus.scanned, locus.candidates)
+                    locus.terms, locus.scanned, locus.candidates)
 
 
 def _family_mod_p(fam: GodeauxFamily, p: int) -> GodeauxFamily:
@@ -876,18 +871,24 @@ def _family_mod_p(fam: GodeauxFamily, p: int) -> GodeauxFamily:
 
 
 @functools.lru_cache(maxsize=1)
-def surface_points(fam: GodeauxFamily, p: int) -> PointSet:
-    """The GF(p) points of the surface q0 = q2 = 0 of a family member,
-    reduced mod p where it is over Q, scanned once for all checks of the
-    member at p.  The memo holds the last (member, p) only.  A
-    GodeauxFamily compares by identity, so the key hashes no polynomial
-    and another member never gets these points, even one with the same
-    quartics; the memo relies on a member not being changed after
-    build_family.  The scan is folded by the generator g of the group,
-    which is defined over GF(p) when p = 1 mod 4, so the rows hold one
-    point per orbit of g on the main box off x2 = 0."""
+def _member(fam: GodeauxFamily, p: int) -> Tuple[GodeauxFamily, PointSet]:
+    """The record of a family member at p that all its checks read: the
+    member reduced mod p where it is over Q, and its surface q0 = q2 = 0,
+    scanned once and folded by the generator g of the group, defined over
+    GF(p) when p = 1 mod 4 (one row per orbit of g on the main box off
+    x2 = 0).  The memo holds the last (member, p) only.  A GodeauxFamily
+    compares by identity, so the key hashes no polynomial and another
+    member never gets this record, even one with the same quartics; the
+    memo relies on a member not being changed after build_family."""
     fam_p = _family_mod_p(fam, p)
-    return enumerate_points(fam_p.ring, p, [fam_p.q0, fam_p.q2], _group_generator(fam_p.ring))
+    return fam_p, enumerate_points(fam_p.ring, p, [fam_p.q0, fam_p.q2],
+                                   _group_generator(fam_p.ring))
+
+
+def surface_points(fam: GodeauxFamily, p: int) -> PointSet:
+    """The GF(p) points of the surface of a family member: those of its
+    record at p (_member), scanned once for all its checks at p."""
+    return _member(fam, p)[1]
 
 
 @functools.lru_cache(maxsize=16)
@@ -902,20 +903,20 @@ def _group_generator(ring: WRing) -> Optional[MonomialMap]:
 
 def _certificate(check: str):
     """Decorator for the scan checks: the body gets the family reduced mod p
-    and the member's surface points, looked up once per check, and returns
-    its report, which is then timed.  A bad prime or a family over another
-    field gives an error report instead."""
+    and its surface points, read once per check from the member's record at
+    p (_member), and returns its report, which is then timed.  A bad prime
+    or a family over another field gives an error report instead."""
     def wrap(body: Callable[[GodeauxFamily, int, PointSet], CheckReport]):
         def run(fam: GodeauxFamily, p: int) -> CheckReport:
             t0 = time.perf_counter()
             try:
                 guard_prime(p)
-                fam_p = _family_mod_p(fam, p)
+                fam_p, surface = _member(fam, p)
             except ValueError as exc:
                 return CheckReport(
                     check=check, status="error", prime=p, notes=(str(exc),),
                 )
-            report = body(fam_p, p, surface_points(fam, p))
+            report = body(fam_p, p, surface)
             report.elapsed_ms = (time.perf_counter() - t0) * 1000
             return report
         # not functools.wraps, which would show the body's signature: a check takes (fam, p)
@@ -994,9 +995,9 @@ def _minors_vanish(rows: np.ndarray, coeffs: Sequence[int], jac: _JacobianTerms,
     return ((minors - minors.transpose(0, 2, 1)) % p == 0).all(axis=(1, 2))
 
 
-def _rank_below_two(rows: np.ndarray, eqs: Sequence[WPoly], p: int) -> np.ndarray:
+def _rank_below_two(rows: np.ndarray, terms: Sequence[Terms], p: int) -> np.ndarray:
     """Which points of the rows make the Jacobian of the two equations of
-    rank below 2 mod p: those where each of its 2x2 minors vanishes.  The
+    rank below 2 mod p: those where each of its 2x2 minors vanishes.  Its
     terms come from the template of the supports (_jacobian_terms), filled
     in with the member's coefficients (_fill for the minor in s and t).
 
@@ -1005,7 +1006,6 @@ def _rank_below_two(rows: np.ndarray, eqs: Sequence[WPoly], p: int) -> np.ndarra
     2 c (b t^2 - a s^2).  Only the rows where it vanishes mod p, about 1/p
     of them, take the test of every minor (_minors_vanish); where it
     vanishes identically, every row does."""
-    terms = [int_terms(f) for f in eqs]
     coeffs = _coefficients(terms)
     jac = _jacobian_terms(_supports(terms), rows.shape[1], p)
     pending = np.flatnonzero(Columns(rows.T, p).evaluate(_fill(jac.minor, coeffs, p)) == 0)
@@ -1048,7 +1048,7 @@ def check_quasi_smooth(fam_p: GodeauxFamily, p: int, surface: PointSet) -> Check
             data={"failure_mode": "ambient-singular-locus"},
         )
 
-    singular = _rank_below_two(rows, [fam_p.q0, fam_p.q2], p)
+    singular = _rank_below_two(rows, surface.terms, p)
     witness = rows[np.argmax(singular)].tolist() if singular.any() else None
     finding = ("Jacobian rank below 2 at the witness point" if witness
                else "no GF(p)-rational surface point is singular")

@@ -948,6 +948,8 @@ HOSTILE_SPELLINGS = [
      '{"q1": "y0^2 + y1^2", "field": "F1_3", ' + _BRANCH + '}'),
     (["cone", "degenerate", "--config"], None,
      '{"case": "deg1", "q1": "y1^2", "h3": "y0", "r1": [NaN, 1, 1, 0]}'),
+    (["cone", "degenerate", "--config"], None,
+     '{"case": "general", "q1": "y0^2 + y1^2", "h3": "y0 + 1"}'),
     (["cone", "pencil", "--points"], None, '[[Infinity, 0, 0], ' + _POINTS + ']'),
 ]
 

@@ -89,6 +89,26 @@ def test_invariant_map_over_other_prime():
     assert rep.data["cone_points"] == 29 * 29 + 29 + 1
 
 
+def test_invariant_map_builds_no_setup_at_the_prime(monkeypatch):
+    # the quadrics of a setup over Q are reduced mod the prime, not taken
+    # from a second setup built over GF(prime)
+    import godeaux.cone as cone
+
+    setup = cone_setup()
+    want = verify_invariant_map(setup, prime=29).to_dict()
+
+    def refuse(*args):
+        raise AssertionError("a cone setup built for the check")
+
+    monkeypatch.setattr(cone, "cone_setup", refuse)
+    monkeypatch.setattr(cone, "_cone_setup", refuse)
+    for prime in (13, 29):
+        rep = verify_invariant_map(setup, prime=prime)
+        assert rep.ok
+        assert rep.data["cone_points"] == prime * prime + prime + 1
+    assert verify_invariant_map(setup, prime=29).to_dict() == want
+
+
 def test_invariant_map_witness_is_first_bad_point_in_scan_order(monkeypatch):
     import godeaux.cone as cone
     from godeaux.varieties import enumerate_points
@@ -181,6 +201,16 @@ def test_config_rejects_non_quadric():
     with pytest.raises(ValueError, match="must be a quadric"):
         BranchConfig(case="general", q1=parse_poly(s.ring, "y0"),
                      h3=parse_poly(s.ring, "y0"))
+
+
+def test_config_rejects_non_homogeneous_plane():
+    # y0 + 1 has degree 1 but is no plane section: refused here, not by the
+    # scan of the intersections
+    s = cone_setup()
+    for h3 in ("y0 + 1", "y0 + -1*y3 + 2"):
+        with pytest.raises(ValueError, match="must be a plane section"):
+            BranchConfig(case="general", q1=parse_poly(s.ring, "y1^2 + y3^2"),
+                         h3=parse_poly(s.ring, h3))
 
 
 def test_deg1_requires_singular_point_data():

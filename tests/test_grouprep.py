@@ -179,6 +179,58 @@ def test_sign_clash_names_the_monomial_pair():
         character_of(mixed, sigma)
 
 
+def sorted_clash(f, action):
+    """The first monomial of f in sorted order and the first later one of
+    another character: the oracle for the witness of character_clash."""
+    monos = f.monomials()
+    for e in monos[1:]:
+        if action.character_of_monomial(e) != action.character_of_monomial(monos[0]):
+            return monos[0], e
+    return None
+
+
+def test_character_clash_sorts_only_on_a_clash(monkeypatch):
+    # random quartics and octics of P(1,1,1,2,2) under g, sigma and the
+    # second lift: the same witness as the sorted scan, and no sorted
+    # monomial list unless characters differ
+    import random
+
+    from godeaux.wpoly import WPoly, monomials_of_degree
+
+    ring = godeaux_ring()
+    actions = (godeaux_action(ring), godeaux_sigma(ring), CyclicAction(ring, 2, (1, 1, 0, 1, 0)))
+    rng = random.Random(0)
+    polys = [ring.zero_poly(), parse_poly(ring, "x1^4 + y1 y3")]
+    for degree in (4, 8):
+        monomials = monomials_of_degree(ring, degree)
+        for size in (1, 2, 3, 5, 8):
+            for _ in range(20):
+                chosen = rng.sample(monomials, size)
+                polys.append(WPoly(ring, {e: rng.randint(1, 9) for e in chosen}))
+    sorts = []
+    original = WPoly.monomials
+
+    def counting(f):
+        sorts.append(f)
+        return original(f)
+
+    clashes = 0
+    for f in polys:
+        for action in actions:
+            want = sorted_clash(f, action)
+            monkeypatch.setattr(WPoly, "monomials", counting)
+            got = character_clash(f, action)
+            monkeypatch.setattr(WPoly, "monomials", original)
+            assert got == want
+            assert len(sorts) == (want is not None)
+            sorts.clear()
+            clashes += want is not None
+            if want is None and not f.is_zero():
+                assert character_of(f, action) == \
+                    action.character_of_monomial(f.monomials()[0])
+    assert 0 < clashes < len(polys) * len(actions)
+
+
 def test_sigma_type_strings():
     st = SigmaType(3, 4)
     assert st.as_ordered_string() == "{3,4}"

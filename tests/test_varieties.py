@@ -39,7 +39,6 @@ from godeaux.varieties import (
     check_quasi_smooth,
     enumerate_points,
     fixed_locus,
-    int_terms,
     outer_values,
     sigma_fixed_components,
     surface_points,
@@ -47,6 +46,23 @@ from godeaux.varieties import (
 from godeaux.wpoly import MonomialMap, WPoly, WRing, jacobian, monomials_of_degree, parse_poly
 
 W_GODEAUX = (1, 1, 1, 2, 2)
+
+
+def int_terms(f):
+    """The terms of a polynomial over GF(p) with plain int coefficients."""
+    return [(e, c.value) for e, c in f.terms.items()]
+
+
+def terms_of(eqs):
+    """The int terms of each polynomial over GF(p)."""
+    return [int_terms(f) for f in eqs]
+
+
+def reduce_wpolys(ring, p, eqs):
+    """Every equation as a WPoly over GF(p), reduced from Q where needed:
+    the oracle of _reduce_eqs, which gives their int terms."""
+    ring_p = WRing(ring.names, ring.weights, PrimeField(p))
+    return [WPoly(ring_p, {e: ring_p.field(c) for e, c in f.terms.items()}) for f in eqs]
 
 
 def split_of(terms, n, p):
@@ -114,7 +130,7 @@ def _eval_on_columns(f, cols, p, pow_cache):
 def box_scan(ring, p, eqs):
     """(points, scanned) by evaluating every equation on every canonical
     representative; the reference the fibred scan is compared against."""
-    ring_p, eqs_p = _reduce_eqs(ring, p, eqs)
+    eqs_p = reduce_wpolys(ring, p, eqs)
     n = ring.nvars
     points, scanned = [], 0
     for prefix, start in _chunks(ring.weights, p):
@@ -210,7 +226,7 @@ def differential_systems(rng):
 
 def brute_zero_locus(ring, p, eqs):
     field = PrimeField(p)
-    _, eqs_p = _reduce_eqs(ring, p, eqs)
+    eqs_p = reduce_wpolys(ring, p, eqs)
     return [
         pt for pt in brute_representatives(ring.weights, p)
         if all(f.evaluate([field(c) for c in pt]) == field.zero() for f in eqs_p)
@@ -247,7 +263,7 @@ def test_fibre_branches():
     }
     # the six rows are grid rows: outer row r = (x, y) with s = z
     x, y, z = (np.array(col, dtype=np.int64) for col in zip(*rows))
-    split, coeffs = split_of([int_terms(g) for g in _reduce_eqs(ring, p, [f])[1]], ring.nvars, p)
+    split, coeffs = split_of(_reduce_eqs(ring, p, [f])[1], ring.nvars, p)
     assert (split.filters, split.equations) == ((), (slice(0, 3),))
     g = outer_values(split, coeffs, np.stack([x, y]), p)
     coeffs = _row_values(g, np.arange(len(z)), split.s_powers[:, z], p)
@@ -682,7 +698,7 @@ def test_eliminant_template_matches_the_dict_products(p):
             fam = build_family(random_params(p, seed=seed, enforce_involution=enforce))
             systems.append([fam.q0, fam.q2])
             rational = build_family(random_params("Q", seed=seed, enforce_involution=enforce))
-            systems.append(_reduce_eqs(rational.ring, p, [rational.q0, rational.q2])[1])
+            systems.append(reduce_wpolys(rational.ring, p, [rational.q0, rational.q2]))
     ring = p3_ring(p)
     first = linear_in_last(ring, rng)
     systems.append([first, first * random_form(ring, 2, rng)])
@@ -713,8 +729,7 @@ def elimination_systems(rng):
     ring = p3_ring()
     first, second = linear_in_last(ring, rng), linear_in_last(ring, rng)
     multiple = first * random_form(ring, 2, rng)
-    assert eliminant_of([int_terms(f) for f in _reduce_eqs(ring, 13, [first, multiple])[1]],
-                        ring.nvars, 13) is None
+    assert eliminant_of(_reduce_eqs(ring, 13, [first, multiple])[1], ring.nvars, 13) is None
     systems.append((ring, [first, multiple]))
     for degree in (3, 4):
         h = with_last_power(random_form(ring, degree, rng), degree, 1)
@@ -1101,7 +1116,7 @@ def test_quasi_smooth_on_representatives_matches_every_row(p, seed):
     # the main box dominates at the larger primes, and a quarter of it is kept
     assert (3 if p > 29 else 1) * len(reps) < len(rows)
     oracle = full_rank_below_two(rows, eqs, p)
-    singular = varieties._rank_below_two(reps, eqs, p)
+    singular = varieties._rank_below_two(reps, terms_of(eqs), p)
     report = check_quasi_smooth(fam_p, p)
     assert "failure_mode" not in report.data
     assert report.status == ("fail" if oracle.any() else "pass")
@@ -1153,14 +1168,16 @@ def test_minor_first_matches_every_minor(p, monkeypatch):
             fam = build_family(random_params(p, seed=seed, enforce_involution=enforce))
             systems.append((fam.ring, [fam.q0, fam.q2]))
             rational = build_family(random_params("Q", seed=seed, enforce_involution=enforce))
-            systems.append(_reduce_eqs(rational.ring, p, [rational.q0, rational.q2]))
+            eqs = reduce_wpolys(rational.ring, p, [rational.q0, rational.q2])
+            systems.append((eqs[0].ring, eqs))
     pending = singular = 0
     for ring, eqs in systems:
         random_rows = rng.integers(0, p, size=(200, 5))
         random_rows[rng.random(random_rows.shape) < 0.2] = 0
         for rows in (enumerate_points(ring, p, eqs).rows, random_rows):
             oracle = full_rank_below_two(rows, eqs, p)
-            assert varieties._rank_below_two(rows, eqs, p).tolist() == oracle.tolist()
+            assert varieties._rank_below_two(rows, terms_of(eqs), p).tolist() == \
+                oracle.tolist()
             pending += int(st_minor_vanishes(rows, eqs, p).sum())
             singular += int(oracle.sum())
     # the full test saw exactly the rows where the minor in s and t vanishes
@@ -1179,7 +1196,7 @@ def test_minor_first_on_the_forced_singular_member():
     fam = build_family(params)
     eqs = [fam.q0, fam.q2]
     rows = enumerate_points(fam.ring, 13, eqs).rows
-    singular = varieties._rank_below_two(rows, eqs, 13)
+    singular = varieties._rank_below_two(rows, terms_of(eqs), 13)
     assert singular.tolist() == full_rank_below_two(rows, eqs, 13).tolist()
     assert [1, 0, 0, 0, 0] in rows[singular].tolist()
 
@@ -1192,14 +1209,14 @@ def test_minor_first_sends_every_row_on_when_that_minor_vanishes(monkeypatch):
     ring = family_ring(p)
     eqs = [parse_poly(ring, "x1^4 + 2*x2^4 + x3^4 + x1 x2 x3^2"),
            parse_poly(ring, "y1^2 + 3*y3^2 + x1^2 x2^2 + x2 x3 y1")]
-    terms = [int_terms(f) for f in eqs]
+    terms = terms_of(eqs)
     assert varieties._jacobian_terms(varieties._supports(terms), 5, p).minor == ()
     calls = spy_full_test(monkeypatch)
     rng = np.random.default_rng(7)
     rows = np.concatenate([enumerate_points(ring, p, eqs).rows,
                            rng.integers(0, p, size=(300, 5)),
                            [[0, 0, 0, 1, 5], [0, 0, 0, 0, 1]]])
-    singular = varieties._rank_below_two(rows, eqs, p)
+    singular = varieties._rank_below_two(rows, terms, p)
     assert singular.tolist() == full_rank_below_two(rows, eqs, p).tolist()
     assert calls == [(len(rows), int(singular.sum()))]
     assert singular[-2:].all()
@@ -1217,7 +1234,7 @@ def test_minor_first_counts(p, rows, pending, singular, monkeypatch):
         eqs = [fam_p.q0, fam_p.q2]
         reps = surface_points(fam_p, p).rows
         total += len(reps)
-        assert varieties._rank_below_two(reps, eqs, p).tolist() == \
+        assert varieties._rank_below_two(reps, terms_of(eqs), p).tolist() == \
             full_rank_below_two(reps, eqs, p).tolist()
     assert len(calls) == 40
     assert (total, sum(n for n, _ in calls), sum(k for _, k in calls)) == \
@@ -1259,7 +1276,7 @@ def test_representatives_are_checked_and_unfold_to_the_rows():
     ring = family_ring(13)
     eq = parse_poly(ring, "x1^4")
     points = list(enumerate_points(ring, 13, [eq]).points[:4])
-    bad = PointSet(points + [(1, 0, 0, 0, 0)], 13, ring, [eq], scanned=5,
+    bad = PointSet(points + [(1, 0, 0, 0, 0)], 13, ring, [int_terms(eq)], scanned=5,
                    sizes=[4, 1, 1, 1, 1])
     assert len(bad) == 8
     with pytest.raises(AssertionError, match=r"point \[1, 0, 0, 0, 0\] fails"):
@@ -1390,7 +1407,7 @@ def test_point_set_spot_check_trips_on_bad_point():
     eq = parse_poly(ring, "x1^4")
     good = enumerate_points(ring, 13, [eq])
     assert len(good) > 0
-    bad = PointSet([(1, 0, 0, 0, 0)], 13, ring, [eq], scanned=1)
+    bad = PointSet([(1, 0, 0, 0, 0)], 13, ring, [int_terms(eq)], scanned=1)
     with pytest.raises(AssertionError, match="enumeration bug"):
         bad.points
 
@@ -1403,8 +1420,52 @@ def test_point_set_checks_every_point():
     points = list(enumerate_points(ring, 13, [eq]).points[:40])
     assert len(points) == 40
     points.insert(5, (1, 0, 0, 0, 0))
-    bad = PointSet(points, 13, ring, [eq], scanned=41)
+    bad = PointSet(points, 13, ring, [int_terms(eq)], scanned=41)
     with pytest.raises(AssertionError, match=r"point \[1, 0, 0, 0, 0\] fails"):
+        bad.rows
+
+
+@pytest.mark.parametrize("p", [5, 13, 61])
+def test_reduce_eqs_gives_the_int_terms_of_the_wpoly_reduction(p):
+    # systems over Q and members over GF(p): the int terms of the WPoly
+    # reduction, term for term and in term order
+    systems = differential_systems(random.Random(p))
+    for seed in range(4):
+        fam = build_family(random_params(p, seed=seed, enforce_involution=seed % 2 == 0))
+        systems.append((fam.ring, [fam.q0, fam.q2]))
+    for ring, eqs in systems:
+        ring_p, terms = _reduce_eqs(ring, p, eqs)
+        assert ring_p == WRing(ring.names, ring.weights, PrimeField(p))
+        assert terms == terms_of(reduce_wpolys(ring, p, eqs))
+        assert all(type(c) is int and 0 < c < p for ts in terms for _, c in ts)
+
+
+def test_reduce_eqs_drops_a_coefficient_divisible_by_p():
+    ring = p3_ring()
+    f = parse_poly(ring, "26 * y0^2 + 3 * y1 y2 + 1/2 * y3^2")
+    assert _reduce_eqs(ring, 13, [f])[1] == [[((0, 1, 1, 0), 3), ((0, 0, 0, 2), 7)]]
+    assert reduce_wpolys(ring, 13, [f])[0].to_string() == "3 * y1 y2 + 7 * y3^2"
+    with pytest.raises(ValueError, match="bad reduction mod 13"):
+        _reduce_eqs(ring, 13, [parse_poly(ring, "1/26 * y0^2 + y1 y2")])
+
+
+def test_tripwire_names_the_point_and_the_equation():
+    # the message prints the failing equation over GF(p), the reduction of
+    # an equation over Q included
+    ring = family_ring(13)
+    eqs = [parse_poly(ring, "x1^4 + 12 * x2^4"), parse_poly(ring, "x1 x2 + 3 * y1")]
+    for points, point, eq in (([(1, 0, 0, 0, 0)], [1, 0, 0, 0, 0], eqs[0]),
+                              ([(1, 1, 0, 0, 0)], [1, 1, 0, 0, 0], eqs[1])):
+        bad = PointSet(points, 13, ring, terms_of(eqs), scanned=1)
+        with pytest.raises(AssertionError, match=re.escape(
+                f"point {point} fails {eq.to_string()} = 0; enumeration bug")):
+            bad.rows
+    plane = p3_ring()
+    half = parse_poly(plane, "1/2 * y0^2 + -1/2 * y1 y2")
+    surface = enumerate_points(plane, 13, [half])
+    bad = PointSet([(1, 0, 0, 0)], 13, surface.ring, surface.terms, scanned=1)
+    with pytest.raises(AssertionError, match=re.escape(
+            "point [1, 0, 0, 0] fails 7 * y0^2 + 6 * y1 y2 = 0")):
         bad.rows
 
 
@@ -1572,6 +1633,34 @@ def test_checks_share_one_scan_per_member(monkeypatch):
     assert all(m is not None for m in folded)
 
 
+def test_one_round_of_checks_reduces_a_member_once(monkeypatch):
+    # the three checks read one record of the reduced member and its
+    # surface: the seed-3 member over Q is reduced once per round, and the
+    # member's own reduction runs at most twice, once for the record and
+    # once in sigma_fixed_components, which gets it reduced already.
+    # Checking another member in between evicts the record
+    counts = {"reduce_family": 0, "_family_mod_p": 0, "enumerate_points": 0}
+    for name in counts:
+        def counting(*args, _name=name, _original=getattr(varieties, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(varieties, name, counting)
+    checks = (check_quasi_smooth, check_free_action, check_fixed_locus)
+    fam_q = build_family(random_params("Q", seed=3))
+    other = build_family(random_params(13, seed=1))
+
+    def round_of(fam):
+        return [(r.status, r.witness, r.data) for r in (check(fam, 13) for check in checks)]
+
+    first = round_of(fam_q)
+    assert counts == {"reduce_family": 1, "_family_mod_p": 2, "enumerate_points": 1}
+    round_of(other)
+    assert counts == {"reduce_family": 1, "_family_mod_p": 4, "enumerate_points": 2}
+    assert round_of(fam_q) == first
+    assert counts == {"reduce_family": 2, "_family_mod_p": 6, "enumerate_points": 3}
+
+
 def test_checks_are_called_with_the_member_and_the_prime():
     # the body of a check also takes the surface, which the decorator looks
     # up; callers, and the names the benchmark tracer wraps, see (fam, p)
@@ -1611,7 +1700,7 @@ def test_fold_changes_no_report(p, monkeypatch):
         for fam in members:
             # each member is checked folded and then unfolded, and the memo
             # knows nothing of the patched _group_generator
-            surface_points.cache_clear()
+            varieties._member.cache_clear()
             out.append([check(fam, p).to_dict() for check in checks])
             rows.append(len(surface_points(fam, p).rows))
         return out
