@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import hashlib
 import json
 import os
 import random
@@ -129,11 +130,24 @@ def _primes_from(args) -> Tuple[int, ...]:
     return primes
 
 
+# the options that name an input file: the stamp holds the sha256 of the
+# file's bytes, not its path, so one file stamps the same from any
+# directory, and an edit in place changes the stamp
+_FILE_OPTIONS = ("coeffs", "config", "points")
+
+
 def _config_payload(args) -> Dict[str, object]:
     # only table1 takes --field; the other commands keep the key at its
     # default in the stamp, so a given invocation keeps its stamp
     skip = {"func", "output"}
     payload = {"field": "Q", **vars(args)}
+    for key in _FILE_OPTIONS:
+        if payload.get(key) is not None:
+            try:
+                with open(payload[key], "rb") as fh:
+                    payload[key] = hashlib.sha256(fh.read()).hexdigest()
+            except OSError as exc:
+                raise ConfigError(f"cannot read {payload[key]}: {exc}") from None
     return {k: v for k, v in sorted(payload.items()) if k not in skip}
 
 
@@ -583,13 +597,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         reports = args.func(args)
+        stamp = config_hash(_config_payload(args))
     except SystemExit as exc:
         # --help; every other argparse exit is a ConfigError
         return 2 if exc.code else 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    stamp = config_hash(_config_payload(args))
     for rep in reports:
         rep.provenance.setdefault("config", stamp)
         rep.provenance.setdefault("seed", getattr(args, "seed", 0))

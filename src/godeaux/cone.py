@@ -28,7 +28,7 @@ import numpy as np
 from .covers import preset_model
 from .reports import CheckReport
 from .scalars import FpElement, exact_rank, field_from_spec, nullspace, solve_linear
-from .varieties import Columns, _reduce_eqs, enumerate_points, fixed_locus
+from .varieties import Columns, PointSet, _reduce_eqs, enumerate_points, fixed_locus
 from .wpoly import MonomialMap, WPoly, WRing, apply_map, parse_poly, substitute
 
 CONE_VARIABLES = ("y0", "y1", "y2", "y3")
@@ -313,11 +313,17 @@ def _int_point(vec) -> Tuple[int, ...]:
 # branch configurations and degenerations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BranchConfig:
     """A branch configuration on the cone: the quadric section cutting B1
     (B2 is its involution image, derived), and the invariant plane section
-    B3 through the two smooth fixed points.
+    B3 through the two smooth fixed points.  q1 and h3 must be forms, and h3
+    must have no y1 or y2 term, so B3 contains both smooth fixed points.
+
+    A configuration compares (and hashes) by identity, so the scan of its
+    branch locus (_branch_locus) is never handed to another configuration,
+    even one with the same polynomials; the record relies on a
+    configuration not being changed after construction.
 
     Per-case structure is validated on construction:
       general  B1 a quadric section not containing the cone
@@ -469,6 +475,25 @@ def default_branch_config(case: str, field_spec="Q") -> BranchConfig:
     raise ValueError(f"case {case!r} not one of {DEGENERATION_CASES}")
 
 
+@functools.lru_cache(maxsize=1)
+def _branch_locus(cfg: BranchConfig, p: int) -> PointSet:
+    """The record of a configuration at p that its degeneration gates and
+    its census both read: the GF(p) points of B1 and B2 on the cone
+    (cone = q1 = q2 = 0), scanned once.  The memo holds the last
+    (configuration, p) only; a BranchConfig compares by identity, so the key
+    hashes no polynomial and another configuration never gets this record,
+    even one with the same polynomials."""
+    return enumerate_points(cfg.setup.ring, p, [cfg.setup.cone, cfg.q1, cfg.q2])
+
+
+def _vanishes_at(f: WPoly, point: Tuple[int, ...]) -> bool:
+    """Whether the form f vanishes at the coordinate point of y_v, read
+    from its coefficients: exactly when f has no y_v^deg(f) term, as every
+    other monomial of f has a factor that is 0 there."""
+    v = point.index(1)
+    return not f.coefficient(_exponent(*(v,) * f.degree()))
+
+
 def _proportional_mod_cone(setup: ConeSetup, f: WPoly, g: WPoly) -> bool:
     rf, rg = setup.reduce(f), setup.reduce(g)
     monos = sorted(set(rf.terms) | set(rg.terms))
@@ -481,9 +506,11 @@ def intersection_count(cfg: BranchConfig, p: int = 13) -> CheckReport:
 
     The lattice side computes (2H)^2 = 8 in the ruled-surface model of the
     resolved cone, independent of the configuration.  The census side
-    enumerates the rational common points of B1 and B2 over GF(p); a
-    shared component (detected exactly by proportionality modulo the cone,
-    or heuristically by a census exceeding the lattice number) is an error.
+    reads the rational common points of B1 and B2 over GF(p) from the
+    configuration's one scan (_branch_locus), which classify_degeneration
+    shares.  A shared component (detected exactly by proportionality modulo
+    the cone, or heuristically by a census exceeding the lattice number) is
+    an error.
     For nodal configurations the two double points absorb multiplicity 4
     each, which the report notes.
     """
@@ -500,7 +527,7 @@ def intersection_count(cfg: BranchConfig, p: int = 13) -> CheckReport:
             witness={"reason": "B1 and B2 are equal: shared component"},
             data={"lattice_count": lattice},
         )
-    locus = enumerate_points(setup.ring, p, [setup.cone, cfg.q1, q2])
+    locus = _branch_locus(cfg, p)
     rational = [list(pt) for pt in locus.points]
     if len(rational) > lattice:
         return CheckReport(
@@ -616,10 +643,15 @@ _CASE_TABLE["exP"] = dict(
 def classify_degeneration(cfg: BranchConfig, p: int = 13) -> CheckReport:
     """The case-table verdict next to the gates computed on the input.
 
-    Computable gates: the vertex avoiding B1+B2+B3 (exact evaluation), the
-    triple intersection being empty (enumeration over GF(p)), membership
-    of the two smooth fixed points in B3 (exact), and the unramified gate:
-    none of the three fixed points lying on B1+B2 (exact).
+    Computable gates: the vertex avoiding B1+B2+B3, the triple
+    intersection being empty over GF(p), membership of the two smooth fixed
+    points in B3, and the unramified gate: none of the three fixed points
+    lying on B1+B2.  The three fixed points are coordinate points, so the
+    gates there are read exactly from the coefficients of the forms
+    (_vanishes_at), with no evaluation; B3 contains the smooth fixed points
+    by BranchConfig's check on h3, so that gate always holds.  The triple
+    intersection is the set of rows of the B1 and B2 scan (_branch_locus,
+    shared with intersection_count) on which h3 vanishes mod p.
 
     `normalization` and the Cartier indices transcribe the case table.
     `gorenstein` is True only when the computable criterion (the vertex
@@ -628,18 +660,19 @@ def classify_degeneration(cfg: BranchConfig, p: int = 13) -> CheckReport:
     case is known non-Gorenstein.  The status is "lookup" when the gates
     agree with the table, "fail" otherwise.
     """
-    setup = cfg.setup
     branch = (cfg.q1, cfg.q2)
 
     def meets(fs, pt):
-        return any(not f.evaluate(pt) for f in fs)
+        return any(_vanishes_at(f, pt) for f in fs)
 
-    triple = enumerate_points(setup.ring, p, [setup.cone, *branch, cfg.h3])
+    locus = _branch_locus(cfg, p)
+    _, (h3,) = _reduce_eqs(cfg.setup.ring, p, [cfg.h3])
+    on_b3 = Columns(locus.rows.T, p).evaluate(h3) == 0
     gates = {
         "vertex_avoids_branch": not meets((*branch, cfg.h3), VERTEX),
-        "triple_intersection_empty": len(triple.points) == 0,
-        "smooth_fixed_points_on_B3": not cfg.h3.evaluate(SMOOTH_FIXED_1)
-        and not cfg.h3.evaluate(SMOOTH_FIXED_2),
+        "triple_intersection_empty": not on_b3.any(),
+        "smooth_fixed_points_on_B3": _vanishes_at(cfg.h3, SMOOTH_FIXED_1)
+        and _vanishes_at(cfg.h3, SMOOTH_FIXED_2),
         "fixed_points_avoid_B1B2": not any(
             meets(branch, pt) for pt in (VERTEX, SMOOTH_FIXED_1, SMOOTH_FIXED_2)
         ),

@@ -19,6 +19,7 @@ each variable by an arbitrary polynomial.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -180,17 +181,35 @@ class WPoly:
         return WPoly(self.ring, out)
 
     def evaluate(self, point: Sequence[object]):
+        """f at the point, as an element of its field, summed in ints.  Over
+        GF(p) the coordinates are read into the field, and the terms are
+        summed as residues and reduced once.  Over Q the point is scaled to a
+        common denominator D and the coefficients to theirs, B; each term is
+        lifted to the top total degree k by the powers of D it lacks, and
+        the sum over B * D^k is one Fraction."""
         if len(point) != self.ring.nvars:
             raise ValueError("point has wrong number of coordinates")
-        coords = [self.ring.field(x) if isinstance(x, (int, str)) else x for x in point]
-        total = self.ring.field.zero()
-        for e, c in self.terms.items():
-            val = c
-            for x, k in zip(coords, e):
+        field = self.ring.field
+        if field.characteristic:
+            xs = [field(x).value for x in point]
+            coeffs = [c.value for c in self.terms.values()]
+        else:
+            xs = [x if isinstance(x, (int, Fraction)) else field(x) for x in point]
+            den = math.lcm(*(x.denominator for x in xs))
+            xs = [x.numerator * (den // x.denominator) for x in xs]
+            scale = math.lcm(*(c.denominator for c in self.terms.values()))
+            top = max(map(sum, self.terms), default=0)
+            coeffs = [c.numerator * (scale // c.denominator) * den ** (top - sum(e))
+                      for e, c in self.terms.items()]
+        total = 0
+        for e, term in zip(self.terms, coeffs):
+            for x, k in zip(xs, e):
                 if k:
-                    val = val * x ** k
-            total = total + val
-        return total
+                    term *= x ** k
+            total += term
+        if field.characteristic:
+            return FpElement(total, field.p)
+        return Fraction(total, scale * den ** top)
 
     def to_string(self) -> str:
         if not self.terms:

@@ -9,7 +9,7 @@ import itertools
 import json
 import random
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -283,6 +283,36 @@ def test_cone_degenerate_builds_one_cone_setup(monkeypatch, capsys):
     assert len(builds) == 1
 
 
+def test_cone_degenerate_scans_each_configuration_once(monkeypatch, capsys):
+    # the gates and the census read one scan of B1 and B2 on the cone, and
+    # the gates at the fixed points evaluate no polynomial
+    import godeaux.cone as cone
+    from godeaux.wpoly import WPoly
+
+    scans, evaluations = [], []
+    original_scan, original_evaluate = cone.enumerate_points, WPoly.evaluate
+
+    def counting_scan(ring, p, eqs, *rest):
+        scans.append(len(eqs))
+        return original_scan(ring, p, eqs, *rest)
+
+    def counting_evaluate(self, point):
+        evaluations.append(point)
+        return original_evaluate(self, point)
+
+    monkeypatch.setattr(cone, "enumerate_points", counting_scan)
+    monkeypatch.setattr(WPoly, "evaluate", counting_evaluate)
+    for case in ("general", "1", "3"):
+        scans.clear()
+        code = run(["cone", "degenerate", "--case", case, "--intersections"])
+        assert code == (2 if case == "3" else 0)
+        assert scans == [3], case
+    assert "N-elliptic" in capsys.readouterr().out
+    evaluations.clear()
+    assert run(["cone", "degenerate", "--case", "general"]) == 0
+    assert evaluations == []
+
+
 def test_cone_image_check_evaluates_no_polynomial_per_point(monkeypatch, capsys):
     from godeaux.wpoly import WPoly
 
@@ -304,7 +334,9 @@ def test_cone_image_check_evaluates_no_polynomial_per_point(monkeypatch, capsys)
 # are meant to stay byte-identical.  The two config files and the deg4 run at
 # GF(29) pin the verdict paths the default cases miss: a general q1 through
 # the vertex (status fail), and a q1 with tau(q1) = -q1, a shared component
-# found at scale -1 (census error)
+# found at scale -1 (census error).  The four file runs were re-pinned when
+# the config stamp came to hash the file's bytes instead of its path; their
+# reports are otherwise unchanged
 PINNED_CONE_REPORTS = {
     ("image-check", "--prime", "13"):
         (0, "0c0f1ee6dbfbf94325f18890259ccd5562e128e233b2c56d825a0987eae341e8"),
@@ -330,20 +362,19 @@ PINNED_CONE_REPORTS = {
     ("degenerate", "--case", "4", "--intersections", "--prime", "29"):
         (0, "ece14070e3bcea289bc142eaec24a1bc5b484f65a4984848f1c537599f07280e"),
     ("degenerate", "--config", "through-vertex.json"):
-        (1, "237db8ad749acca6a7ff0af217dc4ff06541aa27b16cd62705990e54dc6c3fec"),
+        (1, "9040a688de34cc843b0d67249f8031585cfbabee1105221bedc59ab7f170a96b"),
     ("degenerate", "--config", "anti-invariant.json", "--intersections"):
-        (2, "42a4adafbd920e38b308bfd8a80df4ac1edf9a9197b02248f417f17259dcfac1"),
+        (2, "b9f014c7214a9d26a55e870e063e6873b20e0ac507a1d6bd84cef363a24bf2a7"),
     ("pencil",):
         (0, "8561ae751297b19ae4f4310aa9911f51d15619324f580fecd1eb9f63f0c98148"),
     ("pencil", "--points", "frame-a.json"):
-        (0, "a89bac021ea5bc9646ea0063f2c08127fb8a1669dbff772b3d746db8f725e77a"),
+        (0, "50d733258b9a462daac5fa886256ef6fbab57f6ebe9ff8a0dae7c36cacca3002"),
     ("pencil", "--points", "frame-b.json"):
-        (0, "86a8c37a1f550182a53e29a6a4dad08406577290b9ef226b667c7db7334d2980"),
+        (0, "4434343a33abbd18c94059bc1393efcde570ef923b535d6af309afac6c0c5bbb"),
 }
 
 
 def test_cone_reports_are_pinned(tmp_path, monkeypatch):
-    # relative paths: the points file name is part of the hashed config
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("GODEAUX_PRIMES", raising=False)
     (tmp_path / "frame-a.json").write_text(
@@ -688,6 +719,38 @@ def test_reports_are_byte_identical_for_same_seed(tmp_path):
     assert run(["verify", "--prime", "13", "--draws", "2", "--seed", "43",
                 "--output", str(c)]) == 0
     assert a.read_bytes() != c.read_bytes()
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["table1", "--coeffs"], {"field": "Q", "seed": 5}),
+    (["cone", "degenerate", "--config"],
+     {"case": "general", "q1": "y1^2 + y2^2 + y3^2 + y0 y1", "h3": "y0 + 2*y3"}),
+    (["cone", "pencil", "--points"], [[1, 2, 3], [-1, 0, 2], [2, -3, 1], [0, 1, -1]]),
+], ids=["coeffs", "config", "points"])
+def test_config_stamp_is_the_file_content(argv, content, tmp_path):
+    # one file in two directories stamps the same, so the reports are
+    # byte-identical; an edit in place (here a reformatting) changes the
+    # stamp and nothing else
+    paths = [tmp_path / folder / "input.json" for folder in ("a", "b")]
+    for path in paths:
+        path.parent.mkdir()
+        path.write_text(json.dumps(content))
+
+    def report(path):
+        out = tmp_path / "out.json"
+        code = run([*argv, str(path), "--output", str(out)])
+        return code, out.read_bytes()
+
+    first = report(paths[0])
+    assert report(paths[1]) == first
+    paths[0].write_text(json.dumps(content, indent=1))
+    code, edited = report(paths[0])
+    assert code == first[0]
+    before, after = json.loads(first[1]), json.loads(edited)
+    stamps = [[r["provenance"].pop("config") for r in reps] for reps in (before, after)]
+    assert len(set(stamps[0])) == len(set(stamps[1])) == 1
+    assert stamps[0] != stamps[1]
+    assert before == after
 
 
 def test_repeated_verify_runs_in_one_process_write_the_same_report(tmp_path, monkeypatch):
@@ -1051,3 +1114,31 @@ def test_template_memos_change_no_traced_count(tmp_path):
     assert counts[0]["varieties.enumerate_points"] == 2
     assert counts[0]["cone.classify_degeneration"] == 1
     assert counts[0]["wpoly.jacobian"] == 0
+
+
+def test_branch_locus_never_carries_over_to_another_configuration(tmp_path):
+    # the traced benchmark run runs each op traced, untraced and traced
+    # again; each run builds its own BranchConfig, equal in value to the one
+    # of the run before.  The scan of its branch locus is keyed by the
+    # object, so every run scans once and both traced runs count the same
+    tracing, workloads = _perfbench("tracing"), _perfbench("workloads")
+    config = workloads.cone_config_op(random.Random(1), str(tmp_path), "trace")
+    argvs = [["cone", "degenerate", "--case", "1", "--intersections"],
+             config.argv + ["--intersections"]]
+
+    def quiet(argv):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return run(argv)
+
+    for argv in argvs:
+        code = quiet(argv)
+        counts = []
+        for traced in (True, False, True):
+            tracer = tracing.Tracer()
+            with tracer.installed(0) if traced else nullcontext():
+                assert quiet(argv) == code
+            if traced:
+                counts.append({name: stats["calls"] for name, stats in tracer.stats.items()})
+        assert counts[0] == counts[1], argv
+        assert counts[0]["varieties.enumerate_points"] == 1, argv
+        assert counts[0]["cone.intersection_count"] == 1, argv

@@ -1,6 +1,7 @@
 """The cone, its involution, branch degenerations, and the conic pencil."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,10 @@ from godeaux.cone import (
     BranchConfig,
     ConeSetup,
     DEGENERATION_CASES,
+    SMOOTH_FIXED_1,
+    SMOOTH_FIXED_2,
     STANDARD_FRAME,
+    VERTEX,
     classify_degeneration,
     cone_setup,
     default_branch_config,
@@ -20,7 +24,8 @@ from godeaux.cone import (
     verify_invariant_map,
 )
 from godeaux.scalars import field_from_spec
-from godeaux.wpoly import MonomialMap, WRing, apply_map, parse_poly
+from godeaux.varieties import enumerate_points
+from godeaux.wpoly import MonomialMap, WPoly, WRing, apply_map, monomials_of_degree, parse_poly
 
 
 def test_setup_involution_squares_to_identity():
@@ -336,6 +341,70 @@ def test_gorenstein_gate_passes_for_general_and_fails_for_deg4():
     bad = classify_degeneration(default_branch_config("deg4")).data["gates"]
     assert not bad["vertex_avoids_branch"]
     assert not bad["fixed_points_avoid_B1B2"]
+
+
+def _random_general_config(rng, field_spec):
+    """A general configuration with random coefficients on a random set of
+    quadric monomials, and h3 = a*y0 + b*y3; the coefficients are
+    rationals with denominators prime to 13, 29 and 61."""
+    ring = cone_setup(field_spec).ring
+
+    def scalar():
+        return ring.field(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 7))))
+
+    while True:
+        q1 = WPoly(ring, {e: scalar() for e in monomials_of_degree(ring, 2)
+                          if rng.random() < 0.6})
+        h3 = WPoly(ring, {(1, 0, 0, 0): scalar(), (0, 0, 0, 1): scalar()})
+        try:
+            return BranchConfig(case="general", q1=q1, h3=h3)
+        except ValueError:
+            continue
+
+
+def _gate_configs():
+    """The six presets over Q and GF(13), random general configurations
+    over both, and a general configuration whose three branches meet mod 13."""
+    rng = random.Random(25)
+    configs = []
+    for field_spec in ("Q", 13):
+        configs += [(f"{case}-{field_spec}", default_branch_config(case, field_spec))
+                    for case in DEGENERATION_CASES]
+        configs += [(f"random{i}-{field_spec}", _random_general_config(rng, field_spec))
+                    for i in range(6)]
+    s = cone_setup()
+    configs.append(("triple-mod-13", BranchConfig(
+        case="general",
+        q1=parse_poly(s.ring, "6*y3^2 + 6*y2 y3 + 2*y1^2 + -6*y0 y2 + 2*y0^2 + y2^2"),
+        h3=parse_poly(s.ring, "y0 + -1*y3"))))
+    return [pytest.param(name, cfg, id=name) for name, cfg in configs]
+
+
+@pytest.mark.parametrize("name, cfg", _gate_configs())
+def test_gates_agree_with_evaluation_and_a_direct_scan(name, cfg):
+    # the gates at the fixed points are read from coefficients, and the
+    # triple intersection from the rows of the B1 and B2 scan where h3
+    # vanishes: check them against evaluation at the points and a scan of
+    # all four equations
+    setup = cfg.setup
+    branch = (cfg.q1, cfg.q2)
+
+    def meets(fs, pt):
+        return any(not f.evaluate(pt) for f in fs)
+
+    fixed = (VERTEX, SMOOTH_FIXED_1, SMOOTH_FIXED_2)
+    primes = (13,) if setup.field.characteristic else (13, 29, 61)
+    for p in primes:
+        triple = enumerate_points(setup.ring, p, [setup.cone, *branch, cfg.h3])
+        assert classify_degeneration(cfg, p).data["gates"] == {
+            "vertex_avoids_branch": not meets((*branch, cfg.h3), VERTEX),
+            "triple_intersection_empty": len(triple) == 0,
+            "smooth_fixed_points_on_B3": meets((cfg.h3,), SMOOTH_FIXED_1)
+            and meets((cfg.h3,), SMOOTH_FIXED_2),
+            "fixed_points_avoid_B1B2": not any(meets(branch, pt) for pt in fixed),
+        }, p
+    if name == "triple-mod-13":
+        assert not classify_degeneration(cfg, 13).data["gates"]["triple_intersection_empty"]
 
 
 def test_deg3_gates_show_the_obstruction():

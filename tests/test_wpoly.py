@@ -159,6 +159,64 @@ def test_evaluate():
     assert g.evaluate([Rp.field(5), Rp.field(2)]) == 30 % 13
 
 
+def evaluate_by_field_ops(f, point):
+    """f at the point by field arithmetic, term by term: the oracle for the
+    int sums of WPoly.evaluate."""
+    field = f.ring.field
+    coords = [field(x) if isinstance(x, (int, str)) else x for x in point]
+    total = field.zero()
+    for e, c in f.terms.items():
+        val = c
+        for x, k in zip(coords, e):
+            if k:
+                val = val * x ** k
+        total = total + val
+    return total
+
+
+F13 = WRing(R.names, R.weights, PrimeField(13))
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+def _polys(ring, scalars):
+    """Polynomials of weighted degree at most 6 on the ring, not
+    necessarily homogeneous, the zero polynomial included."""
+    monos = [e for d in range(7) for e in monomials_of_degree(ring, d)]
+    return st.dictionaries(st.sampled_from(monos), scalars.map(ring.field),
+                           max_size=6).map(lambda terms: WPoly(ring, terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_evaluate_agrees_with_field_arithmetic(data):
+    # rational coefficients at non-integral rational points, GF(13) points
+    # given as ints or field elements, the zero polynomial, and polynomials
+    # of several degrees
+    if data.draw(st.booleans(), label="over Q"):
+        ring, scalars = R, rationals
+        point = data.draw(st.lists(rationals, min_size=5, max_size=5), label="point")
+    else:
+        ring, scalars = F13, st.integers(-30, 30)
+        point = [x if data.draw(st.booleans()) else F13.field(x)
+                 for x in data.draw(st.lists(st.integers(-30, 30), min_size=5, max_size=5))]
+    f = data.draw(_polys(ring, scalars), label="f")
+    value = f.evaluate(point)
+    assert value == evaluate_by_field_ops(f, point)
+    assert type(value) is type(ring.field.zero())
+
+
+def test_evaluate_covers_the_edge_cases():
+    half = Fraction(1, 2)
+    assert R.zero_poly().evaluate([half, 0, 1, 2, 3]) == 0
+    assert F13.zero_poly().evaluate([1, 2, 3, 4, 5]) == F13.field(0)
+    # non-homogeneous: degrees 0, 1 and 4 at a point with denominators 2, 3
+    f = parse_poly(R, "5/6 * x1^4 + -2/3 * x2 + 7/4")
+    pt = [half, Fraction(-1, 3), 0, 0, Fraction(2, 3)]
+    assert f.evaluate(pt) == evaluate_by_field_ops(f, pt) == Fraction(5, 96) + Fraction(2, 9) + Fraction(7, 4)
+    with pytest.raises(TypeError):
+        f.evaluate([F13.field(1), 0, 0, 0, 0])
+
+
 def test_partial_and_jacobian():
     f = parse_poly(R, "1 * x1^4 + 2 * x1 y1 + 5 * y3")
     fx = f.partial(0)
