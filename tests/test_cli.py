@@ -329,6 +329,12 @@ def test_cone_image_check_evaluates_no_polynomial_per_point(monkeypatch, capsys)
     assert calls == []
 
 
+# the deg1 preset (nodes at r1 and tau(r1)) as a config file over GF(13)
+DEG1_F13 = {"case": "deg1", "field": 13,
+            "q1": "2*y1^2 + -4*y1 y2 + 2*y2^2 + 5*y1 y3 + -5*y2 y3 + -1*y3^2",
+            "h3": "y0 + 2*y3", "r1": [1, 1, 1, 0]}
+
+
 # exit status and sha256 of the canonical JSON of each cone command, as
 # computed before the cone module moved onto the shared kernels; the reports
 # are meant to stay byte-identical.  The two config files and the deg4 run at
@@ -365,6 +371,10 @@ PINNED_CONE_REPORTS = {
         (1, "9040a688de34cc843b0d67249f8031585cfbabee1105221bedc59ab7f170a96b"),
     ("degenerate", "--config", "anti-invariant.json", "--intersections"):
         (2, "b9f014c7214a9d26a55e870e063e6873b20e0ac507a1d6bd84cef363a24bf2a7"),
+    # the deg1 preset over GF(13): the GF(p) rank test of its nodes and the
+    # GF(p) normalization of tau(r1) in the census
+    ("degenerate", "--config", "deg1-f13.json", "--intersections"):
+        (0, "d41fc0cc4739deb7c4925823fae4d70ce4aa389ab1470e515dab119511cf9de3"),
     ("pencil",):
         (0, "8561ae751297b19ae4f4310aa9911f51d15619324f580fecd1eb9f63f0c98148"),
     ("pencil", "--points", "frame-a.json"):
@@ -385,6 +395,7 @@ def test_cone_reports_are_pinned(tmp_path, monkeypatch):
         {"case": "general", "q1": "y1^2 + y2^2 + y0 y1", "h3": "y0 + 2*y3"}))
     (tmp_path / "anti-invariant.json").write_text(json.dumps(
         {"case": "general", "q1": "y0 y1 + y2 y3", "h3": "y0 + 2*y3"}))
+    (tmp_path / "deg1-f13.json").write_text(json.dumps(DEG1_F13))
     for argv, (code, digest) in PINNED_CONE_REPORTS.items():
         out = tmp_path / "reports.json"
         if out.exists():
@@ -457,6 +468,11 @@ PINNED_REPORTS = {
         (0, "42829b6d06a2332990c8b9aba19f2f3897fa9c51f1240c9eb7e4d0a6e75a6446"),
     ("table1", "--seed", "7"):
         (0, "b656cb88fd009b04d0746fe0e74772eb7273aae66d31f107b8045d259ce15f06"),
+    # the sigma-type ranks over GF(p)
+    ("table1", "--field", "13", "--seed", "0"):
+        (0, "5823ce4f1971897a95658c7514269817b5b97685cbb3c9a9a03a5dcbc5cf185f"),
+    ("table1", "--field", "29", "--seed", "7"):
+        (0, "45e4504141c31f576919c630d361aaea8952af88bac0c9462f65d0a6049f1ea5"),
     ("cover", "validate", "--preset", "enriques"):
         (0, "f7f63714eb3c626d531b320009bf46b72db0b99217cde8cca80fb894558d3205"),
     ("cover", "validate", "--preset", "f2"):
