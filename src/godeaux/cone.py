@@ -27,7 +27,7 @@ import numpy as np
 
 from .covers import preset_model
 from .reports import CheckReport
-from .scalars import FpElement, exact_rank, field_from_spec, nullspace, solve_linear
+from .scalars import QQ, exact_rank, field_from_spec, nullspace, solve_linear
 from .varieties import Columns, PointSet, _reduce_eqs, enumerate_points, fixed_locus
 from .wpoly import MonomialMap, WPoly, WRing, apply_map, parse_poly, substitute
 
@@ -60,11 +60,12 @@ class ConeSetup:
     def __post_init__(self):
         if self.ring.weights != (1, 1, 1, 1):
             raise ValueError("the cone lives in a straight P^3")
+        field = self.ring.field
         lead = self.cone.coefficient((2, 0, 0, 0))
-        expected = {(2, 0, 0, 0): lead, (0, 1, 1, 0): -lead}
+        expected = {(2, 0, 0, 0): lead, (0, 1, 1, 0): field(-lead)}
         if not lead or dict(self.cone.terms) != expected:
             raise ValueError("cone equation must be a multiple of y0^2 - y1*y2")
-        if self.tau.ring != self.ring or any(s * s != 1 for s in self.tau.scalars):
+        if self.tau.ring != self.ring or any(field(s * s) != 1 for s in self.tau.scalars):
             raise ValueError("tau must be a diagonal involution of the cone ring")
         if apply_map(self.cone, self.tau) != self.cone:
             raise ValueError("tau does not preserve the cone equation")
@@ -79,7 +80,7 @@ class ConeSetup:
             self.reduce(self.ring.monomial(_exponent(i, j))).to_string()
             for i in range(4)
             for j in range(i, 4)
-            if self.tau.scalars[i] * self.tau.scalars[j] == self.ring.field(1)
+            if field(self.tau.scalars[i] * self.tau.scalars[j]) == 1
         }
         if basis != even or len(self.invariant_quadrics) != len(basis):
             raise ValueError(
@@ -200,11 +201,12 @@ def _factor_binary_quadratic(a, b, c, field):
         raise ValueError("zero form has no well-defined roots")
     if not a:
         # t | form: root (1, 0); remaining linear factor b*s + c*t
-        return [(one, zero)] + ([(-c / b, one)] if b else [])
+        return [(one, zero)] + ([(field(-c * field.inverse(b)), one)] if b else [])
     root = field.sqrt(b * b - 4 * a * c)
     if root is None:
         return None
-    return [((-b + r) / (2 * a), one) for r in {root, -root}]
+    inv = field.inverse(2 * a)
+    return [(field((-b + r) * inv), one) for r in {root, -root}]
 
 
 def tau_fixed_points(setup: ConeSetup, prime: Optional[int] = None) -> CheckReport:
@@ -235,11 +237,11 @@ def tau_fixed_points(setup: ConeSetup, prime: Optional[int] = None) -> CheckRepo
         for s, t in roots:
             vec = [0, 0, 0, 0]
             vec[i], vec[j] = s, t
-            points.append(_int_point(vec))
+            points.append(_int_point(vec, field))
     points = sorted(set(points))
     grad = [setup.cone.partial(v) for v in range(4)]
     vertex = [pt for pt in points if not any(g.evaluate(pt) for g in grad)]
-    images = {str(list(pt)): list(_int_point(setup.image_point(pt))) for pt in points}
+    images = {str(list(pt)): list(_int_point(setup.image_point(pt), field)) for pt in points}
     expected = sorted([VERTEX, SMOOTH_FIXED_1, SMOOTH_FIXED_2])
     expected_images = {
         str(list(VERTEX)): [0, 0, 0, 1, 0],
@@ -284,29 +286,28 @@ def _exponent(*variables: int) -> Tuple[int, ...]:
     return tuple(e)
 
 
-def _normalized(values) -> Tuple[object, ...]:
-    """The entries divided by the first nonzero one, which must be a field
-    element."""
-    lead = next((x for x in values if x), None)
+def _normalized(values, field) -> Tuple[object, ...]:
+    """The entries divided by the first nonzero one, in the field."""
+    lead = next((x for x in values if field(x)), None)
     if lead is None:
         raise ValueError("zero vector")
-    return tuple(x / lead for x in values)
+    inv = field.inverse(lead)
+    return tuple(field(x * inv) for x in values)
 
 
-def _proportional(u, v) -> bool:
+def _proportional(u, v, field) -> bool:
     """Whether two vectors span at most a line."""
-    return exact_rank([u, v]) < 2
+    return exact_rank([u, v], field) < 2
 
 
-def _int_point(vec) -> Tuple[int, ...]:
+def _int_point(vec, field) -> Tuple[int, ...]:
     """A projective point scaled to lead with 1, as ints; only for points
     whose normalized coordinates are integers (GF(p) gives residues)."""
-    out = []
-    for x in _normalized(vec):
-        if not isinstance(x, FpElement) and x.denominator != 1:
+    out = _normalized(vec, field)
+    for x in out:
+        if x != int(x):
             raise ValueError(f"{x} is not an integer")
-        out.append(x.value if isinstance(x, FpElement) else int(x))
-    return tuple(out)
+    return tuple(map(int, out))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +380,7 @@ class BranchConfig:
         field = setup.field
         r1 = [field(x) for x in self.r1]
         r2 = list(setup.tau.point_image(r1))
-        if _proportional(r1, r2):
+        if _proportional(r1, r2, field):
             raise ValueError("r1 must not be fixed by the involution")
         if setup.cone.evaluate(r1) != field(0):
             raise ValueError("r1 does not lie on the cone")
@@ -393,7 +394,7 @@ class BranchConfig:
                 [g.evaluate(pt) for g in grads[:4]],
                 [g.evaluate(pt) for g in grads[4:]],
             ]
-            if exact_rank(rows) > 1:
+            if exact_rank(rows, field) > 1:
                 raise ValueError(
                     f"B1 is not singular at {label}: the Jacobian of (cone, q1) has full rank"
                 )
@@ -424,7 +425,7 @@ class BranchConfig:
         # on the double cover coordinates the plane reads b u^2 + a uv + c v^2
         # + d w; it cuts a doubled ruling iff d = 0 and the binary form is a
         # square
-        if d or a * a - 4 * b * c or not (a or b or c):
+        if d or setup.field(a * a - 4 * b * c) or not (a or b or c):
             raise ValueError("ht does not cut a doubled ruling of the cone")
 
 
@@ -498,7 +499,7 @@ def _proportional_mod_cone(setup: ConeSetup, f: WPoly, g: WPoly) -> bool:
     rf, rg = setup.reduce(f), setup.reduce(g)
     monos = sorted(set(rf.terms) | set(rg.terms))
     return _proportional([rf.coefficient(m) for m in monos],
-                         [rg.coefficient(m) for m in monos])
+                         [rg.coefficient(m) for m in monos], setup.field)
 
 
 def intersection_count(cfg: BranchConfig, p: int = 13) -> CheckReport:
@@ -550,7 +551,7 @@ def intersection_count(cfg: BranchConfig, p: int = 13) -> CheckReport:
         "case": cfg.case,
     }
     if cfg.case == "deg1" and cfg.r1 is not None:
-        r2 = _int_point(setup.tau.point_image(cfg.r1))
+        r2 = _int_point(setup.tau.point_image(cfg.r1), setup.field)
         data["multiplicities"] = {
             str(list(cfg.r1)): 4,
             str(list(r2)): 4,
@@ -727,13 +728,13 @@ def _mat_mul(a, b):
 def _is_scalar(m, field) -> bool:
     """Whether the square matrix m is proportional to the identity."""
     ident = [field(int(i == j)) for i in range(len(m)) for j in range(len(m))]
-    return _proportional([x for row in m for x in row], ident)
+    return _proportional([x for row in m for x in row], ident, field)
 
 
 def _frame_matrix(p1, p2, p3, p4):
     """Matrix sending the standard frame to (p1, p2, p3; p4 as unit point)."""
     rows = list(zip(p1, p2, p3))
-    alpha = solve_linear(rows, list(p4))
+    alpha = solve_linear(rows, list(p4), QQ)
     if alpha is None or not all(alpha):
         raise ValueError("points are in degenerate position")
     return tuple(tuple(a * x for a, x in zip(alpha, row)) for row in rows)
@@ -742,7 +743,7 @@ def _frame_matrix(p1, p2, p3, p4):
 def _monic(q: WPoly) -> WPoly:
     """q scaled so its leading coefficient (in term order) is 1."""
     monos = q.monomials()
-    return WPoly(q.ring, dict(zip(monos, _normalized([q.terms[m] for m in monos]))))
+    return WPoly(q.ring, dict(zip(monos, _normalized([q.terms[m] for m in monos], q.ring.field))))
 
 
 def pencil_report(points: Sequence[Sequence[int]] = STANDARD_FRAME) -> CheckReport:
@@ -759,27 +760,30 @@ def pencil_report(points: Sequence[Sequence[int]] = STANDARD_FRAME) -> CheckRepo
     involution is free on the eight preimages iff those images are the
     four base points again.
     """
-    field = field_from_spec("Q")
+    field = QQ
     pts = [tuple(Fraction(x) for x in p) for p in points]
     if len(pts) != 4 or any(len(p) != 3 for p in pts):
         raise ValueError("need four points of the plane")
     for skip in range(4):
         tri = [p for i, p in enumerate(pts) if i != skip]
-        if exact_rank(tri) < 3:
+        if exact_rank(tri, field) < 3:
             raise ValueError("points are in degenerate position: three collinear")
     source = _frame_matrix(*pts)
     target = _frame_matrix(pts[1], pts[2], pts[3], pts[0])
     # phi = target * source^-1: row i of phi solves x * source = target[i]
     source_t = [list(col) for col in zip(*source)]
-    flat = _normalized([x for row in target for x in solve_linear(source_t, list(row))])
+    flat = _normalized([x for row in target for x in solve_linear(source_t, list(row), field)],
+                       field)
     phi = (flat[0:3], flat[3:6], flat[6:9])
     # targets[i] = j when phi(P_i) = P_j, None when phi(P_i) is no base point
-    labels = {_normalized(p): j for j, p in enumerate(pts)}
-    targets = [labels.get(_normalized(image)) for image in _mat_mul(pts, tuple(zip(*phi)))]
+    labels = {_normalized(p, field): j for j, p in enumerate(pts)}
+    targets = [labels.get(_normalized(image, field))
+               for image in _mat_mul(pts, tuple(zip(*phi)))]
 
     ring = WRing(("x", "y", "z"), (1, 1, 1), field)
     monos = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
-    kernel = nullspace([[p[0] ** i * p[1] ** j * p[2] ** k for i, j, k in monos] for p in pts])
+    kernel = nullspace([[p[0] ** i * p[1] ** j * p[2] ** k for i, j, k in monos] for p in pts],
+                       field)
     if len(kernel) != 2:
         raise AssertionError("pencil through four general points must be 2-dim")
 
@@ -794,7 +798,7 @@ def pencil_report(points: Sequence[Sequence[int]] = STANDARD_FRAME) -> CheckRepo
     action_cols = []
     for q in basis:
         pulled = substitute(q, [linear(row) for row in phi])
-        coeffs = solve_linear(list(zip(*kernel)), [pulled.coefficient(m) for m in monos])
+        coeffs = solve_linear(list(zip(*kernel)), [pulled.coefficient(m) for m in monos], field)
         if coeffs is None:
             raise AssertionError("pencil is not preserved by the automorphism")
         action_cols.append(coeffs)
@@ -809,13 +813,14 @@ def pencil_report(points: Sequence[Sequence[int]] = STANDARD_FRAME) -> CheckRepo
     fixed = [_monic(s * basis[0] + t * basis[1]) for s, t in roots]
     # a conic is reducible iff its constant Hessian is singular
     reducible = [q for q in fixed if exact_rank(
-        [[q.partial(i).partial(j).coefficient((0, 0, 0)) for j in range(3)] for i in range(3)]
+        [[q.partial(i).partial(j).coefficient((0, 0, 0)) for j in range(3)] for i in range(3)],
+        field,
     ) < 3]
     smooth = [q for q in fixed if q not in reducible]
     if len(reducible) != 1 or len(smooth) != 1:
         raise AssertionError("exactly one fixed member must be reducible")
     # the line through two points is the kernel of the pair
-    diagonals = [linear(nullspace([pts[i], pts[i + 2]])[0]) for i in (0, 1)]
+    diagonals = [linear(nullspace([pts[i], pts[i + 2]], field)[0]) for i in (0, 1)]
     phi_sq = _mat_mul(phi, phi)
     checks = {
         "cycles_points": targets == [1, 2, 3, 0],

@@ -225,7 +225,7 @@ def reduce_family(fam: GodeauxFamily, p: int) -> GodeauxFamily:
     field = field_from_spec(p)
 
     def push(block: Dict[str, object]) -> Dict[str, object]:
-        return {k: field(fam.field(v)).value for k, v in block.items()}
+        return {k: field(fam.field(v)) for k, v in block.items()}
 
     params = FamilyParams(
         field_spec=p,

@@ -50,11 +50,12 @@ class CyclicAction:
     def as_monomial_map(self, root) -> MonomialMap:
         """Realize over the ring's field, given a primitive order-th root of
         unity from that field; order and the root are sanity-checked."""
-        root = self.ring.field(root) if isinstance(root, (int, str)) else root
-        if root ** self.order != self.ring.field.one():
+        field = self.ring.field
+        root = field(root)
+        if field(root ** self.order) != 1:
             raise ValueError("supplied scalar is not a root of unity of the right order")
         for k in range(1, self.order):
-            if root ** k == self.ring.field.one():
+            if field(root ** k) == 1:
                 raise ValueError("supplied root of unity is not primitive")
         return MonomialMap(self.ring, tuple(root ** e for e in self.exponents))
 
@@ -170,6 +171,7 @@ def sigma_type(
                     raise AssertionError("ideal row escaped its eigenspace")
             rows[s].append([prod.coefficient(e) for e in cols[s]])
     plus, minus = (
-        len(cols[s]) - (exact_rank(rows[s]) if rows[s] else 0) for s in (0, 1)
+        len(cols[s]) - (exact_rank(rows[s], action.ring.field) if rows[s] else 0)
+        for s in (0, 1)
     )
     return SigmaType(plus, minus)

@@ -1,13 +1,18 @@
 """Exact scalars: arbitrary-precision rationals and odd prime fields.
 
-Rational arithmetic is delegated to fractions.Fraction, which already keeps
-values in lowest terms with a positive denominator.  This module adds a
-prime-field element with the same operator surface plus small field
-descriptor objects, so polynomial code can stay agnostic about which exact
-field its coefficients live in.
+A rational is a fractions.Fraction, which keeps values in lowest terms with a
+positive denominator.  A GF(p) value is a plain int residue in [0, p).  A
+field descriptor (Rationals, PrimeField) reads a value into its field, so
+the descriptor is what reduces mod p: arithmetic on residues gives ints
+that the descriptor brings back to [0, p) before any comparison or test for
+zero.  Polynomial code takes its field from its ring and stays agnostic
+about which exact field its coefficients live in.
 
-Mixing elements of different fields, or of a prime field and a rational, is
-an error and never a silent coercion.  Plain ints coerce into either field.
+Both descriptors read an int, an integer string or a Fraction (GF(p) when
+p does not divide the denominator); a bool or a float is never a scalar.
+The guards between fields sit at ring level, since a residue is an int like
+any other.  The linear algebra at the end of the module takes its field as
+an argument.
 """
 
 from __future__ import annotations
@@ -28,99 +33,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-class FpElement:
-    """An element of GF(p), stored as the least nonnegative residue."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def _coerce(self, other) -> "FpElement":
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise ValueError(f"cannot mix GF({self.p}) and GF({other.p})")
-            return other
-        if isinstance(other, int):
-            return FpElement(other, self.p)
-        if isinstance(other, Fraction):
-            raise TypeError(f"cannot mix GF({self.p}) and rational scalars")
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FpElement(self.value + o.value, self.p)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FpElement(-self.value, self.p)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FpElement(self.value - o.value, self.p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FpElement(o.value - self.value, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FpElement(self.value * o.value, self.p)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "FpElement":
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
-        return FpElement(pow(self.value, -1, self.p), self.p)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return FpElement(pow(self.value, n, self.p), self.p)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return f"FpElement({self.value}, {self.p})"
-
-    def __str__(self):
-        return str(self.value)
 
 
 # The one grammar of every string the package reads, in ASCII only.  A token
@@ -219,38 +131,42 @@ class PrimeField:
     def characteristic(self) -> int:
         return self.p
 
-    def __call__(self, v) -> FpElement:
-        if isinstance(v, FpElement):
-            if v.p != self.p:
-                raise ValueError(f"cannot view GF({v.p}) element in GF({self.p})")
-            return v
-        if isinstance(v, int):
-            return FpElement(v, self.p)
+    def __call__(self, v) -> int:
+        """v as a residue in [0, p): an int, an integer string, or a Fraction
+        whose denominator p does not divide; never a bool or a float."""
+        if type(v) is int:
+            return v % self.p
         if isinstance(v, str):
-            return FpElement(integer(v), self.p)
+            return integer(v) % self.p
         if isinstance(v, Fraction):
             return self.from_fraction(v)
         raise TypeError(f"cannot coerce {v!r} into GF({self.p})")
 
-    def from_fraction(self, fr: Fraction) -> FpElement:
+    def from_fraction(self, fr: Fraction) -> int:
         """Reduce a rational mod p; denominators divisible by p are rejected."""
         if fr.denominator % self.p == 0:
             raise ValueError(f"{fr} has bad reduction mod {self.p}")
-        return FpElement(fr.numerator, self.p) / FpElement(fr.denominator, self.p)
+        return fr.numerator * pow(fr.denominator, -1, self.p) % self.p
 
-    def zero(self) -> FpElement:
-        return FpElement(0, self.p)
+    def inverse(self, v: int) -> int:
+        """The residue of 1/v; v must be nonzero mod p."""
+        if v % self.p == 0:
+            raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
+        return pow(v, -1, self.p)
 
-    def one(self) -> FpElement:
-        return FpElement(1, self.p)
+    def zero(self) -> int:
+        return 0
 
-    def sqrt(self, v) -> Optional[FpElement]:
+    def one(self) -> int:
+        return 1
+
+    def sqrt(self, v) -> Optional[int]:
         """The least square root of v (as a residue), or None for a
         nonsquare; Tonelli-Shanks, so O(log^2 p) multiplications."""
         p = self.p
-        a = self(v).value
+        a = self(v)
         if a == 0:
-            return FpElement(0, p)
+            return 0
         if pow(a, (p - 1) // 2, p) != 1:
             return None
         # p - 1 = q * 2^s with q odd; z is a nonsquare
@@ -266,16 +182,16 @@ class PrimeField:
             b = pow(c, 1 << (s - i - 1), p)
             s, c = i, b * b % p
             t, r = t * c % p, r * b % p
-        return FpElement(min(r, p - r), p)
+        return min(r, p - r)
 
-    def sqrt_minus_one(self) -> FpElement:
+    def sqrt_minus_one(self) -> int:
         """The smaller square root of -1, for p = 1 mod 4."""
         if self.p % 4 != 1:
             raise ValueError(f"-1 is not a square in GF({self.p})")
         return self.sqrt(-1)
 
-    def random_nonzero(self, rng) -> FpElement:
-        return FpElement(rng.randrange(1, self.p), self.p)
+    def random_nonzero(self, rng) -> int:
+        return rng.randrange(1, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -295,15 +211,20 @@ class Rationals:
 
     def __call__(self, v) -> Fraction:
         """An int, a Fraction, or a string "a" or "a/b" with b nonzero;
-        floats and decimal or exponent strings are never exact input."""
-        if isinstance(v, (int, Fraction)):
+        bools, floats and decimal or exponent strings are never exact
+        input."""
+        if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
             return Fraction(v)
-        if isinstance(v, (float, FpElement)):
+        if not isinstance(v, str):
             raise TypeError(f"cannot view {v!r} as an exact rational")
         num, den = _match(_RATIONAL, v, "an integer or a/b").groups()
         if den and not int(den):
             raise ValueError(f"zero denominator in {v!r}")
         return Fraction(int(num), int(den or 1))
+
+    def inverse(self, v) -> Fraction:
+        """1/v; v must be nonzero."""
+        return 1 / Fraction(v)
 
     def zero(self) -> Fraction:
         return Fraction(0)
@@ -356,42 +277,36 @@ def field_from_spec(spec) -> Union[Rationals, PrimeField]:
 
 def scalar_to_str(c) -> str:
     """Exact decimal-free string: '-3/7' for rationals, the residue for GF(p)."""
-    if isinstance(c, Fraction):
-        return str(c)
-    if isinstance(c, FpElement):
-        return str(c.value)
-    if isinstance(c, int):
+    if isinstance(c, Fraction) or type(c) is int:
         return str(c)
     raise TypeError(f"not an exact scalar: {c!r}")
 
 
-def exact_rref(rows):
-    """Row-reduce a matrix of exact field elements in place-free style.
+def exact_rref(rows, field):
+    """Row-reduce a matrix over the field in place-free style.
 
-    Returns (rref_rows, pivot_columns).  Works for Fraction and FpElement
-    alike; rows may be ragged-free lists of equal length.
+    Returns (rref_rows, pivot_columns); rows are lists of equal length.  Over
+    GF(p) the entries are ints, reduced mod p on entry and after each step;
+    over Q they are Fractions (or ints) and stay exact.
     """
-    mat = [list(r) for r in rows]
+    p = field.characteristic
+    mat = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
     if not mat:
         return [], []
-    ncols = len(mat[0])
     pivots = []
     r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pivot = i
-                break
+    for c in range(len(mat[0])):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
+        inv = field.inverse(mat[r][c])
+        mat[r] = [x * inv % p for x in mat[r]] if p else [x * inv for x in mat[r]]
         for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            f = mat[i][c]
+            if i != r and f:
+                mat[i] = ([(a - f * b) % p for a, b in zip(mat[i], mat[r])] if p
+                          else [a - f * b for a, b in zip(mat[i], mat[r])])
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -399,44 +314,43 @@ def exact_rref(rows):
     return mat, pivots
 
 
-def exact_rank(rows) -> int:
-    _, pivots = exact_rref(rows)
+def exact_rank(rows, field) -> int:
+    _, pivots = exact_rref(rows, field)
     return len(pivots)
 
 
-def solve_linear(rows, rhs):
-    """One exact solution of rows * x = rhs, or None if inconsistent.
+def solve_linear(rows, rhs, field):
+    """One exact solution of rows * x = rhs over the field, or None if
+    inconsistent.
 
     Free variables are set to zero.
     """
     if not rows:
         return None
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = exact_rref(aug)
+    red, pivots = exact_rref(aug, field)
     ncols = len(rows[0])
     if ncols in pivots:
         return None
-    zero = rows[0][0] - rows[0][0]
-    x = [zero] * ncols
+    x = [field.zero()] * ncols
     for i, c in enumerate(pivots):
         x[c] = red[i][-1]
     return x
 
 
-def nullspace(rows):
-    """A basis of the right kernel, as lists of field elements."""
-    red, pivots = exact_rref(rows)
+def nullspace(rows, field):
+    """A basis of the right kernel over the field, as lists of its
+    elements."""
+    red, pivots = exact_rref(rows, field)
     if not rows:
         return []
     ncols = len(rows[0])
-    zero = rows[0][0] - rows[0][0]
-    one = zero + 1
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [zero] * ncols
-        v[f] = one
+        v = [field.zero()] * ncols
+        v[f] = field.one()
         for i, c in enumerate(pivots):
-            v[c] = -red[i][f]
+            v[c] = field(-red[i][f])
         basis.append(v)
     return basis

@@ -528,7 +528,7 @@ def _reduce_eqs(ring: WRing, p: int, eqs: Sequence[WPoly]) -> Tuple[WRing, List[
             raise ValueError("equation lives on a different variable set")
         if f.ring.field != field and not isinstance(f.ring.field, Rationals):
             raise ValueError(f"cannot view a {f.ring.field.name} equation over GF({p})")
-        reduced.append([(e, v) for e, c in f.terms.items() if (v := field(c).value)])
+        reduced.append([(e, v) for e, c in f.terms.items() if (v := field(c))])
     return ring_p, reduced
 
 
@@ -753,7 +753,7 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
     if symmetry is not None:
         if symmetry.ring != ring_p:
             raise ValueError("a symmetric scan needs a map over GF(p) on the same variables")
-        scalars, mod = [c.value for c in symmetry.scalars], [p] * n
+        scalars, mod = symmetry.scalars, [p] * n
         for f in terms:
             # the scalar the map multiplies each monomial by, one for an eigenvector
             chars = {math.prod(map(pow, scalars, e, mod)) % p: e for e, _ in f}
@@ -798,7 +798,7 @@ def _diagonal_fixed_patterns(m: MonomialMap, p: int) -> Tuple[Tuple[int, ...], .
     """The minimal zero-patterns characterizing the points a diagonal map
     fixes: P is fixed iff for some scalar lambda every coordinate outside
     ker(pattern) vanishes."""
-    return _fixed_patterns(m.ring.weights, tuple(s.value % p for s in m.scalars), p)
+    return _fixed_patterns(m.ring.weights, m.scalars, p)
 
 
 @functools.lru_cache(maxsize=256)

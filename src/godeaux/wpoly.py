@@ -5,6 +5,12 @@ field (the rationals or an odd prime field).  Polynomials are dictionaries
 mapping exponent tuples to nonzero coefficients, so arithmetic is exact and
 term order is imposed only at serialization time.
 
+A coefficient over Q is a Fraction; over GF(p) it is an int residue in
+[0, p).  Every constructor passes its int coefficients through the ring's
+field descriptor, so sums and products of residues are reduced there, and
+a GF(p) ring takes no Fraction, float or bool.  Rings, not values, keep the
+fields apart: arithmetic between polynomials of different rings raises.
+
 The text form writes each term as ``coeff * x1^a x2^b`` with exact
 decimal-free coefficients (``-3/7``), terms joined by `` + `` in graded
 lexicographic order with the lexicographically largest exponent first.
@@ -25,7 +31,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .scalars import (
-    FpElement,
     PrimeField,
     Rationals,
     int_tuple,
@@ -65,10 +70,10 @@ class WRing:
         return WPoly(self, {})
 
     def monomial(self, expts: Sequence[int], coeff=1) -> "WPoly":
-        return WPoly(self, {int_tuple(expts): self.field(coeff)})
+        return WPoly(self, {int_tuple(expts): coeff})
 
     def constant(self, c) -> "WPoly":
-        return WPoly(self, {(0,) * self.nvars: self.field(c)})
+        return WPoly(self, {(0,) * self.nvars: c})
 
     def index_of(self, name: str) -> int:
         try:
@@ -85,17 +90,17 @@ class WPoly:
     def __init__(self, ring: WRing, terms: Dict[Exponents, object]):
         self.ring = ring
         clean: Dict[Exponents, object] = {}
-        fp = ring.field.characteristic
+        field = ring.field
+        exact = int if field.characteristic else Fraction
         for e, c in terms.items():
             if len(e) != ring.nvars:
                 raise ValueError(f"exponent tuple {e} has wrong length")
             if any(x < 0 for x in e):
                 raise ValueError(f"negative exponent in {e}")
-            c = ring.field(c) if isinstance(c, (int, str)) else c
-            if fp == 0 and not isinstance(c, Fraction):
-                raise TypeError(f"coefficient {c!r} is not rational")
-            if fp != 0 and not (isinstance(c, FpElement) and c.p == fp):
-                raise TypeError(f"coefficient {c!r} does not live in GF({fp})")
+            # the one place where GF(p) arithmetic results are reduced
+            c = field(c) if isinstance(c, (int, str)) else c
+            if not isinstance(c, exact):
+                raise TypeError(f"coefficient {c!r} does not live in {field.name}")
             if c:
                 clean[tuple(e)] = c
         self.terms = clean
@@ -191,8 +196,8 @@ class WPoly:
             raise ValueError("point has wrong number of coordinates")
         field = self.ring.field
         if field.characteristic:
-            xs = [field(x).value for x in point]
-            coeffs = [c.value for c in self.terms.values()]
+            xs = [field(x) for x in point]
+            coeffs = list(self.terms.values())
         else:
             xs = [x if isinstance(x, (int, Fraction)) else field(x) for x in point]
             den = math.lcm(*(x.denominator for x in xs))
@@ -208,7 +213,7 @@ class WPoly:
                     term *= x ** k
             total += term
         if field.characteristic:
-            return FpElement(total, field.p)
+            return total % field.p
         return Fraction(total, scale * den ** top)
 
     def to_string(self) -> str:
@@ -293,18 +298,15 @@ class MonomialMap:
     scalars: Tuple[object, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "scalars", tuple(self.ring.field(s) if isinstance(s, (int, str)) else s
-                                   for s in self.scalars)
-        )
+        object.__setattr__(self, "scalars", tuple(map(self.ring.field, self.scalars)))
         if len(self.scalars) != self.ring.nvars:
             raise ValueError("need one scalar per variable")
         if not all(self.scalars):
             raise ValueError("map scalars must be nonzero")
 
     def point_image(self, point: Sequence[object]) -> Tuple[object, ...]:
-        coords = [self.ring.field(x) if isinstance(x, (int, str)) else x for x in point]
-        return tuple(s * x for s, x in zip(self.scalars, coords))
+        field = self.ring.field
+        return tuple(field(s * field(x)) for s, x in zip(self.scalars, point))
 
     def character_of_monomial(self, expts: Exponents) -> object:
         """The scalar the map multiplies the monomial by: the product of
@@ -314,7 +316,7 @@ class MonomialMap:
         for s, k in zip(self.scalars, expts):
             if k:
                 val = val * s ** k
-        return val
+        return self.ring.field(val)
 
 
 def apply_map(f: WPoly, m: MonomialMap) -> WPoly:

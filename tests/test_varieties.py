@@ -49,8 +49,9 @@ W_GODEAUX = (1, 1, 1, 2, 2)
 
 
 def int_terms(f):
-    """The terms of a polynomial over GF(p) with plain int coefficients."""
-    return [(e, c.value) for e, c in f.terms.items()]
+    """The terms of a polynomial over GF(p) as a list of (exponents,
+    residue) pairs."""
+    return list(f.terms.items())
 
 
 def terms_of(eqs):
@@ -121,7 +122,7 @@ def _eval_on_columns(f, cols, p, pow_cache):
         for v, e in enumerate(expts):
             if e:
                 acc = powv(v, e) if acc is None else acc * powv(v, e) % p
-        c = coeff.value % p
+        c = coeff % p
         term = np.full(size, c, dtype=np.int64) if acc is None else acc * c % p
         total = (total + term) % p
     return total
@@ -383,7 +384,7 @@ def test_split_evaluation_is_exact_at_the_largest_prime():
             assert c.tolist() == [want] * 6
         row = np.arange(6)
         t = np.full(6, p - 1, dtype=np.int64)
-        value = f.evaluate([f.ring.field(p - 1)] * n).value
+        value = f.evaluate([f.ring.field(p - 1)] * n)
         assert _horner(coeffs, row, t, p).tolist() == [value] * 6
 
 
@@ -580,7 +581,7 @@ def t_coefficients_at(f, point, p):
     set to the point, straight from the terms of f."""
     coeffs = [0] * (max(e[-1] for e in f.terms) + 1)
     for e, c in f.terms.items():
-        coeffs[e[-1]] += c.value * math.prod(pow(x, k, p) for x, k in zip(point, e))
+        coeffs[e[-1]] += c * math.prod(pow(x, k, p) for x, k in zip(point, e))
     return [c % p for c in coeffs]
 
 
@@ -821,8 +822,7 @@ def unfold(rows, d, p):
 def main_box_action(symmetry):
     """d of the symmetry: its action x_v -> d_v x_v on the main box."""
     ring = symmetry.ring
-    scalars = [c.value for c in symmetry.scalars]
-    return varieties._main_box_action(scalars, ring.weights, ring.field.p)
+    return varieties._main_box_action(symmetry.scalars, ring.weights, ring.field.p)
 
 
 def orbit_size(row, d, p):
@@ -906,9 +906,9 @@ def test_coset_minima_of_i():
     # each the least member of its coset
     for p in (q for q in range(5, MAX_ENUM_PRIME + 1, 4) if is_prime(q)):
         ring = family_ring(p)
-        scalars = [c.value for c in group_generator(ring).scalars]
+        scalars = group_generator(ring).scalars
         i = varieties._main_box_action(scalars, ring.weights, p)[1]
-        assert i == PrimeField(p).sqrt_minus_one().value
+        assert i == PrimeField(p).sqrt_minus_one()
         minima = varieties._coset_minima(i, p).tolist()
         assert len(minima) == 1 + (p - 1) // 4
         assert minima[:2] == [0, 1]
@@ -921,7 +921,7 @@ def test_member_independent_tables_are_built_once():
     for p in (13, 61):
         fibres = varieties._fibres(p)
         assert varieties._fibres(p) is fibres
-        i = PrimeField(p).sqrt_minus_one().value
+        i = PrimeField(p).sqrt_minus_one()
         minima = varieties._coset_minima(i, p)
         assert varieties._coset_minima(i, p) is minima
         powers = varieties._residue_powers(p, 4)
@@ -1047,14 +1047,14 @@ def test_outer_batches_are_full_up_to_the_last(weights, p):
     width = CHUNK_LIMIT // p
     d1s = [None]
     if weights == W_GODEAUX and p % 4 == 1:
-        d1s.append(PrimeField(p).sqrt_minus_one().value)
+        d1s.append(PrimeField(p).sqrt_minus_one())
     for d1 in d1s:
         batches = varieties._outer_batches(weights, p, d1)
         assert [b.shape[1] for b in batches[:-1]] == [width] * (len(batches) - 1)
         assert 0 < batches[-1].shape[1] <= width
         assert np.concatenate(batches, axis=1).tolist() == outer_rows(weights, p, d1).tolist()
     widths = {p: [b.shape[1] for b in varieties._outer_batches(W_GODEAUX, p, d1)]
-              for p, d1 in ((101, PrimeField(101).sqrt_minus_one().value), (61, None))}
+              for p, d1 in ((101, PrimeField(101).sqrt_minus_one()), (61, None))}
     # the folded surface at p = 101 and the unfolded one at p = 61
     assert widths == {101: [1297, 1297, 138], 61: [2148, 1639]}
 
@@ -1065,7 +1065,7 @@ def test_surface_s_stage_solves_one_column_per_outer_row(monkeypatch):
     p = 61
     fam = build_family(random_params(p, seed=5))
     g = group_generator(fam.ring)
-    d1 = varieties._main_box_action([c.value for c in g.scalars], W_GODEAUX, p)[1]
+    d1 = varieties._main_box_action(g.scalars, W_GODEAUX, p)[1]
     outer = sum(b.shape[1] for b in varieties._outer_batches(W_GODEAUX, p, d1))
     assert 1000 < outer < 1100
     calls = []
@@ -1305,8 +1305,8 @@ def test_evaluator_is_exact_at_the_largest_prime():
 
 def test_scan_checks_eigenvectors_on_int_terms(monkeypatch):
     # a member's characters come from the int scalars of g mod p: no
-    # FpElement product per monomial and no sorted monomial list; only the
-    # message of a clash prints the equation
+    # character_of_monomial call per monomial and no sorted monomial list;
+    # only the message of a clash prints the equation
     fam = build_family(random_params(13, seed=5))
     g = group_generator(fam.ring)
     full = enumerate_points(fam.ring, 13, [fam.q0, fam.q2])
