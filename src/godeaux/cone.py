@@ -319,7 +319,9 @@ class BranchConfig:
     """A branch configuration on the cone: the quadric section cutting B1
     (B2 is its involution image, derived), and the invariant plane section
     B3 through the two smooth fixed points.  q1 and h3 must be forms, and h3
-    must have no y1 or y2 term, so B3 contains both smooth fixed points.
+    must have no y1 or y2 term.  So B3 contains both smooth fixed points of
+    every configuration: that is an input check here, not a gate of the
+    degeneration report.
 
     A configuration compares (and hashes) by identity, so the scan of its
     branch locus (_branch_locus) is never handed to another configuration,
@@ -645,14 +647,14 @@ def classify_degeneration(cfg: BranchConfig, p: int = 13) -> CheckReport:
     """The case-table verdict next to the gates computed on the input.
 
     Computable gates: the vertex avoiding B1+B2+B3, the triple
-    intersection being empty over GF(p), membership of the two smooth fixed
-    points in B3, and the unramified gate: none of the three fixed points
-    lying on B1+B2.  The three fixed points are coordinate points, so the
-    gates there are read exactly from the coefficients of the forms
-    (_vanishes_at), with no evaluation; B3 contains the smooth fixed points
-    by BranchConfig's check on h3, so that gate always holds.  The triple
-    intersection is the set of rows of the B1 and B2 scan (_branch_locus,
-    shared with intersection_count) on which h3 vanishes mod p.
+    intersection being empty over GF(p), and the unramified gate: none of
+    the three fixed points lying on B1+B2.  The three fixed points are
+    coordinate points, so the gates there are read exactly from the
+    coefficients of the forms (_vanishes_at), with no evaluation.  B3
+    contains the smooth fixed points by BranchConfig's check on h3, so that
+    is no gate.  The triple intersection is the set of rows of the B1 and
+    B2 scan (_branch_locus, shared with intersection_count) on which h3
+    vanishes mod p.
 
     `normalization` and the Cartier indices transcribe the case table.
     `gorenstein` is True only when the computable criterion (the vertex
@@ -672,8 +674,6 @@ def classify_degeneration(cfg: BranchConfig, p: int = 13) -> CheckReport:
     gates = {
         "vertex_avoids_branch": not meets((*branch, cfg.h3), VERTEX),
         "triple_intersection_empty": not on_b3.any(),
-        "smooth_fixed_points_on_B3": _vanishes_at(cfg.h3, SMOOTH_FIXED_1)
-        and _vanishes_at(cfg.h3, SMOOTH_FIXED_2),
         "fixed_points_avoid_B1B2": not any(
             meets(branch, pt) for pt in (VERTEX, SMOOTH_FIXED_1, SMOOTH_FIXED_2)
         ),
@@ -692,9 +692,7 @@ def classify_degeneration(cfg: BranchConfig, p: int = 13) -> CheckReport:
             "a fixed point lies on B1+B2, so the intermediate quotient map"
             " is not unramified and the Cartier indices may differ"
         )
-    consistent = gates["smooth_fixed_points_on_B3"] and row["gorenstein_known"] == (
-        certified and gates["fixed_points_avoid_B1B2"]
-    )
+    consistent = row["gorenstein_known"] == (certified and gates["fixed_points_avoid_B1B2"])
     return CheckReport(
         check="degeneration",
         status="lookup" if consistent else "fail",

@@ -342,7 +342,9 @@ DEG1_F13 = {"case": "deg1", "field": 13,
 # the vertex (status fail), and a q1 with tau(q1) = -q1, a shared component
 # found at scale -1 (census error).  The four file runs were re-pinned when
 # the config stamp came to hash the file's bytes instead of its path; their
-# reports are otherwise unchanged
+# reports are otherwise unchanged.  Every degenerate run was re-pinned when
+# the gate smooth_fixed_points_on_B3, which BranchConfig's check on h3 made
+# always true, left the gates; nothing else in those reports changed
 PINNED_CONE_REPORTS = {
     ("image-check", "--prime", "13"):
         (0, "0c0f1ee6dbfbf94325f18890259ccd5562e128e233b2c56d825a0987eae341e8"),
@@ -353,28 +355,28 @@ PINNED_CONE_REPORTS = {
     ("fixed-points", "--prime", "13"):
         (0, "695f59c4e2ba923560b42b3e0adbbb07082b245f007eb131c448e936c720698d"),
     ("degenerate", "--case", "general", "--intersections", "--prime", "13"):
-        (0, "62f38dd2442c5f161862c72b3e8b733ac568045ebf80d4d3d18e2d1251f31aae"),
+        (0, "55cd88d5a1455469af1e052279912873a7cd7a336b90fbee5380a7ecb5dad8c8"),
     ("degenerate", "--case", "1", "--intersections", "--prime", "13"):
-        (0, "d645d84ee84688bcc1d05ac7203c0aa9c8805804d6d8261426341692b72d66cc"),
+        (0, "81e12e2c7a189803d4ab7d44bbb62007398b5ea58bec6e32320f15f2ab3d7aa0"),
     ("degenerate", "--case", "2", "--intersections", "--prime", "13"):
-        (0, "ad6108d263bc39a43e1b77364d13a498e238c18f7020d001f2fa07c57bfa9ed7"),
+        (0, "87ac4d447231f168ce5dbff76f7e0923e3f257a37b28f37db10996f5e6397f1b"),
     ("degenerate", "--case", "3", "--intersections", "--prime", "13"):
-        (2, "003d97741f54a43b5f651e9717acb96276218cade400c6cdfb027d568f2ff187"),
+        (2, "14960d48e60785b36dcb1bed96d6648beeec4b04fae7efecd710ec150e9acac7"),
     ("degenerate", "--case", "4", "--intersections", "--prime", "13"):
-        (0, "c0cb87ab45a0fa21d12d6e15af084f0b2e52355d5b02c255859927d3a88a188b"),
+        (0, "d06d02fbeeeaaab4499a89d2f116c45b4c30c21e7f55e606d54cc95ac345c07f"),
     # re-pinned when the exP note came to name `cone pencil` (pencil_report)
     ("degenerate", "--case", "exP", "--intersections", "--prime", "13"):
-        (0, "091e1902ea815333d9ec5663d87f7259aac116a27a205a39fb8c9b3505ed80a5"),
+        (0, "89d9fe30920f68c0496d1f75dad50912ae846aed4b842392e8ae595501134585"),
     ("degenerate", "--case", "4", "--intersections", "--prime", "29"):
-        (0, "ece14070e3bcea289bc142eaec24a1bc5b484f65a4984848f1c537599f07280e"),
+        (0, "0e8c7542bb03ecedcb98b45aec7204df2985ebbb25894bd5c918534f6717c73f"),
     ("degenerate", "--config", "through-vertex.json"):
-        (1, "9040a688de34cc843b0d67249f8031585cfbabee1105221bedc59ab7f170a96b"),
+        (1, "d29b0b81d485ed99d7439eb35a37bd94adef5eaac8b63b28c27329656506e55c"),
     ("degenerate", "--config", "anti-invariant.json", "--intersections"):
-        (2, "b9f014c7214a9d26a55e870e063e6873b20e0ac507a1d6bd84cef363a24bf2a7"),
+        (2, "284e19ae64be0132412ab469ab8942d542dfd0aba0efcddfb7dc2faee968070f"),
     # the deg1 preset over GF(13): the GF(p) rank test of its nodes and the
     # GF(p) normalization of tau(r1) in the census
     ("degenerate", "--config", "deg1-f13.json", "--intersections"):
-        (0, "d41fc0cc4739deb7c4925823fae4d70ce4aa389ab1470e515dab119511cf9de3"),
+        (0, "569cc7dba3d7726fbfbf11150d9602d7e4c4301e1caeb1e133712b626a0ab03d"),
     ("pencil",):
         (0, "8561ae751297b19ae4f4310aa9911f51d15619324f580fecd1eb9f63f0c98148"),
     ("pencil", "--points", "frame-a.json"):
