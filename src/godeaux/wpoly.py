@@ -197,9 +197,9 @@ class WPoly:
         field = self.ring.field
         if field.characteristic:
             xs = [field(x) for x in point]
-            coeffs = list(self.terms.values())
+            coeffs = self.terms.values()
         else:
-            xs = [x if isinstance(x, (int, Fraction)) else field(x) for x in point]
+            xs = [x if type(x) is int or isinstance(x, Fraction) else field(x) for x in point]
             den = math.lcm(*(x.denominator for x in xs))
             xs = [x.numerator * (den // x.denominator) for x in xs]
             scale = math.lcm(*(c.denominator for c in self.terms.values()))

@@ -86,6 +86,10 @@ def test_both_fields_and_their_rings_take_one_scalar_rule():
                 WPoly(ring, {(1, 0): value})
             with pytest.raises(TypeError):
                 ring.monomial((1, 0), value)
+        # a coordinate is read by the field, so a Fraction point is fine
+        for value in (True, 0.5):
+            with pytest.raises(TypeError):
+                ring.monomial((1, 0)).evaluate([value, 1])
 
 
 def test_rationals_read_only_integers_and_quotients():
