@@ -27,7 +27,8 @@ import numpy as np
 
 from .covers import preset_model
 from .reports import CheckReport
-from .scalars import QQ, exact_rank, field_from_spec, nullspace, solve_linear
+from .scalars import QQ, exact_rank, field_from_spec, int_tuple
+from .snf import det_bareiss
 from .varieties import Columns, PointSet, _reduce_eqs, enumerate_points, fixed_locus
 from .wpoly import MonomialMap, WPoly, WRing, apply_map, parse_poly, substitute
 
@@ -296,8 +297,11 @@ def _normalized(values, field) -> Tuple[object, ...]:
 
 
 def _proportional(u, v, field) -> bool:
-    """Whether two vectors span at most a line."""
-    return exact_rank([u, v], field) < 2
+    """Whether two vectors span at most a line: every 2 x 2 minor of the
+    pair vanishes in the field."""
+    minors = (u[i] * v[j] - u[j] * v[i] for i in range(len(u)) for j in range(i))
+    p = field.characteristic
+    return not any(m % p for m in minors) if p else not any(minors)
 
 
 def _int_point(vec, field) -> Tuple[int, ...]:
@@ -715,6 +719,22 @@ def classify_degeneration(cfg: BranchConfig, p: int = 13) -> CheckReport:
 
 STANDARD_FRAME = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 
+# a plane conic a x^2 + b y^2 + c z^2 + d xy + e xz + f yz is the int vector
+# (a, b, c, d, e, f) of its coefficients on these monomials
+_CONIC_MONOMIALS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+_PLANE = WRing(("x", "y", "z"), (1, 1, 1), QQ)
+
+
+def _cross(u, v):
+    """The cross product: the line through two points of the plane, or the
+    point on two lines."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _det3(a, b, c):
+    """The determinant of the 3 x 3 matrix with rows (or columns) a, b, c."""
+    return sum(x * y for x, y in zip(a, _cross(b, c)))
+
 
 def _mat_mul(a, b):
     return tuple(
@@ -723,25 +743,49 @@ def _mat_mul(a, b):
     )
 
 
-def _is_scalar(m, field) -> bool:
-    """Whether the square matrix m is proportional to the identity."""
-    ident = [field(int(i == j)) for i in range(len(m)) for j in range(len(m))]
-    return _proportional([x for row in m for x in row], ident, field)
+def _is_scalar(m) -> bool:
+    """Whether the square matrix m is a multiple of the identity."""
+    return all(x == (m[0][0] if i == j else 0)
+               for i, row in enumerate(m) for j, x in enumerate(row))
 
 
 def _frame_matrix(p1, p2, p3, p4):
-    """Matrix sending the standard frame to (p1, p2, p3; p4 as unit point)."""
-    rows = list(zip(p1, p2, p3))
-    alpha = solve_linear(rows, list(p4), QQ)
-    if alpha is None or not all(alpha):
+    """Matrix sending the standard frame to (p1, p2, p3; p4 as unit point).
+
+    Its columns are D_i p_i, where D_i is det(p1, p2, p3) with p4 in place
+    of p_i: by Cramer's rule p4 = sum D_i p_i / det(p1, p2, p3), so the
+    integer matrix is a multiple of the one whose columns sum to p4."""
+    cols = (p1, p2, p3)
+    scales = [_det3(*(p4 if j == i else p for j, p in enumerate(cols))) for i in range(3)]
+    if not _det3(*cols) or not all(scales):
         raise ValueError("points are in degenerate position")
-    return tuple(tuple(a * x for a, x in zip(alpha, row)) for row in rows)
+    return tuple(tuple(d * p[r] for d, p in zip(scales, cols)) for r in range(3))
 
 
-def _monic(q: WPoly) -> WPoly:
-    """q scaled so its leading coefficient (in term order) is 1."""
-    monos = q.monomials()
-    return WPoly(q.ring, dict(zip(monos, _normalized([q.terms[m] for m in monos], q.ring.field))))
+def _hessian(q):
+    """The integer Hessian H of the conic q, so that q(X) = X^T H X / 2."""
+    a, b, c, d, e, f = q
+    return ((2 * a, d, e), (d, 2 * b, f), (e, f, 2 * c))
+
+
+def _pullback(q, phi):
+    """The conic q(phi X), read off the Hessian phi^T H phi, whose diagonal
+    is even."""
+    h = _mat_mul(_mat_mul(tuple(zip(*phi)), _hessian(q)), phi)
+    return (h[0][0] // 2, h[1][1] // 2, h[2][2] // 2, h[0][1], h[0][2], h[1][2])
+
+
+def _line_pair(l, m):
+    """The conic l * m of two linear forms."""
+    return (l[0] * m[0], l[1] * m[1], l[2] * m[2], l[0] * m[1] + l[1] * m[0],
+            l[0] * m[2] + l[2] * m[0], l[1] * m[2] + l[2] * m[1])
+
+
+def _monic_string(q) -> str:
+    """The text of the conic q scaled to lead with 1 in term order."""
+    poly = WPoly(_PLANE, dict(zip(_CONIC_MONOMIALS, q)))
+    lead = poly.terms[poly.monomials()[0]]
+    return WPoly(_PLANE, {e: c / lead for e, c in poly.terms.items()}).to_string()
 
 
 def pencil_report(points: Sequence[Sequence[int]] = STANDARD_FRAME) -> CheckReport:
@@ -757,77 +801,80 @@ def pencil_report(points: Sequence[Sequence[int]] = STANDARD_FRAME) -> CheckRepo
     pairing is read off phi's images of the points, and the induced
     involution is free on the eight preimages iff those images are the
     four base points again.
+
+    Everything is computed in integer projective arithmetic: the points are
+    int vectors, lines are cross products, phi is an integer matrix of its
+    projective class, conics are int coefficient vectors pulled back
+    through their Hessians, and a conic is reducible iff its Hessian is
+    singular.  Fractions and polynomials are built only for the report's
+    text.
     """
-    field = QQ
-    pts = [tuple(Fraction(x) for x in p) for p in points]
+    pts = [int_tuple(p) for p in points]
     if len(pts) != 4 or any(len(p) != 3 for p in pts):
         raise ValueError("need four points of the plane")
     for skip in range(4):
-        tri = [p for i, p in enumerate(pts) if i != skip]
-        if exact_rank(tri, field) < 3:
+        if not _det3(*(p for i, p in enumerate(pts) if i != skip)):
             raise ValueError("points are in degenerate position: three collinear")
     source = _frame_matrix(*pts)
     target = _frame_matrix(pts[1], pts[2], pts[3], pts[0])
-    # phi = target * source^-1: row i of phi solves x * source = target[i]
-    source_t = [list(col) for col in zip(*source)]
-    flat = _normalized([x for row in target for x in solve_linear(source_t, list(row), field)],
-                       field)
-    phi = (flat[0:3], flat[3:6], flat[6:9])
+    # phi = target * adj(source), a multiple of target * source^-1; the rows
+    # of adj(source) are the cross products of its columns
+    c0, c1, c2 = zip(*source)
+    phi = _mat_mul(target, (_cross(c1, c2), _cross(c2, c0), _cross(c0, c1)))
     # targets[i] = j when phi(P_i) = P_j, None when phi(P_i) is no base point
-    labels = {_normalized(p, field): j for j, p in enumerate(pts)}
-    targets = [labels.get(_normalized(image, field))
+    targets = [next((j for j, p in enumerate(pts) if not any(_cross(image, p))), None)
                for image in _mat_mul(pts, tuple(zip(*phi)))]
 
-    ring = WRing(("x", "y", "z"), (1, 1, 1), field)
-    monos = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
-    kernel = nullspace([[p[0] ** i * p[1] ** j * p[2] ** k for i, j, k in monos] for p in pts],
-                       field)
-    if len(kernel) != 2:
+    # the conics through the points form a pencil iff the points impose
+    # independent conditions: some 4 x 4 minor of their monomial values is
+    # nonzero.  The line pairs (P1P3)(P2P4) and (P1P2)(P3P4) lie in it, and
+    # span it when some 2 x 2 minor of theirs, on the coordinates `rows`, is.
+    values = [[p[0] ** i * p[1] ** j * p[2] ** k for i, j, k in _CONIC_MONOMIALS] for p in pts]
+    pairs = [(i, j) for i in range(6) for j in range(i)]
+    b0, b1 = basis = (_line_pair(_cross(pts[0], pts[2]), _cross(pts[1], pts[3])),
+                      _line_pair(_cross(pts[0], pts[1]), _cross(pts[2], pts[3])))
+    rows = next(((i, j) for i, j in pairs if b0[i] * b1[j] - b0[j] * b1[i]), None)
+    if rows is None or not any(
+            det_bareiss([[row[k] for k in range(6) if k not in pair] for row in values])
+            for pair in pairs):
         raise AssertionError("pencil through four general points must be 2-dim")
-
-    def form(exponents, coeffs):
-        return WPoly(ring, {m: field(c) for m, c in zip(exponents, coeffs)})
-
-    def linear(coeffs):
-        return form(((1, 0, 0), (0, 1, 0), (0, 0, 1)), coeffs)
-
-    basis = tuple(form(monos, v) for v in kernel)
-    # column j of the action T holds the basis coordinates of phi^* basis[j]
+    # column j of the action T holds the coordinates of phi^* basis[j] times
+    # the basis minor det on `rows`, by Cramer's rule there; all six
+    # coordinates are checked
+    i, j = rows
+    det = b0[i] * b1[j] - b0[j] * b1[i]
     action_cols = []
     for q in basis:
-        pulled = substitute(q, [linear(row) for row in phi])
-        coeffs = solve_linear(list(zip(*kernel)), [pulled.coefficient(m) for m in monos], field)
-        if coeffs is None:
+        pulled = _pullback(q, phi)
+        s, t = pulled[i] * b1[j] - pulled[j] * b1[i], b0[i] * pulled[j] - b0[j] * pulled[i]
+        if any(det * x != s * u + t * v for x, u, v in zip(pulled, b0, b1)):
             raise AssertionError("pencil is not preserved by the automorphism")
-        action_cols.append(coeffs)
+        action_cols.append((s, t))
     T = tuple(zip(*action_cols))
-    if not _is_scalar(_mat_mul(T, T), field):
+    if not _is_scalar(_mat_mul(T, T)):
         raise AssertionError("the pencil action must square to the identity")
     # s*basis[0] + t*basis[1] is fixed iff T (s, t) is proportional to (s, t)
     (a, b), (c, d) = T
-    roots = _factor_binary_quadratic(-c, a - d, b, field) if c or a - d or b else None
+    roots = _factor_binary_quadratic(-c, a - d, b, QQ) if c or a - d or b else None
     if roots is None or len(roots) != 2:
         raise AssertionError("pencil involution must have two rational fixed members")
-    fixed = [_monic(s * basis[0] + t * basis[1]) for s, t in roots]
-    # a conic is reducible iff its constant Hessian is singular
-    reducible = [q for q in fixed if exact_rank(
-        [[q.partial(i).partial(j).coefficient((0, 0, 0)) for j in range(3)] for i in range(3)],
-        field,
-    ) < 3]
-    smooth = [q for q in fixed if q not in reducible]
+    # each root (s, t) scaled to ints by the product of its denominators
+    fixed = [tuple(s.numerator * t.denominator * u + t.numerator * s.denominator * v
+                   for u, v in zip(b0, b1)) for s, t in roots]
+    reducible = [q for q in fixed if not _det3(*_hessian(q))]
+    smooth = [q for q in fixed if _det3(*_hessian(q))]
     if len(reducible) != 1 or len(smooth) != 1:
         raise AssertionError("exactly one fixed member must be reducible")
-    # the line through two points is the kernel of the pair
-    diagonals = [linear(nullspace([pts[i], pts[i + 2]], field)[0]) for i in (0, 1)]
     phi_sq = _mat_mul(phi, phi)
     checks = {
         "cycles_points": targets == [1, 2, 3, 0],
-        "phi4_is_identity": _is_scalar(_mat_mul(phi_sq, phi_sq), field),
-        "two_distinct_fixed_members": fixed[0] != fixed[1],
-        "reducible_is_diagonal_lines": reducible[0] == _monic(diagonals[0] * diagonals[1]),
+        "phi4_is_identity": _is_scalar(_mat_mul(phi_sq, phi_sq)),
+        "two_distinct_fixed_members": not _proportional(*fixed, QQ),
+        "reducible_is_diagonal_lines": _proportional(reducible[0], b0, QQ),
         "iota_free_on_preimages": set(targets) == set(range(4)),
     }
     status = "pass" if all(checks.values()) else "fail"
+    lead = next(x for row in phi for x in row if x)
     return CheckReport(
         check="pencil-of-conics",
         status=status,
@@ -835,9 +882,9 @@ def pencil_report(points: Sequence[Sequence[int]] = STANDARD_FRAME) -> CheckRepo
         if status == "pass"
         else {"check": next(k for k, v in checks.items() if not v)},
         data={
-            "phi": [[str(x) for x in row] for row in phi],
-            "reducible_member": reducible[0].to_string(),
-            "smooth_member": smooth[0].to_string(),
+            "phi": [[str(Fraction(x, lead)) for x in row] for row in phi],
+            "reducible_member": _monic_string(reducible[0]),
+            "smooth_member": _monic_string(smooth[0]),
             "gluing_orbits": [[[0, i], [1, j]] for i, j in enumerate(targets)],
             "checks": checks,
         },

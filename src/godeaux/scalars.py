@@ -317,40 +317,3 @@ def exact_rref(rows, field):
 def exact_rank(rows, field) -> int:
     _, pivots = exact_rref(rows, field)
     return len(pivots)
-
-
-def solve_linear(rows, rhs, field):
-    """One exact solution of rows * x = rhs over the field, or None if
-    inconsistent.
-
-    Free variables are set to zero.
-    """
-    if not rows:
-        return None
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = exact_rref(aug, field)
-    ncols = len(rows[0])
-    if ncols in pivots:
-        return None
-    x = [field.zero()] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = red[i][-1]
-    return x
-
-
-def nullspace(rows, field):
-    """A basis of the right kernel over the field, as lists of its
-    elements."""
-    red, pivots = exact_rref(rows, field)
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [field.zero()] * ncols
-        v[f] = field.one()
-        for i, c in enumerate(pivots):
-            v[c] = field(-red[i][f])
-        basis.append(v)
-    return basis

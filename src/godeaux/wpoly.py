@@ -6,9 +6,10 @@ mapping exponent tuples to nonzero coefficients, so arithmetic is exact and
 term order is imposed only at serialization time.
 
 A coefficient over Q is a Fraction; over GF(p) it is an int residue in
-[0, p).  Every constructor passes its int coefficients through the ring's
-field descriptor, so sums and products of residues are reduced there, and
-a GF(p) ring takes no Fraction, float or bool.  Rings, not values, keep the
+[0, p).  Every coefficient, scalar factor and diagonal-map scalar is read
+by one rule, ``WRing.scalar``: ints go through the ring's field
+descriptor, so sums and products of residues are reduced there, and a
+GF(p) ring takes no Fraction, float or bool.  Rings, not values, keep the
 fields apart: arithmetic between polynomials of different rings raises.
 
 The text form writes each term as ``coeff * x1^a x2^b`` with exact
@@ -75,6 +76,17 @@ class WRing:
     def constant(self, c) -> "WPoly":
         return WPoly(self, {(0,) * self.nvars: c})
 
+    def scalar(self, c):
+        """c read into the field by the one ring-level rule: an int or an
+        integer string through the field descriptor (which reduces mod p), a
+        Fraction as itself over Q only; a bool, a float, or a Fraction over
+        GF(p) raises TypeError."""
+        field = self.field
+        c = field(c) if isinstance(c, (int, str)) else c
+        if not isinstance(c, int if field.characteristic else Fraction):
+            raise TypeError(f"coefficient {c!r} does not live in {field.name}")
+        return c
+
     def index_of(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -90,17 +102,13 @@ class WPoly:
     def __init__(self, ring: WRing, terms: Dict[Exponents, object]):
         self.ring = ring
         clean: Dict[Exponents, object] = {}
-        field = ring.field
-        exact = int if field.characteristic else Fraction
         for e, c in terms.items():
             if len(e) != ring.nvars:
                 raise ValueError(f"exponent tuple {e} has wrong length")
             if any(x < 0 for x in e):
                 raise ValueError(f"negative exponent in {e}")
             # the one place where GF(p) arithmetic results are reduced
-            c = field(c) if isinstance(c, (int, str)) else c
-            if not isinstance(c, exact):
-                raise TypeError(f"coefficient {c!r} does not live in {field.name}")
+            c = ring.scalar(c)
             if c:
                 clean[tuple(e)] = c
         self.terms = clean
@@ -145,7 +153,7 @@ class WPoly:
 
     def __mul__(self, other) -> "WPoly":
         if not isinstance(other, WPoly):
-            c = self.ring.field(other)
+            c = self.ring.scalar(other)
             return WPoly(self.ring, {e: x * c for e, x in self.terms.items()})
         self._same_ring(other)
         out: Dict[Exponents, object] = {}
@@ -298,7 +306,7 @@ class MonomialMap:
     scalars: Tuple[object, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "scalars", tuple(map(self.ring.field, self.scalars)))
+        object.__setattr__(self, "scalars", tuple(map(self.ring.scalar, self.scalars)))
         if len(self.scalars) != self.ring.nvars:
             raise ValueError("need one scalar per variable")
         if not all(self.scalars):

@@ -23,9 +23,12 @@ from godeaux.cone import (
     tau_fixed_points,
     verify_invariant_map,
 )
+from godeaux.reports import canonical_json
 from godeaux.scalars import field_from_spec
 from godeaux.varieties import enumerate_points
 from godeaux.wpoly import MonomialMap, WPoly, WRing, apply_map, monomials_of_degree, parse_poly
+
+from fraction_oracle import pencil_report as fraction_pencil_report
 
 
 def test_setup_involution_squares_to_identity():
@@ -502,10 +505,48 @@ def test_standard_frame_gluing_is_free():
 
 
 def test_pencil_rejects_collinear_points():
-    with pytest.raises(ValueError, match="degenerate position"):
-        pencil_report([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
-    with pytest.raises(ValueError, match="degenerate position"):
-        pencil_report([(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    # with the message of the Fraction oracle
+    for pts in ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)],
+                [(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]):
+        with pytest.raises(ValueError, match="degenerate position") as new:
+            pencil_report(pts)
+        with pytest.raises(ValueError) as oracle:
+            fraction_pencil_report(pts)
+        assert str(new.value) == str(oracle.value)
+
+
+def _pencil_outcome(report, pts):
+    """The canonical JSON of the pencil report on pts, or the message of the
+    ValueError that refuses them."""
+    try:
+        return canonical_json(report(pts).to_dict())
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_pencil_report_matches_the_fraction_oracle():
+    # integer projective arithmetic against rational Gauss-Jordan elimination
+    # and substitution: the standard frame, the frames of the pinned
+    # `cone pencil --points` reports, and 100 seeded general frames in each
+    # box [-b, b]^3, with every degenerate frame drawn on the way
+
+    def general(pts):
+        outcome = _pencil_outcome(pencil_report, pts)
+        assert outcome == _pencil_outcome(fraction_pencil_report, pts), pts
+        return not outcome.startswith("ValueError")
+
+    for pts in (STANDARD_FRAME, [(1, 2, 3), (-1, 0, 2), (2, -3, 1), (0, 1, -1)],
+                [(3, -1, 2), (1, 1, 1), (-2, 0, 1), (0, 3, -1)]):
+        assert general(pts)
+    rng = random.Random(20261020)
+    degenerate = 0
+    for bound in (3, 9, 40):
+        drawn = 0
+        while drawn < 100:
+            ok = general([tuple(rng.randint(-bound, bound) for _ in range(3)) for _ in range(4)])
+            drawn += ok
+            degenerate += not ok
+    assert degenerate > 0
 
 
 def test_pencil_report_passes():

@@ -19,14 +19,14 @@ from godeaux.scalars import (
     integer,
     is_prime,
     monomial_factors,
-    nullspace,
     polynomial_terms,
     int_tuple,
     scalar_to_str,
-    solve_linear,
 )
 from godeaux.snf import det_bareiss, smith_normal_form, solve_lattice_membership
-from godeaux.wpoly import WPoly, WRing
+from godeaux.wpoly import MonomialMap, WPoly, WRing
+
+from fraction_oracle import nullspace, solve_linear
 
 
 def test_prime_predicate():
@@ -79,6 +79,10 @@ def test_both_fields_and_their_rings_take_one_scalar_rule():
     assert WPoly(ring_p, {(1, 0): 13}).is_zero()
     assert WPoly(ring_q, {(1, 0): Fraction(1, 2), (0, 1): 3}).terms == {
         (1, 0): Fraction(1, 2), (0, 1): Fraction(3)}
+    assert (ring_p.monomial((1, 0)) * 27).terms == {(1, 0): 1}
+    assert (ring_q.monomial((1, 0)) * Fraction(1, 2)).terms == {(1, 0): Fraction(1, 2)}
+    assert MonomialMap(ring_p, (-1, "14")).scalars == (12, 1)
+    assert MonomialMap(ring_q, (Fraction(1, 2), 1)).scalars == (Fraction(1, 2), 1)
     for ring, bad in ((ring_p, (True, Fraction(1, 2), Fraction(3), 0.5)),
                       (ring_q, (True, False, 0.5))):
         for value in bad:
@@ -86,6 +90,11 @@ def test_both_fields_and_their_rings_take_one_scalar_rule():
                 WPoly(ring, {(1, 0): value})
             with pytest.raises(TypeError):
                 ring.monomial((1, 0), value)
+            # a scalar factor and a diagonal map's scalars take the same rule
+            with pytest.raises(TypeError):
+                ring.monomial((1, 0)) * value
+            with pytest.raises(TypeError):
+                MonomialMap(ring, (value, 1))
         # a coordinate is read by the field, so a Fraction point is fine
         for value in (True, 0.5):
             with pytest.raises(TypeError):
