@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from godeaux.cone import STANDARD_FRAME, _factor_binary_quadratic, _normalized
+from godeaux.cone import STANDARD_FRAME, _factor_binary_quadratic, _mat_mul, _normalized
 from godeaux.reports import CheckReport
 from godeaux.scalars import QQ, exact_rank, exact_rref
 from godeaux.wpoly import WPoly, WRing, substitute
@@ -50,13 +50,6 @@ def nullspace(rows, field):
             v[c] = field(-red[i][f])
         basis.append(v)
     return basis
-
-
-def _mat_mul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
 
 
 def _is_scalar(m, field) -> bool:
