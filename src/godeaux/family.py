@@ -23,7 +23,7 @@ from .grouprep import (
     SigmaType,
     character_clash,
     eigenspace_basis,
-    sigma_type,
+    sigma_types,
 )
 from .scalars import QQ, PrimeField, Rationals, field_from_spec
 from .wpoly import (
@@ -254,13 +254,10 @@ def lift_sign_clash(fam: GodeauxFamily) -> Optional[Dict[str, object]]:
 
 def sigma_table(fam: GodeauxFamily, lift: CyclicAction) -> Dict[Tuple[int, int], SigmaType]:
     """Sigma types of one lift on every reference-table cell, in the
-    coordinate ring modulo the two quartics."""
-    rels = [fam.q0, fam.q2]
-    table = {}
-    for d in TABLE_DEGREES:
-        for c in range(fam.action.order):
-            table[(d, c)] = sigma_type(fam.action, lift, d, c, rels)
-    return table
+    coordinate ring modulo the two quartics: one call of the kernel, one
+    pass per degree."""
+    cells = [(d, c) for d in TABLE_DEGREES for c in range(fam.action.order)]
+    return sigma_types(fam.action, lift, cells, [fam.q0, fam.q2])
 
 
 def sigma_tables(fam: GodeauxFamily) -> Dict[str, Dict[Tuple[int, int], SigmaType]]:

@@ -8,17 +8,22 @@ coefficient field is wanted (to run an actual substitution), the caller
 supplies a primitive n-th root of unity from that field.
 
 An involution lift is an action of order 2: its character 0 is the +1
-eigenspace and its character 1 the -1 eigenspace.  sigma_type computes the
-dimension pair of those eigenspaces on one (degree, character) piece of the
-quotient by a list of relations.  Relations must be homogeneous in degree
-and in the characters of both actions; each violation is reported with an
-offending monomial pair.
+eigenspace and its character 1 the -1 eigenspace.  sigma_types computes the
+dimension pair of those eigenspaces on (degree, character) pieces of the
+quotient by a list of relations, in one pass per degree: the degree-d
+monomials are sorted once into their (character, sign) cells, and each
+multiple m * rel is a row built by adding exponent tuples, so every cell of
+a degree comes out of that pass.  sigma_type is its one-cell call.
+Relations must be homogeneous in degree and in the characters of both
+actions; each is checked once per call, and each violation is reported with
+an offending monomial pair.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import exact_rank
 from .wpoly import Exponents, MonomialMap, WPoly, WRing, monomials_of_degree
@@ -126,6 +131,86 @@ class SigmaType:
         return tuple(sorted((self.plus, self.minus), reverse=True))
 
 
+@functools.lru_cache(maxsize=256)
+def _cells(action: CyclicAction, lift: CyclicAction, d: int):
+    """The degree-d monomials sorted into their (character, sign) cells:
+    the columns of each cell, graded-lex, largest first, and a map from
+    each monomial, in that order, to its cell and its column there.
+    Memoized per (action, lift, d), as monomials_of_degree is per degree:
+    it depends on nothing else.  Callers must not change what it returns."""
+    cols: Dict[Tuple[int, int], List[Exponents]] = {}
+    where: Dict[Exponents, Tuple[Tuple[int, int], int]] = {}
+    for e in monomials_of_degree(action.ring, d):
+        cell = (action.character_of_monomial(e), lift.character_of_monomial(e))
+        block = cols.setdefault(cell, [])
+        where[e] = (cell, len(block))
+        block.append(e)
+    return cols, where
+
+
+def sigma_types(
+    action: CyclicAction,
+    lift: CyclicAction,
+    cells: Iterable[Tuple[int, int]],
+    relations: Sequence[WPoly] = (),
+) -> Dict[Tuple[int, int], SigmaType]:
+    """Dimensions of the +-1 eigenspaces of the order-2 lift on each
+    (degree d, character c) piece of ring / (relations) in cells, keyed by
+    (d, c mod the action's order), in the order of cells.
+
+    Relations enter through their degree-d multiples.  They must each be
+    homogeneous in degree and in the characters of the action and the lift,
+    which keeps every ideal row inside a single sign block, so the quotient
+    splits cleanly.  Each relation is checked once; each degree is one pass
+    over its monomials and over the multipliers of each relation.
+    """
+    if lift.order != 2:
+        raise ValueError(f"an involution lift has order 2, not {lift.order}")
+    n = action.order
+    checked = []
+    for rel in relations:
+        if rel.is_zero():
+            raise ValueError("zero relation supplied")
+        if not rel.is_homogeneous():
+            raise ValueError(f"relation {rel!r} is not degree-homogeneous")
+        checked.append((rel.degree(), character_of(rel, action),
+                        character_of(rel, lift), tuple(rel.terms.items())))
+    keys = [(d, c % n) for d, c in cells]
+    wanted: Dict[int, set] = {}
+    for d, c in keys:
+        wanted.setdefault(d, set()).add(c)
+    field = action.ring.field
+    zero = field.zero()
+    types = {}
+    for d, chars in wanted.items():
+        cols, where = _cells(action, lift, d)
+        # lift character 0 is the +1 eigenspace, character 1 the -1 eigenspace
+        rows = {(c, s): [] for c in chars for s in (0, 1)}
+        for rel_d, rel_c, rel_s, terms in checked:
+            if rel_d > d:
+                continue
+            for m, ((mc, ms), _) in _cells(action, lift, d - rel_d)[1].items():
+                cell = ((mc + rel_c) % n, (ms + rel_s) % 2)
+                block = rows.get(cell)
+                if block is None:
+                    continue
+                row = [zero] * len(cols.get(cell, ()))
+                for e, coeff in terms:
+                    hit = where.get(tuple(a + b for a, b in zip(m, e)))
+                    if hit is None or hit[0] != cell:
+                        raise AssertionError("ideal row escaped its eigenspace")
+                    row[hit[1]] = coeff
+                block.append(row)
+        for c in chars:
+            plus, minus = (
+                len(cols.get((c, s), ()))
+                - (exact_rank(rows[(c, s)], field) if rows[(c, s)] else 0)
+                for s in (0, 1)
+            )
+            types[(d, c)] = SigmaType(plus, minus)
+    return {key: types[key] for key in keys}
+
+
 def sigma_type(
     action: CyclicAction,
     lift: CyclicAction,
@@ -133,45 +218,6 @@ def sigma_type(
     c: int,
     relations: Sequence[WPoly] = (),
 ) -> SigmaType:
-    """Dimensions of the +-1 eigenspaces of the order-2 lift on the
-    degree-d, character-c piece of ring / (relations).
-
-    Relations enter through their degree-d multiples.  They must each be
-    homogeneous in degree and in the characters of the action and the lift,
-    which keeps every ideal row inside a single sign block, so the quotient
-    splits cleanly.
-    """
-    if lift.order != 2:
-        raise ValueError(f"an involution lift has order 2, not {lift.order}")
-    basis = eigenspace_basis(action, d, c)
-    index = set(basis)
-    # lift character 0 is the +1 eigenspace, character 1 the -1 eigenspace
-    cols = ([], [])
-    for e in basis:
-        cols[lift.character_of_monomial(e)].append(e)
-    rows = ([], [])
-    for rel in relations:
-        if rel.is_zero():
-            raise ValueError("zero relation supplied")
-        if not rel.is_homogeneous():
-            raise ValueError(f"relation {rel!r} is not degree-homogeneous")
-        rel_d = rel.degree()
-        rel_c = character_of(rel, action)
-        rel_s = character_of(rel, lift)
-        if rel_d > d:
-            continue
-        for m in monomials_of_degree(action.ring, d - rel_d):
-            mc = action.character_of_monomial(m)
-            if (mc + rel_c) % action.order != c % action.order:
-                continue
-            prod = action.ring.monomial(m) * rel
-            s = (lift.character_of_monomial(m) + rel_s) % 2
-            for e in prod.terms:
-                if e not in index:
-                    raise AssertionError("ideal row escaped its eigenspace")
-            rows[s].append([prod.coefficient(e) for e in cols[s]])
-    plus, minus = (
-        len(cols[s]) - (exact_rank(rows[s], action.ring.field) if rows[s] else 0)
-        for s in (0, 1)
-    )
-    return SigmaType(plus, minus)
+    """The sigma type of the order-2 lift on the degree-d, character-c
+    piece of ring / (relations): the one-cell call of sigma_types."""
+    return sigma_types(action, lift, [(d, c)], relations)[(d, c % action.order)]

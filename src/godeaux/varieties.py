@@ -540,7 +540,10 @@ class PointSet:
 
     ``terms`` holds the int terms mod p of each equation (_reduce_eqs), and
     each is re-evaluated on every row the first time the rows are read back,
-    as a self-consistency tripwire.  ``sizes`` holds, read-only, the number
+    as a self-consistency tripwire.  ``supports`` and ``coeffs`` hold the
+    same terms taken apart once (_supports, _coefficients): the key of the
+    memoized templates and the coefficient vector they read, passed on by
+    the scan that took them apart.  ``sizes`` holds, read-only, the number
     of points each row stands for (all 1 unless the scan was folded), and
     ``len`` their sum, the number of points.  ``scanned`` counts the
     canonical representatives the scan covered, and ``candidates`` the
@@ -550,12 +553,13 @@ class PointSet:
     first read, so that every fixed-locus mask is one comparison per row.
     """
 
-    __slots__ = ("_rows", "sizes", "p", "ring", "terms", "scanned", "candidates", "_checked",
-                 "_zero_code")
+    __slots__ = ("_rows", "sizes", "p", "ring", "terms", "supports", "coeffs", "scanned",
+                 "candidates", "_checked", "_zero_code")
 
     def __init__(self, points, p: int, ring: WRing, terms: Sequence[Terms],
                  scanned: int, candidates: Optional[int] = None,
-                 sizes: Optional[np.ndarray] = None):
+                 sizes: Optional[np.ndarray] = None,
+                 supports: Optional[Supports] = None, coeffs: Optional[List[int]] = None):
         rows = np.array(points, dtype=np.int64).reshape(-1, ring.nvars)
         rows.flags.writeable = False
         self._rows = rows
@@ -564,6 +568,8 @@ class PointSet:
         self.p = p
         self.ring = ring
         self.terms = tuple(terms)
+        self.supports = _supports(self.terms) if supports is None else supports
+        self.coeffs = _coefficients(self.terms) if coeffs is None else coeffs
         self.scanned = scanned
         self.candidates = candidates
         self._checked = False
@@ -763,16 +769,17 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
                                  f"eigenvector of the symmetry: monomials {a} and {b}")
         d1 = _main_box_action(scalars, ring.weights, p)[1]
     supports, coeffs = _supports(terms), _coefficients(terms)
+    scan_supports, scan_coeffs = supports, coeffs
     eliminant = _eliminant(supports, coeffs, n, p)
     if eliminant is not None:
-        supports += (tuple(e for e, _ in eliminant),)
-        coeffs += [c for _, c in eliminant]
-    split = _split_layout(supports, n, p)
+        scan_supports = supports + (tuple(e for e, _ in eliminant),)
+        scan_coeffs = coeffs + [c for _, c in eliminant]
+    split = _split_layout(scan_supports, n, p)
     fibres = _fibres(p)
     found: List[np.ndarray] = []
     candidates = 0
     for batch in _outer_batches(ring.weights, p, d1):
-        for points, tested in _batch_points(batch, p, split, coeffs, fibres):
+        for points, tested in _batch_points(batch, p, split, scan_coeffs, fibres):
             found.append(points)
             candidates += tested
     rows = np.concatenate(found) if found else np.empty((0, n), dtype=np.int64)
@@ -780,7 +787,8 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
     if d1 is not None:
         order = next(k for k in range(1, p) if pow(d1, k, p) == 1)
         sizes = np.where((rows[:, 0] == 1) & (rows[:, 1] != 0), order, 1)
-    return PointSet(rows, p, ring_p, terms, _orbit_count(ring.weights, p), candidates, sizes)
+    return PointSet(rows, p, ring_p, terms, _orbit_count(ring.weights, p), candidates, sizes,
+                    supports, coeffs)
 
 
 def enumerate_points(ring: WRing, p: int, eqs: Sequence[WPoly],
@@ -859,7 +867,8 @@ def fixed_locus(action: MonomialMap, p: int, eqs: Sequence[WPoly]) -> PointSet:
     patterns = _diagonal_fixed_patterns(action, p)
     locus = _scan(ring, p, eqs)
     return PointSet(locus._rows[_fixed_mask(patterns, locus.zero_code)], p, locus.ring,
-                    locus.terms, locus.scanned, locus.candidates)
+                    locus.terms, locus.scanned, locus.candidates,
+                    supports=locus.supports, coeffs=locus.coeffs)
 
 
 def _family_mod_p(fam: GodeauxFamily, p: int) -> GodeauxFamily:
@@ -995,19 +1004,20 @@ def _minors_vanish(rows: np.ndarray, coeffs: Sequence[int], jac: _JacobianTerms,
     return ((minors - minors.transpose(0, 2, 1)) % p == 0).all(axis=(1, 2))
 
 
-def _rank_below_two(rows: np.ndarray, terms: Sequence[Terms], p: int) -> np.ndarray:
+def _rank_below_two(rows: np.ndarray, supports: Supports, coeffs: Sequence[int],
+                    p: int) -> np.ndarray:
     """Which points of the rows make the Jacobian of the two equations of
     rank below 2 mod p: those where each of its 2x2 minors vanishes.  Its
     terms come from the template of the supports (_jacobian_terms), filled
-    in with the member's coefficients (_fill for the minor in s and t).
+    in with the member's coefficients (_fill for the minor in s and t), as
+    the scan took the equations apart (PointSet.supports and coeffs).
 
     The minor in the last two coordinates s and t is evaluated first, on
     every row, as one polynomial; with sigma enforced it is
     2 c (b t^2 - a s^2).  Only the rows where it vanishes mod p, about 1/p
     of them, take the test of every minor (_minors_vanish); where it
     vanishes identically, every row does."""
-    coeffs = _coefficients(terms)
-    jac = _jacobian_terms(_supports(terms), rows.shape[1], p)
+    jac = _jacobian_terms(supports, rows.shape[1], p)
     pending = np.flatnonzero(Columns(rows.T, p).evaluate(_fill(jac.minor, coeffs, p)) == 0)
     singular = np.zeros(len(rows), dtype=bool)
     singular[pending] = _minors_vanish(rows[pending], coeffs, jac, p)
@@ -1048,7 +1058,7 @@ def check_quasi_smooth(fam_p: GodeauxFamily, p: int, surface: PointSet) -> Check
             data={"failure_mode": "ambient-singular-locus"},
         )
 
-    singular = _rank_below_two(rows, surface.terms, p)
+    singular = _rank_below_two(rows, surface.supports, surface.coeffs, p)
     witness = rows[np.argmax(singular)].tolist() if singular.any() else None
     finding = ("Jacobian rank below 2 at the witness point" if witness
                else "no GF(p)-rational surface point is singular")

@@ -1,10 +1,12 @@
 """Character bookkeeping for diagonal actions, and the sign split under an
-order-2 lift."""
+order-2 lift, checked against a per-cell oracle built from WPoly products."""
 
 import re
 
 import pytest
 
+from godeaux import grouprep
+from godeaux.family import build_family, random_params, sigma_tables
 from godeaux.grouprep import (
     CyclicAction,
     SigmaType,
@@ -12,9 +14,48 @@ from godeaux.grouprep import (
     character_of,
     eigenspace_basis,
     sigma_type,
+    sigma_types,
 )
-from godeaux.scalars import QQ, PrimeField
-from godeaux.wpoly import WRing, parse_poly
+from godeaux.scalars import QQ, PrimeField, exact_rank
+from godeaux.wpoly import WRing, monomials_of_degree, parse_poly
+
+
+def sigma_type_oracle(action, lift, d, c, relations=()):
+    """One cell at a time, the ideal rows as WPoly products m * rel read
+    back coefficient by coefficient: the oracle for sigma_types."""
+    if lift.order != 2:
+        raise ValueError(f"an involution lift has order 2, not {lift.order}")
+    basis = eigenspace_basis(action, d, c)
+    index = set(basis)
+    cols = ([], [])
+    for e in basis:
+        cols[lift.character_of_monomial(e)].append(e)
+    rows = ([], [])
+    for rel in relations:
+        if rel.is_zero():
+            raise ValueError("zero relation supplied")
+        if not rel.is_homogeneous():
+            raise ValueError(f"relation {rel!r} is not degree-homogeneous")
+        rel_d = rel.degree()
+        rel_c = character_of(rel, action)
+        rel_s = character_of(rel, lift)
+        if rel_d > d:
+            continue
+        for m in monomials_of_degree(action.ring, d - rel_d):
+            mc = action.character_of_monomial(m)
+            if (mc + rel_c) % action.order != c % action.order:
+                continue
+            prod = action.ring.monomial(m) * rel
+            s = (lift.character_of_monomial(m) + rel_s) % 2
+            for e in prod.terms:
+                if e not in index:
+                    raise AssertionError("ideal row escaped its eigenspace")
+            rows[s].append([prod.coefficient(e) for e in cols[s]])
+    plus, minus = (
+        len(cols[s]) - (exact_rank(rows[s], action.ring.field) if rows[s] else 0)
+        for s in (0, 1)
+    )
+    return SigmaType(plus, minus)
 
 
 def godeaux_ring(field=QQ):
@@ -259,21 +300,90 @@ def test_sigma_type_small_worked_example():
     assert (st5.plus, st5.minus) == (1, 1)
 
 
+def _kernel_with_other_degrees(action, lift, d, c, rels=()):
+    return sigma_types(action, lift, [(1, 0), (d, c), (8, 3)], rels)
+
+
 def test_sigma_type_relation_validation():
+    # the kernel, its one-cell call and the per-cell oracle raise the same
+    # five messages
+    for compute in (sigma_type, _kernel_with_other_degrees, sigma_type_oracle):
+        _check_relation_validation(compute)
+
+
+def _check_relation_validation(compute):
     ring = godeaux_ring()
     a = godeaux_action(ring)
     sigma = godeaux_sigma(ring)
-    with pytest.raises(ValueError, match="zero relation"):
-        sigma_type(a, sigma, 4, 0, [ring.zero_poly()])
+    with pytest.raises(ValueError, match="^zero relation supplied$"):
+        compute(a, sigma, 4, 0, [ring.zero_poly()])
+    with pytest.raises(ValueError, match=r"^not character-homogeneous: monomials "
+                                         r"\(4, 0, 0, 0, 0\) and \(0, 0, 0, 2, 0\) "
+                                         r"have characters 0 and 2$"):
+        compute(a, sigma, 4, 0, [parse_poly(ring, "x1^4 + y1^2")])
+    with pytest.raises(ValueError, match=r"^not character-homogeneous: monomials "
+                                         r"\(4, 0, 0, 0, 0\) and \(1, 1, 0, 1, 0\) "
+                                         r"have characters 0 and 1$"):
+        compute(a, sigma, 4, 0, [parse_poly(ring, "x1^4 + x1 x2 y1")])
+    with pytest.raises(ValueError, match="^an involution lift has order 2, not 4$"):
+        compute(a, a, 4, 0)
+    bad = parse_poly(ring, "x2^4 + x2^2")
+    with pytest.raises(ValueError, match=f"^relation {re.escape(repr(bad))} is not "
+                                         "degree-homogeneous$"):
+        compute(a, sigma, 4, 0, [bad])
+    # a relation is checked even where no degree reaches its multiples
     with pytest.raises(ValueError, match="not character-homogeneous"):
-        sigma_type(a, sigma, 4, 0, [parse_poly(ring, "x1^4 + y1^2")])
-    with pytest.raises(ValueError, match="not character-homogeneous: monomials "
-                                         r"\(4, 0, 0, 0, 0\) and \(1, 1, 0, 1, 0\)"):
-        sigma_type(a, sigma, 4, 0, [parse_poly(ring, "x1^4 + x1 x2 y1")])
-    with pytest.raises(ValueError, match="order 2, not 4"):
-        sigma_type(a, a, 4, 0)
-    with pytest.raises(ValueError, match="degree-homogeneous"):
-        sigma_type(a, sigma, 4, 0, [parse_poly(ring, "x2^4 + x2^2")])
+        compute(a, sigma, 1, 0, [parse_poly(ring, "x1^4 + y1^2")])
+
+
+@pytest.mark.parametrize("field", ["Q", 13, 29])
+def test_sigma_types_match_the_oracle(field):
+    # every cell of degrees 0-8 under both lifts, seeds 0-19: one kernel
+    # call per lift against one oracle call per cell
+    cells = [(d, c) for d in range(9) for c in range(4)]
+    for seed in range(20):
+        fam = build_family(random_params(field, seed=seed))
+        rels = [fam.q0, fam.q2]
+        for lift in fam.lifts().values():
+            got = sigma_types(fam.action, lift, cells, rels)
+            assert list(got) == cells
+            for d, c in cells:
+                assert got[(d, c)] == sigma_type_oracle(fam.action, lift, d, c, rels), \
+                    (field, seed, lift.exponents, d, c)
+
+
+def test_sigma_types_match_the_oracle_on_the_worked_example():
+    # k[x, y] mod (x^2), with a trivial and a nontrivial order-2 action
+    ring = WRing(("x", "y"), (1, 1), QQ)
+    rel = parse_poly(ring, "x^2")
+    lift = CyclicAction(ring, 2, (0, 1))
+    for a in (CyclicAction(ring, 2, (0, 0)), CyclicAction(ring, 2, (1, 0))):
+        cells = [(d, c) for d in range(9) for c in range(2)]
+        got = sigma_types(a, lift, cells, [rel])
+        for d, c in cells:
+            assert got[(d, c)] == sigma_type_oracle(a, lift, d, c, [rel])
+            assert got[(d, c)] == sigma_type(a, lift, d, c, [rel])
+    # characters are read mod the order, as the oracle reads them
+    a = CyclicAction(ring, 2, (1, 0))
+    want = sigma_type_oracle(a, lift, 3, 5, [rel])
+    assert sigma_types(a, lift, [(3, 5)], [rel]) == {(3, 1): want}
+
+
+def test_sigma_tables_check_each_relation_once_per_lift(monkeypatch):
+    # the quartics' characters are read once per lift and action, not once
+    # per cell (96 calls when every cell checked them)
+    fam = build_family(random_params("Q", seed=3))
+    calls = []
+    original = grouprep.character_of
+
+    def counting(f, action):
+        calls.append(action)
+        return original(f, action)
+
+    monkeypatch.setattr(grouprep, "character_of", counting)
+    tables = sigma_tables(fam)
+    assert len(calls) <= 2 * 2 * len(fam.lifts())
+    assert sum(len(table) for table in tables.values()) == 24
 
 
 def test_relations_of_higher_degree_are_ignored():

@@ -59,6 +59,12 @@ def terms_of(eqs):
     return [int_terms(f) for f in eqs]
 
 
+def layout_of(terms):
+    """The supports and the coefficient vector of some terms, as a scan
+    hands them to _rank_below_two."""
+    return varieties._supports(terms), varieties._coefficients(terms)
+
+
 def reduce_wpolys(ring, p, eqs):
     """Every equation as a WPoly over GF(p), reduced from Q where needed:
     the oracle of _reduce_eqs, which gives their int terms."""
@@ -1116,7 +1122,7 @@ def test_quasi_smooth_on_representatives_matches_every_row(p, seed):
     # the main box dominates at the larger primes, and a quarter of it is kept
     assert (3 if p > 29 else 1) * len(reps) < len(rows)
     oracle = full_rank_below_two(rows, eqs, p)
-    singular = varieties._rank_below_two(reps, terms_of(eqs), p)
+    singular = varieties._rank_below_two(reps, *layout_of(terms_of(eqs)), p)
     report = check_quasi_smooth(fam_p, p)
     assert "failure_mode" not in report.data
     assert report.status == ("fail" if oracle.any() else "pass")
@@ -1176,7 +1182,7 @@ def test_minor_first_matches_every_minor(p, monkeypatch):
         random_rows[rng.random(random_rows.shape) < 0.2] = 0
         for rows in (enumerate_points(ring, p, eqs).rows, random_rows):
             oracle = full_rank_below_two(rows, eqs, p)
-            assert varieties._rank_below_two(rows, terms_of(eqs), p).tolist() == \
+            assert varieties._rank_below_two(rows, *layout_of(terms_of(eqs)), p).tolist() == \
                 oracle.tolist()
             pending += int(st_minor_vanishes(rows, eqs, p).sum())
             singular += int(oracle.sum())
@@ -1196,7 +1202,7 @@ def test_minor_first_on_the_forced_singular_member():
     fam = build_family(params)
     eqs = [fam.q0, fam.q2]
     rows = enumerate_points(fam.ring, 13, eqs).rows
-    singular = varieties._rank_below_two(rows, terms_of(eqs), 13)
+    singular = varieties._rank_below_two(rows, *layout_of(terms_of(eqs)), 13)
     assert singular.tolist() == full_rank_below_two(rows, eqs, 13).tolist()
     assert [1, 0, 0, 0, 0] in rows[singular].tolist()
 
@@ -1216,7 +1222,7 @@ def test_minor_first_sends_every_row_on_when_that_minor_vanishes(monkeypatch):
     rows = np.concatenate([enumerate_points(ring, p, eqs).rows,
                            rng.integers(0, p, size=(300, 5)),
                            [[0, 0, 0, 1, 5], [0, 0, 0, 0, 1]]])
-    singular = varieties._rank_below_two(rows, terms, p)
+    singular = varieties._rank_below_two(rows, *layout_of(terms), p)
     assert singular.tolist() == full_rank_below_two(rows, eqs, p).tolist()
     assert calls == [(len(rows), int(singular.sum()))]
     assert singular[-2:].all()
@@ -1234,11 +1240,28 @@ def test_minor_first_counts(p, rows, pending, singular, monkeypatch):
         eqs = [fam_p.q0, fam_p.q2]
         reps = surface_points(fam_p, p).rows
         total += len(reps)
-        assert varieties._rank_below_two(reps, terms_of(eqs), p).tolist() == \
+        assert varieties._rank_below_two(reps, *layout_of(terms_of(eqs)), p).tolist() == \
             full_rank_below_two(reps, eqs, p).tolist()
     assert len(calls) == 40
     assert (total, sum(n for n, _ in calls), sum(k for _, k in calls)) == \
         (rows, pending, singular)
+
+
+@pytest.mark.parametrize("field", [13, "Q"])
+def test_each_member_is_taken_apart_once(field, monkeypatch):
+    # the scan takes the quartics apart into supports and coefficients, and
+    # the rank test reads them off the surface's point set: one call of each
+    # per member and prime, over all three checks
+    calls = []
+    for name in ("_supports", "_coefficients"):
+        original = getattr(varieties, name)
+        monkeypatch.setattr(varieties, name,
+                            lambda terms, name=name, original=original:
+                            calls.append(name) or original(terms))
+    fam = build_family(random_params(field, seed=5))
+    for check in (check_quasi_smooth, check_free_action, check_fixed_locus):
+        assert check(fam, 13).status == "pass"
+    assert sorted(calls) == ["_coefficients", "_supports"]
 
 
 @pytest.mark.parametrize("p, vanished", [(13, 8), (61, 2), (101, 1)])
