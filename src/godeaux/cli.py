@@ -130,6 +130,15 @@ def _primes_from(args) -> Tuple[int, ...]:
     return primes
 
 
+def _cone_prime(args) -> int:
+    """The one test prime of a cone command: its --prime, else the first
+    default prime.  A repeated --prime is a config error, not a list."""
+    primes = _primes_from(args)
+    if len(args.prime or ()) > 1:
+        raise ConfigError(f"a cone command takes one --prime, got {args.prime}")
+    return primes[0]
+
+
 # the options that name an input file: the stamp holds the sha256 of the
 # file's bytes, not its path, so one file stamps the same from any
 # directory, and an edit in place changes the stamp
@@ -385,13 +394,13 @@ def cmd_group_divisibility(args) -> List[CheckReport]:
 
 
 def cmd_cone_image_check(args) -> List[CheckReport]:
-    return [verify_invariant_map(cone_setup(), prime=_primes_from(args)[0])]
+    return [verify_invariant_map(cone_setup(), prime=_cone_prime(args))]
 
 
 def cmd_cone_fixed_points(args) -> List[CheckReport]:
     if args.symbolic:
         return [tau_fixed_points(cone_setup())]
-    return [tau_fixed_points(cone_setup(), prime=_primes_from(args)[0])]
+    return [tau_fixed_points(cone_setup(), prime=_cone_prime(args))]
 
 
 _CASE_ALIASES = {"1": "deg1", "2": "deg2", "3": "deg3", "4": "deg4"}
@@ -439,7 +448,7 @@ def _branch_config_from_file(path: str, fallback_case: Optional[str]) -> BranchC
 
 
 def cmd_cone_degenerate(args) -> List[CheckReport]:
-    p = _primes_from(args)[0]
+    p = _cone_prime(args)
     case = _CASE_ALIASES.get(args.case, args.case) if args.case else None
     if case is not None and case not in DEGENERATION_CASES:
         raise ConfigError(f"case {case!r} not one of {DEGENERATION_CASES}")
@@ -513,7 +522,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--prime",
         type=_int_option,
         action="append",
-        help=f"test prime (repeatable; default from ${PRIMES_ENV} or 13)",
+        help=f"test prime (repeatable for verify, once for a cone command; default: "
+        f"the primes in ${PRIMES_ENV}, else {' and '.join(map(str, FALLBACK_PRIMES))}, "
+        f"all run by verify, the first by a cone command)",
     )
 
     parser = _Parser(

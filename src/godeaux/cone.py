@@ -27,7 +27,7 @@ import numpy as np
 
 from .covers import preset_model
 from .reports import CheckReport
-from .scalars import QQ, exact_rank, field_from_spec, int_tuple
+from .scalars import QQ, field_from_spec, int_tuple
 from .snf import det_bareiss
 from .varieties import Columns, PointSet, _reduce_eqs, enumerate_points, fixed_locus
 from .wpoly import MonomialMap, WPoly, WRing, apply_map, parse_poly, substitute
@@ -218,7 +218,9 @@ def tau_fixed_points(setup: ConeSetup, prime: Optional[int] = None) -> CheckRepo
     each, and its projective roots are the fixed points.  The report also
     carries the image of each fixed point under the invariant-quadric map
     and identifies the vertex as the unique singular point of the cone.
-    Passing a prime cross-checks the list against brute-force enumeration.
+    Passing a prime cross-checks the list against brute-force enumeration
+    of the setup's cone and involution mod p; the setup must be over Q or
+    over GF(prime).
     """
     field = setup.field
     by_scalar: Dict[object, List[int]] = {}
@@ -256,8 +258,7 @@ def tau_fixed_points(setup: ConeSetup, prime: Optional[int] = None) -> CheckRepo
     }
     scanned = None
     if prime is not None:
-        setup_p = cone_setup(prime)
-        locus = fixed_locus(setup_p.tau, prime, [setup_p.cone])
+        locus = fixed_locus(setup.tau, prime, [setup.cone])
         checks["enumeration_agrees"] = list(locus.points) == expected
         scanned = locus.scanned
     status = "pass" if all(checks.values()) else "fail"
@@ -396,11 +397,9 @@ class BranchConfig:
         for label, pt in (("r1", r1), ("r2", r2)):
             if self.q1.evaluate(pt) != field(0):
                 raise ValueError(f"q1 does not vanish at {label}")
-            rows = [
-                [g.evaluate(pt) for g in grads[:4]],
-                [g.evaluate(pt) for g in grads[4:]],
-            ]
-            if exact_rank(rows, field) > 1:
+            # the Jacobian of (cone, q1) has rank <= 1 iff its rows are proportional
+            jac = [g.evaluate(pt) for g in grads]
+            if not _proportional(jac[:4], jac[4:], field):
                 raise ValueError(
                     f"B1 is not singular at {label}: the Jacobian of (cone, q1) has full rank"
                 )

@@ -25,7 +25,7 @@ from .grouprep import (
     eigenspace_basis,
     sigma_types,
 )
-from .scalars import QQ, PrimeField, Rationals, field_from_spec
+from .scalars import QQ, PrimeField, field_from_spec
 from .wpoly import (
     Exponents,
     WPoly,
@@ -215,25 +215,6 @@ def random_params(field_spec="Q", seed: int = 0,
         q2=coeffs[1],
         enforce_involution=enforce_involution,
     )
-
-
-def reduce_family(fam: GodeauxFamily, p: int) -> GodeauxFamily:
-    """Reduce a family over Q modulo p (bad reduction of any coefficient
-    raises)."""
-    if not isinstance(fam.field, Rationals):
-        raise ValueError("only families over Q can be reduced mod p")
-    field = field_from_spec(p)
-
-    def push(block: Dict[str, object]) -> Dict[str, object]:
-        return {k: field(fam.field(v)) for k, v in block.items()}
-
-    params = FamilyParams(
-        field_spec=p,
-        q0=push(fam.params.q0),
-        q2=push(fam.params.q2),
-        enforce_involution=fam.params.enforce_involution,
-    )
-    return build_family(params)
 
 
 def lift_sign_clash(fam: GodeauxFamily) -> Optional[Dict[str, object]]:

@@ -61,8 +61,11 @@ of the family is then a coefficient vector on a support that only changes
 where a term of R vanishes mod p.  An equation is taken apart once, as it
 enters a scan, into its terms mod p with int coefficients (``_reduce_eqs``),
 and only those are read after: by the scan, the point set, the fixed loci
-and the rank test.  Every check of a member at p reads one record, the
-member reduced mod p and its surface (``_member``).
+and the rank test.  This is the one reduction mod p: an equation over Q
+enters a scan as it is, and so does a diagonal map over Q, whose scalars
+are reduced where its fixed patterns are read (``_diagonal_fixed_patterns``).
+Every check of a member at p reads one record, its surface
+(``surface_points``), and reads the member's terms mod p off it.
 
 Arithmetic is exact: the evaluation runs on int32 arrays, the solves and
 the tests on int64.  Every array is reduced mod p right after each product:
@@ -137,7 +140,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
-from .family import GodeauxFamily, canonical_action, reduce_family
+from .family import GodeauxFamily, canonical_action, canonical_lifts, canonical_ring
 from .grouprep import CyclicAction
 from .reports import CheckReport
 from .scalars import PrimeField, Rationals, is_prime
@@ -759,15 +762,14 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
     if symmetry is not None:
         if symmetry.ring != ring_p:
             raise ValueError("a symmetric scan needs a map over GF(p) on the same variables")
-        scalars, mod = symmetry.scalars, [p] * n
         for f in terms:
             # the scalar the map multiplies each monomial by, one for an eigenvector
-            chars = {math.prod(map(pow, scalars, e, mod)) % p: e for e, _ in f}
+            chars = {symmetry.character_of_monomial(e): e for e, _ in f}
             if len(chars) > 1:
                 a, b = list(chars.values())[:2]
                 raise ValueError(f"equation {WPoly(ring_p, dict(f)).to_string()} is not an "
                                  f"eigenvector of the symmetry: monomials {a} and {b}")
-        d1 = _main_box_action(scalars, ring.weights, p)[1]
+        d1 = _main_box_action(symmetry.scalars, ring.weights, p)[1]
     supports, coeffs = _supports(terms), _coefficients(terms)
     scan_supports, scan_coeffs = supports, coeffs
     eliminant = _eliminant(supports, coeffs, n, p)
@@ -804,9 +806,17 @@ def enumerate_points(ring: WRing, p: int, eqs: Sequence[WPoly],
 
 def _diagonal_fixed_patterns(m: MonomialMap, p: int) -> Tuple[Tuple[int, ...], ...]:
     """The minimal zero-patterns characterizing the points a diagonal map
-    fixes: P is fixed iff for some scalar lambda every coordinate outside
-    ker(pattern) vanishes."""
-    return _fixed_patterns(m.ring.weights, m.scalars, p)
+    over Q or GF(p) fixes mod p: P is fixed iff for some scalar lambda every
+    coordinate outside ker(pattern) vanishes.  The scalars are reduced mod
+    p here; a map over another prime field, or a scalar that vanishes mod p,
+    is refused."""
+    field = m.ring.field
+    if isinstance(field, PrimeField) and field.p != p:
+        raise ValueError(f"map is over GF({field.p}), not GF({p})")
+    scalars = tuple(map(PrimeField(p), m.scalars))
+    if not all(scalars):
+        raise ValueError(f"map scalars must be nonzero mod {p}")
+    return _fixed_patterns(m.ring.weights, scalars, p)
 
 
 @functools.lru_cache(maxsize=256)
@@ -858,74 +868,56 @@ def _fixed_point_count(weights: Tuple[int, ...], patterns: Tuple[Tuple[int, ...]
 def fixed_locus(action: MonomialMap, p: int, eqs: Sequence[WPoly]) -> PointSet:
     """All points of the zero locus fixed by a diagonal map as orbits (image
     canonicalizes back to the point itself): the rows of the scan of the
-    zero locus that the map's fixed patterns select.  ``scanned`` and
+    zero locus that the map's fixed patterns select.  The map and the
+    equations may be over Q, and are reduced mod p.  ``scanned`` and
     ``candidates`` are those of the whole scan."""
     guard_prime(p)
-    ring = action.ring
-    if not isinstance(ring.field, PrimeField) or ring.field.p != p:
-        raise ValueError("fixed_locus needs a map defined over GF(p) itself")
     patterns = _diagonal_fixed_patterns(action, p)
-    locus = _scan(ring, p, eqs)
+    locus = _scan(action.ring, p, eqs)
     return PointSet(locus._rows[_fixed_mask(patterns, locus.zero_code)], p, locus.ring,
                     locus.terms, locus.scanned, locus.candidates,
                     supports=locus.supports, coeffs=locus.coeffs)
 
 
-def _family_mod_p(fam: GodeauxFamily, p: int) -> GodeauxFamily:
-    if isinstance(fam.field, PrimeField):
-        if fam.field.p != p:
-            raise ValueError(f"family is over GF({fam.field.p}), not GF({p})")
-        return fam
-    return reduce_family(fam, p)
-
-
 @functools.lru_cache(maxsize=1)
-def _member(fam: GodeauxFamily, p: int) -> Tuple[GodeauxFamily, PointSet]:
-    """The record of a family member at p that all its checks read: the
-    member reduced mod p where it is over Q, and its surface q0 = q2 = 0,
-    scanned once and folded by the generator g of the group, defined over
-    GF(p) when p = 1 mod 4 (one row per orbit of g on the main box off
-    x2 = 0).  The memo holds the last (member, p) only.  A GodeauxFamily
-    compares by identity, so the key hashes no polynomial and another
-    member never gets this record, even one with the same quartics; the
-    memo relies on a member not being changed after build_family."""
-    fam_p = _family_mod_p(fam, p)
-    return fam_p, enumerate_points(fam_p.ring, p, [fam_p.q0, fam_p.q2],
-                                   _group_generator(fam_p.ring))
-
-
 def surface_points(fam: GodeauxFamily, p: int) -> PointSet:
-    """The GF(p) points of the surface of a family member: those of its
-    record at p (_member), scanned once for all its checks at p."""
-    return _member(fam, p)[1]
+    """The record of a family member at p that all its checks read: its
+    surface q0 = q2 = 0 mod p, scanned once and folded by the generator g
+    of the group (one row per orbit of g on the main box off x2 = 0).  A
+    member over Q is reduced by the scan, term by term.  The memo holds the
+    last (member, p) only.  A GodeauxFamily compares by identity, so the
+    key hashes no polynomial and another member never gets this record,
+    even one with the same quartics; the memo relies on a member not being
+    changed after build_family."""
+    return enumerate_points(fam.ring, p, [fam.q0, fam.q2], _group_generator(p))
 
 
 @functools.lru_cache(maxsize=16)
-def _group_generator(ring: WRing) -> Optional[MonomialMap]:
-    """g as a diagonal map over GF(p), the field of the ring, where
-    p = 1 mod 4 puts a square root of -1 in it; None elsewhere.  Memoized
-    by ring, as every member over GF(p) shares it."""
-    if not isinstance(ring.field, PrimeField) or ring.field.p % 4 != 1:
-        return None
+def _group_generator(p: int) -> MonomialMap:
+    """g as a diagonal map over GF(p), which needs p = 1 mod 4 to put a
+    square root of -1 in GF(p), as build_family does; memoized by p."""
+    if p % 4 != 1:
+        raise ValueError(f"prime field must have p = 1 mod 4, got p = {p}")
+    ring = canonical_ring(PrimeField(p))
     return canonical_action(ring).as_monomial_map(ring.field.sqrt_minus_one())
 
 
 def _certificate(check: str):
-    """Decorator for the scan checks: the body gets the family reduced mod p
-    and its surface points, read once per check from the member's record at
-    p (_member), and returns its report, which is then timed.  A bad prime
-    or a family over another field gives an error report instead."""
-    def wrap(body: Callable[[GodeauxFamily, int, PointSet], CheckReport]):
+    """Decorator for the scan checks: the body gets the member's record at
+    p (surface_points), read once per check, and returns its report, which
+    is then timed.  A bad prime, a member over another field or a
+    coefficient with bad reduction mod p gives an error report instead."""
+    def wrap(body: Callable[[PointSet], CheckReport]):
         def run(fam: GodeauxFamily, p: int) -> CheckReport:
             t0 = time.perf_counter()
             try:
                 guard_prime(p)
-                fam_p, surface = _member(fam, p)
+                surface = surface_points(fam, p)
             except ValueError as exc:
                 return CheckReport(
                     check=check, status="error", prime=p, notes=(str(exc),),
                 )
-            report = body(fam_p, p, surface)
+            report = body(surface)
             report.elapsed_ms = (time.perf_counter() - t0) * 1000
             return report
         # not functools.wraps, which would show the body's signature: a check takes (fam, p)
@@ -1025,13 +1017,13 @@ def _rank_below_two(rows: np.ndarray, supports: Supports, coeffs: Sequence[int],
 
 
 @_certificate("quasi-smooth")
-def check_quasi_smooth(fam_p: GodeauxFamily, p: int, surface: PointSet) -> CheckReport:
+def check_quasi_smooth(surface: PointSet) -> CheckReport:
     """Scan every GF(p) point of the surface for Jacobian rank 2, after
     checking that none lies on the ambient singular line x1=x2=x3=0.
 
     Both tests run on the rows of the scan folded by g, one per orbit of g
-    on the main box off x2 = 0; no check scans at p = 3 mod 4, where
-    build_family refuses the field and the check reports an error.  The
+    on the main box off x2 = 0; no check scans at p = 3 mod 4, where g is
+    not defined over GF(p) and the check reports an error.  The
     ambient line and the singular locus are g-stable, so the first row on
     either is the first point on it.  The line is read off the surface's
     zero code; the rank test takes every minor only on the rows where the
@@ -1041,10 +1033,10 @@ def check_quasi_smooth(fam_p: GodeauxFamily, p: int, surface: PointSet) -> Check
     singular.  Points over extensions of GF(p) are not checked, so this is
     not a proof of quasi-smoothness mod p, let alone in characteristic 0.
     """
-    rows = surface.rows
+    p, rows = surface.p, surface.rows
     on = _fixed_mask(AMBIENT_SINGULAR_LINE, surface.zero_code)
     witness = rows[np.argmax(on)].tolist() if on.any() else None
-    if fam_p.q0.coefficient((0, 0, 0, 1, 1)) == fam_p.ring.field.zero():
+    if (0, 0, 0, 1, 1) not in surface.supports[0]:
         hit = ("ambient-singular-locus hit: q0 misses y1 y3, so the "
                "surface meets x1=x2=x3=0 over the closure")
     elif witness is not None:
@@ -1084,7 +1076,7 @@ def _element_patterns(action: CyclicAction, p: int) -> Tuple[Tuple[str, tuple], 
 
 
 @_certificate("free-action")
-def check_free_action(fam_p: GodeauxFamily, p: int, surface: PointSet) -> CheckReport:
+def check_free_action(surface: PointSet) -> CheckReport:
     """Check that g, g^2, g^3 fix no GF(p)-rational point of the surface;
     points over extensions of GF(p) are not checked.
 
@@ -1093,11 +1085,11 @@ def check_free_action(fam_p: GodeauxFamily, p: int, surface: PointSet) -> CheckR
     mask.  They are g-stable, so the first row fixed by an element is the
     first such point.
     """
-    rows = surface.rows
+    p, rows = surface.p, surface.rows
     witness = None
     sizes = {}
-    for name, patterns in _element_patterns(fam_p.action, p):
-        sizes[name] = _fixed_point_count(fam_p.ring.weights, patterns, p)
+    for name, patterns in _element_patterns(canonical_action(surface.ring), p):
+        sizes[name] = _fixed_point_count(surface.ring.weights, patterns, p)
         hits = rows[_fixed_mask(patterns, surface.zero_code)]
         if len(hits) and witness is None:
             witness = {"element": name, "point": hits[0].tolist()}
@@ -1112,29 +1104,28 @@ def check_free_action(fam_p: GodeauxFamily, p: int, surface: PointSet) -> CheckR
     )
 
 
-def sigma_fixed_components(fam: GodeauxFamily, p: int) -> Dict[str, object]:
-    """Describe the fixed locus of the involution lift on the ambient space:
-    its minimal zero-patterns, by name and by index, plus the point count."""
+def sigma_fixed_components(ring: WRing, p: int) -> Dict[str, object]:
+    """Describe the fixed locus mod p of the involution lift sigma on the
+    ambient space of the family's ring, over Q or GF(p): its minimal
+    zero-patterns, by name and by index, plus the point count."""
     guard_prime(p)
-    fam_p = _family_mod_p(fam, p)
-    patterns = _diagonal_fixed_patterns(fam_p.sigma.rational_realization(), p)
-    names = fam_p.ring.names
+    patterns = _diagonal_fixed_patterns(canonical_lifts(ring)[0].rational_realization(), p)
     return {
-        "zero_patterns": [[names[v] for v in bad] for bad in patterns],
+        "zero_patterns": [[ring.names[v] for v in bad] for bad in patterns],
         "patterns": patterns,
-        "count": _fixed_point_count(fam_p.ring.weights, patterns, p),
+        "count": _fixed_point_count(ring.weights, patterns, p),
     }
 
 
 @_certificate("fixed-locus")
-def check_fixed_locus(fam_p: GodeauxFamily, p: int, surface: PointSet) -> CheckReport:
+def check_fixed_locus(surface: PointSet) -> CheckReport:
     """Check that the ambient fixed locus of the involution lift meets the
     surface at a GF(p)-rational point, as its divisorial fixed part needs.
     The locus is g-stable, so the first surface row on it is the first such
     point, and the points on it number the sum of the sizes of the rows
     on it."""
-    info = sigma_fixed_components(fam_p, p)
-    rows = surface.rows
+    p, rows = surface.p, surface.rows
+    info = sigma_fixed_components(surface.ring, p)
     on = _fixed_mask(info["patterns"], surface.zero_code)
     hits = rows[on]
     return CheckReport(

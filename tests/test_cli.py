@@ -241,9 +241,26 @@ def test_verify_draws_share_the_allowed_supports(monkeypatch):
 def test_cone_rejects_primes_above_the_cap(argv, capsys):
     assert run(argv + ["--prime", "109"]) == 2
     assert "limited to" in capsys.readouterr().err
-    # every listed prime is checked, also those after the one that is scanned
+    # every listed prime is checked before a repeated --prime is refused
     assert run(argv + ["--prime", "13", "--prime", "109"]) == 2
     assert "limited to" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["cone", "image-check"],
+                                  ["cone", "fixed-points"],
+                                  ["cone", "degenerate", "--case", "1", "--intersections"]])
+def test_cone_commands_take_one_prime(argv, tmp_path, monkeypatch, capsys):
+    # a cone command scans at one prime: a repeated --prime is a config
+    # error, where it once dropped every prime after the first
+    assert run(argv + ["--prime", "13", "--prime", "17"]) == 2
+    err = capsys.readouterr().err
+    assert "a cone command takes one --prime, got [13, 17]" in err
+    assert "Traceback" not in err
+    # the default list still gives its first prime
+    monkeypatch.setenv("GODEAUX_PRIMES", "29,13")
+    out = tmp_path / "out.json"
+    assert run(argv + ["--output", str(out)]) == 0
+    assert {r.get("prime") for r in json.loads(out.read_text())} - {None} == {29}
 
 
 def test_table1_builds_each_sigma_table_once(monkeypatch, capsys):

@@ -17,7 +17,6 @@ from godeaux.family import (
     match_reference_table,
     params_from_config,
     random_params,
-    reduce_family,
     render_sigma_tables,
     sigma_table,
     sigma_tables,
@@ -110,19 +109,6 @@ def test_random_params_deterministic_and_buildable():
     assert len(fam.q0.terms) == 6
     fam13 = build_family(random_params(13, seed=5))
     assert fam13.field.p == 13
-
-
-def test_reduce_family_and_bad_reduction():
-    fam = build_family(all_ones_params())
-    red = reduce_family(fam, 13)
-    assert red.field.p == 13
-    assert len(red.q0.terms) == 6
-    bad = FamilyParams(q0={"x1^4": "1/13", "x2^4": 1}, q2={"y1^2": 1})
-    fam_bad = build_family(bad)
-    with pytest.raises(ValueError, match="bad reduction"):
-        reduce_family(fam_bad, 13)
-    red29 = reduce_family(fam_bad, 29)
-    assert red29.field.p == 29
 
 
 def verify_equivariance(fam):

@@ -10,6 +10,7 @@ import operator
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -454,7 +455,7 @@ def test_fixed_mask_on_the_zero_code_matches_the_loop(p):
     sets.append(varieties.AMBIENT_SINGULAR_LINE)
     point_sets = [enumerate_points(family_ring(p), p, [])] if p == 5 else []
     for seed in (0, 1):
-        fam_p = varieties._family_mod_p(build_family(random_params(p, seed=seed)), p)
+        fam_p = build_family(random_params(p, seed=seed))
         point_sets += [enumerate_points(fam_p.ring, p, [fam_p.q0, fam_p.q2]),
                        surface_points(fam_p, p)]
     for points in point_sets:
@@ -944,7 +945,7 @@ def test_member_independent_tables_are_built_once():
         assert rows[1] == rows[0] - p * (p - len(minima))
         for table in tables:
             assert not table.flags.writeable
-        fam = varieties._family_mod_p(build_family(random_params(p, seed=1)), p)
+        fam = build_family(random_params(p, seed=1))
         patterns = varieties._element_patterns(fam.action, p)
         assert varieties._element_patterns(fam.action, p) is patterns
         assert [name for name, _ in patterns] == ["g", "g2", "g3"]
@@ -1115,7 +1116,7 @@ PASSING += [(p, s) for p in (17, 29, 61) for s in range(20)]
 
 @pytest.mark.parametrize("p, seed", SINGULAR_OFF_X2_ZERO + PASSING)
 def test_quasi_smooth_on_representatives_matches_every_row(p, seed):
-    fam_p = varieties._family_mod_p(build_family(random_params(p, seed=seed)), p)
+    fam_p = build_family(random_params(p, seed=seed))
     eqs = [fam_p.q0, fam_p.q2]
     reps = surface_points(fam_p, p).rows
     rows = enumerate_points(fam_p.ring, p, eqs).rows
@@ -1236,7 +1237,7 @@ def test_minor_first_counts(p, rows, pending, singular, monkeypatch):
     calls = spy_full_test(monkeypatch)
     total = 0
     for seed in range(40):
-        fam_p = varieties._family_mod_p(build_family(random_params(p, seed=seed)), p)
+        fam_p = build_family(random_params(p, seed=seed))
         eqs = [fam_p.q0, fam_p.q2]
         reps = surface_points(fam_p, p).rows
         total += len(reps)
@@ -1327,21 +1328,25 @@ def test_evaluator_is_exact_at_the_largest_prime():
 
 
 def test_scan_checks_eigenvectors_on_int_terms(monkeypatch):
-    # a member's characters come from the int scalars of g mod p: no
-    # character_of_monomial call per monomial and no sorted monomial list;
-    # only the message of a clash prints the equation
+    # a member's characters come from g's own character_of_monomial on the
+    # int terms mod p, one call per term, and no sorted monomial list; only
+    # the message of a clash prints the equation
     fam = build_family(random_params(13, seed=5))
     g = group_generator(fam.ring)
     full = enumerate_points(fam.ring, 13, [fam.q0, fam.q2])
     q0 = fam.q0 + parse_poly(fam.ring, "x1^3 x2")
+    calls = []
+    original = MonomialMap.character_of_monomial
 
     def refuse(*args):
-        raise AssertionError("the eigenvector check left plain ints")
+        raise AssertionError("the eigenvector check left the int terms")
 
     with monkeypatch.context() as patch:
-        patch.setattr(MonomialMap, "character_of_monomial", refuse)
+        patch.setattr(MonomialMap, "character_of_monomial",
+                      lambda m, e: calls.append(e) or original(m, e))
         patch.setattr(WPoly, "monomials", refuse)
         folded = enumerate_points(fam.ring, 13, [fam.q0, fam.q2], g)
+    assert calls == list(fam.q0.terms) + list(fam.q2.terms)
     assert unfold(folded.rows, main_box_action(g), 13).tobytes() == full.rows.tobytes()
     with pytest.raises(ValueError, match="not an eigenvector") as err:
         enumerate_points(fam.ring, 13, [q0, fam.q2], g)
@@ -1538,9 +1543,26 @@ def test_tau_fixed_points_on_cone():
 
 
 def test_fixed_locus_requires_matching_field():
-    ring = family_ring()
-    with pytest.raises(ValueError, match="over GF"):
+    # a map over Q or GF(p) has its scalars reduced mod p; one over another
+    # prime field has no reduction, and a scalar that vanishes mod p, or
+    # whose denominator p divides, leaves no diagonal map mod p
+    ring = family_ring(5)
+    with pytest.raises(ValueError, match=r"map is over GF\(5\), not GF\(13\)"):
         fixed_locus(MonomialMap(ring, (1,) * ring.nvars), 13, [])
+    ring_q = family_ring()
+    with pytest.raises(ValueError, match="map scalars must be nonzero mod 13"):
+        fixed_locus(MonomialMap(ring_q, (26, 1, 1, 1, 1)), 13, [])
+    with pytest.raises(ValueError, match="bad reduction mod 13"):
+        fixed_locus(MonomialMap(ring_q, (Fraction(1, 13), 1, 1, 1, 1)), 13, [])
+    # a map over Q fixes what its reduction fixes, on equations over Q too
+    ring_p = family_ring(13)
+    fam = build_family(random_params("Q", seed=2))
+    for scalars in ((-1, -1, -1, 1, 1), (Fraction(1, 5), 5, 1, -1, 1)):
+        m_q = MonomialMap(ring_q, scalars)
+        m_p = MonomialMap(ring_p, tuple(map(ring_p.field, scalars)))
+        assert _diagonal_fixed_patterns(m_q, 13) == _diagonal_fixed_patterns(m_p, 13)
+        assert fixed_locus(m_q, 13, [fam.q0, fam.q2]).points == \
+            fixed_locus(m_p, 13, [fam.q0, fam.q2]).points
 
 
 def diagonal_maps(p):
@@ -1630,19 +1652,18 @@ def test_checks_share_one_scan_per_member(monkeypatch):
                 patch.setattr(WPoly, "__hash__", unhashable)
             reports = [check(fam, p) for check in
                        (check_quasi_smooth, check_free_action, check_fixed_locus)]
-        fam_p = varieties._family_mod_p(fam, p)
-        eqs = [fam_p.q0, fam_p.q2]
-        surface = original(fam_p.ring, p, eqs)
+        eqs = [fam.q0, fam.q2]
+        surface = original(fam.ring, p, eqs)
         # the checks' scan is folded by g: one row per orbit, which unfold
         # to the rows of the unfolded scan
         folded_rows = surface_points(fam, p).rows
         assert len(folded_rows) < len(surface.rows)
-        d = main_box_action(group_generator(fam_p.ring))
+        d = main_box_action(group_generator(family_ring(p)))
         assert unfold(folded_rows, d, p).tolist() == surface.rows.tolist()
         assert [r.points_scanned for r in reports] == [surface.scanned] * 3
         assert reports[0].data["surface_points"] == len(surface)
         assert reports[1].data["surface_points"] == len(surface)
-        hits = fixed_locus(fam_p.sigma.rational_realization(), p, eqs).points
+        hits = fixed_locus(fam.sigma.rational_realization(), p, eqs).points
         assert reports[2].data["surface_hits"] == len(hits)
         assert reports[2].data["sample"] == list(hits[0])
         sizes.append(len(surface))
@@ -1657,18 +1678,14 @@ def test_checks_share_one_scan_per_member(monkeypatch):
 
 
 def test_one_round_of_checks_reduces_a_member_once(monkeypatch):
-    # the three checks read one record of the reduced member and its
-    # surface: the seed-3 member over Q is reduced once per round, and the
-    # member's own reduction runs at most twice, once for the record and
-    # once in sigma_fixed_components, which gets it reduced already.
-    # Checking another member in between evicts the record
-    counts = {"reduce_family": 0, "_family_mod_p": 0, "enumerate_points": 0}
-    for name in counts:
-        def counting(*args, _name=name, _original=getattr(varieties, name)):
-            counts[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(varieties, name, counting)
+    # the three checks read one record, the member's surface, and the scan
+    # that makes it is the only reduction mod p: the seed-3 member over Q is
+    # scanned once per round.  Checking another member in between evicts
+    # the record
+    scans = []
+    original = varieties.enumerate_points
+    monkeypatch.setattr(varieties, "enumerate_points",
+                        lambda *args: scans.append(args[1]) or original(*args))
     checks = (check_quasi_smooth, check_free_action, check_fixed_locus)
     fam_q = build_family(random_params("Q", seed=3))
     other = build_family(random_params(13, seed=1))
@@ -1677,11 +1694,11 @@ def test_one_round_of_checks_reduces_a_member_once(monkeypatch):
         return [(r.status, r.witness, r.data) for r in (check(fam, 13) for check in checks)]
 
     first = round_of(fam_q)
-    assert counts == {"reduce_family": 1, "_family_mod_p": 2, "enumerate_points": 1}
+    assert scans == [13]
     round_of(other)
-    assert counts == {"reduce_family": 1, "_family_mod_p": 4, "enumerate_points": 2}
+    assert scans == [13, 13]
     assert round_of(fam_q) == first
-    assert counts == {"reduce_family": 2, "_family_mod_p": 6, "enumerate_points": 3}
+    assert scans == [13, 13, 13]
 
 
 def test_checks_are_called_with_the_member_and_the_prime():
@@ -1723,7 +1740,7 @@ def test_fold_changes_no_report(p, monkeypatch):
         for fam in members:
             # each member is checked folded and then unfolded, and the memo
             # knows nothing of the patched _group_generator
-            varieties._member.cache_clear()
+            surface_points.cache_clear()
             out.append([check(fam, p).to_dict() for check in checks])
             rows.append(len(surface_points(fam, p).rows))
         return out
@@ -1744,11 +1761,11 @@ def test_fixed_locus_hits_count_points_not_rows(monkeypatch):
     # the involution's patterns, x1 = x3 = 0 and x2 = 0, miss the rows of
     # size 4; the g-stable pattern y1 = 0 meets them, and its hits count
     # the points of the unfolded scan
-    fam_p = varieties._family_mod_p(verify_member(13, 1), 13)
+    fam_p = verify_member(13, 1)
     eqs = [fam_p.q0, fam_p.q2]
-    info = sigma_fixed_components(fam_p, 13)
+    info = sigma_fixed_components(fam_p.ring, 13)
     monkeypatch.setattr(varieties, "sigma_fixed_components",
-                        lambda fam, p: {**info, "patterns": ((3,),)})
+                        lambda ring, p: {**info, "patterns": ((3,),)})
     report = check_fixed_locus(fam_p, 13)
     folded = surface_points(fam_p, 13)
     unfolded = enumerate_points(fam_p.ring, 13, eqs)
@@ -1786,7 +1803,7 @@ def test_second_free_action_check_counts_nothing_again(monkeypatch):
 
 def test_sigma_fixed_components():
     fam = build_family(random_params(13, seed=3))
-    desc = sigma_fixed_components(fam, 13)
+    desc = sigma_fixed_components(fam.ring, 13)
     assert desc["zero_patterns"] == [["x1", "x3"], ["x2"]]
     p = 13
     in_x2_zero = p ** 3 + p ** 2 + 2 * p + 2
@@ -1830,8 +1847,7 @@ def test_quasi_smooth_mixed_pure_y_witness():
     assert report.notes[1] == "surface meets the ambient singular locus"
     assert report.points_scanned is None
     assert report.witness == [0, 0, 0, 0, 1]
-    fam_p = varieties._family_mod_p(fam, 13)
-    points = enumerate_points(fam_p.ring, 13, [fam_p.q0, fam_p.q2]).points
+    points = enumerate_points(fam.ring, 13, [fam.q0, fam.q2]).points
     on_line = [pt for pt in points if pt[:3] == (0, 0, 0)]
     assert on_line[0] == (0, 0, 0, 0, 1)
     assert (0, 0, 0, 1, 0) in on_line
@@ -1887,14 +1903,79 @@ def test_fixed_locus_seed_42():
     assert report.status == "pass"
     assert report.points_scanned == orbit_count_formula(13)
     assert report.data["zero_patterns"] == [["x1", "x3"], ["x2"]]
-    assert report.data["ambient_fixed_points"] == sigma_fixed_components(fam, 13)["count"]
+    assert report.data["ambient_fixed_points"] == sigma_fixed_components(fam.ring, 13)["count"]
     assert report.data["surface_hits"] > 0
 
 
 def test_checks_error_on_bad_inputs():
     fam_q = build_family(random_params("Q", seed=0))
-    assert check_quasi_smooth(fam_q, 7).status == "error"
+    report = check_quasi_smooth(fam_q, 7)
+    assert (report.status, report.notes) == (
+        "error", ("prime field must have p = 1 mod 4, got p = 7",))
     assert check_free_action(fam_q, 4).status == "error"
     fam13 = build_family(random_params(13, seed=0))
-    assert check_quasi_smooth(fam13, 29).status == "error"
+    report = check_quasi_smooth(fam13, 29)
+    assert (report.status, report.notes) == ("error", ("ring is over GF(13), not GF(29)",))
     assert check_fixed_locus(fam_q, 109).status == "error"
+
+
+CHECKS = (check_quasi_smooth, check_free_action, check_fixed_locus)
+
+
+def reduced_member(params, p, drop=()):
+    """The member over GF(p) built from the coefficients of params mod p,
+    less the monomials in drop and those whose coefficient vanishes mod p."""
+    field = PrimeField(p)
+    q0, q2 = ({k: v for k, c in q.items() if k not in drop and (v := field(c))}
+              for q in (params.q0, params.q2))
+    return build_family(FamilyParams(field_spec=p, q0=q0, q2=q2,
+                                     enforce_involution=params.enforce_involution))
+
+
+@pytest.mark.parametrize("p", [13, 29])
+def test_q_members_report_as_their_reductions(p):
+    # a member over Q enters the scan as it is; each check reports on it
+    # what it reports on the member over GF(p) built from its coefficients
+    # mod p
+    statuses = set()
+    for seed in range(20):
+        params = random_params("Q", seed=seed)
+        fam_q, fam_p = build_family(params), reduced_member(params, p)
+        for check in CHECKS:
+            # status, witness, notes, data and points_scanned alike
+            got = check(fam_q, p).to_dict()
+            assert got == check(fam_p, p).to_dict(), (seed, check.__name__)
+            statuses.add(got["status"])
+    assert "error" not in statuses
+
+
+def test_a_coefficient_that_vanishes_mod_p_drops_out():
+    # the seed-5 member over Q with x1^4 set to 13: mod 13 it is the member
+    # without x1^4, a smaller support that the scan handles.  The checks
+    # report on that reduction, never an error
+    params = random_params("Q", seed=5)
+    fam = build_family(FamilyParams(q0={**params.q0, "x1^4": 13}, q2=params.q2))
+    without = reduced_member(params, 13, drop=("x1^4",))
+    rows = surface_points(fam, 13).rows.tolist()
+    assert rows == surface_points(without, 13).rows.tolist()
+    assert len(rows) == 91
+    for check in CHECKS:
+        report = check(fam, 13)
+        assert report.status == "pass" or (report.status == "fail" and report.witness)
+        assert report.to_dict() == check(without, 13).to_dict()
+
+
+def test_checks_reduce_a_member_over_q_and_refuse_bad_reduction():
+    # the record of a member over Q holds its terms mod p, over GF(p); a
+    # coefficient whose denominator p divides has no reduction mod p, and
+    # each check reports that error there and scans at another prime
+    fam = build_family(random_params("Q", seed=4))
+    surface = surface_points(fam, 13)
+    assert surface.ring == family_ring(13)
+    assert [len(terms) for terms in surface.terms] == [6, 6]
+    bad = build_family(FamilyParams(q0={"x1^4": "1/13", "x2^4": 1, "y1 y3": 1},
+                                    q2={"y1^2": 1}))
+    for check in CHECKS:
+        report = check(bad, 13)
+        assert (report.status, report.notes) == ("error", ("1/13 has bad reduction mod 13",))
+        assert check(bad, 29).status in ("pass", "fail")
