@@ -16,7 +16,9 @@ Reports serialize to canonical JSON (sorted keys, no timing), so runs
 with identical (seed, config, version) produce byte-identical files.
 Exit codes: 0 all checks pass, 1 a check failed, 2 config error or an
 ill-posed check.  The default prime list can be overridden with the
-GODEAUX_PRIMES environment variable (comma-separated).
+GODEAUX_PRIMES environment variable (comma-separated).  Each command imports
+the modules it uses when it runs, so table1, cover and group start without
+numpy and the point scans.
 """
 
 from __future__ import annotations
@@ -31,51 +33,8 @@ import random
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .abelian import FinAbGroup, is_two_divisible, parse_group_label
-from .cone import (
-    DEGENERATION_CASES,
-    BranchConfig,
-    classify_degeneration,
-    cone_setup,
-    default_branch_config,
-    intersection_count,
-    pencil_report,
-    tau_fixed_points,
-    verify_invariant_map,
-)
-from .covers import (
-    DoubleData,
-    LiftSpec,
-    bidouble_invariants,
-    case_a_witnesses,
-    classify_lift,
-    dihedral_witness,
-    double_invariants,
-    enriques_arithmetic,
-    enriques_double_data,
-    even_node_set,
-    f2_bidouble_data,
-    free_quotient_invariants,
-    preset_model,
-    validate,
-)
-from .family import (
-    build_family,
-    lift_sign_clash,
-    match_reference_table,
-    params_from_config,
-    random_params,
-    render_sigma_tables,
-    sigma_tables,
-)
 from .reports import CheckReport, config_hash, exit_code, reports_to_json
 from .scalars import PrimeField, comma_list, integer
-from .varieties import (
-    check_fixed_locus,
-    check_free_action,
-    check_quasi_smooth,
-    guard_prime,
-)
 from .wpoly import parse_poly
 
 PRIMES_ENV = "GODEAUX_PRIMES"
@@ -123,6 +82,8 @@ def default_primes() -> Tuple[int, ...]:
 def _primes_from(args) -> Tuple[int, ...]:
     """The --prime list, else the default primes; every one of them must be
     a prime the scans accept."""
+    from .varieties import guard_prime
+
     primes = tuple(getattr(args, "prime", None) or default_primes())
     with _config_errors():
         for p in primes:
@@ -175,6 +136,8 @@ def _load_json(path: str):
 
 
 def _family_from_args(args):
+    from .family import build_family, params_from_config, random_params
+
     if getattr(args, "coeffs", None):
         config = _load_json(args.coeffs)
         with _config_errors("bad coefficient file: "):
@@ -187,6 +150,13 @@ def _family_from_args(args):
 
 
 def cmd_table1(args) -> List[CheckReport]:
+    from .family import (
+        lift_sign_clash,
+        match_reference_table,
+        render_sigma_tables,
+        sigma_tables,
+    )
+
     fam = _family_from_args(args)
     clash = lift_sign_clash(fam)
     if clash is not None:
@@ -222,8 +192,10 @@ def cmd_table1(args) -> List[CheckReport]:
 
 
 def _verify_runners() -> Dict[str, Callable[..., CheckReport]]:
-    # built per call, so that a check rebound on this module (as
+    # read from varieties per call, so that a check rebound there (as
     # perfbench's tracer does) is the one that runs
+    from .varieties import check_fixed_locus, check_free_action, check_quasi_smooth
+
     return {
         "quasi-smooth": check_quasi_smooth,
         "free-action": check_free_action,
@@ -231,10 +203,12 @@ def _verify_runners() -> Dict[str, Callable[..., CheckReport]]:
     }
 
 
-VERIFY_CHECKS = tuple(_verify_runners())
+VERIFY_CHECKS = ("quasi-smooth", "free-action", "fixed-locus")
 
 
 def cmd_verify(args) -> List[CheckReport]:
+    from .family import build_family, random_params
+
     primes = _primes_from(args)
     if args.retry_budget < 0:
         raise ConfigError(f"retry budget must be >= 0, got {args.retry_budget}")
@@ -274,11 +248,23 @@ def cmd_verify(args) -> List[CheckReport]:
 
 
 def cmd_cover_validate(args) -> List[CheckReport]:
+    from .covers import enriques_double_data, f2_bidouble_data, validate
+
     data = enriques_double_data() if args.preset == "enriques" else f2_bidouble_data()
     return [validate(data)]
 
 
 def cmd_cover_invariants(args) -> List[CheckReport]:
+    from .covers import (
+        DoubleData,
+        bidouble_invariants,
+        double_invariants,
+        enriques_double_data,
+        f2_bidouble_data,
+        free_quotient_invariants,
+        preset_model,
+    )
+
     if args.preset == "enriques":
         chi, ksq = double_invariants(enriques_double_data(), 1)
         data = {
@@ -329,6 +315,8 @@ def cmd_cover_invariants(args) -> List[CheckReport]:
 
 
 def cmd_cover_lift(args) -> List[CheckReport]:
+    from .covers import LiftSpec, case_a_witnesses, classify_lift, dihedral_witness
+
     with _config_errors():
         spec = LiftSpec(case=args.case, rho_order=args.rho_order)
     labels = sorted(classify_lift(spec))
@@ -342,6 +330,8 @@ def cmd_cover_lift(args) -> List[CheckReport]:
 
 
 def cmd_cover_even_set(args) -> List[CheckReport]:
+    from .covers import even_node_set, preset_model
+
     model = preset_model(args.preset)
     names = [f"C{i}" for i in range(1, 9 if args.preset == "even8" else 5)]
     with _config_errors(kinds=(KeyError, ValueError)):
@@ -353,6 +343,8 @@ def cmd_cover_even_set(args) -> List[CheckReport]:
 
 
 def cmd_cover_enriques(args) -> List[CheckReport]:
+    from .covers import enriques_arithmetic
+
     return [enriques_arithmetic()]
 
 
@@ -361,6 +353,8 @@ def cmd_cover_enriques(args) -> List[CheckReport]:
 
 
 def cmd_group_divisibility(args) -> List[CheckReport]:
+    from .abelian import FinAbGroup, is_two_divisible, parse_group_label
+
     def coordinates(text: str) -> Tuple[int, ...]:
         # the empty string is the one element of a rank-0 group such as Z1
         return tuple(map(integer, comma_list(text))) if text else ()
@@ -394,19 +388,27 @@ def cmd_group_divisibility(args) -> List[CheckReport]:
 
 
 def cmd_cone_image_check(args) -> List[CheckReport]:
+    from .cone import cone_setup, verify_invariant_map
+
     return [verify_invariant_map(cone_setup(), prime=_cone_prime(args))]
 
 
 def cmd_cone_fixed_points(args) -> List[CheckReport]:
+    from .cone import cone_setup, tau_fixed_points
+
+    # --symbolic skips the scan, but its --prime is checked like any other
+    prime = _cone_prime(args)
     if args.symbolic:
         return [tau_fixed_points(cone_setup())]
-    return [tau_fixed_points(cone_setup(), prime=_cone_prime(args))]
+    return [tau_fixed_points(cone_setup(), prime=prime)]
 
 
 _CASE_ALIASES = {"1": "deg1", "2": "deg2", "3": "deg3", "4": "deg4"}
 
 
 def _branch_config_from_file(path: str, fallback_case: Optional[str]) -> BranchConfig:
+    from .cone import BranchConfig, cone_setup
+
     raw = _load_json(path)
     if not isinstance(raw, dict):
         raise ConfigError("branch config must be a JSON object")
@@ -448,6 +450,13 @@ def _branch_config_from_file(path: str, fallback_case: Optional[str]) -> BranchC
 
 
 def cmd_cone_degenerate(args) -> List[CheckReport]:
+    from .cone import (
+        DEGENERATION_CASES,
+        classify_degeneration,
+        default_branch_config,
+        intersection_count,
+    )
+
     p = _cone_prime(args)
     case = _CASE_ALIASES.get(args.case, args.case) if args.case else None
     if case is not None and case not in DEGENERATION_CASES:
@@ -481,6 +490,8 @@ def cmd_cone_degenerate(args) -> List[CheckReport]:
 
 
 def cmd_cone_pencil(args) -> List[CheckReport]:
+    from .cone import pencil_report
+
     if args.points:
         raw = _load_json(args.points)
         if (

@@ -7,7 +7,9 @@ import importlib
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -235,6 +237,32 @@ def test_verify_draws_share_the_allowed_supports(monkeypatch):
     assert 0 < len(calls) <= 4
 
 
+def test_verify_checks_are_the_runners_and_the_default():
+    assert cli.VERIFY_CHECKS == tuple(cli._verify_runners())
+    args = cli._build_parser().parse_args(["verify"])
+    assert args.checks == ",".join(cli.VERIFY_CHECKS)
+
+
+@pytest.mark.parametrize("check, name", [("quasi-smooth", "check_quasi_smooth"),
+                                         ("free-action", "check_free_action"),
+                                         ("fixed-locus", "check_fixed_locus")])
+def test_verify_runs_the_check_bound_on_varieties(check, name, monkeypatch, tmp_path):
+    # the benchmark's tracer rebinds the checks on godeaux.varieties, and
+    # verify reads them there on every call
+    calls = []
+    original = getattr(varieties, name)
+
+    def counting(fam, p):
+        calls.append(p)
+        return original(fam, p)
+
+    monkeypatch.setattr(varieties, name, counting)
+    out = tmp_path / "out.json"
+    assert run(["verify", "--prime", "13", "--checks", check, "--output", str(out)]) == 0
+    [report] = json.loads(out.read_text())
+    assert calls == [13] * report["provenance"]["attempts"]
+
+
 @pytest.mark.parametrize("argv", [["cone", "image-check"],
                                   ["cone", "fixed-points"],
                                   ["cone", "degenerate"]])
@@ -263,8 +291,19 @@ def test_cone_commands_take_one_prime(argv, tmp_path, monkeypatch, capsys):
     assert {r.get("prime") for r in json.loads(out.read_text())} - {None} == {29}
 
 
+@pytest.mark.parametrize("argv, primes", [(["--prime", "4", "--prime", "9"], None),
+                                           ([], "abc")])
+def test_symbolic_fixed_points_check_the_prime(argv, primes, monkeypatch, capsys):
+    # --symbolic scans nothing, yet it refuses the primes every other cone
+    # command refuses, where it once passed with exit 0
+    if primes is not None:
+        monkeypatch.setenv("GODEAUX_PRIMES", primes)
+    assert run(["cone", "fixed-points", "--symbolic", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and "Traceback" not in err
+
+
 def test_table1_builds_each_sigma_table_once(monkeypatch, capsys):
-    import godeaux.cli as cli
     import godeaux.family as family
 
     calls = []
@@ -274,10 +313,7 @@ def test_table1_builds_each_sigma_table_once(monkeypatch, capsys):
         calls.append(lift.exponents)
         return original(fam, lift)
 
-    # every module binding of the function, imported names included
-    for mod in (family, cli):
-        if getattr(mod, "sigma_table", None) is original:
-            monkeypatch.setattr(mod, "sigma_table", counting)
+    monkeypatch.setattr(family, "sigma_table", counting)
     assert run(["table1"]) == 0
     assert "reference match" in capsys.readouterr().out
     assert len(calls) == 2
@@ -1177,3 +1213,51 @@ def test_branch_locus_never_carries_over_to_another_configuration(tmp_path):
         assert counts[0] == counts[1], argv
         assert counts[0]["varieties.enumerate_points"] == 1, argv
         assert counts[0]["cone.intersection_count"] == 1, argv
+
+
+# ---------------------------------------------------------------------------
+# each command imports the modules it uses when it runs
+
+# argv (None: import godeaux.cli and run nothing) -> (modules it must not
+# load, modules it must load) in a fresh interpreter
+FRESH_IMPORTS = [
+    (None, ("numpy", "godeaux.varieties"), ("godeaux.reports",)),
+    (["table1", "--seed", "7"], ("numpy", "godeaux.varieties", "godeaux.cone"),
+     ("godeaux.family",)),
+    (["cover", "even-set"], ("numpy", "godeaux.varieties", "godeaux.cone"),
+     ("godeaux.covers",)),
+    (["cover", "enriques"], ("numpy", "godeaux.varieties", "godeaux.cone"),
+     ("godeaux.covers",)),
+    (["group", "divisibility", "--group", "Z4", "--element", "2"],
+     ("numpy", "godeaux.varieties", "godeaux.cone"), ("godeaux.abelian",)),
+    (["verify", "--prime", "13"], ("godeaux.cone", "godeaux.covers"),
+     ("numpy", "godeaux.varieties")),
+]
+
+
+def _fresh_modules(argv, cwd):
+    """Exit code of cli.main(argv) in a fresh interpreter (None when argv is
+    None) and the names in its sys.modules afterwards."""
+    snippet = (
+        "import contextlib, io, json, sys\n"
+        "import godeaux.cli as cli\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = None if argv is None else cli.main(argv)\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "GODEAUX_PRIMES"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", snippet, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, cwd=cwd, check=True)
+    code, modules = json.loads(done.stdout)
+    return code, set(modules)
+
+
+@pytest.mark.parametrize("argv, unloaded, loaded", FRESH_IMPORTS,
+                         ids=["_".join(argv or ["import"]) for argv, _, _ in FRESH_IMPORTS])
+def test_commands_import_only_what_they_use(argv, unloaded, loaded, tmp_path):
+    code, modules = _fresh_modules(argv, tmp_path)
+    assert code == (None if argv is None else 0)
+    assert modules.isdisjoint(unloaded), sorted(modules & set(unloaded))
+    assert modules.issuperset(loaded), sorted(set(loaded) - modules)
