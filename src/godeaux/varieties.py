@@ -19,9 +19,9 @@ keeps only that value of s, and a single-point box also fixes t.  Each
 equation is split as the sum of g_ij(outer) s^i t^j, and a batch is
 scanned in four stages:
 
-- evaluate: each g_ij is evaluated once per outer row (p^2 rows for the
-  surface, not p^3), as a sum of its terms over a table of the values of
-  the outer monomials;
+- evaluate: each nonzero g_ij is evaluated once per outer row (p^2 rows
+  for the surface, not p^3), as one product of its coefficients with a
+  table of the values of the outer monomials;
 - solve s: the equations free of t, the filters, are polynomials in S =
   s^2 when every exponent of s in them is even, in S = s otherwise.  S is
   solved on each outer row as t is below, from the filters in increasing
@@ -54,9 +54,11 @@ equations, such as a c^2, c^2 G and b F^2 above, so R is expanded once per
 support of the equations, as a template in their coefficient indices, and
 a member only fills it in mod p (``_fill``), as it does the minor in s and
 t of the Jacobian, a template of the same form.  The split of the
-equations by their exponents of s and t, with its power tables, and the
-terms of the partials of the Jacobian are built once per support and prime
-the same way, and read through the member's coefficient vector.  A member
+equations by their exponents of s and t, with its table of the powers of
+s, and the terms of the partials of the Jacobian are built once per
+support and prime the same way, and read through the member's coefficient
+vector; the values of the outer monomials on the outer rows, once per set
+of outer monomials, prime and fold (``_outer_tables``).  A member
 of the family is then a coefficient vector on a support that only changes
 where a term of R vanishes mod p.  An equation is taken apart once, as it
 enters a scan, into its terms mod p with int coefficients (``_reduce_eqs``),
@@ -67,18 +69,20 @@ are reduced where its fixed patterns are read (``_diagonal_fixed_patterns``).
 Every check of a member at p reads one record, its surface
 (``surface_points``), and reads the member's terms mod p off it.
 
-Arithmetic is exact: the evaluation runs on int32 arrays, the solves and
-the tests on int64.  Every array is reduced mod p right after each product:
-each entry of a power table, each sum of terms, each product with the
-powers of s, each Horner step and the discriminant.  The value of an outer
-monomial is a product of table entries, one per outer coordinate, each
-below p; they are multiplied unreduced while the bound (p - 1)^k of k
-factors stays below 2^31, and the value is reduced once at the end.  For
-the Godeaux ring, with three outer coordinates and 101^3 < 2^20, that is
-one reduction instead of three.  So every factor, S and s among them, is
-below p, and no intermediate exceeds M * p^2 for a sum of M products (M
-the number of terms of one g_ij, or of powers of s), p^2 + p for a Horner
-step in S or in t and 5 p^2 for the discriminant: below 2^31 for
+Arithmetic is exact.  The value of an outer monomial is reduced mod p
+after each factor, once per table, and kept in a byte: every residue below
+p <= MAX_ENUM_PRIME fits.  A member computes only the nonzero slots (q, i)
+of its split, each g as one float64 product of its coefficients with the
+table: a sum of M products of two residues, M the number of outer
+monomials, is an integer below M (p - 1)^2, exact while that stays below
+2^53 whatever the order of the summation, and it is reduced once, in
+int32.  The rest of the evaluation runs on int32 arrays, the solves and
+the tests on int64, and every array is reduced mod p right after each
+product: each entry of a power table, each sum of g s^i over the nonzero
+slots, each Horner step and the discriminant.  So every factor, S and s
+among them, is below p, and no intermediate exceeds M * p^2 for a sum of M
+products (M the number of outer monomials, or of powers of s), p^2 + p for
+a Horner step in S or in t and 5 p^2 for the discriminant: below 2^31 for
 p <= MAX_ENUM_PRIME while M stays below 2^31 / p^2, about 210 000.
 ``scanned`` counts the canonical representatives of the boxes covered,
 whether or not each was a candidate, and ``candidates`` the (row, t) pairs
@@ -147,7 +151,6 @@ from .scalars import PrimeField, Rationals, is_prime
 from .wpoly import MonomialMap, WPoly, WRing
 
 MAX_ENUM_PRIME = 101
-_INT32_MAX = (1 << 31) - 1
 _INT64_MAX = (1 << 63) - 1
 CHUNK_LIMIT = 1 << 17
 # the box of the points whose first coordinate, of weight 1, is 1: (prefix,
@@ -355,11 +358,15 @@ class _SplitLayout(NamedTuple):
     each filter in S = s^step, in increasing order: ``step`` is 2 when every
     exponent of s in the filters is even, 1 otherwise.
     The zero polynomial, which vanishes everywhere, is left out.
-    ``nonzeros`` lists the terms as (q, i, outer monomial, coefficient
-    index), the index into the coefficient vector of the equations;
-    ``tables[v][a, m]`` is a^e mod p for the exponent e of the v-th outer
-    coordinate in monomial m, and ``s_powers[i, a]`` is a^i mod p, for
-    every residue a and i below ``width``.  The tables are read-only int32.
+    ``monomials`` holds the outer monomials, as exponents of the outer
+    coordinates, in increasing order, and ``nonzeros`` the terms as (q, i,
+    outer monomial, coefficient index), the index into the coefficient
+    vector of the equations.  A slot (q, i) is nonzero when some term has
+    it: ``slots`` holds the i of the nonzero slots of each q, ``cells`` the
+    (q, i) index arrays of all of them in increasing order, and ``places``
+    the (slot, outer monomial, coefficient index) of each term, as a
+    (3, term) array.  ``s_powers[i, a]`` is a^i mod p, for every residue a
+    and i below ``width``, in int32.  The arrays are read-only.
 
     None of this depends on the coefficients, so it is built once per
     (supports, n, p) (_split_layout); a member reads it through its
@@ -369,11 +376,13 @@ class _SplitLayout(NamedTuple):
     filters: Tuple[int, ...]
     equations: Tuple[slice, ...]
     polys: int
-    monomials: int
     width: int
-    tables: Tuple[np.ndarray, ...]
-    s_powers: np.ndarray
+    monomials: Tuple[Tuple[int, ...], ...]
     nonzeros: Tuple[Tuple[int, int, int, int], ...]
+    slots: Tuple[Tuple[int, ...], ...]
+    cells: Tuple[np.ndarray, np.ndarray]
+    places: np.ndarray
+    s_powers: np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
@@ -389,43 +398,73 @@ def _split_layout(supports: Supports, n: int, p: int) -> _SplitLayout:
     ends = itertools.accumulate(len(q) for q in tested)
     equations = tuple(slice(end - len(q), end) for q, end in zip(tested, ends))
     polys += [part for q in tested for part in q]
-    monomials = sorted({e[:-2] for q in polys for e in q})
+    monomials = tuple(sorted({e[:-2] for q in polys for e in q}))
     index = {m: k for k, m in enumerate(monomials)}
     nonzeros = tuple((k, e[-2], index[e[:-2]], c)
                      for k, q in enumerate(polys) for e, c in q.items())
     width = max((e[-2] for q in polys for e in q), default=0) + 1
-    top = max([width - 1, *itertools.chain.from_iterable(monomials)])
-    powers = _residue_powers(p, top)
-    exponents = np.array(monomials, dtype=np.int64).reshape(len(monomials), n - 2)
-    tables = tuple(powers[:, e].astype(np.int32) for e in exponents.T)
-    s_powers = powers[:, :width].T.astype(np.int32)
-    for table in tables + (s_powers,):
-        table.flags.writeable = False
-    return _SplitLayout(step, filters, equations, len(polys), len(monomials), width,
-                        tables, s_powers, nonzeros)
+    cells = sorted({(q, i) for q, i, _, _ in nonzeros})
+    slot = {cell: k for k, cell in enumerate(cells)}
+    slots = tuple(tuple(i for k, i in cells if k == q) for q in range(len(polys)))
+    places = np.array([(slot[q, i], m, c) for q, i, m, c in nonzeros],
+                      dtype=np.intp).reshape(-1, 3).T
+    cells = tuple(np.array(cells, dtype=np.intp).reshape(-1, 2).T)
+    s_powers = _residue_powers(p, width - 1).T.astype(np.int32)
+    for array in (*cells, places, s_powers):
+        array.flags.writeable = False
+    return _SplitLayout(step, filters, equations, len(polys), width, monomials, nonzeros,
+                        slots, cells, places, s_powers)
 
 
-def outer_values(split: _SplitLayout, coeffs: Sequence[int], cols: np.ndarray,
+def monomial_values(monomials: Sequence[Tuple[int, ...]], cols: np.ndarray,
+                    p: int) -> np.ndarray:
+    """The value mod p of each monomial, given by its exponents of the outer
+    coordinates, on every outer row of the (outer coordinate, row) columns,
+    as a read-only (monomial, row) uint8 array: every residue below
+    p <= MAX_ENUM_PRIME fits in a byte."""
+    exponents = np.array(monomials, dtype=np.int64).reshape(len(monomials), len(cols))
+    powers = _residue_powers(p, int(exponents.max(initial=0)))
+    values = np.ones((len(monomials), cols.shape[1]), dtype=np.int64)
+    for e, col in zip(exponents.T, cols):
+        values = values * powers[col, e[:, None]] % p
+    values = values.astype(np.uint8)
+    values.flags.writeable = False
+    return values
+
+
+@functools.lru_cache(maxsize=8)
+def _outer_tables(monomials: Tuple[Tuple[int, ...], ...], weights: Tuple[int, ...], p: int,
+                  d1: Optional[int] = None) -> Tuple[np.ndarray, ...]:
+    """monomial_values on the outer coordinates of each batch of
+    _outer_batches(weights, p, d1): the part of a scan that no coefficient
+    changes, shared by every member whose split has these outer monomials.
+    Memoized by value and bounded, as a table holds a byte per (monomial,
+    outer row): 23 x 1042 for a sigma member at p = 61."""
+    return tuple(monomial_values(monomials, batch[:len(weights) - 2], p)
+                 for batch in _outer_batches(weights, p, d1))
+
+
+def outer_values(split: _SplitLayout, coeffs: Sequence[int], values: np.ndarray,
                  p: int) -> np.ndarray:
-    """The coefficients of every polynomial q in s of the split on the
-    outer rows given by the (outer coordinate, row) columns, for the
-    coefficient vector coeffs, as a (q, i, row) array mod p.  The table
-    entries are multiplied unreduced, and reduced only where the next
-    product could pass 2^31 - 1."""
-    values = np.ones((cols.shape[1], split.monomials), dtype=np.int32)
-    bound = 1
-    for table, col in zip(split.tables, cols):
-        if bound * (p - 1) > _INT32_MAX:
-            values %= p
-            bound = p - 1
-        values *= table[col]
-        bound *= p - 1
-    values %= p
-    values = np.ascontiguousarray(values.T)
-    out = np.zeros((split.polys, split.width, cols.shape[1]), dtype=np.int32)
-    for q, i, m, k in split.nonzeros:
-        out[q, i] += coeffs[k] * values[m]
-    out %= p
+    """The coefficients of every polynomial q in s of the split, for the
+    coefficient vector coeffs, on the outer rows whose (monomial, row)
+    table is values (monomial_values), as a (q, i, row) int32 array mod p.
+    Only the nonzero slots are computed, each as the product of the row of
+    the member's coefficients on its monomials with the table, reduced
+    once; every other slot is 0.  The product runs in float64 over
+    residues: every partial sum is an integer below M (p - 1)^2, M the
+    number of outer monomials, exact while M (p - 1)^2 < 2^53, so no order
+    of summation and no thread count of the BLAS product changes a value.
+    The sums are then reduced in int32, which holds them while
+    M (p - 1)^2 < 2^31, the bound of every int32 sum of the scan: M below
+    210 000 at p <= MAX_ENUM_PRIME."""
+    slot, monomial, index = split.places
+    matrix = np.zeros((len(split.cells[0]), len(split.monomials)))
+    matrix[slot, monomial] = np.take(coeffs, index)
+    sums = (matrix @ values.astype(np.float64)).astype(np.int32)
+    sums %= p
+    out = np.zeros((split.polys, split.width, values.shape[1]), dtype=np.int32)
+    out[split.cells] = sums
     return out
 
 
@@ -440,11 +479,21 @@ def _residue_powers(p: int, top: int) -> np.ndarray:
     return table
 
 
-def _row_values(g: np.ndarray, outer_row: np.ndarray, s_powers: np.ndarray,
-                p: int) -> np.ndarray:
+def _row_values(g: np.ndarray, slots: Sequence[Tuple[int, ...]], outer_row: np.ndarray,
+                s_powers: np.ndarray, p: int) -> np.ndarray:
     """The same polynomials on chosen grid rows, given by their outer row
-    and the (i, grid row) powers of their s, as a (q, grid row) matrix."""
-    return (g[:, :, outer_row] * s_powers).sum(axis=1) % p
+    and the (i, grid row) powers of their s, as a (q, grid row) matrix: for
+    each q the sum of g[q, i] s^i over the i of its nonzero slots (slots),
+    reduced once.  A sum is below width (p - 1)^2 < 2^31."""
+    out = np.zeros((len(slots), len(outer_row)), dtype=np.int32)
+    for q, nonzero in enumerate(slots):
+        for i in nonzero:
+            term = g[q, i].take(outer_row)
+            if i:
+                term *= s_powers[i]
+            out[q] += term
+    out %= p
+    return out
 
 
 def _horner(coeffs: np.ndarray, row: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
@@ -680,9 +729,10 @@ def _solve_s(g: np.ndarray, s_fixed: np.ndarray, p: int, split: _SplitLayout,
     return np.sort(row[inside] * p + s[inside])
 
 
-def _batch_points(batch: np.ndarray, p: int, split: _SplitLayout, coeffs: Sequence[int],
-                  fibres: _Fibres):
-    """The points on a batch of outer rows where every equation of the
+def _batch_points(batch: np.ndarray, values: np.ndarray, p: int, split: _SplitLayout,
+                  coeffs: Sequence[int], fibres: _Fibres):
+    """The points on a batch of outer rows, whose outer monomials take the
+    values of the table values (_outer_tables), where every equation of the
     split, with the coefficient vector coeffs, vanishes, as pairs of an
     array of rows in lexicographic order and the number of (row, t)
     candidates tested.
@@ -693,12 +743,13 @@ def _batch_points(batch: np.ndarray, p: int, split: _SplitLayout, coeffs: Sequen
     CHUNK_LIMIT candidates are tested at once; a row whose box fixes t
     keeps only that value."""
     cols, s_fixed, t_fixed = batch[:-2], batch[-2], batch[-1]
-    g = outer_values(split, coeffs, cols, p)
+    g = outer_values(split, coeffs, values, p)
     kept = _solve_s(g, s_fixed, p, split, fibres)
     for lo in range(0, len(kept), CHUNK_LIMIT // p):
         o, s = np.divmod(kept[lo:lo + CHUNK_LIMIT // p], p)
-        values = _row_values(g[len(split.filters):], o, split.s_powers[:, s], p)
-        coeffs = [values[rows] for rows in split.equations]
+        first = len(split.filters)
+        at_rows = _row_values(g[first:], split.slots[first:], o, split.s_powers[:, s], p)
+        coeffs = [at_rows[rows] for rows in split.equations]
         row, t = fibres.solve(coeffs, len(o))
         fixed = t_fixed[o[row]]
         inside = np.flatnonzero((fixed < 0) | (fixed == t))
@@ -780,8 +831,9 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
     fibres = _fibres(p)
     found: List[np.ndarray] = []
     candidates = 0
-    for batch in _outer_batches(ring.weights, p, d1):
-        for points, tested in _batch_points(batch, p, split, scan_coeffs, fibres):
+    tables = _outer_tables(split.monomials, ring.weights, p, d1)
+    for batch, values in zip(_outer_batches(ring.weights, p, d1), tables):
+        for points, tested in _batch_points(batch, values, p, split, scan_coeffs, fibres):
             found.append(points)
             candidates += tested
     rows = np.concatenate(found) if found else np.empty((0, n), dtype=np.int64)

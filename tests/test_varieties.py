@@ -40,6 +40,7 @@ from godeaux.varieties import (
     check_quasi_smooth,
     enumerate_points,
     fixed_locus,
+    monomial_values,
     outer_values,
     sigma_fixed_components,
     surface_points,
@@ -78,6 +79,12 @@ def split_of(terms, n, p):
     coefficient vector: what a scan reads the equations through."""
     return (varieties._split_layout(varieties._supports(terms), n, p),
             varieties._coefficients(terms))
+
+
+def split_values(split, coeffs, cols, p):
+    """outer_values on the outer rows of some (outer coordinate, row)
+    columns, through the table of their monomial values."""
+    return outer_values(split, coeffs, monomial_values(split.monomials, cols, p), p)
 
 
 def eliminant_of(terms, n, p):
@@ -273,8 +280,8 @@ def test_fibre_branches():
     x, y, z = (np.array(col, dtype=np.int64) for col in zip(*rows))
     split, coeffs = split_of(_reduce_eqs(ring, p, [f])[1], ring.nvars, p)
     assert (split.filters, split.equations) == ((), (slice(0, 3),))
-    g = outer_values(split, coeffs, np.stack([x, y]), p)
-    coeffs = _row_values(g, np.arange(len(z)), split.s_powers[:, z], p)
+    g = split_values(split, coeffs, np.stack([x, y]), p)
+    coeffs = _row_values(g, split.slots, np.arange(len(z)), split.s_powers[:, z], p)
     row, t = _Fibres(p).solve([coeffs], len(z))
     got = sorted(zip(row.tolist(), t.tolist()))
     want = sorted((i, v) for i, roots in enumerate(rows.values()) for v in roots)
@@ -375,11 +382,11 @@ def test_split_evaluation_is_exact_at_the_largest_prime():
             f = f + ring.monomial(e, p - 1)
         n = len(weights)
         split, coeffs = split_of([int_terms(f)], n, p)
-        g = outer_values(split, coeffs, np.full((n - 2, 3), p - 1, dtype=np.int64), p)
+        g = split_values(split, coeffs, np.full((n - 2, 3), p - 1, dtype=np.int64), p)
         # three outer rows times two values of s: grid rows 0..5, by the
         # path on chosen rows and by the grid oracle on every row
         s_powers = split.s_powers[:, np.full(6, p - 1)]
-        coeffs = _row_values(g, np.arange(6) // 2, s_powers, p)
+        coeffs = _row_values(g, split.slots, np.arange(6) // 2, s_powers, p)
         grid = grid_values(g, split.s_powers, p)
         assert coeffs.tolist() == np.repeat(grid[:, :, p - 1], 2, axis=1).tolist()
         for reduced in (g, s_powers, coeffs, grid):
@@ -396,27 +403,30 @@ def test_split_evaluation_is_exact_at_the_largest_prime():
 
 
 def reduced_outer_values(split, coeffs, cols, p):
-    """The coefficients of outer_values with each product of table entries
-    reduced mod p: the oracle for the single reduction."""
-    values = np.ones((cols.shape[1], split.monomials), dtype=np.int64)
-    for table, col in zip(split.tables, cols):
-        values = values * table[col] % p
+    """The coefficients of outer_values in int64, with each product of
+    coordinates and each sum of terms reduced mod p, every slot summed
+    term by term: the oracle for the one float64 product per batch."""
+    values = np.ones((len(split.monomials), cols.shape[1]), dtype=np.int64)
+    for m, exponents in enumerate(split.monomials):
+        for col, e in zip(cols, exponents):
+            for _ in range(e):
+                values[m] = values[m] * col % p
     out = np.zeros((split.polys, split.width, cols.shape[1]), dtype=np.int64)
     for q, i, m, k in split.nonzeros:
-        out[q, i] += coeffs[k] * values[:, m]
-    return out % p
+        out[q, i] = (out[q, i] + coeffs[k] * values[m]) % p
+    return out
 
 
 @pytest.mark.parametrize("weights, degree", [(W_GODEAUX, 8), (W_GODEAUX, 15), ((1,) * 7, 5)])
 def test_outer_values_reduce_once_where_the_bound_allows(weights, degree):
     # every coefficient p - 1 at the largest prime, on rows of every
-    # coordinate p - 1 and on random rows.  On the Godeaux ring three outer
-    # coordinates give products below (p - 1)^3 < 2^31, reduced once; five
-    # give (p - 1)^5 >= 2^31 for the monomial v0 v1 v2 v3 v4, so a
-    # reduction is forced in between.  At degree 15 the 28 outer monomials
-    # of s^0 t^0 with three odd exponents are each (p - 1)^3 unreduced, and
-    # their sum with the coefficients passes 2^31 unless the monomial
-    # values are reduced before the sum
+    # coordinate p - 1 and on random rows: the largest residues, so the
+    # largest partial sums of the float64 product.  Each is an integer
+    # below M (p - 1)^2 for M outer monomials, exact while that stays below
+    # 2^53, and reduced in int32, which holds it below 2^31.  The Godeaux
+    # ring at degree 15 has the most outer monomials, 444, and the
+    # seven-coordinate ring at degree 5 the most outer coordinates, five,
+    # of which each value is a product
     p = MAX_ENUM_PRIME
     n = len(weights)
     ring = WRing(tuple(f"v{i}" for i in range(n)), weights, PrimeField(p))
@@ -424,14 +434,103 @@ def test_outer_values_reduce_once_where_the_bound_allows(weights, degree):
     for e in monomials_of_degree(ring, degree):
         f = f + ring.monomial(e, p - 1)
     split, coeffs = split_of([int_terms(f)], n, p)
-    assert ((p - 1) ** (n - 2) >= 1 << 31) == (n - 2 >= 5)
+    assert len(split.monomials) == {8: 95, 15: 444, 5: 252}[degree]
+    assert len(split.monomials) * (p - 1) ** 2 < 1 << 31
     rng = np.random.default_rng(n)
     cols = np.concatenate([np.full((n - 2, 3), p - 1), rng.integers(0, p, (n - 2, 200))],
                           axis=1)
-    got = outer_values(split, coeffs, cols, p)
+    values = monomial_values(split.monomials, cols, p)
+    assert values.dtype == np.uint8 and not values.flags.writeable
+    got = outer_values(split, coeffs, values, p)
     assert got.dtype == np.int32
     assert got.min() >= 0 and got.max() < p
-    assert got.tolist() == reduced_outer_values(split, coeffs, cols, p).tolist()
+    want = reduced_outer_values(split, coeffs, cols, p)
+    assert got.tolist() == want.tolist()
+    # the slots with no term are 0, and every nonzero slot has one
+    cells = {(q, i) for q, i, _, _ in split.nonzeros}
+    assert [tuple(i for i in range(split.width) if (q, i) in cells)
+            for q in range(split.polys)] == list(split.slots)
+    for q in range(split.polys):
+        for i in range(split.width):
+            if (q, i) not in cells:
+                assert not got[q, i].any()
+
+
+def dense_row_values(g, outer_row, s_powers, p):
+    """The polynomials on chosen grid rows from every slot (q, i) of g,
+    zero or not: the oracle for the sum over the nonzero slots."""
+    return (g[:, :, outer_row] * s_powers).sum(axis=1) % p
+
+
+@pytest.mark.parametrize("p", [5, 61, MAX_ENUM_PRIME])
+def test_row_values_sum_only_the_nonzero_slots(p):
+    # random g with random zero slots, a q with none among them, on
+    # random grid rows with repeated outer rows
+    rng = np.random.default_rng(p)
+    for polys, width in ((1, 1), (4, 3), (6, 5)):
+        nonzero = rng.random((polys, width)) < 0.4
+        nonzero[0] = False
+        g = rng.integers(0, p, (polys, width, 50)).astype(np.int32)
+        g[~nonzero] = 0
+        slots = [tuple(np.flatnonzero(row).tolist()) for row in nonzero]
+        outer_row = rng.integers(0, 50, 300)
+        s = rng.integers(0, p, 300)
+        s_powers = varieties._residue_powers(p, width - 1).T[:, s].astype(np.int32)
+        got = _row_values(g, slots, outer_row, s_powers, p)
+        assert got.tolist() == dense_row_values(g, outer_row, s_powers, p).tolist()
+        assert not got[0].any()
+
+
+def test_members_share_the_outer_tables(monkeypatch):
+    # two sigma members at p = 61 with the same outer monomials read one
+    # read-only table object, built once; the memo is bounded
+    p = 61
+    d1 = varieties._main_box_action(varieties._group_generator(p).scalars, W_GODEAUX, p)[1]
+    read = []
+
+    def spy(split, coeffs, values, p):
+        read.append(values)
+        return outer_values(split, coeffs, values, p)
+
+    monkeypatch.setattr(varieties, "outer_values", spy)
+    varieties._outer_tables.cache_clear()
+    layouts = []
+    for seed in (1, 2):
+        fam = build_family(random_params(p, seed=seed))
+        terms = [int_terms(fam.q0), int_terms(fam.q2)]
+        layouts.append(split_of(terms + [eliminant_of(terms, 5, p)], 5, p)[0])
+        assert len(surface_points(fam, p).rows)
+    assert layouts[0].monomials == layouts[1].monomials
+    assert len(read) == 2 and read[0] is read[1]
+    assert read[0] is varieties._outer_tables(layouts[0].monomials, W_GODEAUX, p, d1)[0]
+    assert read[0].dtype == np.uint8 and not read[0].flags.writeable
+    assert read[0].shape == (23, 1042)
+    info = varieties._outer_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # more supports than the memo holds: it keeps the last maxsize tables
+    for degree in range(1, info.maxsize + 3):
+        varieties._outer_tables(((degree,),), (1, 1, 1), 5)
+    assert varieties._outer_tables.cache_info().currsize == info.maxsize <= 16
+
+
+@pytest.mark.parametrize("p", [13, 29])
+def test_a_coefficient_that_vanishes_mod_p_matches_the_box_scan(p):
+    # the seed-5 member over Q with x1^4 set to p: mod p its support is
+    # smaller, and so are its split's outer monomials, whose tables the
+    # scan reads under their own key
+    params = random_params("Q", seed=5)
+    fam = build_family(FamilyParams(q0={**params.q0, "x1^4": p}, q2=params.q2))
+    full = build_family(params)
+    monomials = []
+    for member in (fam, full):
+        terms = _reduce_eqs(member.ring, p, [member.q0, member.q2])[1]
+        monomials.append(split_of(terms + [eliminant_of(terms, 5, p)], 5, p)[0].monomials)
+    assert set(monomials[0]) < set(monomials[1])
+    eqs = [fam.q0, fam.q2]
+    points, scanned = box_scan(fam.ring, p, eqs)
+    got = enumerate_points(fam.ring, p, eqs)
+    assert (list(got.points), got.scanned) == (points, scanned)
+    assert len(surface_points(fam, p)) == len(points)
 
 
 def loop_fixed_mask(patterns, cols):
@@ -488,7 +587,7 @@ def test_s_stage_is_exact_at_the_largest_prime():
                  if e[-1] == 0 and (e[-2] % 2 == 0 or not even)]
         split, coeffs = split_of([terms], n, p)
         assert (split.step, split.filters) == (step, (d,))
-        g = outer_values(split, coeffs, np.full((n - 2, 3), p - 1, dtype=np.int64), p)
+        g = split_values(split, coeffs, np.full((n - 2, 3), p - 1, dtype=np.int64), p)
         assert g.min() >= 0 and g.max() < p
         filters = [g[0, :(d + 1) * step:step]]
         row, S = fibres.solve(filters, 3)
@@ -562,7 +661,7 @@ def test_s_stage_keeps_the_grid_keys(p):
         split, coeffs = split_of(terms, len(weights), p)
         shapes.add((split.step, split.filters))
         for batch in varieties._outer_batches(weights, p):
-            g = outer_values(split, coeffs, batch[:-2], p)
+            g = split_values(split, coeffs, batch[:-2], p)
             s_fixed = batch[-2]
             want = grid_keys(g, s_fixed, split, p)
             got = _solve_s(g, s_fixed, p, split, fibres)
@@ -965,10 +1064,10 @@ def test_member_independent_tables_are_built_once():
         hits = varieties._split_layout.cache_info().hits
         enumerate_points(fam.ring, p, [fam.q0, fam.q2])
         assert varieties._split_layout.cache_info().hits == hits + 1
-        for table in (*layout.tables, layout.s_powers):
+        for table in (*layout.cells, layout.places, layout.s_powers):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
-                table[0, 0] = 2
+                table[...] = 2
 
     # at p = 13, 56 of the members of seeds 0-399 lose a term of the
     # eliminant mod p (seed 1 among them), and the 400 members give 4
@@ -990,10 +1089,12 @@ def test_member_independent_tables_are_built_once():
             split, coeffs = split_of(terms + [eliminant], 5, p)
             want = split_fields(terms + [dict_eliminant(terms, 5, p)], 5, p)
             monomials = want.pop("monomials")
-            assert split.monomials == len(monomials)
-            for v, table in enumerate(split.tables):
-                assert table.tolist() == [[pow(a, m[v], p) for m in monomials]
-                                          for a in range(p)]
+            assert split.monomials == tuple(monomials)
+            tables = varieties._outer_tables(split.monomials, W_GODEAUX, p)
+            for batch, table in zip(varieties._outer_batches(W_GODEAUX, p), tables):
+                assert table.tolist() == [
+                    [math.prod(pow(a, e, p) for a, e in zip(row, m)) % p
+                     for row in batch[:3].T.tolist()] for m in monomials]
             got = {name: getattr(split, name) for name in want}
             got["nonzeros"] = [(q, i, m, coeffs[k]) for q, i, m, k in split.nonzeros]
             assert got == want
