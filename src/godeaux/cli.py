@@ -84,7 +84,7 @@ def _primes_from(args) -> Tuple[int, ...]:
     a prime the scans accept."""
     from .varieties import guard_prime
 
-    primes = tuple(getattr(args, "prime", None) or default_primes())
+    primes = tuple(args.prime or default_primes())
     with _config_errors():
         for p in primes:
             guard_prime(p)
@@ -138,7 +138,7 @@ def _load_json(path: str):
 def _family_from_args(args):
     from .family import build_family, params_from_config, random_params
 
-    if getattr(args, "coeffs", None):
+    if args.coeffs:
         config = _load_json(args.coeffs)
         with _config_errors("bad coefficient file: "):
             params = params_from_config(config)
@@ -406,7 +406,8 @@ def cmd_cone_fixed_points(args) -> List[CheckReport]:
 _CASE_ALIASES = {"1": "deg1", "2": "deg2", "3": "deg3", "4": "deg4"}
 
 
-def _branch_config_from_file(path: str, fallback_case: Optional[str]) -> BranchConfig:
+def _branch_config_from_file(path: str, fallback_case: Optional[str]):
+    """The cone.BranchConfig of a JSON branch-configuration file."""
     from .cone import BranchConfig, cone_setup
 
     raw = _load_json(path)
@@ -628,10 +629,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     for rep in reports:
         rep.provenance.setdefault("config", stamp)
-        rep.provenance.setdefault("seed", getattr(args, "seed", 0))
+        rep.provenance.setdefault("seed", args.seed)
     for rep in reports:
         print(rep.console_line())
-    if getattr(args, "output", None):
+    if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(reports_to_json(reports))

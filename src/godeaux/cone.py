@@ -28,7 +28,6 @@ import numpy as np
 from .covers import preset_model
 from .reports import CheckReport
 from .scalars import QQ, field_from_spec, int_tuple
-from .snf import det_bareiss
 from .varieties import Columns, PointSet, _reduce_eqs, enumerate_points, fixed_locus
 from .wpoly import MonomialMap, WPoly, WRing, apply_map, parse_poly, substitute
 
@@ -333,7 +332,8 @@ class BranchConfig:
     even one with the same polynomials; the record relies on a
     configuration not being changed after construction.
 
-    Per-case structure is validated on construction:
+    Per-case structure is validated on construction, and a factor field
+    (r1, h, h0, h1, ht) that the case does not read is refused:
       general  B1 a quadric section not containing the cone
       deg1     B1 has double points at r1 and tau(r1), certified by the
                rank of the Jacobian of (cone, q1) at both points
@@ -360,6 +360,9 @@ class BranchConfig:
             raise ValueError(
                 f"case {self.case!r} not one of {DEGENERATION_CASES}"
             )
+        for name in ("r1", "h", "h0", "h1", "ht"):
+            if getattr(self, name) is not None and name not in _CASE_FIELDS[self.case]:
+                raise ValueError(f"case {self.case} does not read {name}; drop it")
         setup = cone_setup(self.q1.ring.field)
         object.__setattr__(self, "setup", setup)
         if self.q1.ring != setup.ring or self.h3.ring != setup.ring:
@@ -433,6 +436,16 @@ class BranchConfig:
         if d or setup.field(a * a - 4 * b * c) or not (a or b or c):
             raise ValueError("ht does not cut a doubled ruling of the cone")
 
+
+# the factor fields each case reads; it refuses every other one
+_CASE_FIELDS = {
+    "general": (),
+    "deg1": ("r1",),
+    "deg2": ("h",),
+    "exP": ("h",),
+    "deg3": ("h0", "h1"),
+    "deg4": ("h1", "ht"),
+}
 
 # the per-case structure check; a general configuration has none
 _CASE_VALIDATORS = {
@@ -753,11 +766,11 @@ def _frame_matrix(p1, p2, p3, p4):
 
     Its columns are D_i p_i, where D_i is det(p1, p2, p3) with p4 in place
     of p_i: by Cramer's rule p4 = sum D_i p_i / det(p1, p2, p3), so the
-    integer matrix is a multiple of the one whose columns sum to p4."""
+    integer matrix is a multiple of the one whose columns sum to p4.  With
+    no three of the points collinear, every D_i and det(p1, p2, p3) is
+    nonzero."""
     cols = (p1, p2, p3)
     scales = [_det3(*(p4 if j == i else p for j, p in enumerate(cols))) for i in range(3)]
-    if not _det3(*cols) or not all(scales):
-        raise ValueError("points are in degenerate position")
     return tuple(tuple(d * p[r] for d, p in zip(scales, cols)) for r in range(3))
 
 
@@ -824,23 +837,16 @@ def pencil_report(points: Sequence[Sequence[int]] = STANDARD_FRAME) -> CheckRepo
     targets = [next((j for j, p in enumerate(pts) if not any(_cross(image, p))), None)
                for image in _mat_mul(pts, tuple(zip(*phi)))]
 
-    # the conics through the points form a pencil iff the points impose
-    # independent conditions: some 4 x 4 minor of their monomial values is
-    # nonzero.  The line pairs (P1P3)(P2P4) and (P1P2)(P3P4) lie in it, and
-    # span it when some 2 x 2 minor of theirs, on the coordinates `rows`, is.
-    values = [[p[0] ** i * p[1] ** j * p[2] ** k for i, j, k in _CONIC_MONOMIALS] for p in pts]
-    pairs = [(i, j) for i in range(6) for j in range(i)]
+    # four points, no three collinear, impose independent conditions on
+    # conics, so the conics through them form a pencil.  It is spanned by
+    # the line pairs (P1P3)(P2P4) and (P1P2)(P3P4), which are distinct, so
+    # some 2 x 2 minor of theirs, on the coordinates (i, j), is nonzero
     b0, b1 = basis = (_line_pair(_cross(pts[0], pts[2]), _cross(pts[1], pts[3])),
                       _line_pair(_cross(pts[0], pts[1]), _cross(pts[2], pts[3])))
-    rows = next(((i, j) for i, j in pairs if b0[i] * b1[j] - b0[j] * b1[i]), None)
-    if rows is None or not any(
-            det_bareiss([[row[k] for k in range(6) if k not in pair] for row in values])
-            for pair in pairs):
-        raise AssertionError("pencil through four general points must be 2-dim")
+    i, j = next((i, j) for i in range(6) for j in range(i) if b0[i] * b1[j] - b0[j] * b1[i])
     # column j of the action T holds the coordinates of phi^* basis[j] times
-    # the basis minor det on `rows`, by Cramer's rule there; all six
+    # the basis minor det on (i, j), by Cramer's rule there; all six
     # coordinates are checked
-    i, j = rows
     det = b0[i] * b1[j] - b0[j] * b1[i]
     action_cols = []
     for q in basis:

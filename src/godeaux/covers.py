@@ -581,18 +581,18 @@ def preset_model(name: str) -> PicardModel:
     return builder()
 
 
-def enriques_double_data(model: Optional[PicardModel] = None) -> DoubleData:
+def enriques_double_data() -> DoubleData:
     """The flat-cover data 2L = B + C₁ + ⋯ + C₅ on the Enriques preset,
     packaged with the node classes absorbed into the branch."""
-    m = model if model is not None else preset_model("enriques")
+    m = preset_model("enriques")
     branch = m.named("B")
     for i in range(1, 6):
         branch = branch + m.named(f"C{i}")
     return DoubleData(L=m.named("L"), B=branch.as_effective())
 
 
-def f2_bidouble_data(model: Optional[PicardModel] = None) -> BidoubleData:
-    m = model if model is not None else preset_model("f2")
+def f2_bidouble_data() -> BidoubleData:
+    m = preset_model("f2")
     return BidoubleData(
         L1=m.named("L1"),
         L2=m.named("L2"),

@@ -246,9 +246,10 @@ class Rationals:
     def sqrt_minus_one(self):
         raise ValueError("-1 is not a rational square")
 
-    def random_nonzero(self, rng, bound: int = 9) -> Fraction:
-        v = rng.randrange(1, 2 * bound + 1)
-        return Fraction(v - bound - 1 if v <= bound else v - bound)
+    def random_nonzero(self, rng) -> Fraction:
+        """A nonzero integer in [-9, 9], each with the same chance."""
+        v = rng.randrange(1, 19)
+        return Fraction(v - 10 if v <= 9 else v - 9)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)

@@ -145,7 +145,6 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 import numpy as np
 
 from .family import GodeauxFamily, canonical_action, canonical_lifts, canonical_ring
-from .grouprep import CyclicAction
 from .reports import CheckReport
 from .scalars import PrimeField, Rationals, is_prime
 from .wpoly import MonomialMap, WPoly, WRing
@@ -300,11 +299,13 @@ def _fill(template: Template, coeffs: Sequence[int], p: int) -> Terms:
 
 @functools.lru_cache(maxsize=64)
 def _eliminant_template(supports: Supports, n: int) -> Optional[Template]:
-    """Res_t(B t + C, h) expanded once for equations with these supports,
-    symbolically in their coefficients, as a Template in increasing order
-    of monomials.  Each product is one term of h_k, k terms of C and d - k
-    of B, so no two choices give the same product.  None without a pivot
-    and an h, as in _eliminant.  Memoized by value."""
+    """Res_t(B t + C, h) = sum over k of h_k (-C)^k B^(d-k), free of t, for
+    the first equation B t + C of t-degree 1 (the pivot) and the first
+    other equation h = sum of h_k t^k of least positive t-degree d, as a
+    Template in increasing order of monomials, symbolic in the coefficients
+    of equations with these supports; None without such a pair.  Each
+    product is one term of h_k, k terms of C and d - k of B, so no two
+    choices give the same product.  Memoized by value."""
     degrees = [max((e[-1] for e in s), default=-1) for s in supports]
     if 1 not in degrees:
         return None
@@ -333,18 +334,6 @@ def _eliminant_template(supports: Supports, n: int) -> Optional[Template]:
     return tuple((e, tuple(total[e])) for e in sorted(total))
 
 
-def _eliminant(supports: Supports, coeffs: Sequence[int], n: int, p: int
-               ) -> Optional[Terms]:
-    """Res_t(B t + C, h) = sum over k of h_k (-C)^k B^(d-k) mod p, free of
-    t, for the first equation B t + C of t-degree 1 (the pivot) and the
-    first other equation h = sum of h_k t^k of least positive t-degree d,
-    of equations with these supports and coefficients.  None without such
-    a pair, or where the resultant is zero.  The template of the supports,
-    filled in."""
-    template = _eliminant_template(supports, n)
-    return None if template is None else _fill(template, coeffs, p) or None
-
-
 class _SplitLayout(NamedTuple):
     """The equations of a scan split by the exponents (i, j) of the last two
     coordinates s and t: each is the sum of g_ij(outer) s^i t^j, where g_ij
@@ -359,13 +348,12 @@ class _SplitLayout(NamedTuple):
     exponent of s in the filters is even, 1 otherwise.
     The zero polynomial, which vanishes everywhere, is left out.
     ``monomials`` holds the outer monomials, as exponents of the outer
-    coordinates, in increasing order, and ``nonzeros`` the terms as (q, i,
-    outer monomial, coefficient index), the index into the coefficient
-    vector of the equations.  A slot (q, i) is nonzero when some term has
-    it: ``slots`` holds the i of the nonzero slots of each q, ``cells`` the
-    (q, i) index arrays of all of them in increasing order, and ``places``
-    the (slot, outer monomial, coefficient index) of each term, as a
-    (3, term) array.  ``s_powers[i, a]`` is a^i mod p, for every residue a
+    coordinates, in increasing order.  A slot (q, i) is nonzero when some
+    term of q has s^i: ``slots`` holds the i of the nonzero slots of each q,
+    ``cells`` the (q, i) index arrays of all of them in increasing order,
+    and ``places`` the (slot, outer monomial, coefficient index) of each
+    term, as a (3, term) array, the index into the coefficient vector of
+    the equations.  ``s_powers[i, a]`` is a^i mod p, for every residue a
     and i below ``width``, in int32.  The arrays are read-only.
 
     None of this depends on the coefficients, so it is built once per
@@ -378,7 +366,6 @@ class _SplitLayout(NamedTuple):
     polys: int
     width: int
     monomials: Tuple[Tuple[int, ...], ...]
-    nonzeros: Tuple[Tuple[int, int, int, int], ...]
     slots: Tuple[Tuple[int, ...], ...]
     cells: Tuple[np.ndarray, np.ndarray]
     places: np.ndarray
@@ -412,8 +399,8 @@ def _split_layout(supports: Supports, n: int, p: int) -> _SplitLayout:
     s_powers = _residue_powers(p, width - 1).T.astype(np.int32)
     for array in (*cells, places, s_powers):
         array.flags.writeable = False
-    return _SplitLayout(step, filters, equations, len(polys), width, monomials, nonzeros,
-                        slots, cells, places, s_powers)
+    return _SplitLayout(step, filters, equations, len(polys), width, monomials, slots, cells,
+                        places, s_powers)
 
 
 def monomial_values(monomials: Sequence[Tuple[int, ...]], cols: np.ndarray,
@@ -823,8 +810,9 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
         d1 = _main_box_action(symmetry.scalars, ring.weights, p)[1]
     supports, coeffs = _supports(terms), _coefficients(terms)
     scan_supports, scan_coeffs = supports, coeffs
-    eliminant = _eliminant(supports, coeffs, n, p)
-    if eliminant is not None:
+    # the eliminant mod p, left out where there is none or it vanishes
+    eliminant = _fill(_eliminant_template(supports, n) or (), coeffs, p)
+    if eliminant:
         scan_supports = supports + (tuple(e for e, _ in eliminant),)
         scan_coeffs = coeffs + [c for _, c in eliminant]
     split = _split_layout(scan_supports, n, p)
@@ -1115,18 +1103,6 @@ def check_quasi_smooth(surface: PointSet) -> CheckReport:
     )
 
 
-GROUP_ELEMENT_POWERS = {"g": 1, "g2": 2, "g3": 3}
-
-
-@functools.lru_cache(maxsize=16)
-def _element_patterns(action: CyclicAction, p: int) -> Tuple[Tuple[str, tuple], ...]:
-    """(name, fixed patterns) of g, g^2 and g^3 over GF(p), the field of the
-    ring, memoized by value: every member at p shares them."""
-    i = action.ring.field.sqrt_minus_one()
-    return tuple((name, _diagonal_fixed_patterns(action.power(k).as_monomial_map(i), p))
-                 for name, k in GROUP_ELEMENT_POWERS.items())
-
-
 @_certificate("free-action")
 def check_free_action(surface: PointSet) -> CheckReport:
     """Check that g, g^2, g^3 fix no GF(p)-rational point of the surface;
@@ -1135,13 +1111,16 @@ def check_free_action(surface: PointSet) -> CheckReport:
     Fixed loci are unions of coordinate subspaces: their points are counted
     by blocks on the ambient space and picked out of the surface rows by
     mask.  They are g-stable, so the first row fixed by an element is the
-    first such point.
+    first such point.  g^k scales each coordinate by the k-th power of the
+    scalar of g (_group_generator).
     """
-    p, rows = surface.p, surface.rows
+    p, rows, weights = surface.p, surface.rows, surface.ring.weights
+    g = _group_generator(p).scalars
     witness = None
     sizes = {}
-    for name, patterns in _element_patterns(canonical_action(surface.ring), p):
-        sizes[name] = _fixed_point_count(surface.ring.weights, patterns, p)
+    for k, name in enumerate(("g", "g2", "g3"), 1):
+        patterns = _fixed_patterns(weights, tuple(pow(c, k, p) for c in g), p)
+        sizes[name] = _fixed_point_count(weights, patterns, p)
         hits = rows[_fixed_mask(patterns, surface.zero_code)]
         if len(hits) and witness is None:
             witness = {"element": name, "point": hits[0].tolist()}

@@ -116,12 +116,10 @@ def test_criterion_4_smooth_and_free_certificates():
 
 
 def test_criterion_5_cover_invariants():
-    m = preset_model("enriques")
-    chi, ksq = double_invariants(enriques_double_data(m), 1)
+    chi, ksq = double_invariants(enriques_double_data(), 1)
     assert (chi, ksq) == (1, -4)
     assert ksq + 5 == 1
-    f2 = preset_model("f2")
-    chi0, ksq0 = bidouble_invariants(f2_bidouble_data(f2), 1)
+    chi0, ksq0 = bidouble_invariants(f2_bidouble_data(), 1)
     assert (chi0, ksq0) == (2, 0)
     assert ksq0 + 2 == 2
     assert free_quotient_invariants(chi0, ksq0 + 2) == (1, 1)

@@ -644,6 +644,17 @@ def test_cone_degenerate_config_rejections(tmp_path, capsys):
     }))
     assert run(["cone", "degenerate", "--config", str(structural)]) == 2
     assert "config error" in capsys.readouterr().err
+    # a general configuration with the fields of deg1 and deg2, which it
+    # does not read, is refused by name and not classified
+    unread = tmp_path / "unread.json"
+    unread.write_text(json.dumps({
+        "case": "general", "q1": "y0^2 + y1^2 + 2*y2^2 + 3*y3^2 + y0 y3 + y0 y1",
+        "h3": "y0 + 2*y3", "h": "y0 + y1", "r1": [1, 1, 1, 0],
+    }))
+    assert run(["cone", "degenerate", "--config", str(unread)]) == 2
+    captured = capsys.readouterr()
+    assert "case general does not read r1" in captured.err
+    assert "degeneration" not in captured.out
 
 
 MALFORMED_CONFIGS = {

@@ -1,9 +1,12 @@
 """The cone, its involution, branch degenerations, and the conic pencil."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from godeaux.cone import (
     BranchConfig,
@@ -24,7 +27,7 @@ from godeaux.cone import (
     verify_invariant_map,
 )
 from godeaux.reports import canonical_json
-from godeaux.scalars import field_from_spec
+from godeaux.scalars import QQ, exact_rank, field_from_spec
 from godeaux.varieties import enumerate_points
 from godeaux.wpoly import MonomialMap, WPoly, WRing, apply_map, monomials_of_degree, parse_poly
 
@@ -219,6 +222,28 @@ def test_config_rejects_non_homogeneous_plane():
         with pytest.raises(ValueError, match="must be a plane section"):
             BranchConfig(case="general", q1=parse_poly(s.ring, "y1^2 + y3^2"),
                          h3=parse_poly(s.ring, h3))
+
+
+# the factor fields each case reads
+CASE_FIELDS = {"general": set(), "deg1": {"r1"}, "deg2": {"h"}, "exP": {"h"},
+               "deg3": {"h0", "h1"}, "deg4": {"h1", "ht"}}
+
+
+def test_config_refuses_factor_fields_its_case_does_not_read():
+    # each preset sets exactly the fields its case reads; any other field,
+    # even one that another case reads, is refused by name
+    s = cone_setup()
+    others = {"r1": (1, 1, 1, 0), "h": parse_poly(s.ring, "y0 + y1"),
+              "h0": parse_poly(s.ring, "y0 + -1*y3"), "h1": parse_poly(s.ring, "y0 + y3"),
+              "ht": parse_poly(s.ring, "-4*y0 + 4*y1 + y2")}
+    assert set(CASE_FIELDS) == set(DEGENERATION_CASES)
+    for case, fields in CASE_FIELDS.items():
+        cfg = default_branch_config(case)
+        assert {name for name in others if getattr(cfg, name) is not None} == fields
+        for name, value in others.items():
+            if name not in fields:
+                with pytest.raises(ValueError, match=f"case {case} does not read {name};"):
+                    dataclasses.replace(cfg, **{name: value})
 
 
 def test_deg1_requires_singular_point_data():
@@ -513,6 +538,38 @@ def test_pencil_rejects_collinear_points():
         with pytest.raises(ValueError) as oracle:
             fraction_pencil_report(pts)
         assert str(new.value) == str(oracle.value)
+
+
+def _det3(a, b, c):
+    return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
+def _line(p, q):
+    """The coefficients of the line through p and q."""
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def _conic_of_lines(l, m):
+    """The coefficients of l * m on x^2, y^2, z^2, xy, xz, yz."""
+    return (l[0] * m[0], l[1] * m[1], l[2] * m[2], l[0] * m[1] + l[1] * m[0],
+            l[0] * m[2] + l[2] * m[0], l[1] * m[2] + l[2] * m[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-6, 6)] * 3), min_size=4, max_size=4))
+def test_four_points_no_three_collinear_span_a_pencil(pts):
+    # the fact that lets pencil_report check collinearity alone: four such
+    # points impose independent conditions on conics, and the line pairs
+    # (P1P3)(P2P4) and (P1P2)(P3P4) through them are two distinct conics
+    assume(all(_det3(*(p for i, p in enumerate(pts) if i != skip)) for skip in range(4)))
+    values = [[x * x, y * y, z * z, x * y, x * z, y * z] for x, y, z in pts]
+    assert exact_rank(values, QQ) == 4
+    first = _conic_of_lines(_line(pts[0], pts[2]), _line(pts[1], pts[3]))
+    second = _conic_of_lines(_line(pts[0], pts[1]), _line(pts[2], pts[3]))
+    assert exact_rank([first, second], QQ) == 2
+    report = pencil_report(pts)
+    assert report.status == "pass"
 
 
 def _pencil_outcome(report, pts):

@@ -178,8 +178,7 @@ def test_redrel_implies_fundrel(data):
 
 
 def test_enriques_cover_invariants():
-    m = preset_model("enriques")
-    chi, ksq = double_invariants(enriques_double_data(m), 1)
+    chi, ksq = double_invariants(enriques_double_data(), 1)
     assert (chi, ksq) == (1, -4)
     # contracting the five (-1)-curves over the nodes gains 1 each
     assert ksq + 5 == 1
@@ -220,8 +219,7 @@ def test_non_integral_chi_is_an_error():
 
 
 def test_f2_bidouble_invariants():
-    m = preset_model("f2")
-    chi, ksq = bidouble_invariants(f2_bidouble_data(m), 1)
+    chi, ksq = bidouble_invariants(f2_bidouble_data(), 1)
     assert (chi, ksq) == (2, 0)
     # two (-1)-curves over the section get contracted
     assert ksq + 2 == 2

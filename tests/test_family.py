@@ -7,6 +7,7 @@ from godeaux.family import (
     REFERENCE_SIGMA_TABLE,
     SIGMA_G2_SIGNS,
     SIGMA_SIGNS,
+    TORSION_ORDER,
     WEIGHTS,
     FamilyParams,
     allowed_support,
@@ -50,6 +51,61 @@ def test_enforcement_drops_the_mixed_monomials():
     dropped2 = set(allowed_support(ring, 2, False)) - set(allowed_support(ring, 2, True))
     assert {monomial_to_str(ring, e) for e in dropped0} == {"x1 x2 y1", "x2 x3 y3"}
     assert {monomial_to_str(ring, e) for e in dropped2} == {"x2 x3 y1", "x1 x2 y3"}
+
+
+def fixed_components(k):
+    """The components of the fixed locus of g^k over the closure, each as
+    the maximal set F of coordinates on which the coordinate subspace is
+    fixed.  g^k multiplies x_v by zeta^(2k a_v), zeta a primitive 8th root
+    of unity, and rescaling by zeta^j multiplies it by zeta^(j w_v): a point
+    with support F is fixed iff some j in Z/8 has j w_v = 2k a_v mod 8 for
+    every v in F."""
+    n, order = len(WEIGHTS), 2 * TORSION_ORDER
+    fixed = {frozenset(v for v in range(n)
+                       if (j * WEIGHTS[v] - 2 * k * ACTION_EXPONENTS[v]) % order == 0)
+             for j in range(order)} - {frozenset()}
+    return sorted((f for f in fixed if not any(f < other for other in fixed)), key=sorted)
+
+
+def jacobian_columns(support, component):
+    """The coordinates u whose partial of a quartic with this support can be
+    nonzero on the component: the partial of x_u m in x_u is nonzero there
+    only when m is a monomial in the component's coordinates alone."""
+    return {u for e in support for u, eu in enumerate(e)
+            if eu and all(v in component for v, ev in enumerate(e) if ev - (v == u) > 0)}
+
+
+def lemma_fails(supports, component):
+    """Whether the supports leave room for Jacobian rank 2 at a surface point
+    of the component.  With the Euler relation, J(P) (w_v x_v) = 4 (q0(P),
+    q2(P)) = 0 at a point P of X, rank J(P) <= 1 when no entry of J lies
+    off the coordinates of a line, and, at a coordinate point e_u, where the
+    relation kills column u, when at most one row has an entry off it."""
+    rows = [jacobian_columns(support, component) for support in supports]
+    if len(component) == 2:
+        return any(row - component for row in rows)
+    (u,) = component
+    return sum(bool(row - {u}) for row in rows) > 1
+
+
+def test_group_elements_fix_only_singular_points_of_the_surface():
+    # ROADMAP item 1's lemma, proved from the allowed supports: a surface
+    # point fixed by g, g^2 or g^3 is singular, in every characteristic but 2
+    ring = canonical_ring()
+    point = [frozenset({v}) for v in range(5)]
+    assert fixed_components(1) == fixed_components(3) == point
+    # the lines {x1, x3} and {y1, y3} and the point e2
+    assert fixed_components(2) == [frozenset({0, 2}), frozenset({1}), frozenset({3, 4})]
+    for enforce in (True, False):
+        supports = [allowed_support(ring, char, enforce) for char in (0, 2)]
+        for k in (1, 2, 3):
+            assert not [f for f in fixed_components(k) if lemma_fails(supports, f)]
+    # x1 x3 y1, of character 1, in q0: its partial in y1 is x1 x3, which
+    # lives on the g^2 line {x2 = y1 = y3 = 0}
+    q0 = allowed_support(ring, 0, False) + ((1, 0, 1, 1, 0),)
+    supports = [q0, allowed_support(ring, 2, False)]
+    assert [(k, f) for k in (1, 2, 3) for f in fixed_components(k)
+            if lemma_fails(supports, f)] == [(2, frozenset({0, 2}))]
 
 
 def test_build_family_accepts_all_ones():

@@ -1,11 +1,15 @@
 """Every module and test imports only names it uses, every public name in
 the package is reachable from the package itself, the README or the
-benchmark's tracer, every private name from the package itself, and no
+benchmark's tracer, every private name from the package itself, no
 module reads integers by a rule of its own, nor any lattice module with
-an int() cast."""
+an int() cast, and every annotation in the package resolves."""
 
 import ast
+import importlib
+import inspect
 import re
+import types
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -196,3 +200,54 @@ def test_lattice_modules_cast_no_integer(name):
     # their integer values enter through scalars.exact_int and nothing else
     source = (ROOT / "src" / "godeaux" / f"{name}.py").read_text(encoding="utf-8")
     assert int_casts(source) == []
+
+
+def annotated_objects(module):
+    """(qualified name, object) of each function and class the module
+    defines and each method of its classes, memoized functions unwrapped
+    through ``__wrapped__``: the objects whose annotations name the types."""
+    def unwrap(obj):
+        obj = getattr(obj, "__func__", obj)  # staticmethod and classmethod
+        return getattr(obj, "__wrapped__", obj)
+
+    for name, obj in vars(module).items():
+        obj = unwrap(obj)
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield f"{module.__name__}.{name}", obj
+        elif inspect.isclass(obj):
+            yield f"{module.__name__}.{name}", obj
+            for attr, member in vars(obj).items():
+                member = unwrap(member)
+                if inspect.isfunction(member):
+                    yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_annotations_that_do_not_resolve_are_found():
+    module = types.ModuleType("probe")
+    exec("from __future__ import annotations\n"
+         "def good(x: int) -> str: ...\ndef bad() -> Missing: ...\n"
+         "class C:\n    def method(self) -> C: ...\n    def broken(self, y: Absent): ...\n",
+         vars(module))
+    broken = []
+    for name, obj in annotated_objects(module):
+        try:
+            typing.get_type_hints(obj)
+        except NameError:
+            broken.append(name)
+    assert broken == ["probe.bad", "probe.C.broken"]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in ROOT.glob("src/godeaux/*.py")))
+def test_every_annotation_resolves(name):
+    # an annotation names a type the module binds, so typing.get_type_hints
+    # resolves it; a name the module never imports raises NameError
+    module = importlib.import_module(f"godeaux.{name}" if name != "__init__" else "godeaux")
+    broken = {}
+    for qualname, obj in annotated_objects(module):
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            broken[qualname] = str(exc)
+    assert not broken

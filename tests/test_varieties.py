@@ -25,7 +25,8 @@ from godeaux.varieties import (
     PointSet,
     _blocks,
     _diagonal_fixed_patterns,
-    _eliminant,
+    _eliminant_template,
+    _fill,
     _Fibres,
     _fixed_mask,
     _fixed_point_count,
@@ -88,8 +89,11 @@ def split_values(split, coeffs, cols, p):
 
 
 def eliminant_of(terms, n, p):
-    """The eliminant of some terms, from their supports and coefficients."""
-    return _eliminant(varieties._supports(terms), varieties._coefficients(terms), n, p)
+    """The eliminant of some terms, as the scan computes it: the template
+    of their supports filled in with their coefficients; None where there
+    is no template or the fill vanishes."""
+    template = _eliminant_template(varieties._supports(terms), n) or ()
+    return _fill(template, varieties._coefficients(terms), p) or None
 
 
 # --- box-scan oracle: every point of every free box, evaluated in chunks
@@ -402,6 +406,15 @@ def test_split_evaluation_is_exact_at_the_largest_prime():
         assert _horner(coeffs, row, t, p).tolist() == [value] * 6
 
 
+def split_terms(split):
+    """The terms of a split as (q, i, outer monomial, coefficient index), in
+    the order of ``places``: each term's slot is read back as its (q, i)
+    through ``cells``."""
+    qs, exponents = split.cells
+    return [(int(qs[slot]), int(exponents[slot]), int(m), int(k))
+            for slot, m, k in split.places.T]
+
+
 def reduced_outer_values(split, coeffs, cols, p):
     """The coefficients of outer_values in int64, with each product of
     coordinates and each sum of terms reduced mod p, every slot summed
@@ -412,7 +425,7 @@ def reduced_outer_values(split, coeffs, cols, p):
             for _ in range(e):
                 values[m] = values[m] * col % p
     out = np.zeros((split.polys, split.width, cols.shape[1]), dtype=np.int64)
-    for q, i, m, k in split.nonzeros:
+    for q, i, m, k in split_terms(split):
         out[q, i] = (out[q, i] + coeffs[k] * values[m]) % p
     return out
 
@@ -447,7 +460,7 @@ def test_outer_values_reduce_once_where_the_bound_allows(weights, degree):
     want = reduced_outer_values(split, coeffs, cols, p)
     assert got.tolist() == want.tolist()
     # the slots with no term are 0, and every nonzero slot has one
-    cells = {(q, i) for q, i, _, _ in split.nonzeros}
+    cells = {(q, i) for q, i, _, _ in split_terms(split)}
     assert [tuple(i for i in range(split.width) if (q, i) in cells)
             for q in range(split.polys)] == list(split.slots)
     for q in range(split.polys):
@@ -1045,9 +1058,14 @@ def test_member_independent_tables_are_built_once():
         for table in tables:
             assert not table.flags.writeable
         fam = build_family(random_params(p, seed=1))
-        patterns = varieties._element_patterns(fam.action, p)
-        assert varieties._element_patterns(fam.action, p) is patterns
-        assert [name for name, _ in patterns] == ["g", "g2", "g3"]
+        # g is realized once per prime, and the fixed patterns of each of
+        # its powers once per (weights, scalars, p)
+        g = varieties._group_generator(p)
+        assert varieties._group_generator(p) is g
+        for k in (1, 2, 3):
+            scalars = tuple(pow(c, k, p) for c in g.scalars)
+            patterns = varieties._fixed_patterns(W_GODEAUX, scalars, p)
+            assert varieties._fixed_patterns(W_GODEAUX, scalars, p) is patterns
         # the templates of a support: the eliminant's, the split layout and
         # the Jacobian terms, each built once per key, the split read by
         # every member with that support, and with read-only arrays
@@ -1095,8 +1113,8 @@ def test_member_independent_tables_are_built_once():
                 assert table.tolist() == [
                     [math.prod(pow(a, e, p) for a, e in zip(row, m)) % p
                      for row in batch[:3].T.tolist()] for m in monomials]
-            got = {name: getattr(split, name) for name in want}
-            got["nonzeros"] = [(q, i, m, coeffs[k]) for q, i, m, k in split.nonzeros]
+            got = {name: getattr(split, name) for name in want if name != "nonzeros"}
+            got["nonzeros"] = [(q, i, m, coeffs[k]) for q, i, m, k in split_terms(split)]
             assert got == want
         candidates += surface_points(fam, p).candidates
     assert sum(n < max(lengths) for n in lengths) == 56
@@ -1825,8 +1843,8 @@ FAILING_DRAWS = [(13, 52), (13, 42), (13, 21), (17, 114), (29, 109), (17, 2), (1
 
 @pytest.mark.parametrize("p", [13, 17, 29, 61])
 def test_fold_changes_no_report(p, monkeypatch):
-    # the three checks on the folded scan and on the unfolded one, with
-    # _group_generator giving no symmetry, report the same
+    # the three checks on the folded scan and on the unfolded one, read
+    # through a surface_points that scans with no symmetry, report the same
     members = [verify_member(q, seed) for q, seed in FAILING_DRAWS if q == p]
     members += [verify_member(p, seed) for seed in (1, 5)]
     members += [build_family(random_params(p, seed=seed))
@@ -1839,15 +1857,13 @@ def test_fold_changes_no_report(p, monkeypatch):
     def reports():
         out = []
         for fam in members:
-            # each member is checked folded and then unfolded, and the memo
-            # knows nothing of the patched _group_generator
-            surface_points.cache_clear()
             out.append([check(fam, p).to_dict() for check in checks])
-            rows.append(len(surface_points(fam, p).rows))
+            rows.append(len(varieties.surface_points(fam, p).rows))
         return out
 
     folded = reports()
-    monkeypatch.setattr(varieties, "_group_generator", lambda ring: None)
+    monkeypatch.setattr(varieties, "surface_points",
+                        lambda fam, p: enumerate_points(fam.ring, p, [fam.q0, fam.q2]))
     unfolded = reports()
     assert folded == unfolded
     half = len(members)
@@ -1894,8 +1910,10 @@ def test_second_free_action_check_counts_nothing_again(monkeypatch):
     second = check_free_action(fam, 13)
     assert calls == []
     assert second.data["ambient_fixed_points"] == first.data["ambient_fixed_points"]
+    assert list(second.data["ambient_fixed_points"]) == ["g", "g2", "g3"]
+    # each element realized on its own, as a power of the action of g
     i = fam.ring.field.sqrt_minus_one()
-    for name, k in varieties.GROUP_ELEMENT_POWERS.items():
+    for k, name in enumerate(("g", "g2", "g3"), 1):
         patterns = _diagonal_fixed_patterns(fam.action.power(k).as_monomial_map(i), 13)
         assert isinstance(patterns, tuple)
         uncached = varieties._fixed_point_count.__wrapped__(W_GODEAUX, patterns, 13)
