@@ -206,6 +206,14 @@ def _verify_runners() -> Dict[str, Callable[..., CheckReport]]:
 VERIFY_CHECKS = ("quasi-smooth", "free-action", "fixed-locus")
 
 
+def _refuse_repeats(kind: str, values: Sequence) -> None:
+    """A list of verify names each prime and each check once: a repeat
+    would write the same reports again, so it is a config error."""
+    repeated = [v for k, v in enumerate(values) if v in values[:k]]
+    if repeated:
+        raise ConfigError(f"repeated {kind} {repeated[0]!r}; name each {kind} once")
+
+
 def cmd_verify(args) -> List[CheckReport]:
     from .family import build_family, random_params
 
@@ -215,12 +223,14 @@ def cmd_verify(args) -> List[CheckReport]:
     for p in primes:
         if p % 4 != 1:
             raise ConfigError(f"the order-4 symmetry needs p = 1 mod 4, got p = {p}")
+    _refuse_repeats("prime", primes)
     runners = _verify_runners()
     with _config_errors():
         names = comma_list(args.checks)
     unknown = [n for n in names if n not in runners]
     if unknown:
         raise ConfigError(f"unknown checks {unknown}; choose from {sorted(runners)}")
+    _refuse_repeats("check", names)
     if args.draws < 1:
         raise ConfigError(f"draws must be >= 1, got {args.draws}")
     rng = random.Random(args.seed)

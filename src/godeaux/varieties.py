@@ -49,6 +49,25 @@ and q2 = G + a s^2 + b t^2 (s = y1, t = y3), so R = a c^2 s^4 + c^2 G s^2
 where R does not vanish identically the s stage keeps at most four values
 of s, and the t stage about one value of t on each.
 
+Such a sigma member is solved in closed form instead (``_sigma_points``).
+The stage runs where the two equations reduce mod p to F + c s t and G +
+a s^2 + b t^2, in either order, with F and G free of s and t and a, b, c
+constants, nonzero mod p (``_sigma_split``); the choice reads only the
+supports of the reduced equations, so the cone's scans, the members
+without sigma and the members whose a, b or c vanishes mod p keep the
+fibred path.  On each outer row F and G are evaluated as a slot is below,
+and S is a root of R / (a c^2) = S^2 + (G / a) S + b F^2 / (a c^2): as
+a c^2 != 0, a true quadratic on every row, with no pending row, no linear
+case and no whole fibre.  A root S != 0 gives s = +-sqrt(S) and t =
+-F / (c s); then q0 vanishes, and so does q2 = R / (c^2 S), so no
+candidate is tested, and ``candidates`` counts the points solved.  S = 0
+is a root exactly where F = 0, and gives s = 0 and b t^2 = -G.  After F
+and G, no intermediate passes 2 p^2, and the key (row p + s) p + t that
+orders the points stays below CHUNK_LIMIT p.  Such a member builds no
+eliminant template, fill or split layout: its split is the outer
+monomials of F and G and the places of a, b and c in the coefficient
+vector, once per support.
+
 The coefficients of R are fixed polynomials in the coefficients of the
 equations, such as a c^2, c^2 G and b F^2 above, so R is expanded once per
 support of the equations, as a template in their coefficient indices, and
@@ -587,7 +606,8 @@ class PointSet:
     ``len`` their sum, the number of points.  ``scanned`` counts the
     canonical representatives the scan covered, and ``candidates`` the
     (row, t) pairs it tested against the equations (None for a point set
-    not made by a scan).  ``zero_code`` holds, for each row,
+    not made by a scan); the closed form of a sigma member tests none, and
+    counts every point it solves, one per row.  ``zero_code`` holds, for each row,
     the sum of 2^v over the coordinates v that are 0 on it, built once on
     first read, so that every fixed-locus mask is one comparison per row.
     """
@@ -752,6 +772,101 @@ def _batch_points(batch: np.ndarray, values: np.ndarray, p: int, split: _SplitLa
         yield np.stack([col[order] for col in point], axis=1), tested
 
 
+class _SigmaSplit(NamedTuple):
+    """Two equations F + c s t and G + a s^2 + b t^2, in either order, with
+    F and G free of s and t and a, b, c constants: a member with sigma
+    enforced, s = y1 and t = y3.  ``monomials`` holds the outer monomials of
+    F and G in increasing order, ``places`` the (0 for F or 1 for G, outer
+    monomial, coefficient index) of each of their terms as a read-only (3,
+    term) array, and ``abc`` the coefficient indices of a, b and c.  None of
+    this depends on the coefficients, so it is built once per support
+    (_sigma_split)."""
+
+    monomials: Tuple[Tuple[int, ...], ...]
+    places: np.ndarray
+    abc: Tuple[int, int, int]
+
+
+@functools.lru_cache(maxsize=64)
+def _sigma_split(supports: Supports, n: int) -> Optional[_SigmaSplit]:
+    """The _SigmaSplit of two equations with these supports, None where
+    they do not have its form.  A term that vanishes mod p is not in the
+    support of the reduced equations, so a, b and c are nonzero mod p
+    wherever the form is found.  Memoized by value."""
+    if len(supports) != 2:
+        return None
+    outer = (0,) * (n - 2)
+    st, s2, t2 = outer + (1, 1), outer + (2, 0), outer + (0, 2)
+    for first, second in ((0, 1), (1, 0)):
+        f, g = (tuple(e for e in supports[k] if e[-2:] == (0, 0)) for k in (first, second))
+        if (st in supports[first] and s2 in supports[second] and t2 in supports[second]
+                and len(f) + 1 == len(supports[first]) and len(g) + 2 == len(supports[second])):
+            break
+    else:
+        return None
+    starts = (0, len(supports[0]))
+
+    def index(k: int, e: Tuple[int, ...]) -> int:
+        return starts[k] + supports[k].index(e)
+
+    monomials = tuple(sorted({e[:-2] for e in f + g}))
+    column = {m: k for k, m in enumerate(monomials)}
+    places = np.array([(q, column[e[:-2]], index(k, e))
+                       for q, (k, part) in enumerate(((first, f), (second, g))) for e in part],
+                      dtype=np.intp).reshape(-1, 3).T
+    places.flags.writeable = False
+    return _SigmaSplit(monomials, places, (index(second, s2), index(second, t2), index(first, st)))
+
+
+def _sigma_points(batch: np.ndarray, values: np.ndarray, p: int, split: _SigmaSplit,
+                  coeffs: Sequence[int], fibres: _Fibres) -> np.ndarray:
+    """The points of F + c s t = G + a s^2 + b t^2 = 0 (the split) on a
+    batch of outer rows, whose outer monomials take the values of the table
+    values (_outer_tables), as an array of rows in lexicographic order.
+
+    F and G are evaluated on each row as outer_values evaluates a slot.
+    Then S = s^2 is a root of R / (a c^2) = S^2 + (G / a) S + b F^2 / (a c^2),
+    a true quadratic on every row, so no row is pending and none keeps its
+    whole fibre.  A root S != 0 gives s = +-sqrt(S) and t = -F / (c s): q0
+    vanishes, and q2 = R / (c^2 S) vanishes too, so no candidate is tested.
+    S = 0 is a root exactly where F = 0, and gives s = 0 and b t^2 = -G.
+    Every (row, s, t) is found once; a row whose box fixes s or t keeps only
+    that value."""
+    cols, s_fixed, t_fixed = batch[:-2], batch[-2], batch[-1]
+    q, monomial, index = split.places
+    matrix = np.zeros((2, len(split.monomials)))
+    matrix[q, monomial] = np.take(coeffs, index)
+    f, g = (matrix @ values.astype(np.float64)).astype(np.int64) % p
+    a, b, c = (coeffs[k] for k in split.abc)
+    u = g * pow(a, -1, p) % p
+    v = f * f % p * (b * pow(a * c * c, -1, p) % p) % p
+    disc = (u * u - 4 * v) % p
+    # the roots S = (-u +- root) / 2 of each row, the second where it is another
+    root = fibres.sqrt[disc]
+    real = np.flatnonzero(root >= 0)
+    two = real[disc[real] != 0]
+    row = np.concatenate([real, two])
+    square = (np.concatenate([root[real], -root[two]]) - u[row]) * ((p + 1) // 2) % p
+    # S != 0: s = +-sqrt(S) and t = -F / (c s)
+    r = fibres.sqrt[square]
+    off = np.flatnonzero(r > 0)
+    off_row, off_s = np.concatenate([row[off], row[off]]), np.concatenate([r[off], p - r[off]])
+    # S = 0, where F = 0: s = 0 and t = +-sqrt(-G / b)
+    on = row[square == 0]
+    r0 = fibres.sqrt[-g[on] * pow(b, -1, p) % p]
+    on_row = np.concatenate([on[r0 >= 0], on[r0 > 0]])
+    row = np.concatenate([off_row, on_row])
+    s = np.concatenate([off_s, np.zeros(len(on_row), dtype=np.int64)])
+    t = np.concatenate([-f[off_row] * fibres.inv[c * off_s % p] % p, r0[r0 >= 0], p - r0[r0 > 0]])
+    inside = np.flatnonzero(((s_fixed[row] < 0) | (s_fixed[row] == s))
+                            & ((t_fixed[row] < 0) | (t_fixed[row] == t)))
+    row, s, t = row[inside], s[inside], t[inside]
+    # the keys are distinct: each (row, s, t) is found once
+    order = np.argsort((row * p + s) * p + t)
+    row = row[order]
+    return np.stack([col[row] for col in cols] + [s[order], t[order]], axis=1)
+
+
 def _main_box_action(scalars: Sequence[int], weights: Tuple[int, ...], p: int
                      ) -> Tuple[int, ...]:
     """The diagonal map d that the symmetry with these scalars induces on the
@@ -783,8 +898,9 @@ def _coset_minima(d: int, p: int) -> np.ndarray:
 
 def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
           symmetry: Optional[MonomialMap] = None) -> PointSet:
-    """All canonical representatives where every equation vanishes.  The
-    eliminant, when there is one, joins the filters.  Batches come in
+    """All canonical representatives where every equation vanishes.  A
+    sigma member is solved in closed form (_sigma_points); on the fibred
+    path, the eliminant, when there is one, joins the filters.  Batches come in
     lexicographic order, so only the survivors of each are sorted.  With a
     symmetry, only the coset minima of x_1 and x_1 = 0 are scanned on the
     main box, and each row found there off x_1 = 0 has the size of its
@@ -809,21 +925,28 @@ def _scan(ring: WRing, p: int, eqs: Sequence[WPoly],
                                  f"eigenvector of the symmetry: monomials {a} and {b}")
         d1 = _main_box_action(symmetry.scalars, ring.weights, p)[1]
     supports, coeffs = _supports(terms), _coefficients(terms)
-    scan_supports, scan_coeffs = supports, coeffs
-    # the eliminant mod p, left out where there is none or it vanishes
-    eliminant = _fill(_eliminant_template(supports, n) or (), coeffs, p)
-    if eliminant:
-        scan_supports = supports + (tuple(e for e, _ in eliminant),)
-        scan_coeffs = coeffs + [c for _, c in eliminant]
-    split = _split_layout(scan_supports, n, p)
-    fibres = _fibres(p)
-    found: List[np.ndarray] = []
-    candidates = 0
-    tables = _outer_tables(split.monomials, ring.weights, p, d1)
-    for batch, values in zip(_outer_batches(ring.weights, p, d1), tables):
-        for points, tested in _batch_points(batch, values, p, split, scan_coeffs, fibres):
-            found.append(points)
-            candidates += tested
+    batches, fibres = _outer_batches(ring.weights, p, d1), _fibres(p)
+    sigma = _sigma_split(supports, n)
+    if sigma is not None:
+        tables = _outer_tables(sigma.monomials, ring.weights, p, d1)
+        found = [_sigma_points(batch, values, p, sigma, coeffs, fibres)
+                 for batch, values in zip(batches, tables)]
+        # every point solved is a candidate, and none is tested
+        candidates = sum(map(len, found))
+    else:
+        scan_supports, scan_coeffs = supports, coeffs
+        # the eliminant mod p, left out where there is none or it vanishes
+        eliminant = _fill(_eliminant_template(supports, n) or (), coeffs, p)
+        if eliminant:
+            scan_supports = supports + (tuple(e for e, _ in eliminant),)
+            scan_coeffs = coeffs + [c for _, c in eliminant]
+        split = _split_layout(scan_supports, n, p)
+        found, candidates = [], 0
+        tables = _outer_tables(split.monomials, ring.weights, p, d1)
+        for batch, values in zip(batches, tables):
+            for points, tested in _batch_points(batch, values, p, split, scan_coeffs, fibres):
+                found.append(points)
+                candidates += tested
     rows = np.concatenate(found) if found else np.empty((0, n), dtype=np.int64)
     sizes = None
     if d1 is not None:

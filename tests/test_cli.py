@@ -984,6 +984,30 @@ def test_main_builds_its_parser_once(monkeypatch):
     assert cli._build_parser.cache_info().hits == hits + 2
 
 
+@pytest.mark.parametrize("argv, primes, message", [
+    (["--prime", "13", "--prime", "13", "--seed", "1"], None, "repeated prime 13"),
+    (["--prime", "29", "--prime", "13", "--prime", "29"], None, "repeated prime 29"),
+    (["--seed", "1"], "13,13", "repeated prime 13"),
+    (["--checks", "quasi-smooth,quasi-smooth", "--prime", "13"], None,
+     "repeated check 'quasi-smooth'"),
+    (["--checks", "fixed-locus,free-action,fixed-locus", "--prime", "13"], None,
+     "repeated check 'fixed-locus'"),
+])
+def test_verify_refuses_a_repeated_prime_or_check(argv, primes, message, tmp_path,
+                                                   monkeypatch, capsys):
+    # a repeat once wrote its reports again, as draw 0 with another draw
+    # seed, and exited 0; it is a config error that names the repeat, and
+    # no report is written
+    monkeypatch.delenv("GODEAUX_PRIMES", raising=False)
+    if primes is not None:
+        monkeypatch.setenv("GODEAUX_PRIMES", primes)
+    out = tmp_path / "out.json"
+    assert run(["verify", *argv, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_repeated_prime_options_do_not_leak(tmp_path, monkeypatch):
     monkeypatch.delenv("GODEAUX_PRIMES", raising=False)
     assert _verify_primes(tmp_path, ["--prime", "29", "--prime", "13"]) == [29, 13]
@@ -1096,6 +1120,10 @@ HOSTILE_SPELLINGS = [
     (["cone", "degenerate", "--config"], None,
      '{"case": "general", "q1": "y0^2 + y1^2", "h3": "y0 + 1"}'),
     (["cone", "pencil", "--points"], None, '[[Infinity, 0, 0], ' + _POINTS + ']'),
+    # a prime or a check named twice
+    (["verify", "--prime", "13", "--prime", "13", "--seed", "1"], None, None),
+    (["verify", "--seed", "1"], "13,13", None),
+    (["verify", "--checks", "quasi-smooth,quasi-smooth", "--prime", "13"], None, None),
 ]
 
 
@@ -1180,7 +1208,11 @@ def test_template_memos_change_no_traced_count(tmp_path):
 
     # every other per-process cache is filled first
     codes = [quiet(op) for op in ops]
-    memos = (varieties._eliminant_template, varieties._split_layout, varieties._jacobian_terms)
+    # the verify op's sigma member builds the closed form's split and the
+    # Jacobian terms, and the cone op's scan, of three equations, the
+    # eliminant and its layout; each op's scan asks for the closed form
+    memos = (varieties._eliminant_template, varieties._split_layout, varieties._jacobian_terms,
+             varieties._sigma_split)
     for memo in memos:
         memo.cache_clear()
     counts = []
@@ -1191,7 +1223,7 @@ def test_template_memos_change_no_traced_count(tmp_path):
                 assert quiet(op) == code
         counts.append({name: stats["calls"] for name, stats in tracer.stats.items()})
         # the first pass built every template, the second built none
-        assert [memo.cache_info().misses for memo in memos] == [2, 2, 1]
+        assert [memo.cache_info().misses for memo in memos] == [1, 1, 1, 2]
     assert counts[0] == counts[1]
     assert counts[0]["varieties.enumerate_points"] == 2
     assert counts[0]["cone.classify_degeneration"] == 1

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from godeaux import varieties
 from godeaux.family import FamilyParams, build_family, canonical_action, random_params
@@ -94,6 +96,22 @@ def eliminant_of(terms, n, p):
     is no template or the fill vanishes."""
     template = _eliminant_template(varieties._supports(terms), n) or ()
     return _fill(template, varieties._coefficients(terms), p) or None
+
+
+def fibred_scan(ring, p, eqs, symmetry=None):
+    """enumerate_points on the generic fibred path, which every equation
+    set without the sigma form takes: the reference of the closed form of a
+    sigma member."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(varieties, "_sigma_split", lambda supports, n: None)
+        return enumerate_points(ring, p, eqs, symmetry)
+
+
+@pytest.fixture
+def fibred_path(monkeypatch):
+    """Every scan of the test, sigma members included, takes the generic
+    fibred path."""
+    monkeypatch.setattr(varieties, "_sigma_split", lambda supports, n: None)
 
 
 # --- box-scan oracle: every point of every free box, evaluated in chunks
@@ -494,9 +512,10 @@ def test_row_values_sum_only_the_nonzero_slots(p):
         assert not got[0].any()
 
 
-def test_members_share_the_outer_tables(monkeypatch):
-    # two sigma members at p = 61 with the same outer monomials read one
-    # read-only table object, built once; the memo is bounded
+def test_members_share_the_outer_tables(fibred_path, monkeypatch):
+    # two sigma members at p = 61 on the fibred path, with the same outer
+    # monomials, read one read-only table object, built once; the memo is
+    # bounded
     p = 61
     d1 = varieties._main_box_action(varieties._group_generator(p).scalars, W_GODEAUX, p)[1]
     read = []
@@ -861,10 +880,13 @@ def elimination_systems(rng):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_elimination_matches_brute_force(p):
+    # the sigma members take the closed form, whose every candidate is a
+    # point, and the fibred path, which tests at least as many candidates
     for ring, eqs in elimination_systems(random.Random(200 + p)):
-        surface = enumerate_points(ring, p, eqs)
-        assert list(surface.points) == brute_zero_locus(ring, p, eqs)
-        assert surface.candidates >= len(surface)
+        want = brute_zero_locus(ring, p, eqs)
+        for surface in (enumerate_points(ring, p, eqs), fibred_scan(ring, p, eqs)):
+            assert list(surface.points) == want
+            assert surface.candidates >= len(surface)
 
 
 @pytest.mark.parametrize("p", [13, 17])
@@ -903,12 +925,17 @@ def test_elimination_with_extra_mask(p):
 
 
 def test_surface_candidates_are_about_p_squared():
-    # the eliminant keeps about p^2 of the p^3 (row, s) pairs of the main
-    # box, and the pivot leaves one value of t on each
+    # on the fibred path the eliminant keeps about p^2 of the p^3 (row, s)
+    # pairs of the main box, and the pivot leaves one value of t on each;
+    # the closed form tests none, and counts each point it solves
     p = 61
     fam = build_family(random_params(p, seed=5))
-    surface = enumerate_points(fam.ring, p, [fam.q0, fam.q2])
+    eqs = [fam.q0, fam.q2]
+    surface = fibred_scan(fam.ring, p, eqs)
     assert len(surface) <= surface.candidates <= 2 * p * p
+    closed = enumerate_points(fam.ring, p, eqs)
+    assert closed.rows.tobytes() == surface.rows.tobytes()
+    assert closed.candidates == len(closed) <= surface.candidates
 
 
 # --- the scan folded by a diagonal symmetry of the equations
@@ -982,12 +1009,18 @@ def assert_fold_is_exact(ring, p, eqs, symmetry, oracle=True):
 def test_folded_scan_matches_unfolded_and_box_scan(p):
     for seed, enforce in ((p, True), (p + 1, False)):
         fam = build_family(random_params(p, seed=seed, enforce_involution=enforce))
-        full, folded = assert_fold_is_exact(
-            fam.ring, p, [fam.q0, fam.q2], group_generator(fam.ring), oracle=p <= 41)
+        g = group_generator(fam.ring)
+        full, folded = assert_fold_is_exact(fam.ring, p, [fam.q0, fam.q2], g, oracle=p <= 41)
         assert len(full) > 0
-        # the main box dominates, and a quarter of it is tested
+        # the sigma member takes the closed form, each of whose rows is one
+        # candidate; on the fibred path, the main box dominates, and a
+        # quarter of it is tested
+        fibred = [fibred_scan(fam.ring, p, [fam.q0, fam.q2], m) for m in (None, g)]
+        assert [f.rows.tobytes() for f in fibred] == [full.rows.tobytes(), folded.rows.tobytes()]
+        if enforce:
+            assert (full.candidates, folded.candidates) == (len(full.rows), len(folded.rows))
         if p >= 29:
-            assert 2 * folded.candidates < full.candidates
+            assert 2 * fibred[1].candidates < fibred[0].candidates
 
 
 def test_folded_scan_keeps_the_forced_singular_point():
@@ -1036,7 +1069,9 @@ def test_coset_minima_of_i():
         assert [min(coset) for coset in cosets] == minima[1:]
 
 
-def test_member_independent_tables_are_built_once():
+def test_member_independent_tables_are_built_once(fibred_path):
+    # on the fibred path, whose templates the closed form of a sigma member
+    # skips
     for p in (13, 61):
         fibres = varieties._fibres(p)
         assert varieties._fibres(p) is fibres
@@ -1185,9 +1220,10 @@ def test_outer_batches_are_full_up_to_the_last(weights, p):
     assert widths == {101: [1297, 1297, 138], 61: [2148, 1639]}
 
 
-def test_surface_s_stage_solves_one_column_per_outer_row(monkeypatch):
-    # the s stage takes the eliminant's three S-coefficients on each outer
-    # row, not the p^3 grid, and keeps at most two S, four s, on each
+def test_surface_s_stage_solves_one_column_per_outer_row(fibred_path, monkeypatch):
+    # the s stage of the fibred path takes the eliminant's three
+    # S-coefficients on each outer row, not the p^3 grid, and keeps at most
+    # two S, four s, on each
     p = 61
     fam = build_family(random_params(p, seed=5))
     g = group_generator(fam.ring)
@@ -1209,6 +1245,218 @@ def test_surface_s_stage_solves_one_column_per_outer_row(monkeypatch):
     assert np.bincount(s_row, minlength=outer).max() <= 2
     assert t_size <= 4 * outer
     assert (len(surface), surface.scanned, surface.candidates) == (3784, 14076667, 1036)
+
+
+# --- the closed form of a sigma member: S = s^2 from R, then t = -F / (c s)
+
+
+SIGMA_PRIMES = [q for q in range(5, MAX_ENUM_PRIME + 1, 4) if is_prime(q)]
+
+
+def sigma_split_of(ring, p, eqs):
+    """The closed form's split of the equations reduced mod p, or None."""
+    return varieties._sigma_split(varieties._supports(_reduce_eqs(ring, p, eqs)[1]), ring.nvars)
+
+
+def assert_closed_form_is_exact(ring, p, eqs, symmetry=None):
+    """The equations take the closed form, which gives the fibred path's
+    rows, sizes and count, in either order of the equations, and counts
+    one candidate per row.  Returns its point set."""
+    assert sigma_split_of(ring, p, eqs) is not None
+    closed = enumerate_points(ring, p, eqs, symmetry)
+    fibred = fibred_scan(ring, p, eqs, symmetry)
+    assert closed.rows.tobytes() == fibred.rows.tobytes()
+    assert closed.sizes.tolist() == fibred.sizes.tolist()
+    assert closed.scanned == fibred.scanned
+    assert closed.candidates == len(closed.rows)
+    swapped = enumerate_points(ring, p, eqs[::-1], symmetry)
+    assert swapped.rows.tobytes() == closed.rows.tobytes()
+    return closed
+
+
+@pytest.mark.parametrize("p", SIGMA_PRIMES)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1))
+def test_closed_form_matches_the_fibred_path(p, seed):
+    # seeded members over GF(p) and over Q, reduced mod p, folded by g and
+    # not; a Q-member whose a, b or c vanishes mod p takes the fibred path
+    g = varieties._group_generator(p)
+    for field in (p, "Q"):
+        fam = build_family(random_params(field, seed=seed))
+        eqs = [fam.q0, fam.q2]
+        if sigma_split_of(fam.ring, p, eqs) is None:
+            assert field == "Q"
+            continue
+        for symmetry in (None, g):
+            assert_closed_form_is_exact(fam.ring, p, eqs, symmetry)
+
+
+def non_squares(p):
+    squares = {x * x % p for x in range(1, p)}
+    return [v for v in range(1, p) if v not in squares]
+
+
+@pytest.mark.parametrize("p", [5, 13, 29, 61, 101])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+def test_closed_form_with_a_or_b_a_non_square(p, seed, data):
+    # the roots S of R need no square a or b, nor s a square S
+    odd = data.draw(st.sampled_from(non_squares(p)))
+    other = data.draw(st.integers(1, p - 1))
+    a, b = data.draw(st.permutations((odd, other)))
+    c = data.draw(st.integers(1, p - 1))
+    params = random_params(p, seed=seed)
+    fam = build_family(FamilyParams(field_spec=p, q0={**params.q0, "y1 y3": c},
+                                    q2={**params.q2, "y1^2": a, "y3^2": b}))
+    for symmetry in (None, group_generator(fam.ring)):
+        assert_closed_form_is_exact(fam.ring, p, [fam.q0, fam.q2], symmetry)
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 29])
+def test_closed_form_where_f_vanishes(p):
+    # F = x1^4 - x2^4 vanishes on the rows x2 = i^k x1 and x1 = x2 = 0,
+    # where S = 0 is a root of R: s = 0 and b t^2 = -G, two values of t
+    # where -G / b is a nonzero square, and t = 0 where G = 0 too, as at
+    # (0, 0, 1, 0, 0)
+    for seed in range(4):
+        params = random_params(p, seed=seed)
+        fam = build_family(FamilyParams(
+            field_spec=p, q0={"x1^4": 1, "x2^4": -1, "y1 y3": params.q0["y1 y3"]},
+            q2=params.q2))
+        eqs = [fam.q0, fam.q2]
+        for symmetry in (None, group_generator(fam.ring)):
+            closed = assert_closed_form_is_exact(fam.ring, p, eqs, symmetry)
+            on = closed.rows[closed.rows[:, 3] == 0]
+            assert (0, 0, 1, 0, 0) in map(tuple, on.tolist())
+            assert (on[:, 4] != 0).any()
+        if p <= 13:
+            assert list(enumerate_points(fam.ring, p, eqs).points) == box_scan(fam.ring, p, eqs)[0]
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_closed_form_matches_the_box_scan(p):
+    for seed in range(6):
+        for field in (p, "Q"):
+            fam = build_family(random_params(field, seed=seed))
+            eqs = [fam.q0, fam.q2]
+            points, scanned = box_scan(fam.ring, p, eqs)
+            if sigma_split_of(fam.ring, p, eqs) is None:
+                continue
+            surface = enumerate_points(fam.ring, p, eqs)
+            assert (list(surface.points), surface.scanned) == (points, scanned)
+
+
+@pytest.mark.parametrize("p", [13, 29])
+@pytest.mark.parametrize("monomial", ["y1 y3", "y1^2", "y3^2"])
+def test_a_sigma_coefficient_that_vanishes_mod_p_takes_the_fibred_path(p, monomial):
+    # the seed-5 member over Q with c, a or b set to p: mod p that term
+    # drops out, the equations lose the closed form's shape, and the scan
+    # keeps the fibred path's rows, those of the box scan
+    params = random_params("Q", seed=5)
+    q0, q2 = dict(params.q0), dict(params.q2)
+    (q0 if monomial == "y1 y3" else q2)[monomial] = p
+    fam = build_family(FamilyParams(q0=q0, q2=q2))
+    eqs = [fam.q0, fam.q2]
+    assert sigma_split_of(fam.ring, p, eqs) is None
+    assert sigma_split_of(fam.ring, 37, eqs) is not None
+    points, scanned = box_scan(fam.ring, p, eqs)
+    got = enumerate_points(fam.ring, p, eqs)
+    assert (list(got.points), got.scanned) == (points, scanned)
+    assert got.rows.tobytes() == fibred_scan(fam.ring, p, eqs).rows.tobytes()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_closed_form_on_other_rings(p):
+    # F + c s t and G + a s^2 + b t^2 on the last two coordinates of P^1,
+    # P(2, 2), P(1, 2, 2) and P^3, with random F and G: the closed form
+    # needs no fold, no outer coordinate and no p = 1 mod 4
+    rng = random.Random(300 + p)
+    for weights in ((1, 1), (2, 2), (1, 2, 2), (1, 1, 1, 1)):
+        names = tuple(f"v{i}" for i in range(len(weights)))
+        ring = WRing(names, weights, QQ)
+        n, degree = len(weights), 2 * weights[-1]
+        outer = ring.zero_poly()
+        for e in monomials_of_degree(ring, degree):
+            if not any(e[-2:]):
+                outer = outer + ring.monomial(e, rng.randrange(-3, 4))
+        for _ in range(3):
+            a, b, c = (rng.choice((-2, -1, 1, 2)) for _ in range(3))
+            scale = rng.randrange(-3, 4)
+            eqs = [outer + ring.monomial((0,) * (n - 2) + (1, 1), c),
+                   outer * scale + ring.monomial((0,) * (n - 2) + (2, 0), a)
+                   + ring.monomial((0,) * (n - 2) + (0, 2), b)]
+            closed = assert_closed_form_is_exact(ring, p, eqs)
+            assert list(closed.points) == brute_zero_locus(ring, p, eqs)
+
+
+def test_sigma_split_reads_the_shape_of_the_supports():
+    # F + c s t and G + a s^2 + b t^2, in either order, with a, b, c
+    # constants: a member without sigma, a term c(outer) s t, a third
+    # equation or a missing s^2 is not of the form
+    p = 13
+    fam = build_family(random_params(p, seed=1))
+    ring = fam.ring
+    split = sigma_split_of(ring, p, [fam.q0, fam.q2])
+    coeffs = varieties._coefficients(_reduce_eqs(ring, p, [fam.q0, fam.q2])[1])
+    a, b, c = (coeffs[k] for k in split.abc)
+    assert (a, b, c) == (fam.q2.terms[(0, 0, 0, 2, 0)], fam.q2.terms[(0, 0, 0, 0, 2)],
+                         fam.q0.terms[(0, 0, 0, 1, 1)])
+    assert len(split.monomials) == 9 and not split.places.flags.writeable
+    assert sigma_split_of(ring, p, [fam.q0, fam.q2]) is split
+    swapped = sigma_split_of(ring, p, [fam.q2, fam.q0])
+    assert [coeffs[k] for k in split.abc] == [
+        varieties._coefficients(_reduce_eqs(ring, p, [fam.q2, fam.q0])[1])[k]
+        for k in swapped.abc]
+    odd = build_family(random_params(p, seed=1, enforce_involution=False))
+    assert sigma_split_of(ring, p, [odd.q0, odd.q2]) is None
+    q3 = parse_poly(ring, "x1^2 + x2 x3")
+    assert sigma_split_of(ring, p, [fam.q0, fam.q2, q3 * q3]) is None
+    assert sigma_split_of(ring, p, [fam.q0, fam.q2 - ring.monomial((0, 0, 0, 2, 0), a)]) is None
+    ring3 = p3_ring(p)
+    outer_st = [parse_poly(ring3, "y0^2 + y0 y2 y3"), parse_poly(ring3, "y1^2 + y2^2 + y3^2")]
+    assert sigma_split_of(ring3, p, outer_st) is None
+
+
+def test_sigma_members_skip_the_eliminant(monkeypatch):
+    # the closed form reads no eliminant template, in a scan or through
+    # the checks; a member without sigma still expands one
+    calls = []
+    original = varieties._eliminant_template
+    monkeypatch.setattr(varieties, "_eliminant_template",
+                        lambda supports, n: calls.append(supports) or original(supports, n))
+    for p in (13, 61):
+        fam = build_family(random_params(p, seed=1))
+        enumerate_points(fam.ring, p, [fam.q0, fam.q2])
+        for check in (check_quasi_smooth, check_free_action, check_fixed_locus):
+            check(fam, p)
+        fixed_locus(fam.sigma.rational_realization(), p, [fam.q0, fam.q2])
+    assert calls == []
+    odd = build_family(random_params(13, seed=1, enforce_involution=False))
+    enumerate_points(odd.ring, 13, [odd.q0, odd.q2])
+    assert len(calls) == 1
+
+
+def test_sigma_members_share_the_closed_form_tables(monkeypatch):
+    # two sigma members at p = 61 read one read-only table of the 9 outer
+    # monomials of F and G, built once, and solve no fibre
+    p = 61
+    read = []
+    original = varieties._sigma_points
+
+    def spy(batch, values, *args):
+        read.append(values)
+        return original(batch, values, *args)
+
+    monkeypatch.setattr(varieties, "_sigma_points", spy)
+    monkeypatch.setattr(_Fibres, "solve", lambda *args: pytest.fail("a fibre was solved"))
+    varieties._outer_tables.cache_clear()
+    for seed in (1, 2):
+        fam = build_family(random_params(p, seed=seed))
+        assert len(surface_points(fam, p).rows)
+    assert len(read) == 2 and read[0] is read[1]
+    assert read[0].dtype == np.uint8 and not read[0].flags.writeable
+    assert read[0].shape == (9, 1042)
+    assert varieties._outer_tables.cache_info().misses == 1
 
 
 # --- the quasi-smoothness check on the orbit representatives of g
